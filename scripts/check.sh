@@ -14,6 +14,11 @@ cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 ctest --test-dir build --output-on-failure -j "$JOBS"
 
+echo "== benchmark self-test (builds the perfbench driver against src/) =="
+# A src/ interface change that breaks the benchmark fails here, not in the
+# next performance change.
+python3 perfbench/test_perfbench.py
+
 echo "== tier-1 under ASan/UBSan =="
 cmake -B build-asan -S . -DSHIELD_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j "$JOBS"

@@ -84,6 +84,47 @@ std::vector<BatchOpResult> KeyValueStore::ExecuteBatch(const std::vector<BatchOp
   return results;
 }
 
+namespace {
+
+BatchOpResult RunAsBatchOfOne(KeyValueStore& store, BatchOpType type, std::string_view key,
+                              std::string_view value = {}, int64_t delta = 0) {
+  const std::vector<BatchOp> ops = {{type, std::string(key), std::string(value), delta}};
+  return std::move(store.ExecuteBatch(ops)[0]);
+}
+
+}  // namespace
+
+Status BatchFirstStore::Set(std::string_view key, std::string_view value) {
+  return RunAsBatchOfOne(*this, BatchOpType::kSet, key, value).status;
+}
+
+Result<std::string> BatchFirstStore::Get(std::string_view key) {
+  BatchOpResult r = RunAsBatchOfOne(*this, BatchOpType::kGet, key);
+  if (!r.status.ok()) {
+    return r.status;
+  }
+  return std::move(r.value);
+}
+
+Status BatchFirstStore::Delete(std::string_view key) {
+  return RunAsBatchOfOne(*this, BatchOpType::kDelete, key).status;
+}
+
+Status BatchFirstStore::Append(std::string_view key, std::string_view suffix) {
+  return RunAsBatchOfOne(*this, BatchOpType::kAppend, key, suffix).status;
+}
+
+Result<int64_t> BatchFirstStore::Increment(std::string_view key, int64_t delta) {
+  const BatchOpResult r = RunAsBatchOfOne(*this, BatchOpType::kIncrement, key, {}, delta);
+  if (!r.status.ok()) {
+    return r.status;
+  }
+  // The batch result carries the new value in decimal (BatchOpResult).
+  int64_t value = 0;
+  std::from_chars(r.value.data(), r.value.data() + r.value.size(), value);
+  return value;
+}
+
 Result<bool> KeyValueStore::Exists(std::string_view key) {
   Result<std::string> current = Get(key);
   if (current.ok()) {

@@ -82,8 +82,10 @@ class KeyValueStore {
   //  * ops on the same key are applied in batch order (engines may reorder
   //    across keys/partitions, which commutes);
   //  * the final store state equals executing the ops one at a time.
-  // The default runs the ops sequentially; engines override to amortize
-  // per-op fixed costs (locks, MAC-hash recomputation, log commits).
+  // Leaf engines implement the primitives above and inherit this default,
+  // which runs the ops sequentially (or override it to amortize per-op
+  // fixed costs such as MAC-hash recomputation). Serving decorators derive
+  // from BatchFirstStore instead and implement ONLY ExecuteBatch.
   virtual std::vector<BatchOpResult> ExecuteBatch(const std::vector<BatchOp>& ops);
 
   // Number of live keys.
@@ -92,6 +94,21 @@ class KeyValueStore {
   virtual std::string Name() const = 0;
 
   virtual StoreStats stats() const { return {}; }
+};
+
+// Base for serving decorators (partition locking, write-ahead logging)
+// whose request handling lives in ONE place: ExecuteBatch. Every singleton
+// verb runs as a batch of one, so locking, quarantine, log append and the
+// commit wait exist once per layer. ExecuteBatch is pure here — inheriting
+// KeyValueStore's sequential default as well would recurse forever.
+class BatchFirstStore : public KeyValueStore {
+ public:
+  Status Set(std::string_view key, std::string_view value) override;
+  Result<std::string> Get(std::string_view key) override;
+  Status Delete(std::string_view key) override;
+  Status Append(std::string_view key, std::string_view suffix) override;
+  Result<int64_t> Increment(std::string_view key, int64_t delta) override;
+  std::vector<BatchOpResult> ExecuteBatch(const std::vector<BatchOp>& ops) override = 0;
 };
 
 // Runs one batch sub-op against `store` through its virtual interface —

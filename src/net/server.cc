@@ -43,6 +43,10 @@ Server::Server(sgx::Enclave& enclave, kv::KeyValueStore& store,
       batch_verb_counters_[op] = &metrics_->GetCounter("net.batch_ops." + verb);
     }
   }
+  requests_ = &metrics_->GetCounter("net.requests");
+  batches_ = &metrics_->GetCounter("net.batches");
+  batch_ops_ = &metrics_->GetCounter("net.batch_ops");
+  crossings_saved_ = &metrics_->GetCounter("net.crossings_saved");
   inflight_ = &metrics_->GetGauge("net.inflight");
   auth_failures_ = &metrics_->GetCounter("net.auth_failures");
   protocol_errors_ = &metrics_->GetCounter("net.protocol_errors");
@@ -217,35 +221,6 @@ Response Server::Dispatch(const Request& request) {
     c->Inc();
   }
   switch (request.op) {
-    case OpCode::kGet: {
-      Result<std::string> value = store_.Get(request.key);
-      response.status = value.ok() ? Code::kOk : value.status().code();
-      if (value.ok()) {
-        response.value = std::move(value.value());
-      }
-      break;
-    }
-    case OpCode::kSet:
-      response.status = store_.Set(request.key, request.value).code();
-      break;
-    case OpCode::kDelete:
-      response.status = store_.Delete(request.key).code();
-      break;
-    case OpCode::kAppend:
-      response.status = store_.Append(request.key, request.value).code();
-      break;
-    case OpCode::kIncrement: {
-      Result<int64_t> value = store_.Increment(request.key, request.delta);
-      response.status = value.ok() ? Code::kOk : value.status().code();
-      if (value.ok()) {
-        response.value = std::to_string(value.value());
-      }
-      break;
-    }
-    case OpCode::kPing:
-      response.status = Code::kOk;
-      response.value = "pong";
-      break;
     case OpCode::kStats: {
       // Snapshot-on-read: folding the registry and bridging component stats
       // happens only when a client asks, never on the op hot path.
@@ -273,26 +248,30 @@ Response Server::Dispatch(const Request& request) {
       response.value.assign(reinterpret_cast<const char*>(frame.data()), frame.size());
       break;
     }
+    case OpCode::kGet:
+    case OpCode::kSet:
+    case OpCode::kDelete:
+    case OpCode::kAppend:
+    case OpCode::kIncrement:
+    case OpCode::kPing:
     case OpCode::kBatch:
-      // Batches are decoded and dispatched by DispatchBatch; a kBatch that
-      // reaches here is a sub-op smuggled past decode validation.
+      // Data verbs and pings always run through RunOps (a singleton frame
+      // is a run of one), and batch frames are decoded apart; what reaches
+      // here is a kBatch opcode smuggled into a single-op frame.
       response.status = Code::kProtocolError;
       break;
   }
   return response;
 }
 
-std::vector<Response> Server::DispatchBatch(const std::vector<Request>& ops) {
-  return RunOps(ops, /*implicit=*/false);
-}
-
 std::vector<Response> Server::RunOps(const std::vector<Request>& ops, bool implicit) {
   std::vector<Response> responses(ops.size());
-  // Pings answer inline; everything else funnels into ONE store ExecuteBatch
-  // call, where the engine amortizes locks / MAC recomputes / log commits.
-  // Metric family: explicit kBatch frames count as batch sub-ops; implicit
-  // (reactor-coalesced) frames count as the singleton requests they are —
-  // exactly what sequential execution would have recorded.
+  // The one wire->store mapping: pings answer inline; everything else
+  // funnels into ONE store ExecuteBatch call, where the engine amortizes
+  // locks / MAC recomputes / log commits. Metric family: explicit kBatch
+  // frames count as batch sub-ops; implicit runs (a singleton frame, or
+  // reactor-coalesced pipelined frames) count as the singleton requests
+  // they are — exactly what sequential execution would have recorded.
   std::vector<kv::BatchOp> batch;
   std::vector<size_t> index;
   batch.reserve(ops.size());
@@ -324,6 +303,7 @@ std::vector<Response> Server::RunOps(const std::vector<Request>& ops, bool impli
       case OpCode::kBatch:      // decode rejects nested batches
       case OpCode::kStats:      // decode rejects stats inside a batch
       case OpCode::kReplicate:  // decode rejects replicate inside a batch
+      case OpCode::kTraceDump:  // control verbs never join a run
         responses[i].status = r.op == OpCode::kPing ? Code::kOk : Code::kProtocolError;
         if (r.op == OpCode::kPing) {
           responses[i].value = "pong";
@@ -348,18 +328,17 @@ std::vector<Response> Server::RunOps(const std::vector<Request>& ops, bool impli
       }
     }
   }
-  if (implicit) {
+  if (!implicit) {
+    batches_->Inc();
+    batch_ops_->Inc(ops.size());
+    // Each sub-op beyond the first would otherwise have been its own frame,
+    // session Seal/Open, and enclave submission.
+    crossings_saved_->Inc(ops.size() - 1);
+  } else if (ops.size() > 1) {
+    // A run of one is a plain singleton request: it coalesced nothing.
     coalesced_batches_->Inc();
     coalesced_ops_->Inc(ops.size());
     coalesce_depth_->Record(ops.size());
-    coalesced_batches_n_.fetch_add(1, std::memory_order_relaxed);
-    coalesced_ops_n_.fetch_add(ops.size(), std::memory_order_relaxed);
-  } else {
-    batches_.fetch_add(1, std::memory_order_relaxed);
-    batch_ops_.fetch_add(ops.size(), std::memory_order_relaxed);
-    // Each sub-op beyond the first would otherwise have been its own frame,
-    // session Seal/Open, and enclave submission.
-    crossings_saved_.fetch_add(ops.size() - 1, std::memory_order_relaxed);
   }
   return responses;
 }
@@ -473,33 +452,29 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
           ++j;
         }
         const size_t n = j - i;
-        if (n == 1) {
-          const uint8_t verb = static_cast<uint8_t>(u.request.op);
-          obs::TraceScope span(kServerSpanNames[verb < kVerbSlots ? verb : 0], u.trace);
-          seal(EncodeResponse(Dispatch(u.request)));
-          record_latency(verb, t_start);
-        } else {
-          // A coalesced run carries at most a handful of traced frames; the
-          // run-level span adopts the first sampled context so the client's
-          // frame shows up under the submission that actually executed it.
-          obs::TraceContext run_trace;
-          for (size_t k = i; k < j; ++k) {
-            if (units[k].trace.active()) {
-              run_trace = units[k].trace;
-              break;
-            }
+        // A coalesced run carries at most a handful of traced frames; the
+        // run-level span adopts the first sampled context so the client's
+        // frame shows up under the submission that actually executed it. A
+        // run of one keeps its verb's span name.
+        obs::TraceContext run_trace;
+        for (size_t k = i; k < j; ++k) {
+          if (units[k].trace.active()) {
+            run_trace = units[k].trace;
+            break;
           }
-          obs::TraceScope span("server.coalesced", run_trace);
-          std::vector<Request> ops;
-          ops.reserve(n);
-          for (size_t k = i; k < j; ++k) {
-            ops.push_back(std::move(units[k].request));
-          }
-          const std::vector<Response> rs = RunOps(ops, /*implicit=*/true);
-          for (size_t k = 0; k < n; ++k) {
-            seal(EncodeResponse(rs[k]));
-            record_latency(static_cast<uint8_t>(ops[k].op), t_start);
-          }
+        }
+        obs::TraceScope span(
+            n == 1 ? kServerSpanNames[static_cast<uint8_t>(u.request.op)] : "server.coalesced",
+            run_trace);
+        std::vector<Request> ops;
+        ops.reserve(n);
+        for (size_t k = i; k < j; ++k) {
+          ops.push_back(std::move(units[k].request));
+        }
+        const std::vector<Response> rs = RunOps(ops, /*implicit=*/true);
+        for (size_t k = 0; k < n; ++k) {
+          seal(EncodeResponse(rs[k]));
+          record_latency(static_cast<uint8_t>(ops[k].op), t_start);
         }
         i = j;
         break;
@@ -516,7 +491,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
         const uint8_t verb = static_cast<uint8_t>(OpCode::kBatch);
         obs::TraceScope span(kServerSpanNames[verb], u.trace);
         op_counters_[verb]->Inc();
-        seal(EncodeBatchResponse(DispatchBatch(u.batch)));
+        seal(EncodeBatchResponse(RunOps(u.batch, /*implicit=*/false)));
         record_latency(verb, t_start);
         ++i;
         break;
@@ -530,7 +505,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
       }
     }
   }
-  requests_.fetch_add(units.size(), std::memory_order_relaxed);
+  requests_->Inc(units.size());
 
   if (auth_failed) {
     auth_failures_->Inc();
@@ -571,11 +546,6 @@ void Server::EnclaveWorkerLoop() {
 
 obs::MetricsSnapshot Server::BuildStatsSnapshot() {
   obs::MetricsSnapshot snap = metrics_->Snapshot();
-  // Frame-level totals kept in plain server atomics (pre-registry API).
-  snap.SetCounter("net.requests", requests_.load(std::memory_order_relaxed));
-  snap.SetCounter("net.batches", batches_.load(std::memory_order_relaxed));
-  snap.SetCounter("net.batch_ops", batch_ops_.load(std::memory_order_relaxed));
-  snap.SetCounter("net.crossings_saved", crossings_saved_.load(std::memory_order_relaxed));
   snap.SetCounter("net.maintenance_ticks", maintenance_ticks_.load(std::memory_order_relaxed));
   // Store-level stats through the kv interface (atomic per-field folds).
   const kv::StoreStats ss = store_.stats();

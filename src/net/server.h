@@ -6,8 +6,10 @@
 // multiplexes thousands of non-blocking sessions; adjacent complete
 // pipelined singleton frames from one session are coalesced into one
 // enclave submission and one store ExecuteBatch (implicit batching), with
-// responses in order and byte-identical to sequential execution. Two enclave
-// entry mechanisms reproduce the paper's comparison:
+// responses in order and byte-identical to sequential execution. Every data
+// request reaches the store through that one ExecuteBatch path: a lone
+// singleton frame is a run of one, and an explicit kBatch frame is one
+// batch. Two enclave entry mechanisms reproduce the paper's comparison:
 //  * ECALL per submission — two ~8000-cycle crossings each;
 //  * HotCalls — the I/O thread publishes the run in shared memory and a
 //    dedicated in-enclave worker thread polls and executes it, no crossings.
@@ -103,7 +105,10 @@ class Server {
   void Stop();
 
   uint16_t port() const { return port_; }
-  uint64_t requests_served() const { return requests_.load(std::memory_order_relaxed); }
+  // Frame and batching totals, read from this server's registry counters
+  // (net.requests, net.batches, ...; see ServerOptions::metrics). Servers
+  // sharing a registry share the totals; a SHIELD_METRICS=OFF build reads 0.
+  uint64_t requests_served() const { return requests_->Value(); }
   uint64_t maintenance_ticks() const {
     return maintenance_ticks_.load(std::memory_order_relaxed);
   }
@@ -112,18 +117,14 @@ class Server {
   // Batching observability: frames carrying kBatch, the sub-ops they held,
   // and the enclave submissions they saved (sub-ops minus one per batch —
   // each would otherwise have been its own Seal/Open + crossing).
-  uint64_t batches_served() const { return batches_.load(std::memory_order_relaxed); }
-  uint64_t batch_ops_served() const { return batch_ops_.load(std::memory_order_relaxed); }
-  uint64_t crossings_saved() const {
-    return crossings_saved_.load(std::memory_order_relaxed);
-  }
+  uint64_t batches_served() const { return batches_->Value(); }
+  uint64_t batch_ops_served() const { return batch_ops_->Value(); }
+  uint64_t crossings_saved() const { return crossings_saved_->Value(); }
 
   // Implicit-batch observability: runs of adjacent pipelined singleton
   // frames coalesced into one enclave submission, and the frames they held.
-  uint64_t coalesced_batches() const {
-    return coalesced_batches_n_.load(std::memory_order_relaxed);
-  }
-  uint64_t coalesced_ops() const { return coalesced_ops_n_.load(std::memory_order_relaxed); }
+  uint64_t coalesced_batches() const { return coalesced_batches_->Value(); }
+  uint64_t coalesced_ops() const { return coalesced_ops_->Value(); }
 
   // One tear-free fold of everything observable from this server: the
   // registry (per-verb counters, latency + stage histograms), the store's
@@ -151,11 +152,13 @@ class Server {
   // response). Used by both entry mechanisms.
   void ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>& records,
                          std::vector<Bytes>& responses, bool* close_session);
+  // Control verbs only (stats, replicate, trace dump; a smuggled kBatch
+  // opcode answers kProtocolError). Data verbs never come here.
   Response Dispatch(const Request& request);
-  std::vector<Response> DispatchBatch(const std::vector<Request>& ops);
-  // Shared batch executor: maps wire requests onto ONE store ExecuteBatch
-  // call. `implicit` selects the metric family (explicit kBatch frames vs
-  // reactor-coalesced pipelined singletons).
+  // The only data path: maps wire requests onto ONE store ExecuteBatch
+  // call. `implicit` selects the metric family: false for an explicit
+  // kBatch frame, true for a run of singleton frames (one frame, or
+  // reactor-coalesced pipelined frames).
   std::vector<Response> RunOps(const std::vector<Request>& ops, bool implicit);
 
   sgx::Enclave& enclave_;
@@ -176,13 +179,6 @@ class Server {
   std::condition_variable maintenance_cv_;  // wakes the thread on Stop()
   std::atomic<uint64_t> maintenance_ticks_{0};
 
-  std::atomic<uint64_t> requests_{0};
-  std::atomic<uint64_t> batches_{0};
-  std::atomic<uint64_t> batch_ops_{0};
-  std::atomic<uint64_t> crossings_saved_{0};
-  std::atomic<uint64_t> coalesced_batches_n_{0};
-  std::atomic<uint64_t> coalesced_ops_n_{0};
-
   // Metric handles, cached at construction (registry lookups take a mutex).
   // Verb-indexed arrays use the raw opcode (1..10); slot 0 stays null.
   static constexpr size_t kVerbSlots = 11;
@@ -190,6 +186,10 @@ class Server {
   obs::Counter* op_counters_[kVerbSlots] = {};        // net.ops.<verb>
   obs::Counter* batch_verb_counters_[kVerbSlots] = {};  // net.batch_ops.<verb>
   obs::Histogram* op_latency_[kVerbSlots] = {};       // net.latency.<verb>, e2e ns
+  obs::Counter* requests_ = nullptr;                  // net.requests (frames)
+  obs::Counter* batches_ = nullptr;                   // net.batches (kBatch frames)
+  obs::Counter* batch_ops_ = nullptr;                 // net.batch_ops
+  obs::Counter* crossings_saved_ = nullptr;           // net.crossings_saved
   obs::Gauge* inflight_ = nullptr;                    // net.inflight
   obs::Counter* auth_failures_ = nullptr;             // net.auth_failures
   obs::Counter* protocol_errors_ = nullptr;           // net.protocol_errors

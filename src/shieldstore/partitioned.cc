@@ -718,66 +718,6 @@ Status PartitionedStore::RepartitionInternal(size_t new_partitions) {
   return Status::Ok();
 }
 
-Status PartitionedStore::Set(std::string_view key, std::string_view value) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  const size_t p = PartitionOfLocked(key);
-  std::lock_guard<std::mutex> lock(*locks_[p]);
-  if (Status g = QuarantineGuard(p); !g.ok()) {
-    return g;
-  }
-  const Status s = partitions_[p]->Set(key, value);
-  NoteOutcome(p, s);
-  return s;
-}
-
-Result<std::string> PartitionedStore::Get(std::string_view key) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  const size_t p = PartitionOfLocked(key);
-  std::lock_guard<std::mutex> lock(*locks_[p]);
-  if (Status g = QuarantineGuard(p); !g.ok()) {
-    return g;
-  }
-  Result<std::string> r = partitions_[p]->Get(key);
-  NoteOutcome(p, r.ok() ? Status::Ok() : r.status());
-  return r;
-}
-
-Status PartitionedStore::Delete(std::string_view key) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  const size_t p = PartitionOfLocked(key);
-  std::lock_guard<std::mutex> lock(*locks_[p]);
-  if (Status g = QuarantineGuard(p); !g.ok()) {
-    return g;
-  }
-  const Status s = partitions_[p]->Delete(key);
-  NoteOutcome(p, s);
-  return s;
-}
-
-Status PartitionedStore::Append(std::string_view key, std::string_view suffix) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  const size_t p = PartitionOfLocked(key);
-  std::lock_guard<std::mutex> lock(*locks_[p]);
-  if (Status g = QuarantineGuard(p); !g.ok()) {
-    return g;
-  }
-  const Status s = partitions_[p]->Append(key, suffix);
-  NoteOutcome(p, s);
-  return s;
-}
-
-Result<int64_t> PartitionedStore::Increment(std::string_view key, int64_t delta) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  const size_t p = PartitionOfLocked(key);
-  std::lock_guard<std::mutex> lock(*locks_[p]);
-  if (Status g = QuarantineGuard(p); !g.ok()) {
-    return g;
-  }
-  Result<int64_t> r = partitions_[p]->Increment(key, delta);
-  NoteOutcome(p, r.ok() ? Status::Ok() : r.status());
-  return r;
-}
-
 std::vector<kv::BatchOpResult> PartitionedStore::ExecuteBatch(
     const std::vector<kv::BatchOp>& ops) {
   std::vector<kv::BatchOpResult> results(ops.size());

@@ -10,7 +10,9 @@
 //  * partition-owned threads (the paper's design): callers route with
 //    PartitionOf() and drive partition(p) from its owning thread, lock-free;
 //  * convenience facade: the KeyValueStore methods below route internally
-//    and take a per-partition mutex, for examples and mixed callers.
+//    and take a per-partition mutex, for examples and mixed callers. Every
+//    facade verb is a batch through ExecuteBatch (a singleton is a batch of
+//    one).
 //
 // Repartition() implements the dynamic parallelism adjustment the paper
 // leaves as future work (current SGX cannot change enclave thread counts at
@@ -42,7 +44,7 @@
 
 namespace shield::shieldstore {
 
-class PartitionedStore : public kv::KeyValueStore {
+class PartitionedStore : public kv::BatchFirstStore {
  public:
   // `options.num_buckets` is the TOTAL bucket count, split evenly across
   // partitions (likewise num_mac_hashes, cache_bytes and cache_slots).
@@ -183,12 +185,11 @@ class PartitionedStore : public kv::KeyValueStore {
   // fenced and the file must be replaced from a replica.
   Status RecoverPersistPartition(size_t p);
 
-  // Locked facade.
-  Status Set(std::string_view key, std::string_view value) override;
-  Result<std::string> Get(std::string_view key) override;
-  Status Delete(std::string_view key) override;
-  Status Append(std::string_view key, std::string_view suffix) override;
-  Result<int64_t> Increment(std::string_view key, int64_t delta) override;
+  // Locked facade. ExecuteBatch is its only request path: the singleton
+  // verbs (Set/Get/Delete/Append/Increment, from kv::BatchFirstStore) run
+  // as batches of one, so routing, locking, the quarantine guard and
+  // NoteOutcome live here alone.
+  //
   // Partition-grouped batch execution: sub-ops are grouped by partition and
   // each touched partition is locked ONCE, its group running inside the
   // partition store's MAC batch scope (each touched bucket-set hash is

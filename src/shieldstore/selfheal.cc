@@ -283,103 +283,6 @@ Status WriteAheadStore::AwaitDurable(Shard& s, std::unique_lock<std::mutex>& loc
   }
 }
 
-Status WriteAheadStore::Set(std::string_view key, std::string_view value) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  Shard& s = shard(ShardOfLocked(inner_.PartitionOf(key)));
-  std::unique_lock<std::mutex> lock(s.mutex);
-  if (!s.failed.ok()) {
-    return s.failed;
-  }
-  uint64_t my_seq = 0;
-  {
-    ContentionScope contention(options_.virtual_contention);
-    if (Status st = inner_.Set(key, value); !st.ok()) {
-      return st;
-    }
-    if (Status st = AppendLocked(s, /*is_delete=*/false, key, value, &my_seq); !st.ok()) {
-      return st;
-    }
-  }
-  return AwaitDurable(s, lock, my_seq);
-}
-
-Result<std::string> WriteAheadStore::Get(std::string_view key) {
-  return inner_.Get(key);  // reads mutate nothing: no lock, no log record
-}
-
-Status WriteAheadStore::Delete(std::string_view key) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  Shard& s = shard(ShardOfLocked(inner_.PartitionOf(key)));
-  std::unique_lock<std::mutex> lock(s.mutex);
-  if (!s.failed.ok()) {
-    return s.failed;
-  }
-  uint64_t my_seq = 0;
-  {
-    ContentionScope contention(options_.virtual_contention);
-    if (Status st = inner_.Delete(key); !st.ok()) {
-      return st;  // kNotFound changed no state, so nothing to log either
-    }
-    if (Status st = AppendLocked(s, /*is_delete=*/true, key, "", &my_seq); !st.ok()) {
-      return st;
-    }
-  }
-  return AwaitDurable(s, lock, my_seq);
-}
-
-Status WriteAheadStore::Append(std::string_view key, std::string_view suffix) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  Shard& s = shard(ShardOfLocked(inner_.PartitionOf(key)));
-  std::unique_lock<std::mutex> lock(s.mutex);
-  if (!s.failed.ok()) {
-    return s.failed;
-  }
-  uint64_t my_seq = 0;
-  {
-    ContentionScope contention(options_.virtual_contention);
-    if (Status st = inner_.Append(key, suffix); !st.ok()) {
-      return st;
-    }
-    // Log the resulting state, not the computation: replay must be
-    // deterministic against a partition restored from any snapshot.
-    Result<std::string> now = inner_.Get(key);
-    if (!now.ok()) {
-      return now.status();
-    }
-    if (Status st = AppendLocked(s, /*is_delete=*/false, key, *now, &my_seq); !st.ok()) {
-      return st;
-    }
-  }
-  return AwaitDurable(s, lock, my_seq);
-}
-
-Result<int64_t> WriteAheadStore::Increment(std::string_view key, int64_t delta) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  Shard& s = shard(ShardOfLocked(inner_.PartitionOf(key)));
-  std::unique_lock<std::mutex> lock(s.mutex);
-  if (!s.failed.ok()) {
-    return s.failed;
-  }
-  uint64_t my_seq = 0;
-  Result<int64_t> value = Status(Code::kInternal, "unreachable");
-  {
-    ContentionScope contention(options_.virtual_contention);
-    value = inner_.Increment(key, delta);
-    if (!value.ok()) {
-      return value;
-    }
-    if (Status st =
-            AppendLocked(s, /*is_delete=*/false, key, std::to_string(value.value()), &my_seq);
-        !st.ok()) {
-      return st;
-    }
-  }
-  if (Status st = AwaitDurable(s, lock, my_seq); !st.ok()) {
-    return st;
-  }
-  return value;
-}
-
 std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
     const std::vector<kv::BatchOp>& ops) {
   std::vector<kv::BatchOpResult> results(ops.size());
@@ -409,7 +312,7 @@ std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
     }
     if (mutations[sh] == 0) {
       // Read-only group: nothing to log, so no shard lock — reads bypass
-      // the WAL exactly as singleton Get does.
+      // the WAL entirely.
       sub_results = inner_.ExecuteBatch(sub_ops);
       for (size_t j = 0; j < groups[sh].size(); ++j) {
         results[groups[sh][j]] = std::move(sub_results[j]);

@@ -12,8 +12,8 @@
 //    record chain, monotonic counter, and fsync cadence. A mutation locks
 //    only its key's shard, applies to the inner store, and appends to that
 //    shard's log BEFORE the caller sees success — acked ⇒ logged per shard,
-//    and writers to different partitions never contend. Reads bypass the
-//    facade entirely.
+//    and writers to different partitions never contend. Reads take no
+//    shard lock and append nothing.
 //  * Group-commit batcher (OpLogOptions::group_commit_window_us > 0):
 //    mutations become durable acks. The first writer to find its shard's
 //    batch open becomes the commit leader; it waits for the window to close
@@ -73,10 +73,13 @@ struct WalStats {
 // shard's log (and, with a group-commit window, fsync'd). Per-shard locks
 // serialize (apply + append) so each log's record order is its partitions'
 // apply order, which is what makes per-partition replay deterministic.
-// Get routes straight to the inner store. Repartition() must go through
-// this facade (or SelfHealer) — the inner store pins its layout while
-// wrapped and returns the typed kUnsupportedUnderWal if called directly.
-class WriteAheadStore : public kv::KeyValueStore {
+// Reads route straight to the inner store. ExecuteBatch is the only request
+// path: the singleton verbs (from kv::BatchFirstStore) are batches of one,
+// so the shard lock, the failed-shard latch, the log append and the commit
+// wait each exist once. Repartition() must go through this facade (or
+// SelfHealer) — the inner store pins its layout while wrapped and returns
+// the typed kUnsupportedUnderWal if called directly.
+class WriteAheadStore : public kv::BatchFirstStore {
  public:
   WriteAheadStore(PartitionedStore& inner, const sgx::SealingService& sealer,
                   sgx::MonotonicCounterService& counters, const OpLogOptions& options);
@@ -86,19 +89,15 @@ class WriteAheadStore : public kv::KeyValueStore {
   // mutations. Shard i lives at options.path + ".p<i>".
   Status Open();
 
-  Status Set(std::string_view key, std::string_view value) override;
-  Result<std::string> Get(std::string_view key) override;
-  Status Delete(std::string_view key) override;
-  Status Append(std::string_view key, std::string_view suffix) override;
-  Result<int64_t> Increment(std::string_view key, int64_t delta) override;
   // Batched mutations under ONE group-commit handle per touched shard: the
   // shard's sub-ops apply (partition-grouped, via the inner ExecuteBatch)
   // and append to the shard log under a single lock hold, then a single
   // AwaitDurable on the last record's sequence covers the whole group — a
   // batched ack is exactly as durable as N singleton acks, for one fsync
   // wait. Gets ride in their key's shard group so per-key read-after-write
-  // order within the batch is preserved; a batch with no mutations skips
-  // the shard locks entirely.
+  // order within the batch is preserved; a shard group with no mutations
+  // skips the shard lock entirely. On a shard whose commit failed (latched)
+  // mutations fail fast with the latched status while reads still serve.
   std::vector<kv::BatchOpResult> ExecuteBatch(const std::vector<kv::BatchOp>& ops) override;
   size_t Size() const override { return inner_.Size(); }
   std::string Name() const override { return "ShieldStore/write-ahead"; }

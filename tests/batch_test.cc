@@ -320,6 +320,31 @@ TEST(BatchEquivalenceTest, PartitionGroupedExecutionMatchesSequentialState) {
   }
 }
 
+TEST(BatchEquivalenceTest, FacadeSingletonsMatchLeafPrimitives) {
+  // The facade's singleton verbs are batches of one through ExecuteBatch
+  // (lock, quarantine guard, MAC batch scope). Against a twin driven through
+  // its partition's Store primitives directly — same enclave seed and master
+  // key, hence the same IV stream — every result and the exported secure
+  // metadata must match byte for byte.
+  shieldstore::Options options = SmallOptions();
+  options.master_key = Bytes(32, 0x42);
+  sgx::Enclave enclave_facade(TestEnclaveConfig("batch-of-one"));
+  sgx::Enclave enclave_leaf(TestEnclaveConfig("batch-of-one"));
+  PartitionedStore facade(enclave_facade, options, 1);
+  PartitionedStore leaf(enclave_leaf, options, 1);
+
+  const std::vector<BatchOp> ops = MixedOps();
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const BatchOpResult via_facade = kv::ExecuteSingleOp(facade, ops[i]);
+    const BatchOpResult via_leaf = kv::ExecuteSingleOp(leaf.partition(0), ops[i]);
+    EXPECT_EQ(via_facade.status.code(), via_leaf.status.code()) << "op " << i;
+    EXPECT_EQ(via_facade.value, via_leaf.value) << "op " << i;
+  }
+  EXPECT_EQ(facade.Size(), leaf.Size());
+  EXPECT_EQ(facade.partition(0).ExportSecureMetadata(), leaf.partition(0).ExportSecureMetadata());
+  EXPECT_TRUE(facade.partition(0).VerifyFullIntegrity().ok());
+}
+
 TEST(BatchEquivalenceTest, MidBatchFailuresLeaveConsistentMacState) {
   sgx::Enclave enclave(TestEnclaveConfig("batch-midfail"));
   Store store(enclave, SmallOptions());
@@ -435,18 +460,30 @@ TEST_F(BatchWalTest, BatchedDurableAcksSurviveRestart) {
   // In durable-window mode a batched ack is exactly as durable as N singleton
   // acks: the state on disk right after ExecuteBatch returns must replay in
   // full — including ops that span every shard and delete earlier sets.
+  // Odd rounds run the same ops through the singleton verbs (each a batch of
+  // one), whose acks must be just as durable.
   std::map<std::string, std::string> acked;
-  for (int round = 0; round < 5; ++round) {
+  for (int round = 0; round < 6; ++round) {
     std::vector<BatchOp> ops;
     for (int i = 0; i < 16; ++i) {
       const std::string key = "b" + std::to_string(round) + "-" + std::to_string(i);
       ops.push_back({BatchOpType::kSet, key, "v" + std::to_string(i), 0});
     }
-    if (round > 0) {
+    if (round == 0) {
+      ops.push_back({BatchOpType::kSet, "ctr", "100", 0});
+    } else {
       ops.push_back({BatchOpType::kDelete, "b" + std::to_string(round - 1) + "-0", "", 0});
       ops.push_back({BatchOpType::kAppend, "b" + std::to_string(round - 1) + "-1", "+", 0});
+      ops.push_back({BatchOpType::kIncrement, "ctr", "", round});
     }
-    const std::vector<BatchOpResult> results = wal.ExecuteBatch(ops);
+    std::vector<BatchOpResult> results;
+    if (round % 2 == 0) {
+      results = wal.ExecuteBatch(ops);
+    } else {
+      for (const BatchOp& op : ops) {
+        results.push_back(kv::ExecuteSingleOp(wal, op));
+      }
+    }
     for (size_t i = 0; i < ops.size(); ++i) {
       ASSERT_TRUE(results[i].status.ok()) << "round " << round << " op " << i;
       switch (ops[i].type) {
@@ -457,6 +494,7 @@ TEST_F(BatchWalTest, BatchedDurableAcksSurviveRestart) {
           acked.erase(ops[i].key);
           break;
         case BatchOpType::kAppend:
+        case BatchOpType::kIncrement:
           acked[ops[i].key] = results[i].value;
           break;
         default:
@@ -464,6 +502,7 @@ TEST_F(BatchWalTest, BatchedDurableAcksSurviveRestart) {
       }
     }
   }
+  EXPECT_EQ(acked["ctr"], "115");
   EXPECT_EQ(RestartAndDump(4, log_opts), acked);
 }
 
@@ -502,6 +541,39 @@ TEST_F(BatchWalTest, FailedOpsAreNotLoggedAndGetsSkipTheLog) {
             (std::map<std::string, std::string>{{"n", "NaN"}, {"ok", "1"}}));
 }
 
+TEST_F(BatchWalTest, LatchedShardFailsSingletonMutationsButServesGets) {
+  PartitionedStore store(enclave_, SmallOptions(), 1);
+  shieldstore::OpLogOptions log_opts = LogOptions();
+  log_opts.group_commit_window_us = 50;
+  WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
+  ASSERT_TRUE(wal.Open().ok());
+  ASSERT_TRUE(wal.Set("k", "v").ok());
+  ASSERT_TRUE(wal.Set("n", "1").ok());
+
+  // Fail the next commit's counter bump: the counter's temp file path is
+  // now a directory. The failed commit latches the (only) shard.
+  const std::string blocker = dir_ + "/counters.bin.tmp";
+  ASSERT_TRUE(std::filesystem::create_directory(blocker));
+  const Status failed = wal.Set("x", "1");
+  ASSERT_FALSE(failed.ok());
+  std::filesystem::remove(blocker);  // the latch outlives the fault
+
+  // Every singleton mutation now fails fast with the latched status and
+  // logs nothing; reads still serve the pre-latch state.
+  const uint64_t records = wal.Stats().records_logged;
+  EXPECT_EQ(wal.Set("k", "w").ToString(), failed.ToString());
+  EXPECT_EQ(wal.Delete("k").ToString(), failed.ToString());
+  EXPECT_EQ(wal.Append("k", "+").ToString(), failed.ToString());
+  EXPECT_EQ(wal.Increment("n", 1).status().ToString(), failed.ToString());
+  EXPECT_EQ(wal.Stats().records_logged, records);
+  Result<std::string> k = wal.Get("k");
+  ASSERT_TRUE(k.ok()) << k.status().ToString();
+  EXPECT_EQ(*k, "v");
+  Result<std::string> n = wal.Get("n");
+  ASSERT_TRUE(n.ok()) << n.status().ToString();
+  EXPECT_EQ(*n, "1");
+}
+
 // --------------------------------------------------------- end to end
 
 class BatchNetTest : public ::testing::Test {
@@ -512,6 +584,7 @@ class BatchNetTest : public ::testing::Test {
         store_(enclave_, SmallOptions(), 2) {}
 
   void StartServer(net::ServerOptions options) {
+    options.metrics = &registry_;  // per-test totals behind the accessors
     server_ = std::make_unique<net::Server>(enclave_, store_, authority_, options);
     ASSERT_TRUE(server_->Start().ok());
   }
@@ -564,6 +637,7 @@ class BatchNetTest : public ::testing::Test {
   sgx::Enclave enclave_;
   sgx::AttestationAuthority authority_;
   PartitionedStore store_;
+  obs::Registry registry_;
   std::unique_ptr<net::Server> server_;
 };
 
