@@ -100,7 +100,7 @@ grep -q 'stats check OK' "$STATS_DIR/stats.txt"
 $CLI stats --prometheus > "$STATS_DIR/prom.txt"
 for metric in shield_net_ops_get shield_net_latency_get_count shield_stage_search_decrypt_count \
               shield_sgx_epc_touches shield_wal_records shield_wal_group_commits \
-              shield_store_partitions shield_crypto_backend shield_store_crypto_ctr_bytes \
+              shield_wal_counter_bump_ns_count shield_store_partitions shield_crypto_backend shield_store_crypto_ctr_bytes \
               shield_store_crypto_cmac_bytes; do
   grep -q "^$metric" "$STATS_DIR/prom.txt" || { echo "missing $metric"; exit 1; }
 done

@@ -1,5 +1,6 @@
 #include "src/kv/interface.h"
 
+#include <algorithm>
 #include <charconv>
 
 namespace shield::kv {
@@ -82,6 +83,101 @@ std::vector<BatchOpResult> KeyValueStore::ExecuteBatch(const std::vector<BatchOp
     results.push_back(ExecuteSingleOp(*this, op));
   }
   return results;
+}
+
+std::vector<BatchOpResult> KeyValueStore::SubmitBatch(const std::vector<BatchOp>& ops,
+                                                      DurabilityRequirement& requirement) {
+  requirement.shards.clear();
+  return ExecuteBatch(ops);
+}
+
+void DurabilityRequirement::Require(uint32_t shard, uint64_t sequence) {
+  for (auto& [s, seq] : shards) {
+    if (s == shard) {
+      seq = std::max(seq, sequence);
+      return;
+    }
+  }
+  shards.emplace_back(shard, sequence);
+}
+
+void DurabilityRequirement::Merge(const DurabilityRequirement& other) {
+  for (const auto& [shard, seq] : other.shards) {
+    Require(shard, seq);
+  }
+}
+
+DurabilityWatch::State DurabilityWatch::Check(const DurabilityRequirement& requirement,
+                                              Status* failure) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  State state = State::kDurable;
+  for (const auto& [shard, seq] : requirement.shards) {
+    // A shard index past the table was retired by a re-layout, which made
+    // everything before it durable first.
+    if (shard >= durable_.size() || durable_[shard] >= seq) {
+      continue;
+    }
+    if (!latched_[shard].ok()) {
+      *failure = latched_[shard];
+      return State::kFailed;
+    }
+    state = State::kPending;
+  }
+  return state;
+}
+
+uint64_t DurabilityWatch::Subscribe(std::function<void()> listener) {
+  std::lock_guard<std::mutex> lock(listeners_mu_);
+  listeners_.emplace_back(next_token_, std::move(listener));
+  return next_token_++;
+}
+
+void DurabilityWatch::Unsubscribe(uint64_t token) {
+  std::lock_guard<std::mutex> lock(listeners_mu_);
+  std::erase_if(listeners_, [&](const auto& entry) { return entry.first == token; });
+}
+
+void DurabilityWatch::Reset(size_t shards, uint64_t floor) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    durable_.resize(shards, floor);
+    latched_.assign(shards, Status::Ok());
+    for (uint64_t& d : durable_) {
+      d = std::max(d, floor);
+    }
+  }
+  Notify();
+}
+
+void DurabilityWatch::Publish(size_t shard, uint64_t durable) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shard >= durable_.size() || durable_[shard] >= durable) {
+      return;
+    }
+    durable_[shard] = durable;
+  }
+  Notify();
+}
+
+void DurabilityWatch::Latch(size_t shard, const Status& failure) {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (shard >= latched_.size()) {
+      return;
+    }
+    latched_[shard] = failure;
+  }
+  Notify();
+}
+
+void DurabilityWatch::Notify() {
+  // Listeners run under listeners_mu_ (not a copy-then-call): Unsubscribe
+  // must not return while its listener may still be running.
+  std::lock_guard<std::mutex> lock(listeners_mu_);
+  for (const auto& [token, listener] : listeners_) {
+    listener();
+  }
 }
 
 namespace {

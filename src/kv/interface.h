@@ -6,8 +6,11 @@
 #define SHIELDSTORE_SRC_KV_INTERFACE_H_
 
 #include <cstdint>
+#include <functional>
+#include <mutex>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -54,6 +57,57 @@ struct StoreStats {
   uint64_t crypto_cmac_bytes = 0;  // bytes through CMAC (entry + set MACs)
 };
 
+// What a set of results depends on before it may be revealed: per WAL
+// shard, the sequence that shard's durable watermark must reach. A mutation
+// needs its own record; a get needs every record its shard had appended when
+// it ran, so it never shows state a crash could take back. Empty = the
+// results are durable as returned (a volatile store, or nothing pending).
+struct DurabilityRequirement {
+  std::vector<std::pair<uint32_t, uint64_t>> shards;  // (shard, sequence), one per shard
+
+  bool empty() const { return shards.empty(); }
+  // Adds `shard` >= `sequence`, keeping the larger bound for a known shard.
+  void Require(uint32_t shard, uint64_t sequence);
+  void Merge(const DurabilityRequirement& other);
+};
+
+// The durable watermarks a store publishes for the requirements it hands
+// out of SubmitBatch. Checking is non-blocking; subscribers hear about every
+// advance or latch, so a caller holding results never has to wait on a
+// condition variable to learn when to release them.
+class DurabilityWatch {
+ public:
+  enum class State : uint8_t { kDurable, kPending, kFailed };
+
+  // kFailed (with *failure set to the latched status) once a shard the
+  // requirement names can never reach its sequence.
+  State Check(const DurabilityRequirement& requirement, Status* failure) const;
+
+  // `listener` runs on the publishing thread after every Publish/Latch. It
+  // must be quick and must not call back into the store. Unsubscribe returns
+  // only once no call to that listener is in flight, so the listener's
+  // captures may be destroyed right after.
+  uint64_t Subscribe(std::function<void()> listener);
+  void Unsubscribe(uint64_t token);
+
+  // Publisher side (the store). Reset sizes the watermark table and lifts
+  // every watermark to at least `floor`; Publish only ever raises one.
+  void Reset(size_t shards, uint64_t floor);
+  void Publish(size_t shard, uint64_t durable);
+  void Latch(size_t shard, const Status& failure);
+
+ private:
+  void Notify();
+
+  mutable std::mutex mu_;  // guards durable_ and latched_
+  std::vector<uint64_t> durable_;
+  std::vector<Status> latched_;
+  // Held while listeners run, so Unsubscribe can wait them out.
+  std::mutex listeners_mu_;
+  std::vector<std::pair<uint64_t, std::function<void()>>> listeners_;
+  uint64_t next_token_ = 1;
+};
+
 class KeyValueStore {
  public:
   virtual ~KeyValueStore() = default;
@@ -87,6 +141,17 @@ class KeyValueStore {
   // fixed costs such as MAC-hash recomputation). Serving decorators derive
   // from BatchFirstStore instead and implement ONLY ExecuteBatch.
   virtual std::vector<BatchOpResult> ExecuteBatch(const std::vector<BatchOp>& ops);
+
+  // The non-waiting half of ExecuteBatch: executes `ops` and sets
+  // `requirement` to what the results depend on (see durability_watch()).
+  // Revealing a result before its requirement is durable is the caller's
+  // bug. The default executes synchronously and requires nothing.
+  virtual std::vector<BatchOpResult> SubmitBatch(const std::vector<BatchOp>& ops,
+                                                 DurabilityRequirement& requirement);
+
+  // Watermarks that SubmitBatch requirements are checked against; nullptr
+  // (the default) means SubmitBatch never leaves anything pending.
+  virtual DurabilityWatch* durability_watch() { return nullptr; }
 
   // Number of live keys.
   virtual size_t Size() const = 0;

@@ -42,7 +42,7 @@ enum class OpCode : uint8_t {
   kStats = 8,
   // Replication: the request value carries a replication payload
   // (src/net/replication.h) — committed WAL entries streamed from a primary's
-  // group-commit leader to its warm standby, plus the bootstrap/promote
+  // group-commit committers to its warm standby, plus the bootstrap/promote
   // control messages. Singleton frames only — rejected inside a kBatch.
   kReplicate = 9,
   // Observability: drains the server's central span buffer; the response

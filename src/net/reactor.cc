@@ -27,6 +27,15 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
+// Output-buffer bytes a run's responses take once queued (4-byte prefixes).
+size_t FramedBytes(const FrameRun& run) {
+  size_t bytes = 0;
+  for (const Bytes& r : run.responses) {
+    bytes += 4 + r.size();
+  }
+  return bytes;
+}
+
 }  // namespace
 
 Reactor::Reactor(const ReactorOptions& options, Handlers handlers)
@@ -98,6 +107,12 @@ void Reactor::Stop() {
   }
 }
 
+void Reactor::WakeAll() {
+  for (auto& loop : loops_) {
+    Wake(*loop);
+  }
+}
+
 void Reactor::Wake(Loop& loop) {
   const uint64_t one = 1;
   [[maybe_unused]] ssize_t n = ::write(loop.wake_fd, &one, sizeof(one));
@@ -113,12 +128,14 @@ void Reactor::LoopMain(size_t index) {
                                timeout);
     const uint64_t pass_start = obs::TimerStart();
     AdoptPending(loop);
+    bool woken = false;
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
       if (fd == loop.wake_fd) {
         uint64_t junk;
         while (::read(loop.wake_fd, &junk, sizeof(junk)) > 0) {
         }
+        woken = true;
         continue;
       }
       if (index == 0 && fd == listen_fd_) {
@@ -142,6 +159,11 @@ void Reactor::LoopMain(size_t index) {
           ProcessSession(loop, loop.by_fd[fd].get());
         }
       }
+    }
+    // A watermark publish writes the wake fd AFTER updating what settle
+    // reads, so settling once per wake can miss no release.
+    if (woken && !loop.holding.empty()) {
+      ReleaseHeld(loop);
     }
     if (options_.loop_lag != nullptr && (n > 0 || !loop.ready.empty())) {
       options_.loop_lag->RecordCycles(obs::TimerStart() - pass_start);
@@ -259,7 +281,7 @@ void Reactor::HandleSession(Loop& loop, Session* s, uint32_t events) {
       CloseSession(loop, s);
       return;
     }
-    if (s->read_paused && s->pending_output() < options_.max_output_bytes / 2) {
+    if (s->read_paused && s->pending_output() + s->held_bytes < options_.max_output_bytes / 2) {
       // Below the low watermark: resume reads and serve any frames that were
       // already buffered when backpressure paused this session.
       s->read_paused = false;
@@ -268,7 +290,7 @@ void Reactor::HandleSession(Loop& loop, Session* s, uint32_t events) {
         return;
       }
     }
-    if (s->close_after_flush && !s->has_pending_output()) {
+    if (s->close_after_flush && !s->has_pending_output() && s->held.empty()) {
       CloseSession(loop, s);
       return;
     }
@@ -342,18 +364,16 @@ void Reactor::ProcessSession(Loop& loop, Session* s) {
         options_.coalesce_target->Set(
             static_cast<int64_t>(s->coalesce_target(options_.coalesce_depth)));
       }
-      std::vector<Bytes> responses;
-      bool close_after = false;
-      handlers_.on_frames(*s, frames, responses, &close_after);
-      for (const Bytes& r : responses) {
-        s->QueueFrame(r);
-      }
-      if (close_after) {
+      FrameRun run;
+      handlers_.on_frames(*s, frames, run);
+      const bool close_after = run.close_after;
+      QueueRun(loop, s, std::move(run));
+      if (close_after || s->close_after_flush) {
         s->close_after_flush = true;
         break;
       }
     }
-    if (s->pending_output() > options_.max_output_bytes) {
+    if (s->pending_output() + s->held_bytes > options_.max_output_bytes) {
       s->read_paused = true;  // backpressure: stop reading until flushed
       break;
     }
@@ -366,15 +386,101 @@ void Reactor::ProcessSession(Loop& loop, Session* s) {
   if (s->peer_eof && !s->close_after_flush && !s->HasCompleteFrame()) {
     s->close_after_flush = true;  // all answerable input served; hang up
   }
+  FinishOutput(loop, s);
+}
+
+void Reactor::FinishOutput(Loop& loop, Session* s) {
   if (!s->Flush()) {
     CloseSession(loop, s);
     return;
   }
-  if (s->close_after_flush && !s->has_pending_output()) {
+  if (s->close_after_flush && !s->has_pending_output() && s->held.empty()) {
     CloseSession(loop, s);
     return;
   }
   UpdateInterest(loop, s);
+}
+
+void Reactor::QueueRun(Loop& loop, Session* s, FrameRun run) {
+  if (s->held.empty()) {
+    switch (handlers_.settle(run)) {
+      case Handlers::Settle::kRelease:
+        for (const Bytes& r : run.responses) {
+          s->QueueFrame(r);
+        }
+        return;
+      case Handlers::Settle::kFail:
+        FailHeld(s);
+        return;
+      case Handlers::Settle::kHold:
+        break;
+    }
+  }
+  s->held_bytes += FramedBytes(run);
+  s->held.push_back(std::move(run));
+  if (!s->holding_listed) {
+    s->holding_listed = true;
+    loop.holding.emplace_back(s->fd(), s->id());
+  }
+}
+
+bool Reactor::SettleHeld(Session* s) {
+  bool changed = false;
+  while (!s->held.empty()) {
+    FrameRun& run = s->held.front();
+    const Handlers::Settle verdict = handlers_.settle(run);
+    if (verdict == Handlers::Settle::kHold) {
+      break;
+    }
+    changed = true;
+    if (verdict == Handlers::Settle::kFail) {
+      FailHeld(s);
+      break;
+    }
+    s->held_bytes -= FramedBytes(run);
+    for (const Bytes& r : run.responses) {
+      s->QueueFrame(r);
+    }
+    s->held.pop_front();
+  }
+  return changed;
+}
+
+void Reactor::FailHeld(Session* s) {
+  // None of the held responses may ever be sent (an OK among them would be
+  // an ack for state that is not durable); what was released still flushes.
+  s->held.clear();
+  s->held_bytes = 0;
+  s->close_after_flush = true;
+}
+
+void Reactor::ReleaseHeld(Loop& loop) {
+  std::vector<std::pair<int, uint64_t>> holding;
+  holding.swap(loop.holding);
+  for (const auto& [fd, id] : holding) {
+    if (fd < 0 || static_cast<size_t>(fd) >= loop.by_fd.size() || loop.by_fd[fd] == nullptr ||
+        loop.by_fd[fd]->id() != id) {
+      continue;  // closed since it was listed
+    }
+    Session* s = loop.by_fd[fd].get();
+    s->holding_listed = false;
+    const bool changed = SettleHeld(s);
+    if (!s->held.empty() && !s->holding_listed) {
+      s->holding_listed = true;
+      loop.holding.emplace_back(fd, id);
+    }
+    if (!changed) {
+      continue;
+    }
+    if (s->read_paused && !s->close_after_flush &&
+        s->pending_output() + s->held_bytes < options_.max_output_bytes / 2) {
+      // Below the low watermark: resume reads and serve buffered frames.
+      s->read_paused = false;
+      ProcessSession(loop, s);
+    } else {
+      FinishOutput(loop, s);
+    }
+  }
 }
 
 void Reactor::DrainOnStop(Loop& loop) {
@@ -388,7 +494,9 @@ void Reactor::DrainOnStop(Loop& loop) {
     loop.pending_adds.clear();
   }
   // Best-effort flush of queued responses (drain semantics: an in-flight
-  // request whose response was produced before Stop still gets its bytes).
+  // request whose response was produced before Stop still gets its bytes),
+  // and of held ones that turn durable within the budget. Polled: the
+  // owner stops sending wakes before Stop.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(options_.stop_drain_ms);
   while (std::chrono::steady_clock::now() < deadline) {
@@ -397,11 +505,12 @@ void Reactor::DrainOnStop(Loop& loop) {
       if (slot == nullptr) {
         continue;
       }
+      SettleHeld(slot.get());
       if (!slot->Flush()) {
         CloseSession(loop, slot.get());
         continue;
       }
-      if (slot->has_pending_output()) {
+      if (slot->has_pending_output() || !slot->held.empty()) {
         pending = true;
       }
     }

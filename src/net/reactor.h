@@ -13,12 +13,19 @@
 // server coalesces adjacent singleton requests into one enclave submission
 // there (implicit batching).
 //
+// Durable acks: a run may come back with a durability requirement. Its
+// responses are then held in the session's FIFO (behind any earlier held
+// run) and move to the output buffer only when `settle` releases them. The
+// owner calls WakeAll() whenever a durable watermark advances; each woken
+// loop settles only its own holding sessions. No loop thread ever blocks on
+// durability.
+//
 // Fairness and backpressure: each session is served at most one frame run
 // (<= coalesce_depth frames) and ~256 KiB of socket reads per loop pass;
 // sessions with more buffered work requeue on a ready list instead of
 // starving their siblings. Responses accumulate in a bounded per-session
-// output buffer; past the bound the session's reads pause until EPOLLOUT
-// drains it below the low watermark.
+// output buffer; past the bound (held responses count toward it) the
+// session's reads pause until output drains below the low watermark.
 #ifndef SHIELDSTORE_SRC_NET_REACTOR_H_
 #define SHIELDSTORE_SRC_NET_REACTOR_H_
 
@@ -43,7 +50,9 @@ struct ReactorOptions {
   size_t max_frame_bytes = 64 * 1024 * 1024;
   size_t coalesce_depth = 64;      // max complete frames per on_frames run
   size_t max_output_bytes = 8 * 1024 * 1024;  // per-session backpressure bound
-  int stop_drain_ms = 2000;        // best-effort output flush budget on Stop
+  // Stop budget: held runs that become durable within it are released and
+  // flushed (best effort); the rest are dropped unsent.
+  int stop_drain_ms = 2000;
 
   // Optional instrumentation (may be null).
   obs::Gauge* sessions_gauge = nullptr;      // live sessions
@@ -61,12 +70,16 @@ class Reactor {
     // returning false drops the connection without a reply.
     std::function<bool(Session&, ByteSpan hello, Bytes* reply)> on_handshake;
 
-    // A run of complete sealed records in arrival order. Appends the sealed
-    // response payloads (queued in order); sets *close_after when the session
-    // must be dropped once the queued responses flush.
-    std::function<void(Session&, std::vector<Bytes>& records, std::vector<Bytes>& responses,
-                       bool* close_after)>
-        on_frames;
+    // A run of complete sealed records in arrival order. Fills `run` with
+    // the sealed responses in order, their durability requirement, and
+    // close_after when the session must be dropped once they flush.
+    std::function<void(Session&, std::vector<Bytes>& records, FrameRun& run)> on_frames;
+
+    // Decides whether a run's responses may be sent now. kFail means they
+    // never may: the session is closed once what was already released has
+    // flushed, and no later response is sent.
+    enum class Settle : uint8_t { kRelease, kHold, kFail };
+    std::function<Settle(FrameRun&)> settle;
   };
 
   Reactor(const ReactorOptions& options, Handlers handlers);
@@ -84,6 +97,10 @@ class Reactor {
 
   size_t live_sessions() const { return total_sessions_.load(std::memory_order_relaxed); }
 
+  // Wakes every loop to settle its held runs. Thread-safe; valid between
+  // Start() and Stop().
+  void WakeAll();
+
  private:
   struct Loop {
     int epoll_fd = -1;
@@ -93,6 +110,7 @@ class Reactor {
     std::vector<int> pending_adds;  // fds handed over from the accept loop
     std::vector<std::unique_ptr<Session>> by_fd;  // indexed by fd
     std::vector<std::pair<int, uint64_t>> ready;  // (fd, session id) with buffered work
+    std::vector<std::pair<int, uint64_t>> holding;  // (fd, session id) with held runs
     size_t live = 0;
   };
 
@@ -104,7 +122,16 @@ class Reactor {
   // Extracts and serves buffered frames, flushes, and updates epoll
   // interest; may close the session.
   void ProcessSession(Loop& loop, Session* s);
+  // Flushes, then closes a finished session or re-arms its epoll interest.
+  void FinishOutput(Loop& loop, Session* s);
   void CloseSession(Loop& loop, Session* s);
+  // Sends `run` now if nothing is held and settle allows, else holds it.
+  void QueueRun(Loop& loop, Session* s, FrameRun run);
+  // Releases the session's held runs front to back until one must keep
+  // waiting; true if anything was released or failed.
+  bool SettleHeld(Session* s);
+  void FailHeld(Session* s);
+  void ReleaseHeld(Loop& loop);
   void UpdateInterest(Loop& loop, Session* s);
   void MarkReady(Loop& loop, Session* s);
   void DrainOnStop(Loop& loop);

@@ -54,6 +54,7 @@ Server::Server(sgx::Enclave& enclave, kv::KeyValueStore& store,
   coalesced_batches_ = &metrics_->GetCounter("net.coalesced.batches");
   coalesced_ops_ = &metrics_->GetCounter("net.coalesced.ops");
   coalesce_depth_ = &metrics_->GetHistogram("net.coalesce_depth");
+  watch_ = store_.durability_watch();
 }
 
 Server::~Server() {
@@ -121,13 +122,10 @@ Status Server::Start() {
     *reply = std::move(hs->reply);
     return true;
   };
-  handlers.on_frames = [this](Session& s, std::vector<Bytes>& records,
-                              std::vector<Bytes>& responses, bool* close_after) {
+  handlers.on_frames = [this](Session& s, std::vector<Bytes>& records, FrameRun& run) {
     inflight_->Add(static_cast<int64_t>(records.size()));
     if (options_.use_hotcalls) {
-      SessionRunTask task;
-      task.session = s.crypto();
-      task.records = &records;
+      SessionRunTask task{s.crypto(), &records, &run};
       bool submitted;
       {
         // Boundary round-trip: post in shared memory -> responder done flag.
@@ -135,21 +133,20 @@ Status Server::Start() {
         submitted = hotcalls_->Call(0, &task);
       }
       if (!submitted) {
-        *close_after = true;  // server stopping
-      } else {
-        responses = std::move(task.responses);
-        *close_after = task.close_session;
+        run.close_after = true;  // server stopping
       }
     } else {
       // Classic path: one ECALL (two crossings) per run of frames.
       obs::ScopedStage stage(metrics_, obs::Stage::kEnclaveSubmit);
       enclave_.boundary().Ecall([&] {
-        ProcessSessionRun(*s.crypto(), records, responses, close_after);
+        ProcessSessionRun(*s.crypto(), records, run);
         return 0;
       });
     }
+    run.executed_at = obs::TimerStart();
     inflight_->Add(-static_cast<int64_t>(records.size()));
   };
+  handlers.settle = [this](FrameRun& run) { return SettleRun(run); };
 
   reactor_ = std::make_unique<Reactor>(ropts, std::move(handlers));
   if (Status s = reactor_->Start(listen_fd_); !s.ok()) {
@@ -158,7 +155,37 @@ Status Server::Start() {
     listen_fd_ = -1;
     return s;
   }
+  if (watch_ != nullptr) {
+    // Committers publish watermarks; every loop then settles its held runs.
+    watch_token_ = watch_->Subscribe([this] { reactor_->WakeAll(); });
+  }
   return Status::Ok();
+}
+
+Reactor::Handlers::Settle Server::SettleRun(FrameRun& run) {
+  if (!run.requirement.empty()) {
+    Status failure;
+    switch (watch_->Check(run.requirement, &failure)) {
+      case kv::DurabilityWatch::State::kPending:
+        return Reactor::Handlers::Settle::kHold;
+      case kv::DurabilityWatch::State::kFailed:
+        SHIELD_LOG(Warning) << "closing session: held responses can never become durable: "
+                            << failure.ToString();
+        return Reactor::Handlers::Settle::kFail;
+      case kv::DurabilityWatch::State::kDurable:
+        break;
+    }
+  }
+  if (!run.stamps.empty()) {
+    const uint64_t now = obs::TimerStart();
+    if (!run.requirement.empty()) {
+      metrics_->StageHistogram(obs::Stage::kCommitWait).RecordCycles(now - run.executed_at);
+    }
+    for (const auto& [verb, t_start] : run.stamps) {
+      op_latency_[verb]->RecordCycles(now - t_start);
+    }
+  }
+  return Reactor::Handlers::Settle::kRelease;
 }
 
 void Server::MaintenanceLoop() {
@@ -192,6 +219,12 @@ void Server::Stop() {
   }
   if (maintenance_thread_.joinable()) {
     maintenance_thread_.join();
+  }
+  // No wakes once the reactor starts tearing down its wake fds; its Stop
+  // drain polls held runs instead.
+  if (watch_token_ != 0) {
+    watch_->Unsubscribe(watch_token_);
+    watch_token_ = 0;
   }
   // Reactor first: its threads drain pending responses (an in-flight
   // request keeps its write side so the response still reaches the client)
@@ -264,14 +297,16 @@ Response Server::Dispatch(const Request& request) {
   return response;
 }
 
-std::vector<Response> Server::RunOps(const std::vector<Request>& ops, bool implicit) {
+std::vector<Response> Server::RunOps(const std::vector<Request>& ops, bool implicit,
+                                     kv::DurabilityRequirement& requirement) {
   std::vector<Response> responses(ops.size());
   // The one wire->store mapping: pings answer inline; everything else
-  // funnels into ONE store ExecuteBatch call, where the engine amortizes
-  // locks / MAC recomputes / log commits. Metric family: explicit kBatch
-  // frames count as batch sub-ops; implicit runs (a singleton frame, or
-  // reactor-coalesced pipelined frames) count as the singleton requests
-  // they are — exactly what sequential execution would have recorded.
+  // funnels into ONE store SubmitBatch call, where the engine amortizes
+  // locks / MAC recomputes / log appends and never waits for a commit.
+  // Metric family: explicit kBatch frames count as batch sub-ops; implicit
+  // runs (a singleton frame, or reactor-coalesced pipelined frames) count
+  // as the singleton requests they are — exactly what sequential execution
+  // would have recorded.
   std::vector<kv::BatchOp> batch;
   std::vector<size_t> index;
   batch.reserve(ops.size());
@@ -317,7 +352,9 @@ std::vector<Response> Server::RunOps(const std::vector<Request>& ops, bool impli
     batch.push_back(std::move(op));
   }
   if (!batch.empty()) {
-    std::vector<kv::BatchOpResult> results = store_.ExecuteBatch(batch);
+    kv::DurabilityRequirement needs;
+    std::vector<kv::BatchOpResult> results = store_.SubmitBatch(batch, needs);
+    requirement.Merge(needs);
     for (size_t j = 0; j < results.size() && j < index.size(); ++j) {
       Response& out = responses[index[j]];
       out.status = results[j].status.code();
@@ -344,8 +381,8 @@ std::vector<Response> Server::RunOps(const std::vector<Request>& ops, bool impli
 }
 
 void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>& records,
-                               std::vector<Bytes>& responses, bool* close_session) {
-  *close_session = false;
+                               FrameRun& run) {
+  std::vector<Bytes>& responses = run.responses;
   responses.reserve(records.size());
 
   // Phase 1: open + decode every record in receipt order (the session's
@@ -430,11 +467,17 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
     responses.push_back(session.Seal(payload));
   };
   auto record_latency = [&](uint8_t verb, uint64_t t_start) {
-    if (verb != 0 && verb < kVerbSlots) {
-      // End-to-end server-side latency: run entered -> response sealed. A
-      // coalesced frame is attributed its whole run (that IS its latency).
-      op_latency_[verb]->RecordCycles(obs::TimerStart() - t_start);
+    if (verb == 0 || verb >= kVerbSlots) {
+      return;
     }
+    if (watch_ != nullptr) {
+      // A durable store may hold the run: its latency ends at release.
+      run.stamps.emplace_back(verb, t_start);
+      return;
+    }
+    // End-to-end server-side latency: run entered -> response sealed. A
+    // coalesced frame is attributed its whole run (that IS its latency).
+    op_latency_[verb]->RecordCycles(obs::TimerStart() - t_start);
   };
 
   // Phase 2: execute in frame order and seal in frame order (send sequence
@@ -471,7 +514,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
         for (size_t k = i; k < j; ++k) {
           ops.push_back(std::move(units[k].request));
         }
-        const std::vector<Response> rs = RunOps(ops, /*implicit=*/true);
+        const std::vector<Response> rs = RunOps(ops, /*implicit=*/true, run.requirement);
         for (size_t k = 0; k < n; ++k) {
           seal(EncodeResponse(rs[k]));
           record_latency(static_cast<uint8_t>(ops[k].op), t_start);
@@ -491,7 +534,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
         const uint8_t verb = static_cast<uint8_t>(OpCode::kBatch);
         obs::TraceScope span(kServerSpanNames[verb], u.trace);
         op_counters_[verb]->Inc();
-        seal(EncodeBatchResponse(RunOps(u.batch, /*implicit=*/false)));
+        seal(EncodeBatchResponse(RunOps(u.batch, /*implicit=*/false, run.requirement)));
         record_latency(verb, t_start);
         ++i;
         break;
@@ -512,7 +555,7 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
     Response response;
     response.status = Code::kProtocolError;
     seal(EncodeResponse(response));
-    *close_session = true;
+    run.close_after = true;
   }
 }
 
@@ -527,7 +570,7 @@ void Server::EnclaveWorkerLoop() {
   uint64_t idle_polls = 0;
   const auto serve = [this](uint16_t, void* data) {
     SessionRunTask* task = static_cast<SessionRunTask*>(data);
-    ProcessSessionRun(*task->session, *task->records, task->responses, &task->close_session);
+    ProcessSessionRun(*task->session, *task->records, *task->run);
   };
   while (!hotcalls_->stopped()) {
     if (hotcalls_->Poll(serve)) {

@@ -9,7 +9,11 @@
 // responses in order and byte-identical to sequential execution. Every data
 // request reaches the store through that one ExecuteBatch path: a lone
 // singleton frame is a run of one, and an explicit kBatch frame is one
-// batch. Two enclave entry mechanisms reproduce the paper's comparison:
+// batch. Durable acks never block a serving thread: the store's SubmitBatch
+// returns a durability requirement with the results, the sealed responses
+// wait in the session's FIFO, and the store's DurabilityWatch wakes the
+// reactor to release them once fsync'd, counter-bumped and shipped.
+// Two enclave entry mechanisms reproduce the paper's comparison:
 //  * ECALL per submission — two ~8000-cycle crossings each;
 //  * HotCalls — the I/O thread publishes the run in shared memory and a
 //    dedicated in-enclave worker thread polls and executes it, no crossings.
@@ -48,12 +52,13 @@ struct ServerOptions {
 
   // Implicit pipelined batching: up to this many adjacent complete singleton
   // frames from one session are executed as one store batch (one enclave
-  // submission, one group-commit wait per touched WAL shard). 1 disables
-  // coalescing; responses are byte-identical either way.
+  // submission, one durability requirement per touched WAL shard). 1
+  // disables coalescing; responses are byte-identical either way.
   size_t coalesce_depth = 64;
 
   // Per-session output-buffer backpressure bound: past this many pending
-  // response bytes the session's reads pause until EPOLLOUT drains it.
+  // response bytes (queued or held for durability) the session's reads
+  // pause until output drains.
   size_t max_session_output_bytes = 8u << 20;
 
   // HotCalls responder idle backoff: after a bounded spin of empty polls,
@@ -139,27 +144,32 @@ class Server {
   struct SessionRunTask {
     SessionCrypto* session;
     const std::vector<Bytes>* records;
-    std::vector<Bytes> responses;
-    bool close_session = false;
+    FrameRun* run;
   };
 
   void EnclaveWorkerLoop();
   void MaintenanceLoop();
   // Enclave-side processing of one session run: open every record in
   // receipt order, decode, execute — coalescing adjacent singleton ops into
-  // one store batch — and seal the responses in frame order. Sets
-  // *close_session on an unauthentic record (typed error is still the last
+  // one store batch — and seal the responses in frame order, merging the
+  // store's durability requirements into run.requirement. Sets
+  // run.close_after on an unauthentic record (typed error is still the last
   // response). Used by both entry mechanisms.
   void ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>& records,
-                         std::vector<Bytes>& responses, bool* close_session);
+                         FrameRun& run);
+  // Reactor settle hook: releases a run once its requirement is durable,
+  // recording its hold (stage.commit_wait) and per-verb latency then.
+  Reactor::Handlers::Settle SettleRun(FrameRun& run);
   // Control verbs only (stats, replicate, trace dump; a smuggled kBatch
   // opcode answers kProtocolError). Data verbs never come here.
   Response Dispatch(const Request& request);
-  // The only data path: maps wire requests onto ONE store ExecuteBatch
-  // call. `implicit` selects the metric family: false for an explicit
-  // kBatch frame, true for a run of singleton frames (one frame, or
-  // reactor-coalesced pipelined frames).
-  std::vector<Response> RunOps(const std::vector<Request>& ops, bool implicit);
+  // The only data path: maps wire requests onto ONE store SubmitBatch call
+  // and merges its durability requirement into `requirement`. `implicit`
+  // selects the metric family: false for an explicit kBatch frame, true for
+  // a run of singleton frames (one frame, or reactor-coalesced pipelined
+  // frames).
+  std::vector<Response> RunOps(const std::vector<Request>& ops, bool implicit,
+                               kv::DurabilityRequirement& requirement);
 
   sgx::Enclave& enclave_;
   kv::KeyValueStore& store_;
@@ -170,6 +180,10 @@ class Server {
   uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
   std::unique_ptr<Reactor> reactor_;
+  // The store's durable watermarks (nullptr for a volatile store: nothing
+  // is ever held) and this server's wake subscription on them.
+  kv::DurabilityWatch* watch_ = nullptr;
+  uint64_t watch_token_ = 0;
 
   std::unique_ptr<sgx::HotCallChannel> hotcalls_;
   std::vector<std::thread> enclave_workers_;

@@ -1,19 +1,39 @@
 // Per-connection state for the epoll reactor: a non-blocking socket, an
 // incremental frame parser (a frame may arrive across many read()s), a
-// bounded output buffer flushed by EPOLLOUT, and the session crypto once the
+// bounded output buffer flushed by EPOLLOUT, a FIFO of response runs held
+// until the state they reveal is durable, and the session crypto once the
 // attestation handshake completes. A Session is owned by exactly one reactor
 // I/O thread; no internal locking.
 #ifndef SHIELDSTORE_SRC_NET_SESSION_H_
 #define SHIELDSTORE_SRC_NET_SESSION_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/bytes.h"
+#include "src/kv/interface.h"
 #include "src/net/channel.h"
 
 namespace shield::net {
+
+// The outcome of serving one run of frames: the sealed responses in frame
+// order, and what must be durable before any of them may be sent.
+struct FrameRun {
+  std::vector<Bytes> responses;
+  // Empty: nothing pending. Otherwise the run is held — together with every
+  // later run of its session, since send sequence numbers fix the order —
+  // until the store's durable watermarks pass it.
+  kv::DurabilityRequirement requirement;
+  bool close_after = false;  // drop the session once these responses flush
+  // Server bookkeeping for a durable store, consumed at release: when the
+  // run executed, and each response's verb and start stamp (cycles), so
+  // latency histograms include the hold.
+  uint64_t executed_at = 0;
+  std::vector<std::pair<uint8_t, uint64_t>> stamps;
+};
 
 class Session {
  public:
@@ -98,8 +118,14 @@ class Session {
   // Close the connection once pending output has been flushed (post-error
   // drop or half-closed peer).
   bool close_after_flush = false;
-  // Reads are paused because pending output exceeded the backpressure bound.
+  // Reads are paused because pending output (queued plus held) exceeded
+  // the backpressure bound.
   bool read_paused = false;
+  // Runs waiting for durability, oldest first, and their framed size.
+  std::deque<FrameRun> held;
+  size_t held_bytes = 0;
+  // Listed on the loop's holding list (see Reactor::ReleaseHeld).
+  bool holding_listed = false;
   // Current epoll interest mask, maintained by the reactor.
   uint32_t epoll_events = 0;
 

@@ -1,7 +1,7 @@
 // WAL shipper: the primary half of warm-standby replication.
 //
 // Implements shieldstore::ReplicationSink over a net::Client, so the
-// WriteAheadStore's group-commit leader streams every committed batch to the
+// WriteAheadStore's per-shard committer streams every committed group to the
 // follower BEFORE its writers are acked (the zero-loss half of the failover
 // invariant: acked ⇒ logged ∧ shipped).
 //
@@ -79,7 +79,7 @@ class WalShipper : public shieldstore::ReplicationSink {
   // entries committed during the dump are backlogged, not lost.
   Status Attach();
 
-  // ReplicationSink: called by the WAL's commit leader, outside shard locks.
+  // ReplicationSink: called by the WAL's committers, outside shard locks.
   Status ShipCommitted(size_t shard, uint64_t first_seq,
                        std::vector<shieldstore::ReplicatedOp> ops) override;
 

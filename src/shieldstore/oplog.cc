@@ -129,6 +129,7 @@ OperationLog::OperationLog(const sgx::SealingService& sealer,
   obs::Registry* reg =
       options_.metrics != nullptr ? options_.metrics : &obs::Registry::Global();
   fsync_latency_ = &reg->GetHistogram("wal.fsync_ns");
+  counter_bump_latency_ = &reg->GetHistogram("wal.counter_bump_ns");
   if (options_.shard_index >= 0) {
     const std::string prefix = "wal.shard" + std::to_string(options_.shard_index) + ".";
     shard_records_ = &reg->GetCounter(prefix + "records");
@@ -146,6 +147,7 @@ OperationLog::~OperationLog() {
 }
 
 Status OperationLog::Open() {
+  counter_known_ = false;
   // Recover chain state from an existing log, or start a fresh one.
   int32_t existing_id = -1;
   crypto::Mac chain{};
@@ -265,11 +267,21 @@ Status OperationLog::CommitPrepare() {
   // first, as earlier revisions did, made that crash window unrecoverable:
   // the lost commit record left the live counter ahead of every commit in
   // the log, indistinguishable from a rollback attack.)
-  Result<uint64_t> live = counters_.Read(static_cast<uint32_t>(counter_id_));
-  if (!live.ok()) {
-    return live.status();
+  //
+  // The live value is read from the counter service once and then tracked
+  // here: this log is the only writer of its counter, and the service
+  // serializes every counter behind one slow mutex that a caller holding
+  // its shard lock must not queue on. A counter moved behind our back still
+  // fails CommitSync's check.
+  if (!counter_known_) {
+    Result<uint64_t> live = counters_.Read(static_cast<uint32_t>(counter_id_));
+    if (!live.ok()) {
+      return live.status();
+    }
+    counter_value_ = live.value();
+    counter_known_ = true;
   }
-  pending_commit_value_ = live.value() + 1;
+  pending_commit_value_ = counter_value_ + 1;
   uint8_t v[8];
   StoreLe64(v, pending_commit_value_);
   if (Status s = AppendRecord(kOpCommit, "", std::string_view(reinterpret_cast<char*>(v), 8));
@@ -295,22 +307,27 @@ Status OperationLog::CommitSync() {
   }
   // A commit that only reached the page cache is not a commit: fsync so the
   // group is durable before the caller acks anything to a client.
+  counter_known_ = false;  // until this commit's bump lands as expected
   const uint64_t t_fsync = obs::TimerStart();
   if (fsync(fileno(file_)) != 0) {
     return Status(Code::kIoError, "log fsync failed");
   }
-  fsync_latency_->RecordCycles(obs::TimerStart() - t_fsync);
+  const uint64_t t_bump = obs::TimerStart();
+  fsync_latency_->RecordCycles(t_bump - t_fsync);
   fsyncs_.fetch_add(1, std::memory_order_relaxed);
   // One counter bump per group — the amortization that makes fine-grained
   // logging viable (§7). Only now does the group become the one true
   // committed state.
   Result<uint64_t> bumped = counters_.Increment(static_cast<uint32_t>(counter_id_));
+  counter_bump_latency_->RecordCycles(obs::TimerStart() - t_bump);
   if (!bumped.ok()) {
     return bumped.status();
   }
   if (bumped.value() != pending_commit_value_) {
     return Status(Code::kInternal, "log counter advanced outside a commit");
   }
+  counter_value_ = bumped.value();
+  counter_known_ = true;
   return Status::Ok();
 }
 

@@ -22,10 +22,11 @@
 //  * LogSet/LogDelete auto-commit every `group_commit_ops` records — the
 //    original cadence, where an ack means "logged", not "fsync'd";
 //  * AppendSet/AppendDelete never commit; the caller batches explicitly via
-//    CommitPrepare() (counter bump + commit record + flush to the OS, under
-//    the caller's lock) followed by CommitSync() (the fsync, safe to run
-//    after dropping the lock so concurrent appends land in the next group).
-//    This is the group-commit batcher's leader/follower split.
+//    CommitPrepare() (commit record + flush to the OS, under the caller's
+//    lock) followed by CommitSync() (the fsync and then the counter bump,
+//    safe to run after dropping the lock so concurrent appends land in the
+//    next group). The sharded WAL's per-shard committer thread drives this
+//    split; writers only append.
 //
 // This module is an EXTENSION beyond the paper's implementation; the
 // evaluation figures never enable it.
@@ -52,9 +53,9 @@ struct ReplicatedOp {
   std::string value;
 };
 
-// Cross-process replication hook. The WriteAheadStore's group-commit leader
-// calls ShipCommitted AFTER its batch is fsync'd and BEFORE any writer in the
-// batch is acknowledged — so with a healthy sink, acked ⇒ logged ∧ shipped.
+// Cross-process replication hook. The WriteAheadStore's per-shard committer
+// calls ShipCommitted AFTER its group is fsync'd and BEFORE any writer in the
+// group is acknowledged — so with a healthy sink, acked ⇒ logged ∧ shipped.
 // `first_seq` numbers entries in a per-shard ship-sequence space that is
 // monotone across compactions (unlike the WAL's own record sequence, which
 // resets when a shard log is truncated); a sink resumes a reconnected
@@ -85,10 +86,10 @@ struct OpLogOptions {
   size_t num_shards = 0;
   // Group-commit window in microseconds. 0 = the legacy auto-commit
   // discipline (ack ⇒ logged; fsync every group_commit_ops records). > 0 =
-  // durable acks: a mutation returns only once its record is fsync'd, and a
-  // commit leader batches every record that arrives within the window (or
-  // until group_commit_ops accumulate, whichever first) into one
-  // counter-bump + fsync.
+  // durable acks: a mutation is acknowledged only once its record is
+  // fsync'd and counter-bumped, and the shard's committer batches every
+  // record that arrives within the window (or until group_commit_ops
+  // accumulate, whichever first) into one counter-bump + fsync.
   uint32_t group_commit_window_us = 0;
   // SIMULATED MULTICORE (see bench/harness.h): queueing-delay multiplier
   // charged for the time a shard's lock is held, modelling n workers
@@ -103,8 +104,9 @@ struct OpLogOptions {
   // Observability: registry receiving the WAL-append / commit-wait stage
   // histograms and the group-commit batch-size distribution (interpreted by
   // WriteAheadStore), plus the log's own shard-local metrics (interpreted
-  // here: wal.fsync_ns latency, and per-shard record/size series when
-  // shard_index >= 0). nullptr uses obs::Registry::Global().
+  // here: wal.fsync_ns and wal.counter_bump_ns latencies, and per-shard
+  // record/size series when shard_index >= 0). nullptr uses
+  // obs::Registry::Global().
   obs::Registry* metrics = nullptr;
   // Which WAL shard this log backs; >= 0 registers wal.shard<i>.records and
   // wal.shard<i>.log_bytes under `metrics`. -1 (standalone logs, replay-only
@@ -132,18 +134,19 @@ class OperationLog {
   Status LogDelete(std::string_view key);
 
   // Batched-commit discipline: append without any commit side effect. The
-  // caller owns the commit cadence (see the leader/follower split above).
+  // caller owns the commit cadence (see the committer split above).
   Status AppendSet(std::string_view key, std::string_view value);
   Status AppendDelete(std::string_view key);
 
   // Forces a group commit (counter bump + flush + fsync).
   Status Commit();
-  // The two halves of Commit(), split so a group-commit leader can run the
-  // fsync outside its shard lock: Prepare bumps the counter, appends the
-  // commit record and flushes it to the OS (must run under the caller's
-  // lock); Sync fsyncs the file descriptor (touches no chain state, so
-  // concurrent AppendRecord/fflush through the same FILE* must still be
-  // excluded by the caller — only Sync itself is lock-free-safe).
+  // The two halves of Commit(), split so a committer can run the fsync and
+  // the counter bump outside its shard lock: Prepare appends the commit
+  // record (carrying the counter's next value) and flushes it to the OS
+  // (must run under the caller's lock); Sync fsyncs the file descriptor,
+  // then bumps the counter (touches no chain state, so concurrent
+  // AppendRecord/fflush through the same FILE* must still be excluded by
+  // the caller — only Sync itself is lock-free-safe).
   Status CommitPrepare();
   Status CommitSync();
 
@@ -180,6 +183,10 @@ class OperationLog {
   uint64_t sequence_ = 0;
   uint64_t uncommitted_ = 0;
   uint64_t pending_commit_value_ = 0;  // value CommitPrepare wrote, pre-bump
+  // The counter's live value as of this log's last commit; re-read from the
+  // service after Open or a failed commit (see CommitPrepare).
+  uint64_t counter_value_ = 0;
+  bool counter_known_ = false;
   // Stats are atomics so WalStats reads never take the shard lock.
   std::atomic<uint64_t> records_logged_{0};
   std::atomic<uint64_t> commits_{0};
@@ -188,6 +195,7 @@ class OperationLog {
   // Registry handles cached at construction (OpLogOptions::metrics). The
   // log-bytes gauge updates only at commit/reset cadence, never per append.
   obs::Histogram* fsync_latency_ = nullptr;  // wal.fsync_ns
+  obs::Histogram* counter_bump_latency_ = nullptr;  // wal.counter_bump_ns
   obs::Counter* shard_records_ = nullptr;    // wal.shard<i>.records
   obs::Gauge* shard_log_bytes_ = nullptr;    // wal.shard<i>.log_bytes
 };

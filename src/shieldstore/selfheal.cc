@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <deque>
 #include <filesystem>
 #include <thread>
+#include <utility>
 
 #include "src/common/cycles.h"
 #include "src/common/logging.h"
@@ -35,6 +37,31 @@ class ContentionScope {
 
 }  // namespace
 
+WriteAheadStore::MaintenanceLock::MaintenanceLock(Shard& s) : shard_(s) {
+  shard_.maintenance.fetch_add(1, std::memory_order_acq_rel);
+  lock_ = std::unique_lock<std::mutex>(shard_.mutex);
+}
+
+WriteAheadStore::MaintenanceLock::~MaintenanceLock() {
+  if (lock_.owns_lock()) {
+    lock_.unlock();
+  }
+  shard_.maintenance.fetch_sub(1, std::memory_order_acq_rel);
+}
+
+bool WriteAheadStore::LockForCommit(Shard& s, std::unique_lock<std::mutex>& lock) {
+  // Writers hold the lock for one batch, so wait them out; a maintenance
+  // hold (compaction, recovery) can last long, and the caller would keep
+  // every other shard's commits waiting behind its turn meanwhile.
+  while (!lock.try_lock()) {
+    if (s.maintenance.load(std::memory_order_acquire) > 0) {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
 WriteAheadStore::WriteAheadStore(PartitionedStore& inner, const sgx::SealingService& sealer,
                                  sgx::MonotonicCounterService& counters,
                                  const OpLogOptions& options)
@@ -52,10 +79,11 @@ WriteAheadStore::WriteAheadStore(PartitionedStore& inner, const sgx::SealingServ
 }
 
 WriteAheadStore::~WriteAheadStore() {
+  StopCommitters();
   inner_.PinLayout(false);
 }
 
-void WriteAheadStore::BuildShards() {
+void WriteAheadStore::BuildShards(uint64_t first_seq) {
   const size_t parts = std::max<size_t>(inner_.num_partitions(), 1);
   size_t n = options_.num_shards == 0 ? parts : std::min(options_.num_shards, parts);
   n = std::max<size_t>(n, 1);
@@ -66,6 +94,7 @@ void WriteAheadStore::BuildShards() {
     per_shard.shard_index = static_cast<int>(i);
     auto s = std::make_unique<Shard>(std::move(per_shard));
     s->index = i;
+    s->appended = s->durable = first_seq;
     s->window_us.store(options_.group_commit_window_us, std::memory_order_relaxed);
     const std::string prefix = "wal.shard" + std::to_string(i) + ".";
     s->ctr_appends = &metrics_->GetCounter(prefix + "appends");
@@ -73,6 +102,7 @@ void WriteAheadStore::BuildShards() {
     s->ctr_compactions = &metrics_->GetCounter(prefix + "compactions");
     shards_.push_back(std::move(s));
   }
+  watch_.Reset(n, first_seq);
 }
 
 void WriteAheadStore::SetReplicationSink(ReplicationSink* sink) {
@@ -102,23 +132,32 @@ void WriteAheadStore::ShipLocked(Shard& s) {
 
 Status WriteAheadStore::Open() {
   std::unique_lock<std::shared_mutex> structure(structure_mutex_);
+  StopCommitters();
+  Status opened;
   for (auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
     // A crashed Repartition() may have left a dump twin behind.
     std::remove((s.options.path + ".tmp").c_str());
+    // A reopened log commits its predecessor's tail on destruction, so the
+    // sequence space carries on from `appended` with nothing pending.
     s.log = std::make_unique<OperationLog>(sealer_, counters_, s.options);
-    if (Status st = s.log->Open(); !st.ok()) {
-      return st;
-    }
-    s.appended = s.durable = 0;
+    s.durable = s.appended;
     s.committing = false;
     s.failed = Status::Ok();
+    if (opened = s.log->Open(); !opened.ok()) {
+      break;
+    }
   }
-  return Status::Ok();
+  watch_.Reset(shards_.size(), 0);
+  for (auto& shard_ptr : shards_) {
+    watch_.Publish(shard_ptr->index, shard_ptr->durable);
+  }
+  StartCommitters();
+  return opened;
 }
 
 Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view key,
-                                     std::string_view value, uint64_t* my_seq) {
+                                     std::string_view value) {
   if (s.log == nullptr) {
     return Status(Code::kInvalidArgument, "log not open");
   }
@@ -131,7 +170,7 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
     if (st.ok()) {
       s.ctr_appends->Inc();
       if (sink_.load(std::memory_order_acquire) != nullptr) {
-        // No group-commit leader exists to drain the buffer later, so ship
+        // No committer runs in this mode to drain the buffer later, so ship
         // each record under the lock, right behind its append.
         s.pending_ship.push_back({is_delete, std::string(key), std::string(value)});
         ShipLocked(s);
@@ -146,147 +185,277 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
       !st.ok()) {
     return st;
   }
-  *my_seq = ++s.appended;
+  ++s.appended;
   s.ctr_appends->Inc();
   if (sink_.load(std::memory_order_acquire) != nullptr) {
-    // Captured now, shipped by the commit leader once the record's group
+    // Captured now, shipped by the committer once the record's group
     // fsyncs — the record order in pending_ship is the shard's apply order.
     s.pending_ship.push_back({is_delete, std::string(key), std::string(value)});
+    // The committer has no trace of its own: a sampled writer's context
+    // rides along so the ship (and the follower's apply) join its trace.
+    if (const obs::TraceContext trace = obs::CurrentTrace(); trace.active()) {
+      s.ship_trace = trace;
+    }
   }
-  if (s.committing && s.appended - s.durable >= options_.group_commit_ops) {
-    s.cv.notify_all();  // batch is full: the leader may close it early
+  // The committer's two wake conditions: a group opened, or it filled up
+  // (it may then close the window early).
+  const uint64_t pending = s.appended - s.durable;
+  if (pending == 1 || pending == options_.group_commit_ops) {
+    s.commit_cv.notify_one();
   }
   return Status::Ok();
 }
 
-Status WriteAheadStore::AwaitDurable(Shard& s, std::unique_lock<std::mutex>& lock,
-                                     uint64_t my_seq) {
+void WriteAheadStore::StartCommitters() {
   if (options_.group_commit_window_us == 0) {
-    return Status::Ok();
+    return;  // legacy cadence: the log commits inline, nothing to drive
   }
-  obs::ScopedStage stage(metrics_, obs::Stage::kCommitWait);
-  obs::TraceScope span("wal.commit_wait");
-  if (s.durable < my_seq) {
-    s.ctr_commit_waits->Inc();
+  for (auto& shard_ptr : shards_) {
+    Shard& s = *shard_ptr;
+    {
+      std::lock_guard<std::mutex> lock(s.mutex);
+      s.stop = false;
+    }
+    s.committer = std::thread([this, &s] { CommitterLoop(s); });
   }
-  for (;;) {
-    if (!s.failed.ok()) {
-      return s.failed;
-    }
-    if (s.durable >= my_seq) {
-      return Status::Ok();
-    }
-    if (s.committing) {
-      // Follower: a leader owns the in-flight batch (ours or the next one).
-      s.cv.wait(lock);
+}
+
+void WriteAheadStore::StopCommitters() {
+  for (auto& shard_ptr : shards_) {
+    Shard& s = *shard_ptr;
+    if (!s.committer.joinable()) {
       continue;
     }
-    // Leader: wait out the commit window (or a full batch), then make the
-    // group durable. The fsync runs with the shard lock RELEASED so
-    // concurrent writers append into the next batch meanwhile. The window
-    // is the shard's ADAPTIVE one: sized down when arrival rate is low (a
-    // solo writer should not idle out the configured cap for nobody), back
-    // up toward the cap under bursts (bigger batches, fewer fsyncs).
-    s.committing = true;
-    // Leader span: window wait, fsync, and the shipped batch all bill to
-    // the op that happened to become the group-commit leader.
-    obs::TraceScope leader_span("wal.group_commit");
-    const auto window =
-        std::chrono::microseconds(s.window_us.load(std::memory_order_relaxed));
-    const auto deadline = s.batch_start + window;
-    s.cv.wait_until(lock, deadline, [&] {
-      return s.appended - s.durable >= options_.group_commit_ops || !s.failed.ok();
-    });
-    const uint64_t upto = s.appended;
-    Status st = s.failed;
-    if (st.ok()) {
-      st = s.log->CommitPrepare();
+    {
+      std::lock_guard<std::mutex> lock(s.mutex);
+      s.stop = true;
     }
-    if (st.ok()) {
-      // Steal the replication buffer while still under the lock: the lock
-      // was held continuously since `upto` was read, so the buffer holds
-      // exactly the records this commit covers (records appended during the
-      // fsync below land in a fresh buffer for the NEXT leader). Ship-seqs
-      // are assigned here, under the lock, so the per-shard stream stays
-      // contiguous; the ship itself runs outside the lock — but strictly
-      // before this leader marks anything durable, which is what upgrades
-      // every ack in the batch to "fsync'd AND shipped".
-      std::vector<ReplicatedOp> to_ship;
-      uint64_t ship_first = 0;
-      if (sink_.load(std::memory_order_acquire) != nullptr && !s.pending_ship.empty()) {
-        to_ship = std::move(s.pending_ship);
-        s.pending_ship.clear();
-        ship_first = s.ship_seq + 1;
-        s.ship_seq += to_ship.size();
-      } else {
-        s.pending_ship.clear();  // sink detached: drop, nothing to resume
-      }
+    s.commit_cv.notify_all();
+    s.committer.join();
+  }
+}
+
+void WriteAheadStore::CommitterLoop(Shard& s) {
+  std::unique_lock<std::mutex> lock(s.mutex);
+  for (;;) {
+    s.commit_cv.wait(lock, [&] { return s.stop || (s.appended > s.durable && s.failed.ok()); });
+    if (s.appended == s.durable || !s.failed.ok()) {
+      return;  // stopping with nothing (more) that can be committed
+    }
+    // The monotonic counter serializes every bump, so a group closed while
+    // another shard of this WAL is mid-commit would only sit frozen behind
+    // it. Take the WAL's commit turn first (first come, first served) —
+    // without the shard lock, so writers never queue behind another shard's
+    // commit.
+    CommitTurn turn(*this);
+    auto window_from = s.batch_start;
+    const bool contended = !turn.TryTake();
+    if (contended) {
       lock.unlock();
-      st = s.log->CommitSync();
-      if (!to_ship.empty()) {
-        // Ship even if the fsync failed: the seqs are already claimed, the
-        // mutations DID apply in memory, and a follower running ahead of a
-        // latched-dead primary is harmless — a gap in the stream is not.
-        ReplicationSink* sink = sink_.load(std::memory_order_acquire);
-        const size_t n = to_ship.size();
-        if (sink != nullptr && sink->ShipCommitted(s.index, ship_first,
-                                                   std::move(to_ship)).ok()) {
-          shipped_records_.fetch_add(n, std::memory_order_relaxed);
-        } else {
-          // Sink rejected (or vanished): the invariant degrades to acked ⇒
-          // logged ∧ recoverable-from-local-WAL; the primary keeps serving.
-          ship_failures_.fetch_add(1, std::memory_order_relaxed);
-        }
+      turn.Wait();
+      if (!LockForCommit(s, lock)) {
+        // Under maintenance: pass the turn on and queue again.
+        turn.Pass();
+        lock.lock();
+        continue;
       }
-      lock.lock();
+      // The turn came free at a publish that just released other callers'
+      // held responses; their follow-up requests get the configured window
+      // to join — arrivals are not sparse here, whatever the adaptive window
+      // learned from solo commits.
+      window_from = std::max(window_from, std::chrono::steady_clock::now());
     }
-    s.committing = false;
-    if (st.ok()) {
-      // The leader just made (upto - durable) records durable in one
-      // counter bump + fsync: the amortization the batch-size histogram
-      // exists to show.
-      const uint64_t batch = upto - s.durable;
-      group_commits_->Inc();
-      commit_batch_hist_->Record(batch);
-      // Adapt the window to the observed batch: a full batch means writers
-      // queued behind the cadence (grow toward the cap, ×2), a near-empty
-      // one means the window outlived the arrivals (shrink, ÷2, floored at
-      // cap/16 so a burst can climb back within a few commits).
-      if (const uint32_t cap = options_.group_commit_window_us; cap > 0) {
-        const uint32_t floor_us = std::max<uint32_t>(cap / 16, 1);
-        const uint32_t w = s.window_us.load(std::memory_order_relaxed);
-        uint32_t next_w = w;
-        if (batch >= options_.group_commit_ops) {
-          next_w = std::min<uint32_t>(cap, w * 2);
-        } else if (batch <= 2) {
-          next_w = std::max<uint32_t>(floor_us, w / 2);
-        }
-        if (next_w != w) {
-          s.window_us.store(next_w, std::memory_order_relaxed);
-          window_gauge_->Set(static_cast<int64_t>(next_w));
-        }
-      }
-      s.durable = std::max(s.durable, upto);
-      if (s.appended > s.durable) {
-        // Records that arrived during the fsync open the next window now.
-        s.batch_start = std::chrono::steady_clock::now();
-      }
-    } else {
-      // A failed commit leaves durability unknowable for every record at or
-      // beyond this batch: latch the shard so nothing further is acked.
-      s.failed = st;
+    if (!s.stop) {
+      // Wait out the window (or a full batch). Uncontended, it is the
+      // shard's ADAPTIVE window: sized down when arrivals are sparse (a solo
+      // writer should not idle out the configured cap for nobody), back up
+      // toward the cap under bursts (bigger batches, fewer fsyncs and
+      // counter bumps).
+      const uint32_t window_us = contended ? options_.group_commit_window_us
+                                           : s.window_us.load(std::memory_order_relaxed);
+      const auto deadline = window_from + std::chrono::microseconds(window_us);
+      s.commit_cv.wait_until(lock, deadline, [&] {
+        return s.stop || !s.failed.ok() || s.appended - s.durable >= options_.group_commit_ops;
+      });
     }
-    s.cv.notify_all();
-    if (!st.ok()) {
-      return st;
+    // A maintenance commit may have taken the group while the lock was free.
+    if (s.appended > s.durable && s.failed.ok()) {
+      CommitGroupLocked(s, lock, /*adapt_window=*/!contended);
     }
   }
 }
 
+WriteAheadStore::CommitTurn::CommitTurn(WriteAheadStore& wal) : wal_(wal) {
+  std::lock_guard<std::mutex> lock(wal_.turn_mutex_);
+  ticket_ = wal_.turn_next_++;
+}
+
+WriteAheadStore::CommitTurn::~CommitTurn() { Pass(); }
+
+void WriteAheadStore::CommitTurn::Pass() {
+  if (passed_) {
+    return;
+  }
+  passed_ = true;
+  {
+    std::lock_guard<std::mutex> lock(wal_.turn_mutex_);
+    ++wal_.turn_serving_;
+  }
+  wal_.turn_cv_.notify_all();
+}
+
+bool WriteAheadStore::CommitTurn::TryTake() {
+  std::lock_guard<std::mutex> lock(wal_.turn_mutex_);
+  return wal_.turn_serving_ == ticket_;
+}
+
+void WriteAheadStore::CommitTurn::Wait() {
+  std::unique_lock<std::mutex> lock(wal_.turn_mutex_);
+  wal_.turn_cv_.wait(lock, [&] { return wal_.turn_serving_ == ticket_; });
+}
+
+void WriteAheadStore::CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& lock,
+                                        bool adapt_window) {
+  // The commit record goes in under the lock; the fsync, the counter bump
+  // and the ship run with it RELEASED so writers append into the next group
+  // meanwhile. `committing` keeps maintenance commits out until this one
+  // has published.
+  s.committing = true;
+  const uint64_t upto = s.appended;
+  Status st = s.log->CommitPrepare();
+  if (st.ok()) {
+    // Steal the replication buffer while still under the lock: the lock was
+    // held continuously since `upto` was read, so the buffer holds exactly
+    // the records this commit covers. Ship-seqs are assigned here, under the
+    // lock, so the per-shard stream stays contiguous; the ship itself runs
+    // outside the lock — but strictly before `durable` advances, which is
+    // what makes every ack in the group "fsync'd AND shipped".
+    std::vector<ReplicatedOp> to_ship;
+    uint64_t ship_first = 0;
+    const obs::TraceContext ship_trace = std::exchange(s.ship_trace, {});
+    if (sink_.load(std::memory_order_acquire) != nullptr && !s.pending_ship.empty()) {
+      to_ship = std::move(s.pending_ship);
+      s.pending_ship.clear();
+      ship_first = s.ship_seq + 1;
+      s.ship_seq += to_ship.size();
+    } else {
+      s.pending_ship.clear();  // sink detached: drop, nothing to resume
+    }
+    lock.unlock();
+    st = s.log->CommitSync();
+    if (!to_ship.empty()) {
+      obs::TraceScope span("wal.group_commit", ship_trace);
+      // Ship even if the fsync failed: the seqs are already claimed, the
+      // mutations DID apply in memory, and a follower running ahead of a
+      // latched-dead primary is harmless — a gap in the stream is not.
+      ReplicationSink* sink = sink_.load(std::memory_order_acquire);
+      const size_t n = to_ship.size();
+      if (sink != nullptr && sink->ShipCommitted(s.index, ship_first,
+                                                 std::move(to_ship)).ok()) {
+        shipped_records_.fetch_add(n, std::memory_order_relaxed);
+      } else {
+        // Sink rejected (or vanished): the invariant degrades to acked ⇒
+        // logged ∧ recoverable-from-local-WAL; the primary keeps serving.
+        ship_failures_.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    lock.lock();
+  }
+  s.committing = false;
+  if (st.ok()) {
+    // (upto - durable) records just became durable for one counter bump +
+    // fsync: the amortization the batch-size histogram exists to show.
+    const uint64_t batch = upto - s.durable;
+    group_commits_->Inc();
+    commit_batch_hist_->Record(batch);
+    // Adapt the window to the observed batch: a full batch means writers
+    // queued behind the cadence (grow toward the cap, ×2), a near-empty one
+    // means the window outlived the arrivals (shrink, ÷2, floored at cap/16
+    // so a burst can climb back within a few commits).
+    const uint32_t cap = options_.group_commit_window_us;
+    const uint32_t floor_us = std::max<uint32_t>(cap / 16, 1);
+    const uint32_t w = s.window_us.load(std::memory_order_relaxed);
+    uint32_t next_w = w;
+    if (batch >= options_.group_commit_ops) {
+      next_w = std::min<uint32_t>(cap, w * 2);
+    } else if (batch <= 2) {
+      next_w = std::max<uint32_t>(floor_us, w / 2);
+    }
+    if (adapt_window && next_w != w) {
+      s.window_us.store(next_w, std::memory_order_relaxed);
+      window_gauge_->Set(static_cast<int64_t>(next_w));
+    }
+    s.durable = std::max(s.durable, upto);
+    if (s.appended > s.durable) {
+      // Records that arrived during the fsync open the next window now.
+      s.batch_start = std::chrono::steady_clock::now();
+    }
+  } else {
+    // A failed commit leaves durability unknowable for every record at or
+    // beyond this group: latch the shard so nothing further is acked.
+    s.failed = st;
+  }
+  s.durable_cv.notify_all();
+  // Held responses are released by the watch's subscribers (reactor loops),
+  // which must not run under the shard lock.
+  const uint64_t durable = s.durable;
+  lock.unlock();
+  if (st.ok()) {
+    watch_.Publish(s.index, durable);
+  } else {
+    watch_.Latch(s.index, st);
+  }
+  lock.lock();
+}
+
+void WriteAheadStore::LatchLocked(Shard& s, const Status& failure) {
+  s.failed = failure;
+  s.durable_cv.notify_all();
+  s.commit_cv.notify_all();
+  watch_.Latch(s.index, failure);
+}
+
+Status WriteAheadStore::AwaitDurable(Shard& s, uint64_t seq) {
+  obs::ScopedStage stage(metrics_, obs::Stage::kCommitWait);
+  obs::TraceScope span("wal.commit_wait");
+  std::unique_lock<std::mutex> lock(s.mutex);
+  if (s.durable < seq) {
+    s.ctr_commit_waits->Inc();
+  }
+  s.durable_cv.wait(lock, [&] { return s.durable >= seq || !s.failed.ok(); });
+  return s.durable >= seq ? Status::Ok() : s.failed;
+}
+
+std::vector<kv::BatchOpResult> WriteAheadStore::SubmitBatch(
+    const std::vector<kv::BatchOp>& ops, kv::DurabilityRequirement& requirement) {
+  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
+  return SubmitLocked(ops, requirement);
+}
+
 std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
     const std::vector<kv::BatchOp>& ops) {
-  std::vector<kv::BatchOpResult> results(ops.size());
   std::shared_lock<std::shared_mutex> structure(structure_mutex_);
+  kv::DurabilityRequirement requirement;
+  std::vector<kv::BatchOpResult> results = SubmitLocked(ops, requirement);
+  for (const auto& [sh, seq] : requirement.shards) {
+    if (Status st = AwaitDurable(shard(sh), seq); !st.ok()) {
+      // The shard latched first: nothing this batch saw or wrote there is
+      // durable, so none of it may be reported as a success.
+      for (size_t i = 0; i < ops.size(); ++i) {
+        if (results[i].status.ok() && ShardOfLocked(inner_.PartitionOf(ops[i].key)) == sh) {
+          results[i].status = st;
+        }
+      }
+    }
+  }
+  return results;
+}
+
+std::vector<kv::BatchOpResult> WriteAheadStore::SubmitLocked(
+    const std::vector<kv::BatchOp>& ops, kv::DurabilityRequirement& requirement) {
+  requirement.shards.clear();
+  std::vector<kv::BatchOpResult> results(ops.size());
+  const bool durable_acks = options_.group_commit_window_us != 0;
   // Group op indices by shard, preserving original order within a group —
   // a key maps to one partition, a partition to one shard, so per-key order
   // survives the grouping and the replay invariant (each log's record order
@@ -300,6 +469,14 @@ std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
       ++mutations[sh];
     }
   }
+  // A touched shard's results depend on every record it had appended: its
+  // own mutations, and whatever its gets could have observed. A latched
+  // shard's gets are served against its durable watermark, requiring nothing.
+  const auto require_appended = [&](Shard& s, size_t sh) {
+    if (durable_acks && s.failed.ok() && s.appended > s.durable) {
+      requirement.Require(static_cast<uint32_t>(sh), s.appended);
+    }
+  };
   std::vector<kv::BatchOp> sub_ops;
   std::vector<kv::BatchOpResult> sub_results;
   for (size_t sh = 0; sh < groups.size(); ++sh) {
@@ -310,17 +487,22 @@ std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
     for (const size_t i : groups[sh]) {
       sub_ops.push_back(ops[i]);
     }
+    Shard& s = shard(sh);
     if (mutations[sh] == 0) {
-      // Read-only group: nothing to log, so no shard lock — reads bypass
-      // the WAL entirely.
+      // Read-only group: nothing to log, so it runs outside the shard lock.
       sub_results = inner_.ExecuteBatch(sub_ops);
       for (size_t j = 0; j < groups[sh].size(); ++j) {
         results[groups[sh][j]] = std::move(sub_results[j]);
       }
+      if (durable_acks) {
+        // Taken AFTER the reads: a writer holds the lock from its apply to
+        // its append, so any value these gets saw is covered by `appended`.
+        std::lock_guard<std::mutex> lock(s.mutex);
+        require_appended(s, sh);
+      }
       continue;
     }
-    Shard& s = shard(sh);
-    std::unique_lock<std::mutex> lock(s.mutex);
+    std::lock_guard<std::mutex> lock(s.mutex);
     if (!s.failed.ok()) {
       // Durability can no longer be promised on this shard: fail its
       // mutations fast, but still serve its reads through the inner store.
@@ -333,8 +515,6 @@ std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
       }
       continue;
     }
-    uint64_t last_seq = 0;
-    bool awaiting = false;
     {
       ContentionScope contention(options_.virtual_contention);
       sub_results = inner_.ExecuteBatch(sub_ops);
@@ -360,27 +540,13 @@ std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
             op.type == kv::BatchOpType::kSet ? std::string_view(op.value)
             : is_delete                      ? std::string_view()
                                              : std::string_view(results[i].value);
-        uint64_t seq = 0;
-        if (Status st = AppendLocked(s, is_delete, op.key, logged, &seq); !st.ok()) {
+        if (Status st = AppendLocked(s, is_delete, op.key, logged); !st.ok()) {
           append_failed = st;
           results[i].status = st;
-          continue;
-        }
-        last_seq = seq;
-        awaiting = true;
-      }
-    }
-    if (awaiting && options_.group_commit_window_us != 0) {
-      // One durability wait for the whole group: the last record's sequence
-      // covers every earlier one (durable advances monotonically).
-      if (Status st = AwaitDurable(s, lock, last_seq); !st.ok()) {
-        for (const size_t i : groups[sh]) {
-          if (ops[i].type != kv::BatchOpType::kGet && results[i].status.ok()) {
-            results[i].status = st;
-          }
         }
       }
     }
+    require_appended(s, sh);
   }
   return results;
 }
@@ -389,20 +555,21 @@ Status WriteAheadStore::CommitShardLocked(Shard& s, std::unique_lock<std::mutex>
   if (s.log == nullptr) {
     return Status(Code::kInvalidArgument, "log not open");
   }
-  s.cv.wait(lock, [&] { return !s.committing; });
+  s.durable_cv.wait(lock, [&] { return !s.committing; });
   if (!s.failed.ok()) {
     return s.failed;
   }
   if (Status st = s.log->Commit(); !st.ok()) {
-    s.failed = st;
-    s.cv.notify_all();
+    LatchLocked(s, st);
     return st;
   }
-  // A maintenance commit durable-izes records no leader will ever drain;
-  // ship them under the lock (rare path: heal/compact/repartition windows).
+  // A maintenance commit durable-izes records the committer will then find
+  // already done; ship them under the lock (rare path: heal/compact/
+  // repartition windows).
   ShipLocked(s);
   s.durable = s.appended;
-  s.cv.notify_all();
+  s.durable_cv.notify_all();
+  watch_.Publish(s.index, s.durable);
   return Status::Ok();
 }
 
@@ -413,7 +580,8 @@ Status WriteAheadStore::WithCommittedShard(size_t shard_index,
     return Status(Code::kInvalidArgument, "no such shard");
   }
   Shard& s = shard(shard_index);
-  std::unique_lock<std::mutex> lock(s.mutex);
+  MaintenanceLock hold(s);
+  std::unique_lock<std::mutex>& lock = hold.lock();
   if (Status st = CommitShardLocked(s, lock); !st.ok()) {
     return st;
   }
@@ -424,11 +592,10 @@ Status WriteAheadStore::WithCommittedLog(const std::function<Status()>& fn) {
   std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   // Lock every shard in index order (the one ordering everywhere, so no
   // deadlock) and commit each; `fn` then sees the whole store drained.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  locks.reserve(shards_.size());
+  std::deque<MaintenanceLock> holds;
   for (auto& shard_ptr : shards_) {
-    locks.emplace_back(shard_ptr->mutex);
-    if (Status st = CommitShardLocked(*shard_ptr, locks.back()); !st.ok()) {
+    holds.emplace_back(*shard_ptr);
+    if (Status st = CommitShardLocked(*shard_ptr, holds.back().lock()); !st.ok()) {
       return st;
     }
   }
@@ -442,7 +609,8 @@ Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& dire
     return Status(Code::kInvalidArgument, "no such shard");
   }
   Shard& s = shard(shard_index);
-  std::unique_lock<std::mutex> lock(s.mutex);
+  MaintenanceLock hold(s);
+  std::unique_lock<std::mutex>& lock = hold.lock();
   const size_t parts = inner_.num_partitions();
   for (size_t p = shard_index; p < parts; p += shards_.size()) {
     if (inner_.IsQuarantined(p)) {
@@ -490,14 +658,11 @@ Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& dire
   // 3. Truncate: the new generation subsumes everything the log held.
   compacted_bytes_->Inc(s.log->log_bytes());
   if (Status st = s.log->Reset(); !st.ok()) {
-    s.failed = st;  // log state unknown: stop acking against this shard
-    s.cv.notify_all();
+    LatchLocked(s, st);  // log state unknown: stop acking against this shard
     return st;
   }
-  // The WAL record sequence resets with the truncated log, but ship_seq
-  // survives: follower watermarks must never move backwards.
-  s.appended = s.durable = 0;
-  s.cv.notify_all();
+  // `appended`/`durable` (and ship_seq) run on across the truncation: held
+  // requirements and parked waiters name sequences in that space.
   s.ctr_compactions->Inc();
   compactions_.fetch_add(1, std::memory_order_relaxed);
   return Status::Ok();
@@ -507,16 +672,15 @@ Status WriteAheadStore::ResetAllLogs() {
   std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   for (auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
-    std::unique_lock<std::mutex> lock(s.mutex);
+    MaintenanceLock hold(s);
+    std::unique_lock<std::mutex>& lock = hold.lock();
     if (Status st = CommitShardLocked(s, lock); !st.ok()) {
       return st;
     }
     if (Status st = s.log->Reset(); !st.ok()) {
-      s.failed = st;
-      s.cv.notify_all();
+      LatchLocked(s, st);
       return st;
     }
-    s.appended = s.durable = 0;
   }
   // Stale shard files beyond the current count (a previous, wider geometry)
   // and the legacy unsharded log are subsumed by the caller's snapshot.
@@ -653,11 +817,12 @@ Status WriteAheadStore::Repartition(size_t new_partitions,
                                     const std::function<Status()>& rebaseline) {
   new_partitions = std::max<size_t>(new_partitions, 1);
   std::unique_lock<std::shared_mutex> structure(structure_mutex_);
-  // Exclusive structure lock: no mutation is in flight, no leader is mid-
-  // commit. Commit every shard so the logs end exactly at the live state.
+  // Exclusive structure lock: no mutation is in flight. Commit every shard
+  // so the logs end exactly at the live state.
   for (auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
-    std::unique_lock<std::mutex> lock(s.mutex);
+    MaintenanceLock hold(s);
+    std::unique_lock<std::mutex>& lock = hold.lock();
     if (Status st = CommitShardLocked(s, lock); !st.ok()) {
       return st;
     }
@@ -665,8 +830,21 @@ Status WriteAheadStore::Repartition(size_t new_partitions,
   if (Status st = inner_.RepartitionInternal(new_partitions); !st.ok()) {
     return st;  // store unchanged; old logs still authoritative
   }
+  // The new shards continue the sequence space past every old watermark,
+  // so requirements handed out before the re-layout read as durable.
+  uint64_t first_seq = 0;
+  for (auto& shard_ptr : shards_) {
+    std::lock_guard<std::mutex> lock(shard_ptr->mutex);
+    first_seq = std::max(first_seq, shard_ptr->durable);
+  }
+  StopCommitters();
   shards_.clear();  // closes the old shard logs (each commits on destruction)
-  BuildShards();
+  BuildShards(first_seq);
+  // The new shards get committers however this returns.
+  struct RestartCommitters {
+    WriteAheadStore* wal;
+    ~RestartCommitters() { wal->StartCommitters(); }
+  } restart{this};
 
   if (rebaseline != nullptr) {
     // Healer path: snapshot the new geometry, then fresh log epochs — the

@@ -11,17 +11,25 @@
 //    partition group, OpLogOptions::num_shards), each with its own mutex,
 //    record chain, monotonic counter, and fsync cadence. A mutation locks
 //    only its key's shard, applies to the inner store, and appends to that
-//    shard's log BEFORE the caller sees success — acked ⇒ logged per shard,
-//    and writers to different partitions never contend. Reads take no
-//    shard lock and append nothing.
-//  * Group-commit batcher (OpLogOptions::group_commit_window_us > 0):
-//    mutations become durable acks. The first writer to find its shard's
-//    batch open becomes the commit leader; it waits for the window to close
-//    (or group_commit_ops records to accumulate, whichever first), writes
-//    the commit record under the shard lock, then fsyncs with the lock
-//    RELEASED so concurrent writers keep appending into the next batch.
-//    Followers just wait for a leader to make their record durable. One
-//    fsync + one counter bump thus amortize over every writer in the window.
+//    shard's log BEFORE any result is returned — acked ⇒ logged per shard,
+//    and writers to different partitions never contend. Reads append
+//    nothing.
+//  * Group commit (OpLogOptions::group_commit_window_us > 0): acks are
+//    durable. Each shard has one committer thread. It sleeps until the
+//    shard has appended records that are not yet durable, waits out the
+//    window (or until group_commit_ops records accumulate), writes the
+//    commit record under the shard lock, then fsyncs, bumps the monotonic
+//    counter and ships with the lock RELEASED, so writers keep appending
+//    into the next group. Only then does the shard's durable watermark
+//    advance. One fsync + one counter bump thus amortize over every record
+//    that arrived in the window, from every caller at once.
+//  * Durability requirements: SubmitBatch executes and appends without
+//    waiting and returns, per touched shard, the appended sequence its
+//    results depend on (a get's too: it must never reveal state a crash
+//    could take back). ExecuteBatch is SubmitBatch plus a blocking wait on
+//    those watermarks; the network server instead holds the sealed
+//    responses and releases them when the shard's kv::DurabilityWatch
+//    publishes the watermark, so no serving thread ever waits on a commit.
 //  * Bounded-log compaction: when a shard's log outgrows a threshold, the
 //    maintenance thread (SelfHealer::Tick) folds the shard's partitions into
 //    fresh baseline snapshots — crash-safe via the existing SHA-256-footer +
@@ -31,7 +39,7 @@
 //    recovers: the snapshot either never committed (old generation + full
 //    log still replay) or committed (new generation + not-yet-truncated log
 //    replay to the same state, since the log's final values are what was
-//    snapshotted).
+//    snapshotted). The per-shard sequence space runs on across truncation.
 //
 // Recovery window: the healer commits one SHARD's log, then replays it while
 // holding that shard's lock (WithCommittedShard). Mutations to that shard's
@@ -48,8 +56,10 @@
 #include <mutex>
 #include <shared_mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "src/obs/tracer.h"
 #include "src/shieldstore/oplog.h"
 #include "src/shieldstore/partitioned.h"
 
@@ -70,35 +80,46 @@ struct WalStats {
 
 // Write-ahead facade: apply to the partitioned store, then log to the key's
 // shard, then return — an operation is acknowledged only once it is in that
-// shard's log (and, with a group-commit window, fsync'd). Per-shard locks
-// serialize (apply + append) so each log's record order is its partitions'
-// apply order, which is what makes per-partition replay deterministic.
-// Reads route straight to the inner store. ExecuteBatch is the only request
-// path: the singleton verbs (from kv::BatchFirstStore) are batches of one,
-// so the shard lock, the failed-shard latch, the log append and the commit
-// wait each exist once. Repartition() must go through this facade (or
-// SelfHealer) — the inner store pins its layout while wrapped and returns
-// the typed kUnsupportedUnderWal if called directly.
+// shard's log (and, with a group-commit window, fsync'd and counter-bumped).
+// Per-shard locks serialize (apply + append) so each log's record order is
+// its partitions' apply order, which is what makes per-partition replay
+// deterministic. Reads route straight to the inner store. SubmitBatch is the
+// only request path (ExecuteBatch = SubmitBatch + wait; the singleton verbs
+// from kv::BatchFirstStore are batches of one), so the shard lock, the
+// failed-shard latch, the log append and the requirement each exist once.
+// Repartition() must go through this facade (or SelfHealer) — the inner
+// store pins its layout while wrapped and returns the typed
+// kUnsupportedUnderWal if called directly.
 class WriteAheadStore : public kv::BatchFirstStore {
  public:
   WriteAheadStore(PartitionedStore& inner, const sgx::SealingService& sealer,
                   sgx::MonotonicCounterService& counters, const OpLogOptions& options);
   ~WriteAheadStore() override;
 
-  // Opens (or reopens) every shard log. Must succeed before serving
-  // mutations. Shard i lives at options.path + ".p<i>".
+  // Opens (or reopens) every shard log and starts the shard committers
+  // (durable-window mode). Must succeed before serving mutations. Shard i
+  // lives at options.path + ".p<i>".
   Status Open();
 
-  // Batched mutations under ONE group-commit handle per touched shard: the
-  // shard's sub-ops apply (partition-grouped, via the inner ExecuteBatch)
-  // and append to the shard log under a single lock hold, then a single
-  // AwaitDurable on the last record's sequence covers the whole group — a
-  // batched ack is exactly as durable as N singleton acks, for one fsync
-  // wait. Gets ride in their key's shard group so per-key read-after-write
-  // order within the batch is preserved; a shard group with no mutations
-  // skips the shard lock entirely. On a shard whose commit failed (latched)
-  // mutations fail fast with the latched status while reads still serve.
+  // Executes `ops` without waiting for durability. Each touched shard's
+  // sub-ops apply (partition-grouped, via the inner ExecuteBatch) and append
+  // to the shard log under a single lock hold; a group with no mutations
+  // runs outside the shard lock. `requirement` receives, per touched shard,
+  // its appended sequence after the group (mutations need their records,
+  // gets need whatever they could have observed); shards with nothing
+  // pending are left out, and legacy mode (window 0) never requires
+  // anything. Gets ride in their key's shard group so per-key
+  // read-after-write order within the batch is preserved. On a shard whose
+  // commit failed (latched) mutations fail fast with the latched status
+  // while reads still serve, against the durable watermark.
+  std::vector<kv::BatchOpResult> SubmitBatch(const std::vector<kv::BatchOp>& ops,
+                                             kv::DurabilityRequirement& requirement) override;
+  // SubmitBatch, then a blocking wait until every requirement is durable —
+  // a batched ack is exactly as durable as N singleton acks, for one wait
+  // per shard. If a shard latches first, every result from that shard
+  // reports the latched status.
   std::vector<kv::BatchOpResult> ExecuteBatch(const std::vector<kv::BatchOp>& ops) override;
+  kv::DurabilityWatch* durability_watch() override { return &watch_; }
   size_t Size() const override { return inner_.Size(); }
   std::string Name() const override { return "ShieldStore/write-ahead"; }
   kv::StoreStats stats() const override { return inner_.stats(); }
@@ -209,24 +230,28 @@ class WriteAheadStore : public kv::BatchFirstStore {
     std::unique_ptr<OperationLog> log;
     size_t index = 0;  // position in shards_ (shipped to the sink as-is)
     // Adaptive group-commit window (microseconds). Starts at the configured
-    // cap (options.group_commit_window_us); each leader halves it after a
+    // cap (options.group_commit_window_us); the committer halves it after a
     // near-empty batch (solo writers should not wait out a window sized for
     // bursts) and doubles it back toward the cap after a full one. Floor is
-    // cap/16 (min 1). Read by the next leader, so adjustments take effect on
-    // the following batch.
+    // cap/16 (min 1). Only groups whose close did not wait on the commit
+    // turn adapt it; adjustments take effect on the following batch.
     std::atomic<uint32_t> window_us{0};
     std::mutex mutex;  // serializes apply + append for this shard's partitions
-    std::condition_variable cv;  // group-commit leader/follower handoff
-    uint64_t appended = 0;       // records appended (durable-window mode)
-    uint64_t durable = 0;        // records known fsync'd
-    bool committing = false;     // a leader is inside CommitPrepare/Sync
+    std::condition_variable commit_cv;   // wakes the committer
+    std::condition_variable durable_cv;  // `durable`/`committing` changed
+    // Record sequences (durable-window mode). Monotone for the life of the
+    // store — compaction and log reset do not rewind them — because
+    // requirements and parked waiters name sequences in this space.
+    uint64_t appended = 0;    // highest sequence appended
+    uint64_t durable = 0;     // highest sequence fsync'd + counter-bumped + shipped
+    bool committing = false;  // the committer is between CommitPrepare and publish
+    bool stop = false;        // the committer should drain and exit
     // Replication: records captured at append time, drained to the sink at
-    // commit time. ship_seq counts records ever handed to the sink in a
-    // sequence space that — unlike `appended`, which resets on compaction
-    // and log reset — is monotone for the life of this process; follower
+    // commit time. ship_seq counts records ever handed to the sink; follower
     // watermarks live in this space.
     std::vector<ReplicatedOp> pending_ship;
     uint64_t ship_seq = 0;
+    obs::TraceContext ship_trace;  // latest sampled writer's, for the ship span
     std::chrono::steady_clock::time_point batch_start{};
     Status failed;  // latched fatal commit error: durability can no longer
                     // be promised, so every later mutation fails fast
@@ -234,24 +259,58 @@ class WriteAheadStore : public kv::BatchFirstStore {
     obs::Counter* ctr_appends = nullptr;
     obs::Counter* ctr_commit_waits = nullptr;
     obs::Counter* ctr_compactions = nullptr;
+    std::atomic<int> maintenance{0};  // MaintenanceLocks held or waiting
+    std::thread committer;  // joined by StopCommitters before the shard dies
   };
 
-  void BuildShards();
+  // Builds the shard table for the inner store's geometry, every shard's
+  // sequence space starting at `first_seq`.
+  void BuildShards(uint64_t first_seq = 0);
   Shard& shard(size_t s) { return *shards_[s]; }
   size_t ShardOfLocked(size_t partition) const {
     return partition % shards_.size();
   }
-  // Appends one record under `lock` (legacy mode commits inline per the
-  // group cadence); durable-window mode assigns the record a sequence.
+  // Appends one record under the shard lock (legacy mode commits inline per
+  // the group cadence); durable-window mode gives it the next sequence and
+  // wakes the committer when a group opens or fills.
   Status AppendLocked(Shard& s, bool is_delete, std::string_view key,
-                      std::string_view value, uint64_t* my_seq);
-  // Durable-window mode: blocks until `my_seq` is fsync'd, becoming the
-  // commit leader if the batch has none. No-op in legacy mode.
-  Status AwaitDurable(Shard& s, std::unique_lock<std::mutex>& lock, uint64_t my_seq);
+                      std::string_view value);
+  std::vector<kv::BatchOpResult> SubmitLocked(const std::vector<kv::BatchOp>& ops,
+                                              kv::DurabilityRequirement& requirement);
+  // Blocks until `seq` is durable on `s`, or returns the shard's latch.
+  Status AwaitDurable(Shard& s, uint64_t seq);
+  // Durable-window mode: one committer thread per shard (none in legacy
+  // mode). Stop drains what is pending, then joins.
+  void StartCommitters();
+  void StopCommitters();
+  void CommitterLoop(Shard& s);
+  // Commits every record appended so far as one group and publishes the
+  // new watermark; called by the committer with `lock` held.
+  void CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& lock, bool adapt_window);
+  // A shard lock taken for maintenance (commit + compaction, recovery,
+  // re-layout): flagged so a committer holding the commit turn passes the
+  // turn on instead of waiting for it (see LockForCommit).
+  class MaintenanceLock {
+   public:
+    explicit MaintenanceLock(Shard& s);
+    ~MaintenanceLock();
+    MaintenanceLock(const MaintenanceLock&) = delete;
+    MaintenanceLock& operator=(const MaintenanceLock&) = delete;
+    std::unique_lock<std::mutex>& lock() { return lock_; }
+
+   private:
+    Shard& shard_;
+    std::unique_lock<std::mutex> lock_;
+  };
+  // Takes `lock` on `s` for a committer holding the commit turn; false,
+  // without it, if a maintenance hold is pending or active.
+  static bool LockForCommit(Shard& s, std::unique_lock<std::mutex>& lock);
+  // Records a fatal commit error: durability can no longer be promised.
+  void LatchLocked(Shard& s, const Status& failure);
   Status CommitShardLocked(Shard& s, std::unique_lock<std::mutex>& lock);
   // Drains s.pending_ship to the sink under the shard lock (legacy-cadence
-  // and maintenance-commit paths; the group-commit leader instead steals the
-  // buffer under the lock and ships outside it). Clears the buffer without
+  // and maintenance-commit paths; the committer instead steals the buffer
+  // under the lock and ships outside it). Clears the buffer without
   // shipping when no sink is installed. Never fails the caller: a sink
   // rejection only bumps ship_failures_.
   void ShipLocked(Shard& s);
@@ -265,10 +324,33 @@ class WriteAheadStore : public kv::BatchFirstStore {
   // Repartition), mirroring the inner store's structure lock.
   mutable std::shared_mutex structure_mutex_;
   std::vector<std::unique_ptr<Shard>> shards_;
+  // The WAL's commit turn: a committer holds it from closing its group
+  // until the group has published, and turns are served in ticket order
+  // (see CommitterLoop). Waited for only with no shard lock held.
+  class CommitTurn {
+   public:
+    explicit CommitTurn(WriteAheadStore& wal);  // takes a ticket
+    ~CommitTurn();                              // Pass()
+    CommitTurn(const CommitTurn&) = delete;
+    CommitTurn& operator=(const CommitTurn&) = delete;
+    bool TryTake();  // true if the turn is already this ticket's
+    void Wait();     // blocks until it is
+    void Pass();     // hands the turn to the next ticket (once)
+
+   private:
+    WriteAheadStore& wal_;
+    uint64_t ticket_ = 0;
+    bool passed_ = false;
+  };
+  std::mutex turn_mutex_;  // guards turn_next_ and turn_serving_
+  std::condition_variable turn_cv_;
+  uint64_t turn_next_ = 0;     // next ticket to hand out
+  uint64_t turn_serving_ = 0;  // ticket whose turn it is
   std::atomic<uint64_t> compactions_{0};
   std::atomic<ReplicationSink*> sink_{nullptr};
   std::atomic<uint64_t> shipped_records_{0};
   std::atomic<uint64_t> ship_failures_{0};
+  kv::DurabilityWatch watch_;  // per-shard durable watermarks, as published
 
   // Metric handles cached at construction (see OpLogOptions::metrics).
   obs::Registry* metrics_ = nullptr;

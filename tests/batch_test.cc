@@ -7,9 +7,12 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -572,6 +575,129 @@ TEST_F(BatchWalTest, LatchedShardFailsSingletonMutationsButServesGets) {
   Result<std::string> n = wal.Get("n");
   ASSERT_TRUE(n.ok()) << n.status().ToString();
   EXPECT_EQ(*n, "1");
+}
+
+// No dirty reads: a get of a key whose set is still in flight (applied and
+// logged, its group waiting out a long window) must not return until that
+// set is durable — the get could otherwise reveal state a crash would take
+// back. The set's group is still open when the get runs, so a get that
+// returns first has revealed it.
+TEST_F(BatchWalTest, GetNeverRevealsASetBeforeItIsDurable) {
+  PartitionedStore store(enclave_, SmallOptions(), 1);
+  ASSERT_TRUE(store.Set("k", "old").ok());  // the durable past, as far as this test cares
+  shieldstore::OpLogOptions log_opts = LogOptions();
+  log_opts.group_commit_window_us = 200'000;
+  WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
+  ASSERT_TRUE(wal.Open().ok());
+
+  std::atomic<bool> set_returned{false};
+  std::thread writer([&] {
+    EXPECT_TRUE(wal.Set("k", "new").ok());
+    set_returned.store(true);
+  });
+  while (wal.Stats().records_logged == 0) {
+    std::this_thread::yield();  // applied and appended: now in flight
+  }
+  const Result<std::string> got = wal.Get("k");
+  const uint64_t fsyncs_at_get = wal.Stats().fsyncs;
+  writer.join();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_TRUE(*got == "old" || *got == "new") << *got;
+  if (*got == "new") {
+    EXPECT_GE(fsyncs_at_get, 1u) << "the get revealed the set before its group was durable";
+  }
+  EXPECT_TRUE(set_returned.load());
+}
+
+// The same guarantee across sessions: session B's get of a key session A is
+// setting may not be answered before A's set is acked. The sessions land on
+// different reactor loops (accepts go round-robin), so B's get executes
+// while A's set waits out its group's 200 ms window; answering B then would
+// be a dirty read on the wire.
+TEST_F(BatchWalTest, NetGetResponseNeverOvertakesTheSetItReveals) {
+  PartitionedStore store(enclave_, SmallOptions(), 1);
+  ASSERT_TRUE(store.Set("k", "old").ok());
+  shieldstore::OpLogOptions log_opts = LogOptions();
+  log_opts.group_commit_window_us = 200'000;
+  WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
+  ASSERT_TRUE(wal.Open().ok());
+  const sgx::AttestationAuthority authority(AsBytes("ias-root"));
+  net::ServerOptions options;
+  options.io_threads = 2;
+  net::Server server(enclave_, wal, authority, options);
+  ASSERT_TRUE(server.Start().ok());
+  net::Client a(authority, enclave_.measurement());
+  net::Client b(authority, enclave_.measurement());
+  ASSERT_TRUE(a.Connect(server.port()).ok());
+  ASSERT_TRUE(b.Connect(server.port()).ok());
+
+  ASSERT_TRUE(a.SendRequest({net::OpCode::kSet, "k", "new", 0}).ok());
+  while (wal.Stats().records_logged == 0) {
+    std::this_thread::yield();
+  }
+  std::atomic<bool> a_acked{false};
+  std::thread a_reader([&] {
+    const Result<net::Response> r = a.ReceiveResponse();
+    EXPECT_TRUE(r.ok() && r->status == Code::kOk);
+    a_acked.store(true);
+  });
+  const Result<std::string> got = b.Get("k");
+  const uint64_t fsyncs_at_get = wal.Stats().fsyncs;
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(*got, "new");
+  EXPECT_GE(fsyncs_at_get, 1u) << "B was answered before A's set was durable";
+  // Both responses were released by the same publish; A's cannot trail B's
+  // by a commit window.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::milliseconds(50);
+  while (!a_acked.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(a_acked.load()) << "A's ack trailed B's read of its value";
+  a_reader.join();
+  server.Stop();
+}
+
+// HotCalls responders take the same completion path as ECALLs: they submit
+// without waiting, and the reactor holds the sealed responses until the WAL
+// publishes them durable. Pipelined sets and read-backs all come back OK,
+// in order, over both entry mechanisms.
+TEST_F(BatchWalTest, HeldAcksServeOverEcallsAndHotCalls) {
+  PartitionedStore store(enclave_, SmallOptions(), 2);
+  shieldstore::OpLogOptions log_opts = LogOptions();
+  log_opts.group_commit_window_us = 100;
+  WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
+  ASSERT_TRUE(wal.Open().ok());
+  const sgx::AttestationAuthority authority(AsBytes("ias-root"));
+  for (const bool hotcalls : {false, true}) {
+    net::ServerOptions options;
+    options.use_hotcalls = hotcalls;
+    net::Server server(enclave_, wal, authority, options);
+    ASSERT_TRUE(server.Start().ok());
+    net::Client client(authority, enclave_.measurement());
+    ASSERT_TRUE(client.Connect(server.port()).ok());
+    const std::string tag = hotcalls ? "h" : "e";
+    for (int i = 0; i < 32; ++i) {
+      ASSERT_TRUE(client.SendRequest({net::OpCode::kSet, tag + std::to_string(i),
+                                      "v" + std::to_string(i), 0})
+                      .ok());
+    }
+    for (int i = 0; i < 32; ++i) {
+      ASSERT_TRUE(client.SendRequest({net::OpCode::kGet, tag + std::to_string(i), "", 0}).ok());
+    }
+    for (int i = 0; i < 32; ++i) {
+      const Result<net::Response> r = client.ReceiveResponse();
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r->status, Code::kOk);
+    }
+    for (int i = 0; i < 32; ++i) {
+      const Result<net::Response> r = client.ReceiveResponse();
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_EQ(r->status, Code::kOk);
+      EXPECT_EQ(r->value, "v" + std::to_string(i));
+    }
+    server.Stop();
+  }
+  EXPECT_EQ(RestartAndDump(2, log_opts).size(), 64u);
 }
 
 // --------------------------------------------------------- end to end

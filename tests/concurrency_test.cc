@@ -21,6 +21,8 @@
 #include <vector>
 
 #include "src/faultinject/tamper.h"
+#include "src/net/client.h"
+#include "src/net/server.h"
 #include "src/obs/snapshot.h"
 #include "src/shieldstore/partitioned.h"
 #include "src/shieldstore/selfheal.h"
@@ -520,6 +522,91 @@ TEST_F(ConcurrencyTest, CompactionRacesWritersHealerAndAdversary) {
       EXPECT_TRUE(got.value() == h.acked ||
                   h.attempted.count(got.value().substr(64)) > 0)
           << key << " holds '" << got.value() << "'";
+    }
+  }
+}
+
+// Asynchronous durable acks under TSan: committers publishing watermarks,
+// reactor loops releasing held responses, compaction truncating the shard
+// logs, and Server::Stop tearing the reactor down, all at once. Clients
+// pipeline sets on private keys; every set they saw acknowledged must be in
+// the store afterwards, and nothing may race.
+TEST_F(ConcurrencyTest, HeldAckReleaseRacesCommitterCompactionAndStop) {
+  PartitionedStore ps(enclave_, SmallOptions(), 2);
+  sgx::MonotonicCounterService counters(counter_opts_);
+  sgx::SealingService sealer(AsBytes("race-seal"), enclave_.measurement());
+  OpLogOptions log_opts;
+  log_opts.path = dir_ + "/wal.log";
+  log_opts.group_commit_window_us = 50;
+  WriteAheadStore wal(ps, sealer, counters, log_opts);
+  ASSERT_TRUE(wal.Open().ok());
+  const sgx::AttestationAuthority authority(AsBytes("race-ias"));
+  net::ServerOptions server_opts;
+  server_opts.io_threads = 2;
+  net::Server server(enclave_, wal, authority, server_opts);
+  ASSERT_TRUE(server.Start().ok());
+
+  constexpr int kClients = 4;
+  constexpr int kDepth = 8;
+  std::vector<std::map<std::string, std::string>> acked(kClients);
+  std::atomic<int> rounds{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      net::Client client(authority, enclave_.measurement());
+      if (!client.Connect(server.port()).ok()) {
+        return;
+      }
+      for (int round = 0;; ++round) {
+        std::vector<net::Request> sent;
+        for (int i = 0; i < kDepth; ++i) {
+          const std::string key =
+              "r" + std::to_string(c) + "-" + std::to_string((round * kDepth + i) % 64);
+          const net::OpCode op = i % 4 == 3 ? net::OpCode::kGet : net::OpCode::kSet;
+          sent.push_back({op, key, std::to_string(round), 0});
+          if (!client.SendRequest(sent.back()).ok()) {
+            return;
+          }
+        }
+        for (const net::Request& request : sent) {
+          const Result<net::Response> r = client.ReceiveResponse();
+          if (!r.ok()) {
+            return;  // the server stopped
+          }
+          if (request.op == net::OpCode::kSet && r->status == Code::kOk) {
+            acked[c][request.key] = request.value;
+          }
+        }
+        rounds.fetch_add(1);
+      }
+    });
+  }
+  std::atomic<bool> stop_compactor{false};
+  std::thread compactor([&] {
+    for (size_t i = 0; !stop_compactor.load(); ++i) {
+      const Status st = wal.CompactShard(i % wal.num_shards(), dir_ + "/snapshots");
+      EXPECT_TRUE(st.ok()) << st.ToString();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+  });
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (rounds.load() < kClients * 20 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  server.Stop();  // clients are mid-pipeline; held runs drain or drop
+  for (std::thread& t : clients) {
+    t.join();
+  }
+  stop_compactor.store(true);
+  compactor.join();
+  EXPECT_GE(rounds.load(), kClients * 20) << "load never got going";
+  for (const auto& per_client : acked) {
+    for (const auto& [key, value] : per_client) {
+      // A later set of the key may have landed unacked; an acked one may not
+      // be missing or older.
+      const Result<std::string> got = wal.Get(key);
+      ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
+      EXPECT_GE(std::stoi(*got), std::stoi(value)) << key;
     }
   }
 }

@@ -8,6 +8,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <thread>
 
@@ -723,6 +724,131 @@ TEST_F(NetEndToEndTest, StopDrainsInFlightRequests) {
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(response->status, Code::kOk);
   EXPECT_EQ(store_.Get("drained").value(), "yes");
+}
+
+// ------------------------------------------------------- held (durable) acks
+
+// Executes through `inner` but leaves every run pending on one shard of its
+// own watch until the test publishes (or latches) it: each SubmitBatch call
+// requires the next sequence. This drives the reactor's hold/release path
+// without a WAL's timing.
+class HeldStore : public kv::KeyValueStore {
+ public:
+  explicit HeldStore(kv::KeyValueStore& inner) : inner_(inner) { watch_.Reset(1, 0); }
+  Status Set(std::string_view key, std::string_view value) override {
+    return inner_.Set(key, value);
+  }
+  Result<std::string> Get(std::string_view key) override { return inner_.Get(key); }
+  Status Delete(std::string_view key) override { return inner_.Delete(key); }
+  std::vector<kv::BatchOpResult> SubmitBatch(const std::vector<kv::BatchOp>& ops,
+                                             kv::DurabilityRequirement& requirement) override {
+    std::vector<kv::BatchOpResult> results = inner_.ExecuteBatch(ops);
+    requirement.shards.clear();
+    requirement.Require(0, submitted_.fetch_add(1) + 1);
+    return results;
+  }
+  kv::DurabilityWatch* durability_watch() override { return &watch_; }
+  size_t Size() const override { return inner_.Size(); }
+  std::string Name() const override { return inner_.Name(); }
+
+  // Blocks until `n` runs have executed.
+  void AwaitSubmitted(uint64_t n) const {
+    while (submitted_.load() < n) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  kv::DurabilityWatch& watch() { return watch_; }
+
+ private:
+  kv::KeyValueStore& inner_;
+  std::atomic<uint64_t> submitted_{0};
+  kv::DurabilityWatch watch_;
+};
+
+Request SetRequest(std::string key, std::string value) {
+  Request r;
+  r.op = OpCode::kSet;
+  r.key = std::move(key);
+  r.value = std::move(value);
+  return r;
+}
+
+TEST_F(NetEndToEndTest, HeldResponsesReleaseInOrderAsTheyTurnDurable) {
+  HeldStore held(store_);
+  Server server(enclave_, held, authority_, {});
+  ASSERT_TRUE(server.Start().ok());
+  Client client(authority_, enclave_.measurement());
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  for (uint64_t i = 1; i <= 3; ++i) {
+    ASSERT_TRUE(client.SendRequest(SetRequest("k" + std::to_string(i), "v")).ok());
+    held.AwaitSubmitted(i);  // one run per request
+  }
+  // The watermark reaching 2 releases runs 1 and 2, in order (the session's
+  // sequence numbers would reject anything else); run 3 stays held.
+  held.watch().Publish(0, 2);
+  Result<Response> first = client.ReceiveResponse();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->status, Code::kOk);
+  Result<Response> second = client.ReceiveResponse();
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  held.watch().Publish(0, 3);
+  Result<Response> third = client.ReceiveResponse();
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  EXPECT_EQ(third->status, Code::kOk);
+  server.Stop();
+}
+
+// A store that latches while responses are held: what was already released
+// still reaches the client, then the session closes — an OK for an op that
+// never became durable is never sent.
+TEST_F(NetEndToEndTest, LatchWhileHeldClosesSessionAfterReleasedPrefix) {
+  HeldStore held(store_);
+  Server server(enclave_, held, authority_, {});
+  ASSERT_TRUE(server.Start().ok());
+  Client client(authority_, enclave_.measurement());
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  ASSERT_TRUE(client.SendRequest(SetRequest("durable", "1")).ok());
+  held.AwaitSubmitted(1);
+  ASSERT_TRUE(client.SendRequest(SetRequest("lost", "2")).ok());
+  held.AwaitSubmitted(2);
+  held.watch().Publish(0, 1);
+  Result<Response> first = client.ReceiveResponse();
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first->status, Code::kOk);
+  held.watch().Latch(0, Status(Code::kIoError, "log fsync failed"));
+  EXPECT_FALSE(client.ReceiveResponse().ok()) << "a non-durable op was answered";
+  server.Stop();
+}
+
+// Stop releases held responses that turn durable within the drain budget.
+TEST_F(NetEndToEndTest, StopReleasesHeldResponsesThatTurnDurable) {
+  HeldStore held(store_);
+  Server server(enclave_, held, authority_, {});
+  ASSERT_TRUE(server.Start().ok());
+  Client client(authority_, enclave_.measurement());
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  ASSERT_TRUE(client.SendRequest(SetRequest("drained", "yes")).ok());
+  held.AwaitSubmitted(1);
+  std::thread stopper([&server] { server.Stop(); });
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  held.watch().Publish(0, 1);
+  Result<Response> response = client.ReceiveResponse();
+  stopper.join();
+  ASSERT_TRUE(response.ok()) << response.status().ToString();
+  EXPECT_EQ(response->status, Code::kOk);
+}
+
+// ... and drops, unsent, the ones that do not.
+TEST_F(NetEndToEndTest, StopDropsHeldResponsesThatNeverTurnDurable) {
+  HeldStore held(store_);
+  Server server(enclave_, held, authority_, {});
+  ASSERT_TRUE(server.Start().ok());
+  Client client(authority_, enclave_.measurement());
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  ASSERT_TRUE(client.SendRequest(SetRequest("never", "durable")).ok());
+  held.AwaitSubmitted(1);
+  server.Stop();  // waits out the drain budget, then closes the session
+  EXPECT_FALSE(client.ReceiveResponse().ok()) << "a non-durable op was answered";
 }
 
 // ------------------------------------------------------------- kStats verb

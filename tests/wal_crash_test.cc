@@ -12,6 +12,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstring>
 #include <filesystem>
@@ -217,6 +218,88 @@ TEST(WalCrashTest, Kill9MidLoadLosesNoAckedWriteAndLogsStayBounded) {
     const Result<std::string> got = verify.Get(key);
     ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
     EXPECT_EQ(got.value(), value) << key;
+  }
+  verify.Close();
+  KillServer(&server, SIGTERM);
+  std::filesystem::remove_all(dir);
+}
+
+// Kill -9 under pipelined load: 4 sessions each keep 16 sets in flight
+// (SendRequest, then the responses), so acks are released by the reactor as
+// group commits publish, never by a blocked serving thread. Every key is
+// written once, so each acknowledged set names exactly one expected value;
+// after the restart each must read back byte for byte.
+TEST(WalCrashTest, Kill9UnderPipelinedSessionsLosesNoAckedWrite) {
+  const std::string dir =
+      ::testing::TempDir() + "/wal_crash_pipe_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const uint16_t port = static_cast<uint16_t>(25000 + ::getpid() % 2000);
+  const sgx::AttestationAuthority authority(AsBytes(kAuthoritySeed));
+
+  ServerProc server;
+  ASSERT_TRUE(StartServer(dir, port, &server)) << "daemon did not come up";
+  constexpr int kSessions = 4;
+  constexpr int kDepth = 16;
+  std::vector<std::map<std::string, std::string>> acked(kSessions);
+  std::atomic<bool> ramped{false};
+  std::vector<std::thread> sessions;
+  for (int t = 0; t < kSessions; ++t) {
+    sessions.emplace_back([&, t] {
+      net::Client client(authority, server.measurement);
+      if (!client.Connect(port).ok()) {
+        return;
+      }
+      for (int round = 0;; ++round) {
+        std::vector<net::Request> sent;
+        for (int i = 0; i < kDepth; ++i) {
+          const std::string key =
+              "s" + std::to_string(t) + "-" + std::to_string(round * kDepth + i);
+          sent.push_back({net::OpCode::kSet, key, key + std::string(100, 'v'), 0});
+          if (!client.SendRequest(sent.back()).ok()) {
+            return;
+          }
+        }
+        for (const net::Request& request : sent) {
+          const Result<net::Response> r = client.ReceiveResponse();
+          if (!r.ok()) {
+            return;  // the daemon died
+          }
+          if (r->status == Code::kOk) {
+            acked[t][request.key] = request.value;
+          }
+        }
+        if (round == 8) {
+          ramped.store(true);
+        }
+      }
+    });
+  }
+  const auto ramp_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (!ramped.load() && std::chrono::steady_clock::now() < ramp_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  ::kill(server.pid, SIGKILL);  // mid-flight: held responses die with it
+  for (std::thread& s : sessions) {
+    s.join();
+  }
+  KillServer(&server, SIGKILL);  // reap
+  size_t total = 0;
+  for (const auto& per_session : acked) {
+    total += per_session.size();
+  }
+  ASSERT_GE(total, static_cast<size_t>(kSessions * kDepth * 8)) << "load never got going";
+
+  ASSERT_TRUE(StartServer(dir, port, &server)) << "daemon did not restart";
+  net::Client verify(authority, server.measurement);
+  ASSERT_TRUE(verify.Connect(port).ok());
+  for (const auto& per_session : acked) {
+    for (const auto& [key, value] : per_session) {
+      const Result<std::string> got = verify.Get(key);
+      ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
+      EXPECT_EQ(got.value(), value) << key;
+    }
   }
   verify.Close();
   KillServer(&server, SIGTERM);

@@ -10,9 +10,14 @@
 
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -608,6 +613,58 @@ TEST_F(WalShardingTest, GroupCommitWindowAdaptsToBatchSize) {
   }
   EXPECT_EQ(wal.shard_window_us(0), cap) << "burst growth must saturate at the cap";
   EXPECT_EQ(registry.GetGauge("wal.window_us").Value(), static_cast<int64_t>(cap));
+}
+
+// Compaction under a parked writer. One writer's group is mid-commit (a
+// real 2M-cycle counter bump), a second writer has appended behind it and
+// is waiting for durability, and then the shard compacts. The parked writer
+// must still be acked promptly: compaction once rewound the shard's sequence
+// numbers to zero under it, so it waited for a sequence the shard would not
+// reach again while the shard committed empty groups in a loop. Afterwards
+// an idle shard must commit nothing.
+TEST_F(WalShardingTest, ParkedWriterIsAckedAcrossCompactionAndIdleShardStaysQuiet) {
+  sgx::MonotonicCounterService::Options counter_opts;
+  counter_opts.backing_file = dir_ + "/slow-counters.bin";  // default bump cost
+  sgx::MonotonicCounterService slow_counters(counter_opts);
+  PartitionedStore store(enclave_, SmallOptions(), 1);
+  OpLogOptions log_opts = LogOptions();
+  log_opts.group_commit_window_us = 50;
+  WriteAheadStore wal(store, *sealer_, slow_counters, log_opts);
+  ASSERT_TRUE(wal.Open().ok());
+
+  for (int trial = 0; trial < 20; ++trial) {
+    std::atomic<int> acked{0};
+    const std::string suffix = std::to_string(trial);
+    std::thread first([&] {
+      EXPECT_TRUE(wal.Set("first-" + suffix, "1").ok());
+      acked.fetch_add(1);
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(300));  // its group is committing
+    std::thread second([&] {
+      EXPECT_TRUE(wal.Set("second-" + suffix, "2").ok());
+      acked.fetch_add(1);
+    });
+    std::this_thread::sleep_for(std::chrono::microseconds(100));  // appended, now parked
+    ASSERT_TRUE(wal.CompactShard(0, SnapshotDir()).ok());
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (acked.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    if (acked.load() < 2) {
+      // The writers can never be joined; report and stop the binary here.
+      std::fprintf(stderr, "trial %d: a writer parked across compaction was never acked\n",
+                   trial);
+      std::abort();
+    }
+    first.join();
+    second.join();
+  }
+
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  const uint64_t commits = wal.Stats().commits;
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(wal.Stats().commits, commits) << "an idle shard kept committing empty groups";
+  EXPECT_EQ(wal.Size(), 40u);
 }
 
 }  // namespace
