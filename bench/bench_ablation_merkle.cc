@@ -40,7 +40,8 @@ void Run() {
     const uint8_t key[16] = {9};
     const uint64_t t1 = ReadCycleCounter();
     for (size_t i = 0; i < iters; ++i) {
-      crypto::Cmac cmac(ByteSpan(key, 16));
+      const crypto::CmacKey mac_key(ByteSpan(key, 16));
+      crypto::Cmac cmac(mac_key);
       uint8_t index[8];
       StoreLe64(index, i);
       cmac.Update(ByteSpan(index, 8));

@@ -1,7 +1,8 @@
 // Microbenchmarks of the crypto substrate: these are the primitive costs
 // every figure decomposes into — per-entry AES-CTR + CMAC (ShieldStore's op
-// cost), the interleaved batch CMAC used by scrub verification, and the
-// keyed hashes on the lookup path.
+// cost), the interleaved batch CMAC used by scrub verification, the
+// session channel's Seal + Open per served record, and the keyed hashes on
+// the lookup path.
 //
 // CTR and CMAC run at BOTH backends (table reference and AES-NI when the
 // CPU has it) in one invocation and the per-size GB/s plus hardware/table
@@ -23,6 +24,7 @@
 #include "src/crypto/ctr.h"
 #include "src/crypto/sha256.h"
 #include "src/crypto/siphash.h"
+#include "src/net/channel.h"
 
 namespace shield::crypto {
 namespace {
@@ -68,6 +70,23 @@ double BenchCmac(AesBackend backend, size_t size, double seconds) {
     Cmac cmac(key);
     cmac.Update(data);
     sink = cmac.Finalize()[0];
+  });
+  (void)sink;
+  return gbps;
+}
+
+// The session-channel shape of one served op: the peer Seals a record of
+// `size` bytes and the other side Opens it, each holding its expanded session
+// keys. Returns GB/s of payload; one call is one Seal + one Open.
+double BenchSessionRecord(AesBackend backend, size_t size, double seconds) {
+  Bytes key_material(net::SessionCrypto::kKeyMaterialSize, 0x3C);
+  net::SessionCrypto sender(key_material, /*is_client=*/true, /*encrypt=*/true, backend);
+  net::SessionCrypto receiver(key_material, /*is_client=*/false, /*encrypt=*/true, backend);
+  Bytes payload(size, 0x42);
+  volatile size_t sink = 0;
+  const double gbps = Throughput(seconds, size, [&] {
+    Result<Bytes> opened = receiver.Open(sender.Seal(payload));
+    sink = opened.ok() ? opened->size() : 0;
   });
   (void)sink;
   return gbps;
@@ -153,6 +172,20 @@ int Run(double seconds, const std::string& out_path) {
           }
         }
       }
+    }
+  }
+
+  // Session channel: Seal + Open of a 48 B request and a 160 B response (the
+  // cache workload's frame sizes), per backend, reported per record pair.
+  for (AesBackend backend : backends) {
+    for (size_t size : {48, 160}) {
+      const double gbps = BenchSessionRecord(backend, size, seconds);
+      const double ns = gbps > 0 ? static_cast<double>(size) / gbps : 0;
+      std::printf("%-12s %-10s %8zu %12s  (%s ns per seal+open)\n", "session",
+                  AesBackendName(backend), size, Fmt(gbps).c_str(), Fmt(ns, "%.0f").c_str());
+      json += ",\n    {\"op\": \"session_seal_open\", \"backend\": \"" +
+              std::string(AesBackendName(backend)) + "\", \"size\": " + std::to_string(size) +
+              ", \"gbps\": " + Fmt(gbps) + ", \"ns_per_seal_open\": " + Fmt(ns, "%.0f") + "}";
     }
   }
 

@@ -50,17 +50,22 @@ echo "== batch throughput bench (smoke) =="
 echo "== crypto backend equivalence: forced-soft pass on the default build =="
 # The same test binaries, with the hardware backend disabled at runtime: the
 # table path must pass everything (and the cross-backend equivalence tests
-# skip themselves, proving the env override reaches dispatch).
+# skip themselves, proving the env override reaches dispatch). The session
+# channel and sealing known-answer tests pin the wire and blob bytes here too.
 SHIELD_FORCE_SOFT_AES=1 ./build/tests/crypto_test --gtest_brief=1
 SHIELD_FORCE_SOFT_AES=1 ./build/tests/kv_test --gtest_brief=1
+SHIELD_FORCE_SOFT_AES=1 ./build/tests/net_test --gtest_brief=1 --gtest_filter='SessionCryptoTest.*'
+SHIELD_FORCE_SOFT_AES=1 ./build/tests/sgx_test --gtest_brief=1 --gtest_filter='SealingTest.*'
 
 echo "== crypto backend equivalence: -DSHIELD_DISABLE_AESNI build =="
 # Compile-time gate: a build without the AES-NI TU at all must still pass
-# the crypto, kv, and store suites on the table backend.
+# the crypto, kv, and store suites, the session channel and sealing on the
+# table backend.
 cmake -B build-softaes -S . -DSHIELD_DISABLE_AESNI=ON >/dev/null
-cmake --build build-softaes -j "$JOBS" --target crypto_test kv_test shieldstore_test
+cmake --build build-softaes -j "$JOBS" --target crypto_test kv_test shieldstore_test net_test \
+  sgx_test
 ctest --test-dir build-softaes --output-on-failure -j "$JOBS" \
-  -R 'Aes128Test|AesCtrTest|CmacTest|BackendTest|BackendEquivalenceTest|EntryTest|ShieldStoreTest'
+  -R 'Aes128Test|AesCtrTest|CmacTest|BackendTest|BackendEquivalenceTest|EntryTest|ShieldStoreTest|SessionCryptoTest|SealingTest'
 
 echo "== micro crypto bench (smoke): AES-NI speedup gate =="
 # Exit code enforces the tentpole target: hardware CTR and CMAC >= 2x the

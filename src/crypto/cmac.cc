@@ -65,12 +65,7 @@ CmacKey::CmacKey(ByteSpan key, AesBackend backend) : aes_(key, backend) {
   DeriveSubkeys(aes_, k1_, k2_);
 }
 
-Cmac::Cmac(ByteSpan key) : aes_(key) {
-  DeriveSubkeys(aes_, k1_, k2_);
-  Reset();
-}
-
-Cmac::Cmac(const CmacKey& key) : aes_(key.aes()), k1_(key.k1()), k2_(key.k2()) {
+Cmac::Cmac(const CmacKey& key) : key_(key) {
   Reset();
 }
 
@@ -89,7 +84,7 @@ void Cmac::Update(ByteSpan data) {
       for (size_t i = 0; i < kAesBlockSize; ++i) {
         state_[i] ^= partial_[i];
       }
-      aes_.EncryptBlock(state_.data(), state_.data());
+      key_.aes().EncryptBlock(state_.data(), state_.data());
       partial_len_ = 0;
     }
     const size_t n = std::min(data.size() - offset, kAesBlockSize - partial_len_);
@@ -101,12 +96,14 @@ void Cmac::Update(ByteSpan data) {
 }
 
 Mac Cmac::Finalize() {
+  const AesBlock& k1 = key_.k1();
+  const AesBlock& k2 = key_.k2();
   Mac tag;
   AesBlock last{};
   if (any_data_ && partial_len_ == kAesBlockSize) {
     // Complete final block: XOR with K1.
     for (size_t i = 0; i < kAesBlockSize; ++i) {
-      last[i] = static_cast<uint8_t>(partial_[i] ^ k1_[i]);
+      last[i] = static_cast<uint8_t>(partial_[i] ^ k1[i]);
     }
   } else {
     // Padded final block: 10* padding, XOR with K2.
@@ -116,13 +113,13 @@ Mac Cmac::Finalize() {
       last[i] = 0;
     }
     for (size_t i = 0; i < kAesBlockSize; ++i) {
-      last[i] = static_cast<uint8_t>(last[i] ^ k2_[i]);
+      last[i] = static_cast<uint8_t>(last[i] ^ k2[i]);
     }
   }
   for (size_t i = 0; i < kAesBlockSize; ++i) {
     state_[i] ^= last[i];
   }
-  aes_.EncryptBlock(state_.data(), tag.data());
+  key_.aes().EncryptBlock(state_.data(), tag.data());
   return tag;
 }
 
@@ -194,7 +191,8 @@ void CmacSignBatch(const CmacKey& key, std::span<const CmacMessage> messages, Ma
 }
 
 Mac CmacSign(ByteSpan key, ByteSpan data) {
-  Cmac cmac(key);
+  const CmacKey expanded(key);
+  Cmac cmac(expanded);
   cmac.Update(data);
   return cmac.Finalize();
 }

@@ -42,14 +42,19 @@ class CmacKey {
 
 // Streaming CMAC for multi-part messages (MAC-hash over bucket-set MAC lists
 // is computed incrementally without concatenating buffers).
+//
+// Lifetime contract: a Cmac borrows its CmacKey — it keeps a reference, runs
+// no key schedule and copies no round keys — so the key must outlive every
+// Cmac built from it. Long-lived owners (the store's cipher set, a
+// SessionCrypto direction, the SealingService) hold the CmacKey and build a
+// Cmac per message; a cold one-shot caller builds a local CmacKey first.
+// Binding a temporary key is a compile error.
 class Cmac {
  public:
-  // key must be exactly 16 bytes.
-  explicit Cmac(ByteSpan key);
-  // Shares pre-derived key material; no key expansion happens here.
   explicit Cmac(const CmacKey& key);
+  Cmac(CmacKey&&) = delete;
 
-  // Re-arms the state for a new message without re-deriving subkeys.
+  // Re-arms the state for a new message.
   void Reset();
 
   void Update(ByteSpan data);
@@ -59,9 +64,7 @@ class Cmac {
   Mac Finalize();
 
  private:
-  Aes128 aes_;
-  AesBlock k1_;
-  AesBlock k2_;
+  const CmacKey& key_;
   AesBlock state_;    // running CBC-MAC state
   AesBlock partial_;  // buffered tail block (1..16 bytes once any data seen)
   size_t partial_len_ = 0;
@@ -100,7 +103,8 @@ inline constexpr size_t kCmacBatchLanes = 8;
 // signing each message with a serial Cmac stream.
 void CmacSignBatch(const CmacKey& key, std::span<const CmacMessage> messages, Mac* tags);
 
-// One-shot CMAC of a single buffer.
+// One-shot CMAC of a single buffer. Expands `key` on every call: for cold
+// callers only.
 Mac CmacSign(ByteSpan key, ByteSpan data);
 
 // Verifies in constant time.

@@ -53,7 +53,8 @@ void Suvm::WriteBack(size_t frame_index) {
                           ByteSpan(FrameData(frame_index), config_.page_bytes),
                           MutableByteSpan(backing, config_.page_bytes));
   if (config_.integrity) {
-    crypto::Cmac cmac(ByteSpan(kSuvmKey, sizeof(kSuvmKey)));
+    const crypto::CmacKey mac_key(ByteSpan(kSuvmKey, sizeof(kSuvmKey)));
+    crypto::Cmac cmac(mac_key);
     cmac.Update(ByteSpan(backing, config_.page_bytes));
     page_macs_[frame.page_id] = cmac.Finalize();
   }
@@ -96,7 +97,8 @@ size_t Suvm::EnsureCached(uint64_t page_id) {
   if (config_.integrity) {
     auto mac_it = page_macs_.find(page_id);
     if (mac_it != page_macs_.end()) {
-      crypto::Cmac cmac(ByteSpan(kSuvmKey, sizeof(kSuvmKey)));
+      const crypto::CmacKey mac_key(ByteSpan(kSuvmKey, sizeof(kSuvmKey)));
+      crypto::Cmac cmac(mac_key);
       cmac.Update(ByteSpan(backing, config_.page_bytes));
       const crypto::Mac computed = cmac.Finalize();
       if (!ConstantTimeEqual(ByteSpan(computed.data(), 16),

@@ -2,7 +2,6 @@
 
 #include <cstring>
 
-#include "src/crypto/cmac.h"
 #include "src/crypto/ctr.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/hmac.h"
@@ -34,48 +33,53 @@ crypto::Sha256Digest TranscriptHash(ByteSpan client_hello, const crypto::X25519K
   return sha.Finalize();
 }
 
+// The CMAC over LE64(seq) || direction || ciphertext.
+crypto::Mac RecordMac(const crypto::CmacKey& key, uint64_t seq, uint8_t direction,
+                      ByteSpan ciphertext) {
+  crypto::Cmac cmac(key);
+  uint8_t header[9];
+  StoreLe64(header, seq);
+  header[8] = direction;
+  cmac.Update(ByteSpan(header, sizeof(header)));
+  cmac.Update(ciphertext);
+  return cmac.Finalize();
+}
+
+// AES-CTR under the counter block LE64(seq) || direction || 0...
+void RecordCtr(const crypto::Aes128& aes, uint64_t seq, uint8_t direction, ByteSpan in,
+               MutableByteSpan out) {
+  uint8_t counter[16] = {};
+  StoreLe64(counter, seq);
+  counter[8] = direction;
+  crypto::AesCtrTransform(aes, counter, 32, in, out);
+}
+
 }  // namespace
 
+SessionCrypto::Direction::Direction(const uint8_t* keys, uint8_t dir,
+                                    crypto::AesBackend backend)
+    : enc(ByteSpan(keys, 16), backend), mac(ByteSpan(keys + 16, 16), backend), direction(dir) {}
+
 SessionCrypto::SessionCrypto(ByteSpan key_material, bool is_client, bool encrypt)
-    : encrypt_(encrypt) {
-  // Key material layout: [c2s enc | c2s mac | s2c enc | s2c mac].
-  const uint8_t* c2s = key_material.data();
-  const uint8_t* s2c = key_material.data() + 32;
-  if (is_client) {
-    std::memcpy(send_enc_key_.data(), c2s, 16);
-    std::memcpy(send_mac_key_.data(), c2s + 16, 16);
-    std::memcpy(recv_enc_key_.data(), s2c, 16);
-    std::memcpy(recv_mac_key_.data(), s2c + 16, 16);
-    send_direction_ = kClientToServer;
-    recv_direction_ = kServerToClient;
-  } else {
-    std::memcpy(send_enc_key_.data(), s2c, 16);
-    std::memcpy(send_mac_key_.data(), s2c + 16, 16);
-    std::memcpy(recv_enc_key_.data(), c2s, 16);
-    std::memcpy(recv_mac_key_.data(), c2s + 16, 16);
-    send_direction_ = kServerToClient;
-    recv_direction_ = kClientToServer;
-  }
-}
+    : SessionCrypto(key_material, is_client, encrypt, crypto::Aes128::Backend()) {}
+
+SessionCrypto::SessionCrypto(ByteSpan key_material, bool is_client, bool encrypt,
+                             crypto::AesBackend backend)
+    : send_(key_material.data() + (is_client ? 0 : 32),
+            is_client ? kClientToServer : kServerToClient, backend),
+      recv_(key_material.data() + (is_client ? 32 : 0),
+            is_client ? kServerToClient : kClientToServer, backend),
+      encrypt_(encrypt) {}
 
 Bytes SessionCrypto::Seal(ByteSpan plaintext) {
   if (!encrypt_) {
     return Bytes(plaintext.begin(), plaintext.end());
   }
-  const uint64_t seq = send_seq_++;
+  const uint64_t seq = send_.seq++;
   Bytes record(plaintext.size() + crypto::kCmacSize);
-  uint8_t counter[16] = {};
-  StoreLe64(counter, seq);
-  counter[8] = send_direction_;
-  crypto::AesCtrTransform(ByteSpan(send_enc_key_.data(), 16), counter, 32, plaintext,
-                          MutableByteSpan(record.data(), plaintext.size()));
-  crypto::Cmac cmac(ByteSpan(send_mac_key_.data(), 16));
-  uint8_t header[9];
-  StoreLe64(header, seq);
-  header[8] = send_direction_;
-  cmac.Update(ByteSpan(header, sizeof(header)));
-  cmac.Update(ByteSpan(record.data(), plaintext.size()));
-  const crypto::Mac mac = cmac.Finalize();
+  const MutableByteSpan ct(record.data(), plaintext.size());
+  RecordCtr(send_.enc, seq, send_.direction, plaintext, ct);
+  const crypto::Mac mac = RecordMac(send_.mac, seq, send_.direction, ct);
   std::memcpy(record.data() + plaintext.size(), mac.data(), mac.size());
   return record;
 }
@@ -87,25 +91,16 @@ Result<Bytes> SessionCrypto::Open(ByteSpan record) {
   if (record.size() < crypto::kCmacSize) {
     return Status(Code::kProtocolError, "record too short");
   }
-  const uint64_t seq = recv_seq_;
+  const uint64_t seq = recv_.seq;
   const size_t ct_len = record.size() - crypto::kCmacSize;
-  crypto::Cmac cmac(ByteSpan(recv_mac_key_.data(), 16));
-  uint8_t header[9];
-  StoreLe64(header, seq);
-  header[8] = recv_direction_;
-  cmac.Update(ByteSpan(header, sizeof(header)));
-  cmac.Update(record.subspan(0, ct_len));
-  const crypto::Mac mac = cmac.Finalize();
+  const ByteSpan ct = record.subspan(0, ct_len);
+  const crypto::Mac mac = RecordMac(recv_.mac, seq, recv_.direction, ct);
   if (!ConstantTimeEqual(ByteSpan(mac.data(), mac.size()), record.subspan(ct_len))) {
     return Status(Code::kProtocolError, "record authentication failed");
   }
-  ++recv_seq_;
+  ++recv_.seq;
   Bytes plaintext(ct_len);
-  uint8_t counter[16] = {};
-  StoreLe64(counter, seq);
-  counter[8] = recv_direction_;
-  crypto::AesCtrTransform(ByteSpan(recv_enc_key_.data(), 16), counter, 32,
-                          record.subspan(0, ct_len), plaintext);
+  RecordCtr(recv_.enc, seq, recv_.direction, ct, plaintext);
   return plaintext;
 }
 

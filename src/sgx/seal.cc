@@ -2,21 +2,20 @@
 
 #include <cstring>
 
-#include "src/crypto/cmac.h"
 #include "src/crypto/ctr.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/hmac.h"
 
 namespace shield::sgx {
 
-SealingService::SealingService(ByteSpan fuse_key, const Measurement& mrenclave) {
-  // KDF: fuse key x measurement -> (enc, mac) keys, mirroring EGETKEY's
-  // derivation of seal keys bound to MRENCLAVE.
-  const Bytes okm = crypto::Hkdf(ByteSpan(mrenclave.data(), mrenclave.size()), fuse_key,
-                                 AsBytes("sgx-seal-keys-v1"), 32);
-  std::memcpy(enc_key_.data(), okm.data(), 16);
-  std::memcpy(mac_key_.data(), okm.data() + 16, 16);
-}
+SealingService::SealingService(ByteSpan fuse_key, const Measurement& mrenclave)
+    // KDF: fuse key x measurement -> (enc, mac) keys, mirroring EGETKEY's
+    // derivation of seal keys bound to MRENCLAVE.
+    : SealingService(crypto::Hkdf(ByteSpan(mrenclave.data(), mrenclave.size()), fuse_key,
+                                  AsBytes("sgx-seal-keys-v1"), 32)) {}
+
+SealingService::SealingService(const Bytes& keys)
+    : enc_(ByteSpan(keys.data(), 16)), mac_(ByteSpan(keys.data() + 16, 16)) {}
 
 Bytes SealingService::Seal(ByteSpan plaintext, ByteSpan aad) const {
   Bytes blob(kOverhead + plaintext.size());
@@ -26,9 +25,8 @@ Bytes SealingService::Seal(ByteSpan plaintext, ByteSpan aad) const {
   StoreLe32(blob.data() + 16, static_cast<uint32_t>(aad.size()));
   StoreLe32(blob.data() + 20, static_cast<uint32_t>(plaintext.size()));
   uint8_t* ct = blob.data() + 24;
-  crypto::AesCtrTransform(ByteSpan(enc_key_.data(), 16), iv, 32, plaintext,
-                          MutableByteSpan(ct, plaintext.size()));
-  crypto::Cmac cmac(ByteSpan(mac_key_.data(), 16));
+  crypto::AesCtrTransform(enc_, iv, 32, plaintext, MutableByteSpan(ct, plaintext.size()));
+  crypto::Cmac cmac(mac_);
   cmac.Update(ByteSpan(blob.data(), 24));
   cmac.Update(aad);
   cmac.Update(ByteSpan(ct, plaintext.size()));
@@ -47,7 +45,7 @@ Result<Bytes> SealingService::Unseal(ByteSpan blob, ByteSpan aad) const {
     return Status(Code::kIntegrityFailure, "sealed blob length fields corrupted");
   }
   const uint8_t* ct = blob.data() + 24;
-  crypto::Cmac cmac(ByteSpan(mac_key_.data(), 16));
+  crypto::Cmac cmac(mac_);
   cmac.Update(blob.subspan(0, 24));
   cmac.Update(aad);
   cmac.Update(ByteSpan(ct, pt_len));
@@ -56,8 +54,7 @@ Result<Bytes> SealingService::Unseal(ByteSpan blob, ByteSpan aad) const {
     return Status(Code::kIntegrityFailure, "sealed blob MAC mismatch");
   }
   Bytes plaintext(pt_len);
-  crypto::AesCtrTransform(ByteSpan(enc_key_.data(), 16), blob.data(), 32, ByteSpan(ct, pt_len),
-                          plaintext);
+  crypto::AesCtrTransform(enc_, blob.data(), 32, ByteSpan(ct, pt_len), plaintext);
   return plaintext;
 }
 

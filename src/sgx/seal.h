@@ -7,11 +7,16 @@
 //
 // Blob layout: [ iv:16 | aad_len:4 | pt_len:4 | ciphertext | mac:16 ]
 // MAC input:   iv || aad_len || pt_len || aad || ciphertext.
+// Keys:        HKDF(salt = MRENCLAVE, ikm = fuse key, info = "sgx-seal-keys-v1",
+//              32 bytes) = enc key || mac key; the IV is the AES-CTR counter
+//              block (32-bit increment).
 #ifndef SHIELDSTORE_SRC_SGX_SEAL_H_
 #define SHIELDSTORE_SRC_SGX_SEAL_H_
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
+#include "src/crypto/aes.h"
+#include "src/crypto/cmac.h"
 #include "src/sgx/enclave.h"
 
 namespace shield::sgx {
@@ -31,8 +36,13 @@ class SealingService {
   static constexpr size_t kOverhead = 16 + 4 + 4 + 16;
 
  private:
-  std::array<uint8_t, 16> enc_key_;
-  std::array<uint8_t, 16> mac_key_;
+  // `keys` is the 32-byte KDF output: enc key || mac key.
+  explicit SealingService(const Bytes& keys);
+
+  // Expanded once at construction and immutable after, so concurrent Seal
+  // and Unseal calls share them without locking or a per-blob key schedule.
+  crypto::Aes128 enc_;
+  crypto::CmacKey mac_;
 };
 
 }  // namespace shield::sgx

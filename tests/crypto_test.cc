@@ -2,8 +2,10 @@
 // then property-tests round-trips and tamper detection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
+#include <type_traits>
 
 #include "src/common/bytes.h"
 #include "src/crypto/aes.h"
@@ -156,7 +158,8 @@ TEST(CmacTest, StreamingMatchesOneShotAtEverySplit) {
   Drbg drbg(AsBytes("cmac-split"));
   drbg.Fill(msg);
   const Mac expect = CmacSign(key, msg);
-  Cmac cmac(key);
+  const CmacKey expanded(key);
+  Cmac cmac(expanded);
   for (size_t split = 0; split <= msg.size(); ++split) {
     cmac.Reset();
     cmac.Update(ByteSpan(msg.data(), split));
@@ -164,6 +167,30 @@ TEST(CmacTest, StreamingMatchesOneShotAtEverySplit) {
     const Mac got = cmac.Finalize();
     EXPECT_EQ(got, expect) << "split at " << split;
   }
+}
+
+// A Cmac borrows its key, so binding one to a temporary CmacKey must not
+// compile.
+static_assert(!std::is_constructible_v<Cmac, CmacKey&&>);
+static_assert(std::is_constructible_v<Cmac, const CmacKey&>);
+
+TEST(CmacTest, OneKeyFeedsInterleavedStreams) {
+  const Bytes key = H("2b7e151628aed2a6abf7158809cf4f3c");
+  Bytes a(75), b(40);
+  Drbg drbg(AsBytes("cmac-interleave"));
+  drbg.Fill(a);
+  drbg.Fill(b);
+  const CmacKey expanded(key);
+  Cmac first(expanded);
+  Cmac second(expanded);
+  for (size_t off = 0; off < a.size(); off += 9) {
+    first.Update(ByteSpan(a.data() + off, std::min<size_t>(9, a.size() - off)));
+    if (off < b.size()) {
+      second.Update(ByteSpan(b.data() + off, std::min<size_t>(9, b.size() - off)));
+    }
+  }
+  EXPECT_EQ(second.Finalize(), CmacSign(key, b));
+  EXPECT_EQ(first.Finalize(), CmacSign(key, a));
 }
 
 TEST(CmacTest, RejectsTamperedTag) {

@@ -13,6 +13,8 @@
 #include <thread>
 
 #include "src/common/rng.h"
+#include "src/crypto/cmac.h"
+#include "src/crypto/ctr.h"
 #include "src/net/client.h"
 #include "src/net/replication.h"
 #include "src/net/server.h"
@@ -340,6 +342,66 @@ TEST(SessionCryptoTest, ReflectionRejected) {
   // Reflecting a client record back at the client must fail (direction keys
   // and direction byte differ).
   EXPECT_FALSE(client.Open(record).ok());
+}
+
+// The documented record construction, from the one-shot primitives over the
+// documented key-material layout [c2s enc | c2s mac | s2c enc | s2c mac]:
+// AES-CTR under the counter block LE64(seq) || direction, then
+// CMAC(mac key, LE64(seq) || direction || ciphertext) appended.
+Bytes ReferenceRecord(ByteSpan key_material, uint8_t direction, uint64_t seq,
+                      ByteSpan plaintext) {
+  const ByteSpan keys = key_material.subspan(direction == 0x01 ? 0 : 32, 32);
+  uint8_t counter[16] = {};
+  StoreLe64(counter, seq);
+  counter[8] = direction;
+  Bytes record(plaintext.size());
+  crypto::AesCtrTransform(keys.subspan(0, 16), counter, 32, plaintext, record);
+  Bytes mac_input(9);
+  StoreLe64(mac_input.data(), seq);
+  mac_input[8] = direction;
+  mac_input.insert(mac_input.end(), record.begin(), record.end());
+  const crypto::Mac tag = crypto::CmacSign(keys.subspan(16, 16), mac_input);
+  record.insert(record.end(), tag.begin(), tag.end());
+  return record;
+}
+
+TEST(SessionCryptoTest, RecordsMatchTheOneShotConstruction) {
+  Bytes keys(SessionCrypto::kKeyMaterialSize);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<uint8_t>(i * 7 + 1);
+  }
+  for (size_t size : {0, 1, 15, 16, 17, 48, 160, 4096}) {
+    SessionCrypto client(keys, /*is_client=*/true, /*encrypt=*/true);
+    SessionCrypto server(keys, /*is_client=*/false, /*encrypt=*/true);
+    for (uint64_t seq = 0; seq <= 20; ++seq) {
+      Bytes pt(size);
+      for (size_t i = 0; i < size; ++i) {
+        pt[i] = static_cast<uint8_t>(i * 31 + seq);
+      }
+      const Bytes c2s = ReferenceRecord(keys, 0x01, seq, pt);
+      ASSERT_EQ(client.Seal(pt), c2s) << "c2s size " << size << " seq " << seq;
+      Result<Bytes> at_server = server.Open(c2s);
+      ASSERT_TRUE(at_server.ok()) << "size " << size << " seq " << seq;
+      EXPECT_EQ(*at_server, pt);
+
+      const Bytes s2c = ReferenceRecord(keys, 0x02, seq, pt);
+      ASSERT_EQ(server.Seal(pt), s2c) << "s2c size " << size << " seq " << seq;
+      Result<Bytes> at_client = client.Open(s2c);
+      ASSERT_TRUE(at_client.ok()) << "size " << size << " seq " << seq;
+      EXPECT_EQ(*at_client, pt);
+    }
+  }
+
+  // Pinned bytes, so the reference cannot drift along with the code: each
+  // side's first record of "get key-0001".
+  const char* kClientRecord = "6eb454f7fcfbf3ae7f5e5b7eb8c732780b9389b0447732147f3cea33";
+  const char* kServerRecord = "4fd913296b592a7b67eb37d80d7aaa362cb21efdf6d4f32c6f8da92f";
+  SessionCrypto client(keys, /*is_client=*/true, /*encrypt=*/true);
+  SessionCrypto server(keys, /*is_client=*/false, /*encrypt=*/true);
+  EXPECT_EQ(HexEncode(client.Seal(AsBytes("get key-0001"))), kClientRecord);
+  EXPECT_EQ(HexEncode(server.Seal(AsBytes("get key-0001"))), kServerRecord);
+  EXPECT_EQ(HexEncode(ReferenceRecord(keys, 0x01, 0, AsBytes("get key-0001"))), kClientRecord);
+  EXPECT_EQ(HexEncode(ReferenceRecord(keys, 0x02, 0, AsBytes("get key-0001"))), kServerRecord);
 }
 
 TEST(SessionCryptoTest, PlaintextModePassthrough) {

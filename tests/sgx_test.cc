@@ -2,9 +2,13 @@
 // sealing, monotonic counters, attestation, HotCalls.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 #include <vector>
 
+#include "src/crypto/cmac.h"
+#include "src/crypto/ctr.h"
+#include "src/crypto/hmac.h"
 #include "src/sgx/attestation.h"
 #include "src/sgx/boundary.h"
 #include "src/sgx/counter.h"
@@ -219,6 +223,84 @@ TEST(SealingTest, BoundToMeasurement) {
   SealingService theirs(AsBytes("fuse-key-0123456"), other.measurement());
   const Bytes blob = ours.Seal(ToBytes("payload"), {});
   EXPECT_FALSE(theirs.Unseal(blob, {}).ok());
+}
+
+// The documented blob construction from the one-shot primitives: keys are
+// HKDF(MRENCLAVE, fuse key, "sgx-seal-keys-v1", 32) = enc || mac, the IV is
+// the CTR counter block, and the tag covers iv || aad_len || pt_len || aad ||
+// ciphertext.
+TEST(SealingTest, BlobsMatchTheOneShotConstruction) {
+  Enclave enclave(SmallEnclave());
+  const Bytes fuse = ToBytes("fuse-key-0123456");
+  const Measurement& m = enclave.measurement();
+  SealingService sealer(fuse, m);
+  const Bytes okm =
+      crypto::Hkdf(ByteSpan(m.data(), m.size()), fuse, AsBytes("sgx-seal-keys-v1"), 32);
+  const ByteSpan enc_key(okm.data(), 16);
+  const ByteSpan mac_key(okm.data() + 16, 16);
+  auto mac_input = [](ByteSpan blob, ByteSpan aad, size_t pt_len) {
+    Bytes in(blob.begin(), blob.begin() + 24);
+    in.insert(in.end(), aad.begin(), aad.end());
+    in.insert(in.end(), blob.begin() + 24, blob.begin() + 24 + pt_len);
+    return in;
+  };
+  for (size_t size : {0, 1, 15, 16, 17, 48, 160, 4096}) {
+    for (size_t aad_size : {0, 8, 33}) {
+      Bytes pt(size), aad(aad_size);
+      for (size_t i = 0; i < size; ++i) {
+        pt[i] = static_cast<uint8_t>(i * 13 + aad_size);
+      }
+      for (size_t i = 0; i < aad_size; ++i) {
+        aad[i] = static_cast<uint8_t>(0xA0 + i);
+      }
+      // A new blob verifies and decrypts under the one-shot primitives.
+      const Bytes blob = sealer.Seal(pt, aad);
+      ASSERT_EQ(blob.size(), SealingService::kOverhead + size);
+      EXPECT_EQ(LoadLe32(blob.data() + 16), aad_size);
+      EXPECT_EQ(LoadLe32(blob.data() + 20), size);
+      EXPECT_TRUE(crypto::CmacVerify(mac_key, mac_input(blob, aad, size),
+                                     ByteSpan(blob).subspan(24 + size)))
+          << "size " << size << " aad " << aad_size;
+      Bytes back(size);
+      crypto::AesCtrTransform(enc_key, blob.data(), 32, ByteSpan(blob).subspan(24, size), back);
+      EXPECT_EQ(back, pt);
+
+      // A one-shot-built blob unseals.
+      Bytes ref(SealingService::kOverhead + size);
+      for (size_t i = 0; i < 16; ++i) {
+        ref[i] = static_cast<uint8_t>(0xF0 - i - size);
+      }
+      StoreLe32(ref.data() + 16, static_cast<uint32_t>(aad_size));
+      StoreLe32(ref.data() + 20, static_cast<uint32_t>(size));
+      crypto::AesCtrTransform(enc_key, ref.data(), 32, pt, MutableByteSpan(ref.data() + 24, size));
+      const crypto::Mac tag = crypto::CmacSign(mac_key, mac_input(ref, aad, size));
+      std::copy(tag.begin(), tag.end(), ref.begin() + 24 + size);
+      Result<Bytes> opened = sealer.Unseal(ref, aad);
+      ASSERT_TRUE(opened.ok()) << "size " << size << " aad " << aad_size;
+      EXPECT_EQ(*opened, pt);
+    }
+  }
+
+  // Pinned bytes, so the reference cannot drift along with the code: a blob
+  // of "secret metadata" under AAD "counter=7" with IV 00 01 .. 0f.
+  const char* kBlob =
+      "000102030405060708090a0b0c0d0e0f090000000f000000"
+      "9216b36ebfd5bca90194c66b586139b03294996723ff9bebcb6089751b96e5";
+  const Bytes pt = ToBytes("secret metadata");
+  const Bytes aad = ToBytes("counter=7");
+  Bytes ref(SealingService::kOverhead + pt.size());
+  for (size_t i = 0; i < 16; ++i) {
+    ref[i] = static_cast<uint8_t>(i);
+  }
+  StoreLe32(ref.data() + 16, static_cast<uint32_t>(aad.size()));
+  StoreLe32(ref.data() + 20, static_cast<uint32_t>(pt.size()));
+  crypto::AesCtrTransform(enc_key, ref.data(), 32, pt, MutableByteSpan(ref.data() + 24, pt.size()));
+  const crypto::Mac tag = crypto::CmacSign(mac_key, mac_input(ref, aad, pt.size()));
+  std::copy(tag.begin(), tag.end(), ref.begin() + 24 + pt.size());
+  EXPECT_EQ(HexEncode(ref), kBlob);
+  Result<Bytes> opened = sealer.Unseal(HexDecode(kBlob), aad);
+  ASSERT_TRUE(opened.ok()) << opened.status().ToString();
+  EXPECT_EQ(*opened, pt);
 }
 
 // --------------------------------------------------------------- Counters
