@@ -26,8 +26,10 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 
 echo "== concurrency battery under TSan =="
 cmake -B build-tsan -S . -DSHIELD_SANITIZE=thread >/dev/null
-cmake --build build-tsan -j "$JOBS" --target concurrency_test selfheal_test reactor_test persist_heap_test
-ctest --test-dir build-tsan --output-on-failure -R 'ConcurrencyTest|SelfHealNetTest|ReactorTorture|PersistHeapTest'
+cmake --build build-tsan -j "$JOBS" --target concurrency_test selfheal_test reactor_test persist_heap_test \
+  wal_sharding_test
+ctest --test-dir build-tsan --output-on-failure \
+  -R 'ConcurrencyTest|SelfHealNetTest|ReactorTorture|PersistHeapTest|WalShardingTest'
 
 echo "== WAL scaling bench (smoke) =="
 # Exit code enforces the acceptance gate: sharded >= 3x single-log at 8
@@ -71,6 +73,15 @@ echo "== micro crypto bench (smoke): AES-NI speedup gate =="
 # Exit code enforces the tentpole target: hardware CTR and CMAC >= 2x the
 # table backend at 4 KiB (skipped automatically where AES-NI is absent).
 ./build/bench/bench_micro_crypto --smoke --out build/BENCH_crypto.json
+
+echo "== daemon refuses --wal-window-us 0 (it would ack before fsync) =="
+# Exit 2 with the reason at startup; a daemon that came up would be killed by
+# the timeout (exit 124) and fail the gate.
+WW_RC=0
+WW_ERR="$(timeout 10 ./build/tools/shieldstore_server --port 0 --wal-window-us 0 2>&1)" \
+  || WW_RC=$?
+[ "$WW_RC" -eq 2 ] && grep -q 'wal-window-us must be >= 1' <<< "$WW_ERR" \
+  || { echo "daemon did not refuse --wal-window-us 0 (exit $WW_RC): $WW_ERR"; exit 1; }
 
 echo "== stats pipeline: live server -> kStats -> invariant check =="
 # End-to-end: real daemon (WAL + self-heal mode), real CLI workload over

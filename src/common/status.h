@@ -27,7 +27,7 @@ enum class Code {
   kProtocolError,     // malformed or unauthenticated network message
   kInternal,
   kPartitionRecovering,  // key's partition is quarantined and healing; retry
-  kUnsupportedUnderWal,  // needs the WriteAheadStore facade (e.g. Repartition)
+  kUnsupportedUnderWal,  // retired (no producer); keeps its wire status byte
   kFailingOver,          // node is mid-failover; the operation was not applied
 };
 

@@ -10,7 +10,7 @@
 //   1. the caller installs this sink on its WriteAheadStore — steady-state
 //      entries from here on land in the shipper's backlog;
 //   2. kHello, then a snapshot dump of every partition (under that
-//      partition's lock, the same primitive Repartition's dump uses) as
+//      partition's lock, via PartitionedStore::WithPartitionLocked) as
 //      kSnapshotChunk frames, then kSnapshotDone;
 //   3. the backlog drains in ship order.
 // An entry can thus reach the follower twice — once inside the dump and once

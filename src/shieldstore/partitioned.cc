@@ -88,19 +88,39 @@ Status WriteAllBytes(const std::string& path, const Bytes& data) {
 
 PartitionedStore::PartitionedStore(sgx::Enclave& enclave, const Options& options,
                                    size_t partitions)
-    : enclave_(enclave), base_options_(options) {
+    : enclave_(enclave), base_options_(options), persist_(!options.persist_dir.empty()) {
   enclave_.ReadRand(MutableByteSpan(route_key_.data(), route_key_.size()));
-  partitions_ = BuildPartitions(std::max<size_t>(partitions, 1));
-  locks_.clear();
-  quarantined_.clear();
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    locks_.push_back(std::make_unique<std::mutex>());
-    quarantined_.push_back(std::make_unique<std::atomic<bool>>(false));
-    // A partition whose arena file failed to open must never serve: its
-    // durable state is unreachable, so it starts quarantined.
-    if (persist_ && arenas_[i] == nullptr) {
-      quarantined_[i]->store(true, std::memory_order_release);
+  const size_t count = std::max<size_t>(partitions, 1);
+  Options per_partition = PartitionOptions(count);
+  if (persist_) {
+    std::error_code ec;
+    std::filesystem::create_directories(base_options_.persist_dir, ec);
+  }
+  for (size_t i = 0; i < count; ++i) {
+    bool usable = true;
+    per_partition.arena = nullptr;
+    if (persist_) {
+      auto arena = std::make_unique<alloc::PersistentArena>();
+      const std::string path =
+          base_options_.persist_dir + "/p" + std::to_string(i) + ".heap";
+      usable = arena->Open(path, base_options_.persist_capacity_bytes, i,
+                           per_partition.num_buckets)
+                   .ok();
+      if (usable) {
+        per_partition.arena = arena.get();
+        arenas_.push_back(std::move(arena));
+      } else {
+        // Unusable heap file (corrupt superblock, geometry drift, IO error):
+        // its durable state is unreachable, so the partition is built
+        // volatile, starts quarantined and attach is latched failed — it
+        // never serves until the file is restored.
+        arenas_.push_back(nullptr);
+        attach_failed_.store(true, std::memory_order_release);
+      }
     }
+    partitions_.push_back(std::make_unique<Store>(enclave_, per_partition));
+    locks_.push_back(std::make_unique<std::mutex>());
+    quarantined_.push_back(std::make_unique<std::atomic<bool>>(!usable));
   }
 }
 
@@ -114,41 +134,6 @@ Options PartitionedStore::PartitionOptions(size_t count) const {
   per_partition.cache_bytes = base_options_.cache_bytes / count;
   per_partition.cache_slots = base_options_.cache_slots / count;
   return per_partition;
-}
-
-std::vector<std::unique_ptr<Store>> PartitionedStore::BuildPartitions(size_t count) {
-  Options per_partition = PartitionOptions(count);
-  std::vector<std::unique_ptr<Store>> result;
-  result.reserve(count);
-  persist_ = !base_options_.persist_dir.empty();
-  arenas_.clear();
-  if (persist_) {
-    std::error_code ec;
-    std::filesystem::create_directories(base_options_.persist_dir, ec);
-  }
-  for (size_t i = 0; i < count; ++i) {
-    per_partition.arena = nullptr;
-    if (persist_) {
-      auto arena = std::make_unique<alloc::PersistentArena>();
-      const std::string path =
-          base_options_.persist_dir + "/p" + std::to_string(i) + ".heap";
-      if (arena->Open(path, base_options_.persist_capacity_bytes, i,
-                      per_partition.num_buckets)
-              .ok()) {
-        per_partition.arena = arena.get();
-        arenas_.push_back(std::move(arena));
-      } else {
-        // Unusable heap file (corrupt superblock, geometry drift, IO error):
-        // the partition is built volatile but starts quarantined (see ctor)
-        // and attach is latched failed — it never serves until the file is
-        // restored.
-        arenas_.push_back(nullptr);
-        attach_failed_.store(true, std::memory_order_release);
-      }
-    }
-    result.push_back(std::make_unique<Store>(enclave_, per_partition));
-  }
-  return result;
 }
 
 Status PartitionedStore::LoadOrCreateRouteKey(const sgx::SealingService& sealer) {
@@ -166,7 +151,6 @@ Status PartitionedStore::LoadOrCreateRouteKey(const sgx::SealingService& sealer)
     if (key.value().size() != route_key_.size()) {
       return Status(Code::kIntegrityFailure, "sealed route key malformed");
     }
-    std::unique_lock<std::shared_mutex> structure(structure_mutex_);
     std::memcpy(route_key_.data(), key.value().data(), route_key_.size());
     return Status::Ok();
   }
@@ -179,21 +163,11 @@ Status PartitionedStore::LoadOrCreateRouteKey(const sgx::SealingService& sealer)
   return WriteAllBytes(path, sealer.Seal(key, aad));
 }
 
-size_t PartitionedStore::num_partitions() const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  return partitions_.size();
-}
-
-size_t PartitionedStore::PartitionOfLocked(std::string_view key) const {
+size_t PartitionedStore::PartitionOf(std::string_view key) const {
   const uint64_t h = crypto::SipHash24(route_key_, AsBytes(key));
   // Contiguous division of the hash space: hash / (2^64 / P).
   return static_cast<size_t>(
       (static_cast<unsigned __int128>(h) * partitions_.size()) >> 64);
-}
-
-size_t PartitionedStore::PartitionOf(std::string_view key) const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  return PartitionOfLocked(key);
 }
 
 void PartitionedStore::NoteOutcome(size_t p, const Status& s) {
@@ -219,12 +193,10 @@ Status PartitionedStore::QuarantineGuard(size_t p) const {
 }
 
 bool PartitionedStore::IsQuarantined(size_t p) const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   return p < quarantined_.size() && quarantined_[p]->load(std::memory_order_acquire);
 }
 
 size_t PartitionedStore::QuarantinedCount() const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   size_t count = 0;
   for (const auto& flag : quarantined_) {
     count += flag->load(std::memory_order_acquire) ? 1 : 0;
@@ -233,7 +205,6 @@ size_t PartitionedStore::QuarantinedCount() const {
 }
 
 void PartitionedStore::BridgeStats(obs::MetricsSnapshot& snap) const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   snap.SetGauge("store.partitions", static_cast<int64_t>(partitions_.size()));
   snap.SetCounter("store.scrub_cycles", scrub_cycles_.load(std::memory_order_relaxed));
   int64_t quarantined = 0;
@@ -250,7 +221,6 @@ void PartitionedStore::BridgeStats(obs::MetricsSnapshot& snap) const {
 }
 
 Status PartitionedStore::ScrubAll() {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   Status first;
   for (size_t p = 0; p < partitions_.size(); ++p) {
     std::lock_guard<std::mutex> lock(*locks_[p]);
@@ -270,7 +240,6 @@ Status PartitionedStore::ScrubAll() {
 }
 
 Status PartitionedStore::ScrubTick(size_t bucket_budget) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (bucket_budget == 0) {
     bucket_budget = base_options_.scrub_budget_buckets;
   }
@@ -311,7 +280,6 @@ Status PartitionedStore::ScrubTick(size_t bucket_budget) {
 
 Status PartitionedStore::WithPartitionLocked(size_t p,
                                              const std::function<Status(Store&)>& fn) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (p >= partitions_.size()) {
     return Status(Code::kInvalidArgument, "no such partition");
   }
@@ -324,10 +292,10 @@ Status PartitionedStore::WithPartitionLocked(size_t p,
   return s;
 }
 
-Status PartitionedStore::SnapshotPartitionLocked(size_t p, const sgx::SealingService& sealer,
-                                                 sgx::MonotonicCounterService& counters,
-                                                 const std::string& directory,
-                                                 Snapshotter::CrashPoint crash) {
+Status PartitionedStore::WritePartitionSnapshot(size_t p, const sgx::SealingService& sealer,
+                                                sgx::MonotonicCounterService& counters,
+                                                const std::string& directory,
+                                                Snapshotter::CrashPoint crash) {
   std::lock_guard<std::mutex> lock(*locks_[p]);
   if (quarantined_[p]->load(std::memory_order_acquire)) {
     // Never persist state that failed integrity: the previous generation
@@ -355,17 +323,7 @@ Status PartitionedStore::SnapshotPartitionLocked(size_t p, const sgx::SealingSer
   return snap.SnapshotNow();
 }
 
-Status PartitionedStore::EnsureManifestLocked(const std::string& directory) const {
-  FILE* existing = std::fopen((directory + "/manifest").c_str(), "r");
-  if (existing != nullptr) {
-    size_t recorded = 0;
-    const bool parsed = std::fscanf(existing, "partitions %zu", &recorded) == 1;
-    std::fclose(existing);
-    if (!parsed || recorded != partitions_.size()) {
-      return Status(Code::kInvalidArgument, "snapshot manifest partition count mismatch");
-    }
-    return Status::Ok();
-  }
+Status PartitionedStore::WriteManifest(const std::string& directory) const {
   std::error_code ec;
   std::filesystem::create_directories(directory, ec);
   // Manifest pins the partition count: recovery against a store with a
@@ -381,26 +339,31 @@ Status PartitionedStore::EnsureManifestLocked(const std::string& directory) cons
   return Status::Ok();
 }
 
+Status PartitionedStore::EnsureManifest(const std::string& directory) const {
+  FILE* existing = std::fopen((directory + "/manifest").c_str(), "r");
+  if (existing == nullptr) {
+    return WriteManifest(directory);
+  }
+  size_t recorded = 0;
+  const bool parsed = std::fscanf(existing, "partitions %zu", &recorded) == 1;
+  std::fclose(existing);
+  if (!parsed || recorded != partitions_.size()) {
+    return Status(Code::kInvalidArgument, "snapshot manifest partition count mismatch");
+  }
+  return Status::Ok();
+}
+
 Status PartitionedStore::SnapshotAll(const sgx::SealingService& sealer,
                                      sgx::MonotonicCounterService& counters,
                                      const std::string& directory) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  std::error_code ec;
-  std::filesystem::create_directories(directory, ec);
   // Rewrite the manifest unconditionally: a full snapshot is the geometry
-  // authority (Repartition may have changed the partition count).
-  FILE* manifest = std::fopen((directory + "/manifest").c_str(), "w");
-  if (manifest == nullptr) {
-    return Status(Code::kIoError, "cannot write snapshot manifest in " + directory);
+  // authority (a restart may have changed the partition count).
+  if (Status s = WriteManifest(directory); !s.ok()) {
+    return s;
   }
-  std::fprintf(manifest, "partitions %zu\n", partitions_.size());
-  std::fflush(manifest);
-  fsync(fileno(manifest));
-  std::fclose(manifest);
-
   Status first;
   for (size_t p = 0; p < partitions_.size(); ++p) {
-    if (Status s = SnapshotPartitionLocked(p, sealer, counters, directory,
+    if (Status s = WritePartitionSnapshot(p, sealer, counters, directory,
                                            Snapshotter::CrashPoint::kNone);
         !s.ok() && first.ok()) {
       first = s;
@@ -413,14 +376,13 @@ Status PartitionedStore::SnapshotPartition(size_t p, const sgx::SealingService& 
                                            sgx::MonotonicCounterService& counters,
                                            const std::string& directory,
                                            Snapshotter::CrashPoint crash) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (p >= partitions_.size()) {
     return Status(Code::kInvalidArgument, "no such partition");
   }
-  if (Status s = EnsureManifestLocked(directory); !s.ok()) {
+  if (Status s = EnsureManifest(directory); !s.ok()) {
     return s;
   }
-  return SnapshotPartitionLocked(p, sealer, counters, directory, crash);
+  return WritePartitionSnapshot(p, sealer, counters, directory, crash);
 }
 
 Status PartitionedStore::RestoreSnapshots(const sgx::SealingService& sealer,
@@ -466,7 +428,6 @@ Status PartitionedStore::RecoverPartition(size_t p, const sgx::SealingService& s
                                           sgx::MonotonicCounterService& counters,
                                           const std::string& directory,
                                           const OpLogOptions* oplog) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (p >= partitions_.size()) {
     return Status(Code::kInvalidArgument, "no such partition");
   }
@@ -495,7 +456,7 @@ Status PartitionedStore::RecoverPartition(size_t p, const sgx::SealingService& s
   }
   if (oplog != nullptr) {
     PartitionFilterStore scoped(*restored.value(), [this, p](std::string_view key) {
-      return PartitionOfLocked(key) == p;
+      return PartitionOf(key) == p;
     });
     if (Status s = OperationLog::Replay(sealer, counters, *oplog, scoped); !s.ok()) {
       return s;
@@ -554,7 +515,6 @@ Status PartitionedStore::CheckpointPartitionLocked(size_t p, const sgx::SealingS
 
 Status PartitionedStore::CheckpointPartition(size_t p, const sgx::SealingService& sealer,
                                              sgx::MonotonicCounterService& counters) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (p >= partitions_.size()) {
     return Status(Code::kInvalidArgument, "no such partition");
   }
@@ -564,7 +524,6 @@ Status PartitionedStore::CheckpointPartition(size_t p, const sgx::SealingService
 
 Status PartitionedStore::CheckpointAll(const sgx::SealingService& sealer,
                                        sgx::MonotonicCounterService& counters) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (!persist_) {
     return Status(Code::kInvalidArgument, "store has no persistent heap");
   }
@@ -611,7 +570,6 @@ Status PartitionedStore::AttachPartitionLocked(size_t p, const sgx::SealingServi
 
 Status PartitionedStore::AttachPersistent(const sgx::SealingService& sealer,
                                           sgx::MonotonicCounterService& counters) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (!persist_) {
     return Status(Code::kInvalidArgument, "store has no persistent heap");
   }
@@ -639,7 +597,6 @@ Status PartitionedStore::AttachPersistent(const sgx::SealingService& sealer,
 }
 
 Status PartitionedStore::RecoverPersistPartition(size_t p) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (!persist_) {
     return Status(Code::kInvalidArgument, "store has no persistent heap");
   }
@@ -665,69 +622,15 @@ Status PartitionedStore::RecoverPersistPartition(size_t p) {
   return Status::Ok();
 }
 
-Status PartitionedStore::Repartition(size_t new_partitions) {
-  if (layout_pinned_.load(std::memory_order_acquire)) {
-    return Status(Code::kUnsupportedUnderWal,
-                  "store is wrapped by a write-ahead log; repartition through the facade");
-  }
-  return RepartitionInternal(new_partitions);
-}
-
-Status PartitionedStore::RepartitionInternal(size_t new_partitions) {
-  if (persist_) {
-    // Re-routing keys would orphan every persisted chain; the heap files pin
-    // the partition count for the lifetime of the data set.
-    return Status(Code::kUnsupported, "repartition unsupported with --persist-heap");
-  }
-  new_partitions = std::max<size_t>(new_partitions, 1);
-  std::unique_lock<std::shared_mutex> structure(structure_mutex_);
-  if (new_partitions == partitions_.size()) {
-    return Status::Ok();
-  }
-  for (const auto& flag : quarantined_) {
-    if (flag->load(std::memory_order_acquire)) {
-      return Status(Code::kIntegrityFailure,
-                    "cannot repartition with a quarantined partition; recover it first");
-    }
-  }
-  // Build the new layout, then stream every live entry across. Each entry
-  // is decrypted (and integrity-verified) by its old partition and re-sealed
-  // under its new partition's keys.
-  std::vector<std::unique_ptr<Store>> rebuilt = BuildPartitions(new_partitions);
-  const auto route = [&](std::string_view key) {
-    const uint64_t h = crypto::SipHash24(route_key_, AsBytes(key));
-    return static_cast<size_t>(
-        (static_cast<unsigned __int128>(h) * new_partitions) >> 64);
-  };
-  for (const auto& old_partition : partitions_) {
-    const Status s = old_partition->ForEachDecrypted(
-        [&](std::string_view key, std::string_view value) {
-          return rebuilt[route(key)]->Set(key, value);
-        });
-    if (!s.ok()) {
-      return s;  // store unchanged: `rebuilt` is dropped
-    }
-  }
-  partitions_ = std::move(rebuilt);
-  locks_.clear();
-  quarantined_.clear();
-  for (size_t i = 0; i < partitions_.size(); ++i) {
-    locks_.push_back(std::make_unique<std::mutex>());
-    quarantined_.push_back(std::make_unique<std::atomic<bool>>(false));
-  }
-  return Status::Ok();
-}
-
 std::vector<kv::BatchOpResult> PartitionedStore::ExecuteBatch(
     const std::vector<kv::BatchOp>& ops) {
   std::vector<kv::BatchOpResult> results(ops.size());
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   // Group op indices by partition, preserving original order within each
   // group. Cross-partition ops commute (a key maps to one partition), so
   // ascending-partition execution yields the sequential final state.
   std::vector<std::vector<size_t>> groups(partitions_.size());
   for (size_t i = 0; i < ops.size(); ++i) {
-    groups[PartitionOfLocked(ops[i].key)].push_back(i);
+    groups[PartitionOf(ops[i].key)].push_back(i);
   }
   for (size_t p = 0; p < groups.size(); ++p) {
     if (groups[p].empty()) {
@@ -756,7 +659,6 @@ std::vector<kv::BatchOpResult> PartitionedStore::ExecuteBatch(
 }
 
 size_t PartitionedStore::Size() const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   size_t total = 0;
   for (size_t p = 0; p < partitions_.size(); ++p) {
     std::lock_guard<std::mutex> lock(*locks_[p]);
@@ -766,7 +668,6 @@ size_t PartitionedStore::Size() const {
 }
 
 kv::StoreStats PartitionedStore::stats() const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   kv::StoreStats total;
   for (size_t p = 0; p < partitions_.size(); ++p) {
     std::lock_guard<std::mutex> lock(*locks_[p]);

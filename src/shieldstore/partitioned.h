@@ -14,9 +14,10 @@
 //    facade verb is a batch through ExecuteBatch (a singleton is a batch of
 //    one).
 //
-// Repartition() implements the dynamic parallelism adjustment the paper
-// leaves as future work (current SGX cannot change enclave thread counts at
-// runtime; the simulation has no such restriction).
+// The partition geometry is fixed for the life of the process, as SGX fixes
+// an enclave's thread count (§5.3): the constructor builds it and nothing
+// changes it, so routing takes no lock. A restart changes it — boot-time
+// restore re-routes every key into the new geometry.
 //
 // Quarantine (robustness extension): a facade operation that detects
 // tampering (kIntegrityFailure / kRollbackDetected) quarantines its
@@ -31,7 +32,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -50,20 +50,10 @@ class PartitionedStore : public kv::BatchFirstStore {
   // partitions (likewise num_mac_hashes, cache_bytes and cache_slots).
   PartitionedStore(sgx::Enclave& enclave, const Options& options, size_t partitions);
 
-  size_t num_partitions() const;
+  size_t num_partitions() const { return partitions_.size(); }
   size_t PartitionOf(std::string_view key) const;
-  // Direct partition access for partition-owned threads. Callers in that
-  // mode must not call Repartition concurrently.
+  // Direct partition access for partition-owned threads.
   Store& partition(size_t p) { return *partitions_[p]; }
-
-  // Dynamic parallelism adjustment — §5.3's future work: rebuilds the store
-  // with `new_partitions` partitions, re-encrypting every entry under the
-  // new partitions' keys. Facade calls block for the duration. Fails (store
-  // unchanged) if any entry fails integrity verification, and with the
-  // typed kUnsupportedUnderWal while a WriteAheadStore wraps this store —
-  // re-routing keys without re-splitting the shard logs would corrupt
-  // recovery, so repartitioning must go through the facade.
-  Status Repartition(size_t new_partitions);
 
   // --- Quarantine and per-partition recovery ---
 
@@ -152,7 +142,8 @@ class PartitionedStore : public kv::BatchFirstStore {
   // Keys must route identically across restarts in persist mode (chains are
   // rebuilt from the per-partition files, not re-routed). The route key is
   // sealed into `persist_dir/route.seal` on first boot and re-loaded before
-  // any attach or replay; tampering with the blob fails typed.
+  // any attach or replay; tampering with the blob fails typed. Call before
+  // serving: routing reads the key without a lock.
   Status LoadOrCreateRouteKey(const sgx::SealingService& sealer);
 
   // Arena checkpoint of one/all partitions: seals the secure metadata bound
@@ -206,32 +197,21 @@ class PartitionedStore : public kv::BatchFirstStore {
   kv::StoreStats stats() const override;
 
  private:
-  friend class WriteAheadStore;  // repartitions via RepartitionInternal
-
   Options PartitionOptions(size_t count) const;
-  // Non-const: in persist mode this opens (or creates) the per-partition
-  // arena files and wires each into its Store's options.
-  std::vector<std::unique_ptr<Store>> BuildPartitions(size_t count);
-  size_t PartitionOfLocked(std::string_view key) const;
-  // Checkpoint one partition; caller holds structure_mutex_ (shared) and the
-  // partition lock.
+  // Checkpoint one partition; caller holds the partition lock.
   Status CheckpointPartitionLocked(size_t p, const sgx::SealingService& sealer,
                                    sgx::MonotonicCounterService& counters);
-  // Attach one partition; caller holds the locks as above.
+  // Attach one partition; caller holds the partition lock.
   Status AttachPartitionLocked(size_t p, const sgx::SealingService& sealer,
                                sgx::MonotonicCounterService& counters);
-  // Repartition minus the layout-pin check (the WAL facade drains and
-  // re-splits its logs around this call).
-  Status RepartitionInternal(size_t new_partitions);
-  // While pinned (a WriteAheadStore wraps this store), direct Repartition
-  // returns kUnsupportedUnderWal.
-  void PinLayout(bool pinned) { layout_pinned_.store(pinned, std::memory_order_release); }
-  // Snapshot one partition; caller holds structure_mutex_ (shared).
-  Status SnapshotPartitionLocked(size_t p, const sgx::SealingService& sealer,
-                                 sgx::MonotonicCounterService& counters,
-                                 const std::string& directory, Snapshotter::CrashPoint crash);
+  // Snapshot one partition under its lock (no manifest handling).
+  Status WritePartitionSnapshot(size_t p, const sgx::SealingService& sealer,
+                                sgx::MonotonicCounterService& counters,
+                                const std::string& directory, Snapshotter::CrashPoint crash);
+  // Writes (overwrites) the manifest recording this store's partition count.
+  Status WriteManifest(const std::string& directory) const;
   // Writes the manifest, or verifies it if present (see SnapshotPartition).
-  Status EnsureManifestLocked(const std::string& directory) const;
+  Status EnsureManifest(const std::string& directory) const;
   // Quarantines partition `p` when `s` carries an integrity-class code.
   void NoteOutcome(size_t p, const Status& s);
   Status QuarantineGuard(size_t p) const;
@@ -239,9 +219,10 @@ class PartitionedStore : public kv::BatchFirstStore {
   sgx::Enclave& enclave_;
   Options base_options_;  // the TOTAL geometry, before per-partition split
   crypto::SipHashKey route_key_{};
-  // structure_mutex_ guards the partition layout (shared for ops, exclusive
-  // for Repartition); per-partition mutexes serialize ops within a partition.
-  mutable std::shared_mutex structure_mutex_;
+  // The vectors below are sized once, in the constructor. A partition's
+  // Store is swapped only by RecoverPartition, under that partition's mutex;
+  // the mutexes serialize ops within a partition.
+  //
   // Declared before partitions_ so the arenas (whose mappings the Stores'
   // chain refs point into) outlive the Stores during destruction.
   std::vector<std::unique_ptr<alloc::PersistentArena>> arenas_;
@@ -254,7 +235,6 @@ class PartitionedStore : public kv::BatchFirstStore {
   // wasteful, not racy).
   std::atomic<size_t> scrub_partition_{0};
   std::atomic<uint64_t> scrub_cycles_{0};
-  std::atomic<bool> layout_pinned_{false};
 };
 
 }  // namespace shield::shieldstore

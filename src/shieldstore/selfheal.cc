@@ -73,28 +73,20 @@ WriteAheadStore::WriteAheadStore(PartitionedStore& inner, const sgx::SealingServ
   window_gauge_ = &metrics_->GetGauge("wal.window_us");
   window_gauge_->Set(static_cast<int64_t>(options_.group_commit_window_us));
   BuildShards();
-  // Direct Repartition() would re-route keys without re-splitting the shard
-  // logs, silently corrupting recovery; force callers through our facade.
-  inner_.PinLayout(true);
 }
 
-WriteAheadStore::~WriteAheadStore() {
-  StopCommitters();
-  inner_.PinLayout(false);
-}
+WriteAheadStore::~WriteAheadStore() { StopCommitters(); }
 
-void WriteAheadStore::BuildShards(uint64_t first_seq) {
-  const size_t parts = std::max<size_t>(inner_.num_partitions(), 1);
-  size_t n = options_.num_shards == 0 ? parts : std::min(options_.num_shards, parts);
-  n = std::max<size_t>(n, 1);
-  shards_.clear();
+void WriteAheadStore::BuildShards() {
+  const size_t parts = inner_.num_partitions();
+  const size_t n =
+      std::max<size_t>(options_.num_shards == 0 ? parts : std::min(options_.num_shards, parts), 1);
   for (size_t i = 0; i < n; ++i) {
     OpLogOptions per_shard = options_;
     per_shard.path = options_.path + ".p" + std::to_string(i);
     per_shard.shard_index = static_cast<int>(i);
     auto s = std::make_unique<Shard>(std::move(per_shard));
     s->index = i;
-    s->appended = s->durable = first_seq;
     s->window_us.store(options_.group_commit_window_us, std::memory_order_relaxed);
     const std::string prefix = "wal.shard" + std::to_string(i) + ".";
     s->ctr_appends = &metrics_->GetCounter(prefix + "appends");
@@ -102,7 +94,7 @@ void WriteAheadStore::BuildShards(uint64_t first_seq) {
     s->ctr_compactions = &metrics_->GetCounter(prefix + "compactions");
     shards_.push_back(std::move(s));
   }
-  watch_.Reset(n, first_seq);
+  watch_.Reset(n, 0);
 }
 
 void WriteAheadStore::SetReplicationSink(ReplicationSink* sink) {
@@ -131,13 +123,10 @@ void WriteAheadStore::ShipLocked(Shard& s) {
 }
 
 Status WriteAheadStore::Open() {
-  std::unique_lock<std::shared_mutex> structure(structure_mutex_);
   StopCommitters();
   Status opened;
   for (auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
-    // A crashed Repartition() may have left a dump twin behind.
-    std::remove((s.options.path + ".tmp").c_str());
     // A reopened log commits its predecessor's tail on destruction, so the
     // sequence space carries on from `appended` with nothing pending.
     s.log = std::make_unique<OperationLog>(sealer_, counters_, s.options);
@@ -426,23 +415,16 @@ Status WriteAheadStore::AwaitDurable(Shard& s, uint64_t seq) {
   return s.durable >= seq ? Status::Ok() : s.failed;
 }
 
-std::vector<kv::BatchOpResult> WriteAheadStore::SubmitBatch(
-    const std::vector<kv::BatchOp>& ops, kv::DurabilityRequirement& requirement) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  return SubmitLocked(ops, requirement);
-}
-
 std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
     const std::vector<kv::BatchOp>& ops) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   kv::DurabilityRequirement requirement;
-  std::vector<kv::BatchOpResult> results = SubmitLocked(ops, requirement);
+  std::vector<kv::BatchOpResult> results = SubmitBatch(ops, requirement);
   for (const auto& [sh, seq] : requirement.shards) {
     if (Status st = AwaitDurable(shard(sh), seq); !st.ok()) {
       // The shard latched first: nothing this batch saw or wrote there is
       // durable, so none of it may be reported as a success.
       for (size_t i = 0; i < ops.size(); ++i) {
-        if (results[i].status.ok() && ShardOfLocked(inner_.PartitionOf(ops[i].key)) == sh) {
+        if (results[i].status.ok() && ShardOfPartition(inner_.PartitionOf(ops[i].key)) == sh) {
           results[i].status = st;
         }
       }
@@ -451,7 +433,7 @@ std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
   return results;
 }
 
-std::vector<kv::BatchOpResult> WriteAheadStore::SubmitLocked(
+std::vector<kv::BatchOpResult> WriteAheadStore::SubmitBatch(
     const std::vector<kv::BatchOp>& ops, kv::DurabilityRequirement& requirement) {
   requirement.shards.clear();
   std::vector<kv::BatchOpResult> results(ops.size());
@@ -463,7 +445,7 @@ std::vector<kv::BatchOpResult> WriteAheadStore::SubmitLocked(
   std::vector<std::vector<size_t>> groups(shards_.size());
   std::vector<size_t> mutations(shards_.size(), 0);
   for (size_t i = 0; i < ops.size(); ++i) {
-    const size_t sh = ShardOfLocked(inner_.PartitionOf(ops[i].key));
+    const size_t sh = ShardOfPartition(inner_.PartitionOf(ops[i].key));
     groups[sh].push_back(i);
     if (ops[i].type != kv::BatchOpType::kGet) {
       ++mutations[sh];
@@ -564,8 +546,8 @@ Status WriteAheadStore::CommitShardLocked(Shard& s, std::unique_lock<std::mutex>
     return st;
   }
   // A maintenance commit durable-izes records the committer will then find
-  // already done; ship them under the lock (rare path: heal/compact/
-  // repartition windows).
+  // already done; ship them under the lock (rare path: heal/compact
+  // windows).
   ShipLocked(s);
   s.durable = s.appended;
   s.durable_cv.notify_all();
@@ -575,7 +557,6 @@ Status WriteAheadStore::CommitShardLocked(Shard& s, std::unique_lock<std::mutex>
 
 Status WriteAheadStore::WithCommittedShard(size_t shard_index,
                                            const std::function<Status()>& fn) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (shard_index >= shards_.size()) {
     return Status(Code::kInvalidArgument, "no such shard");
   }
@@ -589,7 +570,6 @@ Status WriteAheadStore::WithCommittedShard(size_t shard_index,
 }
 
 Status WriteAheadStore::WithCommittedLog(const std::function<Status()>& fn) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   // Lock every shard in index order (the one ordering everywhere, so no
   // deadlock) and commit each; `fn` then sees the whole store drained.
   std::deque<MaintenanceLock> holds;
@@ -604,7 +584,6 @@ Status WriteAheadStore::WithCommittedLog(const std::function<Status()>& fn) {
 
 Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& directory,
                                      CompactionCrash crash) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (shard_index >= shards_.size()) {
     return Status(Code::kInvalidArgument, "no such shard");
   }
@@ -669,7 +648,6 @@ Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& dire
 }
 
 Status WriteAheadStore::ResetAllLogs() {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   for (auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
     MaintenanceLock hold(s);
@@ -682,27 +660,19 @@ Status WriteAheadStore::ResetAllLogs() {
       return st;
     }
   }
-  // Stale shard files beyond the current count (a previous, wider geometry)
-  // and the legacy unsharded log are subsumed by the caller's snapshot.
+  // Stale shard files beyond the current count (a previous boot's wider
+  // geometry) are subsumed by the caller's snapshot.
   for (size_t i = shards_.size();; ++i) {
     const std::string stale = options_.path + ".p" + std::to_string(i);
     if (std::remove(stale.c_str()) != 0) {
       break;
     }
   }
-  std::remove(options_.path.c_str());
   return Status::Ok();
 }
 
 std::vector<OpLogOptions> WriteAheadStore::ShardLogsOnDisk() const {
   std::vector<OpLogOptions> found;
-  // Legacy single-file log first (a pre-sharding deployment being upgraded);
-  // order does not affect convergence — see RestoreFromDisk — but oldest
-  // first reads naturally.
-  if (std::filesystem::exists(options_.path)) {
-    OpLogOptions legacy = options_;
-    found.push_back(std::move(legacy));
-  }
   for (size_t i = 0;; ++i) {
     OpLogOptions per_shard = options_;
     per_shard.path = options_.path + ".p" + std::to_string(i);
@@ -715,7 +685,14 @@ std::vector<OpLogOptions> WriteAheadStore::ShardLogsOnDisk() const {
 }
 
 Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
+  if (std::filesystem::exists(options_.path)) {
+    // The unsharded log predates the shard split and may hold acked records
+    // of any key that no snapshot covers: refuse rather than boot without
+    // them.
+    return Status(Code::kUnsupported,
+                  "unsharded log " + options_.path +
+                      " is from a pre-sharding release; restore it with that release");
+  }
   const auto restore_start = std::chrono::steady_clock::now();
   // heap.restart_ns records the whole baseline-plus-tail restore (the number
   // the persistent heap exists to shrink); set only on success.
@@ -759,34 +736,24 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
     }
     return Status::Ok();
   };
-  size_t first_shard = 0;
-  if (!logs.empty() && logs[0].path == options_.path) {
-    // Legacy single-file log: predates the shard split, so it can hold any
-    // key — replay it alone and first so shard records stay newest.
-    if (Status st = replay_one(logs[0]); !st.ok()) {
-      return st;
-    }
-    first_shard = 1;
-  }
   // Shard logs of one epoch hold disjoint key sets, and cross-epoch
   // leftovers converge (each log's last record per key is that key's final
   // state) — so they can replay concurrently: the facade's partition locks
   // serialize same-key application, and differently-keyed records commute.
-  const size_t pending = logs.size() - first_shard;
   size_t threads =
       options_.replay_threads == 0
           ? std::min<size_t>(std::max<size_t>(std::thread::hardware_concurrency(), 1), 8)
           : options_.replay_threads;
-  threads = std::min(std::max<size_t>(threads, 1), pending);
+  threads = std::min(std::max<size_t>(threads, 1), logs.size());
   if (threads <= 1) {
-    for (size_t i = first_shard; i < logs.size(); ++i) {
+    for (size_t i = 0; i < logs.size(); ++i) {
       if (Status st = replay_one(logs[i]); !st.ok()) {
         return st;
       }
     }
     return finish(Status::Ok());
   }
-  std::atomic<size_t> next{first_shard};
+  std::atomic<size_t> next{0};
   std::mutex error_mutex;
   Status first_error;
   std::vector<std::thread> pool;
@@ -813,118 +780,7 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
   return finish(first_error);
 }
 
-Status WriteAheadStore::Repartition(size_t new_partitions,
-                                    const std::function<Status()>& rebaseline) {
-  new_partitions = std::max<size_t>(new_partitions, 1);
-  std::unique_lock<std::shared_mutex> structure(structure_mutex_);
-  // Exclusive structure lock: no mutation is in flight. Commit every shard
-  // so the logs end exactly at the live state.
-  for (auto& shard_ptr : shards_) {
-    Shard& s = *shard_ptr;
-    MaintenanceLock hold(s);
-    std::unique_lock<std::mutex>& lock = hold.lock();
-    if (Status st = CommitShardLocked(s, lock); !st.ok()) {
-      return st;
-    }
-  }
-  if (Status st = inner_.RepartitionInternal(new_partitions); !st.ok()) {
-    return st;  // store unchanged; old logs still authoritative
-  }
-  // The new shards continue the sequence space past every old watermark,
-  // so requirements handed out before the re-layout read as durable.
-  uint64_t first_seq = 0;
-  for (auto& shard_ptr : shards_) {
-    std::lock_guard<std::mutex> lock(shard_ptr->mutex);
-    first_seq = std::max(first_seq, shard_ptr->durable);
-  }
-  StopCommitters();
-  shards_.clear();  // closes the old shard logs (each commits on destruction)
-  BuildShards(first_seq);
-  // The new shards get committers however this returns.
-  struct RestartCommitters {
-    WriteAheadStore* wal;
-    ~RestartCommitters() { wal->StartCommitters(); }
-  } restart{this};
-
-  if (rebaseline != nullptr) {
-    // Healer path: snapshot the new geometry, then fresh log epochs — the
-    // exact Start() invariant, re-established. Crash windows converge: the
-    // old logs' final values equal the snapshotted state.
-    if (Status st = rebaseline(); !st.ok()) {
-      return st;
-    }
-    for (auto& shard_ptr : shards_) {
-      Shard& s = *shard_ptr;
-      std::remove(s.options.path.c_str());
-      s.log = std::make_unique<OperationLog>(sealer_, counters_, s.options);
-      if (Status st = s.log->Open(); !st.ok()) {
-        return st;
-      }
-      if (Status st = s.log->Reset(); !st.ok()) {  // bind a fresh epoch
-        return st;
-      }
-    }
-  } else {
-    // Standalone path (no snapshots): dump the full state into new shard
-    // logs at .tmp twins, commit them, then rename over the real paths.
-    // Crash anywhere: every key's final value is in whichever mix of old
-    // and new logs survives, so replay converges.
-    for (size_t i = 0; i < shards_.size(); ++i) {
-      Shard& s = *shards_[i];
-      OpLogOptions dump_opts = s.options;
-      dump_opts.path += ".tmp";
-      std::remove(dump_opts.path.c_str());
-      auto dump = std::make_unique<OperationLog>(sealer_, counters_, dump_opts);
-      if (Status st = dump->Open(); !st.ok()) {
-        return st;
-      }
-      for (size_t p = i; p < new_partitions; p += shards_.size()) {
-        const Status st = inner_.WithPartitionLocked(p, [&](Store& partition) {
-          return partition.ForEachDecrypted(
-              [&](std::string_view key, std::string_view value) {
-                return dump->LogSet(key, value);
-              });
-        });
-        if (!st.ok()) {
-          return st;
-        }
-      }
-      if (Status st = dump->Commit(); !st.ok()) {
-        return st;
-      }
-      dump.reset();  // close before rename
-      if (std::rename(dump_opts.path.c_str(), s.options.path.c_str()) != 0) {
-        return Status(Code::kIoError, "cannot install repartitioned log " + s.options.path);
-      }
-      s.log = std::make_unique<OperationLog>(sealer_, counters_, s.options);
-      if (Status st = s.log->Open(); !st.ok()) {
-        return st;
-      }
-    }
-  }
-  // Stale shard files beyond the new count and any legacy log are subsumed.
-  for (size_t i = shards_.size();; ++i) {
-    const std::string stale = options_.path + ".p" + std::to_string(i);
-    if (std::remove(stale.c_str()) != 0) {
-      break;
-    }
-  }
-  std::remove(options_.path.c_str());
-  return Status::Ok();
-}
-
-size_t WriteAheadStore::num_shards() const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  return shards_.size();
-}
-
-size_t WriteAheadStore::ShardOfPartition(size_t p) const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-  return p % shards_.size();
-}
-
 uint64_t WriteAheadStore::ShardLogBytes(size_t shard_index) const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (shard_index >= shards_.size() || shards_[shard_index]->log == nullptr) {
     return 0;
   }
@@ -932,7 +788,6 @@ uint64_t WriteAheadStore::ShardLogBytes(size_t shard_index) const {
 }
 
 uint32_t WriteAheadStore::shard_window_us(size_t shard_index) const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   if (shard_index >= shards_.size()) {
     return 0;
   }
@@ -973,12 +828,10 @@ Status WriteAheadStore::ExportHeapFiles(const std::string& destination_dir) {
 }
 
 const OpLogOptions& WriteAheadStore::shard_log_options(size_t shard_index) const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   return shards_[shard_index]->options;
 }
 
 WalStats WriteAheadStore::Stats() const {
-  std::shared_lock<std::shared_mutex> structure(structure_mutex_);
   WalStats total;
   total.shards = shards_.size();
   total.compactions = compactions_.load(std::memory_order_relaxed);
@@ -1008,15 +861,12 @@ void WriteAheadStore::BridgeStats(obs::MetricsSnapshot& snap) const {
   snap.SetCounter("wal.ship_failures", ws.ship_failures);
   snap.SetGauge("wal.replication_attached",
                 sink_.load(std::memory_order_acquire) != nullptr ? 1 : 0);
-  {
-    // Widest current adaptive window across shards (0 in legacy mode).
-    std::shared_lock<std::shared_mutex> structure(structure_mutex_);
-    uint32_t widest = 0;
-    for (const auto& shard_ptr : shards_) {
-      widest = std::max(widest, shard_ptr->window_us.load(std::memory_order_relaxed));
-    }
-    snap.SetGauge("wal.window_us", static_cast<int64_t>(widest));
+  // Widest current adaptive window across shards (0 in legacy mode).
+  uint32_t widest = 0;
+  for (const auto& shard_ptr : shards_) {
+    widest = std::max(widest, shard_ptr->window_us.load(std::memory_order_relaxed));
   }
+  snap.SetGauge("wal.window_us", static_cast<int64_t>(widest));
 }
 
 SelfHealer::SelfHealer(WriteAheadStore& wal, const sgx::SealingService& sealer,
@@ -1041,19 +891,9 @@ Status SelfHealer::Start() {
   if (Status st = wal_.inner().SnapshotAll(sealer_, counters_, options_.directory); !st.ok()) {
     return st;
   }
-  // The baseline generation subsumes everything the logs held (including a
-  // legacy unsharded log from before this code): start every shard fresh.
+  // The baseline generation subsumes everything the logs held: start every
+  // shard fresh.
   return wal_.ResetAllLogs();
-}
-
-Status SelfHealer::Repartition(size_t new_partitions) {
-  const Status st = wal_.Repartition(new_partitions, [&] {
-    return wal_.inner().SnapshotAll(sealer_, counters_, options_.directory);
-  });
-  if (st.ok()) {
-    attempts_.assign(wal_.inner().num_partitions(), 0);
-  }
-  return st;
 }
 
 Status SelfHealer::last_error() const {
@@ -1110,29 +950,23 @@ void SelfHealer::Tick() {
   PartitionedStore& store = wal_.inner();
   for (size_t p = 0; p < store.num_partitions(); ++p) {
     if (!store.IsQuarantined(p)) {
-      if (p < attempts_.size()) {
-        attempts_[p] = 0;
-      }
+      attempts_[p] = 0;
       continue;
     }
-    if (p < attempts_.size() && attempts_[p] >= options_.max_recovery_attempts) {
+    if (attempts_[p] >= options_.max_recovery_attempts) {
       continue;  // gave up on this partition; operator intervention needed
     }
     const Status s = RecoverOne(p);
     if (s.ok()) {
       recoveries_.fetch_add(1, std::memory_order_relaxed);
-      if (p < attempts_.size()) {
-        attempts_[p] = 0;
-      }
+      attempts_[p] = 0;
       char detail[64];
       std::snprintf(detail, sizeof(detail), "partition %zu recovered and re-admitted", p);
       obs::AuditEvent(obs::AuditType::kRecovery, detail);
       SHIELD_LOG(Info) << "partition " << p << " recovered and re-admitted";
     } else {
       failed_recoveries_.fetch_add(1, std::memory_order_relaxed);
-      if (p < attempts_.size()) {
-        ++attempts_[p];
-      }
+      ++attempts_[p];
       std::lock_guard<std::mutex> lock(error_mutex_);
       last_error_ = s;
     }

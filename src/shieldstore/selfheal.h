@@ -45,6 +45,10 @@
 // holding that shard's lock (WithCommittedShard). Mutations to that shard's
 // partitions block for those few milliseconds; every other shard — and all
 // reads — keep serving at full speed.
+//
+// Geometry: the partition count and the WAL shard layout are fixed for the
+// life of the process (built once in the constructors, so routing takes no
+// lock). A restart changes them: RestoreFromDisk re-routes every key.
 #ifndef SHIELDSTORE_SRC_SHIELDSTORE_SELFHEAL_H_
 #define SHIELDSTORE_SRC_SHIELDSTORE_SELFHEAL_H_
 
@@ -54,7 +58,6 @@
 #include <functional>
 #include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -87,9 +90,6 @@ struct WalStats {
 // only request path (ExecuteBatch = SubmitBatch + wait; the singleton verbs
 // from kv::BatchFirstStore are batches of one), so the shard lock, the
 // failed-shard latch, the log append and the requirement each exist once.
-// Repartition() must go through this facade (or SelfHealer) — the inner
-// store pins its layout while wrapped and returns the typed
-// kUnsupportedUnderWal if called directly.
 class WriteAheadStore : public kv::BatchFirstStore {
  public:
   WriteAheadStore(PartitionedStore& inner, const sgx::SealingService& sealer,
@@ -97,8 +97,8 @@ class WriteAheadStore : public kv::BatchFirstStore {
   ~WriteAheadStore() override;
 
   // Opens (or reopens) every shard log and starts the shard committers
-  // (durable-window mode). Must succeed before serving mutations. Shard i
-  // lives at options.path + ".p<i>".
+  // (durable-window mode). Call before serving: it must succeed before any
+  // mutation, and must not race one. Shard i lives at options.path + ".p<i>".
   Status Open();
 
   // Executes `ops` without waiting for durability. Each touched shard's
@@ -129,8 +129,8 @@ class WriteAheadStore : public kv::BatchFirstStore {
   // `fn`. This is the recovery window: `fn` replays the shard log knowing
   // its committed tail matches the live counter. Other shards keep serving.
   Status WithCommittedShard(size_t shard, const std::function<Status()>& fn);
-  // Same, over every shard at once (drains the whole store; used by
-  // Repartition and tests).
+  // Same, over every shard at once (drains the whole store; heap export and
+  // tests).
   Status WithCommittedLog(const std::function<Status()>& fn);
 
   // --- compaction ---
@@ -157,19 +157,21 @@ class WriteAheadStore : public kv::BatchFirstStore {
                       CompactionCrash crash = CompactionCrash::kNone);
 
   // Commits and truncates every shard log to a fresh epoch, deleting any
-  // stale shard files beyond the current count and any legacy single-file
-  // log at options.path. Call right after a baseline SnapshotAll: the
-  // snapshots subsume everything the logs held.
+  // stale shard files beyond the current count (a previous boot's wider
+  // geometry). Call right after a baseline SnapshotAll: the snapshots
+  // subsume everything the logs held.
   Status ResetAllLogs();
 
   // Route-agnostic restore of a previous run's durable state into the
   // (empty) inner store: every partition snapshot generation under
   // `snapshot_directory` (the SnapshotAll layout of ANY geometry — the
   // route key is drawn fresh each boot, so keys are re-routed through the
-  // facade), then the committed suffix of every shard log found on disk,
-  // including a legacy unsharded log at options.path. Call after Open() and
-  // before serving; follow with SelfHealer::Start() (or ResetAllLogs()) so
-  // the restored state becomes the new baseline.
+  // facade), then the committed suffix of every shard log found on disk.
+  // Call after Open() and before serving; follow with SelfHealer::Start()
+  // (or ResetAllLogs()) so the restored state becomes the new baseline.
+  // A leftover unsharded log at options.path (the pre-sharding layout) is
+  // refused with kUnsupported naming the file: its acked records are never
+  // dropped silently.
   //
   // With Options::persist_dir the baseline is the mmap'd heap files, not
   // snapshots: the sealed route key is loaded (so routing matches the files'
@@ -177,16 +179,6 @@ class WriteAheadStore : public kv::BatchFirstStore {
   // — O(1) in entry count, per-entry MAC verification deferred to first
   // touch — and only the WAL tail replays. Sets the heap.restart_ns gauge.
   Status RestoreFromDisk(const std::string& snapshot_directory);
-
-  // Drains and commits every shard, rebuilds the inner store with
-  // `new_partitions`, re-splits the logs to the new geometry, and installs
-  // fresh shard epochs. `rebaseline` (optional) runs between the rebuild
-  // and the log reset — SelfHealer passes SnapshotAll so recovery inputs
-  // match the new geometry; without it the full state is dumped into the
-  // new shard logs (crash-safe: the old logs are replaced only after the
-  // new ones are committed on disk).
-  Status Repartition(size_t new_partitions,
-                     const std::function<Status()>& rebaseline = nullptr);
 
   // Copies the committed persistent-heap files (p<i>.heap + route.seal) into
   // `destination_dir`, checkpointing every partition first under the full
@@ -198,8 +190,8 @@ class WriteAheadStore : public kv::BatchFirstStore {
   Status ExportHeapFiles(const std::string& destination_dir);
 
   PartitionedStore& inner() { return inner_; }
-  size_t num_shards() const;
-  size_t ShardOfPartition(size_t p) const;
+  size_t num_shards() const { return shards_.size(); }
+  size_t ShardOfPartition(size_t p) const { return p % shards_.size(); }
   uint64_t ShardLogBytes(size_t shard) const;
   // Current adaptive group-commit window for `shard` (0 in legacy mode).
   uint32_t shard_window_us(size_t shard) const;
@@ -263,20 +255,14 @@ class WriteAheadStore : public kv::BatchFirstStore {
     std::thread committer;  // joined by StopCommitters before the shard dies
   };
 
-  // Builds the shard table for the inner store's geometry, every shard's
-  // sequence space starting at `first_seq`.
-  void BuildShards(uint64_t first_seq = 0);
+  // Builds the shard table for the inner store's geometry (constructor).
+  void BuildShards();
   Shard& shard(size_t s) { return *shards_[s]; }
-  size_t ShardOfLocked(size_t partition) const {
-    return partition % shards_.size();
-  }
   // Appends one record under the shard lock (legacy mode commits inline per
   // the group cadence); durable-window mode gives it the next sequence and
   // wakes the committer when a group opens or fills.
   Status AppendLocked(Shard& s, bool is_delete, std::string_view key,
                       std::string_view value);
-  std::vector<kv::BatchOpResult> SubmitLocked(const std::vector<kv::BatchOp>& ops,
-                                              kv::DurabilityRequirement& requirement);
   // Blocks until `seq` is durable on `s`, or returns the shard's latch.
   Status AwaitDurable(Shard& s, uint64_t seq);
   // Durable-window mode: one committer thread per shard (none in legacy
@@ -287,8 +273,8 @@ class WriteAheadStore : public kv::BatchFirstStore {
   // Commits every record appended so far as one group and publishes the
   // new watermark; called by the committer with `lock` held.
   void CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& lock, bool adapt_window);
-  // A shard lock taken for maintenance (commit + compaction, recovery,
-  // re-layout): flagged so a committer holding the commit turn passes the
+  // A shard lock taken for maintenance (commit + compaction, recovery):
+  // flagged so a committer holding the commit turn passes the
   // turn on instead of waiting for it (see LockForCommit).
   class MaintenanceLock {
    public:
@@ -320,10 +306,7 @@ class WriteAheadStore : public kv::BatchFirstStore {
   const sgx::SealingService& sealer_;
   sgx::MonotonicCounterService& counters_;
   OpLogOptions options_;
-  // Guards the shard vector itself (shared for ops, exclusive for
-  // Repartition), mirroring the inner store's structure lock.
-  mutable std::shared_mutex structure_mutex_;
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::vector<std::unique_ptr<Shard>> shards_;  // fixed after construction
   // The WAL's commit turn: a committer holds it from closing its group
   // until the group has published, and turns are served in ticket order
   // (see CommitterLoop). Waited for only with no shard lock held.
@@ -404,10 +387,6 @@ class SelfHealer {
   // compact at most one oversized shard log, else spend one scrub budget.
   // Single-threaded driver assumed.
   void Tick();
-
-  // Drains the WAL, rebuilds the inner store with `new_partitions`,
-  // rebaselines the snapshots to the new geometry, and resets the logs.
-  Status Repartition(size_t new_partitions);
 
   uint64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
   uint64_t recoveries() const { return recoveries_.load(std::memory_order_relaxed); }

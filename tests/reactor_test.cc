@@ -386,6 +386,13 @@ TEST_F(ReactorTortureTest, ConcurrentSessionsRaceStop) {
     });
   }
 
+  // Stop only once sessions are demonstrably in flight: under TSan one
+  // attested handshake alone can take longer than a fixed head start.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (completed.load(std::memory_order_relaxed) == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   server_->Stop();
   done.store(true, std::memory_order_release);

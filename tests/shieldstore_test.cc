@@ -662,62 +662,6 @@ TEST_F(ShieldStoreTest, PartitionedConcurrentMixedOps) {
   EXPECT_EQ(store.Size(), 4u * (400 - 80));
 }
 
-
-TEST_F(ShieldStoreTest, RepartitionPreservesDataAndRouting) {
-  PartitionedStore store(enclave_, SmallOptions(), 2);
-  for (int i = 0; i < 600; ++i) {
-    ASSERT_TRUE(store.Set("key" + std::to_string(i), std::to_string(i * 3)).ok());
-  }
-  ASSERT_TRUE(store.Delete("key5").ok());
-  // Scale up: every entry is decrypted, verified, and re-sealed under the
-  // new partitions' keys.
-  ASSERT_TRUE(store.Repartition(4).ok());
-  EXPECT_EQ(store.num_partitions(), 4u);
-  EXPECT_EQ(store.Size(), 599u);
-  for (int i = 0; i < 600; ++i) {
-    auto got = store.Get("key" + std::to_string(i));
-    if (i == 5) {
-      EXPECT_EQ(got.status().code(), Code::kNotFound);
-    } else {
-      ASSERT_EQ(got.value(), std::to_string(i * 3)) << i;
-    }
-  }
-  // Scale down below the original count too.
-  ASSERT_TRUE(store.Repartition(1).ok());
-  EXPECT_EQ(store.num_partitions(), 1u);
-  EXPECT_EQ(store.Size(), 599u);
-  EXPECT_EQ(store.Get("key599").value(), std::to_string(599 * 3));
-  ASSERT_TRUE(store.partition(0).VerifyFullIntegrity().ok());
-}
-
-TEST_F(ShieldStoreTest, RepartitionUnderConcurrentTraffic) {
-  PartitionedStore store(enclave_, SmallOptions(), 2);
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(store.Set("stable" + std::to_string(i), "v").ok());
-  }
-  std::atomic<bool> stop{false};
-  std::atomic<int> failures{0};
-  std::thread traffic([&] {
-    int i = 0;
-    while (!stop.load()) {
-      const std::string key = "hot" + std::to_string(i++ % 50);
-      if (!store.Set(key, "x").ok()) {
-        ++failures;
-      }
-      if (!store.Get("stable7").ok()) {
-        ++failures;
-      }
-    }
-  });
-  for (size_t p : {4u, 3u, 1u, 2u}) {
-    ASSERT_TRUE(store.Repartition(p).ok());
-  }
-  stop.store(true);
-  traffic.join();
-  EXPECT_EQ(failures.load(), 0);
-  EXPECT_EQ(store.Get("stable7").value(), "v");
-}
-
 TEST_F(ShieldStoreTest, ForEachDecryptedVisitsLiveEntriesOnly) {
   Store store(enclave_, SmallOptions());
   ASSERT_TRUE(store.Set("a", "1").ok());

@@ -1,6 +1,7 @@
 // Sharded write-ahead log: shard routing, durable group-commit acks,
-// bounded-log compaction (including its injected-crash matrix), repartition
-// under the WAL, stats, and migration from the PR 2 single-log layout.
+// bounded-log compaction (including its injected-crash matrix), geometry
+// changes across restarts, stats, and the refusal of a leftover
+// pre-sharding single-log layout.
 //
 // Restart simulation: build a SECOND stack over the same directory (same
 // counter backing file, fresh enclave-drawn route key) and RestoreFromDisk —
@@ -91,9 +92,14 @@ class WalShardingTest : public ::testing::Test {
     EXPECT_TRUE(wal2.Open().ok());
     const Status restored = wal2.RestoreFromDisk(SnapshotDir());
     EXPECT_TRUE(restored.ok()) << restored.ToString();
+    return Dump(store2);
+  }
+
+  // Every live entry of `store`, straight from its partitions.
+  static std::map<std::string, std::string> Dump(PartitionedStore& store) {
     std::map<std::string, std::string> dump;
-    for (size_t p = 0; p < store2.num_partitions(); ++p) {
-      const Status walk = store2.partition(p).ForEachDecrypted(
+    for (size_t p = 0; p < store.num_partitions(); ++p) {
+      const Status walk = store.partition(p).ForEachDecrypted(
           [&](std::string_view key, std::string_view value) {
             dump[std::string(key)] = std::string(value);
             return Status::Ok();
@@ -101,6 +107,61 @@ class WalShardingTest : public ::testing::Test {
       EXPECT_TRUE(walk.ok()) << walk.ToString();
     }
     return dump;
+  }
+
+  // Restart is how the partition count changes. Boot 1 runs 4 partitions,
+  // folds its writes into snapshots and leaves more in the shard logs. Boot 2
+  // restores into `target` partitions under a fresh route key, rebaselines
+  // and writes again. Boot 3 restores in that geometry once more. Every acked
+  // key must re-route, re-encrypt and read back after each restart.
+  void CheckRestartChangesGeometry(size_t target) {
+    const std::string base = dir_ + "/to" + std::to_string(target);
+    std::filesystem::create_directories(base);
+    OpLogOptions log_opts;
+    log_opts.path = base + "/wal.log";
+    log_opts.group_commit_window_us = 50;  // acked ⇒ fsync'd, as in the daemon
+    SelfHealOptions heal_opts;
+    heal_opts.directory = base + "/snapshots";
+    heal_opts.scrub = false;
+    std::map<std::string, std::string> acked;
+    // Boots `partitions` partitions in the enclave seeded `seed`, checks the
+    // restore against `acked`, rebaselines, then acks `writes` fresh keys and
+    // overwrites every third key acked before this boot.
+    const auto boot = [&](const char* seed, size_t partitions, int writes, bool compact) {
+      sgx::Enclave enclave(TestEnclaveConfig(seed));
+      PartitionedStore store(enclave, SmallOptions(), partitions);
+      WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
+      ASSERT_TRUE(wal.Open().ok());
+      SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
+      const Status restored = healer.Restore();
+      ASSERT_TRUE(restored.ok()) << restored.ToString();
+      EXPECT_EQ(Dump(store), acked);
+      ASSERT_TRUE(healer.Start().ok());
+      // Start's log reset retires shard files beyond this geometry.
+      for (size_t i = partitions; i < 8; ++i) {
+        EXPECT_FALSE(std::filesystem::exists(log_opts.path + ".p" + std::to_string(i))) << i;
+      }
+      int n = 0;
+      for (auto& [key, value] : acked) {
+        if (n++ % 3 == 0) {
+          value = std::string(seed) + "-rewrite";
+          ASSERT_TRUE(wal.Set(key, value).ok()) << key;
+        }
+      }
+      for (int i = 0; i < writes; ++i) {
+        const std::string key = std::string(seed) + "-" + std::to_string(i);
+        ASSERT_TRUE(wal.Set(key, "v" + std::to_string(i)).ok()) << key;
+        acked[key] = "v" + std::to_string(i);
+        if (compact && i == writes / 2) {
+          for (size_t s = 0; s < wal.num_shards(); ++s) {
+            ASSERT_TRUE(wal.CompactShard(s, heal_opts.directory).ok());  // state → snapshots
+          }
+        }
+      }
+    };
+    boot("wal-sharding-a", 4, 40, /*compact=*/true);
+    boot("wal-sharding-b", target, 20, /*compact=*/false);
+    boot("wal-sharding-c", target, 0, /*compact=*/false);
   }
 
   sgx::Enclave enclave_;
@@ -311,76 +372,6 @@ TEST_F(WalShardingTest, CompactionRefusesQuarantinedPartition) {
   EXPECT_EQ(refused.code(), Code::kPartitionRecovering) << refused.ToString();
 }
 
-TEST_F(WalShardingTest, DirectRepartitionReturnsTypedErrorWhileWrapped) {
-  PartitionedStore store(enclave_, SmallOptions(), 4);
-  {
-    WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
-    ASSERT_TRUE(wal.Open().ok());
-    const Status s = store.Repartition(2);
-    EXPECT_EQ(s.code(), Code::kUnsupportedUnderWal) << s.ToString();
-    EXPECT_EQ(store.num_partitions(), 4u);
-  }
-  // The pin lifts with the facade.
-  EXPECT_TRUE(store.Repartition(2).ok());
-  EXPECT_EQ(store.num_partitions(), 2u);
-}
-
-TEST_F(WalShardingTest, RepartitionThroughHealerResplitssLogsAndRebaselines) {
-  PartitionedStore store(enclave_, SmallOptions(), 2);
-  WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
-  ASSERT_TRUE(wal.Open().ok());
-  SelfHealOptions heal_opts;
-  heal_opts.directory = SnapshotDir();
-  heal_opts.scrub = false;
-  SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
-  ASSERT_TRUE(healer.Start().ok());
-
-  std::map<std::string, std::string> acked;
-  for (int i = 0; i < 48; ++i) {
-    const std::string key = "repart-" + std::to_string(i);
-    ASSERT_TRUE(wal.Set(key, "v" + std::to_string(i)).ok());
-    acked[key] = "v" + std::to_string(i);
-  }
-
-  ASSERT_TRUE(healer.Repartition(6).ok());
-  EXPECT_EQ(store.num_partitions(), 6u);
-  EXPECT_EQ(wal.num_shards(), 6u);
-  for (const auto& [key, value] : acked) {
-    const Result<std::string> got = wal.Get(key);
-    ASSERT_TRUE(got.ok()) << key;
-    EXPECT_EQ(got.value(), value);
-  }
-  // Writes after the repartition land in the new shard layout and everything
-  // — pre- and post-repartition acks — survives a restart.
-  for (int i = 0; i < 12; ++i) {
-    const std::string key = "post-" + std::to_string(i);
-    ASSERT_TRUE(wal.Set(key, "p" + std::to_string(i)).ok());
-    acked[key] = "p" + std::to_string(i);
-  }
-  // Legacy discipline: ack means logged, durable at the commit cadence —
-  // quiesce (as a clean shutdown would) before simulating the restart.
-  ASSERT_TRUE(wal.WithCommittedLog([] { return Status::Ok(); }).ok());
-  EXPECT_EQ(RestartAndDump(6, LogOptions()), acked);
-}
-
-TEST_F(WalShardingTest, StandaloneRepartitionDumpsStateIntoNewShardLogs) {
-  // No healer, no snapshots on disk: Repartition's fallback path dumps the
-  // full state into the new shard logs, so a restart can still replay it.
-  PartitionedStore store(enclave_, SmallOptions(), 4);
-  WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
-  ASSERT_TRUE(wal.Open().ok());
-  std::map<std::string, std::string> acked;
-  for (int i = 0; i < 32; ++i) {
-    const std::string key = "dump-" + std::to_string(i);
-    ASSERT_TRUE(wal.Set(key, "v" + std::to_string(i)).ok());
-    acked[key] = "v" + std::to_string(i);
-  }
-  ASSERT_TRUE(wal.Repartition(2).ok());
-  EXPECT_EQ(wal.num_shards(), 2u);
-  EXPECT_FALSE(std::filesystem::exists(dir_ + "/wal.log.p2"));
-  EXPECT_EQ(RestartAndDump(2, LogOptions()), acked);
-}
-
 TEST_F(WalShardingTest, StatsCountersTrackLoggingCommitsAndCompactions) {
   PartitionedStore store(enclave_, SmallOptions(), 4);
   OpLogOptions log_opts = LogOptions();
@@ -414,39 +405,29 @@ TEST_F(WalShardingTest, StatsCountersTrackLoggingCommitsAndCompactions) {
   EXPECT_LT(wal.Stats().log_bytes, after.log_bytes);  // logs truncated
 }
 
-TEST_F(WalShardingTest, LegacySingleLogMigratesIntoShardedLayout) {
-  // A PR 2 deployment left one global wal.log. The sharded store must
-  // restore it, then retire it on the first baseline reset.
-  OpLogOptions legacy = LogOptions();
-  std::map<std::string, std::string> acked;
+TEST_F(WalShardingTest, LeftoverUnshardedLogRefusesRestore) {
+  // A pre-sharding deployment left one global wal.log that may hold acked
+  // records no snapshot covers. Restore must refuse, naming the file, and
+  // leave it in place: never boot without its records.
+  const OpLogOptions unsharded = LogOptions();
   {
-    OperationLog log(*sealer_, *counters_, legacy);
+    OperationLog log(*sealer_, *counters_, unsharded);
     ASSERT_TRUE(log.Open().ok());
-    for (int i = 0; i < 24; ++i) {
-      const std::string key = "legacy-" + std::to_string(i);
-      ASSERT_TRUE(log.LogSet(key, "old-" + std::to_string(i)).ok());
-      acked[key] = "old-" + std::to_string(i);
-    }
+    ASSERT_TRUE(log.LogSet("legacy-0", "old").ok());
     ASSERT_TRUE(log.Commit().ok());
   }
-
   PartitionedStore store(enclave_, SmallOptions(), 4);
   WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
   ASSERT_TRUE(wal.Open().ok());
-  ASSERT_TRUE(wal.RestoreFromDisk(SnapshotDir()).ok());
-  for (const auto& [key, value] : acked) {
-    const Result<std::string> got = wal.Get(key);
-    ASSERT_TRUE(got.ok()) << key;
-    EXPECT_EQ(got.value(), value);
-  }
-
   SelfHealOptions heal_opts;
   heal_opts.directory = SnapshotDir();
   heal_opts.scrub = false;
   SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
-  ASSERT_TRUE(healer.Start().ok());  // baseline + ResetAllLogs retires the file
-  EXPECT_FALSE(std::filesystem::exists(legacy.path));
-  EXPECT_EQ(RestartAndDump(4, LogOptions()), acked);
+  const Status refused = healer.Restore();
+  EXPECT_EQ(refused.code(), Code::kUnsupported) << refused.ToString();
+  EXPECT_NE(refused.message().find(unsharded.path), std::string::npos) << refused.ToString();
+  EXPECT_TRUE(std::filesystem::exists(unsharded.path));
+  EXPECT_EQ(store.Size(), 0u);
 }
 
 TEST_F(WalShardingTest, ParallelReplayMatchesSequentialReplay) {
@@ -479,62 +460,11 @@ TEST_F(WalShardingTest, ParallelReplayMatchesSequentialReplay) {
   EXPECT_EQ(RestartAndDump(4, parallel), acked);
 }
 
-TEST_F(WalShardingTest, ParallelReplayStillReplaysLegacyLogFirst) {
-  // A legacy single-file log predates the shard split and may share keys
-  // with every shard, so it must replay alone before the pool starts: shard
-  // records were written after it and must win.
-  OpLogOptions legacy = LogOptions();
-  {
-    OperationLog log(*sealer_, *counters_, legacy);
-    ASSERT_TRUE(log.Open().ok());
-    for (int i = 0; i < 24; ++i) {
-      ASSERT_TRUE(log.LogSet("mixed-" + std::to_string(i), "legacy").ok());
-    }
-    ASSERT_TRUE(log.Commit().ok());
-  }
-  std::map<std::string, std::string> acked;
-  {
-    PartitionedStore store(enclave_, SmallOptions(), 4);
-    WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
-    ASSERT_TRUE(wal.Open().ok());
-    ASSERT_TRUE(wal.RestoreFromDisk(SnapshotDir()).ok());
-    for (int i = 0; i < 24; ++i) {
-      const std::string key = "mixed-" + std::to_string(i);
-      acked[key] = i % 2 == 0 ? "sharded" : "legacy";
-      if (i % 2 == 0) {
-        ASSERT_TRUE(wal.Set(key, "sharded").ok());
-      }
-    }
-    ASSERT_TRUE(wal.WithCommittedLog([] { return Status::Ok(); }).ok());
-  }
-  OpLogOptions parallel = LogOptions();
-  parallel.replay_threads = 4;
-  EXPECT_EQ(RestartAndDump(4, parallel), acked);
-}
-
 TEST_F(WalShardingTest, RestoreIsRouteAndGeometryAgnostic) {
-  // Snapshot under 4 partitions, restore into a 2-partition store whose
-  // route key differs: every key must re-route, re-encrypt, and read back.
-  std::map<std::string, std::string> acked;
-  {
-    PartitionedStore store(enclave_, SmallOptions(), 4);
-    WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
-    ASSERT_TRUE(wal.Open().ok());
-    SelfHealOptions heal_opts;
-    heal_opts.directory = SnapshotDir();
-    heal_opts.scrub = false;
-    SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
-    ASSERT_TRUE(healer.Start().ok());
-    for (int i = 0; i < 40; ++i) {
-      const std::string key = "geo-" + std::to_string(i);
-      ASSERT_TRUE(wal.Set(key, "v" + std::to_string(i)).ok());
-      acked[key] = "v" + std::to_string(i);
-    }
-    for (size_t s = 0; s < wal.num_shards(); ++s) {
-      ASSERT_TRUE(wal.CompactShard(s, SnapshotDir()).ok());  // state → snapshots
-    }
+  for (const size_t target : {6u, 2u}) {  // grow, then shrink
+    SCOPED_TRACE("4 -> " + std::to_string(target) + " partitions");
+    CheckRestartChangesGeometry(target);
   }
-  EXPECT_EQ(RestartAndDump(2, LogOptions()), acked);
 }
 
 TEST_F(WalShardingTest, ShardLocalMetricsRegisterPerShardSeries) {

@@ -61,7 +61,7 @@ struct Flags {
   int scrub_interval_ms = 50;   // maintenance cadence; 0 disables the scrub
   size_t scrub_budget = 0;      // buckets per tick; 0 = Options default
   size_t wal_shards = 0;        // log shards; 0 = one per partition
-  uint32_t wal_window_us = 200;  // group-commit window; 0 = legacy auto-commit
+  uint32_t wal_window_us = 200;  // group-commit window cap; must be > 0 (durable acks)
   size_t wal_group_ops = 64;    // records per group commit
   size_t wal_compact_bytes = 64 << 20;  // compact a shard log past this; 0 = never
   int stats_interval_s = 30;    // metrics report cadence; 0 disables
@@ -171,6 +171,8 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
                    "    [--trace-sample N] [--audit-log FILE] [--slo-interval-s N]\n"
                    "    [--slo-stage-p99-ms N] [--slo-op-p99-ms N] [--slo-loop-lag-p99-ms N]\n"
                    "    [--slo-repl-backlog N]\n"
+                   "durability: --wal-window-us N (N >= 1, default 200) caps the group-commit\n"
+                   "window; every ack waits until its record is fsync'd and counter-bumped.\n"
                    "observability: --trace-sample N samples 1-in-N root operations into the\n"
                    "cross-node tracer (1 = every op, 0 = off; dump with `shieldstore_cli\n"
                    "trace`). --audit-log FILE appends every integrity-relevant event to a\n"
@@ -197,6 +199,14 @@ int main(int argc, char** argv) {
   using namespace shield;
   Flags flags;
   if (!ParseFlags(argc, argv, &flags)) {
+    return 2;
+  }
+  if (flags.wal_window_us == 0) {
+    // Window 0 is the library's auto-commit mode, which acks before any
+    // fsync: the daemon never serves it.
+    std::fprintf(stderr,
+                 "--wal-window-us must be >= 1: window 0 would ack writes before they are\n"
+                 "fsync'd and counter-bumped\n");
     return 2;
   }
   std::signal(SIGINT, HandleSignal);
