@@ -83,6 +83,17 @@ WW_ERR="$(timeout 10 ./build/tools/shieldstore_server --port 0 --wal-window-us 0
 [ "$WW_RC" -eq 2 ] && grep -q 'wal-window-us must be >= 1' <<< "$WW_ERR" \
   || { echo "daemon did not refuse --wal-window-us 0 (exit $WW_RC): $WW_ERR"; exit 1; }
 
+echo "== daemon rejects a value flag given last with no value =="
+# Exit 2 with the flag's name and the usage; a crash (139) or a daemon that
+# came up (killed by the timeout, 124) fails the gate.
+for FLAG in --heal-dir --port; do
+  MV_RC=0
+  MV_ERR="$(timeout 10 ./build/tools/shieldstore_server "$FLAG" 2>&1)" || MV_RC=$?
+  [ "$MV_RC" -eq 2 ] && grep -q -- "$FLAG needs a value" <<< "$MV_ERR" \
+    && grep -q 'usage: shieldstore_server' <<< "$MV_ERR" \
+    || { echo "daemon did not reject $FLAG with no value (exit $MV_RC): $MV_ERR"; exit 1; }
+done
+
 echo "== stats pipeline: live server -> kStats -> invariant check =="
 # End-to-end: real daemon (WAL + self-heal mode), real CLI workload over
 # encrypted sessions, then `stats --check` validates the cross-metric

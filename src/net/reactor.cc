@@ -338,9 +338,8 @@ void Reactor::ProcessSession(Loop& loop, Session* s) {
   while (!stopping_.load(std::memory_order_acquire) && !s->close_after_flush &&
          !s->read_paused) {
     frames.clear();
-    const size_t budget = s->state() == Session::State::kHandshake
-                              ? 1
-                              : s->coalesce_target(options_.coalesce_depth);
+    const size_t budget =
+        s->state() == Session::State::kHandshake ? 1 : options_.coalesce_depth;
     if (!s->ExtractFrames(budget, frames)) {
       // Oversized length prefix: hostile or corrupt stream. Drop the
       // connection without a response.
@@ -359,11 +358,6 @@ void Reactor::ProcessSession(Loop& loop, Session* s) {
       s->QueueFrame(reply);
       s->set_state(Session::State::kEstablished);
     } else {
-      s->NoteBurst(frames.size(), options_.coalesce_depth);
-      if (options_.coalesce_target != nullptr) {
-        options_.coalesce_target->Set(
-            static_cast<int64_t>(s->coalesce_target(options_.coalesce_depth)));
-      }
       FrameRun run;
       handlers_.on_frames(*s, frames, run);
       const bool close_after = run.close_after;

@@ -21,11 +21,12 @@
 // durability.
 //
 // Fairness and backpressure: each session is served at most one frame run
-// (<= coalesce_depth frames) and ~256 KiB of socket reads per loop pass;
-// sessions with more buffered work requeue on a ready list instead of
-// starving their siblings. Responses accumulate in a bounded per-session
-// output buffer; past the bound (held responses count toward it) the
-// session's reads pause until output drains below the low watermark.
+// (every complete frame already buffered, up to coalesce_depth) and ~256 KiB
+// of socket reads per loop pass; sessions with more buffered work requeue on
+// a ready list instead of starving their siblings. Responses accumulate in
+// a bounded per-session output buffer; past the bound (held responses count
+// toward it) the session's reads pause until output drains below the low
+// watermark.
 #ifndef SHIELDSTORE_SRC_NET_REACTOR_H_
 #define SHIELDSTORE_SRC_NET_REACTOR_H_
 
@@ -59,7 +60,6 @@ struct ReactorOptions {
   obs::Counter* sessions_opened = nullptr;   // lifetime accepts
   obs::Counter* sessions_rejected = nullptr; // closed at accept (max_sessions)
   obs::Histogram* loop_lag = nullptr;        // ns per loop handling pass
-  obs::Gauge* coalesce_target = nullptr;     // most recent adaptive batch budget
 };
 
 class Reactor {

@@ -107,7 +107,6 @@ Status Server::Start() {
   ropts.sessions_opened = &metrics_->GetCounter("net.sessions_opened");
   ropts.sessions_rejected = &metrics_->GetCounter("net.sessions_rejected");
   ropts.loop_lag = &metrics_->GetHistogram("net.reactor_loop_lag");
-  ropts.coalesce_target = &metrics_->GetGauge("net.coalesce_target");
 
   Reactor::Handlers handlers;
   handlers.on_handshake = [this](Session& s, ByteSpan hello, Bytes* reply) {

@@ -64,9 +64,11 @@ class Session {
   void Ingest(const uint8_t* data, size_t len);
 
   // Extracts up to `max_frames` complete frames (payloads, length prefix
-  // stripped) from the parse buffer, in arrival order. Returns false if the
-  // stream is malformed (frame longer than the configured cap) — the caller
-  // must close the session without a response.
+  // stripped) from the parse buffer, in arrival order; it stops at the last
+  // complete frame, so the reactor asks for its configured coalesce depth
+  // every time. Returns false if the stream is malformed (frame longer than
+  // the configured cap) — the caller must close the session without a
+  // response.
   bool ExtractFrames(size_t max_frames, std::vector<Bytes>& out);
 
   // True if at least one complete frame is already buffered.
@@ -85,32 +87,6 @@ class Session {
   // fatal socket error (the session must be closed); true otherwise (either
   // drained or would-block).
   bool Flush();
-
-  // --- adaptive coalescing --------------------------------------------
-  // Per-session implicit-batch budget. Starts at the configured maximum (a
-  // fresh pipelined burst coalesces fully from frame one) and follows the
-  // observed burst-size EWMA: a session extracting full runs doubles back
-  // toward the max, a request/response session shrinks toward 1 so the
-  // reactor stops over-scanning its parse buffer. Responses are identical
-  // either way — only the enclave-submission grouping changes.
-  size_t coalesce_target(size_t max) {
-    if (coalesce_target_ == 0 || coalesce_target_ > max) {
-      coalesce_target_ = max;
-    }
-    return coalesce_target_;
-  }
-  void NoteBurst(size_t n, size_t max) {
-    burst_ewma_ = burst_ewma_ == 0.0
-                      ? static_cast<double>(n)
-                      : 0.75 * burst_ewma_ + 0.25 * static_cast<double>(n);
-    if (n >= coalesce_target_) {
-      coalesce_target_ = coalesce_target_ * 2 > max ? max : coalesce_target_ * 2;
-    } else {
-      size_t want = static_cast<size_t>(burst_ewma_ * 2.0) + 1;
-      if (want > max) want = max;
-      coalesce_target_ = want;
-    }
-  }
 
   // The peer half-closed its write side (read() returned 0): no more input
   // will ever arrive, but buffered frames must still be answered.
@@ -144,10 +120,6 @@ class Session {
   // Output buffer with a flushed-prefix offset.
   Bytes out_;
   size_t out_off_ = 0;
-
-  // Adaptive coalescing state (see coalesce_target/NoteBurst).
-  size_t coalesce_target_ = 0;  // 0 = uninitialised; clamped to max on first use
-  double burst_ewma_ = 0.0;
 
   void CompactInput();
   void CompactOutput();

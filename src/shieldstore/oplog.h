@@ -95,10 +95,8 @@ struct OpLogOptions {
   // charged for the time a shard's lock is held, modelling n workers
   // saturating one shard. 1 = off (real deployments).
   size_t virtual_contention = 1;
-  // Threads RestoreFromDisk uses to replay shard logs in parallel (a legacy
-  // single-file log always replays alone, first — it predates the shard
-  // split and may share keys with every shard). 0 = auto (bounded by the
-  // hardware); 1 = sequential.
+  // Threads RestoreFromDisk uses to replay the shard logs, one log per
+  // thread at a time. 0 = auto (bounded by the hardware); 1 = sequential.
   size_t replay_threads = 0;
 
   // Observability: registry receiving the WAL-append / commit-wait stage

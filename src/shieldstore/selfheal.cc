@@ -70,8 +70,7 @@ WriteAheadStore::WriteAheadStore(PartitionedStore& inner, const sgx::SealingServ
   commit_batch_hist_ = &metrics_->GetHistogram("wal.commit_batch_ops");
   group_commits_ = &metrics_->GetCounter("wal.group_commits");
   compacted_bytes_ = &metrics_->GetCounter("wal.compacted_bytes");
-  window_gauge_ = &metrics_->GetGauge("wal.window_us");
-  window_gauge_->Set(static_cast<int64_t>(options_.group_commit_window_us));
+  metrics_->GetGauge("wal.window_us").Set(static_cast<int64_t>(options_.group_commit_window_us));
   BuildShards();
 }
 
@@ -87,7 +86,6 @@ void WriteAheadStore::BuildShards() {
     per_shard.shard_index = static_cast<int>(i);
     auto s = std::make_unique<Shard>(std::move(per_shard));
     s->index = i;
-    s->window_us.store(options_.group_commit_window_us, std::memory_order_relaxed);
     const std::string prefix = "wal.shard" + std::to_string(i) + ".";
     s->ctr_appends = &metrics_->GetCounter(prefix + "appends");
     s->ctr_commit_waits = &metrics_->GetCounter(prefix + "commit_waits");
@@ -238,8 +236,7 @@ void WriteAheadStore::CommitterLoop(Shard& s) {
     // commit.
     CommitTurn turn(*this);
     auto window_from = s.batch_start;
-    const bool contended = !turn.TryTake();
-    if (contended) {
+    if (!turn.TryTake()) {
       lock.unlock();
       turn.Wait();
       if (!LockForCommit(s, lock)) {
@@ -249,27 +246,22 @@ void WriteAheadStore::CommitterLoop(Shard& s) {
         continue;
       }
       // The turn came free at a publish that just released other callers'
-      // held responses; their follow-up requests get the configured window
-      // to join — arrivals are not sparse here, whatever the adaptive window
-      // learned from solo commits.
+      // held responses; the window restarts there so their follow-up
+      // requests can join.
       window_from = std::max(window_from, std::chrono::steady_clock::now());
     }
     if (!s.stop) {
-      // Wait out the window (or a full batch). Uncontended, it is the
-      // shard's ADAPTIVE window: sized down when arrivals are sparse (a solo
-      // writer should not idle out the configured cap for nobody), back up
-      // toward the cap under bursts (bigger batches, fewer fsyncs and
-      // counter bumps).
-      const uint32_t window_us = contended ? options_.group_commit_window_us
-                                           : s.window_us.load(std::memory_order_relaxed);
-      const auto deadline = window_from + std::chrono::microseconds(window_us);
+      // Wait out the configured window (or a full batch), from the group's
+      // first record when uncontended.
+      const auto deadline =
+          window_from + std::chrono::microseconds(options_.group_commit_window_us);
       s.commit_cv.wait_until(lock, deadline, [&] {
         return s.stop || !s.failed.ok() || s.appended - s.durable >= options_.group_commit_ops;
       });
     }
     // A maintenance commit may have taken the group while the lock was free.
     if (s.appended > s.durable && s.failed.ok()) {
-      CommitGroupLocked(s, lock, /*adapt_window=*/!contended);
+      CommitGroupLocked(s, lock);
     }
   }
 }
@@ -303,8 +295,7 @@ void WriteAheadStore::CommitTurn::Wait() {
   wal_.turn_cv_.wait(lock, [&] { return wal_.turn_serving_ == ticket_; });
 }
 
-void WriteAheadStore::CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& lock,
-                                        bool adapt_window) {
+void WriteAheadStore::CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& lock) {
   // The commit record goes in under the lock; the fsync, the counter bump
   // and the ship run with it RELEASED so writers append into the next group
   // meanwhile. `committing` keeps maintenance commits out until this one
@@ -357,23 +348,6 @@ void WriteAheadStore::CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& 
     const uint64_t batch = upto - s.durable;
     group_commits_->Inc();
     commit_batch_hist_->Record(batch);
-    // Adapt the window to the observed batch: a full batch means writers
-    // queued behind the cadence (grow toward the cap, ×2), a near-empty one
-    // means the window outlived the arrivals (shrink, ÷2, floored at cap/16
-    // so a burst can climb back within a few commits).
-    const uint32_t cap = options_.group_commit_window_us;
-    const uint32_t floor_us = std::max<uint32_t>(cap / 16, 1);
-    const uint32_t w = s.window_us.load(std::memory_order_relaxed);
-    uint32_t next_w = w;
-    if (batch >= options_.group_commit_ops) {
-      next_w = std::min<uint32_t>(cap, w * 2);
-    } else if (batch <= 2) {
-      next_w = std::max<uint32_t>(floor_us, w / 2);
-    }
-    if (adapt_window && next_w != w) {
-      s.window_us.store(next_w, std::memory_order_relaxed);
-      window_gauge_->Set(static_cast<int64_t>(next_w));
-    }
     s.durable = std::max(s.durable, upto);
     if (s.appended > s.durable) {
       // Records that arrived during the fsync open the next window now.
@@ -745,14 +719,6 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
           ? std::min<size_t>(std::max<size_t>(std::thread::hardware_concurrency(), 1), 8)
           : options_.replay_threads;
   threads = std::min(std::max<size_t>(threads, 1), logs.size());
-  if (threads <= 1) {
-    for (size_t i = 0; i < logs.size(); ++i) {
-      if (Status st = replay_one(logs[i]); !st.ok()) {
-        return st;
-      }
-    }
-    return finish(Status::Ok());
-  }
   std::atomic<size_t> next{0};
   std::mutex error_mutex;
   Status first_error;
@@ -785,13 +751,6 @@ uint64_t WriteAheadStore::ShardLogBytes(size_t shard_index) const {
     return 0;
   }
   return shards_[shard_index]->log->log_bytes();
-}
-
-uint32_t WriteAheadStore::shard_window_us(size_t shard_index) const {
-  if (shard_index >= shards_.size()) {
-    return 0;
-  }
-  return shards_[shard_index]->window_us.load(std::memory_order_relaxed);
 }
 
 Status WriteAheadStore::ExportHeapFiles(const std::string& destination_dir) {
@@ -861,12 +820,6 @@ void WriteAheadStore::BridgeStats(obs::MetricsSnapshot& snap) const {
   snap.SetCounter("wal.ship_failures", ws.ship_failures);
   snap.SetGauge("wal.replication_attached",
                 sink_.load(std::memory_order_acquire) != nullptr ? 1 : 0);
-  // Widest current adaptive window across shards (0 in legacy mode).
-  uint32_t widest = 0;
-  for (const auto& shard_ptr : shards_) {
-    widest = std::max(widest, shard_ptr->window_us.load(std::memory_order_relaxed));
-  }
-  snap.SetGauge("wal.window_us", static_cast<int64_t>(widest));
 }
 
 SelfHealer::SelfHealer(WriteAheadStore& wal, const sgx::SealingService& sealer,

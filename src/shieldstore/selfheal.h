@@ -193,8 +193,6 @@ class WriteAheadStore : public kv::BatchFirstStore {
   size_t num_shards() const { return shards_.size(); }
   size_t ShardOfPartition(size_t p) const { return p % shards_.size(); }
   uint64_t ShardLogBytes(size_t shard) const;
-  // Current adaptive group-commit window for `shard` (0 in legacy mode).
-  uint32_t shard_window_us(size_t shard) const;
   const OpLogOptions& shard_log_options(size_t shard) const;
   WalStats Stats() const;
   uint64_t records_logged() const { return Stats().records_logged; }
@@ -221,13 +219,6 @@ class WriteAheadStore : public kv::BatchFirstStore {
     OpLogOptions options;  // options.path is this shard's file
     std::unique_ptr<OperationLog> log;
     size_t index = 0;  // position in shards_ (shipped to the sink as-is)
-    // Adaptive group-commit window (microseconds). Starts at the configured
-    // cap (options.group_commit_window_us); the committer halves it after a
-    // near-empty batch (solo writers should not wait out a window sized for
-    // bursts) and doubles it back toward the cap after a full one. Floor is
-    // cap/16 (min 1). Only groups whose close did not wait on the commit
-    // turn adapt it; adjustments take effect on the following batch.
-    std::atomic<uint32_t> window_us{0};
     std::mutex mutex;  // serializes apply + append for this shard's partitions
     std::condition_variable commit_cv;   // wakes the committer
     std::condition_variable durable_cv;  // `durable`/`committing` changed
@@ -272,7 +263,7 @@ class WriteAheadStore : public kv::BatchFirstStore {
   void CommitterLoop(Shard& s);
   // Commits every record appended so far as one group and publishes the
   // new watermark; called by the committer with `lock` held.
-  void CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& lock, bool adapt_window);
+  void CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& lock);
   // A shard lock taken for maintenance (commit + compaction, recovery):
   // flagged so a committer holding the commit turn passes the
   // turn on instead of waiting for it (see LockForCommit).
@@ -340,7 +331,6 @@ class WriteAheadStore : public kv::BatchFirstStore {
   obs::Histogram* commit_batch_hist_ = nullptr;  // wal.commit_batch_ops (records/commit)
   obs::Counter* group_commits_ = nullptr;        // wal.group_commits
   obs::Counter* compacted_bytes_ = nullptr;      // wal.compacted_bytes
-  obs::Gauge* window_gauge_ = nullptr;           // wal.window_us (last adapted window)
 };
 
 struct SelfHealOptions {

@@ -577,6 +577,48 @@ TEST_F(ReactorTortureTest, ImplicitBatchEquivalentToSequentialExecution) {
   sequential.server->Stop();
 }
 
+// A session's history never shrinks its coalesce depth: after lockstep
+// request/response traffic, a pipelined burst that is already buffered runs
+// as ONE implicit batch (one enclave submission, one durability
+// requirement), not as several smaller ones.
+TEST_F(ReactorTortureTest, PipelinedBurstAfterLockstepTrafficRunsAsOneBatch) {
+  PrivateStack stack(authority_, /*coalesce_depth=*/64);
+  ASSERT_TRUE(stack.server->Start().ok());
+  RawSession raw;
+  ASSERT_TRUE(raw.Connect(stack.server->port(), authority_, stack.enclave.measurement()));
+
+  for (int i = 0; i < 6; ++i) {
+    const Bytes wire =
+        raw.WireFrame({OpCode::kSet, "lockstep-" + std::to_string(i), "v", 0});
+    ASSERT_TRUE(SendAll(raw.fd(), wire.data(), wire.size()));
+    Result<Response> response = raw.RecvResponse();
+    ASSERT_TRUE(response.ok()) << response.status().ToString();
+    EXPECT_EQ(response->status, Code::kOk) << "lockstep " << i;
+  }
+
+  obs::Counter& batches = stack.registry.GetCounter("net.coalesced.batches");
+  obs::Counter& ops = stack.registry.GetCounter("net.coalesced.ops");
+  const uint64_t batches_before = batches.Value();
+  const uint64_t ops_before = ops.Value();
+
+  constexpr int kBurst = 16;
+  Bytes burst;
+  for (int i = 0; i < kBurst; ++i) {
+    const Bytes wire = raw.WireFrame({OpCode::kSet, "burst-" + std::to_string(i), "v", 0});
+    burst.insert(burst.end(), wire.begin(), wire.end());
+  }
+  ASSERT_TRUE(SendAll(raw.fd(), burst.data(), burst.size()));
+  for (int i = 0; i < kBurst; ++i) {
+    Result<Response> response = raw.RecvResponse();
+    ASSERT_TRUE(response.ok()) << "frame " << i << ": " << response.status().ToString();
+    EXPECT_EQ(response->status, Code::kOk) << "frame " << i;
+  }
+
+  EXPECT_EQ(batches.Value() - batches_before, 1u);
+  EXPECT_EQ(ops.Value() - ops_before, static_cast<uint64_t>(kBurst));
+  stack.server->Stop();
+}
+
 // Sanity on the reactor gauges the daemon exports: sessions_opened counts
 // accepts, net.sessions tracks live, both in a private registry.
 TEST_F(ReactorTortureTest, SessionGaugesTrackAcceptAndClose) {

@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "src/obs/metrics.h"
+#include "src/obs/snapshot.h"
 #include "src/shieldstore/partitioned.h"
 #include "src/shieldstore/selfheal.h"
 
@@ -499,35 +500,34 @@ TEST_F(WalShardingTest, ShardLocalMetricsRegisterPerShardSeries) {
   EXPECT_GE(registry.GetHistogram("wal.fsync_ns").Data().count, wal.num_shards());
 }
 
-// Adaptive group-commit window: near-empty batches (a solo synchronous
-// writer) shrink the window toward the floor so singleton acks stop idling
-// out the full cap; a burst that fills batches grows it back, 2x per commit,
-// capped at the configured value. Deterministic: batch size alone drives the
-// adaptation, never wall-clock arrival timing.
-TEST_F(WalShardingTest, GroupCommitWindowAdaptsToBatchSize) {
+// The group-commit window is the configured value, whatever the batch sizes:
+// solo writes (batches of one) and full-group bursts leave it alone, and
+// wal.window_us reports it both in the registry and after BridgeStats.
+TEST_F(WalShardingTest, GroupCommitWindowIsTheConfiguredValue) {
   obs::Registry registry;
   PartitionedStore store(enclave_, SmallOptions(), 1);
   OpLogOptions log_opts = LogOptions();
-  log_opts.group_commit_window_us = 3200;
+  const uint32_t window_us = 3200;
+  log_opts.group_commit_window_us = window_us;
   log_opts.group_commit_ops = 8;
   log_opts.metrics = &registry;
   WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
   ASSERT_TRUE(wal.Open().ok());
-  const uint32_t cap = 3200;
-  const uint32_t floor_us = cap / 16;
-  ASSERT_EQ(wal.shard_window_us(0), cap) << "window starts at the configured cap";
+  const auto expect_configured = [&](const char* phase) {
+    obs::MetricsSnapshot snap = registry.Snapshot();
+    EXPECT_EQ(snap.GaugeValue("wal.window_us", -1), static_cast<int64_t>(window_us)) << phase;
+    wal.BridgeStats(snap);
+    EXPECT_EQ(snap.GaugeValue("wal.window_us", -1), static_cast<int64_t>(window_us)) << phase;
+  };
+  expect_configured("at open");
 
-  // Solo writers: every commit is a batch of one, halving the window until
-  // the floor. 3200 -> 1600 -> 800 -> 400 -> 200 (floor) in four commits.
+  // Solo writers: every commit is a batch of one.
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(wal.Set("solo-" + std::to_string(i), "v").ok());
   }
-  EXPECT_EQ(wal.shard_window_us(0), floor_us);
-  EXPECT_EQ(registry.GetGauge("wal.window_us").Value(), static_cast<int64_t>(floor_us));
+  expect_configured("after solo writes");
 
-  // Bursts: a batch with >= group_commit_ops mutations lands under ONE
-  // commit handle, so each ExecuteBatch doubles the window back: 200 -> 400
-  // -> 800 -> 1600 -> 3200, then pins at the cap.
+  // Bursts: each batch of group_commit_ops mutations fills one group.
   for (int round = 0; round < 6; ++round) {
     std::vector<kv::BatchOp> ops;
     for (int i = 0; i < 8; ++i) {
@@ -541,8 +541,7 @@ TEST_F(WalShardingTest, GroupCommitWindowAdaptsToBatchSize) {
       ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     }
   }
-  EXPECT_EQ(wal.shard_window_us(0), cap) << "burst growth must saturate at the cap";
-  EXPECT_EQ(registry.GetGauge("wal.window_us").Value(), static_cast<int64_t>(cap));
+  expect_configured("after bursts");
 }
 
 // Compaction under a parked writer. One writer's group is mid-commit (a

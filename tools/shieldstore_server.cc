@@ -61,7 +61,7 @@ struct Flags {
   int scrub_interval_ms = 50;   // maintenance cadence; 0 disables the scrub
   size_t scrub_budget = 0;      // buckets per tick; 0 = Options default
   size_t wal_shards = 0;        // log shards; 0 = one per partition
-  uint32_t wal_window_us = 200;  // group-commit window cap; must be > 0 (durable acks)
+  uint32_t wal_window_us = 200;  // group-commit window; must be > 0 (durable acks)
   size_t wal_group_ops = 64;    // records per group commit
   size_t wal_compact_bytes = 64 << 20;  // compact a shard log past this; 0 = never
   int stats_interval_s = 30;    // metrics report cadence; 0 disables
@@ -84,10 +84,49 @@ struct Flags {
   long long slo_repl_backlog = 65536;  // breach: replication backlog entries over this
 };
 
+void PrintUsage() {
+  std::fprintf(stderr,
+               "usage: shieldstore_server [--port N] [--partitions N] [--buckets N]\n"
+               "    [--epc-mb N] [--hotcalls] [--plaintext] [--authority-seed S] [--name S]\n"
+               "    [--heal-dir DIR] [--persist-heap DIR] [--persist-capacity-mb N]\n"
+               "    [--scrub-interval-ms N] [--scrub-budget N]\n"
+               "    [--wal-shards N] [--wal-window-us N] [--wal-group-ops N]\n"
+               "    [--wal-compact-bytes N] [--stats-interval-s N] [--stats-prometheus]\n"
+               "    [--stats-json FILE] [--io-threads N] [--max-sessions N]\n"
+               "    [--coalesce-depth N] [--hotcall-idle-us N] [--replay-threads N]\n"
+               "    [--replica-of PRIMARY_PORT] [--replicate-to FOLLOWER_PORT]\n"
+               "    [--trace-sample N] [--audit-log FILE] [--slo-interval-s N]\n"
+               "    [--slo-stage-p99-ms N] [--slo-op-p99-ms N] [--slo-loop-lag-p99-ms N]\n"
+               "    [--slo-repl-backlog N]\n"
+               "durability: --wal-window-us N (N >= 1, default 200) is the group-commit\n"
+               "window; every ack waits until its record is fsync'd and counter-bumped.\n"
+               "observability: --trace-sample N samples 1-in-N root operations into the\n"
+               "cross-node tracer (1 = every op, 0 = off; dump with `shieldstore_cli\n"
+               "trace`). --audit-log FILE appends every integrity-relevant event to a\n"
+               "hash-chained, fsync'd audit log (verify offline with audit_verify).\n"
+               "--slo-* set the watchdog thresholds; breaches bump slo.breaches and land\n"
+               "in the audit log.\n"
+               "replication: --replica-of makes this node a warm standby (the primary on\n"
+               "PRIMARY_PORT pushes its stream here; the port is recorded for logs).\n"
+               "--replicate-to ships every committed WAL entry to the follower listening\n"
+               "on FOLLOWER_PORT (requires --heal-dir; both nodes must share the binary\n"
+               "and --authority-seed so the sessions attest).\n"
+               "--persist-heap DIR mmaps the untrusted heap onto p<i>.heap files in DIR:\n"
+               "restart attaches the files in O(1) and replays only the WAL tail instead\n"
+               "of decrypting every snapshot entry (requires --heal-dir for the WAL).\n");
+}
+
 bool ParseFlags(int argc, char** argv, Flags* flags) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* { return i + 1 < argc ? argv[++i] : nullptr; };
+    bool missing_value = false;
+    auto next = [&]() -> const char* {
+      if (i + 1 < argc) {
+        return argv[++i];
+      }
+      missing_value = true;
+      return "";
+    };
     if (arg == "--port") {
       flags->port = static_cast<uint16_t>(std::atoi(next()));
     } else if (arg == "--partitions") {
@@ -158,35 +197,12 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--slo-repl-backlog") {
       flags->slo_repl_backlog = std::atoll(next());
     } else {
-      std::fprintf(stderr,
-                   "usage: shieldstore_server [--port N] [--partitions N] [--buckets N]\n"
-                   "    [--epc-mb N] [--hotcalls] [--plaintext] [--authority-seed S] [--name S]\n"
-                   "    [--heal-dir DIR] [--persist-heap DIR] [--persist-capacity-mb N]\n"
-                   "    [--scrub-interval-ms N] [--scrub-budget N]\n"
-                   "    [--wal-shards N] [--wal-window-us N] [--wal-group-ops N]\n"
-                   "    [--wal-compact-bytes N] [--stats-interval-s N] [--stats-prometheus]\n"
-                   "    [--stats-json FILE] [--io-threads N] [--max-sessions N]\n"
-                   "    [--coalesce-depth N] [--hotcall-idle-us N] [--replay-threads N]\n"
-                   "    [--replica-of PRIMARY_PORT] [--replicate-to FOLLOWER_PORT]\n"
-                   "    [--trace-sample N] [--audit-log FILE] [--slo-interval-s N]\n"
-                   "    [--slo-stage-p99-ms N] [--slo-op-p99-ms N] [--slo-loop-lag-p99-ms N]\n"
-                   "    [--slo-repl-backlog N]\n"
-                   "durability: --wal-window-us N (N >= 1, default 200) caps the group-commit\n"
-                   "window; every ack waits until its record is fsync'd and counter-bumped.\n"
-                   "observability: --trace-sample N samples 1-in-N root operations into the\n"
-                   "cross-node tracer (1 = every op, 0 = off; dump with `shieldstore_cli\n"
-                   "trace`). --audit-log FILE appends every integrity-relevant event to a\n"
-                   "hash-chained, fsync'd audit log (verify offline with audit_verify).\n"
-                   "--slo-* set the watchdog thresholds; breaches bump slo.breaches and land\n"
-                   "in the audit log.\n"
-                   "replication: --replica-of makes this node a warm standby (the primary on\n"
-                   "PRIMARY_PORT pushes its stream here; the port is recorded for logs).\n"
-                   "--replicate-to ships every committed WAL entry to the follower listening\n"
-                   "on FOLLOWER_PORT (requires --heal-dir; both nodes must share the binary\n"
-                   "and --authority-seed so the sessions attest).\n"
-                   "--persist-heap DIR mmaps the untrusted heap onto p<i>.heap files in DIR:\n"
-                   "restart attaches the files in O(1) and replays only the WAL tail instead\n"
-                   "of decrypting every snapshot entry (requires --heal-dir for the WAL).\n");
+      PrintUsage();
+      return false;
+    }
+    if (missing_value) {
+      std::fprintf(stderr, "%s needs a value\n", arg.c_str());
+      PrintUsage();
       return false;
     }
   }
