@@ -40,6 +40,9 @@ ModeResult Measure(size_t threads, bool sharded, double seconds, const workload:
   std::filesystem::remove_all(dir);
   std::filesystem::create_directories(dir);
 
+  // This run's own registry: WalStats (records, commits, fsyncs) count this
+  // mode's WAL only.
+  obs::Registry registry;
   sgx::Enclave enclave(BenchEnclave());
   const sgx::SealingService sealer(AsBytes("wal-bench"), enclave.measurement());
   sgx::MonotonicCounterService::Options counter_opts;
@@ -49,11 +52,13 @@ ModeResult Measure(size_t threads, bool sharded, double seconds, const workload:
 
   shieldstore::Options options;
   options.num_buckets = 1 << 14;
+  options.metrics = &registry;
   shieldstore::PartitionedStore store(enclave, options, threads);
 
   shieldstore::OpLogOptions log_opts;
   log_opts.path = dir + "/wal.log";
   log_opts.group_commit_ops = 8;
+  log_opts.metrics = &registry;
   log_opts.group_commit_window_us = 0;  // legacy discipline in BOTH modes
   log_opts.num_shards = sharded ? 0 : 1;
   log_opts.virtual_contention = sharded ? 1 : threads;

@@ -104,7 +104,7 @@ NL_DIR="$(mktemp -d)"
 OBS_DIR="$(mktemp -d)"
 FO_PIDS=""
 OBS_PIDS=""
-trap 'kill ${SERVER_PID:-} ${FO_PIDS:-} ${NL_PID:-} ${OBS_PIDS:-} 2>/dev/null || true; rm -rf "$STATS_DIR" "$FO_DIR" "$NL_DIR" "$OBS_DIR"' EXIT
+trap 'kill ${SERVER_PID:-} ${CAD_PID:-} ${FO_PIDS:-} ${NL_PID:-} ${OBS_PIDS:-} 2>/dev/null || true; rm -rf "$STATS_DIR" "$FO_DIR" "$NL_DIR" "$OBS_DIR"' EXIT
 ./build/tools/shieldstore_server --port 0 --partitions 2 --heal-dir "$STATS_DIR/heal" \
   --stats-interval-s 1 > "$STATS_DIR/server.log" 2>&1 &
 SERVER_PID=$!
@@ -128,11 +128,33 @@ $CLI stats --prometheus > "$STATS_DIR/prom.txt"
 for metric in shield_net_ops_get shield_net_latency_get_count shield_stage_search_decrypt_count \
               shield_sgx_epc_touches shield_wal_records shield_wal_group_commits \
               shield_wal_counter_bump_ns_count shield_store_partitions shield_crypto_backend shield_store_crypto_ctr_bytes \
-              shield_store_crypto_cmac_bytes; do
+              shield_store_crypto_cmac_bytes shield_heal_recoveries shield_store_quarantined \
+              shield_net_maintenance_ticks; do
   grep -q "^$metric" "$STATS_DIR/prom.txt" || { echo "missing $metric"; exit 1; }
 done
 kill "$SERVER_PID"; wait "$SERVER_PID" 2>/dev/null || true
 echo "stats pipeline OK"
+
+echo "== maintenance cadence: heal mode with the scrub off ticks once a second =="
+# --scrub-interval-ms 0 turns the scrub off; the maintenance thread (healer
+# tick, stats report, SLO watchdog) then ticks every 1000 ms in heal mode as
+# in volatile mode, not every millisecond. About 2.5 s of serving allows 3
+# ticks; the gate allows 10.
+./build/tools/shieldstore_server --port 0 --partitions 2 --heal-dir "$STATS_DIR/cadence" \
+  --scrub-interval-ms 0 --stats-interval-s 1 --stats-json "$STATS_DIR/cadence.json" \
+  > "$STATS_DIR/cadence.log" 2>&1 &
+CAD_PID=$!
+for _ in $(seq 1 50); do
+  grep -q 'listening on' "$STATS_DIR/cadence.log" 2>/dev/null && break
+  sleep 0.1
+done
+sleep 2.5
+CAD_TICKS="$(python3 -c 'import json, sys
+print(json.load(open(sys.argv[1]))["metrics"]["net.maintenance_ticks"]["value"])' \
+  "$STATS_DIR/cadence.json")"
+kill "$CAD_PID"; wait "$CAD_PID" 2>/dev/null || true
+echo "maintenance ticks in ~2.5 s with the scrub off: $CAD_TICKS (gate: <= 10)"
+[ "$CAD_TICKS" -le 10 ] || { echo "maintenance ticked $CAD_TICKS times with the scrub off"; exit 1; }
 
 echo "== multi-process failover smoke: 2 primaries + warm standbys, kill one mid-traffic =="
 # Two shards behind the CLI's consistent-hash cluster mode, each primary

@@ -54,6 +54,7 @@ Server::Server(sgx::Enclave& enclave, kv::KeyValueStore& store,
   coalesced_batches_ = &metrics_->GetCounter("net.coalesced.batches");
   coalesced_ops_ = &metrics_->GetCounter("net.coalesced.ops");
   coalesce_depth_ = &metrics_->GetHistogram("net.coalesce_depth");
+  maintenance_ticks_ = &metrics_->GetCounter("net.maintenance_ticks");
   watch_ = store_.durability_watch();
 }
 
@@ -200,7 +201,7 @@ void Server::MaintenanceLoop() {
     // spans from every I/O and responder thread, and overflow drops are
     // bounded by one maintenance interval.
     obs::TraceDrain();
-    maintenance_ticks_.fetch_add(1, std::memory_order_relaxed);
+    maintenance_ticks_->Inc();
     lock.lock();
     maintenance_cv_.wait_for(lock, interval, [this] {
       return stopping_.load(std::memory_order_acquire);
@@ -588,7 +589,6 @@ void Server::EnclaveWorkerLoop() {
 
 obs::MetricsSnapshot Server::BuildStatsSnapshot() {
   obs::MetricsSnapshot snap = metrics_->Snapshot();
-  snap.SetCounter("net.maintenance_ticks", maintenance_ticks_.load(std::memory_order_relaxed));
   // Store-level stats through the kv interface (atomic per-field folds).
   const kv::StoreStats ss = store_.stats();
   snap.SetCounter("store.gets", ss.gets);
@@ -623,9 +623,6 @@ obs::MetricsSnapshot Server::BuildStatsSnapshot() {
   snap.SetCounter("sgx.ocalls", enclave_.boundary().ocall_count());
   if (hotcalls_ != nullptr) {
     snap.SetCounter("sgx.hotcalls", hotcalls_->calls_served());
-  }
-  if (options_.stats_augment) {
-    options_.stats_augment(snap);
   }
   return snap;
 }

@@ -79,12 +79,6 @@ struct ServerOptions {
   // the net layer stays ignorant of replication semantics.
   std::function<Response(const Request&)> replicate_handler;
 
-  // Optional extension hook for BuildStatsSnapshot: the deployment adds
-  // component stats the net layer cannot see (WAL shards, self-healer,
-  // per-partition quarantine) before the snapshot is encoded for kStats or
-  // rendered for the daemon's --stats line.
-  std::function<void(obs::MetricsSnapshot&)> stats_augment;
-
   // Background maintenance, run on a dedicated thread for the server's
   // lifetime: called every maintenance_interval_ms while serving. The
   // self-healing deployment points this at SelfHealer::Tick so the paced
@@ -114,9 +108,6 @@ class Server {
   // (net.requests, net.batches, ...; see ServerOptions::metrics). Servers
   // sharing a registry share the totals; a SHIELD_METRICS=OFF build reads 0.
   uint64_t requests_served() const { return requests_->Value(); }
-  uint64_t maintenance_ticks() const {
-    return maintenance_ticks_.load(std::memory_order_relaxed);
-  }
   size_t live_sessions() const { return reactor_ != nullptr ? reactor_->live_sessions() : 0; }
 
   // Batching observability: frames carrying kBatch, the sub-ops they held,
@@ -132,10 +123,12 @@ class Server {
   uint64_t coalesced_ops() const { return coalesced_ops_->Value(); }
 
   // One tear-free fold of everything observable from this server: the
-  // registry (per-verb counters, latency + stage histograms), the store's
-  // kv::StoreStats, EPC paging and crossing counters from the enclave, and
-  // whatever the deployment's stats_augment hook adds. This is the payload
-  // of the kStats protocol verb and the daemon's --stats line.
+  // registry (per-verb counters, latency + stage histograms, and whatever
+  // the storage layers recorded there when they share it: partition health,
+  // WAL, self-heal), plus the engine's own counters bridged at read time —
+  // the store's kv::StoreStats, EPC paging and crossing counters from the
+  // enclave. This is the payload of the kStats protocol verb and the
+  // daemon's --stats line.
   obs::MetricsSnapshot BuildStatsSnapshot();
 
  private:
@@ -191,7 +184,6 @@ class Server {
   std::thread maintenance_thread_;
   std::mutex maintenance_mutex_;
   std::condition_variable maintenance_cv_;  // wakes the thread on Stop()
-  std::atomic<uint64_t> maintenance_ticks_{0};
 
   // Metric handles, cached at construction (registry lookups take a mutex).
   // Verb-indexed arrays use the raw opcode (1..10); slot 0 stays null.
@@ -211,6 +203,7 @@ class Server {
   obs::Counter* coalesced_batches_ = nullptr;         // net.coalesced.batches
   obs::Counter* coalesced_ops_ = nullptr;             // net.coalesced.ops
   obs::Histogram* coalesce_depth_ = nullptr;          // net.coalesce_depth
+  obs::Counter* maintenance_ticks_ = nullptr;         // net.maintenance_ticks
 };
 
 }  // namespace shield::net

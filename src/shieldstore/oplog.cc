@@ -128,6 +128,10 @@ OperationLog::OperationLog(const sgx::SealingService& sealer,
     : sealer_(sealer), counters_(counters), options_(options) {
   obs::Registry* reg =
       options_.metrics != nullptr ? options_.metrics : &obs::Registry::Global();
+  records_ = &reg->GetCounter("wal.records");
+  commits_ = &reg->GetCounter("wal.commits");
+  fsyncs_ = &reg->GetCounter("wal.fsyncs");
+  log_bytes_gauge_ = &reg->GetGauge("wal.log_bytes");
   fsync_latency_ = &reg->GetHistogram("wal.fsync_ns");
   counter_bump_latency_ = &reg->GetHistogram("wal.counter_bump_ns");
   if (options_.shard_index >= 0) {
@@ -143,6 +147,16 @@ OperationLog::~OperationLog() {
       (void)Commit();
     }
     std::fclose(file_);
+  }
+  log_bytes_gauge_->Add(-published_log_bytes_);
+}
+
+void OperationLog::PublishLogBytes() {
+  const auto bytes = static_cast<int64_t>(log_bytes_.load(std::memory_order_relaxed));
+  log_bytes_gauge_->Add(bytes - published_log_bytes_);
+  published_log_bytes_ = bytes;
+  if (shard_log_bytes_ != nullptr) {
+    shard_log_bytes_->Set(bytes);
   }
 }
 
@@ -165,6 +179,7 @@ Status OperationLog::Open() {
     std::fseek(file_, 0, SEEK_END);
     const long size = std::ftell(file_);
     log_bytes_.store(size > 0 ? static_cast<uint64_t>(size) : 0, std::memory_order_relaxed);
+    PublishLogBytes();
     return Status::Ok();
   }
   if (scanned.code() != Code::kNotFound) {
@@ -191,6 +206,7 @@ Status OperationLog::Open() {
     return Status(Code::kIoError, "cannot flush log header");
   }
   log_bytes_.store(8, std::memory_order_relaxed);
+  PublishLogBytes();
   return Status::Ok();
 }
 
@@ -212,11 +228,12 @@ Status OperationLog::AppendRecord(uint8_t op, std::string_view key, std::string_
   return Status::Ok();
 }
 
-Status OperationLog::AppendSet(std::string_view key, std::string_view value) {
-  if (Status s = AppendRecord(kOpSet, key, value); !s.ok()) {
+Status OperationLog::AppendMutation(uint8_t op, std::string_view key,
+                                    std::string_view value) {
+  if (Status s = AppendRecord(op, key, value); !s.ok()) {
     return s;
   }
-  records_logged_.fetch_add(1, std::memory_order_relaxed);
+  records_->Inc();
   if (shard_records_ != nullptr) {
     shard_records_->Inc();
   }
@@ -224,16 +241,12 @@ Status OperationLog::AppendSet(std::string_view key, std::string_view value) {
   return Status::Ok();
 }
 
+Status OperationLog::AppendSet(std::string_view key, std::string_view value) {
+  return AppendMutation(kOpSet, key, value);
+}
+
 Status OperationLog::AppendDelete(std::string_view key) {
-  if (Status s = AppendRecord(kOpDelete, key, ""); !s.ok()) {
-    return s;
-  }
-  records_logged_.fetch_add(1, std::memory_order_relaxed);
-  if (shard_records_ != nullptr) {
-    shard_records_->Inc();
-  }
-  ++uncommitted_;
-  return Status::Ok();
+  return AppendMutation(kOpDelete, key, "");
 }
 
 Status OperationLog::LogSet(std::string_view key, std::string_view value) {
@@ -292,12 +305,9 @@ Status OperationLog::CommitPrepare() {
     return Status(Code::kIoError, "log flush failed");
   }
   uncommitted_ = 0;
-  commits_.fetch_add(1, std::memory_order_relaxed);
-  if (shard_log_bytes_ != nullptr) {
-    // Commit cadence keeps the gauge off the per-append hot path.
-    shard_log_bytes_->Set(
-        static_cast<int64_t>(log_bytes_.load(std::memory_order_relaxed)));
-  }
+  commits_->Inc();
+  // Commit cadence keeps the gauges off the per-append hot path.
+  PublishLogBytes();
   return Status::Ok();
 }
 
@@ -314,7 +324,7 @@ Status OperationLog::CommitSync() {
   }
   const uint64_t t_bump = obs::TimerStart();
   fsync_latency_->RecordCycles(t_bump - t_fsync);
-  fsyncs_.fetch_add(1, std::memory_order_relaxed);
+  fsyncs_->Inc();
   // One counter bump per group — the amortization that makes fine-grained
   // logging viable (§7). Only now does the group become the one true
   // committed state.
@@ -361,9 +371,7 @@ Status OperationLog::Reset() {
     return Status(Code::kIoError, "cannot write log header");
   }
   log_bytes_.store(8, std::memory_order_relaxed);
-  if (shard_log_bytes_ != nullptr) {
-    shard_log_bytes_->Set(8);
-  }
+  PublishLogBytes();
   // Bind the fresh epoch immediately so a replay of the *previous* log epoch
   // fails the counter check.
   return Commit();

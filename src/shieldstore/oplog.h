@@ -99,12 +99,12 @@ struct OpLogOptions {
   // thread at a time. 0 = auto (bounded by the hardware); 1 = sequential.
   size_t replay_threads = 0;
 
-  // Observability: registry receiving the WAL-append / commit-wait stage
-  // histograms and the group-commit batch-size distribution (interpreted by
-  // WriteAheadStore), plus the log's own shard-local metrics (interpreted
-  // here: wal.fsync_ns and wal.counter_bump_ns latencies, and per-shard
-  // record/size series when shard_index >= 0). nullptr uses
-  // obs::Registry::Global().
+  // Observability: the registry every WAL metric is recorded in, by
+  // WriteAheadStore (stage histograms, commit batches, compaction and
+  // shipping), by its SelfHealer (heal.*) and by the log itself
+  // (wal.records/commits/fsyncs/log_bytes, fsync and counter-bump latency,
+  // per-shard series when shard_index >= 0). Counts belong to the registry:
+  // logs sharing one share the totals. nullptr uses obs::Registry::Global().
   obs::Registry* metrics = nullptr;
   // Which WAL shard this log backs; >= 0 registers wal.shard<i>.records and
   // wal.shard<i>.log_bytes under `metrics`. -1 (standalone logs, replay-only
@@ -151,9 +151,6 @@ class OperationLog {
   // Truncates the log (after a successful snapshot subsumes it).
   Status Reset();
 
-  uint64_t records_logged() const { return records_logged_.load(std::memory_order_relaxed); }
-  uint64_t commits() const { return commits_.load(std::memory_order_relaxed); }
-  uint64_t fsyncs() const { return fsyncs_.load(std::memory_order_relaxed); }
   // Bytes appended to the log file (header + frames), tracked so the
   // compactor can bound log growth without stat() calls.
   uint64_t log_bytes() const { return log_bytes_.load(std::memory_order_relaxed); }
@@ -171,6 +168,10 @@ class OperationLog {
 
  private:
   Status AppendRecord(uint8_t op, std::string_view key, std::string_view value);
+  // AppendRecord for a set/delete, counted as a logged mutation.
+  Status AppendMutation(uint8_t op, std::string_view key, std::string_view value);
+  // Brings the log-bytes gauges up to log_bytes_ (Open, commit, Reset).
+  void PublishLogBytes();
 
   const sgx::SealingService& sealer_;
   sgx::MonotonicCounterService& counters_;
@@ -185,17 +186,20 @@ class OperationLog {
   // service after Open or a failed commit (see CommitPrepare).
   uint64_t counter_value_ = 0;
   bool counter_known_ = false;
-  // Stats are atomics so WalStats reads never take the shard lock.
-  std::atomic<uint64_t> records_logged_{0};
-  std::atomic<uint64_t> commits_{0};
-  std::atomic<uint64_t> fsyncs_{0};
+  // Atomic so the compactor reads it without the shard lock.
   std::atomic<uint64_t> log_bytes_{0};
+  int64_t published_log_bytes_ = 0;  // this log's share of wal.log_bytes
   // Registry handles cached at construction (OpLogOptions::metrics). The
-  // log-bytes gauge updates only at commit/reset cadence, never per append.
-  obs::Histogram* fsync_latency_ = nullptr;  // wal.fsync_ns
+  // log-bytes gauges update only at open/commit/reset cadence, never per
+  // append.
+  obs::Counter* records_ = nullptr;                 // wal.records
+  obs::Counter* commits_ = nullptr;                 // wal.commits
+  obs::Counter* fsyncs_ = nullptr;                  // wal.fsyncs
+  obs::Gauge* log_bytes_gauge_ = nullptr;           // wal.log_bytes, summed over logs
+  obs::Histogram* fsync_latency_ = nullptr;         // wal.fsync_ns
   obs::Histogram* counter_bump_latency_ = nullptr;  // wal.counter_bump_ns
-  obs::Counter* shard_records_ = nullptr;    // wal.shard<i>.records
-  obs::Gauge* shard_log_bytes_ = nullptr;    // wal.shard<i>.log_bytes
+  obs::Counter* shard_records_ = nullptr;           // wal.shard<i>.records
+  obs::Gauge* shard_log_bytes_ = nullptr;           // wal.shard<i>.log_bytes
 };
 
 }  // namespace shield::shieldstore

@@ -1,7 +1,6 @@
 #include "src/shieldstore/partitioned.h"
 
 #include "src/obs/audit.h"
-#include "src/obs/snapshot.h"
 
 #include <unistd.h>
 
@@ -90,6 +89,9 @@ PartitionedStore::PartitionedStore(sgx::Enclave& enclave, const Options& options
                                    size_t partitions)
     : enclave_(enclave), base_options_(options), persist_(!options.persist_dir.empty()) {
   enclave_.ReadRand(MutableByteSpan(route_key_.data(), route_key_.size()));
+  metrics_ = options.metrics != nullptr ? options.metrics : &obs::Registry::Global();
+  scrub_cycles_ = &metrics_->GetCounter("store.scrub_cycles");
+  quarantined_count_ = &metrics_->GetGauge("store.quarantined");
   const size_t count = std::max<size_t>(partitions, 1);
   Options per_partition = PartitionOptions(count);
   if (persist_) {
@@ -120,8 +122,12 @@ PartitionedStore::PartitionedStore(sgx::Enclave& enclave, const Options& options
     }
     partitions_.push_back(std::make_unique<Store>(enclave_, per_partition));
     locks_.push_back(std::make_unique<std::mutex>());
-    quarantined_.push_back(std::make_unique<std::atomic<bool>>(!usable));
+    quarantined_.push_back(std::make_unique<std::atomic<bool>>(false));
+    if (!usable) {
+      SetQuarantined(i, true);
+    }
   }
+  metrics_->GetGauge("store.partitions").Set(static_cast<int64_t>(count));
 }
 
 Options PartitionedStore::PartitionOptions(size_t count) const {
@@ -172,7 +178,7 @@ size_t PartitionedStore::PartitionOf(std::string_view key) const {
 
 void PartitionedStore::NoteOutcome(size_t p, const Status& s) {
   if (s.code() == Code::kIntegrityFailure || s.code() == Code::kRollbackDetected) {
-    if (!quarantined_[p]->exchange(true, std::memory_order_release)) {
+    if (SetQuarantined(p, true)) {
       // Transition only: a quarantined partition fast-fails every op, so
       // auditing each outcome would flood the chain with duplicates.
       obs::AuditEvent(obs::AuditType::kQuarantineEnter,
@@ -204,20 +210,17 @@ size_t PartitionedStore::QuarantinedCount() const {
   return count;
 }
 
-void PartitionedStore::BridgeStats(obs::MetricsSnapshot& snap) const {
-  snap.SetGauge("store.partitions", static_cast<int64_t>(partitions_.size()));
-  snap.SetCounter("store.scrub_cycles", scrub_cycles_.load(std::memory_order_relaxed));
-  int64_t quarantined = 0;
-  for (size_t p = 0; p < quarantined_.size(); ++p) {
-    const bool q = quarantined_[p]->load(std::memory_order_acquire);
-    quarantined += q ? 1 : 0;
-    if (q) {
-      // One gauge per quarantined partition: operators see WHICH partition
-      // is recovering, not just how many. Healthy partitions emit nothing.
-      snap.SetGauge("store.partition." + std::to_string(p) + ".quarantined", 1);
-    }
+bool PartitionedStore::SetQuarantined(size_t p, bool quarantined) {
+  if (quarantined_[p]->exchange(quarantined, std::memory_order_release) == quarantined) {
+    return false;
   }
-  snap.SetGauge("store.quarantined", quarantined);
+  quarantined_count_->Add(quarantined ? 1 : -1);
+  // One gauge per partition ever quarantined: operators see WHICH partition
+  // is recovering, not just how many. Never-quarantined partitions emit
+  // nothing. Registered here, on the rare transition path.
+  metrics_->GetGauge("store.partition." + std::to_string(p) + ".quarantined")
+      .Set(quarantined ? 1 : 0);
+  return true;
 }
 
 Status PartitionedStore::ScrubAll() {
@@ -270,7 +273,7 @@ Status PartitionedStore::ScrubTick(size_t bucket_budget) {
     }
     if (report.cycle_complete) {
       if (p + 1 == partitions_.size()) {
-        scrub_cycles_.fetch_add(1, std::memory_order_relaxed);
+        scrub_cycles_->Inc();
       }
       scrub_partition_.store(p + 1, std::memory_order_relaxed);
     }
@@ -463,7 +466,7 @@ Status PartitionedStore::RecoverPartition(size_t p, const sgx::SealingService& s
     }
   }
   partitions_[p] = std::move(restored.value());
-  if (quarantined_[p]->exchange(false, std::memory_order_release)) {
+  if (SetQuarantined(p, false)) {
     obs::AuditEvent(obs::AuditType::kQuarantineExit,
                     "partition " + std::to_string(p) + " rebuilt from snapshot+log");
   }
@@ -584,7 +587,7 @@ Status PartitionedStore::AttachPersistent(const sgx::SealingService& sealer,
     }
     if (Status s = AttachPartitionLocked(p, sealer, counters); !s.ok()) {
       attach_failed_.store(true, std::memory_order_release);
-      if (!quarantined_[p]->exchange(true, std::memory_order_release)) {
+      if (SetQuarantined(p, true)) {
         obs::AuditEvent(obs::AuditType::kQuarantineEnter,
                         "partition " + std::to_string(p) + " attach refused: " + s.message());
       }
@@ -615,7 +618,7 @@ Status PartitionedStore::RecoverPersistPartition(size_t p) {
   if (!report.status.ok()) {
     return report.status;
   }
-  if (quarantined_[p]->exchange(false, std::memory_order_release)) {
+  if (SetQuarantined(p, false)) {
     obs::AuditEvent(obs::AuditType::kQuarantineExit,
                     "partition " + std::to_string(p) + " persistent scrub clean");
   }

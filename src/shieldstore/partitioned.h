@@ -77,13 +77,6 @@ class PartitionedStore : public kv::BatchFirstStore {
   // violation found this tick (Ok otherwise, including when every healthy
   // partition was skipped because all are quarantined).
   Status ScrubTick(size_t bucket_budget = 0);
-  // Completed full-store scrub passes (every partition wrapped once).
-  uint64_t scrub_cycles() const { return scrub_cycles_.load(std::memory_order_relaxed); }
-
-  // Folds partition-level health (partition count, quarantined set, scrub
-  // progress) into a metrics snapshot (store.* namespace) — wired into the
-  // server's kStats frame via ServerOptions::stats_augment.
-  void BridgeStats(obs::MetricsSnapshot& snap) const;
 
   // Runs `fn` on partition `p`'s store while holding that partition's
   // facade lock — maintenance/adversary access that stays atomic with
@@ -214,6 +207,9 @@ class PartitionedStore : public kv::BatchFirstStore {
   Status EnsureManifest(const std::string& directory) const;
   // Quarantines partition `p` when `s` carries an integrity-class code.
   void NoteOutcome(size_t p, const Status& s);
+  // Sets partition `p`'s quarantine flag; true if that changed it, and then
+  // the store.quarantined and store.partition.<p>.quarantined gauges follow.
+  bool SetQuarantined(size_t p, bool quarantined);
   Status QuarantineGuard(size_t p) const;
 
   sgx::Enclave& enclave_;
@@ -234,7 +230,12 @@ class PartitionedStore : public kv::BatchFirstStore {
   // ScrubTick round-robin state (atomic so a second caller is merely
   // wasteful, not racy).
   std::atomic<size_t> scrub_partition_{0};
-  std::atomic<uint64_t> scrub_cycles_{0};
+
+  // Partition health in the registry (Options::metrics): store.partitions
+  // is set at construction, the rest recorded as it happens.
+  obs::Registry* metrics_ = nullptr;
+  obs::Counter* scrub_cycles_ = nullptr;     // store.scrub_cycles: full-store passes
+  obs::Gauge* quarantined_count_ = nullptr;  // store.quarantined
 };
 
 }  // namespace shield::shieldstore

@@ -10,7 +10,6 @@
 #include "src/common/cycles.h"
 #include "src/common/logging.h"
 #include "src/obs/audit.h"
-#include "src/obs/snapshot.h"
 #include "src/obs/tracer.h"
 
 namespace shield::shieldstore {
@@ -70,8 +69,13 @@ WriteAheadStore::WriteAheadStore(PartitionedStore& inner, const sgx::SealingServ
   commit_batch_hist_ = &metrics_->GetHistogram("wal.commit_batch_ops");
   group_commits_ = &metrics_->GetCounter("wal.group_commits");
   compacted_bytes_ = &metrics_->GetCounter("wal.compacted_bytes");
+  compactions_ = &metrics_->GetCounter("wal.compactions");
+  shipped_records_ = &metrics_->GetCounter("wal.shipped_records");
+  ship_failures_ = &metrics_->GetCounter("wal.ship_failures");
+  replication_attached_ = &metrics_->GetGauge("wal.replication_attached");
   metrics_->GetGauge("wal.window_us").Set(static_cast<int64_t>(options_.group_commit_window_us));
   BuildShards();
+  metrics_->GetGauge("wal.shards").Set(static_cast<int64_t>(shards_.size()));
 }
 
 WriteAheadStore::~WriteAheadStore() { StopCommitters(); }
@@ -87,7 +91,6 @@ void WriteAheadStore::BuildShards() {
     auto s = std::make_unique<Shard>(std::move(per_shard));
     s->index = i;
     const std::string prefix = "wal.shard" + std::to_string(i) + ".";
-    s->ctr_appends = &metrics_->GetCounter(prefix + "appends");
     s->ctr_commit_waits = &metrics_->GetCounter(prefix + "commit_waits");
     s->ctr_compactions = &metrics_->GetCounter(prefix + "compactions");
     shards_.push_back(std::move(s));
@@ -97,6 +100,7 @@ void WriteAheadStore::BuildShards() {
 
 void WriteAheadStore::SetReplicationSink(ReplicationSink* sink) {
   sink_.store(sink, std::memory_order_release);
+  replication_attached_->Set(sink != nullptr ? 1 : 0);
 }
 
 void WriteAheadStore::ShipLocked(Shard& s) {
@@ -114,9 +118,9 @@ void WriteAheadStore::ShipLocked(Shard& s) {
   const size_t n = ops.size();
   s.ship_seq += n;
   if (sink->ShipCommitted(s.index, first, std::move(ops)).ok()) {
-    shipped_records_.fetch_add(n, std::memory_order_relaxed);
+    shipped_records_->Inc(n);
   } else {
-    ship_failures_.fetch_add(1, std::memory_order_relaxed);
+    ship_failures_->Inc();
   }
 }
 
@@ -155,7 +159,6 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
     // group_commit_ops records.
     Status st = is_delete ? s.log->LogDelete(key) : s.log->LogSet(key, value);
     if (st.ok()) {
-      s.ctr_appends->Inc();
       if (sink_.load(std::memory_order_acquire) != nullptr) {
         // No committer runs in this mode to drain the buffer later, so ship
         // each record under the lock, right behind its append.
@@ -173,7 +176,6 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
     return st;
   }
   ++s.appended;
-  s.ctr_appends->Inc();
   if (sink_.load(std::memory_order_acquire) != nullptr) {
     // Captured now, shipped by the committer once the record's group
     // fsyncs — the record order in pending_ship is the shard's apply order.
@@ -332,11 +334,11 @@ void WriteAheadStore::CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& 
       const size_t n = to_ship.size();
       if (sink != nullptr && sink->ShipCommitted(s.index, ship_first,
                                                  std::move(to_ship)).ok()) {
-        shipped_records_.fetch_add(n, std::memory_order_relaxed);
+        shipped_records_->Inc(n);
       } else {
         // Sink rejected (or vanished): the invariant degrades to acked ⇒
         // logged ∧ recoverable-from-local-WAL; the primary keeps serving.
-        ship_failures_.fetch_add(1, std::memory_order_relaxed);
+        ship_failures_->Inc();
       }
     }
     lock.lock();
@@ -617,7 +619,7 @@ Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& dire
   // `appended`/`durable` (and ship_seq) run on across the truncation: held
   // requirements and parked waiters name sequences in that space.
   s.ctr_compactions->Inc();
-  compactions_.fetch_add(1, std::memory_order_relaxed);
+  compactions_->Inc();
   return Status::Ok();
 }
 
@@ -792,40 +794,27 @@ const OpLogOptions& WriteAheadStore::shard_log_options(size_t shard_index) const
 
 WalStats WriteAheadStore::Stats() const {
   WalStats total;
+  // The logs own these three (registered in the same registry).
+  total.records_logged = metrics_->GetCounter("wal.records").Value();
+  total.commits = metrics_->GetCounter("wal.commits").Value();
+  total.fsyncs = metrics_->GetCounter("wal.fsyncs").Value();
+  total.compactions = compactions_->Value();
+  total.shipped_records = shipped_records_->Value();
+  total.ship_failures = ship_failures_->Value();
   total.shards = shards_.size();
-  total.compactions = compactions_.load(std::memory_order_relaxed);
-  total.shipped_records = shipped_records_.load(std::memory_order_relaxed);
-  total.ship_failures = ship_failures_.load(std::memory_order_relaxed);
-  for (const auto& shard_ptr : shards_) {
-    if (shard_ptr->log == nullptr) {
-      continue;
-    }
-    total.records_logged += shard_ptr->log->records_logged();
-    total.commits += shard_ptr->log->commits();
-    total.fsyncs += shard_ptr->log->fsyncs();
-    total.log_bytes += shard_ptr->log->log_bytes();
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    total.log_bytes += ShardLogBytes(s);
   }
   return total;
-}
-
-void WriteAheadStore::BridgeStats(obs::MetricsSnapshot& snap) const {
-  const WalStats ws = Stats();
-  snap.SetCounter("wal.records", ws.records_logged);
-  snap.SetCounter("wal.commits", ws.commits);
-  snap.SetCounter("wal.fsyncs", ws.fsyncs);
-  snap.SetCounter("wal.compactions", ws.compactions);
-  snap.SetGauge("wal.log_bytes", static_cast<int64_t>(ws.log_bytes));
-  snap.SetGauge("wal.shards", static_cast<int64_t>(ws.shards));
-  snap.SetCounter("wal.shipped_records", ws.shipped_records);
-  snap.SetCounter("wal.ship_failures", ws.ship_failures);
-  snap.SetGauge("wal.replication_attached",
-                sink_.load(std::memory_order_acquire) != nullptr ? 1 : 0);
 }
 
 SelfHealer::SelfHealer(WriteAheadStore& wal, const sgx::SealingService& sealer,
                        sgx::MonotonicCounterService& counters, SelfHealOptions options)
     : wal_(wal), sealer_(sealer), counters_(counters), options_(std::move(options)),
-      attempts_(wal_.inner().num_partitions(), 0) {}
+      attempts_(wal_.inner().num_partitions(), 0),
+      recoveries_(&wal_.metrics().GetCounter("heal.recoveries")),
+      failed_recoveries_(&wal_.metrics().GetCounter("heal.failed_recoveries")),
+      violations_(&wal_.metrics().GetCounter("heal.violations_detected")) {}
 
 Status SelfHealer::Restore() {
   return wal_.RestoreFromDisk(options_.directory);
@@ -886,9 +875,7 @@ bool SelfHealer::CompactOne() {
     }
     compact_cursor_.store(s + 1, std::memory_order_relaxed);
     const Status st = wal_.CompactShard(s, options_.directory);
-    if (st.ok()) {
-      compactions_.fetch_add(1, std::memory_order_relaxed);
-    } else if (st.code() != Code::kPartitionRecovering) {
+    if (!st.ok() && st.code() != Code::kPartitionRecovering) {
       // Deferred-behind-recovery is expected; anything else is operator news.
       std::lock_guard<std::mutex> lock(error_mutex_);
       last_error_ = st;
@@ -899,7 +886,6 @@ bool SelfHealer::CompactOne() {
 }
 
 void SelfHealer::Tick() {
-  ticks_.fetch_add(1, std::memory_order_relaxed);
   PartitionedStore& store = wal_.inner();
   for (size_t p = 0; p < store.num_partitions(); ++p) {
     if (!store.IsQuarantined(p)) {
@@ -911,14 +897,14 @@ void SelfHealer::Tick() {
     }
     const Status s = RecoverOne(p);
     if (s.ok()) {
-      recoveries_.fetch_add(1, std::memory_order_relaxed);
+      recoveries_->Inc();
       attempts_[p] = 0;
       char detail[64];
       std::snprintf(detail, sizeof(detail), "partition %zu recovered and re-admitted", p);
       obs::AuditEvent(obs::AuditType::kRecovery, detail);
       SHIELD_LOG(Info) << "partition " << p << " recovered and re-admitted";
     } else {
-      failed_recoveries_.fetch_add(1, std::memory_order_relaxed);
+      failed_recoveries_->Inc();
       ++attempts_[p];
       std::lock_guard<std::mutex> lock(error_mutex_);
       last_error_ = s;
@@ -931,20 +917,12 @@ void SelfHealer::Tick() {
   if (options_.scrub) {
     const Status s = store.ScrubTick(options_.scrub_budget_buckets);
     if (!s.ok()) {
-      violations_detected_.fetch_add(1, std::memory_order_relaxed);
+      violations_->Inc();
       obs::AuditEvent(obs::AuditType::kScrubFinding, s.message());
       std::lock_guard<std::mutex> lock(error_mutex_);
       last_error_ = s;
     }
   }
-}
-
-void SelfHealer::BridgeStats(obs::MetricsSnapshot& snap) const {
-  snap.SetCounter("heal.ticks", ticks());
-  snap.SetCounter("heal.recoveries", recoveries());
-  snap.SetCounter("heal.failed_recoveries", failed_recoveries());
-  snap.SetCounter("heal.violations_detected", violations_detected());
-  snap.SetCounter("heal.compactions", compactions());
 }
 
 }  // namespace shield::shieldstore

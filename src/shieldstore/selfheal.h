@@ -68,8 +68,10 @@
 
 namespace shield::shieldstore {
 
-// Aggregated WAL observability (see ISSUE: the batching win must be visible
-// without a profiler). All counters are monotonic since Open().
+// Aggregated WAL observability, folded from the WAL's registry (see
+// OpLogOptions::metrics): the counters are per registry, so WALs sharing one
+// share the totals, and a SHIELD_METRICS=OFF build reads 0. log_bytes and
+// shards are this WAL's own.
 struct WalStats {
   uint64_t records_logged = 0;
   uint64_t commits = 0;
@@ -195,12 +197,8 @@ class WriteAheadStore : public kv::BatchFirstStore {
   uint64_t ShardLogBytes(size_t shard) const;
   const OpLogOptions& shard_log_options(size_t shard) const;
   WalStats Stats() const;
-  uint64_t records_logged() const { return Stats().records_logged; }
-
-  // Folds WalStats plus the group-commit batch-size histogram into a metrics
-  // snapshot (wal.* namespace) — wired into the server's kStats frame via
-  // ServerOptions::stats_augment.
-  void BridgeStats(obs::MetricsSnapshot& snap) const;
+  // The registry this WAL, its logs and its SelfHealer record into.
+  obs::Registry& metrics() const { return *metrics_; }
 
   // Installs (nullptr clears) the replication sink. From then on every
   // mutation record is captured at append time and handed to the sink once
@@ -239,7 +237,6 @@ class WriteAheadStore : public kv::BatchFirstStore {
     Status failed;  // latched fatal commit error: durability can no longer
                     // be promised, so every later mutation fails fast
     // Per-shard observability (wal.shard<i>.*), cached in BuildShards.
-    obs::Counter* ctr_appends = nullptr;
     obs::Counter* ctr_commit_waits = nullptr;
     obs::Counter* ctr_compactions = nullptr;
     std::atomic<int> maintenance{0};  // MaintenanceLocks held or waiting
@@ -289,7 +286,7 @@ class WriteAheadStore : public kv::BatchFirstStore {
   // and maintenance-commit paths; the committer instead steals the buffer
   // under the lock and ships outside it). Clears the buffer without
   // shipping when no sink is installed. Never fails the caller: a sink
-  // rejection only bumps ship_failures_.
+  // rejection only bumps wal.ship_failures.
   void ShipLocked(Shard& s);
   std::vector<OpLogOptions> ShardLogsOnDisk() const;
 
@@ -320,10 +317,7 @@ class WriteAheadStore : public kv::BatchFirstStore {
   std::condition_variable turn_cv_;
   uint64_t turn_next_ = 0;     // next ticket to hand out
   uint64_t turn_serving_ = 0;  // ticket whose turn it is
-  std::atomic<uint64_t> compactions_{0};
   std::atomic<ReplicationSink*> sink_{nullptr};
-  std::atomic<uint64_t> shipped_records_{0};
-  std::atomic<uint64_t> ship_failures_{0};
   kv::DurabilityWatch watch_;  // per-shard durable watermarks, as published
 
   // Metric handles cached at construction (see OpLogOptions::metrics).
@@ -331,6 +325,10 @@ class WriteAheadStore : public kv::BatchFirstStore {
   obs::Histogram* commit_batch_hist_ = nullptr;  // wal.commit_batch_ops (records/commit)
   obs::Counter* group_commits_ = nullptr;        // wal.group_commits
   obs::Counter* compacted_bytes_ = nullptr;      // wal.compacted_bytes
+  obs::Counter* compactions_ = nullptr;          // wal.compactions
+  obs::Counter* shipped_records_ = nullptr;      // wal.shipped_records
+  obs::Counter* ship_failures_ = nullptr;        // wal.ship_failures
+  obs::Gauge* replication_attached_ = nullptr;   // wal.replication_attached
 };
 
 struct SelfHealOptions {
@@ -342,7 +340,7 @@ struct SelfHealOptions {
   // Run the paced background scrub on idle ticks.
   bool scrub = true;
   // Stop retrying a partition after this many consecutive failed recovery
-  // attempts (it stays quarantined; operators see failed_recoveries()).
+  // attempts (it stays quarantined; operators see heal.failed_recoveries).
   int max_recovery_attempts = 8;
   // Compact a shard's log once it exceeds this many bytes (0 = never).
   // Ticks check one shard per call, round-robin, after recovery work.
@@ -378,19 +376,12 @@ class SelfHealer {
   // Single-threaded driver assumed.
   void Tick();
 
-  uint64_t ticks() const { return ticks_.load(std::memory_order_relaxed); }
-  uint64_t recoveries() const { return recoveries_.load(std::memory_order_relaxed); }
-  uint64_t failed_recoveries() const {
-    return failed_recoveries_.load(std::memory_order_relaxed);
-  }
-  uint64_t violations_detected() const {
-    return violations_detected_.load(std::memory_order_relaxed);
-  }
-  uint64_t compactions() const { return compactions_.load(std::memory_order_relaxed); }
+  // The heal.* counters, read from the WAL's registry (per registry, like
+  // WalStats).
+  uint64_t recoveries() const { return recoveries_->Value(); }
+  uint64_t failed_recoveries() const { return failed_recoveries_->Value(); }
+  uint64_t violations_detected() const { return violations_->Value(); }
   Status last_error() const;
-
-  // Folds healer state into a metrics snapshot (heal.* namespace).
-  void BridgeStats(obs::MetricsSnapshot& snap) const;
 
  private:
   Status RecoverOne(size_t p);
@@ -403,11 +394,9 @@ class SelfHealer {
   SelfHealOptions options_;
 
   std::vector<int> attempts_;  // consecutive failed recoveries per partition
-  std::atomic<uint64_t> ticks_{0};
-  std::atomic<uint64_t> recoveries_{0};
-  std::atomic<uint64_t> failed_recoveries_{0};
-  std::atomic<uint64_t> violations_detected_{0};
-  std::atomic<uint64_t> compactions_{0};
+  obs::Counter* recoveries_ = nullptr;         // heal.recoveries
+  obs::Counter* failed_recoveries_ = nullptr;  // heal.failed_recoveries
+  obs::Counter* violations_ = nullptr;         // heal.violations_detected
   std::atomic<size_t> compact_cursor_{0};
   mutable std::mutex error_mutex_;
   Status last_error_;

@@ -329,8 +329,8 @@ class Store : public kv::KeyValueStore {
   size_t scrub_cursor_ = 0;  // next bucket ScrubStep audits
 
   // Relaxed atomics so stats() is tear-free even while a snapshot-epoch
-  // background reader or PartitionedStore::BridgeStats races the owner
-  // thread's increments (TSan-clean; see obs_test / concurrency_test).
+  // background reader or a stats snapshot races the owner thread's
+  // increments (TSan-clean; see obs_test / concurrency_test).
   struct AtomicStoreStats {
     std::atomic<uint64_t> gets{0};
     std::atomic<uint64_t> sets{0};

@@ -420,9 +420,10 @@ class BatchWalTest : public ::testing::Test {
   }
   ~BatchWalTest() override { std::filesystem::remove_all(dir_); }
 
-  shieldstore::OpLogOptions LogOptions() const {
+  shieldstore::OpLogOptions LogOptions() {
     shieldstore::OpLogOptions o;
     o.path = dir_ + "/wal.log";
+    o.metrics = &registry_;  // WalStats of this test's WALs only
     return o;
   }
 
@@ -446,6 +447,7 @@ class BatchWalTest : public ::testing::Test {
     return dump;
   }
 
+  obs::Registry registry_;  // this test's WALs only (LogOptions)
   sgx::Enclave enclave_;
   std::string dir_;
   std::unique_ptr<sgx::MonotonicCounterService> counters_;

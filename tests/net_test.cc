@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <thread>
 
 #include "src/common/rng.h"
@@ -20,6 +21,7 @@
 #include "src/net/server.h"
 #include "src/obs/tracer.h"
 #include "src/shieldstore/partitioned.h"
+#include "src/shieldstore/selfheal.h"
 
 namespace shield::net {
 namespace {
@@ -928,7 +930,6 @@ class StatsStack {
     store_options.metrics = &registry;
     store = std::make_unique<shieldstore::PartitionedStore>(enclave, store_options, 2);
     options.metrics = &registry;
-    options.stats_augment = [this](obs::MetricsSnapshot& snap) { store->BridgeStats(snap); };
     server = std::make_unique<Server>(enclave, *store, authority, options);
   }
 
@@ -991,7 +992,7 @@ TEST_F(NetEndToEndTest, StatsSnapshotOverTheWire) {
   EXPECT_GT(snap->CounterValue("sgx.epc.touches"), 0u);
   EXPECT_GT(snap->GaugeValue("sgx.epc.resident_pages"), 0);
 
-  // Partition health from the stats_augment hook.
+  // Partition health, recorded by the store into the shared registry.
   EXPECT_EQ(snap->GaugeValue("store.partitions"), 2);
   EXPECT_EQ(snap->GaugeValue("store.quarantined"), 0);
 
@@ -1007,6 +1008,71 @@ TEST_F(NetEndToEndTest, StatsSnapshotOverTheWire) {
   const obs::HistogramData* d_lat = d.Histogram("net.latency.get");
   ASSERT_NE(d_lat, nullptr);
   EXPECT_EQ(d_lat->count, 5u);
+}
+
+// The storage layers record into the registry they are given, so a server
+// sharing it reports partition health, WAL and self-heal metrics with no
+// hook — each event counted once.
+TEST_F(NetEndToEndTest, StatsSnapshotCarriesStorageMetricsWithoutAHook) {
+  const std::string dir =
+      ::testing::TempDir() + "/net_storage_stats_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  {
+    obs::Registry registry;
+    shieldstore::Options store_options = StoreOptions();
+    store_options.metrics = &registry;
+    shieldstore::PartitionedStore store(enclave_, store_options, 2);
+    sgx::SealingService sealer(AsBytes("fuse"), enclave_.measurement());
+    sgx::MonotonicCounterService::Options counter_opts;
+    counter_opts.backing_file = dir + "/counters.bin";
+    counter_opts.increment_cost_cycles = 0;
+    sgx::MonotonicCounterService counters(counter_opts);
+    shieldstore::OpLogOptions log_opts;
+    log_opts.path = dir + "/wal.log";
+    log_opts.group_commit_window_us = 50;
+    log_opts.metrics = &registry;
+    shieldstore::WriteAheadStore wal(store, sealer, counters, log_opts);
+    ASSERT_TRUE(wal.Open().ok());
+    shieldstore::SelfHealOptions heal_opts;
+    heal_opts.directory = dir + "/snapshots";
+    shieldstore::SelfHealer healer(wal, sealer, counters, heal_opts);
+    ASSERT_TRUE(healer.Start().ok());
+
+    ServerOptions options;
+    options.metrics = &registry;
+    options.maintenance = [&healer] { healer.Tick(); };
+    options.maintenance_interval_ms = 2;
+    Server server(enclave_, wal, authority_, options);
+    ASSERT_TRUE(server.Start().ok());
+    Client client(authority_, enclave_.measurement());
+    ASSERT_TRUE(client.Connect(server.port()).ok());
+    constexpr uint64_t kSets = 12;
+    for (uint64_t i = 0; i < kSets; ++i) {
+      ASSERT_TRUE(client.Set("k" + std::to_string(i), "v").ok());
+    }
+    ASSERT_TRUE(client.MSet({{"b1", "x"}, {"b2", "y"}}).ok());
+    ASSERT_TRUE(client.Get("k1").ok());
+
+    Result<obs::MetricsSnapshot> snap = client.Stats();
+    ASSERT_TRUE(snap.ok()) << snap.status().ToString();
+    EXPECT_EQ(snap->CounterValue("wal.records"), kSets + 2);  // one record per acked set
+    EXPECT_EQ(snap->GaugeValue("wal.shards"), static_cast<int64_t>(wal.num_shards()));
+    EXPECT_EQ(snap->GaugeValue("store.partitions"), 2);
+    EXPECT_EQ(snap->GaugeValue("store.quarantined", -1), 0);
+    EXPECT_TRUE(snap->Has("heal.recoveries"));
+    EXPECT_TRUE(snap->Has("net.maintenance_ticks"));
+    // Deleted duplicates: wal.shard<i>.records, net.maintenance_ticks and
+    // wal.compactions count the same events.
+    for (size_t s = 0; s < wal.num_shards(); ++s) {
+      EXPECT_FALSE(snap->Has("wal.shard" + std::to_string(s) + ".appends")) << s;
+    }
+    EXPECT_FALSE(snap->Has("heal.ticks"));
+    EXPECT_FALSE(snap->Has("heal.compactions"));
+    client.Close();
+    server.Stop();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(NetEndToEndTest, StatsWorksOverHotCalls) {

@@ -48,11 +48,12 @@ sgx::EnclaveConfig FastEnclave() {
   return c;
 }
 
-shieldstore::Options StoreOptions() {
+shieldstore::Options StoreOptions(obs::Registry* metrics) {
   shieldstore::Options o;
   o.num_buckets = 1024;
   o.heap_chunk_bytes = 1u << 20;
   o.scrub_budget_buckets = 128;
+  o.metrics = metrics;
   return o;
 }
 
@@ -63,7 +64,7 @@ class SelfHealNetTest : public ::testing::Test {
   SelfHealNetTest()
       : enclave_(FastEnclave()),
         authority_(AsBytes("ias-root")),
-        store_(enclave_, StoreOptions(), 4),
+        store_(enclave_, StoreOptions(&registry_), 4),
         sealer_(AsBytes("fuse"), enclave_.measurement()) {
     dir_ = ::testing::TempDir() + "/selfheal_" + std::to_string(::getpid()) + "_" +
            std::to_string(reinterpret_cast<uintptr_t>(this));
@@ -75,6 +76,7 @@ class SelfHealNetTest : public ::testing::Test {
 
     OpLogOptions log_opts;
     log_opts.path = dir_ + "/wal.log";
+    log_opts.metrics = &registry_;
     wal_ = std::make_unique<WriteAheadStore>(store_, sealer_, *counters_, log_opts);
 
     SelfHealOptions heal_opts;
@@ -93,6 +95,7 @@ class SelfHealNetTest : public ::testing::Test {
     ASSERT_TRUE(wal_->Open().ok());
     ASSERT_TRUE(healer_->Start().ok());
     ServerOptions options;
+    options.metrics = &registry_;
     options.maintenance = [this] { healer_->Tick(); };
     options.maintenance_interval_ms = 2;
     server_ = std::make_unique<Server>(enclave_, *wal_, authority_, options);
@@ -109,6 +112,7 @@ class SelfHealNetTest : public ::testing::Test {
     }
   }
 
+  obs::Registry registry_;  // the whole stack's, so counts are this test's
   sgx::Enclave enclave_;
   sgx::AttestationAuthority authority_;
   PartitionedStore store_;
@@ -317,6 +321,35 @@ TEST_F(SelfHealNetTest, BackgroundScrubDetectsAndHealsSilentTamper) {
     EXPECT_EQ(got.value(), value) << key;
   }
   EXPECT_TRUE(store_.ScrubAll().ok());
+}
+
+// Quarantine state lives in the registry: the transition into quarantine
+// raises store.quarantined and the partition's own gauge, and re-admission
+// by the healer lowers both.
+TEST_F(SelfHealNetTest, QuarantineGaugesFollowScrubAndRecovery) {
+  ASSERT_TRUE(wal_->Open().ok());
+  ASSERT_TRUE(healer_->Start().ok());
+  for (int i = 0; i < 100; ++i) {
+    ASSERT_TRUE(wal_->Set("gauge-" + std::to_string(i), "v").ok());
+  }
+  constexpr size_t kVictim = 2;
+  const std::string victim_gauge = "store.partition." + std::to_string(kVictim) + ".quarantined";
+  EXPECT_EQ(registry_.Snapshot().GaugeValue("store.quarantined", -1), 0);
+
+  TamperAgent agent(7);
+  ASSERT_TRUE(agent.TamperPartition(store_, kVictim, TamperMode::kMacForge).ok());
+  EXPECT_FALSE(store_.ScrubAll().ok());
+  ASSERT_TRUE(store_.IsQuarantined(kVictim));
+  obs::MetricsSnapshot snap = registry_.Snapshot();
+  EXPECT_EQ(snap.GaugeValue("store.quarantined", -1), 1);
+  EXPECT_EQ(snap.GaugeValue(victim_gauge, -1), 1);
+
+  healer_->Tick();  // recovery comes first in a tick
+  ASSERT_FALSE(store_.IsQuarantined(kVictim)) << healer_->last_error().ToString();
+  snap = registry_.Snapshot();
+  EXPECT_EQ(snap.GaugeValue("store.quarantined", -1), 0);
+  EXPECT_EQ(snap.GaugeValue(victim_gauge, 0), 0);
+  EXPECT_EQ(snap.CounterValue("heal.recoveries"), 1u);
 }
 
 }  // namespace

@@ -74,9 +74,10 @@ class WalShardingTest : public ::testing::Test {
   }
   ~WalShardingTest() override { std::filesystem::remove_all(dir_); }
 
-  OpLogOptions LogOptions() const {
+  OpLogOptions LogOptions() {
     OpLogOptions o;
     o.path = dir_ + "/wal.log";
+    o.metrics = &registry_;
     return o;
   }
   std::string SnapshotDir() const { return dir_ + "/snapshots"; }
@@ -165,6 +166,7 @@ class WalShardingTest : public ::testing::Test {
     boot("wal-sharding-c", target, 0, /*compact=*/false);
   }
 
+  obs::Registry registry_;  // this test's WALs only (LogOptions)
   sgx::Enclave enclave_;
   std::string dir_;
   std::unique_ptr<sgx::MonotonicCounterService> counters_;
@@ -276,7 +278,7 @@ TEST_F(WalShardingTest, CompactionBoundsLogGrowthWithZeroAckedLoss) {
   for (size_t t = 0; t < wal.num_shards(); ++t) {
     healer.Tick();  // let every shard take a final compaction turn
   }
-  EXPECT_GE(healer.compactions(), wal.num_shards());
+  EXPECT_GE(wal.Stats().compactions, wal.num_shards());
   // Bound: threshold + one inter-tick burst of records (8 per tick, times
   // the round-robin period) with framing slack.
   const uint64_t burst = 8 * wal.num_shards() * (value.size() + 64);
@@ -500,9 +502,37 @@ TEST_F(WalShardingTest, ShardLocalMetricsRegisterPerShardSeries) {
   EXPECT_GE(registry.GetHistogram("wal.fsync_ns").Data().count, wal.num_shards());
 }
 
+// Open of an existing log publishes its size: the log-bytes gauges read the
+// file's bytes before the first commit, not 0 until one.
+TEST_F(WalShardingTest, LogBytesGaugesAreCurrentRightAfterReopen) {
+  PartitionedStore store(enclave_, SmallOptions(), 2);
+  {
+    WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
+    ASSERT_TRUE(wal.Open().ok());
+    for (int i = 0; i < 32; ++i) {
+      ASSERT_TRUE(wal.Set("reopen-" + std::to_string(i), "v").ok());
+    }
+  }  // closing commits each shard's tail
+  obs::Registry fresh;
+  OpLogOptions log_opts = LogOptions();
+  log_opts.metrics = &fresh;
+  WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
+  ASSERT_TRUE(wal.Open().ok());
+  ASSERT_EQ(fresh.GetCounter("wal.commits").Value(), 0u);  // nothing committed yet
+  int64_t total = 0;
+  for (size_t s = 0; s < wal.num_shards(); ++s) {
+    const auto bytes = static_cast<int64_t>(wal.ShardLogBytes(s));
+    EXPECT_GT(bytes, 8) << "shard " << s << " holds only its header";
+    EXPECT_EQ(fresh.GetGauge("wal.shard" + std::to_string(s) + ".log_bytes").Value(), bytes)
+        << "shard " << s;
+    total += bytes;
+  }
+  EXPECT_EQ(fresh.GetGauge("wal.log_bytes").Value(), total);
+}
+
 // The group-commit window is the configured value, whatever the batch sizes:
 // solo writes (batches of one) and full-group bursts leave it alone, and
-// wal.window_us reports it both in the registry and after BridgeStats.
+// wal.window_us reports it in the registry.
 TEST_F(WalShardingTest, GroupCommitWindowIsTheConfiguredValue) {
   obs::Registry registry;
   PartitionedStore store(enclave_, SmallOptions(), 1);
@@ -514,9 +544,7 @@ TEST_F(WalShardingTest, GroupCommitWindowIsTheConfiguredValue) {
   WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
   ASSERT_TRUE(wal.Open().ok());
   const auto expect_configured = [&](const char* phase) {
-    obs::MetricsSnapshot snap = registry.Snapshot();
-    EXPECT_EQ(snap.GaugeValue("wal.window_us", -1), static_cast<int64_t>(window_us)) << phase;
-    wal.BridgeStats(snap);
+    const obs::MetricsSnapshot snap = registry.Snapshot();
     EXPECT_EQ(snap.GaugeValue("wal.window_us", -1), static_cast<int64_t>(window_us)) << phase;
   };
   expect_configured("at open");

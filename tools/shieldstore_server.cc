@@ -209,6 +209,54 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
   return true;
 }
 
+// printf's %llu takes unsigned long long, which uint64_t need not be.
+unsigned long long Ull(uint64_t v) { return static_cast<unsigned long long>(v); }
+
+// One metrics report, printed by the periodic reporter and at shutdown. The
+// "stats:" line covers `now` less `since` (a rate when `since` is an earlier
+// snapshot, whole-run totals when it is empty); the batch, WAL and
+// self-healing lines are cumulative.
+void PrintReport(const shield::obs::MetricsSnapshot& now,
+                 const shield::obs::MetricsSnapshot& since) {
+  const shield::obs::MetricsSnapshot d = shield::obs::Delta(since, now);
+  const uint64_t req = d.CounterValue("net.requests");
+  std::printf("stats: %llu req", Ull(req));
+  if (since.unix_nanos > 0 && d.unix_nanos > 0) {
+    std::printf(" (%.1f/s)", static_cast<double>(req) * 1e9 / static_cast<double>(d.unix_nanos));
+  }
+  std::printf(" | get %llu set %llu batch %llu (%llu sub-ops) | inflight %lld",
+              Ull(d.CounterValue("net.ops.get")), Ull(d.CounterValue("net.ops.set")),
+              Ull(d.CounterValue("net.ops.batch")), Ull(d.CounterValue("net.batch_ops")),
+              static_cast<long long>(now.GaugeValue("net.inflight")));
+  if (const auto* h = d.Histogram("net.latency.get"); h != nullptr && h->count > 0) {
+    std::printf(" | get p50/p95/p99 %.0f/%.0f/%.0f us", h->Quantile(0.50) / 1e3,
+                h->Quantile(0.95) / 1e3, h->Quantile(0.99) / 1e3);
+  }
+  const uint64_t batches = now.CounterValue("net.batches");
+  const uint64_t batch_ops = now.CounterValue("net.batch_ops");
+  std::printf("\nbatch: %llu batches, %llu sub-ops (mean %.1f/batch), %llu crossings saved, "
+              "%llu coalesced runs of %llu pipelined frames\n",
+              Ull(batches), Ull(batch_ops),
+              batches > 0 ? static_cast<double>(batch_ops) / static_cast<double>(batches) : 0.0,
+              Ull(now.CounterValue("net.crossings_saved")),
+              Ull(now.CounterValue("net.coalesced.batches")),
+              Ull(now.CounterValue("net.coalesced.ops")));
+  if (now.Has("wal.records")) {
+    std::printf("wal: %llu records, %llu commits, %llu fsyncs, %llu compactions, "
+                "%llu log bytes over %lld shards\n",
+                Ull(now.CounterValue("wal.records")), Ull(now.CounterValue("wal.commits")),
+                Ull(now.CounterValue("wal.fsyncs")), Ull(now.CounterValue("wal.compactions")),
+                static_cast<unsigned long long>(now.GaugeValue("wal.log_bytes")),
+                static_cast<long long>(now.GaugeValue("wal.shards")));
+  }
+  if (now.Has("heal.recoveries")) {
+    std::printf("self-healing: %llu recoveries (%llu failed), %llu violations detected\n",
+                Ull(now.CounterValue("heal.recoveries")),
+                Ull(now.CounterValue("heal.failed_recoveries")),
+                Ull(now.CounterValue("heal.violations_detected")));
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -338,7 +386,7 @@ int main(int argc, char** argv) {
   }
 
   // Set after the Server is constructed; the maintenance lambda (created
-  // first) reads it to fold batch stats into the periodic report.
+  // first) reads its stats snapshot for the report and the watchdog.
   net::Server* server_ref = nullptr;
   net::ServerOptions server_options;
   if (replica != nullptr) {
@@ -354,71 +402,6 @@ int main(int argc, char** argv) {
   server_options.io_threads = std::max<size_t>(flags.io_threads, 1);
   server_options.max_sessions = std::max<size_t>(flags.max_sessions, 1);
   server_options.coalesce_depth = std::max<size_t>(flags.coalesce_depth, 1);
-  // Fold component-level stats (partition health, WAL, self-heal) into every
-  // kStats snapshot the server builds. The net layer knows nothing about the
-  // shieldstore stack; this hook is the bridge.
-  server_options.stats_augment = [&store, &wal, &healer](obs::MetricsSnapshot& snap) {
-    store.BridgeStats(snap);
-    if (wal != nullptr) {
-      wal->BridgeStats(snap);
-    }
-    if (healer != nullptr) {
-      healer->BridgeStats(snap);
-    }
-  };
-  // Periodic metrics report: rates over the last interval from obs::Delta,
-  // plus cumulative WAL/batch context. Works in both heal and volatile mode.
-  auto last_snap = std::make_shared<obs::MetricsSnapshot>();
-  auto report_stats = [&server_ref, last_snap, prometheus = flags.stats_prometheus,
-                       json_path = flags.stats_json] {
-    net::Server* srv = server_ref;
-    if (srv == nullptr) {
-      return;
-    }
-    obs::MetricsSnapshot now = srv->BuildStatsSnapshot();
-    if (!json_path.empty()) {
-      // Machine-readable dump for scrapers: written whole, then renamed, so
-      // a reader never sees a torn file.
-      const std::string tmp = json_path + ".tmp";
-      if (FILE* f = std::fopen(tmp.c_str(), "wb"); f != nullptr) {
-        const std::string json = obs::RenderJson(now);
-        std::fwrite(json.data(), 1, json.size(), f);
-        std::fclose(f);
-        std::rename(tmp.c_str(), json_path.c_str());
-      }
-    }
-    const obs::MetricsSnapshot d = obs::Delta(*last_snap, now);
-    const double secs =
-        last_snap->unix_nanos > 0 && d.unix_nanos > 0 ? static_cast<double>(d.unix_nanos) / 1e9 : 0.0;
-    const uint64_t req = d.CounterValue("net.requests");
-    std::printf("stats: %llu req (%.1f/s) | get %llu set %llu batch %llu (%llu sub-ops) | inflight %lld",
-                static_cast<unsigned long long>(req), secs > 0 ? static_cast<double>(req) / secs : 0.0,
-                static_cast<unsigned long long>(d.CounterValue("net.ops.get")),
-                static_cast<unsigned long long>(d.CounterValue("net.ops.set")),
-                static_cast<unsigned long long>(d.CounterValue("net.ops.batch")),
-                static_cast<unsigned long long>(d.CounterValue("net.batch_ops")),
-                static_cast<long long>(now.GaugeValue("net.inflight")));
-    if (const obs::HistogramData* h = d.Histogram("net.latency.get"); h != nullptr && h->count > 0) {
-      std::printf(" | get p50/p95/p99 %.0f/%.0f/%.0f us", h->Quantile(0.50) / 1e3,
-                  h->Quantile(0.95) / 1e3, h->Quantile(0.99) / 1e3);
-    }
-    std::printf("\n");
-    if (now.Has("wal.records")) {
-      std::printf("wal: %llu records, %llu commits, %llu fsyncs, %llu compactions, "
-                  "%llu log bytes over %lld shards\n",
-                  static_cast<unsigned long long>(now.CounterValue("wal.records")),
-                  static_cast<unsigned long long>(now.CounterValue("wal.commits")),
-                  static_cast<unsigned long long>(now.CounterValue("wal.fsyncs")),
-                  static_cast<unsigned long long>(now.CounterValue("wal.compactions")),
-                  static_cast<unsigned long long>(now.GaugeValue("wal.log_bytes")),
-                  static_cast<long long>(now.GaugeValue("wal.shards")));
-    }
-    if (prometheus) {
-      std::fputs(obs::RenderPrometheus(now).c_str(), stdout);
-    }
-    std::fflush(stdout);
-    *last_snap = std::move(now);
-  };
   // SLO watchdog: evaluated from the maintenance thread over registry deltas.
   // Breaches bump slo.breaches and land in the audit chain (kSloBreach).
   std::shared_ptr<obs::SloWatchdog> watchdog;
@@ -431,62 +414,54 @@ int main(int argc, char** argv) {
     thresholds.repl_backlog_entries = std::max<int64_t>(flags.slo_repl_backlog, 1);
     watchdog = std::make_shared<obs::SloWatchdog>(thresholds);
   }
-  auto slo_tick = [&server_ref, watchdog] {
-    if (watchdog != nullptr && server_ref != nullptr) {
-      watchdog->Evaluate(server_ref->BuildStatsSnapshot());
-    }
-  };
-  const bool want_stats = flags.stats_interval_s > 0;
-  const bool want_slo = watchdog != nullptr;
-  if (healer != nullptr) {
-    const int interval_ms = std::max(flags.scrub_interval_ms, 1);
-    const uint64_t stats_every =
-        want_stats
-            ? std::max<uint64_t>(uint64_t{1000} * flags.stats_interval_s / interval_ms, 1)
-            : 0;
-    const uint64_t slo_every =
-        want_slo ? std::max<uint64_t>(uint64_t{1000} * flags.slo_interval_s / interval_ms, 1)
-                 : 0;
-    auto ticks = std::make_shared<uint64_t>(0);
-    server_options.maintenance = [&healer, stats_every, slo_every, ticks, report_stats,
-                                  slo_tick] {
-      healer->Tick();
-      ++*ticks;
-      if (stats_every > 0 && *ticks % stats_every == 0) {
-        report_stats();
-      }
-      if (slo_every > 0 && *ticks % slo_every == 0) {
-        slo_tick();
-      }
-    };
-    server_options.maintenance_interval_ms = interval_ms;
-  } else if (flags.scrub_interval_ms > 0 || want_stats || want_slo) {
-    // Volatile mode: still audit in the background. A violation quarantines
-    // the partition (typed errors for its keys) — without a WAL there is
-    // nothing to heal from, so it stays quarantined. The maintenance thread
-    // doubles as the stats reporter and SLO watchdog (and runs for those
-    // alone if the scrub is disabled).
-    const bool scrub = flags.scrub_interval_ms > 0;
+  // One maintenance thread does every periodic chore: the self-healing tick
+  // (recovery, compaction, paced scrub) or, in volatile mode, the bare scrub
+  // — a violation there quarantines the partition for good, as there is no
+  // WAL to heal from — plus the stats report and the SLO watchdog. It ticks
+  // every --scrub-interval-ms, or once a second when that is 0 (scrub off).
+  const bool scrub = flags.scrub_interval_ms > 0;
+  if (healer != nullptr || scrub || flags.stats_interval_s > 0 || watchdog != nullptr) {
     const int interval_ms = scrub ? flags.scrub_interval_ms : 1000;
-    const uint64_t stats_every =
-        want_stats
-            ? std::max<uint64_t>(uint64_t{1000} * flags.stats_interval_s / interval_ms, 1)
-            : 0;
-    const uint64_t slo_every =
-        want_slo ? std::max<uint64_t>(uint64_t{1000} * flags.slo_interval_s / interval_ms, 1)
-                 : 0;
-    auto ticks = std::make_shared<uint64_t>(0);
-    server_options.maintenance = [&store, scrub, stats_every, slo_every, ticks, report_stats,
-                                  slo_tick] {
-      if (scrub) {
+    const auto every = [interval_ms](int seconds) {
+      return seconds > 0 ? std::max<uint64_t>(uint64_t{1000} * seconds / interval_ms, 1) : 0;
+    };
+    const uint64_t stats_every = every(flags.stats_interval_s);
+    const uint64_t slo_every = watchdog != nullptr ? every(flags.slo_interval_s) : 0;
+    server_options.maintenance = [&healer, &store, &server_ref, &flags, watchdog, scrub,
+                                  stats_every, slo_every, ticks = uint64_t{0},
+                                  last = obs::MetricsSnapshot{}]() mutable {
+      if (healer != nullptr) {
+        healer->Tick();
+      } else if (scrub) {
         (void)store.ScrubTick();
       }
-      ++*ticks;
-      if (stats_every > 0 && *ticks % stats_every == 0) {
-        report_stats();
+      ++ticks;
+      if (server_ref == nullptr) {
+        return;
       }
-      if (slo_every > 0 && *ticks % slo_every == 0) {
-        slo_tick();
+      if (stats_every > 0 && ticks % stats_every == 0) {
+        // Rates over the last interval, plus cumulative context.
+        obs::MetricsSnapshot now = server_ref->BuildStatsSnapshot();
+        if (!flags.stats_json.empty()) {
+          // Machine-readable dump for scrapers: written whole, then renamed,
+          // so a reader never sees a torn file.
+          const std::string tmp = flags.stats_json + ".tmp";
+          if (FILE* f = std::fopen(tmp.c_str(), "wb"); f != nullptr) {
+            const std::string json = obs::RenderJson(now);
+            std::fwrite(json.data(), 1, json.size(), f);
+            std::fclose(f);
+            std::rename(tmp.c_str(), flags.stats_json.c_str());
+          }
+        }
+        PrintReport(now, last);
+        if (flags.stats_prometheus) {
+          std::fputs(obs::RenderPrometheus(now).c_str(), stdout);
+        }
+        std::fflush(stdout);
+        last = std::move(now);
+      }
+      if (slo_every > 0 && ticks % slo_every == 0) {
+        watchdog->Evaluate(server_ref->BuildStatsSnapshot());
       }
     };
     server_options.maintenance_interval_ms = interval_ms;
@@ -495,7 +470,6 @@ int main(int argc, char** argv) {
                                              : static_cast<kv::KeyValueStore&>(store),
                      authority, server_options);
   server_ref = &server;
-  *last_snap = server.BuildStatsSnapshot();  // rate baseline for the first report
 
   // Primary half of replication. Install the sink BEFORE Attach() so entries
   // committed during the bootstrap dump are backlogged, not lost. A failed
@@ -592,31 +566,7 @@ int main(int argc, char** argv) {
     std::printf("replication: %zu entries still backlogged at shutdown\n",
                 shipper->backlog_entries());
   }
-  // Batching observability alongside the WAL stats: how much boundary work
-  // the multi-op frames amortized away.
-  const uint64_t batches = server.batches_served();
-  const uint64_t batch_ops = server.batch_ops_served();
-  std::printf("batch: %llu batches, %llu sub-ops (mean %.1f/batch), %llu crossings saved\n",
-              static_cast<unsigned long long>(batches),
-              static_cast<unsigned long long>(batch_ops),
-              batches > 0 ? static_cast<double>(batch_ops) / static_cast<double>(batches) : 0.0,
-              static_cast<unsigned long long>(server.crossings_saved()));
-  std::printf("implicit batching: %llu coalesced runs, %llu pipelined frames\n",
-              static_cast<unsigned long long>(server.coalesced_batches()),
-              static_cast<unsigned long long>(server.coalesced_ops()));
-  if (healer != nullptr) {
-    std::printf("self-healing: %llu recoveries, %llu violations detected\n",
-                static_cast<unsigned long long>(healer->recoveries()),
-                static_cast<unsigned long long>(healer->violations_detected()));
-    const shieldstore::WalStats ws = wal->Stats();
-    std::printf(
-        "wal: %llu records, %llu commits, %llu fsyncs, %llu compactions, "
-        "%llu log bytes over %zu shards\n",
-        static_cast<unsigned long long>(ws.records_logged),
-        static_cast<unsigned long long>(ws.commits),
-        static_cast<unsigned long long>(ws.fsyncs),
-        static_cast<unsigned long long>(ws.compactions),
-        static_cast<unsigned long long>(ws.log_bytes), ws.shards);
-  }
+  // Whole-run totals, rendered like the periodic report.
+  PrintReport(server.BuildStatsSnapshot(), obs::MetricsSnapshot{});
   return 0;
 }
