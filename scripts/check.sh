@@ -27,9 +27,9 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 echo "== concurrency battery under TSan =="
 cmake -B build-tsan -S . -DSHIELD_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target concurrency_test selfheal_test reactor_test persist_heap_test \
-  wal_sharding_test
+  wal_sharding_test wal_epoch_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ConcurrencyTest|SelfHealNetTest|ReactorTorture|PersistHeapTest|WalShardingTest'
+  -R 'ConcurrencyTest|SelfHealNetTest|ReactorTorture|PersistHeapTest|WalShardingTest|WalEpochTest|WalEpochCrashTest'
 
 echo "== WAL scaling bench (smoke) =="
 # Exit code enforces the acceptance gate: sharded >= 3x single-log at 8
@@ -126,7 +126,7 @@ $CLI stats --check > "$STATS_DIR/stats.txt"
 grep -q 'stats check OK' "$STATS_DIR/stats.txt"
 $CLI stats --prometheus > "$STATS_DIR/prom.txt"
 for metric in shield_net_ops_get shield_net_latency_get_count shield_stage_search_decrypt_count \
-              shield_sgx_epc_touches shield_wal_records shield_wal_group_commits \
+              shield_sgx_epc_touches shield_wal_records shield_wal_group_commits shield_wal_epochs \
               shield_wal_counter_bump_ns_count shield_store_partitions shield_crypto_backend shield_store_crypto_ctr_bytes \
               shield_store_crypto_cmac_bytes shield_heal_recoveries shield_store_quarantined \
               shield_net_maintenance_ticks; do

@@ -149,15 +149,25 @@ void DurabilityWatch::Reset(size_t shards, uint64_t floor) {
   Notify();
 }
 
-void DurabilityWatch::Publish(size_t shard, uint64_t durable) {
+Status DurabilityWatch::Wait(size_t shard, uint64_t sequence) {
+  std::unique_lock<std::mutex> lock(mu_);
+  const auto durable = [&] { return shard >= durable_.size() || durable_[shard] >= sequence; };
+  changed_.wait(lock, [&] { return durable() || !latched_[shard].ok(); });
+  return durable() ? Status::Ok() : latched_[shard];
+}
+
+void DurabilityWatch::Publish(const std::vector<uint64_t>& durable) {
+  bool raised = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (shard >= durable_.size() || durable_[shard] >= durable) {
-      return;
+    for (size_t shard = 0; shard < std::min(durable.size(), durable_.size()); ++shard) {
+      raised |= durable[shard] > durable_[shard];
+      durable_[shard] = std::max(durable_[shard], durable[shard]);
     }
-    durable_[shard] = durable;
   }
-  Notify();
+  if (raised) {
+    Notify();
+  }
 }
 
 void DurabilityWatch::Latch(size_t shard, const Status& failure) {
@@ -172,6 +182,7 @@ void DurabilityWatch::Latch(size_t shard, const Status& failure) {
 }
 
 void DurabilityWatch::Notify() {
+  changed_.notify_all();
   // Listeners run under listeners_mu_ (not a copy-then-call): Unsubscribe
   // must not return while its listener may still be running.
   std::lock_guard<std::mutex> lock(listeners_mu_);

@@ -5,6 +5,7 @@
 #ifndef SHIELDSTORE_SRC_KV_INTERFACE_H_
 #define SHIELDSTORE_SRC_KV_INTERFACE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -74,7 +75,8 @@ struct DurabilityRequirement {
 // The durable watermarks a store publishes for the requirements it hands
 // out of SubmitBatch. Checking is non-blocking; subscribers hear about every
 // advance or latch, so a caller holding results never has to wait on a
-// condition variable to learn when to release them.
+// condition variable to learn when to release them. Wait is the blocking
+// form, for synchronous callers.
 class DurabilityWatch {
  public:
   enum class State : uint8_t { kDurable, kPending, kFailed };
@@ -82,6 +84,9 @@ class DurabilityWatch {
   // kFailed (with *failure set to the latched status) once a shard the
   // requirement names can never reach its sequence.
   State Check(const DurabilityRequirement& requirement, Status* failure) const;
+  // Blocks until `shard` is durable through `sequence` (Ok) or latched (the
+  // latched status).
+  Status Wait(size_t shard, uint64_t sequence);
 
   // `listener` runs on the publishing thread after every Publish/Latch. It
   // must be quick and must not call back into the store. Unsubscribe returns
@@ -93,13 +98,15 @@ class DurabilityWatch {
   // Publisher side (the store). Reset sizes the watermark table and lifts
   // every watermark to at least `floor`; Publish only ever raises one.
   void Reset(size_t shards, uint64_t floor);
-  void Publish(size_t shard, uint64_t durable);
+  // Raises every shard's watermark (index = shard) with one wake.
+  void Publish(const std::vector<uint64_t>& durable);
   void Latch(size_t shard, const Status& failure);
 
  private:
   void Notify();
 
   mutable std::mutex mu_;  // guards durable_ and latched_
+  std::condition_variable changed_;  // Wait's: any publish or latch
   std::vector<uint64_t> durable_;
   std::vector<Status> latched_;
   // Held while listeners run, so Unsubscribe can wait them out.

@@ -1,17 +1,29 @@
 #include "src/shieldstore/oplog.h"
 
+#include <fcntl.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstring>
+#include <filesystem>
 #include <vector>
+
+#include "src/shieldstore/persist.h"
 
 namespace shield::shieldstore {
 namespace {
 
+// Header: magic + a 32-bit field — a standalone log's counter id, or an
+// epoch-bound log's generation, which also seeds its chain.
 constexpr char kLogMagic[4] = {'S', 'S', 'L', '1'};
+constexpr char kEpochBoundMagic[4] = {'S', 'S', 'L', '2'};
+constexpr size_t kLogHeaderBytes = 8;
 constexpr uint8_t kOpSet = 1;
 constexpr uint8_t kOpDelete = 2;
 constexpr uint8_t kOpCommit = 0xC0;
+constexpr char kEpochMagic[4] = {'S', 'S', 'E', '1'};
+constexpr size_t kEpochHeaderBytes = 8;       // magic + counter id
+constexpr size_t kEpochSlotBytes = 32 << 10;  // ~1000 shard heads per record
 
 // AAD binding a record to its position: previous record's seal tag (the
 // chain) plus the record sequence number.
@@ -20,6 +32,26 @@ Bytes ChainAad(const crypto::Mac& prev, uint64_t sequence) {
   std::memcpy(aad.data(), prev.data(), 16);
   StoreLe64(aad.data() + 16, sequence);
   return aad;
+}
+
+// The chain before the first record: a header edited to another generation
+// fails that record's authentication.
+crypto::Mac ChainSeed(uint64_t header_field) {
+  crypto::Mac seed{};
+  StoreLe64(seed.data(), header_field);
+  return seed;
+}
+
+Bytes EpochAad(uint32_t counter_id) {
+  Bytes aad(8);
+  std::memcpy(aad.data(), kEpochMagic, 4);
+  StoreLe32(aad.data() + 4, counter_id);
+  return aad;
+}
+
+// Makes a new directory entry under `path`'s parent durable.
+void SyncParentDir(const std::string& path) {
+  FsyncDirectory(std::filesystem::path(path).parent_path().string());
 }
 
 Bytes EncodeRecord(uint8_t op, std::string_view key, std::string_view value) {
@@ -54,35 +86,51 @@ Result<DecodedRecord> DecodeRecord(ByteSpan plain) {
   return r;
 }
 
-// Streams authenticated records, stopping cleanly at a torn/truncated tail.
-// `cb` returns false to abort. Outputs the final chain state.
-Status ScanLog(const std::string& path, const sgx::SealingService& sealer,
-               int32_t* counter_id, crypto::Mac* final_chain, uint64_t* final_seq,
-               const std::function<bool(const DecodedRecord&)>& cb) {
+Status ApplyMutation(const DecodedRecord& r, kv::KeyValueStore& store) {
+  const Status s = r.op == kOpSet ? store.Set(r.key, r.value) : store.Delete(r.key);
+  return s.code() == Code::kNotFound ? Status::Ok() : s;
+}
+
+// What a scan read: the header, then the chain state and byte length of
+// the authenticated prefix.
+struct LogScan {
+  bool epoch_bound = false;
+  uint64_t field = 0;
+  crypto::Mac chain{};
+  uint64_t sequence = 0;
+  uint64_t bytes = 0;
+};
+
+// Streams authenticated records, stopping cleanly at a torn/truncated tail
+// or after `limit` records. `cb` returns false to abort; `scan->field` is
+// set before the first call.
+Status ScanLog(const std::string& path, const sgx::SealingService& sealer, uint64_t limit,
+               LogScan* scan, const std::function<bool(const DecodedRecord&)>& cb) {
   FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
     return Status(Code::kNotFound, "no log at " + path);
   }
-  char magic[4];
-  uint8_t id_bytes[4];
-  const size_t magic_read = std::fread(magic, 1, 4, f);
-  if (magic_read == 0 && std::feof(f)) {
+  uint8_t header[kLogHeaderBytes];
+  const size_t header_read = std::fread(header, 1, sizeof(header), f);
+  if (header_read == 0 && std::feof(f)) {
     // Empty file: a process killed before its first group commit leaves the
     // buffered header unwritten. Commits fsync the whole file, so an empty
     // log proves no record was ever durable — safe to start fresh.
     std::fclose(f);
     return Status(Code::kNotFound, "empty log at " + path);
   }
-  if (magic_read != 4 || std::memcmp(magic, kLogMagic, 4) != 0 ||
-      std::fread(id_bytes, 1, 4, f) != 4) {
+  scan->epoch_bound = std::memcmp(header, kEpochBoundMagic, 4) == 0;
+  if (header_read != sizeof(header) ||
+      (!scan->epoch_bound && std::memcmp(header, kLogMagic, 4) != 0)) {
     std::fclose(f);
-    return Status(Code::kIntegrityFailure, "log header corrupted");
+    return Status(Code::kIntegrityFailure, "log header corrupted in " + path);
   }
-  *counter_id = static_cast<int32_t>(LoadLe32(id_bytes));
-  crypto::Mac chain{};
+  scan->field = LoadLe32(header + 4);
+  crypto::Mac chain = ChainSeed(scan->epoch_bound ? scan->field : 0);
   uint64_t seq = 0;
+  uint64_t bytes = kLogHeaderBytes;
   std::vector<uint8_t> frame;
-  for (;;) {
+  while (seq < limit) {
     uint8_t len_bytes[4];
     if (std::fread(len_bytes, 1, 4, f) != 4) {
       break;  // clean end (or torn tail at a frame boundary)
@@ -111,21 +159,65 @@ Status ScanLog(const std::string& path, const sgx::SealingService& sealer,
     // Advance the chain: the next record is bound to this frame's seal tag.
     std::memcpy(chain.data(), frame.data() + frame.size() - 16, 16);
     ++seq;
+    bytes += 4 + len;
     if (!cb(*record)) {
       break;
     }
   }
   std::fclose(f);
-  *final_chain = chain;
-  *final_seq = seq;
+  scan->chain = chain;
+  scan->sequence = seq;
+  scan->bytes = bytes;
   return Status::Ok();
+}
+
+// The file holding `head` — `path`, or the unpromoted `<path>.next` of a
+// generation switch — after applying its first head.sequence records to
+// `store` (nullptr: check only). `*prefix_bytes` gets their length.
+Result<std::string> FindPrefix(const sgx::SealingService& sealer, const std::string& path,
+                               const LogHead& head, kv::KeyValueStore* store,
+                               uint64_t* prefix_bytes) {
+  for (const std::string& candidate : {path, path + ".next"}) {
+    LogScan scan;
+    Status applied;
+    const Status scanned =
+        ScanLog(candidate, sealer, head.sequence, &scan, [&](const DecodedRecord& r) {
+          applied = !scan.epoch_bound || scan.field != head.generation
+                        ? Status(Code::kRollbackDetected, "")
+                    : store != nullptr            ? ApplyMutation(r, *store)
+                                                  : Status::Ok();
+          return applied.ok();
+        });
+    if (scanned.code() == Code::kNotFound ||
+        (scanned.ok() && (!scan.epoch_bound || scan.field != head.generation))) {
+      continue;
+    }
+    if (!scanned.ok() || !applied.ok()) {
+      return !scanned.ok() ? scanned : applied;
+    }
+    if (scan.sequence < head.sequence || scan.chain != head.mac) {
+      return Status(Code::kRollbackDetected, "shard log " + candidate + " is behind its epoch (" +
+                                                 std::to_string(head.sequence) + " records)");
+    }
+    if (prefix_bytes != nullptr) {
+      *prefix_bytes = scan.bytes;
+    }
+    return candidate;
+  }
+  return Status(Code::kRollbackDetected, "shard log " + path + " does not hold generation " +
+                                             std::to_string(head.generation));
 }
 
 }  // namespace
 
 OperationLog::OperationLog(const sgx::SealingService& sealer,
                            sgx::MonotonicCounterService& counters, const OpLogOptions& options)
-    : sealer_(sealer), counters_(counters), options_(options) {
+    : OperationLog(sealer, options) {
+  counters_ = &counters;
+}
+
+OperationLog::OperationLog(const sgx::SealingService& sealer, const OpLogOptions& options)
+    : sealer_(sealer), options_(options) {
   obs::Registry* reg =
       options_.metrics != nullptr ? options_.metrics : &obs::Registry::Global();
   records_ = &reg->GetCounter("wal.records");
@@ -160,18 +252,46 @@ void OperationLog::PublishLogBytes() {
   }
 }
 
+Status OperationLog::CreateFile(const std::string& path) {
+  if (file_ != nullptr) {
+    std::fclose(file_);
+  }
+  file_ = std::fopen(path.c_str(), "wb");
+  if (file_ == nullptr) {
+    return Status(Code::kIoError, "cannot create log " + path);
+  }
+  uint8_t header[kLogHeaderBytes];
+  std::memcpy(header, counters_ == nullptr ? kEpochBoundMagic : kLogMagic, 4);
+  StoreLe32(header + 4, static_cast<uint32_t>(generation_));
+  // Make the header durable immediately: after any crash the log is either
+  // empty (fresh start) or begins with a valid header — never a torn one.
+  if (std::fwrite(header, 1, sizeof(header), file_) != sizeof(header) ||
+      std::fflush(file_) != 0 || fsync(fileno(file_)) != 0) {
+    return Status(Code::kIoError, "cannot write log header");
+  }
+  SyncParentDir(path);  // an epoch may name this file next
+  chain_mac_ = ChainSeed(counters_ == nullptr ? generation_ : 0);
+  sequence_ = 0;
+  uncommitted_ = 0;
+  log_bytes_.store(kLogHeaderBytes, std::memory_order_relaxed);
+  PublishLogBytes();
+  return Status::Ok();
+}
+
 Status OperationLog::Open() {
-  counter_known_ = false;
+  if (counters_ == nullptr) {
+    generation_ = 1;
+    std::remove((options_.path + ".next").c_str());
+    return CreateFile(options_.path);
+  }
   // Recover chain state from an existing log, or start a fresh one.
-  int32_t existing_id = -1;
-  crypto::Mac chain{};
-  uint64_t seq = 0;
-  const Status scanned = ScanLog(options_.path, sealer_, &existing_id, &chain, &seq,
+  LogScan scan;
+  const Status scanned = ScanLog(options_.path, sealer_, UINT64_MAX, &scan,
                                  [](const DecodedRecord&) { return true; });
   if (scanned.ok()) {
-    counter_id_ = existing_id;
-    chain_mac_ = chain;
-    sequence_ = seq;
+    generation_ = scan.field;
+    chain_mac_ = scan.chain;
+    sequence_ = scan.sequence;
     file_ = std::fopen(options_.path.c_str(), "ab");
     if (file_ == nullptr) {
       return Status(Code::kIoError, "cannot append to log");
@@ -185,27 +305,35 @@ Status OperationLog::Open() {
   if (scanned.code() != Code::kNotFound) {
     return scanned;  // corrupted log: refuse to continue on top of it
   }
-  Result<uint32_t> id = counters_.CreateCounter();
+  Result<uint32_t> id = counters_->CreateCounter();
   if (!id.ok()) {
     return id.status();
   }
-  counter_id_ = static_cast<int32_t>(id.value());
-  file_ = std::fopen(options_.path.c_str(), "wb");
-  if (file_ == nullptr) {
-    return Status(Code::kIoError, "cannot create log");
+  generation_ = id.value();
+  return CreateFile(options_.path);
+}
+
+Status OperationLog::Resume(const LogHead& head) {
+  uint64_t prefix_bytes = 0;
+  Result<std::string> held = FindPrefix(sealer_, options_.path, head, nullptr, &prefix_bytes);
+  if (!held.ok()) {
+    return held.status();
   }
-  uint8_t header[8];
-  std::memcpy(header, kLogMagic, 4);
-  StoreLe32(header + 4, static_cast<uint32_t>(counter_id_));
-  if (std::fwrite(header, 1, 8, file_) != 8) {
-    return Status(Code::kIoError, "cannot write log header");
+  // A `.next` the epoch binds becomes the log (a crash before Promote); one
+  // it does not bind is dropped. So is every record past the head.
+  if (*held == options_.path) {
+    std::remove((options_.path + ".next").c_str());
+  } else if (std::rename(held->c_str(), options_.path.c_str()) != 0) {
+    return Status(Code::kIoError, "cannot promote " + *held);
   }
-  // Make the header durable immediately: after any crash the log is either
-  // empty (fresh start) or begins with a valid header — never a torn one.
-  if (std::fflush(file_) != 0 || fsync(fileno(file_)) != 0) {
-    return Status(Code::kIoError, "cannot flush log header");
+  if (::truncate(options_.path.c_str(), static_cast<off_t>(prefix_bytes)) != 0 ||
+      (file_ = std::fopen(options_.path.c_str(), "ab")) == nullptr) {
+    return Status(Code::kIoError, "cannot reopen " + options_.path);
   }
-  log_bytes_.store(8, std::memory_order_relaxed);
+  generation_ = head.generation;
+  chain_mac_ = head.mac;
+  sequence_ = head.sequence;
+  log_bytes_.store(prefix_bytes, std::memory_order_relaxed);
   PublishLogBytes();
   return Status::Ok();
 }
@@ -273,33 +401,26 @@ Status OperationLog::CommitPrepare() {
   if (file_ == nullptr) {
     return Status(Code::kInvalidArgument, "log not open");
   }
-  // The commit record carries live+1; the counter is bumped only after the
-  // record is durable (CommitSync). A crash between the two leaves the log
-  // one ahead of the counter — Replay treats that like the snapshot
-  // machinery's pending generation and rolls the counter forward. (Bumping
-  // first, as earlier revisions did, made that crash window unrecoverable:
-  // the lost commit record left the live counter ahead of every commit in
-  // the log, indistinguishable from a rollback attack.)
-  //
-  // The live value is read from the counter service once and then tracked
-  // here: this log is the only writer of its counter, and the service
-  // serializes every counter behind one slow mutex that a caller holding
-  // its shard lock must not queue on. A counter moved behind our back still
-  // fails CommitSync's check.
-  if (!counter_known_) {
-    Result<uint64_t> live = counters_.Read(static_cast<uint32_t>(counter_id_));
+  if (counters_ != nullptr) {
+    // The commit record carries live+1; the counter is bumped only after the
+    // record is durable (CommitSync). A crash between the two leaves the log
+    // one ahead of the counter — Replay treats that like the snapshot
+    // machinery's pending generation and rolls the counter forward. (Bumping
+    // first, as earlier revisions did, made that crash window unrecoverable:
+    // the lost commit record left the live counter ahead of every commit in
+    // the log, indistinguishable from a rollback attack.)
+    Result<uint64_t> live = counters_->Read(static_cast<uint32_t>(generation_));
     if (!live.ok()) {
       return live.status();
     }
-    counter_value_ = live.value();
-    counter_known_ = true;
-  }
-  pending_commit_value_ = counter_value_ + 1;
-  uint8_t v[8];
-  StoreLe64(v, pending_commit_value_);
-  if (Status s = AppendRecord(kOpCommit, "", std::string_view(reinterpret_cast<char*>(v), 8));
-      !s.ok()) {
-    return s;
+    pending_commit_value_ = live.value() + 1;
+    uint8_t v[8];
+    StoreLe64(v, pending_commit_value_);
+    if (Status s =
+            AppendRecord(kOpCommit, "", std::string_view(reinterpret_cast<char*>(v), 8));
+        !s.ok()) {
+      return s;
+    }
   }
   if (std::fflush(file_) != 0) {
     return Status(Code::kIoError, "log flush failed");
@@ -317,7 +438,6 @@ Status OperationLog::CommitSync() {
   }
   // A commit that only reached the page cache is not a commit: fsync so the
   // group is durable before the caller acks anything to a client.
-  counter_known_ = false;  // until this commit's bump lands as expected
   const uint64_t t_fsync = obs::TimerStart();
   if (fsync(fileno(file_)) != 0) {
     return Status(Code::kIoError, "log fsync failed");
@@ -325,10 +445,13 @@ Status OperationLog::CommitSync() {
   const uint64_t t_bump = obs::TimerStart();
   fsync_latency_->RecordCycles(t_bump - t_fsync);
   fsyncs_->Inc();
+  if (counters_ == nullptr) {
+    return Status::Ok();  // an epoch binds this group (EpochLog)
+  }
   // One counter bump per group — the amortization that makes fine-grained
   // logging viable (§7). Only now does the group become the one true
   // committed state.
-  Result<uint64_t> bumped = counters_.Increment(static_cast<uint32_t>(counter_id_));
+  Result<uint64_t> bumped = counters_->Increment(static_cast<uint32_t>(generation_));
   counter_bump_latency_->RecordCycles(obs::TimerStart() - t_bump);
   if (!bumped.ok()) {
     return bumped.status();
@@ -336,8 +459,6 @@ Status OperationLog::CommitSync() {
   if (bumped.value() != pending_commit_value_) {
     return Status(Code::kInternal, "log counter advanced outside a commit");
   }
-  counter_value_ = bumped.value();
-  counter_known_ = true;
   return Status::Ok();
 }
 
@@ -349,47 +470,39 @@ Status OperationLog::Commit() {
 }
 
 Status OperationLog::Reset() {
-  if (file_ != nullptr) {
-    std::fclose(file_);
-    file_ = nullptr;
-  }
-  std::remove(options_.path.c_str());
-  chain_mac_ = crypto::Mac{};
-  sequence_ = 0;
-  uncommitted_ = 0;
-  const int32_t keep_id = counter_id_;
-  counter_id_ = -1;
-  file_ = std::fopen(options_.path.c_str(), "wb");
   if (file_ == nullptr) {
-    return Status(Code::kIoError, "cannot recreate log");
+    return Status(Code::kInvalidArgument, "log not open");
   }
-  counter_id_ = keep_id;
-  uint8_t header[8];
-  std::memcpy(header, kLogMagic, 4);
-  StoreLe32(header + 4, static_cast<uint32_t>(counter_id_));
-  if (std::fwrite(header, 1, 8, file_) != 8) {
-    return Status(Code::kIoError, "cannot write log header");
+  // Epoch-bound: the old generation stays in place until an epoch binds the
+  // new one. Standalone: the commit binds the fresh log to the counter, so a
+  // replay of the previous one fails the counter check.
+  const bool epoch_bound = counters_ == nullptr;
+  generation_ += epoch_bound ? 1 : 0;
+  if (Status s = CreateFile(options_.path + (epoch_bound ? ".next" : "")); !s.ok()) {
+    return s;
   }
-  log_bytes_.store(8, std::memory_order_relaxed);
-  PublishLogBytes();
-  // Bind the fresh epoch immediately so a replay of the *previous* log epoch
-  // fails the counter check.
   return Commit();
+}
+
+Status OperationLog::Promote() {
+  const std::string next = options_.path + ".next";
+  if (std::rename(next.c_str(), options_.path.c_str()) != 0) {
+    return Status(Code::kIoError, "cannot promote " + next);
+  }
+  return Status::Ok();
 }
 
 Status OperationLog::Replay(const sgx::SealingService& sealer,
                             sgx::MonotonicCounterService& counters, const OpLogOptions& options,
                             kv::KeyValueStore& store) {
-  int32_t counter_id = -1;
-  crypto::Mac chain{};
-  uint64_t seq = 0;
+  LogScan scan;
   // Buffer mutations between commits; only committed groups apply.
   std::vector<DecodedRecord> pending;
   uint64_t last_commit_value = 0;
   bool saw_commit = false;
   Status apply_status = Status::Ok();
   const Status scanned = ScanLog(
-      options.path, sealer, &counter_id, &chain, &seq, [&](const DecodedRecord& record) {
+      options.path, sealer, UINT64_MAX, &scan, [&](const DecodedRecord& record) {
         if (record.op == kOpCommit) {
           if (record.value.size() != 8) {
             apply_status = Status(Code::kIntegrityFailure, "commit record malformed");
@@ -398,10 +511,7 @@ Status OperationLog::Replay(const sgx::SealingService& sealer,
           last_commit_value = LoadLe64(reinterpret_cast<const uint8_t*>(record.value.data()));
           saw_commit = true;
           for (const DecodedRecord& op : pending) {
-            const Status s = op.op == kOpSet ? store.Set(op.key, op.value)
-                                             : store.Delete(op.key);
-            if (!s.ok() && s.code() != Code::kNotFound) {
-              apply_status = s;
+            if (apply_status = ApplyMutation(op, store); !apply_status.ok()) {
               return false;
             }
           }
@@ -418,7 +528,8 @@ Status OperationLog::Replay(const sgx::SealingService& sealer,
     return apply_status;
   }
   // Rollback check: the newest committed group must match the live counter.
-  Result<uint64_t> live = counters.Read(static_cast<uint32_t>(counter_id));
+  const auto counter_id = static_cast<uint32_t>(scan.field);
+  Result<uint64_t> live = counters.Read(counter_id);
   if (!live.ok()) {
     return Status(Code::kRollbackDetected, "log counter missing");
   }
@@ -432,7 +543,7 @@ Status OperationLog::Replay(const sgx::SealingService& sealer,
     // exactly like Snapshotter::Recover's promotable pending pair. A stale
     // log cannot take this path — its commits are all at or below the live
     // counter — and a forged one cannot seal a valid record at all.
-    Result<uint64_t> bumped = counters.Increment(static_cast<uint32_t>(counter_id));
+    Result<uint64_t> bumped = counters.Increment(counter_id);
     if (bumped.ok() && bumped.value() == expected) {
       return Status::Ok();
     }
@@ -440,6 +551,160 @@ Status OperationLog::Replay(const sgx::SealingService& sealer,
   return Status(Code::kRollbackDetected,
                 "log commit value " + std::to_string(expected) + " != live counter " +
                     std::to_string(live.value()));
+}
+
+Status OperationLog::ReplayPrefix(const sgx::SealingService& sealer, const std::string& path,
+                                  const LogHead& head, kv::KeyValueStore* store) {
+  return FindPrefix(sealer, path, head, store, nullptr).status();
+}
+
+// ------------------------------------------------------------ counter epochs
+
+EpochLog::EpochLog(const sgx::SealingService& sealer, sgx::MonotonicCounterService& counters,
+                   std::string wal_path)
+    : sealer_(sealer), counters_(counters), wal_path_(std::move(wal_path)) {}
+
+EpochLog::~EpochLog() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+  }
+}
+
+Result<Epoch> EpochLog::Open() {
+  const std::string path = wal_path_ + ".epoch";
+  Result<Epoch> epoch = Recover(sealer_, counters_, wal_path_, &counter_id_);
+  const bool fresh = epoch.status().code() == Code::kNotFound;
+  if (fresh) {
+    // A fresh WAL: its counter (at 0) and epoch 0 exist before any shard log.
+    Result<uint32_t> id = counters_.CreateCounter();
+    if (!id.ok()) {
+      return id.status();
+    }
+    counter_id_ = *id;
+    epoch = Epoch{};
+  }
+  if (!epoch.ok()) {
+    return epoch.status();
+  }
+  uint8_t header[kEpochHeaderBytes];
+  std::memcpy(header, kEpochMagic, 4);
+  StoreLe32(header + 4, counter_id_);
+  fd_ = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+  const bool written = !fresh || (::pwrite(fd_, header, sizeof(header), 0) == sizeof(header) &&
+                                  Write(*epoch).ok());
+  if (fd_ < 0 || !written) {
+    return Status(Code::kIoError, "cannot open " + path);
+  }
+  SyncParentDir(path);
+  return epoch;
+}
+
+Status EpochLog::Write(const Epoch& epoch) {
+  Bytes plain(12 + epoch.heads.size() * 32);
+  StoreLe64(plain.data(), epoch.value);
+  StoreLe32(plain.data() + 8, static_cast<uint32_t>(epoch.heads.size()));
+  for (size_t i = 0; i < epoch.heads.size(); ++i) {
+    uint8_t* p = plain.data() + 12 + i * 32;
+    StoreLe64(p, epoch.heads[i].generation);
+    StoreLe64(p + 8, epoch.heads[i].sequence);
+    std::memcpy(p + 16, epoch.heads[i].mac.data(), 16);
+  }
+  Bytes slot(4);
+  StoreLe32(slot.data(), static_cast<uint32_t>(plain.size()));
+  const Bytes sealed = sealer_.Seal(plain, EpochAad(counter_id_));
+  slot.insert(slot.end(), sealed.begin(), sealed.end());
+  if (slot.size() > kEpochSlotBytes) {
+    return Status(Code::kInvalidArgument, "too many shards for one epoch record");
+  }
+  const auto offset = static_cast<off_t>(kEpochHeaderBytes + (epoch.value % 2) * kEpochSlotBytes);
+  if (::pwrite(fd_, slot.data(), slot.size(), offset) != static_cast<ssize_t>(slot.size()) ||
+      ::fdatasync(fd_) != 0) {
+    return Status(Code::kIoError, "epoch record write failed");
+  }
+  return Status::Ok();
+}
+
+Status EpochLog::Bump(uint64_t value) {
+  Result<uint64_t> bumped = counters_.Increment(counter_id_);
+  if (bumped.ok() && *bumped != value) {
+    return Status(Code::kInternal, "epoch counter advanced outside the bumper");
+  }
+  return bumped.status();
+}
+
+Result<Epoch> EpochLog::Recover(const sgx::SealingService& sealer,
+                                sgx::MonotonicCounterService& counters,
+                                const std::string& wal_path, uint32_t* counter_id) {
+  std::vector<uint8_t> file(kEpochHeaderBytes + 2 * kEpochSlotBytes);
+  FILE* f = std::fopen((wal_path + ".epoch").c_str(), "rb");
+  file.resize(f != nullptr ? std::fread(file.data(), 1, file.size(), f) : 0);
+  if (f != nullptr) {
+    std::fclose(f);
+  }
+  const bool header_ok =
+      file.size() >= kEpochHeaderBytes && std::memcmp(file.data(), kEpochMagic, 4) == 0;
+  const uint32_t id = header_ok ? LoadLe32(file.data() + 4) : 0;
+  std::vector<Epoch> records;  // both slots; a torn or forged one does not count
+  for (size_t at = kEpochHeaderBytes; header_ok && at + 4 <= file.size(); at += kEpochSlotBytes) {
+    const size_t len = std::min<size_t>(LoadLe32(file.data() + at) + sgx::SealingService::kOverhead,
+                                        file.size() - at - 4);
+    Result<Bytes> plain = sealer.Unseal(ByteSpan(file.data() + at + 4, len), EpochAad(id));
+    if (!plain.ok() || plain->size() != 12 + size_t{LoadLe32(plain->data() + 8)} * 32) {
+      continue;
+    }
+    Epoch& epoch = records.emplace_back();
+    epoch.value = LoadLe64(plain->data());
+    for (const uint8_t* p = plain->data() + 12; p < plain->data() + plain->size(); p += 32) {
+      epoch.heads.push_back({LoadLe64(p), LoadLe64(p + 8), {}});
+      std::memcpy(epoch.heads.back().mac.data(), p + 16, 16);
+    }
+  }
+  if (records.empty()) {
+    // No epoch: a fresh WAL — unless a shard log exists (a release before
+    // counter epochs, or its epoch file removed): its acked records must
+    // never be dropped silently.
+    const std::string shard = ShardPath(wal_path, 0);
+    return std::filesystem::exists(shard)
+               ? Status(Code::kUnsupported, "shard log " + shard +
+                                                " has no counter epoch (a release before "
+                                                "counter epochs, or its epoch file removed)")
+               : Status(Code::kNotFound, "no epoch file for " + wal_path);
+  }
+  Result<uint64_t> live = counters.Read(id);
+  if (!live.ok()) {
+    return Status(Code::kRollbackDetected, "epoch counter missing");
+  }
+  std::sort(records.begin(), records.end(),
+            [](const Epoch& a, const Epoch& b) { return a.value > b.value; });
+  for (Epoch& epoch : records) {
+    Status held = epoch.value <= *live + 1 ? Status::Ok()
+                                           : Status(Code::kRollbackDetected, "never bumped");
+    for (size_t i = 0; i < epoch.heads.size() && held.ok(); ++i) {
+      held = OperationLog::ReplayPrefix(sealer, ShardPath(wal_path, i), epoch.heads[i], nullptr);
+    }
+    if (held.code() == Code::kRollbackDetected) {
+      continue;  // written, but never acked
+    }
+    if (!held.ok() || epoch.value < *live) {
+      return held.ok() ? Status(Code::kRollbackDetected,
+                                "epoch " + std::to_string(epoch.value) +
+                                    " is behind the live counter " + std::to_string(*live))
+                       : held;  // tampered inside a prefix
+    }
+    if (epoch.value > *live) {
+      // Fsync'd, but its bump was lost to a crash: complete it.
+      Result<uint64_t> bumped = counters.Increment(id);
+      if (!bumped.ok() || *bumped != epoch.value) {
+        return Status(Code::kRollbackDetected, "epoch counter moved during recovery");
+      }
+    }
+    if (counter_id != nullptr) {
+      *counter_id = id;
+    }
+    return std::move(epoch);
+  }
+  return Status(Code::kRollbackDetected, "no epoch at the live counter " +
+                                             std::to_string(*live) + " held by the shard logs");
 }
 
 }  // namespace shield::shieldstore

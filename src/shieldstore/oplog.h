@@ -8,25 +8,20 @@
 //  * records are encrypted + MAC-chained (each record's MAC covers its
 //    predecessor's), so order, content, and truncation-before-commit are
 //    all authenticated without per-record counter bumps;
-//  * the monotonic counter is bumped once per GROUP COMMIT, amortizing its
-//    cost over `group_commit_ops` operations (the counter-service cost knob
-//    models either the slow SGX counter or a fast ROTE-style one);
-//  * recovery = snapshot + replay of the committed log suffix; a replayed
-//    stale log (or one from a different epoch) fails the counter check.
+//  * the monotonic counter is bumped once per GROUP of records (the
+//    counter-service cost knob models the slow SGX counter or a fast
+//    ROTE-style one);
+//  * recovery = snapshot + replay of the committed log prefix; a stale log
+//    fails the counter check.
 //
-// One OperationLog is one append-only file. The sharded WriteAheadStore
-// (selfheal.h) runs one log per partition group; this class stays
-// single-file and externally synchronized (callers hold their shard lock).
-//
-// Two commit disciplines, selected by the caller:
-//  * LogSet/LogDelete auto-commit every `group_commit_ops` records — the
-//    original cadence, where an ack means "logged", not "fsync'd";
-//  * AppendSet/AppendDelete never commit; the caller batches explicitly via
-//    CommitPrepare() (commit record + flush to the OS, under the caller's
-//    lock) followed by CommitSync() (the fsync and then the counter bump,
-//    safe to run after dropping the lock so concurrent appends land in the
-//    next group). The sharded WAL's per-shard committer thread drives this
-//    split; writers only append.
+// One OperationLog is one append-only file, externally synchronized. A
+// STANDALONE log (built with a counter service) binds its own counter: it
+// appends a commit record carrying the counter's next value
+// (CommitPrepare), then fsyncs and bumps (CommitSync); LogSet/LogDelete
+// auto-commit every group_commit_ops records. An EPOCH-BOUND log (built
+// without one) is a shard of the sharded WAL (selfheal.h): its commits only
+// flush and fsync, and the WAL's EpochLog binds every shard's head to ONE
+// counter per bump.
 //
 // This module is an EXTENSION beyond the paper's implementation; the
 // evaluation figures never enable it.
@@ -38,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "src/crypto/cmac.h"
 #include "src/sgx/counter.h"
 #include "src/sgx/seal.h"
 #include "src/shieldstore/store.h"
@@ -76,7 +72,7 @@ class ReplicationSink {
 
 struct OpLogOptions {
   std::string path;              // log file (shard i of a sharded WAL appends ".p<i>")
-  size_t group_commit_ops = 64;  // counter bump + fsync cadence
+  size_t group_commit_ops = 64;  // commit (fsync) cadence
 
   // --- knobs interpreted by the sharded WriteAheadStore (selfheal.h) ---
 
@@ -87,9 +83,10 @@ struct OpLogOptions {
   // Group-commit window in microseconds. 0 = the legacy auto-commit
   // discipline (ack ⇒ logged; fsync every group_commit_ops records). > 0 =
   // durable acks: a mutation is acknowledged only once its record is
-  // fsync'd and counter-bumped, and the shard's committer batches every
-  // record that arrives within the window (or until group_commit_ops
-  // accumulate, whichever first) into one counter-bump + fsync.
+  // fsync'd and counter-bumped. The shard's committer batches every record
+  // that arrives within the window (or until group_commit_ops accumulate,
+  // whichever first) into one fsync, and one counter bump covers the
+  // fsync'd groups of every shard (selfheal.h).
   uint32_t group_commit_window_us = 0;
   // SIMULATED MULTICORE (see bench/harness.h): queueing-delay multiplier
   // charged for the time a shard's lock is held, modelling n workers
@@ -112,80 +109,108 @@ struct OpLogOptions {
   int shard_index = -1;
 };
 
+// A log's durable position: its generation (new at every Reset, so a file
+// swapped for an older generation is caught even with no records), its
+// record count and the chain MAC after them.
+struct LogHead {
+  uint64_t generation = 0;
+  uint64_t sequence = 0;
+  crypto::Mac mac{};
+  bool operator==(const LogHead&) const = default;
+};
+
+// One counter epoch: the counter value it binds and the head of every shard
+// of the geometry that wrote it (index = shard).
+struct Epoch {
+  uint64_t value = 0;
+  std::vector<LogHead> heads;
+};
+
 class OperationLog {
  public:
   // `sealer` protects record confidentiality/integrity (bound to the
   // enclave measurement); `counters` provides rollback protection at group
-  // commit granularity.
+  // commit granularity. Without `counters` the log is epoch-bound.
   OperationLog(const sgx::SealingService& sealer, sgx::MonotonicCounterService& counters,
                const OpLogOptions& options);
+  OperationLog(const sgx::SealingService& sealer, const OpLogOptions& options);
   ~OperationLog();
 
   OperationLog(const OperationLog&) = delete;
   OperationLog& operator=(const OperationLog&) = delete;
 
-  // Opens (creating or appending). Must be called before logging.
+  // Opens (standalone: creating or appending; epoch-bound: a fresh log).
+  // Must be called before logging.
   Status Open();
+  // Epoch-bound: reopens at `head` (see ReplayPrefix), truncating what lies
+  // past it — those records were never acked.
+  Status Resume(const LogHead& head);
 
   // Logs one mutation. Auto-commits every group_commit_ops records.
   Status LogSet(std::string_view key, std::string_view value);
   Status LogDelete(std::string_view key);
 
   // Batched-commit discipline: append without any commit side effect. The
-  // caller owns the commit cadence (see the committer split above).
+  // caller owns the commit cadence.
   Status AppendSet(std::string_view key, std::string_view value);
   Status AppendDelete(std::string_view key);
 
-  // Forces a group commit (counter bump + flush + fsync).
+  // Forces a group commit (CommitPrepare + CommitSync). Prepare appends the
+  // commit record (standalone) and flushes to the OS, under the caller's
+  // lock; Sync fsyncs, then bumps the log's own counter (standalone). Sync
+  // touches no chain state, so it may run after dropping the lock, as long
+  // as appends through the same FILE* are still excluded.
   Status Commit();
-  // The two halves of Commit(), split so a committer can run the fsync and
-  // the counter bump outside its shard lock: Prepare appends the commit
-  // record (carrying the counter's next value) and flushes it to the OS
-  // (must run under the caller's lock); Sync fsyncs the file descriptor,
-  // then bumps the counter (touches no chain state, so concurrent
-  // AppendRecord/fflush through the same FILE* must still be excluded by
-  // the caller — only Sync itself is lock-free-safe).
   Status CommitPrepare();
   Status CommitSync();
 
-  // Truncates the log (after a successful snapshot subsumes it).
+  // Truncates the log (after a successful snapshot subsumes it). Standalone:
+  // in place, bound by a commit. Epoch-bound: a new generation at
+  // `<path>.next`, which Promote() renames over the old file once an epoch
+  // binds it — a crash in between leaves the file the epoch names.
   Status Reset();
+  Status Promote();
 
+  LogHead head() const { return {generation_, sequence_, chain_mac_}; }
   // Bytes appended to the log file (header + frames), tracked so the
   // compactor can bound log growth without stat() calls.
   uint64_t log_bytes() const { return log_bytes_.load(std::memory_order_relaxed); }
   // Records appended since the last commit.
   uint64_t pending() const { return uncommitted_; }
 
-  // Replays the committed prefix of the log into `store`, newest state
-  // winning. Fails with kIntegrityFailure on any tampering / reordering /
-  // mid-chain truncation, and kRollbackDetected when the final commit's
-  // counter value does not match the live counter. A missing or empty log
-  // is kNotFound (callers treat it as "nothing to replay").
+  // Standalone: replays the committed prefix of the log into `store`,
+  // newest state winning. Fails with kIntegrityFailure on any tampering /
+  // reordering / mid-chain truncation, and kRollbackDetected when the final
+  // commit's counter value does not match the live counter. A missing or
+  // empty log is kNotFound (callers treat it as "nothing to replay").
   static Status Replay(const sgx::SealingService& sealer,
                        sgx::MonotonicCounterService& counters, const OpLogOptions& options,
                        kv::KeyValueStore& store);
+  // Epoch-bound: applies exactly the first head.sequence records of the log
+  // at `path` (or its unpromoted `.next`) to `store` (nullptr: check only).
+  // kRollbackDetected unless the file holds `head`; kIntegrityFailure on a
+  // tampered record inside the prefix.
+  static Status ReplayPrefix(const sgx::SealingService& sealer, const std::string& path,
+                             const LogHead& head, kv::KeyValueStore* store);
 
  private:
   Status AppendRecord(uint8_t op, std::string_view key, std::string_view value);
   // AppendRecord for a set/delete, counted as a logged mutation.
   Status AppendMutation(uint8_t op, std::string_view key, std::string_view value);
+  // Makes `path` a durable file holding only the header.
+  Status CreateFile(const std::string& path);
   // Brings the log-bytes gauges up to log_bytes_ (Open, commit, Reset).
   void PublishLogBytes();
 
   const sgx::SealingService& sealer_;
-  sgx::MonotonicCounterService& counters_;
+  sgx::MonotonicCounterService* counters_ = nullptr;  // nullptr: epoch-bound
   OpLogOptions options_;
   FILE* file_ = nullptr;
-  int32_t counter_id_ = -1;
-  crypto::Mac chain_mac_{};  // MAC of the previous record (zero at start)
+  uint64_t generation_ = 0;  // epoch-bound; a standalone log's counter id
+  crypto::Mac chain_mac_{};  // MAC of the previous record (epoch-bound: seeded)
   uint64_t sequence_ = 0;
   uint64_t uncommitted_ = 0;
   uint64_t pending_commit_value_ = 0;  // value CommitPrepare wrote, pre-bump
-  // The counter's live value as of this log's last commit; re-read from the
-  // service after Open or a failed commit (see CommitPrepare).
-  uint64_t counter_value_ = 0;
-  bool counter_known_ = false;
   // Atomic so the compactor reads it without the shard lock.
   std::atomic<uint64_t> log_bytes_{0};
   int64_t published_log_bytes_ = 0;  // this log's share of wal.log_bytes
@@ -200,6 +225,48 @@ class OperationLog {
   obs::Histogram* counter_bump_latency_ = nullptr;  // wal.counter_bump_ns
   obs::Counter* shard_records_ = nullptr;           // wal.shard<i>.records
   obs::Gauge* shard_log_bytes_ = nullptr;           // wal.shard<i>.log_bytes
+};
+
+// The sharded WAL's epochs: `<wal path>.epoch` plus the WAL's one counter.
+// The file is a header (magic, counter id) and two fixed slots; the record
+// for value v (sealed, AAD the counter id) lives in slot v % 2, so the file
+// holds the two newest. A record is fsync'd BEFORE the counter is bumped to
+// its value, and is never rewritten once its bump began.
+//
+// Recover chooses the newest record at most live+1 whose every shard head
+// the shard files hold: at live+1 it completes the lost bump (roll
+// forward); below live, or with none, it is kRollbackDetected. Records
+// further ahead, or that a shard file does not hold, were never acked.
+class EpochLog {
+ public:
+  EpochLog(const sgx::SealingService& sealer, sgx::MonotonicCounterService& counters,
+           std::string wal_path);
+  ~EpochLog();
+  EpochLog(const EpochLog&) = delete;
+  EpochLog& operator=(const EpochLog&) = delete;
+
+  // Recover, or — with no epoch file and no shard log — create the file,
+  // its counter and epoch 0 (no shards).
+  Result<Epoch> Open();
+  Status Write(const Epoch& epoch);  // seal into its slot + fsync
+  Status Bump(uint64_t value);       // the counter must land on `value`
+
+  // Read-only apart from the roll forward. With no valid epoch: kNotFound
+  // if no shard log exists either, else kUnsupported naming the shard log
+  // (a release before counter epochs, or the epoch file removed).
+  static Result<Epoch> Recover(const sgx::SealingService& sealer,
+                               sgx::MonotonicCounterService& counters,
+                               const std::string& wal_path, uint32_t* counter_id = nullptr);
+  static std::string ShardPath(const std::string& wal_path, size_t shard) {
+    return wal_path + ".p" + std::to_string(shard);
+  }
+
+ private:
+  const sgx::SealingService& sealer_;
+  sgx::MonotonicCounterService& counters_;
+  std::string wal_path_;
+  int fd_ = -1;
+  uint32_t counter_id_ = 0;
 };
 
 }  // namespace shield::shieldstore

@@ -427,10 +427,9 @@ Status PartitionedStore::RestoreSnapshots(const sgx::SealingService& sealer,
   return Status::Ok();
 }
 
-Status PartitionedStore::RecoverPartition(size_t p, const sgx::SealingService& sealer,
-                                          sgx::MonotonicCounterService& counters,
-                                          const std::string& directory,
-                                          const OpLogOptions* oplog) {
+Status PartitionedStore::RecoverPartition(
+    size_t p, const sgx::SealingService& sealer, sgx::MonotonicCounterService& counters,
+    const std::string& directory, const std::function<Status(kv::KeyValueStore&)>& replay_log) {
   if (p >= partitions_.size()) {
     return Status(Code::kInvalidArgument, "no such partition");
   }
@@ -457,11 +456,11 @@ Status PartitionedStore::RecoverPartition(size_t p, const sgx::SealingService& s
   if (!restored.ok()) {
     return restored.status();
   }
-  if (oplog != nullptr) {
+  if (replay_log) {
     PartitionFilterStore scoped(*restored.value(), [this, p](std::string_view key) {
       return PartitionOf(key) == p;
     });
-    if (Status s = OperationLog::Replay(sealer, counters, *oplog, scoped); !s.ok()) {
+    if (Status s = replay_log(scoped); !s.ok()) {
       return s;
     }
   }

@@ -112,15 +112,15 @@ class PartitionedStore : public kv::BatchFirstStore {
                           sgx::MonotonicCounterService& counters, const std::string& directory);
 
   // Rebuilds partition `p` from its latest snapshot generation under
-  // `directory`, then — when `oplog` is given — replays the committed
-  // operation-log suffix filtered to the keys this partition owns. On
-  // success the rebuilt store replaces the partition and the quarantine
-  // flag clears; on failure the partition is untouched (and still
-  // quarantined if it was). Unsupported in persist-heap mode (the heap file
+  // `directory`, then — when `replay_log` is given — replays the committed
+  // log records into it through a filter that forwards only the keys this
+  // partition owns. On success the rebuilt store replaces the partition and
+  // the quarantine flag clears; on failure the partition is untouched (and
+  // still quarantined if it was). Unsupported in persist-heap mode (the heap file
   // IS the state; see RecoverPersistPartition).
   Status RecoverPartition(size_t p, const sgx::SealingService& sealer,
                           sgx::MonotonicCounterService& counters, const std::string& directory,
-                          const OpLogOptions* oplog = nullptr);
+                          const std::function<Status(kv::KeyValueStore&)>& replay_log = {});
 
   // --- Persistent heap (Options::persist_dir) ---
 

@@ -86,14 +86,6 @@ Status WriteDurableFile(const std::string& path,
   return Status::Ok();
 }
 
-void FsyncDirectory(const std::string& dir) {
-  const int fd = open(dir.c_str(), O_RDONLY | O_DIRECTORY);
-  if (fd >= 0) {
-    (void)fsync(fd);
-    close(fd);
-  }
-}
-
 Result<Bytes> ReadWholeFile(const std::string& path) {
   FILE* f = std::fopen(path.c_str(), "rb");
   if (f == nullptr) {
@@ -245,6 +237,14 @@ Result<LoadedSnapshot> TryLoadPair(sgx::Enclave& enclave, const Options& options
 }
 
 }  // namespace
+
+void FsyncDirectory(const std::string& dir) {
+  const int fd = open(dir.empty() ? "." : dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd >= 0) {
+    (void)fsync(fd);
+    close(fd);
+  }
+}
 
 Snapshotter::Snapshotter(Store& store, const sgx::SealingService& sealer,
                          sgx::MonotonicCounterService& counters, PersistOptions options)

@@ -47,6 +47,10 @@
 
 namespace shield::shieldstore {
 
+// Makes the directory entries created or renamed under `dir` durable
+// (best effort: an unopenable directory is skipped).
+void FsyncDirectory(const std::string& dir);
+
 struct PersistOptions {
   std::string directory;  // must exist
   bool optimized = true;  // Algorithm 1 vs blocking writes

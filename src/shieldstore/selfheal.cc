@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <filesystem>
 #include <thread>
 #include <utility>
@@ -36,31 +35,6 @@ class ContentionScope {
 
 }  // namespace
 
-WriteAheadStore::MaintenanceLock::MaintenanceLock(Shard& s) : shard_(s) {
-  shard_.maintenance.fetch_add(1, std::memory_order_acq_rel);
-  lock_ = std::unique_lock<std::mutex>(shard_.mutex);
-}
-
-WriteAheadStore::MaintenanceLock::~MaintenanceLock() {
-  if (lock_.owns_lock()) {
-    lock_.unlock();
-  }
-  shard_.maintenance.fetch_sub(1, std::memory_order_acq_rel);
-}
-
-bool WriteAheadStore::LockForCommit(Shard& s, std::unique_lock<std::mutex>& lock) {
-  // Writers hold the lock for one batch, so wait them out; a maintenance
-  // hold (compaction, recovery) can last long, and the caller would keep
-  // every other shard's commits waiting behind its turn meanwhile.
-  while (!lock.try_lock()) {
-    if (s.maintenance.load(std::memory_order_acquire) > 0) {
-      return false;
-    }
-    std::this_thread::yield();
-  }
-  return true;
-}
-
 WriteAheadStore::WriteAheadStore(PartitionedStore& inner, const sgx::SealingService& sealer,
                                  sgx::MonotonicCounterService& counters,
                                  const OpLogOptions& options)
@@ -73,12 +47,16 @@ WriteAheadStore::WriteAheadStore(PartitionedStore& inner, const sgx::SealingServ
   shipped_records_ = &metrics_->GetCounter("wal.shipped_records");
   ship_failures_ = &metrics_->GetCounter("wal.ship_failures");
   replication_attached_ = &metrics_->GetGauge("wal.replication_attached");
+  epochs_ = &metrics_->GetCounter("wal.epochs");
+  epoch_records_ = &metrics_->GetHistogram("wal.epoch_records");
+  epoch_fsync_ = &metrics_->GetHistogram("wal.epoch_fsync_ns");
+  counter_bump_ = &metrics_->GetHistogram("wal.counter_bump_ns");
   metrics_->GetGauge("wal.window_us").Set(static_cast<int64_t>(options_.group_commit_window_us));
   BuildShards();
   metrics_->GetGauge("wal.shards").Set(static_cast<int64_t>(shards_.size()));
 }
 
-WriteAheadStore::~WriteAheadStore() { StopCommitters(); }
+WriteAheadStore::~WriteAheadStore() { Close(); }
 
 void WriteAheadStore::BuildShards() {
   const size_t parts = inner_.num_partitions();
@@ -86,7 +64,7 @@ void WriteAheadStore::BuildShards() {
       std::max<size_t>(options_.num_shards == 0 ? parts : std::min(options_.num_shards, parts), 1);
   for (size_t i = 0; i < n; ++i) {
     OpLogOptions per_shard = options_;
-    per_shard.path = options_.path + ".p" + std::to_string(i);
+    per_shard.path = EpochLog::ShardPath(options_.path, i);
     per_shard.shard_index = static_cast<int>(i);
     auto s = std::make_unique<Shard>(std::move(per_shard));
     s->index = i;
@@ -125,26 +103,72 @@ void WriteAheadStore::ShipLocked(Shard& s) {
 }
 
 Status WriteAheadStore::Open() {
-  StopCommitters();
-  Status opened;
+  Close();
+  epoch_log_ = std::make_unique<EpochLog>(sealer_, counters_, options_.path);
+  Result<Epoch> recovered = epoch_log_->Open();
+  Status opened = recovered.status();
   for (auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
-    // A reopened log commits its predecessor's tail on destruction, so the
-    // sequence space carries on from `appended` with nothing pending.
-    s.log = std::make_unique<OperationLog>(sealer_, counters_, s.options);
-    s.durable = s.appended;
+    s.log.reset();
+    s.prepared = s.appended;
+    s.durable = s.appended.load();
     s.committing = false;
     s.failed = Status::Ok();
-    if (opened = s.log->Open(); !opened.ok()) {
-      break;
+    if (!opened.ok()) {
+      continue;
     }
+    // Resume at the recovered head (dropping what the epoch never covered);
+    // a shard the epoch does not name starts fresh.
+    s.log = std::make_unique<OperationLog>(sealer_, s.options);
+    opened = s.index < recovered->heads.size() ? s.log->Resume(recovered->heads[s.index])
+                                               : s.log->Open();
+  }
+  if (!opened.ok()) {
+    for (auto& shard_ptr : shards_) {
+      shard_ptr->log.reset();  // nothing may append, commit or wait on epochs
+    }
+    epoch_log_.reset();
+    return opened;
+  }
+  std::vector<uint64_t> marks;
+  {
+    std::lock_guard<std::mutex> lock(epoch_mutex_);
+    // Every head as reopened counts as covered: the first epoch names them
+    // all, plus the shards of an older geometry until ResetAllLogs.
+    ready_ = std::move(*recovered);
+    ready_.heads.resize(std::max(ready_.heads.size(), shards_.size()));
+    for (auto& shard_ptr : shards_) {
+      ready_.heads[shard_ptr->index] = shard_ptr->log->head();
+      marks.push_back(shard_ptr->appended);
+    }
+    ready_marks_ = marks;
+    ready_ticket_ = 0;
+    staged_ = covered_ = StagedEpoch{ready_, marks, 0};
+    writing_ = bumping_ = writer_done_ = epochs_stop_ = false;
+    epoch_failed_ = Status::Ok();
   }
   watch_.Reset(shards_.size(), 0);
-  for (auto& shard_ptr : shards_) {
-    watch_.Publish(shard_ptr->index, shard_ptr->durable);
-  }
+  watch_.Publish(marks);
+  epoch_writer_ = std::thread([this] { EpochWriterLoop(); });
+  bumper_ = std::thread([this] { BumperLoop(); });
   StartCommitters();
-  return opened;
+  return Status::Ok();
+}
+
+void WriteAheadStore::Close() {
+  StopCommitters();
+  if (epoch_log_ == nullptr) {
+    return;
+  }
+  (void)WithCommittedLog([] { return Status::Ok(); });  // legacy mode's tail too
+  {
+    std::lock_guard<std::mutex> lock(epoch_mutex_);
+    epochs_stop_ = true;
+  }
+  epoch_cv_.notify_all();
+  epoch_writer_.join();
+  bumper_.join();
+  epoch_log_.reset();
 }
 
 Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view key,
@@ -156,9 +180,14 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
   obs::TraceScope span("wal.append");
   if (options_.group_commit_window_us == 0) {
     // Legacy cadence: ack ⇒ logged; the log fsyncs itself every
-    // group_commit_ops records.
+    // group_commit_ops records and the bumper covers it in the background.
     Status st = is_delete ? s.log->LogDelete(key) : s.log->LogSet(key, value);
     if (st.ok()) {
+      ++s.appended;
+      if (s.log->pending() == 0) {
+        s.prepared = s.appended;
+        MarkReadyLocked(s, s.log->head(), s.appended);
+      }
       if (sink_.load(std::memory_order_acquire) != nullptr) {
         // No committer runs in this mode to drain the buffer later, so ship
         // each record under the lock, right behind its append.
@@ -168,8 +197,8 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
     }
     return st;
   }
-  if (s.appended == s.durable && !s.committing) {
-    s.batch_start = std::chrono::steady_clock::now();
+  if (s.appended == s.prepared) {
+    s.batch_start = std::chrono::steady_clock::now();  // this record opens a group
   }
   if (Status st = is_delete ? s.log->AppendDelete(key) : s.log->AppendSet(key, value);
       !st.ok()) {
@@ -188,7 +217,7 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
   }
   // The committer's two wake conditions: a group opened, or it filled up
   // (it may then close the window early).
-  const uint64_t pending = s.appended - s.durable;
+  const uint64_t pending = s.appended - s.prepared;
   if (pending == 1 || pending == options_.group_commit_ops) {
     s.commit_cv.notify_one();
   }
@@ -227,91 +256,45 @@ void WriteAheadStore::StopCommitters() {
 void WriteAheadStore::CommitterLoop(Shard& s) {
   std::unique_lock<std::mutex> lock(s.mutex);
   for (;;) {
-    s.commit_cv.wait(lock, [&] { return s.stop || (s.appended > s.durable && s.failed.ok()); });
-    if (s.appended == s.durable || !s.failed.ok()) {
+    s.commit_cv.wait(lock, [&] { return s.stop || (s.appended > s.prepared && s.failed.ok()); });
+    if (s.appended == s.prepared || !s.failed.ok()) {
       return;  // stopping with nothing (more) that can be committed
     }
-    // The monotonic counter serializes every bump, so a group closed while
-    // another shard of this WAL is mid-commit would only sit frozen behind
-    // it. Take the WAL's commit turn first (first come, first served) —
-    // without the shard lock, so writers never queue behind another shard's
-    // commit.
-    CommitTurn turn(*this);
-    auto window_from = s.batch_start;
-    if (!turn.TryTake()) {
-      lock.unlock();
-      turn.Wait();
-      if (!LockForCommit(s, lock)) {
-        // Under maintenance: pass the turn on and queue again.
-        turn.Pass();
-        lock.lock();
-        continue;
-      }
-      // The turn came free at a publish that just released other callers'
-      // held responses; the window restarts there so their follow-up
-      // requests can join.
-      window_from = std::max(window_from, std::chrono::steady_clock::now());
-    }
     if (!s.stop) {
-      // Wait out the configured window (or a full batch), from the group's
-      // first record when uncontended.
+      // Wait out the configured window (or a full group) from the group's
+      // first record. No other shard's commit is waited for: the bumper
+      // covers every shard's ready groups with one counter bump.
       const auto deadline =
-          window_from + std::chrono::microseconds(options_.group_commit_window_us);
+          s.batch_start + std::chrono::microseconds(options_.group_commit_window_us);
       s.commit_cv.wait_until(lock, deadline, [&] {
-        return s.stop || !s.failed.ok() || s.appended - s.durable >= options_.group_commit_ops;
+        return s.stop || !s.failed.ok() || s.appended - s.prepared >= options_.group_commit_ops;
       });
     }
     // A maintenance commit may have taken the group while the lock was free.
-    if (s.appended > s.durable && s.failed.ok()) {
+    if (s.appended > s.prepared && s.failed.ok()) {
       CommitGroupLocked(s, lock);
     }
   }
 }
 
-WriteAheadStore::CommitTurn::CommitTurn(WriteAheadStore& wal) : wal_(wal) {
-  std::lock_guard<std::mutex> lock(wal_.turn_mutex_);
-  ticket_ = wal_.turn_next_++;
-}
-
-WriteAheadStore::CommitTurn::~CommitTurn() { Pass(); }
-
-void WriteAheadStore::CommitTurn::Pass() {
-  if (passed_) {
-    return;
-  }
-  passed_ = true;
-  {
-    std::lock_guard<std::mutex> lock(wal_.turn_mutex_);
-    ++wal_.turn_serving_;
-  }
-  wal_.turn_cv_.notify_all();
-}
-
-bool WriteAheadStore::CommitTurn::TryTake() {
-  std::lock_guard<std::mutex> lock(wal_.turn_mutex_);
-  return wal_.turn_serving_ == ticket_;
-}
-
-void WriteAheadStore::CommitTurn::Wait() {
-  std::unique_lock<std::mutex> lock(wal_.turn_mutex_);
-  wal_.turn_cv_.wait(lock, [&] { return wal_.turn_serving_ == ticket_; });
-}
-
 void WriteAheadStore::CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& lock) {
-  // The commit record goes in under the lock; the fsync, the counter bump
-  // and the ship run with it RELEASED so writers append into the next group
-  // meanwhile. `committing` keeps maintenance commits out until this one
-  // has published.
+  // The flush goes in under the lock; the fsync and the ship run with it
+  // RELEASED so writers append into the next group meanwhile. `committing`
+  // keeps maintenance commits out until the group is marked ready.
   s.committing = true;
   const uint64_t upto = s.appended;
+  const LogHead head = s.log->head();
+  // The group closes here: records appended from now on open the next one.
+  commit_batch_hist_->Record(upto - s.prepared);
+  s.prepared = upto;
   Status st = s.log->CommitPrepare();
   if (st.ok()) {
     // Steal the replication buffer while still under the lock: the lock was
     // held continuously since `upto` was read, so the buffer holds exactly
     // the records this commit covers. Ship-seqs are assigned here, under the
     // lock, so the per-shard stream stays contiguous; the ship itself runs
-    // outside the lock — but strictly before `durable` advances, which is
-    // what makes every ack in the group "fsync'd AND shipped".
+    // outside the lock — but strictly before the group is marked ready,
+    // which is what makes every ack in the group "fsync'd AND shipped".
     std::vector<ReplicatedOp> to_ship;
     uint64_t ship_first = 0;
     const obs::TraceContext ship_trace = std::exchange(s.ship_trace, {});
@@ -324,7 +307,13 @@ void WriteAheadStore::CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& 
       s.pending_ship.clear();  // sink detached: drop, nothing to resume
     }
     lock.unlock();
-    st = s.log->CommitSync();
+    st = InjectedCrash(CommitCrash::kBeforeShardFsync);
+    if (st.ok()) {
+      st = s.log->CommitSync();  // an epoch-bound log: the fsync alone
+    }
+    if (st.ok()) {
+      st = InjectedCrash(CommitCrash::kAfterShardFsync);
+    }
     if (!to_ship.empty()) {
       obs::TraceScope span("wal.group_commit", ship_trace);
       // Ship even if the fsync failed: the seqs are already claimed, the
@@ -344,38 +333,19 @@ void WriteAheadStore::CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& 
     lock.lock();
   }
   s.committing = false;
-  if (st.ok()) {
-    // (upto - durable) records just became durable for one counter bump +
-    // fsync: the amortization the batch-size histogram exists to show.
-    const uint64_t batch = upto - s.durable;
-    group_commits_->Inc();
-    commit_batch_hist_->Record(batch);
-    s.durable = std::max(s.durable, upto);
-    if (s.appended > s.durable) {
-      // Records that arrived during the fsync open the next window now.
-      s.batch_start = std::chrono::steady_clock::now();
-    }
-  } else {
+  s.idle_cv.notify_all();
+  if (!st.ok()) {
     // A failed commit leaves durability unknowable for every record at or
     // beyond this group: latch the shard so nothing further is acked.
-    s.failed = st;
+    LatchLocked(s, st);
+    return;
   }
-  s.durable_cv.notify_all();
-  // Held responses are released by the watch's subscribers (reactor loops),
-  // which must not run under the shard lock.
-  const uint64_t durable = s.durable;
-  lock.unlock();
-  if (st.ok()) {
-    watch_.Publish(s.index, durable);
-  } else {
-    watch_.Latch(s.index, st);
-  }
-  lock.lock();
+  group_commits_->Inc();
+  MarkReadyLocked(s, head, upto);
 }
 
 void WriteAheadStore::LatchLocked(Shard& s, const Status& failure) {
   s.failed = failure;
-  s.durable_cv.notify_all();
   s.commit_cv.notify_all();
   watch_.Latch(s.index, failure);
 }
@@ -383,12 +353,10 @@ void WriteAheadStore::LatchLocked(Shard& s, const Status& failure) {
 Status WriteAheadStore::AwaitDurable(Shard& s, uint64_t seq) {
   obs::ScopedStage stage(metrics_, obs::Stage::kCommitWait);
   obs::TraceScope span("wal.commit_wait");
-  std::unique_lock<std::mutex> lock(s.mutex);
   if (s.durable < seq) {
     s.ctr_commit_waits->Inc();
   }
-  s.durable_cv.wait(lock, [&] { return s.durable >= seq || !s.failed.ok(); });
-  return s.durable >= seq ? Status::Ok() : s.failed;
+  return watch_.Wait(s.index, seq);
 }
 
 std::vector<kv::BatchOpResult> WriteAheadStore::ExecuteBatch(
@@ -509,11 +477,12 @@ std::vector<kv::BatchOpResult> WriteAheadStore::SubmitBatch(
   return results;
 }
 
-Status WriteAheadStore::CommitShardLocked(Shard& s, std::unique_lock<std::mutex>& lock) {
+Result<uint64_t> WriteAheadStore::CommitShardLocked(Shard& s,
+                                                   std::unique_lock<std::mutex>& lock) {
   if (s.log == nullptr) {
     return Status(Code::kInvalidArgument, "log not open");
   }
-  s.durable_cv.wait(lock, [&] { return !s.committing; });
+  s.idle_cv.wait(lock, [&] { return !s.committing; });
   if (!s.failed.ok()) {
     return s.failed;
   }
@@ -521,14 +490,12 @@ Status WriteAheadStore::CommitShardLocked(Shard& s, std::unique_lock<std::mutex>
     LatchLocked(s, st);
     return st;
   }
-  // A maintenance commit durable-izes records the committer will then find
+  // A maintenance commit takes records the committer will then find
   // already done; ship them under the lock (rare path: heal/compact
   // windows).
   ShipLocked(s);
-  s.durable = s.appended;
-  s.durable_cv.notify_all();
-  watch_.Publish(s.index, s.durable);
-  return Status::Ok();
+  s.prepared = s.appended;
+  return MarkReadyLocked(s, s.log->head(), s.appended);
 }
 
 Status WriteAheadStore::WithCommittedShard(size_t shard_index,
@@ -537,9 +504,12 @@ Status WriteAheadStore::WithCommittedShard(size_t shard_index,
     return Status(Code::kInvalidArgument, "no such shard");
   }
   Shard& s = shard(shard_index);
-  MaintenanceLock hold(s);
-  std::unique_lock<std::mutex>& lock = hold.lock();
-  if (Status st = CommitShardLocked(s, lock); !st.ok()) {
+  std::unique_lock<std::mutex> lock(s.mutex);
+  Result<uint64_t> ticket = CommitShardLocked(s, lock);
+  if (!ticket.ok()) {
+    return ticket.status();
+  }
+  if (Status st = WaitCovered(*ticket); !st.ok()) {
     return st;
   }
   return fn();
@@ -547,15 +517,46 @@ Status WriteAheadStore::WithCommittedShard(size_t shard_index,
 
 Status WriteAheadStore::WithCommittedLog(const std::function<Status()>& fn) {
   // Lock every shard in index order (the one ordering everywhere, so no
-  // deadlock) and commit each; `fn` then sees the whole store drained.
-  std::deque<MaintenanceLock> holds;
+  // deadlock) and commit each; one epoch covers them all, and `fn` then
+  // sees the whole store drained.
+  std::vector<std::unique_lock<std::mutex>> locks;
+  uint64_t ticket = 0;
   for (auto& shard_ptr : shards_) {
-    holds.emplace_back(*shard_ptr);
-    if (Status st = CommitShardLocked(*shard_ptr, holds.back().lock()); !st.ok()) {
-      return st;
+    locks.emplace_back(shard_ptr->mutex);
+    Result<uint64_t> t = CommitShardLocked(*shard_ptr, locks.back());
+    if (!t.ok()) {
+      return t.status();
     }
+    ticket = std::max(ticket, *t);
+  }
+  if (Status st = WaitCovered(ticket); !st.ok()) {
+    return st;
   }
   return fn();
+}
+
+Status WriteAheadStore::ReplayCommittedShard(size_t shard_index, kv::KeyValueStore& target) {
+  Shard& s = shard(shard_index);
+  return OperationLog::ReplayPrefix(sealer_, s.options.path, s.log->head(), &target);
+}
+
+Status WriteAheadStore::NewGenerationLocked(Shard& s, CompactionCrash crash) {
+  // The old generation stays the log's file until an epoch binding the new
+  // one is durable: a crash before recovers the old, after it the new.
+  Status st = s.log->Reset();
+  if (st.ok() && crash == CompactionCrash::kGenerationSwitch) {
+    st = Status(Code::kIoError, "injected crash inside the generation switch");
+  }
+  if (st.ok()) {
+    st = WaitCovered(MarkReadyLocked(s, s.log->head(), s.appended));
+  }
+  if (st.ok()) {
+    st = s.log->Promote();
+  }
+  if (!st.ok()) {
+    LatchLocked(s, st);  // log state unknown: stop acking against this shard
+  }
+  return st;
 }
 
 Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& directory,
@@ -564,8 +565,7 @@ Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& dire
     return Status(Code::kInvalidArgument, "no such shard");
   }
   Shard& s = shard(shard_index);
-  MaintenanceLock hold(s);
-  std::unique_lock<std::mutex>& lock = hold.lock();
+  std::unique_lock<std::mutex> lock(s.mutex);
   const size_t parts = inner_.num_partitions();
   for (size_t p = shard_index; p < parts; p += shards_.size()) {
     if (inner_.IsQuarantined(p)) {
@@ -575,13 +575,14 @@ Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& dire
                     "partition " + std::to_string(p) + " quarantined; compaction deferred");
     }
   }
-  // 1. Commit: the log and the in-memory state now agree exactly.
-  if (Status st = CommitShardLocked(s, lock); !st.ok()) {
-    return st;
+  // 1. Commit: the log and the in-memory state now agree exactly. The epoch
+  // that binds the new generation (step 3) covers this group too.
+  if (Result<uint64_t> committed = CommitShardLocked(s, lock); !committed.ok()) {
+    return committed.status();
   }
   // 2. Fold each served partition into a fresh baseline. Crash anywhere
-  // here: the log is untouched, so old-or-new baseline + full log replay
-  // converge to the same state.
+  // here: the log is untouched, so old-or-new baseline + the log prefix
+  // its epoch names converge on every acked value.
   if (inner_.persist_enabled()) {
     // Persist mode: the baseline is the arena, and the fold is an
     // INCREMENTAL checkpoint — dirty buckets + superblock, not a full
@@ -612,11 +613,10 @@ Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& dire
   }
   // 3. Truncate: the new generation subsumes everything the log held.
   compacted_bytes_->Inc(s.log->log_bytes());
-  if (Status st = s.log->Reset(); !st.ok()) {
-    LatchLocked(s, st);  // log state unknown: stop acking against this shard
+  if (Status st = NewGenerationLocked(s, crash); !st.ok()) {
     return st;
   }
-  // `appended`/`durable` (and ship_seq) run on across the truncation: held
+  // `appended`/`durable` (and ship_seq) run on across the generations: held
   // requirements and parked waiters name sequences in that space.
   s.ctr_compactions->Inc();
   compactions_->Inc();
@@ -624,22 +624,26 @@ Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& dire
 }
 
 Status WriteAheadStore::ResetAllLogs() {
+  {
+    // Stale shard files beyond the current count (a previous boot's wider
+    // geometry) are subsumed by the caller's snapshot: the next epoch stops
+    // naming them, and then they go.
+    std::lock_guard<std::mutex> lock(epoch_mutex_);
+    ready_.heads.resize(shards_.size());
+  }
   for (auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
-    MaintenanceLock hold(s);
-    std::unique_lock<std::mutex>& lock = hold.lock();
-    if (Status st = CommitShardLocked(s, lock); !st.ok()) {
-      return st;
+    std::unique_lock<std::mutex> lock(s.mutex);
+    if (Result<uint64_t> committed = CommitShardLocked(s, lock); !committed.ok()) {
+      return committed.status();
     }
-    if (Status st = s.log->Reset(); !st.ok()) {
-      LatchLocked(s, st);
+    if (Status st = NewGenerationLocked(s); !st.ok()) {
       return st;
     }
   }
-  // Stale shard files beyond the current count (a previous boot's wider
-  // geometry) are subsumed by the caller's snapshot.
   for (size_t i = shards_.size();; ++i) {
-    const std::string stale = options_.path + ".p" + std::to_string(i);
+    const std::string stale = EpochLog::ShardPath(options_.path, i);
+    std::remove((stale + ".next").c_str());
     if (std::remove(stale.c_str()) != 0) {
       break;
     }
@@ -647,17 +651,125 @@ Status WriteAheadStore::ResetAllLogs() {
   return Status::Ok();
 }
 
-std::vector<OpLogOptions> WriteAheadStore::ShardLogsOnDisk() const {
-  std::vector<OpLogOptions> found;
-  for (size_t i = 0;; ++i) {
-    OpLogOptions per_shard = options_;
-    per_shard.path = options_.path + ".p" + std::to_string(i);
-    if (!std::filesystem::exists(per_shard.path)) {
-      break;
-    }
-    found.push_back(std::move(per_shard));
+// ------------------------------------------------------------ counter epochs
+
+uint64_t WriteAheadStore::MarkReadyLocked(Shard& s, const LogHead& head, uint64_t upto) {
+  std::lock_guard<std::mutex> lock(epoch_mutex_);
+  ready_marks_[s.index] = upto;
+  if (ready_.heads[s.index] != head) {
+    ready_.heads[s.index] = head;
+    ++ready_ticket_;
+    epoch_cv_.notify_all();
   }
-  return found;
+  return ready_ticket_;
+}
+
+Status WriteAheadStore::WaitCovered(uint64_t ticket) {
+  std::unique_lock<std::mutex> lock(epoch_mutex_);
+  epoch_cv_.wait(lock, [&] { return covered_.ticket >= ticket || !epoch_failed_.ok(); });
+  return covered_.ticket >= ticket ? Status::Ok() : epoch_failed_;
+}
+
+void WriteAheadStore::EpochWriterLoop() {
+  std::unique_lock<std::mutex> lock(epoch_mutex_);
+  for (;;) {
+    epoch_cv_.wait(lock, [&] {
+      return epochs_stop_ || !epoch_failed_.ok() || ready_ticket_ > staged_.ticket;
+    });
+    if (!epoch_failed_.ok() || ready_ticket_ == staged_.ticket) {
+      writer_done_ = true;  // stopping, with every ready group written
+      epoch_cv_.notify_all();
+      return;
+    }
+    // The epoch window: with the bumper idle, groups already appended get
+    // up to one group-commit window to turn ready and ride the next bump,
+    // rather than a whole bump later (DESIGN.md §17). Legacy groups close by
+    // count, not time.
+    if (!bumping_ && staged_.epoch.value == covered_.epoch.value &&
+        options_.group_commit_window_us != 0) {
+      std::vector<uint64_t> appended;
+      for (auto& shard_ptr : shards_) {
+        appended.push_back(shard_ptr->appended);
+      }
+      epoch_cv_.wait_for(lock, std::chrono::microseconds(options_.group_commit_window_us), [&] {
+        return !epoch_failed_.ok() ||
+               std::equal(appended.begin(), appended.end(), ready_marks_.begin(),
+                          std::less_equal<uint64_t>());
+      });
+    }
+    // One record names every shard's newest ready head. While a bump spins
+    // it goes to the other slot, so the record being bumped stays intact;
+    // rewriting the next one as groups turn ready is safe, since its value
+    // is bumped only after the last write to it finished.
+    StagedEpoch next{ready_, ready_marks_, ready_ticket_};
+    next.epoch.value = covered_.epoch.value + (bumping_ ? 2 : 1);
+    writing_ = true;
+    lock.unlock();
+    const uint64_t start = obs::TimerStart();
+    const Status st = epoch_log_->Write(next.epoch);
+    epoch_fsync_->RecordCycles(obs::TimerStart() - start);
+    lock.lock();
+    writing_ = false;
+    if (!st.ok()) {
+      writer_done_ = true;
+      FailEpochs(st, lock);
+      return;
+    }
+    staged_ = std::move(next);
+    epoch_cv_.notify_all();
+  }
+}
+
+void WriteAheadStore::BumperLoop() {
+  std::unique_lock<std::mutex> lock(epoch_mutex_);
+  for (;;) {
+    const auto due = [&] { return staged_.epoch.value > covered_.epoch.value && !writing_; };
+    epoch_cv_.wait(lock, [&] { return !epoch_failed_.ok() || due() || writer_done_; });
+    if (!epoch_failed_.ok() || !due()) {
+      return;  // failed, or stopping with every record bumped
+    }
+    // The bump: every group the record names becomes durable.
+    StagedEpoch done = staged_;
+    bumping_ = true;
+    lock.unlock();
+    Status st = InjectedCrash(CommitCrash::kBetweenEpochFsyncAndBump);
+    const uint64_t start = obs::TimerStart();
+    if (st.ok()) {
+      st = epoch_log_->Bump(done.epoch.value);
+    }
+    counter_bump_->RecordCycles(obs::TimerStart() - start);
+    lock.lock();
+    bumping_ = false;
+    if (!st.ok()) {
+      FailEpochs(st, lock);
+      return;
+    }
+    uint64_t records = 0;
+    for (size_t i = 0; i < done.marks.size(); ++i) {
+      records += done.marks[i] - covered_.marks[i];
+      shards_[i]->durable = done.marks[i];
+    }
+    covered_ = std::move(done);
+    epochs_->Inc();
+    epoch_records_->Record(records);
+    epoch_cv_.notify_all();
+    // One wake publishes every covered shard's watermark. Watch subscribers
+    // (reactor loops) run on this thread: not under the lock.
+    const std::vector<uint64_t> marks = covered_.marks;
+    lock.unlock();
+    watch_.Publish(marks);
+    lock.lock();
+  }
+}
+
+void WriteAheadStore::FailEpochs(const Status& failure, std::unique_lock<std::mutex>& lock) {
+  epoch_failed_ = failure;
+  epoch_cv_.notify_all();
+  lock.unlock();
+  for (auto& shard_ptr : shards_) {
+    std::lock_guard<std::mutex> guard(shard_ptr->mutex);
+    LatchLocked(*shard_ptr, failure);
+  }
 }
 
 Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
@@ -669,6 +781,13 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
                   "unsharded log " + options_.path +
                       " is from a pre-sharding release; restore it with that release");
   }
+  // The epoch names the shard logs to replay (its writer's geometry) and
+  // each one's head; a rollback of any of them fails here.
+  Result<Epoch> epoch = EpochLog::Recover(sealer_, counters_, options_.path);
+  if (!epoch.ok() && epoch.status().code() != Code::kNotFound) {
+    return epoch.status();
+  }
+  const std::vector<LogHead> heads = epoch.ok() ? std::move(epoch->heads) : std::vector<LogHead>{};
   const auto restore_start = std::chrono::steady_clock::now();
   // heap.restart_ns records the whole baseline-plus-tail restore (the number
   // the persistent heap exists to shrink); set only on success.
@@ -700,17 +819,14 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
     // snapshots').
     return st;
   }
-  // Phase 2: the committed suffix of every log on disk, straight to the
-  // inner store (not re-logged). Each partition's snapshot precedes its log
+  // Phase 2: every named shard log up to its head, straight to the inner
+  // store (not re-logged). Each partition's snapshot precedes its log
   // records because phase 1 ran first; logs never cross partitions, so any
-  // inter-log order converges. kNotFound = empty/fresh log, nothing to do.
-  const std::vector<OpLogOptions> logs = ShardLogsOnDisk();
-  const auto replay_one = [&](const OpLogOptions& log) {
-    Status st = OperationLog::Replay(sealer_, counters_, log, inner_);
-    if (!st.ok() && st.code() != Code::kNotFound) {
-      return Status(st.code(), "replaying " + log.path + ": " + st.message());
-    }
-    return Status::Ok();
+  // inter-log order converges.
+  const auto replay_one = [&](size_t i) {
+    const std::string path = EpochLog::ShardPath(options_.path, i);
+    Status st = OperationLog::ReplayPrefix(sealer_, path, heads[i], &inner_);
+    return st.ok() ? st : Status(st.code(), "replaying " + path + ": " + st.message());
   };
   // Shard logs of one epoch hold disjoint key sets, and cross-epoch
   // leftovers converge (each log's last record per key is that key's final
@@ -720,7 +836,7 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
       options_.replay_threads == 0
           ? std::min<size_t>(std::max<size_t>(std::thread::hardware_concurrency(), 1), 8)
           : options_.replay_threads;
-  threads = std::min(std::max<size_t>(threads, 1), logs.size());
+  threads = std::min(std::max<size_t>(threads, 1), heads.size());
   std::atomic<size_t> next{0};
   std::mutex error_mutex;
   Status first_error;
@@ -730,10 +846,10 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
     pool.emplace_back([&] {
       for (;;) {
         const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-        if (i >= logs.size()) {
+        if (i >= heads.size()) {
           return;
         }
-        if (Status st = replay_one(logs[i]); !st.ok()) {
+        if (Status st = replay_one(i); !st.ok()) {
           std::lock_guard<std::mutex> guard(error_mutex);
           if (first_error.ok()) {
             first_error = st;
@@ -788,10 +904,6 @@ Status WriteAheadStore::ExportHeapFiles(const std::string& destination_dir) {
   });
 }
 
-const OpLogOptions& WriteAheadStore::shard_log_options(size_t shard_index) const {
-  return shards_[shard_index]->options;
-}
-
 WalStats WriteAheadStore::Stats() const {
   WalStats total;
   // The logs own these three (registered in the same registry).
@@ -844,8 +956,8 @@ Status SelfHealer::last_error() const {
 }
 
 Status SelfHealer::RecoverOne(size_t p) {
-  // Commit, then replay inside the SHARD's lock: the replay's rollback check
-  // compares the shard log's final commit against the live counter, so no
+  // Commit, then replay inside the SHARD's lock up to the head an epoch
+  // covers (a shard file rolled back behind it is kRollbackDetected), so no
   // commit on this shard may land in between. Mutations to this shard's
   // partitions queue for the few milliseconds the replay takes; every other
   // shard — and all reads — keep serving.
@@ -858,8 +970,9 @@ Status SelfHealer::RecoverOne(size_t p) {
       // restore (ExportHeapFiles on a healthy peer).
       return wal_.inner().RecoverPersistPartition(p);
     }
-    return wal_.inner().RecoverPartition(p, sealer_, counters_, options_.directory,
-                                         &wal_.shard_log_options(shard));
+    return wal_.inner().RecoverPartition(
+        p, sealer_, counters_, options_.directory,
+        [&](kv::KeyValueStore& target) { return wal_.ReplayCommittedShard(shard, target); });
   });
 }
 

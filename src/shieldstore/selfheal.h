@@ -9,20 +9,25 @@
 //
 //  * WriteAheadStore runs one operation-log shard per partition (or per
 //    partition group, OpLogOptions::num_shards), each with its own mutex,
-//    record chain, monotonic counter, and fsync cadence. A mutation locks
-//    only its key's shard, applies to the inner store, and appends to that
-//    shard's log BEFORE any result is returned — acked ⇒ logged per shard,
-//    and writers to different partitions never contend. Reads append
-//    nothing.
+//    record chain and fsync cadence. A mutation locks only its key's
+//    shard, applies to the inner store, and appends to that shard's log
+//    BEFORE any result is returned — acked ⇒ logged per shard, and writers
+//    to different partitions never contend. Reads append nothing.
+//  * Counter epochs: the WAL has ONE monotonic counter and one bumper
+//    thread, its only client. A writer thread seals every shard's newest
+//    ready head into an epoch record (EpochLog, oplog.h) and fsyncs it —
+//    rewriting it while the bump in flight spins; the bumper then bumps the
+//    counter to the record's value and publishes every covered shard's
+//    watermark with one wake. Bumps per second are fixed by the counter
+//    model, so throughput grows with the records each bump covers.
 //  * Group commit (OpLogOptions::group_commit_window_us > 0): acks are
-//    durable. Each shard has one committer thread. It sleeps until the
-//    shard has appended records that are not yet durable, waits out the
-//    window (or until group_commit_ops records accumulate), writes the
-//    commit record under the shard lock, then fsyncs, bumps the monotonic
-//    counter and ships with the lock RELEASED, so writers keep appending
-//    into the next group. Only then does the shard's durable watermark
-//    advance. One fsync + one counter bump thus amortize over every record
-//    that arrived in the window, from every caller at once.
+//    durable — fsync'd ∧ shipped ∧ counter-bumped. Each shard's committer
+//    thread waits out the window from its group's first record (or until
+//    group_commit_ops records accumulate), flushes the group under the
+//    shard lock, fsyncs and ships it with the lock RELEASED, then marks it
+//    ready for the next epoch; shards commit concurrently. In legacy mode
+//    (window 0) the log fsyncs inline every group_commit_ops records and
+//    the bumper covers those groups in the background.
 //  * Durability requirements: SubmitBatch executes and appends without
 //    waiting and returns, per touched shard, the appended sequence its
 //    results depend on (a get's too: it must never reveal state a crash
@@ -33,18 +38,18 @@
 //  * Bounded-log compaction: when a shard's log outgrows a threshold, the
 //    maintenance thread (SelfHealer::Tick) folds the shard's partitions into
 //    fresh baseline snapshots — crash-safe via the existing SHA-256-footer +
-//    atomic-rename + counter roll-forward path — then truncates the shard
-//    log to a fresh epoch. Recovery time and disk growth stay bounded no
-//    matter how long the daemon runs. A crash anywhere in that sequence
-//    recovers: the snapshot either never committed (old generation + full
-//    log still replay) or committed (new generation + not-yet-truncated log
-//    replay to the same state, since the log's final values are what was
-//    snapshotted). The per-shard sequence space runs on across truncation.
+//    atomic-rename + counter roll-forward path — then starts a new log
+//    generation, which an epoch binds before it replaces the old file.
+//    Recovery time and disk growth stay bounded no matter how long the
+//    daemon runs; a crash anywhere recovers the old or the new generation.
+//  * Recovery (Open, RestoreFromDisk) replays each shard log up to its head
+//    in the recovered epoch (EpochLog::Recover). A shard log, the epoch file
+//    or a shard generation put back behind the counter is kRollbackDetected.
 //
-// Recovery window: the healer commits one SHARD's log, then replays it while
-// holding that shard's lock (WithCommittedShard). Mutations to that shard's
-// partitions block for those few milliseconds; every other shard — and all
-// reads — keep serving at full speed.
+// Recovery window: the healer commits one SHARD's log and waits for its
+// epoch, then replays it while holding that shard's lock
+// (WithCommittedShard). Mutations to that shard's partitions block for
+// those few milliseconds; every other shard — and all reads — keep serving.
 //
 // Geometry: the partition count and the WAL shard layout are fixed for the
 // life of the process (built once in the constructors, so routing takes no
@@ -98,7 +103,8 @@ class WriteAheadStore : public kv::BatchFirstStore {
                   sgx::MonotonicCounterService& counters, const OpLogOptions& options);
   ~WriteAheadStore() override;
 
-  // Opens (or reopens) every shard log and starts the shard committers
+  // Recovers the epoch (a rollback fails here), reopens every shard log at
+  // its head in it and starts the bumper and the shard committers
   // (durable-window mode). Call before serving: it must succeed before any
   // mutation, and must not race one. Shard i lives at options.path + ".p<i>".
   Status Open();
@@ -126,39 +132,56 @@ class WriteAheadStore : public kv::BatchFirstStore {
   std::string Name() const override { return "ShieldStore/write-ahead"; }
   kv::StoreStats stats() const override { return inner_.stats(); }
 
-  // Group-commits shard `shard` and runs `fn` while still holding its lock —
-  // no mutation on that shard's partitions can slip between the commit and
-  // `fn`. This is the recovery window: `fn` replays the shard log knowing
-  // its committed tail matches the live counter. Other shards keep serving.
+  // Group-commits shard `shard`, waits for an epoch covering it, and runs
+  // `fn` still holding its lock (the bumper needs none) — no mutation on
+  // that shard's partitions can slip between the commit and `fn`. This is
+  // the recovery window: `fn` replays the log (ReplayCommittedShard).
   Status WithCommittedShard(size_t shard, const std::function<Status()>& fn);
   // Same, over every shard at once (drains the whole store; heap export and
   // tests).
   Status WithCommittedLog(const std::function<Status()>& fn);
+  // Inside WithCommittedShard's `fn`: applies the shard log up to its
+  // covered head to `target` (kRollbackDetected if the file lost it).
+  Status ReplayCommittedShard(size_t shard, kv::KeyValueStore& target);
 
   // --- compaction ---
 
   // Crash-point injection for the compaction sequence (tests). The snapshot
   // points map onto Snapshotter::CrashPoint; kBeforeTruncate dies after the
-  // snapshots commit but before the log is reset.
+  // snapshots commit but before the log is reset; kGenerationSwitch after
+  // the new generation is written, before an epoch binds it (the shard
+  // latches: the process would be gone).
   enum class CompactionCrash {
     kNone,
     kSnapshotTempWrite,  // Snapshotter::CrashPoint::kAfterTempWrite
     kSnapshotRename,     // Snapshotter::CrashPoint::kAfterRename
     kBeforeTruncate,
+    kGenerationSwitch,
   };
+
+  // Crash-point injection for the commit path (tests): the committer (or
+  // the bumper) reaching the armed point fails there and latches its shard
+  // (every shard), so nothing after the point is acked.
+  enum class CommitCrash {
+    kNone,
+    kBeforeShardFsync,
+    kAfterShardFsync,
+    kBetweenEpochFsyncAndBump,
+  };
+  void InjectCommitCrash(CommitCrash point) { commit_crash_.store(point); }
 
   // Folds the committed state of every partition served by `shard` into a
   // fresh snapshot generation under `directory` (the SnapshotAll layout) —
   // or, with Options::persist_dir, into an incremental arena checkpoint
-  // (dirty buckets + superblock, no full rewrite) — then truncates the
-  // shard log to a fresh epoch. Runs under the shard lock: mutations to
-  // those partitions wait, everything else proceeds. Refuses
+  // (dirty buckets + superblock, no full rewrite) — then starts a new log
+  // generation. Runs under the shard lock: mutations to those partitions
+  // wait, everything else proceeds. Refuses
   // (kPartitionRecovering) while a served partition is quarantined — its
   // in-memory state is untrusted and the log suffix is its recovery input.
   Status CompactShard(size_t shard, const std::string& directory,
                       CompactionCrash crash = CompactionCrash::kNone);
 
-  // Commits and truncates every shard log to a fresh epoch, deleting any
+  // Commits every shard log and starts it on a new generation, dropping
   // stale shard files beyond the current count (a previous boot's wider
   // geometry). Call right after a baseline SnapshotAll: the snapshots
   // subsume everything the logs held.
@@ -168,12 +191,13 @@ class WriteAheadStore : public kv::BatchFirstStore {
   // (empty) inner store: every partition snapshot generation under
   // `snapshot_directory` (the SnapshotAll layout of ANY geometry — the
   // route key is drawn fresh each boot, so keys are re-routed through the
-  // facade), then the committed suffix of every shard log found on disk.
-  // Call after Open() and before serving; follow with SelfHealer::Start()
-  // (or ResetAllLogs()) so the restored state becomes the new baseline.
-  // A leftover unsharded log at options.path (the pre-sharding layout) is
-  // refused with kUnsupported naming the file: its acked records are never
-  // dropped silently.
+  // facade), then every shard log the recovered epoch names, up to its
+  // head. Call after Open() and before serving; follow with
+  // SelfHealer::Start() (or ResetAllLogs()) so the restored state becomes
+  // the new baseline. A leftover unsharded log at options.path (the
+  // pre-sharding layout) or shard logs without an epoch are refused with
+  // kUnsupported naming the file: their acked records are never dropped
+  // silently.
   //
   // With Options::persist_dir the baseline is the mmap'd heap files, not
   // snapshots: the sealed route key is loaded (so routing matches the files'
@@ -195,7 +219,6 @@ class WriteAheadStore : public kv::BatchFirstStore {
   size_t num_shards() const { return shards_.size(); }
   size_t ShardOfPartition(size_t p) const { return p % shards_.size(); }
   uint64_t ShardLogBytes(size_t shard) const;
-  const OpLogOptions& shard_log_options(size_t shard) const;
   WalStats Stats() const;
   // The registry this WAL, its logs and its SelfHealer record into.
   obs::Registry& metrics() const { return *metrics_; }
@@ -207,9 +230,6 @@ class WriteAheadStore : public kv::BatchFirstStore {
   // sink was installed are NOT buffered retroactively; the sink's attach-
   // time bootstrap snapshot is what covers them. Safe to call while serving.
   void SetReplicationSink(ReplicationSink* sink);
-  ReplicationSink* replication_sink() const {
-    return sink_.load(std::memory_order_acquire);
-  }
 
  private:
   struct Shard {
@@ -218,14 +238,15 @@ class WriteAheadStore : public kv::BatchFirstStore {
     std::unique_ptr<OperationLog> log;
     size_t index = 0;  // position in shards_ (shipped to the sink as-is)
     std::mutex mutex;  // serializes apply + append for this shard's partitions
-    std::condition_variable commit_cv;   // wakes the committer
-    std::condition_variable durable_cv;  // `durable`/`committing` changed
-    // Record sequences (durable-window mode). Monotone for the life of the
-    // store — compaction and log reset do not rewind them — because
-    // requirements and parked waiters name sequences in this space.
-    uint64_t appended = 0;    // highest sequence appended
-    uint64_t durable = 0;     // highest sequence fsync'd + counter-bumped + shipped
-    bool committing = false;  // the committer is between CommitPrepare and publish
+    std::condition_variable commit_cv;  // wakes the committer
+    std::condition_variable idle_cv;    // `committing` cleared
+    // Record sequences. Monotone for the life of the store — compaction and
+    // log generations do not rewind them — because requirements and parked
+    // waiters name sequences in this space.
+    std::atomic<uint64_t> appended{0};  // highest sequence appended
+    uint64_t prepared = 0;  // highest sequence in a closed group (CommitPrepare'd)
+    std::atomic<uint64_t> durable{0};  // highest sequence an epoch covers (bumper)
+    bool committing = false;  // the committer is between CommitPrepare and ready
     bool stop = false;        // the committer should drain and exit
     // Replication: records captured at append time, drained to the sink at
     // commit time. ship_seq counts records ever handed to the sink; follower
@@ -239,7 +260,6 @@ class WriteAheadStore : public kv::BatchFirstStore {
     // Per-shard observability (wal.shard<i>.*), cached in BuildShards.
     obs::Counter* ctr_commit_waits = nullptr;
     obs::Counter* ctr_compactions = nullptr;
-    std::atomic<int> maintenance{0};  // MaintenanceLocks held or waiting
     std::thread committer;  // joined by StopCommitters before the shard dies
   };
 
@@ -258,67 +278,73 @@ class WriteAheadStore : public kv::BatchFirstStore {
   void StartCommitters();
   void StopCommitters();
   void CommitterLoop(Shard& s);
-  // Commits every record appended so far as one group and publishes the
-  // new watermark; called by the committer with `lock` held.
+  // Commits every record appended so far as one group and marks it ready;
+  // called by the committer with `lock` held.
   void CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& lock);
-  // A shard lock taken for maintenance (commit + compaction, recovery):
-  // flagged so a committer holding the commit turn passes the
-  // turn on instead of waiting for it (see LockForCommit).
-  class MaintenanceLock {
-   public:
-    explicit MaintenanceLock(Shard& s);
-    ~MaintenanceLock();
-    MaintenanceLock(const MaintenanceLock&) = delete;
-    MaintenanceLock& operator=(const MaintenanceLock&) = delete;
-    std::unique_lock<std::mutex>& lock() { return lock_; }
-
-   private:
-    Shard& shard_;
-    std::unique_lock<std::mutex> lock_;
-  };
-  // Takes `lock` on `s` for a committer holding the commit turn; false,
-  // without it, if a maintenance hold is pending or active.
-  static bool LockForCommit(Shard& s, std::unique_lock<std::mutex>& lock);
   // Records a fatal commit error: durability can no longer be promised.
   void LatchLocked(Shard& s, const Status& failure);
-  Status CommitShardLocked(Shard& s, std::unique_lock<std::mutex>& lock);
+  // Maintenance commit (the committer drained first): fsync + ship + ready.
+  // Returns the ticket WaitCovered takes.
+  Result<uint64_t> CommitShardLocked(Shard& s, std::unique_lock<std::mutex>& lock);
+  // Starts a new log generation, waits for the epoch binding it, promotes it.
+  Status NewGenerationLocked(Shard& s, CompactionCrash crash = CompactionCrash::kNone);
   // Drains s.pending_ship to the sink under the shard lock (legacy-cadence
   // and maintenance-commit paths; the committer instead steals the buffer
   // under the lock and ships outside it). Clears the buffer without
   // shipping when no sink is installed. Never fails the caller: a sink
   // rejection only bumps wal.ship_failures.
   void ShipLocked(Shard& s);
-  std::vector<OpLogOptions> ShardLogsOnDisk() const;
+  // Stops the committers, gives every shard's tail its epoch and stops the
+  // bumper (Open and the destructor).
+  void Close();
+  Status InjectedCrash(CommitCrash point) const {
+    return commit_crash_ == point ? Status(Code::kIoError, "injected crash") : Status::Ok();
+  }
+
+  // A shard's group (fsync'd and shipped, head `head`, through `upto` in
+  // the sequence space) is ready for the next epoch; returns the ticket an
+  // epoch must reach to cover it. Shard lock held.
+  uint64_t MarkReadyLocked(Shard& s, const LogHead& head, uint64_t upto);
+  // Blocks until an epoch covers `ticket`, or the epoch threads failed.
+  Status WaitCovered(uint64_t ticket);
+  void EpochWriterLoop();
+  void BumperLoop();
+  // An epoch write or bump failed: no later ack is possible, so every shard
+  // latches. Drops `lock` (on epoch_mutex_) to take the shard locks.
+  void FailEpochs(const Status& failure, std::unique_lock<std::mutex>& lock);
 
   PartitionedStore& inner_;
   const sgx::SealingService& sealer_;
   sgx::MonotonicCounterService& counters_;
   OpLogOptions options_;
   std::vector<std::unique_ptr<Shard>> shards_;  // fixed after construction
-  // The WAL's commit turn: a committer holds it from closing its group
-  // until the group has published, and turns are served in ticket order
-  // (see CommitterLoop). Waited for only with no shard lock held.
-  class CommitTurn {
-   public:
-    explicit CommitTurn(WriteAheadStore& wal);  // takes a ticket
-    ~CommitTurn();                              // Pass()
-    CommitTurn(const CommitTurn&) = delete;
-    CommitTurn& operator=(const CommitTurn&) = delete;
-    bool TryTake();  // true if the turn is already this ticket's
-    void Wait();     // blocks until it is
-    void Pass();     // hands the turn to the next ticket (once)
-
-   private:
-    WriteAheadStore& wal_;
-    uint64_t ticket_ = 0;
-    bool passed_ = false;
-  };
-  std::mutex turn_mutex_;  // guards turn_next_ and turn_serving_
-  std::condition_variable turn_cv_;
-  uint64_t turn_next_ = 0;     // next ticket to hand out
-  uint64_t turn_serving_ = 0;  // ticket whose turn it is
   std::atomic<ReplicationSink*> sink_{nullptr};
   kv::DurabilityWatch watch_;  // per-shard durable watermarks, as published
+  std::atomic<CommitCrash> commit_crash_{CommitCrash::kNone};
+
+  // Epoch state, under epoch_mutex_. A ticket numbers each change of
+  // `ready_`. The writer thread seals ready_ into the next record (and
+  // rewrites it while the bump in flight spins); the bumper bumps the
+  // newest fsync'd record. Lock order: shard mutex, then epoch_mutex_; the
+  // epoch threads take no shard lock while holding it.
+  struct StagedEpoch {
+    Epoch epoch;
+    std::vector<uint64_t> marks;  // per shard: the sequence it covers
+    uint64_t ticket = 0;
+  };
+  std::unique_ptr<EpochLog> epoch_log_;
+  std::mutex epoch_mutex_;
+  std::condition_variable epoch_cv_;
+  Epoch ready_;  // every shard's newest ready head (+ an older geometry's, until reset)
+  std::vector<uint64_t> ready_marks_;
+  uint64_t ready_ticket_ = 0;
+  StagedEpoch staged_;   // the newest fsync'd record; due a bump past covered_
+  StagedEpoch covered_;  // the last bumped one
+  bool writing_ = false;
+  bool bumping_ = false;
+  bool writer_done_ = false;
+  bool epochs_stop_ = false;
+  Status epoch_failed_;
 
   // Metric handles cached at construction (see OpLogOptions::metrics).
   obs::Registry* metrics_ = nullptr;
@@ -329,6 +355,12 @@ class WriteAheadStore : public kv::BatchFirstStore {
   obs::Counter* shipped_records_ = nullptr;      // wal.shipped_records
   obs::Counter* ship_failures_ = nullptr;        // wal.ship_failures
   obs::Gauge* replication_attached_ = nullptr;   // wal.replication_attached
+  obs::Counter* epochs_ = nullptr;               // wal.epochs (counter bumps)
+  obs::Histogram* epoch_records_ = nullptr;      // wal.epoch_records (records/bump)
+  obs::Histogram* epoch_fsync_ = nullptr;        // wal.epoch_fsync_ns
+  obs::Histogram* counter_bump_ = nullptr;       // wal.counter_bump_ns
+  std::thread epoch_writer_;  // joined by Close(), like the bumper
+  std::thread bumper_;
 };
 
 struct SelfHealOptions {

@@ -219,7 +219,9 @@ TEST_F(FaultInjectTest, QuarantinedPartitionRecoversWhileOthersServe) {
 
   // Rebuild partition 0 from snapshot + committed oplog suffix.
   ASSERT_TRUE(
-      ps.RecoverPartition(0, sealer, counters, snapdir, &log_opts).ok());
+      ps.RecoverPartition(0, sealer, counters, snapdir, [&](kv::KeyValueStore& into) {
+          return OperationLog::Replay(sealer, counters, log_opts, into);
+        }).ok());
   EXPECT_FALSE(ps.IsQuarantined(0));
   EXPECT_EQ(ps.QuarantinedCount(), 0u);
   for (const auto& [key, value] : expected) {

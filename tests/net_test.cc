@@ -849,13 +849,13 @@ TEST_F(NetEndToEndTest, HeldResponsesReleaseInOrderAsTheyTurnDurable) {
   }
   // The watermark reaching 2 releases runs 1 and 2, in order (the session's
   // sequence numbers would reject anything else); run 3 stays held.
-  held.watch().Publish(0, 2);
+  held.watch().Publish({2});
   Result<Response> first = client.ReceiveResponse();
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->status, Code::kOk);
   Result<Response> second = client.ReceiveResponse();
   ASSERT_TRUE(second.ok()) << second.status().ToString();
-  held.watch().Publish(0, 3);
+  held.watch().Publish({3});
   Result<Response> third = client.ReceiveResponse();
   ASSERT_TRUE(third.ok()) << third.status().ToString();
   EXPECT_EQ(third->status, Code::kOk);
@@ -875,7 +875,7 @@ TEST_F(NetEndToEndTest, LatchWhileHeldClosesSessionAfterReleasedPrefix) {
   held.AwaitSubmitted(1);
   ASSERT_TRUE(client.SendRequest(SetRequest("lost", "2")).ok());
   held.AwaitSubmitted(2);
-  held.watch().Publish(0, 1);
+  held.watch().Publish({1});
   Result<Response> first = client.ReceiveResponse();
   ASSERT_TRUE(first.ok()) << first.status().ToString();
   EXPECT_EQ(first->status, Code::kOk);
@@ -895,7 +895,7 @@ TEST_F(NetEndToEndTest, StopReleasesHeldResponsesThatTurnDurable) {
   held.AwaitSubmitted(1);
   std::thread stopper([&server] { server.Stop(); });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  held.watch().Publish(0, 1);
+  held.watch().Publish({1});
   Result<Response> response = client.ReceiveResponse();
   stopper.join();
   ASSERT_TRUE(response.ok()) << response.status().ToString();

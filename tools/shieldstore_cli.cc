@@ -170,6 +170,15 @@ int CheckInvariants(const shield::obs::MetricsSnapshot& snap) {
     if (snap.GaugeValue("wal.shards") <= 0) {
       fail("wal.shards gauge not positive");
     }
+    // One counter bump covers at least one shard group, and no record is
+    // acked before a bump covers it.
+    const uint64_t epochs = snap.CounterValue("wal.epochs");
+    if (epochs > snap.CounterValue("wal.commits")) {
+      fail("wal.epochs > wal.commits");
+    }
+    if (snap.CounterValue("wal.records") > 0 && epochs == 0) {
+      fail("wal.records > 0 with no wal.epochs");
+    }
   }
   return violations;
 }

@@ -242,12 +242,14 @@ void PrintReport(const shield::obs::MetricsSnapshot& now,
               Ull(now.CounterValue("net.coalesced.batches")),
               Ull(now.CounterValue("net.coalesced.ops")));
   if (now.Has("wal.records")) {
+    const auto* per_bump = now.Histogram("wal.epoch_records");
     std::printf("wal: %llu records, %llu commits, %llu fsyncs, %llu compactions, "
-                "%llu log bytes over %lld shards\n",
+                "%llu log bytes over %lld shards, %llu counter bumps (%.1f records/bump)\n",
                 Ull(now.CounterValue("wal.records")), Ull(now.CounterValue("wal.commits")),
                 Ull(now.CounterValue("wal.fsyncs")), Ull(now.CounterValue("wal.compactions")),
                 static_cast<unsigned long long>(now.GaugeValue("wal.log_bytes")),
-                static_cast<long long>(now.GaugeValue("wal.shards")));
+                static_cast<long long>(now.GaugeValue("wal.shards")),
+                Ull(now.CounterValue("wal.epochs")), per_bump != nullptr ? per_bump->Mean() : 0.0);
   }
   if (now.Has("heal.recoveries")) {
     std::printf("self-healing: %llu recoveries (%llu failed), %llu violations detected\n",
