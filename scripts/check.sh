@@ -9,6 +9,9 @@ JOBS="$(nproc 2>/dev/null || echo 4)"
 # source tree.
 export SHIELD_BENCH_JSON_DIR=build
 
+echo "== src/ line count (the figure CHANGES.md tracks) =="
+find src -name '*.cc' -o -name '*.h' | xargs cat | wc -l
+
 echo "== tier-1: plain build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"

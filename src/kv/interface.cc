@@ -112,8 +112,8 @@ DurabilityWatch::State DurabilityWatch::Check(const DurabilityRequirement& requi
   std::lock_guard<std::mutex> lock(mu_);
   State state = State::kDurable;
   for (const auto& [shard, seq] : requirement.shards) {
-    // A shard index past the table was retired by a re-layout, which made
-    // everything before it durable first.
+    // The table has one slot per shard of the store's fixed geometry; an
+    // index past it (a watch never Reset) has nothing to wait for.
     if (shard >= durable_.size() || durable_[shard] >= seq) {
       continue;
     }
@@ -137,14 +137,11 @@ void DurabilityWatch::Unsubscribe(uint64_t token) {
   std::erase_if(listeners_, [&](const auto& entry) { return entry.first == token; });
 }
 
-void DurabilityWatch::Reset(size_t shards, uint64_t floor) {
+void DurabilityWatch::Reset(size_t shards) {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    durable_.resize(shards, floor);
+    durable_.resize(shards, 0);
     latched_.assign(shards, Status::Ok());
-    for (uint64_t& d : durable_) {
-      d = std::max(d, floor);
-    }
   }
   Notify();
 }

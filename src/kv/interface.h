@@ -95,9 +95,9 @@ class DurabilityWatch {
   uint64_t Subscribe(std::function<void()> listener);
   void Unsubscribe(uint64_t token);
 
-  // Publisher side (the store). Reset sizes the watermark table and lifts
-  // every watermark to at least `floor`; Publish only ever raises one.
-  void Reset(size_t shards, uint64_t floor);
+  // Publisher side (the store). Reset sizes the watermark table (kept
+  // watermarks stay) and clears every latch; Publish only ever raises one.
+  void Reset(size_t shards);
   // Raises every shard's watermark (index = shard) with one wake.
   void Publish(const std::vector<uint64_t>& durable);
   void Latch(size_t shard, const Status& failure);

@@ -13,14 +13,11 @@
 namespace shield::shieldstore {
 namespace {
 
-// Header: magic + a 32-bit field — a standalone log's counter id, or an
-// epoch-bound log's generation, which also seeds its chain.
-constexpr char kLogMagic[4] = {'S', 'S', 'L', '1'};
-constexpr char kEpochBoundMagic[4] = {'S', 'S', 'L', '2'};
+// Header: magic + the log's 32-bit generation, which also seeds its chain.
+constexpr char kLogMagic[4] = {'S', 'S', 'L', '2'};
 constexpr size_t kLogHeaderBytes = 8;
 constexpr uint8_t kOpSet = 1;
 constexpr uint8_t kOpDelete = 2;
-constexpr uint8_t kOpCommit = 0xC0;
 constexpr char kEpochMagic[4] = {'S', 'S', 'E', '1'};
 constexpr size_t kEpochHeaderBytes = 8;       // magic + counter id
 constexpr size_t kEpochSlotBytes = 32 << 10;  // ~1000 shard heads per record
@@ -36,9 +33,9 @@ Bytes ChainAad(const crypto::Mac& prev, uint64_t sequence) {
 
 // The chain before the first record: a header edited to another generation
 // fails that record's authentication.
-crypto::Mac ChainSeed(uint64_t header_field) {
+crypto::Mac ChainSeed(uint64_t generation) {
   crypto::Mac seed{};
-  StoreLe64(seed.data(), header_field);
+  StoreLe64(seed.data(), generation);
   return seed;
 }
 
@@ -94,16 +91,15 @@ Status ApplyMutation(const DecodedRecord& r, kv::KeyValueStore& store) {
 // What a scan read: the header, then the chain state and byte length of
 // the authenticated prefix.
 struct LogScan {
-  bool epoch_bound = false;
-  uint64_t field = 0;
+  uint64_t generation = 0;
   crypto::Mac chain{};
   uint64_t sequence = 0;
   uint64_t bytes = 0;
 };
 
 // Streams authenticated records, stopping cleanly at a torn/truncated tail
-// or after `limit` records. `cb` returns false to abort; `scan->field` is
-// set before the first call.
+// or after `limit` records. `cb` returns false to abort; `scan->generation`
+// is set before the first call.
 Status ScanLog(const std::string& path, const sgx::SealingService& sealer, uint64_t limit,
                LogScan* scan, const std::function<bool(const DecodedRecord&)>& cb) {
   FILE* f = std::fopen(path.c_str(), "rb");
@@ -119,14 +115,12 @@ Status ScanLog(const std::string& path, const sgx::SealingService& sealer, uint6
     std::fclose(f);
     return Status(Code::kNotFound, "empty log at " + path);
   }
-  scan->epoch_bound = std::memcmp(header, kEpochBoundMagic, 4) == 0;
-  if (header_read != sizeof(header) ||
-      (!scan->epoch_bound && std::memcmp(header, kLogMagic, 4) != 0)) {
+  if (header_read != sizeof(header) || std::memcmp(header, kLogMagic, 4) != 0) {
     std::fclose(f);
     return Status(Code::kIntegrityFailure, "log header corrupted in " + path);
   }
-  scan->field = LoadLe32(header + 4);
-  crypto::Mac chain = ChainSeed(scan->epoch_bound ? scan->field : 0);
+  scan->generation = LoadLe32(header + 4);
+  crypto::Mac chain = ChainSeed(scan->generation);
   uint64_t seq = 0;
   uint64_t bytes = kLogHeaderBytes;
   std::vector<uint8_t> frame;
@@ -182,14 +176,13 @@ Result<std::string> FindPrefix(const sgx::SealingService& sealer, const std::str
     Status applied;
     const Status scanned =
         ScanLog(candidate, sealer, head.sequence, &scan, [&](const DecodedRecord& r) {
-          applied = !scan.epoch_bound || scan.field != head.generation
-                        ? Status(Code::kRollbackDetected, "")
-                    : store != nullptr            ? ApplyMutation(r, *store)
-                                                  : Status::Ok();
+          applied = scan.generation != head.generation ? Status(Code::kRollbackDetected, "")
+                    : store != nullptr                 ? ApplyMutation(r, *store)
+                                                       : Status::Ok();
           return applied.ok();
         });
     if (scanned.code() == Code::kNotFound ||
-        (scanned.ok() && (!scan.epoch_bound || scan.field != head.generation))) {
+        (scanned.ok() && scan.generation != head.generation)) {
       continue;
     }
     if (!scanned.ok() || !applied.ok()) {
@@ -213,21 +206,20 @@ Result<std::string> FindPrefix(const sgx::SealingService& sealer, const std::str
 OperationLog::OperationLog(const sgx::SealingService& sealer,
                            sgx::MonotonicCounterService& counters, const OpLogOptions& options)
     : OperationLog(sealer, options) {
-  counters_ = &counters;
+  path_ = EpochLog::ShardPath(options.path, 0);
+  epoch_log_ = std::make_unique<EpochLog>(sealer, counters, options.path);
 }
 
 OperationLog::OperationLog(const sgx::SealingService& sealer, const OpLogOptions& options)
-    : sealer_(sealer), options_(options) {
-  obs::Registry* reg =
-      options_.metrics != nullptr ? options_.metrics : &obs::Registry::Global();
+    : sealer_(sealer), path_(options.path) {
+  obs::Registry* reg = options.metrics != nullptr ? options.metrics : &obs::Registry::Global();
   records_ = &reg->GetCounter("wal.records");
   commits_ = &reg->GetCounter("wal.commits");
   fsyncs_ = &reg->GetCounter("wal.fsyncs");
   log_bytes_gauge_ = &reg->GetGauge("wal.log_bytes");
   fsync_latency_ = &reg->GetHistogram("wal.fsync_ns");
-  counter_bump_latency_ = &reg->GetHistogram("wal.counter_bump_ns");
-  if (options_.shard_index >= 0) {
-    const std::string prefix = "wal.shard" + std::to_string(options_.shard_index) + ".";
+  if (options.shard_index >= 0) {
+    const std::string prefix = "wal.shard" + std::to_string(options.shard_index) + ".";
     shard_records_ = &reg->GetCounter(prefix + "records");
     shard_log_bytes_ = &reg->GetGauge(prefix + "log_bytes");
   }
@@ -235,9 +227,6 @@ OperationLog::OperationLog(const sgx::SealingService& sealer, const OpLogOptions
 
 OperationLog::~OperationLog() {
   if (file_ != nullptr) {
-    if (uncommitted_ > 0) {
-      (void)Commit();
-    }
     std::fclose(file_);
   }
   log_bytes_gauge_->Add(-published_log_bytes_);
@@ -261,7 +250,7 @@ Status OperationLog::CreateFile(const std::string& path) {
     return Status(Code::kIoError, "cannot create log " + path);
   }
   uint8_t header[kLogHeaderBytes];
-  std::memcpy(header, counters_ == nullptr ? kEpochBoundMagic : kLogMagic, 4);
+  std::memcpy(header, kLogMagic, 4);
   StoreLe32(header + 4, static_cast<uint32_t>(generation_));
   // Make the header durable immediately: after any crash the log is either
   // empty (fresh start) or begins with a valid header — never a torn one.
@@ -270,7 +259,7 @@ Status OperationLog::CreateFile(const std::string& path) {
     return Status(Code::kIoError, "cannot write log header");
   }
   SyncParentDir(path);  // an epoch may name this file next
-  chain_mac_ = ChainSeed(counters_ == nullptr ? generation_ : 0);
+  chain_mac_ = ChainSeed(generation_);
   sequence_ = 0;
   uncommitted_ = 0;
   log_bytes_.store(kLogHeaderBytes, std::memory_order_relaxed);
@@ -279,56 +268,37 @@ Status OperationLog::CreateFile(const std::string& path) {
 }
 
 Status OperationLog::Open() {
-  if (counters_ == nullptr) {
-    generation_ = 1;
-    std::remove((options_.path + ".next").c_str());
-    return CreateFile(options_.path);
-  }
-  // Recover chain state from an existing log, or start a fresh one.
-  LogScan scan;
-  const Status scanned = ScanLog(options_.path, sealer_, UINT64_MAX, &scan,
-                                 [](const DecodedRecord&) { return true; });
-  if (scanned.ok()) {
-    generation_ = scan.field;
-    chain_mac_ = scan.chain;
-    sequence_ = scan.sequence;
-    file_ = std::fopen(options_.path.c_str(), "ab");
-    if (file_ == nullptr) {
-      return Status(Code::kIoError, "cannot append to log");
+  if (epoch_log_ != nullptr) {
+    Result<Epoch> epoch = epoch_log_->Open();
+    if (!epoch.ok()) {
+      return epoch.status();
     }
-    std::fseek(file_, 0, SEEK_END);
-    const long size = std::ftell(file_);
-    log_bytes_.store(size > 0 ? static_cast<uint64_t>(size) : 0, std::memory_order_relaxed);
-    PublishLogBytes();
-    return Status::Ok();
+    epoch_ = epoch->value;
+    if (!epoch->heads.empty()) {
+      return Resume(epoch->heads[0]);
+    }
   }
-  if (scanned.code() != Code::kNotFound) {
-    return scanned;  // corrupted log: refuse to continue on top of it
-  }
-  Result<uint32_t> id = counters_->CreateCounter();
-  if (!id.ok()) {
-    return id.status();
-  }
-  generation_ = id.value();
-  return CreateFile(options_.path);
+  generation_ = 1;
+  std::remove((path_ + ".next").c_str());
+  return CreateFile(path_);
 }
 
 Status OperationLog::Resume(const LogHead& head) {
   uint64_t prefix_bytes = 0;
-  Result<std::string> held = FindPrefix(sealer_, options_.path, head, nullptr, &prefix_bytes);
+  Result<std::string> held = FindPrefix(sealer_, path_, head, nullptr, &prefix_bytes);
   if (!held.ok()) {
     return held.status();
   }
   // A `.next` the epoch binds becomes the log (a crash before Promote); one
   // it does not bind is dropped. So is every record past the head.
-  if (*held == options_.path) {
-    std::remove((options_.path + ".next").c_str());
-  } else if (std::rename(held->c_str(), options_.path.c_str()) != 0) {
+  if (*held == path_) {
+    std::remove((path_ + ".next").c_str());
+  } else if (std::rename(held->c_str(), path_.c_str()) != 0) {
     return Status(Code::kIoError, "cannot promote " + *held);
   }
-  if (::truncate(options_.path.c_str(), static_cast<off_t>(prefix_bytes)) != 0 ||
-      (file_ = std::fopen(options_.path.c_str(), "ab")) == nullptr) {
-    return Status(Code::kIoError, "cannot reopen " + options_.path);
+  if (::truncate(path_.c_str(), static_cast<off_t>(prefix_bytes)) != 0 ||
+      (file_ = std::fopen(path_.c_str(), "ab")) == nullptr) {
+    return Status(Code::kIoError, "cannot reopen " + path_);
   }
   generation_ = head.generation;
   chain_mac_ = head.mac;
@@ -338,7 +308,7 @@ Status OperationLog::Resume(const LogHead& head) {
   return Status::Ok();
 }
 
-Status OperationLog::AppendRecord(uint8_t op, std::string_view key, std::string_view value) {
+Status OperationLog::AppendMutation(uint8_t op, std::string_view key, std::string_view value) {
   if (file_ == nullptr) {
     return Status(Code::kInvalidArgument, "log not open");
   }
@@ -353,14 +323,6 @@ Status OperationLog::AppendRecord(uint8_t op, std::string_view key, std::string_
   std::memcpy(chain_mac_.data(), sealed.data() + sealed.size() - 16, 16);
   ++sequence_;
   log_bytes_.fetch_add(4 + sealed.size(), std::memory_order_relaxed);
-  return Status::Ok();
-}
-
-Status OperationLog::AppendMutation(uint8_t op, std::string_view key,
-                                    std::string_view value) {
-  if (Status s = AppendRecord(op, key, value); !s.ok()) {
-    return s;
-  }
   records_->Inc();
   if (shard_records_ != nullptr) {
     shard_records_->Inc();
@@ -377,50 +339,9 @@ Status OperationLog::AppendDelete(std::string_view key) {
   return AppendMutation(kOpDelete, key, "");
 }
 
-Status OperationLog::LogSet(std::string_view key, std::string_view value) {
-  if (Status s = AppendSet(key, value); !s.ok()) {
-    return s;
-  }
-  if (uncommitted_ >= options_.group_commit_ops) {
-    return Commit();
-  }
-  return Status::Ok();
-}
-
-Status OperationLog::LogDelete(std::string_view key) {
-  if (Status s = AppendDelete(key); !s.ok()) {
-    return s;
-  }
-  if (uncommitted_ >= options_.group_commit_ops) {
-    return Commit();
-  }
-  return Status::Ok();
-}
-
 Status OperationLog::CommitPrepare() {
   if (file_ == nullptr) {
     return Status(Code::kInvalidArgument, "log not open");
-  }
-  if (counters_ != nullptr) {
-    // The commit record carries live+1; the counter is bumped only after the
-    // record is durable (CommitSync). A crash between the two leaves the log
-    // one ahead of the counter — Replay treats that like the snapshot
-    // machinery's pending generation and rolls the counter forward. (Bumping
-    // first, as earlier revisions did, made that crash window unrecoverable:
-    // the lost commit record left the live counter ahead of every commit in
-    // the log, indistinguishable from a rollback attack.)
-    Result<uint64_t> live = counters_->Read(static_cast<uint32_t>(generation_));
-    if (!live.ok()) {
-      return live.status();
-    }
-    pending_commit_value_ = live.value() + 1;
-    uint8_t v[8];
-    StoreLe64(v, pending_commit_value_);
-    if (Status s =
-            AppendRecord(kOpCommit, "", std::string_view(reinterpret_cast<char*>(v), 8));
-        !s.ok()) {
-      return s;
-    }
   }
   if (std::fflush(file_) != 0) {
     return Status(Code::kIoError, "log flush failed");
@@ -442,23 +363,22 @@ Status OperationLog::CommitSync() {
   if (fsync(fileno(file_)) != 0) {
     return Status(Code::kIoError, "log fsync failed");
   }
-  const uint64_t t_bump = obs::TimerStart();
-  fsync_latency_->RecordCycles(t_bump - t_fsync);
+  fsync_latency_->RecordCycles(obs::TimerStart() - t_fsync);
   fsyncs_->Inc();
-  if (counters_ == nullptr) {
-    return Status::Ok();  // an epoch binds this group (EpochLog)
+  if (epoch_log_ == nullptr) {
+    return Status::Ok();  // the WAL's epoch binds this group
   }
   // One counter bump per group — the amortization that makes fine-grained
-  // logging viable (§7). Only now does the group become the one true
-  // committed state.
-  Result<uint64_t> bumped = counters_->Increment(static_cast<uint32_t>(generation_));
-  counter_bump_latency_->RecordCycles(obs::TimerStart() - t_bump);
-  if (!bumped.ok()) {
-    return bumped.status();
+  // logging viable (§7). The epoch is durable before its bump, so a crash
+  // between the two rolls forward (EpochLog::Recover).
+  const Epoch next{epoch_ + 1, {head()}};
+  if (Status s = epoch_log_->Write(next); !s.ok()) {
+    return s;
   }
-  if (bumped.value() != pending_commit_value_) {
-    return Status(Code::kInternal, "log counter advanced outside a commit");
+  if (Status s = epoch_log_->Bump(next.value); !s.ok()) {
+    return s;
   }
+  epoch_ = next.value;
   return Status::Ok();
 }
 
@@ -473,20 +393,20 @@ Status OperationLog::Reset() {
   if (file_ == nullptr) {
     return Status(Code::kInvalidArgument, "log not open");
   }
-  // Epoch-bound: the old generation stays in place until an epoch binds the
-  // new one. Standalone: the commit binds the fresh log to the counter, so a
-  // replay of the previous one fails the counter check.
-  const bool epoch_bound = counters_ == nullptr;
-  generation_ += epoch_bound ? 1 : 0;
-  if (Status s = CreateFile(options_.path + (epoch_bound ? ".next" : "")); !s.ok()) {
+  // The old generation stays in place until an epoch binds the new one.
+  ++generation_;
+  if (Status s = CreateFile(path_ + ".next"); !s.ok()) {
     return s;
   }
-  return Commit();
+  if (Status s = Commit(); !s.ok() || epoch_log_ == nullptr) {
+    return s;
+  }
+  return Promote();
 }
 
 Status OperationLog::Promote() {
-  const std::string next = options_.path + ".next";
-  if (std::rename(next.c_str(), options_.path.c_str()) != 0) {
+  const std::string next = path_ + ".next";
+  if (std::rename(next.c_str(), path_.c_str()) != 0) {
     return Status(Code::kIoError, "cannot promote " + next);
   }
   return Status::Ok();
@@ -495,62 +415,11 @@ Status OperationLog::Promote() {
 Status OperationLog::Replay(const sgx::SealingService& sealer,
                             sgx::MonotonicCounterService& counters, const OpLogOptions& options,
                             kv::KeyValueStore& store) {
-  LogScan scan;
-  // Buffer mutations between commits; only committed groups apply.
-  std::vector<DecodedRecord> pending;
-  uint64_t last_commit_value = 0;
-  bool saw_commit = false;
-  Status apply_status = Status::Ok();
-  const Status scanned = ScanLog(
-      options.path, sealer, UINT64_MAX, &scan, [&](const DecodedRecord& record) {
-        if (record.op == kOpCommit) {
-          if (record.value.size() != 8) {
-            apply_status = Status(Code::kIntegrityFailure, "commit record malformed");
-            return false;
-          }
-          last_commit_value = LoadLe64(reinterpret_cast<const uint8_t*>(record.value.data()));
-          saw_commit = true;
-          for (const DecodedRecord& op : pending) {
-            if (apply_status = ApplyMutation(op, store); !apply_status.ok()) {
-              return false;
-            }
-          }
-          pending.clear();
-          return true;
-        }
-        pending.push_back(record);
-        return true;
-      });
-  if (!scanned.ok()) {
-    return scanned;
+  Result<Epoch> epoch = EpochLog::Recover(sealer, counters, options.path);
+  if (!epoch.ok() || epoch->heads.empty()) {
+    return epoch.status();  // no epoch names a record yet: nothing to replay
   }
-  if (!apply_status.ok()) {
-    return apply_status;
-  }
-  // Rollback check: the newest committed group must match the live counter.
-  const auto counter_id = static_cast<uint32_t>(scan.field);
-  Result<uint64_t> live = counters.Read(counter_id);
-  if (!live.ok()) {
-    return Status(Code::kRollbackDetected, "log counter missing");
-  }
-  const uint64_t expected = saw_commit ? last_commit_value : 0;
-  if (live.value() == expected) {
-    return Status::Ok();
-  }
-  if (saw_commit && live.value() + 1 == expected) {
-    // The final commit record is durable but its counter bump was lost to a
-    // crash between fsync and increment: complete the commit (roll forward),
-    // exactly like Snapshotter::Recover's promotable pending pair. A stale
-    // log cannot take this path — its commits are all at or below the live
-    // counter — and a forged one cannot seal a valid record at all.
-    Result<uint64_t> bumped = counters.Increment(counter_id);
-    if (bumped.ok() && bumped.value() == expected) {
-      return Status::Ok();
-    }
-  }
-  return Status(Code::kRollbackDetected,
-                "log commit value " + std::to_string(expected) + " != live counter " +
-                    std::to_string(live.value()));
+  return ReplayPrefix(sealer, EpochLog::ShardPath(options.path, 0), epoch->heads[0], &store);
 }
 
 Status OperationLog::ReplayPrefix(const sgx::SealingService& sealer, const std::string& path,

@@ -8,20 +8,18 @@
 //  * records are encrypted + MAC-chained (each record's MAC covers its
 //    predecessor's), so order, content, and truncation-before-commit are
 //    all authenticated without per-record counter bumps;
-//  * the monotonic counter is bumped once per GROUP of records (the
-//    counter-service cost knob models the slow SGX counter or a fast
-//    ROTE-style one);
-//  * recovery = snapshot + replay of the committed log prefix; a stale log
-//    fails the counter check.
+//  * the monotonic counter is bumped once per GROUP of records, through a
+//    counter epoch (EpochLog) that names the log's head (the counter-service
+//    cost knob models the slow SGX counter or a fast ROTE-style one);
+//  * recovery = snapshot + replay of the log prefix the newest epoch names;
+//    a stale log or epoch fails the counter check.
 //
-// One OperationLog is one append-only file, externally synchronized. A
-// STANDALONE log (built with a counter service) binds its own counter: it
-// appends a commit record carrying the counter's next value
-// (CommitPrepare), then fsyncs and bumps (CommitSync); LogSet/LogDelete
-// auto-commit every group_commit_ops records. An EPOCH-BOUND log (built
-// without one) is a shard of the sharded WAL (selfheal.h): its commits only
-// flush and fsync, and the WAL's EpochLog binds every shard's head to ONE
-// counter per bump.
+// One OperationLog is one append-only file, externally synchronized, in one
+// on-disk format. A shard of the sharded WAL (selfheal.h) is built without a
+// counter service: its commits flush and fsync, and the WAL's EpochLog binds
+// every shard's head to ONE counter per bump. A STANDALONE log at path P
+// (built with a counter service) is a one-shard WAL: the log file P.p0 and
+// its own EpochLog at P.epoch, which each CommitSync writes and bumps.
 //
 // This module is an EXTENSION beyond the paper's implementation; the
 // evaluation figures never enable it.
@@ -30,6 +28,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -71,8 +70,10 @@ class ReplicationSink {
 };
 
 struct OpLogOptions {
-  std::string path;              // log file (shard i of a sharded WAL appends ".p<i>")
-  size_t group_commit_ops = 64;  // commit (fsync) cadence
+  // A WAL (or a standalone log, a one-shard WAL) at `path` keeps shard i's
+  // log in path + ".p<i>" and its counter epochs in path + ".epoch".
+  std::string path;
+  size_t group_commit_ops = 64;  // the WAL's group-commit cadence, in records
 
   // --- knobs interpreted by the sharded WriteAheadStore (selfheal.h) ---
 
@@ -92,15 +93,12 @@ struct OpLogOptions {
   // charged for the time a shard's lock is held, modelling n workers
   // saturating one shard. 1 = off (real deployments).
   size_t virtual_contention = 1;
-  // Threads RestoreFromDisk uses to replay the shard logs, one log per
-  // thread at a time. 0 = auto (bounded by the hardware); 1 = sequential.
-  size_t replay_threads = 0;
 
   // Observability: the registry every WAL metric is recorded in, by
-  // WriteAheadStore (stage histograms, commit batches, compaction and
-  // shipping), by its SelfHealer (heal.*) and by the log itself
-  // (wal.records/commits/fsyncs/log_bytes, fsync and counter-bump latency,
-  // per-shard series when shard_index >= 0). Counts belong to the registry:
+  // WriteAheadStore (stage histograms, commit batches, compaction,
+  // shipping, epochs and counter-bump latency), by its SelfHealer (heal.*)
+  // and by the log itself (wal.records/commits/fsyncs/log_bytes, fsync
+  // latency, per-shard series when shard_index >= 0). Counts belong to the registry:
   // logs sharing one share the totals. nullptr uses obs::Registry::Global().
   obs::Registry* metrics = nullptr;
   // Which WAL shard this log backs; >= 0 registers wal.shard<i>.records and
@@ -126,48 +124,50 @@ struct Epoch {
   std::vector<LogHead> heads;
 };
 
+class EpochLog;
+
 class OperationLog {
  public:
-  // `sealer` protects record confidentiality/integrity (bound to the
-  // enclave measurement); `counters` provides rollback protection at group
-  // commit granularity. Without `counters` the log is epoch-bound.
+  // A standalone log: `sealer` protects record confidentiality/integrity
+  // (bound to the enclave measurement); `counters` backs its EpochLog, one
+  // bump per group commit.
   OperationLog(const sgx::SealingService& sealer, sgx::MonotonicCounterService& counters,
                const OpLogOptions& options);
+  // A WAL shard log at options.path, bound by the WAL's EpochLog.
   OperationLog(const sgx::SealingService& sealer, const OpLogOptions& options);
+  // Closes the file without committing: committing is the caller's job.
   ~OperationLog();
 
   OperationLog(const OperationLog&) = delete;
   OperationLog& operator=(const OperationLog&) = delete;
 
-  // Opens (standalone: creating or appending; epoch-bound: a fresh log).
+  // Standalone: recovers the epoch (a rollback fails here) and resumes at
+  // the head it names, or starts a fresh log. WAL shard: starts a fresh log.
   // Must be called before logging.
   Status Open();
-  // Epoch-bound: reopens at `head` (see ReplayPrefix), truncating what lies
-  // past it — those records were never acked.
+  // Reopens at `head` (see ReplayPrefix), truncating what lies past it —
+  // those records were never committed.
   Status Resume(const LogHead& head);
 
-  // Logs one mutation. Auto-commits every group_commit_ops records.
-  Status LogSet(std::string_view key, std::string_view value);
-  Status LogDelete(std::string_view key);
-
-  // Batched-commit discipline: append without any commit side effect. The
-  // caller owns the commit cadence.
+  // Appends one mutation, with no commit side effect: the caller owns the
+  // commit cadence.
   Status AppendSet(std::string_view key, std::string_view value);
   Status AppendDelete(std::string_view key);
 
-  // Forces a group commit (CommitPrepare + CommitSync). Prepare appends the
-  // commit record (standalone) and flushes to the OS, under the caller's
-  // lock; Sync fsyncs, then bumps the log's own counter (standalone). Sync
-  // touches no chain state, so it may run after dropping the lock, as long
-  // as appends through the same FILE* are still excluded.
+  // Forces a group commit (CommitPrepare + CommitSync). Prepare flushes to
+  // the OS, under the caller's lock; Sync fsyncs and, standalone, seals the
+  // head into the next epoch and bumps the counter to it. Sync touches no
+  // chain state, so it may run after dropping the lock, as long as appends
+  // through the same FILE* are still excluded.
   Status Commit();
   Status CommitPrepare();
   Status CommitSync();
 
-  // Truncates the log (after a successful snapshot subsumes it). Standalone:
-  // in place, bound by a commit. Epoch-bound: a new generation at
-  // `<path>.next`, which Promote() renames over the old file once an epoch
-  // binds it — a crash in between leaves the file the epoch names.
+  // Truncates the log (after a successful snapshot subsumes it): a new
+  // generation at `<file>.next`, bound by a commit. Promote() renames it
+  // over the old file once an epoch binds it — a crash in between leaves
+  // the file the epoch names. Standalone, the commit is that epoch, and
+  // Reset promotes.
   Status Reset();
   Status Promote();
 
@@ -178,24 +178,21 @@ class OperationLog {
   // Records appended since the last commit.
   uint64_t pending() const { return uncommitted_; }
 
-  // Standalone: replays the committed prefix of the log into `store`,
-  // newest state winning. Fails with kIntegrityFailure on any tampering /
-  // reordering / mid-chain truncation, and kRollbackDetected when the final
-  // commit's counter value does not match the live counter. A missing or
-  // empty log is kNotFound (callers treat it as "nothing to replay").
+  // Standalone: replays the log prefix its newest epoch names into `store`
+  // (EpochLog::Recover, then ReplayPrefix). kRollbackDetected for a stale
+  // log or epoch, kIntegrityFailure for a tampered or reordered record
+  // inside the prefix, kNotFound with neither an epoch nor a log.
   static Status Replay(const sgx::SealingService& sealer,
                        sgx::MonotonicCounterService& counters, const OpLogOptions& options,
                        kv::KeyValueStore& store);
-  // Epoch-bound: applies exactly the first head.sequence records of the log
-  // at `path` (or its unpromoted `.next`) to `store` (nullptr: check only).
+  // Applies exactly the first head.sequence records of the log file at
+  // `path` (or its unpromoted `.next`) to `store` (nullptr: check only).
   // kRollbackDetected unless the file holds `head`; kIntegrityFailure on a
   // tampered record inside the prefix.
   static Status ReplayPrefix(const sgx::SealingService& sealer, const std::string& path,
                              const LogHead& head, kv::KeyValueStore* store);
 
  private:
-  Status AppendRecord(uint8_t op, std::string_view key, std::string_view value);
-  // AppendRecord for a set/delete, counted as a logged mutation.
   Status AppendMutation(uint8_t op, std::string_view key, std::string_view value);
   // Makes `path` a durable file holding only the header.
   Status CreateFile(const std::string& path);
@@ -203,31 +200,30 @@ class OperationLog {
   void PublishLogBytes();
 
   const sgx::SealingService& sealer_;
-  sgx::MonotonicCounterService* counters_ = nullptr;  // nullptr: epoch-bound
-  OpLogOptions options_;
+  std::string path_;                     // the log file
+  std::unique_ptr<EpochLog> epoch_log_;  // standalone only
+  uint64_t epoch_ = 0;                   // standalone: the counter value bumped last
   FILE* file_ = nullptr;
-  uint64_t generation_ = 0;  // epoch-bound; a standalone log's counter id
-  crypto::Mac chain_mac_{};  // MAC of the previous record (epoch-bound: seeded)
+  uint64_t generation_ = 0;  // new at every Reset; seeds the chain
+  crypto::Mac chain_mac_{};  // MAC of the previous record
   uint64_t sequence_ = 0;
   uint64_t uncommitted_ = 0;
-  uint64_t pending_commit_value_ = 0;  // value CommitPrepare wrote, pre-bump
   // Atomic so the compactor reads it without the shard lock.
   std::atomic<uint64_t> log_bytes_{0};
   int64_t published_log_bytes_ = 0;  // this log's share of wal.log_bytes
   // Registry handles cached at construction (OpLogOptions::metrics). The
   // log-bytes gauges update only at open/commit/reset cadence, never per
   // append.
-  obs::Counter* records_ = nullptr;                 // wal.records
-  obs::Counter* commits_ = nullptr;                 // wal.commits
-  obs::Counter* fsyncs_ = nullptr;                  // wal.fsyncs
-  obs::Gauge* log_bytes_gauge_ = nullptr;           // wal.log_bytes, summed over logs
-  obs::Histogram* fsync_latency_ = nullptr;         // wal.fsync_ns
-  obs::Histogram* counter_bump_latency_ = nullptr;  // wal.counter_bump_ns
-  obs::Counter* shard_records_ = nullptr;           // wal.shard<i>.records
-  obs::Gauge* shard_log_bytes_ = nullptr;           // wal.shard<i>.log_bytes
+  obs::Counter* records_ = nullptr;          // wal.records
+  obs::Counter* commits_ = nullptr;          // wal.commits
+  obs::Counter* fsyncs_ = nullptr;           // wal.fsyncs
+  obs::Gauge* log_bytes_gauge_ = nullptr;    // wal.log_bytes, summed over logs
+  obs::Histogram* fsync_latency_ = nullptr;  // wal.fsync_ns
+  obs::Counter* shard_records_ = nullptr;    // wal.shard<i>.records
+  obs::Gauge* shard_log_bytes_ = nullptr;    // wal.shard<i>.log_bytes
 };
 
-// The sharded WAL's epochs: `<wal path>.epoch` plus the WAL's one counter.
+// A WAL's epochs: `<wal path>.epoch` plus the WAL's one counter.
 // The file is a header (magic, counter id) and two fixed slots; the record
 // for value v (sealed, AAD the counter id) lives in slot v % 2, so the file
 // holds the two newest. A record is fsync'd BEFORE the counter is bumped to
@@ -236,7 +232,8 @@ class OperationLog {
 // Recover chooses the newest record at most live+1 whose every shard head
 // the shard files hold: at live+1 it completes the lost bump (roll
 // forward); below live, or with none, it is kRollbackDetected. Records
-// further ahead, or that a shard file does not hold, were never acked.
+// further ahead, or that a shard file does not hold, were never acked. It is
+// the one roll-forward rule for every log, sharded or standalone.
 class EpochLog {
  public:
   EpochLog(const sgx::SealingService& sealer, sgx::MonotonicCounterService& counters,

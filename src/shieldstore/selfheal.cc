@@ -73,7 +73,7 @@ void WriteAheadStore::BuildShards() {
     s->ctr_compactions = &metrics_->GetCounter(prefix + "compactions");
     shards_.push_back(std::move(s));
   }
-  watch_.Reset(n, 0);
+  watch_.Reset(n);
 }
 
 void WriteAheadStore::SetReplicationSink(ReplicationSink* sink) {
@@ -147,7 +147,7 @@ Status WriteAheadStore::Open() {
     writing_ = bumping_ = writer_done_ = epochs_stop_ = false;
     epoch_failed_ = Status::Ok();
   }
-  watch_.Reset(shards_.size(), 0);
+  watch_.Reset(shards_.size());
   watch_.Publish(marks);
   epoch_writer_ = std::thread([this] { EpochWriterLoop(); });
   bumper_ = std::thread([this] { BumperLoop(); });
@@ -179,9 +179,12 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
   obs::ScopedStage stage(metrics_, obs::Stage::kWalAppend);
   obs::TraceScope span("wal.append");
   if (options_.group_commit_window_us == 0) {
-    // Legacy cadence: ack ⇒ logged; the log fsyncs itself every
+    // Legacy cadence: ack ⇒ logged; the log commits inline every
     // group_commit_ops records and the bumper covers it in the background.
-    Status st = is_delete ? s.log->LogDelete(key) : s.log->LogSet(key, value);
+    Status st = is_delete ? s.log->AppendDelete(key) : s.log->AppendSet(key, value);
+    if (st.ok() && s.log->pending() >= options_.group_commit_ops) {
+      st = s.log->Commit();
+    }
     if (st.ok()) {
       ++s.appended;
       if (s.log->pending() == 0) {
@@ -309,7 +312,7 @@ void WriteAheadStore::CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& 
     lock.unlock();
     st = InjectedCrash(CommitCrash::kBeforeShardFsync);
     if (st.ok()) {
-      st = s.log->CommitSync();  // an epoch-bound log: the fsync alone
+      st = s.log->CommitSync();  // a WAL shard log: the fsync alone
     }
     if (st.ok()) {
       st = InjectedCrash(CommitCrash::kAfterShardFsync);
@@ -832,11 +835,8 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
   // leftovers converge (each log's last record per key is that key's final
   // state) — so they can replay concurrently: the facade's partition locks
   // serialize same-key application, and differently-keyed records commute.
-  size_t threads =
-      options_.replay_threads == 0
-          ? std::min<size_t>(std::max<size_t>(std::thread::hardware_concurrency(), 1), 8)
-          : options_.replay_threads;
-  threads = std::min(std::max<size_t>(threads, 1), heads.size());
+  const size_t threads = std::min<size_t>(
+      {std::max<size_t>(std::thread::hardware_concurrency(), 1), 8, heads.size()});
   std::atomic<size_t> next{0};
   std::mutex error_mutex;
   Status first_error;

@@ -157,7 +157,8 @@ class Store : public kv::KeyValueStore {
   ScrubReport ScrubStep(size_t max_buckets);
 
   // Decrypts and visits every live entry (enclave work; entry MACs are
-  // verified as entries are opened). Used by dynamic repartitioning.
+  // verified as entries are opened). Used by the boot-time restore and the
+  // replication shipper's bootstrap snapshot.
   Status ForEachDecrypted(
       const std::function<Status(std::string_view key, std::string_view value)>& fn) const;
 

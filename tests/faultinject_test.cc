@@ -21,6 +21,7 @@ namespace {
 using faultinject::TamperAgent;
 using faultinject::TamperMode;
 using shieldstore::Options;
+using shieldstore::EpochLog;
 using shieldstore::OperationLog;
 using shieldstore::OpLogOptions;
 using shieldstore::PartitionedStore;
@@ -163,7 +164,6 @@ TEST_F(FaultInjectTest, QuarantinedPartitionRecoversWhileOthersServe) {
 
   OpLogOptions log_opts;
   log_opts.path = dir_ + "/wal.log";
-  log_opts.group_commit_ops = 1000;  // commit only when asked
   OperationLog log(sealer, counters, log_opts);
   ASSERT_TRUE(log.Open().ok());
 
@@ -172,7 +172,7 @@ TEST_F(FaultInjectTest, QuarantinedPartitionRecoversWhileOthersServe) {
     const std::string key = "key-" + std::to_string(i);
     const std::string value = "v1-" + std::to_string(i);
     ASSERT_TRUE(ps.Set(key, value).ok());
-    ASSERT_TRUE(log.LogSet(key, value).ok());
+    ASSERT_TRUE(log.AppendSet(key, value).ok());
     expected[key] = value;
   }
   ASSERT_TRUE(log.Commit().ok());
@@ -185,11 +185,11 @@ TEST_F(FaultInjectTest, QuarantinedPartitionRecoversWhileOthersServe) {
     const std::string key = "key-" + std::to_string(i);
     const std::string value = "v2-" + std::to_string(i);
     ASSERT_TRUE(ps.Set(key, value).ok());
-    ASSERT_TRUE(log.LogSet(key, value).ok());
+    ASSERT_TRUE(log.AppendSet(key, value).ok());
     expected[key] = value;
   }
   ASSERT_TRUE(ps.Set("post-snapshot", "fresh").ok());
-  ASSERT_TRUE(log.LogSet("post-snapshot", "fresh").ok());
+  ASSERT_TRUE(log.AppendSet("post-snapshot", "fresh").ok());
   expected["post-snapshot"] = "fresh";
   ASSERT_TRUE(log.Commit().ok());
 
@@ -389,18 +389,17 @@ TEST_F(FaultInjectTest, OplogTruncatedCommitDetectedAsRollback) {
   sgx::MonotonicCounterService counters(counter_opts_);
   OpLogOptions log_opts;
   log_opts.path = dir_ + "/wal.log";
-  log_opts.group_commit_ops = 1000;
   {
     OperationLog log(sealer, counters, log_opts);
     ASSERT_TRUE(log.Open().ok());
     for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(log.LogSet("k" + std::to_string(i), "v").ok());
+      ASSERT_TRUE(log.AppendSet("k" + std::to_string(i), "v").ok());
     }
     ASSERT_TRUE(log.Commit().ok());
   }
-  // Drop the tail: the commit record is destroyed, but the counter already
-  // advanced — a classic truncation-rollback.
-  ASSERT_TRUE(TamperAgent::TruncateTail(log_opts.path, 5).ok());
+  // Drop the tail: the last committed record is destroyed, but the epoch
+  // naming it was bumped — a classic truncation-rollback.
+  ASSERT_TRUE(TamperAgent::TruncateTail(EpochLog::ShardPath(log_opts.path, 0), 5).ok());
 
   Store target(enclave_, SmallOptions());
   EXPECT_EQ(OperationLog::Replay(sealer, counters, log_opts, target).code(),
@@ -412,17 +411,17 @@ TEST_F(FaultInjectTest, OplogMidFlipDetectedAsIntegrityFailure) {
   sgx::MonotonicCounterService counters(counter_opts_);
   OpLogOptions log_opts;
   log_opts.path = dir_ + "/wal.log";
-  log_opts.group_commit_ops = 1000;
   {
     OperationLog log(sealer, counters, log_opts);
     ASSERT_TRUE(log.Open().ok());
     for (int i = 0; i < 6; ++i) {
-      ASSERT_TRUE(log.LogSet("key-" + std::to_string(i), "some-value").ok());
+      ASSERT_TRUE(log.AppendSet("key-" + std::to_string(i), "some-value").ok());
     }
     ASSERT_TRUE(log.Commit().ok());
   }
-  const auto size = std::filesystem::file_size(log_opts.path);
-  ASSERT_TRUE(TamperAgent::FlipFileByte(log_opts.path, size / 2).ok());
+  const std::string log_file = EpochLog::ShardPath(log_opts.path, 0);
+  const auto size = std::filesystem::file_size(log_file);
+  ASSERT_TRUE(TamperAgent::FlipFileByte(log_file, size / 2).ok());
 
   Store target(enclave_, SmallOptions());
   EXPECT_EQ(OperationLog::Replay(sealer, counters, log_opts, target).code(),

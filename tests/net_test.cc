@@ -798,7 +798,7 @@ TEST_F(NetEndToEndTest, StopDrainsInFlightRequests) {
 // without a WAL's timing.
 class HeldStore : public kv::KeyValueStore {
  public:
-  explicit HeldStore(kv::KeyValueStore& inner) : inner_(inner) { watch_.Reset(1, 0); }
+  explicit HeldStore(kv::KeyValueStore& inner) : inner_(inner) { watch_.Reset(1); }
   Status Set(std::string_view key, std::string_view value) override {
     return inner_.Set(key, value);
   }

@@ -71,7 +71,6 @@ struct Flags {
   size_t max_sessions = 16384;  // live-session cap (excess accepts rejected)
   size_t coalesce_depth = 64;   // implicit pipelined batching; 1 disables
   int hotcall_idle_us = 50;     // idle responder sleep; 0 = legacy pure-spin
-  size_t replay_threads = 0;    // parallel shard-log replay; 0 = auto, 1 = sequential
   bool replica = false;         // warm standby: accept a primary's kReplicate stream
   uint16_t replica_of = 0;      // that primary's port — informational (push model)
   uint16_t replicate_to = 0;    // primary: ship committed WAL entries to this follower port
@@ -93,7 +92,7 @@ void PrintUsage() {
                "    [--wal-shards N] [--wal-window-us N] [--wal-group-ops N]\n"
                "    [--wal-compact-bytes N] [--stats-interval-s N] [--stats-prometheus]\n"
                "    [--stats-json FILE] [--io-threads N] [--max-sessions N]\n"
-               "    [--coalesce-depth N] [--hotcall-idle-us N] [--replay-threads N]\n"
+               "    [--coalesce-depth N] [--hotcall-idle-us N]\n"
                "    [--replica-of PRIMARY_PORT] [--replicate-to FOLLOWER_PORT]\n"
                "    [--trace-sample N] [--audit-log FILE] [--slo-interval-s N]\n"
                "    [--slo-stage-p99-ms N] [--slo-op-p99-ms N] [--slo-loop-lag-p99-ms N]\n"
@@ -175,8 +174,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->coalesce_depth = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--hotcall-idle-us") {
       flags->hotcall_idle_us = std::atoi(next());
-    } else if (arg == "--replay-threads") {
-      flags->replay_threads = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--replica-of") {
       flags->replica = true;
       flags->replica_of = static_cast<uint16_t>(std::atoi(next()));
@@ -332,7 +329,6 @@ int main(int argc, char** argv) {
     log_opts.num_shards = flags.wal_shards;
     log_opts.group_commit_window_us = flags.wal_window_us;
     log_opts.group_commit_ops = std::max<size_t>(flags.wal_group_ops, 1);
-    log_opts.replay_threads = flags.replay_threads;
     wal = std::make_unique<shieldstore::WriteAheadStore>(store, *sealer, *counters, log_opts);
     if (Status s = wal->Open(); !s.ok()) {
       std::fprintf(stderr, "oplog open failed: %s\n", s.ToString().c_str());
