@@ -1,15 +1,17 @@
-// WAL scaling: sharded per-partition operation logs vs the PR 2 single
-// global log, write-only load, equal durability discipline (legacy
-// auto-commit, fsync every group_commit_ops records).
+// WAL scaling: sharded per-partition operation logs vs a single global log,
+// write-only load, driven the way the daemon drives the WAL: every ack is
+// durable (fsync'd and counter-bumped), with the daemon's default group-commit
+// window (200 us), group cap (64 records) and counter cost (2M cycles).
 //
 // SIMULATED MULTICORE (see harness.h): the T simulated writers run
 // SEQUENTIALLY, each for the full window, writing only the keys its
-// partition owns. The single-log baseline models T writers serializing on
-// one log mutex with virtual_contention = T (every op observes ~T x the
-// lock-held service time, fsync included); the sharded mode maps each
-// writer to its own shard, so contention stays 1 regardless of T. Counter
-// bumps are free (increment_cost_cycles = 0) so the measured gap isolates
-// log-mutex serialization, not counter hardware.
+// partition owns. Each writer submits 16-set batches without waiting (as the
+// reactor does) and holds the durability requirement; its timed window ends
+// once its last requirement is durable. Each op is charged the convoy of
+// the writers sharing its shard (virtual_contention = T / shards, every op
+// observing ~that multiple of the lock-held service time): the single-log
+// baseline models T writers serializing on one log mutex; the sharded mode
+// maps each writer to its own shard, so contention stays 1 regardless of T.
 //
 // Emits BENCH_wal.json (threads x {sharded, single}) for the acceptance
 // gate: 8-partition sharded write throughput >= 3x the single-log baseline.
@@ -29,6 +31,7 @@ struct ModeResult {
   uint64_t records = 0;
   uint64_t commits = 0;
   uint64_t fsyncs = 0;
+  uint64_t epochs = 0;  // counter bumps
 };
 
 ModeResult Measure(size_t threads, bool sharded, double seconds, const workload::DataSet& ds,
@@ -47,7 +50,6 @@ ModeResult Measure(size_t threads, bool sharded, double seconds, const workload:
   const sgx::SealingService sealer(AsBytes("wal-bench"), enclave.measurement());
   sgx::MonotonicCounterService::Options counter_opts;
   counter_opts.backing_file = dir + "/counters.bin";
-  counter_opts.increment_cost_cycles = 0;
   sgx::MonotonicCounterService counters(counter_opts);
 
   shieldstore::Options options;
@@ -57,11 +59,12 @@ ModeResult Measure(size_t threads, bool sharded, double seconds, const workload:
 
   shieldstore::OpLogOptions log_opts;
   log_opts.path = dir + "/wal.log";
-  log_opts.group_commit_ops = 8;
   log_opts.metrics = &registry;
-  log_opts.group_commit_window_us = 0;  // legacy discipline in BOTH modes
-  log_opts.num_shards = sharded ? 0 : 1;
-  log_opts.virtual_contention = sharded ? 1 : threads;
+  // One shard per writer's partition, or one global log. The T writers
+  // spread evenly, so each convoys with the T / shards on its shard.
+  const size_t shards = sharded ? threads : 1;
+  log_opts.num_shards = shards;
+  log_opts.virtual_contention = threads / shards;
   shieldstore::WriteAheadStore wal(store, sealer, counters, log_opts);
   if (!wal.Open().ok()) {
     std::filesystem::remove_all(dir);
@@ -90,21 +93,35 @@ ModeResult Measure(size_t threads, bool sharded, double seconds, const workload:
   ModeResult r;
   uint64_t total_ops = 0;
   double window = 0;
+  std::vector<kv::BatchOp> batch(16, kv::BatchOp{kv::BatchOpType::kSet, "", value});
   for (size_t t = 0; t < threads; ++t) {
     uint64_t ops = 0;
     size_t next = 0;
+    // Each batch's requirement names the writer's one shard at its newest
+    // sequence, so the last one covers every record the writer appended.
+    kv::DurabilityRequirement requirement;
     const auto start = std::chrono::steady_clock::now();
     const auto deadline = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
                                       std::chrono::duration<double>(seconds));
     while (std::chrono::steady_clock::now() < deadline) {
-      for (int batch = 0; batch < 16; ++batch) {
-        if (!wal.Set(keys[t][next], value).ok()) {
-          std::fprintf(stderr, "wal set failed\n");
+      for (kv::BatchOp& op : batch) {
+        op.key = keys[t][next];
+        next = (next + 1) % keys[t].size();
+      }
+      for (const kv::BatchOpResult& result : wal.SubmitBatch(batch, requirement)) {
+        if (!result.status.ok()) {
+          std::fprintf(stderr, "wal set failed: %s\n", result.status.ToString().c_str());
           std::filesystem::remove_all(dir);
           return {};
         }
-        next = (next + 1) % keys[t].size();
-        ++ops;
+      }
+      ops += batch.size();
+    }
+    for (const auto& [shard, seq] : requirement.shards) {
+      if (Status st = wal.durability_watch()->Wait(shard, seq); !st.ok()) {
+        std::fprintf(stderr, "wal commit failed: %s\n", st.ToString().c_str());
+        std::filesystem::remove_all(dir);
+        return {};
       }
     }
     total_ops += ops;
@@ -112,14 +129,12 @@ ModeResult Measure(size_t threads, bool sharded, double seconds, const workload:
                                                             start)
                                   .count());
   }
-  // The bumper covers legacy-mode groups in the background: let it finish
-  // before the directory goes away under it.
-  (void)wal.WithCommittedLog([] { return Status::Ok(); });
   const shieldstore::WalStats ws = wal.Stats();
   r.kops = window > 0 ? static_cast<double>(total_ops) / window / 1000.0 : 0;
   r.records = ws.records_logged;
   r.commits = ws.commits;
   r.fsyncs = ws.fsyncs;
+  r.epochs = registry.GetCounter("wal.epochs").Value();
   std::filesystem::remove_all(dir);
   return r;
 }
@@ -129,11 +144,15 @@ int Run(double seconds, const std::string& out_path) {
   const size_t keys_per_partition = Scaled(2'000);
 
   Table table("WAL scaling: sharded per-partition logs vs single global log (write-only)");
-  table.Header({"threads", "mode", "Kop/s", "fsyncs", "speedup"});
+  table.Header({"threads", "mode", "Kop/s", "fsyncs", "bumps", "speedup"});
 
-  std::string json = "{\n  \"bench\": \"wal_scaling\",\n  \"group_commit_ops\": 8,\n"
-                     "  \"durability\": \"legacy auto-commit, fsync every 8 records\",\n"
-                     "  \"results\": [\n";
+  const shieldstore::OpLogOptions defaults;
+  std::string json = "{\n  \"bench\": \"wal_scaling\",\n  \"group_commit_ops\": " +
+                     std::to_string(defaults.group_commit_ops) +
+                     ",\n  \"group_commit_window_us\": " +
+                     std::to_string(defaults.group_commit_window_us) +
+                     ",\n  \"durability\": \"durable acks: 16-set batches, each writer waits for "
+                     "its last requirement\",\n  \"results\": [\n";
   double speedup_at_max = 0;
   size_t max_threads = 0;
   bool first = true;
@@ -144,16 +163,18 @@ int Run(double seconds, const std::string& out_path) {
                                      keys_per_partition);
     const double speedup = single.kops > 0 ? shard.kops / single.kops : 0;
     table.Row({std::to_string(threads), "single", Fmt(single.kops),
-               std::to_string(single.fsyncs), "1.0x"});
+               std::to_string(single.fsyncs), std::to_string(single.epochs), "1.0x"});
     table.Row({std::to_string(threads), "sharded", Fmt(shard.kops),
-               std::to_string(shard.fsyncs), Fmt(speedup, "%.2fx")});
+               std::to_string(shard.fsyncs), std::to_string(shard.epochs),
+               Fmt(speedup, "%.2fx")});
     for (const auto& [mode, res] : {std::pair<const char*, const ModeResult&>{"single", single},
                                     {"sharded", shard}}) {
       json += std::string(first ? "" : ",\n") + "    {\"threads\": " + std::to_string(threads) +
               ", \"mode\": \"" + mode + "\", \"kops\": " + Fmt(res.kops, "%.2f") +
               ", \"records\": " + std::to_string(res.records) +
               ", \"commits\": " + std::to_string(res.commits) +
-              ", \"fsyncs\": " + std::to_string(res.fsyncs) + "}";
+              ", \"fsyncs\": " + std::to_string(res.fsyncs) +
+              ", \"epochs\": " + std::to_string(res.epochs) + "}";
       first = false;
     }
     if (threads >= max_threads) {

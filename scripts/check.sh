@@ -36,7 +36,8 @@ ctest --test-dir build-tsan --output-on-failure \
 
 echo "== WAL scaling bench (smoke) =="
 # Exit code enforces the acceptance gate: sharded >= 3x single-log at 8
-# simulated writers, equal durability discipline.
+# simulated writers, both on the daemon's discipline: durable acks, 16-set
+# batches, the default 200 us window and the default counter cost.
 ./build/bench/bench_wal_scaling --smoke --out build/BENCH_wal.json
 
 echo "== restart bench: persistent-arena attach vs snapshot replay at 1M entries =="
@@ -77,7 +78,7 @@ echo "== micro crypto bench (smoke): AES-NI speedup gate =="
 # table backend at 4 KiB (skipped automatically where AES-NI is absent).
 ./build/bench/bench_micro_crypto --smoke --out build/BENCH_crypto.json
 
-echo "== daemon refuses --wal-window-us 0 (it would ack before fsync) =="
+echo "== daemon refuses --wal-window-us 0 (no group-commit hold) =="
 # Exit 2 with the reason at startup; a daemon that came up would be killed by
 # the timeout (exit 124) and fail the gate.
 WW_RC=0
@@ -323,7 +324,7 @@ done
 NL_PORT="$(sed -n 's/.*listening on 127.0.0.1:\([0-9]*\).*/\1/p' "$NL_DIR/server.log")"
 NL_MEAS="$(sed -n 's/.*measurement (give to clients): \([0-9a-f]*\).*/\1/p' "$NL_DIR/server.log")"
 ./build/bench/bench_netload --port "$NL_PORT" --measurement "$NL_MEAS" \
-  --sessions "$NL_SESSIONS" --seconds 0.5 --out "$NL_DIR/BENCH_netload.json"
+  --sessions "$NL_SESSIONS" --seconds 2.0 --out "$NL_DIR/BENCH_netload.json"
 # The periodic --stats-json dump must carry the reactor series.
 sleep 1.5
 for series in '"net.sessions_opened"' '"net.coalesced.batches"' '"net.sessions"'; do

@@ -19,30 +19,6 @@ uint64_t Fnv1a(std::string_view s) {
 
 }  // namespace
 
-
-namespace {
-
-// Charges the queueing delay of (n-1) simulated contenders for the time the
-// global lock was held (see MemcachedOptions::virtual_contention). Must be
-// constructed AFTER acquiring the lock: only lock-held service time queues
-// n-fold; real waits (e.g. behind the maintainer thread) are already paid.
-class ContentionScope {
- public:
-  explicit ContentionScope(size_t contenders)
-      : contenders_(contenders), start_(ReadCycleCounter()) {}
-  ~ContentionScope() {
-    if (contenders_ > 1) {
-      SpinCycles((ReadCycleCounter() - start_) * (contenders_ - 1));
-    }
-  }
-
- private:
-  size_t contenders_;
-  uint64_t start_;
-};
-
-}  // namespace
-
 MemcachedLikeStore::MemcachedLikeStore(sgx::Enclave* enclave, const MemcachedOptions& options)
     : enclave_(enclave), options_(options), buckets_(options.num_buckets, nullptr) {
   assert(!options_.graphene || enclave_ != nullptr);

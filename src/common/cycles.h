@@ -8,6 +8,7 @@
 #ifndef SHIELDSTORE_SRC_COMMON_CYCLES_H_
 #define SHIELDSTORE_SRC_COMMON_CYCLES_H_
 
+#include <cstddef>
 #include <cstdint>
 
 namespace shield {
@@ -26,6 +27,28 @@ void SpinCycles(uint64_t cycles);
 
 // Converts a cycle count to nanoseconds using the calibration.
 double CyclesToNanoseconds(uint64_t cycles);
+
+// SIMULATED MULTICORE (see bench/harness.h): charges the queueing delay of
+// (contenders - 1) simulated contenders for the time a lock was held. Must be
+// constructed AFTER acquiring the lock: only lock-held service time queues
+// n-fold; real waits (e.g. behind a maintenance thread) are already paid.
+// contenders <= 1 is off.
+class ContentionScope {
+ public:
+  explicit ContentionScope(size_t contenders)
+      : contenders_(contenders), start_(contenders > 1 ? ReadCycleCounter() : 0) {}
+  ~ContentionScope() {
+    if (contenders_ > 1) {
+      SpinCycles((ReadCycleCounter() - start_) * (contenders_ - 1));
+    }
+  }
+  ContentionScope(const ContentionScope&) = delete;
+  ContentionScope& operator=(const ContentionScope&) = delete;
+
+ private:
+  size_t contenders_;
+  uint64_t start_;
+};
 
 }  // namespace shield
 

@@ -2,11 +2,41 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "src/common/logging.h"
 #include "src/obs/audit.h"
 
 namespace shield::router {
+namespace {
+
+// Applies entries[from..] through ONE store batch — on a WriteAheadStore
+// standby, one group per shard and about one counter bump for the frame.
+// Returns how many applied before the first failure, and that failure. A
+// delete that finds nothing counts as applied: a retransmitted delete, or
+// one racing the bootstrap snapshot (the key was already gone when the dump
+// read its partition), leaves the intended end state either way.
+std::pair<size_t, Status> ApplyBatch(kv::KeyValueStore& store,
+                                     const std::vector<net::ReplicateEntry>& entries,
+                                     size_t from) {
+  std::vector<kv::BatchOp> ops;
+  ops.reserve(entries.size() - from);
+  for (size_t i = from; i < entries.size(); ++i) {
+    const net::ReplicateEntry& e = entries[i];
+    ops.push_back({e.is_delete ? kv::BatchOpType::kDelete : kv::BatchOpType::kSet, e.key,
+                   e.value});
+  }
+  const std::vector<kv::BatchOpResult> results = store.ExecuteBatch(ops);
+  for (size_t i = 0; i < results.size(); ++i) {
+    const Status& st = results[i].status;
+    if (!st.ok() && !(ops[i].type == kv::BatchOpType::kDelete && st.code() == Code::kNotFound)) {
+      return {i, st};
+    }
+  }
+  return {results.size(), Status::Ok()};
+}
+
+}  // namespace
 
 ReplicaNode::ReplicaNode(kv::KeyValueStore& store, obs::Registry* metrics)
     : store_(store) {
@@ -34,20 +64,6 @@ net::Response ReplicaNode::ReplyLocked(Code code) const {
 net::Response ReplicaNode::Reply(Code code) const {
   std::lock_guard<std::mutex> lock(mutex_);
   return ReplyLocked(code);
-}
-
-Status ReplicaNode::ApplyEntry(const net::ReplicateEntry& e) {
-  if (e.is_delete) {
-    Status st = store_.Delete(e.key);
-    if (st.code() == Code::kNotFound) {
-      // A retransmitted delete, or a delete racing the bootstrap snapshot
-      // (the key was already gone when the dump read its partition): the
-      // intended end state holds either way.
-      return Status::Ok();
-    }
-    return st;
-  }
-  return store_.Set(e.key, e.value);
 }
 
 net::Response ReplicaNode::HandleReplicate(const net::Request& request) {
@@ -106,12 +122,11 @@ net::Response ReplicaNode::HandleReplicate(const net::Request& request) {
                             " vs replica epoch " + std::to_string(epoch_));
         return ReplyLocked(Code::kInvalidArgument);
       }
-      for (const net::ReplicateEntry& e : frame.entries) {
-        if (Status st = ApplyEntry(e); !st.ok()) {
-          rejected_->Inc();
-          return ReplyLocked(st.code());
-        }
-        snapshot_entries_->Inc();
+      const auto [applied, st] = ApplyBatch(store_, frame.entries, 0);
+      snapshot_entries_->Inc(applied);
+      if (!st.ok()) {
+        rejected_->Inc();
+        return ReplyLocked(st.code());
       }
       return ReplyLocked(Code::kOk);
     }
@@ -169,21 +184,23 @@ net::Response ReplicaNode::HandleReplicate(const net::Request& request) {
         apply_from = std::max(apply_from, w + 1);  // skip retransmitted prefix
       }
       const uint64_t last = frame.first_seq + frame.entries.size() - 1;
-      for (uint64_t seq = apply_from; seq <= last; ++seq) {
-        const net::ReplicateEntry& e = frame.entries[seq - frame.first_seq];
-        if (Status st = ApplyEntry(e); !st.ok()) {
-          // Partial application is safe: w records exactly what applied, so
-          // the shipper's retransmit resumes at the failed record.
-          w = seq - 1;
-          fresh_[frame.shard] = false;
-          rejected_->Inc();
-          return ReplyLocked(st.code());
-        }
-        applied_->Inc();
-        applied_entries_.fetch_add(1, std::memory_order_relaxed);
+      fresh_[frame.shard] = false;
+      if (apply_from > last) {
+        return ReplyLocked(Code::kOk);  // a retransmit of what already applied
+      }
+      const auto [applied, st] = ApplyBatch(store_, frame.entries, apply_from - frame.first_seq);
+      applied_->Inc(applied);
+      applied_entries_.fetch_add(applied, std::memory_order_relaxed);
+      if (!st.ok()) {
+        // Partial application is safe: w stops just before the first failed
+        // record, so the shipper's retransmit resumes there (and re-applying
+        // any later record the batch did apply converges: each carries its
+        // resulting state).
+        w = apply_from + applied - 1;
+        rejected_->Inc();
+        return ReplyLocked(st.code());
       }
       w = std::max(w, last);
-      fresh_[frame.shard] = false;
       return ReplyLocked(Code::kOk);
     }
   }

@@ -67,7 +67,6 @@ class ReplicaNode {
  private:
   net::Response Reply(Code code) const;  // status frame under lock
   net::Response ReplyLocked(Code code) const;
-  Status ApplyEntry(const net::ReplicateEntry& e);
 
   kv::KeyValueStore& store_;
   mutable std::mutex mutex_;

@@ -73,7 +73,9 @@ struct OpLogOptions {
   // A WAL (or a standalone log, a one-shard WAL) at `path` keeps shard i's
   // log in path + ".p<i>" and its counter epochs in path + ".epoch".
   std::string path;
-  size_t group_commit_ops = 64;  // the WAL's group-commit cadence, in records
+  // The cap that closes a WAL group early: a shard's committer commits as
+  // soon as this many records are pending, window or not.
+  size_t group_commit_ops = 64;
 
   // --- knobs interpreted by the sharded WriteAheadStore (selfheal.h) ---
 
@@ -81,14 +83,14 @@ struct OpLogOptions {
   // to different partitions never contend); 1 reproduces the PR 2 single
   // global log; k < partitions maps partition p to shard p % k.
   size_t num_shards = 0;
-  // Group-commit window in microseconds. 0 = the legacy auto-commit
-  // discipline (ack ⇒ logged; fsync every group_commit_ops records). > 0 =
-  // durable acks: a mutation is acknowledged only once its record is
-  // fsync'd and counter-bumped. The shard's committer batches every record
+  // Group-commit window in microseconds (the daemon's --wal-window-us).
+  // Every ack is durable: a mutation is acknowledged only once its record is
+  // fsync'd and counter-bumped. A shard's committer batches every record
   // that arrives within the window (or until group_commit_ops accumulate,
-  // whichever first) into one fsync, and one counter bump covers the
-  // fsync'd groups of every shard (selfheal.h).
-  uint32_t group_commit_window_us = 0;
+  // whichever first) into one fsync, and an idle bumper holds its next
+  // epoch up to one window so one counter bump covers the fsync'd groups of
+  // every shard (selfheal.h). 0 disables both holds.
+  uint32_t group_commit_window_us = 200;
   // SIMULATED MULTICORE (see bench/harness.h): queueing-delay multiplier
   // charged for the time a shard's lock is held, modelling n workers
   // saturating one shard. 1 = off (real deployments).

@@ -12,29 +12,6 @@
 #include "src/obs/tracer.h"
 
 namespace shield::shieldstore {
-namespace {
-
-// Charges the queueing delay of (n-1) simulated contenders for the time a
-// shard's lock was held (see OpLogOptions::virtual_contention and
-// bench/harness.h "SIMULATED MULTICORE"). Must be constructed AFTER
-// acquiring the lock: only lock-held service time queues n-fold.
-class ContentionScope {
- public:
-  explicit ContentionScope(size_t contenders)
-      : contenders_(contenders), start_(contenders > 1 ? ReadCycleCounter() : 0) {}
-  ~ContentionScope() {
-    if (contenders_ > 1) {
-      SpinCycles((ReadCycleCounter() - start_) * (contenders_ - 1));
-    }
-  }
-
- private:
-  size_t contenders_;
-  uint64_t start_;
-};
-
-}  // namespace
-
 WriteAheadStore::WriteAheadStore(PartitionedStore& inner, const sgx::SealingService& sealer,
                                  sgx::MonotonicCounterService& counters,
                                  const OpLogOptions& options)
@@ -160,7 +137,6 @@ void WriteAheadStore::Close() {
   if (epoch_log_ == nullptr) {
     return;
   }
-  (void)WithCommittedLog([] { return Status::Ok(); });  // legacy mode's tail too
   {
     std::lock_guard<std::mutex> lock(epoch_mutex_);
     epochs_stop_ = true;
@@ -178,28 +154,6 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
   }
   obs::ScopedStage stage(metrics_, obs::Stage::kWalAppend);
   obs::TraceScope span("wal.append");
-  if (options_.group_commit_window_us == 0) {
-    // Legacy cadence: ack ⇒ logged; the log commits inline every
-    // group_commit_ops records and the bumper covers it in the background.
-    Status st = is_delete ? s.log->AppendDelete(key) : s.log->AppendSet(key, value);
-    if (st.ok() && s.log->pending() >= options_.group_commit_ops) {
-      st = s.log->Commit();
-    }
-    if (st.ok()) {
-      ++s.appended;
-      if (s.log->pending() == 0) {
-        s.prepared = s.appended;
-        MarkReadyLocked(s, s.log->head(), s.appended);
-      }
-      if (sink_.load(std::memory_order_acquire) != nullptr) {
-        // No committer runs in this mode to drain the buffer later, so ship
-        // each record under the lock, right behind its append.
-        s.pending_ship.push_back({is_delete, std::string(key), std::string(value)});
-        ShipLocked(s);
-      }
-    }
-    return st;
-  }
   if (s.appended == s.prepared) {
     s.batch_start = std::chrono::steady_clock::now();  // this record opens a group
   }
@@ -228,9 +182,6 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
 }
 
 void WriteAheadStore::StartCommitters() {
-  if (options_.group_commit_window_us == 0) {
-    return;  // legacy cadence: the log commits inline, nothing to drive
-  }
   for (auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
     {
@@ -384,7 +335,6 @@ std::vector<kv::BatchOpResult> WriteAheadStore::SubmitBatch(
     const std::vector<kv::BatchOp>& ops, kv::DurabilityRequirement& requirement) {
   requirement.shards.clear();
   std::vector<kv::BatchOpResult> results(ops.size());
-  const bool durable_acks = options_.group_commit_window_us != 0;
   // Group op indices by shard, preserving original order within a group —
   // a key maps to one partition, a partition to one shard, so per-key order
   // survives the grouping and the replay invariant (each log's record order
@@ -402,7 +352,7 @@ std::vector<kv::BatchOpResult> WriteAheadStore::SubmitBatch(
   // own mutations, and whatever its gets could have observed. A latched
   // shard's gets are served against its durable watermark, requiring nothing.
   const auto require_appended = [&](Shard& s, size_t sh) {
-    if (durable_acks && s.failed.ok() && s.appended > s.durable) {
+    if (s.failed.ok() && s.appended > s.durable) {
       requirement.Require(static_cast<uint32_t>(sh), s.appended);
     }
   };
@@ -423,12 +373,10 @@ std::vector<kv::BatchOpResult> WriteAheadStore::SubmitBatch(
       for (size_t j = 0; j < groups[sh].size(); ++j) {
         results[groups[sh][j]] = std::move(sub_results[j]);
       }
-      if (durable_acks) {
-        // Taken AFTER the reads: a writer holds the lock from its apply to
-        // its append, so any value these gets saw is covered by `appended`.
-        std::lock_guard<std::mutex> lock(s.mutex);
-        require_appended(s, sh);
-      }
+      // Taken AFTER the reads: a writer holds the lock from its apply to
+      // its append, so any value these gets saw is covered by `appended`.
+      std::lock_guard<std::mutex> lock(s.mutex);
+      require_appended(s, sh);
       continue;
     }
     std::lock_guard<std::mutex> lock(s.mutex);
@@ -686,10 +634,8 @@ void WriteAheadStore::EpochWriterLoop() {
     }
     // The epoch window: with the bumper idle, groups already appended get
     // up to one group-commit window to turn ready and ride the next bump,
-    // rather than a whole bump later (DESIGN.md §17). Legacy groups close by
-    // count, not time.
-    if (!bumping_ && staged_.epoch.value == covered_.epoch.value &&
-        options_.group_commit_window_us != 0) {
+    // rather than a whole bump later (DESIGN.md §17).
+    if (!bumping_ && staged_.epoch.value == covered_.epoch.value) {
       std::vector<uint64_t> appended;
       for (auto& shard_ptr : shards_) {
         appended.push_back(shard_ptr->appended);

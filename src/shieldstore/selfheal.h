@@ -20,14 +20,12 @@
 //    counter to the record's value and publishes every covered shard's
 //    watermark with one wake. Bumps per second are fixed by the counter
 //    model, so throughput grows with the records each bump covers.
-//  * Group commit (OpLogOptions::group_commit_window_us > 0): acks are
-//    durable — fsync'd ∧ shipped ∧ counter-bumped. Each shard's committer
-//    thread waits out the window from its group's first record (or until
-//    group_commit_ops records accumulate), flushes the group under the
+//  * Group commit: every ack is durable — fsync'd ∧ shipped ∧
+//    counter-bumped. Each shard's committer thread waits out
+//    OpLogOptions::group_commit_window_us from its group's first record (or
+//    until group_commit_ops records accumulate), flushes the group under the
 //    shard lock, fsyncs and ships it with the lock RELEASED, then marks it
-//    ready for the next epoch; shards commit concurrently. In legacy mode
-//    (window 0) the log fsyncs inline every group_commit_ops records and
-//    the bumper covers those groups in the background.
+//    ready for the next epoch; shards commit concurrently.
 //  * Durability requirements: SubmitBatch executes and appends without
 //    waiting and returns, per touched shard, the appended sequence its
 //    results depend on (a get's too: it must never reveal state a crash
@@ -90,7 +88,7 @@ struct WalStats {
 
 // Write-ahead facade: apply to the partitioned store, then log to the key's
 // shard, then return — an operation is acknowledged only once it is in that
-// shard's log (and, with a group-commit window, fsync'd and counter-bumped).
+// shard's log, fsync'd and counter-bumped.
 // Per-shard locks serialize (apply + append) so each log's record order is
 // its partitions' apply order, which is what makes per-partition replay
 // deterministic. Reads route straight to the inner store. SubmitBatch is the
@@ -104,8 +102,8 @@ class WriteAheadStore : public kv::BatchFirstStore {
   ~WriteAheadStore() override;
 
   // Recovers the epoch (a rollback fails here), reopens every shard log at
-  // its head in it and starts the bumper and the shard committers
-  // (durable-window mode). Call before serving: it must succeed before any
+  // its head in it and starts the bumper and the shard committers. Call
+  // before serving: it must succeed before any
   // mutation, and must not race one. Shard i lives at options.path + ".p<i>".
   Status Open();
 
@@ -115,8 +113,7 @@ class WriteAheadStore : public kv::BatchFirstStore {
   // runs outside the shard lock. `requirement` receives, per touched shard,
   // its appended sequence after the group (mutations need their records,
   // gets need whatever they could have observed); shards with nothing
-  // pending are left out, and legacy mode (window 0) never requires
-  // anything. Gets ride in their key's shard group so per-key
+  // pending are left out. Gets ride in their key's shard group so per-key
   // read-after-write order within the batch is preserved. On a shard whose
   // commit failed (latched) mutations fail fast with the latched status
   // while reads still serve, against the durable watermark.
@@ -266,15 +263,13 @@ class WriteAheadStore : public kv::BatchFirstStore {
   // Builds the shard table for the inner store's geometry (constructor).
   void BuildShards();
   Shard& shard(size_t s) { return *shards_[s]; }
-  // Appends one record under the shard lock (legacy mode commits inline per
-  // the group cadence); durable-window mode gives it the next sequence and
-  // wakes the committer when a group opens or fills.
+  // Appends one record under the shard lock, gives it the next sequence
+  // and wakes the committer when a group opens or fills.
   Status AppendLocked(Shard& s, bool is_delete, std::string_view key,
                       std::string_view value);
   // Blocks until `seq` is durable on `s`, or returns the shard's latch.
   Status AwaitDurable(Shard& s, uint64_t seq);
-  // Durable-window mode: one committer thread per shard (none in legacy
-  // mode). Stop drains what is pending, then joins.
+  // One committer thread per shard. Stop drains what is pending, then joins.
   void StartCommitters();
   void StopCommitters();
   void CommitterLoop(Shard& s);
@@ -288,14 +283,15 @@ class WriteAheadStore : public kv::BatchFirstStore {
   Result<uint64_t> CommitShardLocked(Shard& s, std::unique_lock<std::mutex>& lock);
   // Starts a new log generation, waits for the epoch binding it, promotes it.
   Status NewGenerationLocked(Shard& s, CompactionCrash crash = CompactionCrash::kNone);
-  // Drains s.pending_ship to the sink under the shard lock (legacy-cadence
-  // and maintenance-commit paths; the committer instead steals the buffer
-  // under the lock and ships outside it). Clears the buffer without
+  // Drains s.pending_ship to the sink under the shard lock (the
+  // maintenance-commit path; the committer instead steals the buffer under
+  // the lock and ships outside it). Clears the buffer without
   // shipping when no sink is installed. Never fails the caller: a sink
   // rejection only bumps wal.ship_failures.
   void ShipLocked(Shard& s);
-  // Stops the committers, gives every shard's tail its epoch and stops the
-  // bumper (Open and the destructor).
+  // Stops the committers (each drains its shard's tail), lets the epoch
+  // threads cover every ready group, and joins them (Open and the
+  // destructor).
   void Close();
   Status InjectedCrash(CommitCrash point) const {
     return commit_crash_ == point ? Status(Code::kIoError, "injected crash") : Status::Ok();

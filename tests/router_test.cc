@@ -19,7 +19,9 @@
 
 #include "src/faultinject/nodekiller.h"
 #include "src/net/client.h"
+#include "src/net/replication.h"
 #include "src/net/server.h"
+#include "src/obs/metrics.h"
 #include "src/router/hashring.h"
 #include "src/router/replica.h"
 #include "src/router/router.h"
@@ -301,6 +303,104 @@ TEST_F(ReplicationTest, PromotedFollowerRefusesTheStreamAndShipperDetaches) {
   const uint64_t applied = replica_->applied_entries();
   ASSERT_TRUE(wal_->Set("post-promote-2", "3").ok());
   EXPECT_EQ(replica_->applied_entries(), applied);  // nothing new lands
+}
+
+// The standby's half: replication frames straight into HandleReplicate.
+net::Response Deliver(ReplicaNode& node, const net::ReplicateFrame& frame) {
+  net::Request request;
+  request.value.assign(AsString(net::EncodeReplicateFrame(frame)));
+  return node.HandleReplicate(request);
+}
+
+// A bootstrapped one-shard stream at epoch 5, ready for kEntries frames.
+void Bootstrap(ReplicaNode& node) {
+  net::ReplicateFrame frame;
+  frame.type = net::ReplicateType::kHello;
+  frame.epoch = 5;
+  frame.num_shards = 1;
+  ASSERT_EQ(Deliver(node, frame).status, Code::kOk);
+  frame.type = net::ReplicateType::kSnapshotDone;
+  ASSERT_EQ(Deliver(node, frame).status, Code::kOk);
+}
+
+net::ReplicateFrame EntriesFrame(uint64_t first_seq, size_t n) {
+  net::ReplicateFrame frame;
+  frame.type = net::ReplicateType::kEntries;
+  frame.epoch = 5;
+  frame.first_seq = first_seq;
+  for (size_t i = 0; i < n; ++i) {
+    frame.entries.push_back({false, "e-" + std::to_string(first_seq + i), "v"});
+  }
+  return frame;
+}
+
+// On a WriteAheadStore standby a shipped frame is one batch: its 64 entries
+// share a few counter bumps instead of paying one each.
+TEST_F(ReplicationTest, StandbyAppliesAShippedFrameAsOneBatch) {
+  obs::Registry registry;
+  shieldstore::OpLogOptions log_opts;
+  log_opts.path = dir_ + "/standby.log";
+  log_opts.metrics = &registry;
+  shieldstore::WriteAheadStore standby(follower_store_, *sealer_, *counters_, log_opts);
+  ASSERT_TRUE(standby.Open().ok());
+  ReplicaNode node(standby, &registry);
+  Bootstrap(node);
+
+  net::ReplicateFrame frame = EntriesFrame(1, 60);
+  for (int i = 0; i < 4; ++i) {
+    frame.entries.push_back({true, "never-set-" + std::to_string(i), ""});  // kNotFound is OK
+  }
+  const uint64_t epochs = registry.GetCounter("wal.epochs").Value();
+  ASSERT_EQ(Deliver(node, frame).status, Code::kOk);
+  EXPECT_LE(registry.GetCounter("wal.epochs").Value() - epochs, 4u);
+  EXPECT_EQ(node.watermarks(), std::vector<uint64_t>{64});
+  EXPECT_EQ(node.applied_entries(), 64u);
+  for (uint64_t seq = 1; seq <= 60; ++seq) {
+    EXPECT_EQ(standby.Get("e-" + std::to_string(seq)).value(), "v");
+  }
+}
+
+// Fails every write of `poison` while `poisoned` is set.
+class PoisonableStore : public kv::BatchFirstStore {
+ public:
+  std::vector<kv::BatchOpResult> ExecuteBatch(const std::vector<kv::BatchOp>& ops) override {
+    std::vector<kv::BatchOpResult> results(ops.size());
+    for (size_t i = 0; i < ops.size(); ++i) {
+      if (poisoned && ops[i].key == poison) {
+        results[i].status = Status(Code::kIoError, "poisoned");
+      } else if (ops[i].type == kv::BatchOpType::kSet) {
+        data[ops[i].key] = ops[i].value;
+      }
+    }
+    return results;
+  }
+  size_t Size() const override { return data.size(); }
+  std::string Name() const override { return "poisonable"; }
+
+  std::map<std::string, std::string> data;
+  std::string poison;
+  bool poisoned = true;
+};
+
+// A frame that fails part-way leaves the watermark just before the first
+// failed entry; the retransmit resumes there and completes the stream.
+TEST(ReplicaNodeTest, FailedEntryStopsTheWatermarkJustBeforeIt) {
+  PoisonableStore store;
+  store.poison = "e-5";
+  obs::Registry registry;
+  ReplicaNode node(store, &registry);
+  Bootstrap(node);
+
+  const net::ReplicateFrame frame = EntriesFrame(1, 8);
+  EXPECT_EQ(Deliver(node, frame).status, Code::kIoError);
+  EXPECT_EQ(node.watermarks(), std::vector<uint64_t>{4});
+  EXPECT_EQ(node.applied_entries(), 4u);
+
+  store.poisoned = false;
+  EXPECT_EQ(Deliver(node, frame).status, Code::kOk);
+  EXPECT_EQ(node.watermarks(), std::vector<uint64_t>{8});
+  EXPECT_EQ(node.applied_entries(), 8u);
+  EXPECT_EQ(store.data.size(), 8u);
 }
 
 // --------------------------------------------------------------- failover

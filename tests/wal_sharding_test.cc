@@ -378,7 +378,7 @@ TEST_F(WalShardingTest, CompactionRefusesQuarantinedPartition) {
 TEST_F(WalShardingTest, StatsCountersTrackLoggingCommitsAndCompactions) {
   PartitionedStore store(enclave_, SmallOptions(), 4);
   OpLogOptions log_opts = LogOptions();
-  log_opts.group_commit_ops = 8;  // make the auto-commit cadence observable
+  log_opts.group_commit_ops = 8;  // a group closes at 8 records, window or not
   WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
   ASSERT_TRUE(wal.Open().ok());
   SelfHealOptions heal_opts;
@@ -394,7 +394,7 @@ TEST_F(WalShardingTest, StatsCountersTrackLoggingCommitsAndCompactions) {
   }
   WalStats after = wal.Stats();
   EXPECT_EQ(after.records_logged - before.records_logged, 100u);
-  EXPECT_GT(after.commits, before.commits);  // auto-commit cadence fired
+  EXPECT_GT(after.commits, before.commits);  // every ack waited for its group's commit
   EXPECT_GT(after.log_bytes, before.log_bytes);
 
   ASSERT_TRUE(wal.WithCommittedLog([] { return Status::Ok(); }).ok());
@@ -406,6 +406,27 @@ TEST_F(WalShardingTest, StatsCountersTrackLoggingCommitsAndCompactions) {
   }
   EXPECT_EQ(wal.Stats().compactions - before.compactions, wal.num_shards());
   EXPECT_LT(wal.Stats().log_bytes, after.log_bytes);  // logs truncated
+}
+
+// Default options are the daemon's discipline: a submitted set requires its
+// record, and Set returns only once the durability watch covers it.
+TEST_F(WalShardingTest, DefaultOptionsAckOnlyDurableWrites) {
+  PartitionedStore store(enclave_, SmallOptions(), 2);
+  WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
+  ASSERT_TRUE(wal.Open().ok());
+  kv::DurabilityRequirement requirement;
+  const std::vector<kv::BatchOpResult> results =
+      wal.SubmitBatch({{kv::BatchOpType::kSet, "durable", "v1"}}, requirement);
+  ASSERT_TRUE(results[0].status.ok()) << results[0].status.ToString();
+  ASSERT_EQ(requirement.shards.size(), 1u);
+  const auto [shard, seq] = requirement.shards[0];
+
+  ASSERT_TRUE(wal.Set("durable", "v2").ok());  // the same shard's next record
+  kv::DurabilityRequirement set_requirement;
+  set_requirement.Require(shard, seq + 1);
+  Status failure;
+  EXPECT_EQ(wal.durability_watch()->Check(set_requirement, &failure),
+            kv::DurabilityWatch::State::kDurable);
 }
 
 TEST_F(WalShardingTest, LeftoverUnshardedLogRefusesRestore) {
@@ -474,7 +495,7 @@ TEST_F(WalShardingTest, ShardLocalMetricsRegisterPerShardSeries) {
   PartitionedStore store(enclave_, SmallOptions(), 2);
   OpLogOptions log_opts = LogOptions();
   log_opts.metrics = &registry;
-  log_opts.group_commit_ops = 4;  // every shard auto-commits within 64 sets
+  log_opts.group_commit_ops = 4;  // a group closes at 4 records, window or not
   WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
   ASSERT_TRUE(wal.Open().ok());
   ASSERT_EQ(wal.num_shards(), 2u);
@@ -493,7 +514,8 @@ TEST_F(WalShardingTest, ShardLocalMetricsRegisterPerShardSeries) {
   }
   EXPECT_EQ(per_shard_total, 64u);
 
-  // Auto-commits fsynced each shard; the latency histogram saw every one.
+  // Each ack's group commit fsynced its shard; the latency histogram saw
+  // every one.
   EXPECT_GE(registry.GetHistogram("wal.fsync_ns").Data().count, wal.num_shards());
 }
 

@@ -61,8 +61,8 @@ struct Flags {
   int scrub_interval_ms = 50;   // maintenance cadence; 0 disables the scrub
   size_t scrub_budget = 0;      // buckets per tick; 0 = Options default
   size_t wal_shards = 0;        // log shards; 0 = one per partition
-  uint32_t wal_window_us = 200;  // group-commit window; must be > 0 (durable acks)
-  size_t wal_group_ops = 64;    // records per group commit
+  uint32_t wal_window_us = 200;  // group-commit window; must be > 0 (0 drops the hold)
+  size_t wal_group_ops = 64;    // cap that closes a group early
   size_t wal_compact_bytes = 64 << 20;  // compact a shard log past this; 0 = never
   int stats_interval_s = 30;    // metrics report cadence; 0 disables
   bool stats_prometheus = false;  // full Prometheus-style dump each report
@@ -265,11 +265,12 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (flags.wal_window_us == 0) {
-    // Window 0 is the library's auto-commit mode, which acks before any
-    // fsync: the daemon never serves it.
+    // Window 0 disables the group-commit hold: committers fsync whatever has
+    // arrived and the bumper covers it without waiting, so groups shrink and
+    // CPU per op rises (DESIGN.md §17, "Fixed window").
     std::fprintf(stderr,
-                 "--wal-window-us must be >= 1: window 0 would ack writes before they are\n"
-                 "fsync'd and counter-bumped\n");
+                 "--wal-window-us must be >= 1: window 0 disables the group-commit hold,\n"
+                 "which costs CPU per write without making acks any more durable\n");
     return 2;
   }
   std::signal(SIGINT, HandleSignal);
