@@ -20,7 +20,7 @@ class StoreTestPeer {
     const size_t bucket = s.BucketIndex(kv::BucketHash(*s.keys_, key));
     for (uint64_t ref = s.buckets_[bucket].head_ref; ref != 0;) {
       kv::EntryHeader* e = s.Deref(ref);
-      if (kv::EntryKeyEquals(*s.keys_, *e, key)) {
+      if (kv::EntryKeyEquals(*s.cipher_, *e, key)) {
         return e;
       }
       ref = e->next_ref;

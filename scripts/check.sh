@@ -62,6 +62,9 @@ SHIELD_FORCE_SOFT_AES=1 ./build/tests/crypto_test --gtest_brief=1
 SHIELD_FORCE_SOFT_AES=1 ./build/tests/kv_test --gtest_brief=1
 SHIELD_FORCE_SOFT_AES=1 ./build/tests/net_test --gtest_brief=1 --gtest_filter='SessionCryptoTest.*'
 SHIELD_FORCE_SOFT_AES=1 ./build/tests/sgx_test --gtest_brief=1 --gtest_filter='SealingTest.*'
+# The get path's pipelined runs verify bucket sets and entry MACs through
+# CmacSignBatch on the table backend too.
+SHIELD_FORCE_SOFT_AES=1 ./build/tests/batch_test --gtest_brief=1 --gtest_filter='BatchEquivalenceTest.*'
 
 echo "== crypto backend equivalence: -DSHIELD_DISABLE_AESNI build =="
 # Compile-time gate: a build without the AES-NI TU at all must still pass
@@ -69,9 +72,9 @@ echo "== crypto backend equivalence: -DSHIELD_DISABLE_AESNI build =="
 # table backend.
 cmake -B build-softaes -S . -DSHIELD_DISABLE_AESNI=ON >/dev/null
 cmake --build build-softaes -j "$JOBS" --target crypto_test kv_test shieldstore_test net_test \
-  sgx_test
+  sgx_test batch_test
 ctest --test-dir build-softaes --output-on-failure -j "$JOBS" \
-  -R 'Aes128Test|AesCtrTest|CmacTest|BackendTest|BackendEquivalenceTest|EntryTest|ShieldStoreTest|SessionCryptoTest|SealingTest'
+  -R 'Aes128Test|AesCtrTest|CmacTest|BackendTest|BackendEquivalenceTest|BatchEquivalenceTest|EntryTest|ShieldStoreTest|SessionCryptoTest|SealingTest'
 
 echo "== micro crypto bench (smoke): AES-NI speedup gate =="
 # Exit code enforces the tentpole target: hardware CTR and CMAC >= 2x the
@@ -335,17 +338,25 @@ echo "reactor netload OK"
 
 echo "== metrics overhead gate (< 3% vs no-op build) =="
 # Same bench compiled twice: metrics recording always-on (default) vs
-# compiled to no-ops (-DSHIELD_METRICS=OFF). Recording must keep >= 97% of
-# the no-op throughput.
+# compiled to no-ops (-DSHIELD_METRICS=OFF). The two binaries alternate
+# (on, off, on, off, ...) for 5 pairs and every repeat is printed; the gate
+# is the median of the per-pair on/off ratios, so one noisy repeat cannot
+# decide it. Recording must keep >= 97% of the no-op throughput.
 cmake -B build-noobs -S . -DSHIELD_METRICS=OFF >/dev/null
 cmake --build build-noobs -j "$JOBS" --target bench_metrics_overhead
-ON_KOPS="$(./build/bench/bench_metrics_overhead --smoke | awk '/^RESULT kops/ {print $3}')"
-OFF_KOPS="$(SHIELD_BENCH_JSON_DIR=build-noobs ./build-noobs/bench/bench_metrics_overhead --smoke | awk '/^RESULT kops/ {print $3}')"
-echo "metrics on: $ON_KOPS Kop/s, metrics off: $OFF_KOPS Kop/s"
-awk -v on="$ON_KOPS" -v off="$OFF_KOPS" 'BEGIN {
-  ratio = off > 0 ? on / off : 0;
-  printf "overhead ratio: %.3f (gate: >= 0.97)\n", ratio;
-  exit ratio >= 0.97 ? 0 : 1;
+MO_RATIOS=""
+for MO_PAIR in 1 2 3 4 5; do
+  ON_KOPS="$(./build/bench/bench_metrics_overhead --smoke | awk '/^RESULT kops/ {print $3}')"
+  OFF_KOPS="$(SHIELD_BENCH_JSON_DIR=build-noobs ./build-noobs/bench/bench_metrics_overhead --smoke \
+    | awk '/^RESULT kops/ {print $3}')"
+  MO_RATIO="$(awk -v on="$ON_KOPS" -v off="$OFF_KOPS" 'BEGIN { printf "%.4f", (off > 0 ? on / off : 0) }')"
+  echo "pair $MO_PAIR: metrics on $ON_KOPS Kop/s, metrics off $OFF_KOPS Kop/s, ratio $MO_RATIO"
+  MO_RATIOS="$MO_RATIOS $MO_RATIO"
+done
+printf '%s\n' $MO_RATIOS | sort -g | awk '{ r[NR] = $1 } END {
+  median = r[int((NR + 1) / 2)];
+  printf "median overhead ratio of %d pairs: %.3f (gate: >= 0.97)\n", NR, median;
+  exit median >= 0.97 ? 0 : 1;
 }'
 
 echo "All checks passed."

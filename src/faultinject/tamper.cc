@@ -106,7 +106,7 @@ Result<TamperAgent::Target> TamperAgent::PickEntry(shieldstore::Store& store,
     if (!candidates.empty()) {
       Target t = candidates[rng_.NextBelow(candidates.size())];
       store.TouchKeys();
-      last_target_key_ = kv::OpenEntryKey(*store.keys_, *t.entry);
+      last_target_key_ = kv::OpenEntryKey(*store.cipher_, *t.entry);
       return t;
     }
   }
@@ -204,7 +204,7 @@ Status TamperAgent::Tamper(shieldstore::Store& store, TamperMode mode) {
         kv::EntryHeader* e = store.Deref(ref);
         ref = e->next_ref;
         store.TouchKeys();
-        if (!kv::EntryKeyEquals(*store.keys_, *e, captured_key_)) {
+        if (!kv::EntryKeyEquals(*store.cipher_, *e, captured_key_)) {
           continue;
         }
         if (store.EntryUsableSize(e) < captured_bytes_.size()) {
@@ -235,7 +235,7 @@ Status TamperAgent::Tamper(shieldstore::Store& store, TamperMode mode) {
       // attack): the trusted hashes still cover the vanished entry.
       kv::EntryHeader* head = store.Deref(store.buckets_[target->bucket].head_ref);
       store.TouchKeys();
-      last_target_key_ = kv::OpenEntryKey(*store.keys_, *head);
+      last_target_key_ = kv::OpenEntryKey(*store.cipher_, *head);
       store.buckets_[target->bucket].head_ref = head->next_ref;
       return Status::Ok();
     }
@@ -253,7 +253,7 @@ Status TamperAgent::Tamper(shieldstore::Store& store, TamperMode mode) {
       }
       tail->next_ref = store.Ref(head);  // the walk must terminate via the cycle guard
       store.TouchKeys();
-      last_target_key_ = kv::OpenEntryKey(*store.keys_, *head);
+      last_target_key_ = kv::OpenEntryKey(*store.cipher_, *head);
       return Status::Ok();
     }
 
@@ -303,7 +303,7 @@ Status TamperAgent::Tamper(shieldstore::Store& store, TamperMode mode) {
       }
       if (e != nullptr) {
         store.TouchKeys();
-        last_target_key_ = kv::OpenEntryKey(*store.keys_, *e);
+        last_target_key_ = kv::OpenEntryKey(*store.cipher_, *e);
       }
       return Status::Ok();
     }

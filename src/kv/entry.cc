@@ -1,5 +1,6 @@
 #include "src/kv/entry.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 
@@ -52,11 +53,6 @@ uint64_t BucketHash(const StoreKeys& keys, std::string_view key) {
   return crypto::SipHash24(keys.index_key, AsBytes(key));
 }
 
-void SealNewEntry(const StoreKeys& keys, std::string_view key, std::string_view value,
-                  uint8_t flags, ByteSpan fresh_iv, EntryHeader* header) {
-  SealNewEntry(StoreCipher(keys), key, value, flags, fresh_iv, header);
-}
-
 void SealNewEntry(const StoreCipher& cipher, std::string_view key, std::string_view value,
                   uint8_t flags, ByteSpan fresh_iv, EntryHeader* header) {
   assert(fresh_iv.size() == 16);
@@ -69,11 +65,6 @@ void SealNewEntry(const StoreCipher& cipher, std::string_view key, std::string_v
   EncryptPayload(cipher, key, value, header);
   const crypto::Mac mac = ComputeEntryMac(cipher, *header);
   std::memcpy(header->mac, mac.data(), mac.size());
-}
-
-void ResealEntry(const StoreKeys& keys, std::string_view key, std::string_view value,
-                 uint8_t flags, EntryHeader* header) {
-  ResealEntry(StoreCipher(keys), key, value, flags, header);
 }
 
 void ResealEntry(const StoreCipher& cipher, std::string_view key, std::string_view value,
@@ -93,10 +84,6 @@ void ResealEntry(const StoreCipher& cipher, std::string_view key, std::string_vi
   EncryptPayload(cipher, key, value, header);
   const crypto::Mac mac = ComputeEntryMac(cipher, *header);
   std::memcpy(header->mac, mac.data(), mac.size());
-}
-
-crypto::Mac ComputeEntryMac(const StoreKeys& keys, const EntryHeader& header) {
-  return ComputeEntryMac(StoreCipher(keys), header);
 }
 
 crypto::Mac ComputeEntryMac(const StoreCipher& cipher, const EntryHeader& header) {
@@ -142,25 +129,25 @@ size_t VerifyEntryMacsBatch(const StoreCipher& cipher,
   return entries.size();
 }
 
-bool EntryKeyEquals(const StoreKeys& keys, const EntryHeader& header, std::string_view key) {
-  return EntryKeyEquals(StoreCipher(keys), header, key);
-}
-
 bool EntryKeyEquals(const StoreCipher& cipher, const EntryHeader& header, std::string_view key) {
   if (header.key_size != key.size()) {
     return false;
   }
-  // CTR lets us decrypt just the key prefix of the stream.
-  std::string plain_key(header.key_size, '\0');
-  crypto::AesCtrTransform(cipher.enc, header.iv_ctr, kCtrIncBits,
-                          ByteSpan(header.Ciphertext(), header.key_size),
-                          MutableByteSpan(reinterpret_cast<uint8_t*>(plain_key.data()),
-                                          plain_key.size()));
-  return plain_key == key;
-}
-
-Result<std::string> OpenEntryValue(const StoreKeys& keys, const EntryHeader& header) {
-  return OpenEntryValue(StoreCipher(keys), header);
+  // CTR lets us decrypt just the key prefix of the stream, a 64-byte chunk
+  // (four counter blocks) at a time into a stack buffer.
+  uint8_t counter[16];
+  std::memcpy(counter, header.iv_ctr, 16);
+  uint8_t plain[64];
+  for (size_t off = 0; off < key.size(); off += sizeof(plain)) {
+    const size_t n = std::min(sizeof(plain), key.size() - off);
+    crypto::AesCtrTransform(cipher.enc, counter, kCtrIncBits,
+                            ByteSpan(header.Ciphertext() + off, n), MutableByteSpan(plain, n));
+    if (std::memcmp(plain, key.data() + off, n) != 0) {
+      return false;
+    }
+    crypto::IncrementCounter(counter, kCtrIncBits, sizeof(plain) / 16);
+  }
+  return true;
 }
 
 Result<std::string> OpenEntryValue(const StoreCipher& cipher, const EntryHeader& header) {
@@ -168,16 +155,19 @@ Result<std::string> OpenEntryValue(const StoreCipher& cipher, const EntryHeader&
   if (!ConstantTimeEqual(ByteSpan(mac.data(), mac.size()), ByteSpan(header.mac, 16))) {
     return Status(Code::kIntegrityFailure, "entry MAC mismatch");
   }
+  return DecryptEntryValue(cipher, header);
+}
+
+std::string DecryptEntryValue(const StoreCipher& cipher, const EntryHeader& header) {
+  // One allocation: decrypt key || value into the result, then drop the key
+  // prefix in place.
   std::string plaintext(header.CiphertextSize(), '\0');
   crypto::AesCtrTransform(cipher.enc, header.iv_ctr, kCtrIncBits,
                           ByteSpan(header.Ciphertext(), header.CiphertextSize()),
                           MutableByteSpan(reinterpret_cast<uint8_t*>(plaintext.data()),
                                           plaintext.size()));
-  return plaintext.substr(header.key_size);
-}
-
-std::string OpenEntryKey(const StoreKeys& keys, const EntryHeader& header) {
-  return OpenEntryKey(StoreCipher(keys), header);
+  plaintext.erase(0, header.key_size);
+  return plaintext;
 }
 
 std::string OpenEntryKey(const StoreCipher& cipher, const EntryHeader& header) {

@@ -41,9 +41,8 @@ struct StoreKeys {
 
 // Pre-expanded cipher state for one store: the AES-CTR schedule plus the
 // CMAC schedule/subkeys, derived once and shared by every seal/open/MAC
-// call. The engine keeps one per store in enclave memory; the StoreKeys
-// overloads below build a transient one per call (compat path for tools and
-// tests, with the old fresh-key-expansion cost).
+// call. The engine keeps one per store in enclave memory; tools and tests
+// build their own.
 struct StoreCipher {
   explicit StoreCipher(const StoreKeys& store_keys)
       : keys(store_keys),
@@ -99,8 +98,6 @@ uint64_t BucketHash(const StoreKeys& keys, std::string_view key);
 // reference at least BytesNeeded(key, value) bytes. `next` is left
 // untouched. Flags are authenticated by the MAC (a tombstone flag an
 // attacker could flip would resurrect or hide keys).
-void SealNewEntry(const StoreKeys& keys, std::string_view key, std::string_view value,
-                  uint8_t flags, ByteSpan fresh_iv, EntryHeader* header);
 void SealNewEntry(const StoreCipher& cipher, std::string_view key, std::string_view value,
                   uint8_t flags, ByteSpan fresh_iv, EntryHeader* header);
 
@@ -109,25 +106,22 @@ void SealNewEntry(const StoreCipher& cipher, std::string_view key, std::string_v
 // keystreams never overlap across versions — the paper increments the
 // combined field; the disjoint-window choice is documented in DESIGN.md),
 // re-encrypts and re-MACs.
-void ResealEntry(const StoreKeys& keys, std::string_view key, std::string_view value,
-                 uint8_t flags, EntryHeader* header);
 void ResealEntry(const StoreCipher& cipher, std::string_view key, std::string_view value,
                  uint8_t flags, EntryHeader* header);
 
 // Recomputed entry MAC (also the leaf fed into bucket-set MAC hashes).
-crypto::Mac ComputeEntryMac(const StoreKeys& keys, const EntryHeader& header);
 crypto::Mac ComputeEntryMac(const StoreCipher& cipher, const EntryHeader& header);
 
 // Decrypts just the key portion and compares; counts one decryption.
-bool EntryKeyEquals(const StoreKeys& keys, const EntryHeader& header, std::string_view key);
 bool EntryKeyEquals(const StoreCipher& cipher, const EntryHeader& header, std::string_view key);
 
 // Decrypts and integrity-checks the whole entry; returns the value.
-Result<std::string> OpenEntryValue(const StoreKeys& keys, const EntryHeader& header);
 Result<std::string> OpenEntryValue(const StoreCipher& cipher, const EntryHeader& header);
+// The value's CTR decryption alone, for callers that verified the entry MAC
+// already (a pipelined get run verifies its hits in one VerifyEntryMacsBatch).
+std::string DecryptEntryValue(const StoreCipher& cipher, const EntryHeader& header);
 
 // Decrypts the key (used by snapshot recovery / full searches).
-std::string OpenEntryKey(const StoreKeys& keys, const EntryHeader& header);
 std::string OpenEntryKey(const StoreCipher& cipher, const EntryHeader& header);
 
 // Recomputes and checks every entry's MAC with interleaved CMAC lanes (one

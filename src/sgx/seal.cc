@@ -1,12 +1,36 @@
 #include "src/sgx/seal.h"
 
+#include <pthread.h>
+
+#include <atomic>
 #include <cstring>
+#include <optional>
 
 #include "src/crypto/ctr.h"
 #include "src/crypto/drbg.h"
 #include "src/crypto/hmac.h"
 
 namespace shield::sgx {
+namespace {
+
+// Blob IVs come from a per-thread DRBG seeded once from the OS (it rekeys
+// itself, fast-key-erasure style), not from a getrandom call per blob. A
+// forked child reseeds, so it never replays its parent's IVs.
+std::atomic<uint64_t> fork_generation{0};
+
+crypto::Drbg& IvDrbg() {
+  static const int registered = pthread_atfork(nullptr, nullptr, [] { ++fork_generation; });
+  thread_local std::optional<crypto::Drbg> drbg;
+  thread_local uint64_t seeded_in = 0;
+  if (!drbg.has_value() || seeded_in != fork_generation.load()) {
+    drbg.emplace();
+    seeded_in = fork_generation.load();
+  }
+  (void)registered;
+  return *drbg;
+}
+
+}  // namespace
 
 SealingService::SealingService(ByteSpan fuse_key, const Measurement& mrenclave)
     // KDF: fuse key x measurement -> (enc, mac) keys, mirroring EGETKEY's
@@ -20,8 +44,7 @@ SealingService::SealingService(const Bytes& keys)
 Bytes SealingService::Seal(ByteSpan plaintext, ByteSpan aad) const {
   Bytes blob(kOverhead + plaintext.size());
   uint8_t* iv = blob.data();
-  crypto::Drbg drbg;  // fresh OS-entropy IV per blob
-  drbg.Fill(MutableByteSpan(iv, 16));
+  IvDrbg().Fill(MutableByteSpan(iv, 16));
   StoreLe32(blob.data() + 16, static_cast<uint32_t>(aad.size()));
   StoreLe32(blob.data() + 20, static_cast<uint32_t>(plaintext.size()));
   uint8_t* ct = blob.data() + 24;

@@ -21,7 +21,7 @@ EnclaveCache::~EnclaveCache() {
 
 std::optional<std::string> EnclaveCache::Get(uint64_t key_hash, std::string_view key) {
   ++lookups_;
-  Slot& slot = slots_[key_hash % num_slots_];
+  Slot& slot = slots_[SlotOf(key_hash)];
   enclave_.Touch(&slot, sizeof(Slot));
   if (slot.data == nullptr || slot.key_hash != key_hash || slot.key_size != key.size()) {
     return std::nullopt;
@@ -35,7 +35,7 @@ std::optional<std::string> EnclaveCache::Get(uint64_t key_hash, std::string_view
 }
 
 void EnclaveCache::Put(uint64_t key_hash, std::string_view key, std::string_view value) {
-  Slot& slot = slots_[key_hash % num_slots_];
+  Slot& slot = slots_[SlotOf(key_hash)];
   enclave_.Touch(&slot, sizeof(Slot), /*write=*/true);
   const size_t needed = key.size() + value.size();
   if (slot.data != nullptr) {
@@ -64,7 +64,7 @@ void EnclaveCache::Put(uint64_t key_hash, std::string_view key, std::string_view
 }
 
 void EnclaveCache::Invalidate(uint64_t key_hash, std::string_view key) {
-  Slot& slot = slots_[key_hash % num_slots_];
+  Slot& slot = slots_[SlotOf(key_hash)];
   enclave_.Touch(&slot, sizeof(Slot), /*write=*/true);
   if (slot.data == nullptr || slot.key_hash != key_hash || slot.key_size != key.size()) {
     return;

@@ -29,6 +29,9 @@ class EnclaveCache {
 
   std::optional<std::string> Get(uint64_t key_hash, std::string_view key);
 
+  // The direct-mapped slot a key hash lands in.
+  size_t SlotOf(uint64_t key_hash) const { return key_hash % num_slots_; }
+
   // Inserts or refreshes (replaces whatever shares the slot).
   void Put(uint64_t key_hash, std::string_view key, std::string_view value);
 

@@ -177,7 +177,7 @@ size_t PartitionedStore::PartitionOf(std::string_view key) const {
 }
 
 void PartitionedStore::NoteOutcome(size_t p, const Status& s) {
-  if (s.code() == Code::kIntegrityFailure || s.code() == Code::kRollbackDetected) {
+  if (IsTamperEvidence(s)) {
     if (SetQuarantined(p, true)) {
       // Transition only: a quarantined partition fast-fails every op, so
       // auditing each outcome would flood the chain with duplicates.
@@ -627,12 +627,12 @@ Status PartitionedStore::RecoverPersistPartition(size_t p) {
 std::vector<kv::BatchOpResult> PartitionedStore::ExecuteBatch(
     const std::vector<kv::BatchOp>& ops) {
   std::vector<kv::BatchOpResult> results(ops.size());
-  // Group op indices by partition, preserving original order within each
-  // group. Cross-partition ops commute (a key maps to one partition), so
+  // Group ops by partition, preserving original order within each group.
+  // Cross-partition ops commute (a key maps to one partition), so
   // ascending-partition execution yields the sequential final state.
-  std::vector<std::vector<size_t>> groups(partitions_.size());
+  std::vector<std::vector<Store::OpSlot>> groups(partitions_.size());
   for (size_t i = 0; i < ops.size(); ++i) {
-    groups[PartitionOf(ops[i].key)].push_back(i);
+    groups[PartitionOf(ops[i].key)].push_back(Store::OpSlot{&ops[i], &results[i]});
   }
   for (size_t p = 0; p < groups.size(); ++p) {
     if (groups[p].empty()) {
@@ -641,16 +641,20 @@ std::vector<kv::BatchOpResult> PartitionedStore::ExecuteBatch(
     std::lock_guard<std::mutex> lock(*locks_[p]);
     Store& store = *partitions_[p];
     store.BeginMacBatch();
-    for (const size_t i : groups[p]) {
-      // Guard per op, not per group: a sub-op that detects tampering
-      // quarantines the partition and the REST of its group fails fast,
-      // exactly as sequential calls through the facade would.
+    std::span<const Store::OpSlot> pending(groups[p]);
+    while (!pending.empty()) {
+      // An op that detects tampering quarantines the partition, and the REST
+      // of its group fails fast, exactly as sequential calls through the
+      // facade would: nothing after it applies.
       if (Status g = QuarantineGuard(p); !g.ok()) {
-        results[i].status = g;
-        continue;
+        for (const Store::OpSlot& slot : pending) {
+          *slot.result = kv::BatchOpResult{g, {}};
+        }
+        break;
       }
-      results[i] = kv::ExecuteSingleOp(store, ops[i]);
-      NoteOutcome(p, results[i].status);
+      const size_t ran = store.ExecuteOps(pending);
+      NoteOutcome(p, pending[ran - 1].result->status);
+      pending = pending.subspan(ran);
     }
     // Recompute each dirty bucket-set hash once for the whole group. Runs
     // even after a mid-group failure: the dirty sets belong to the ops that

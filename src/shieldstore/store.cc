@@ -22,6 +22,12 @@ namespace {
 // [bucket:8][key_size:4][val_size:4][key_hint:1][flags:1][iv_ctr:16][mac:16][ct].
 constexpr size_t kRecordHeader = 8 + 4 + 4 + 1 + 1 + 16 + 16;
 
+// Prefetches never fault, so an unchecked (hostile) ref is safe to hint.
+void PrefetchEntry(uintptr_t entry) {
+  __builtin_prefetch(reinterpret_cast<const void*>(entry));
+  __builtin_prefetch(reinterpret_cast<const void*>(entry + 64));  // key ciphertext
+}
+
 }  // namespace
 
 // ----------------------------------------------------------- UntrustedHeap
@@ -166,6 +172,7 @@ Store::Store(sgx::Enclave& enclave, const Options& options)
   enclave_.Touch(bitmap, bitmap_words * 8, /*write=*/true);
   std::memset(bitmap, 0, bitmap_words * 8);
   mac_init_bitmap_ = bitmap;
+  run_lookups_.resize(kMaxRunGets);
 }
 
 Store::~Store() {
@@ -229,15 +236,15 @@ Status Store::CheckEntryRef(uint64_t ref) const {
     return CheckUntrustedPointer(reinterpret_cast<const void*>(static_cast<uintptr_t>(ref)));
   }
   // Offset modes: the ref and the full entry extent must land inside the
-  // zone. The header bound is checked BEFORE the size fields are read, so a
-  // tampered ref can neither alias enclave memory (offsets never leave the
-  // untrusted mapping) nor fault on an unmapped page via a forged size.
+  // zone. The header bound is checked BEFORE the size fields are read, and
+  // the bounds subtract (a ref near 2^64 cannot wrap), so a tampered ref can
+  // neither alias enclave memory nor fault on an unmapped page.
   const uint64_t zone = arena_ != nullptr ? arena_->capacity() : heap_->carved();
-  if ((ref & 7) != 0 || ref < 4096 || ref + sizeof(kv::EntryHeader) > zone) {
+  if ((ref & 7) != 0 || ref < 4096 || ref > zone || zone - ref < sizeof(kv::EntryHeader)) {
     return Status(Code::kIntegrityFailure, "chain ref outside untrusted zone");
   }
   const kv::EntryHeader* e = Deref(ref);
-  if (ref + sizeof(kv::EntryHeader) + e->CiphertextSize() > zone) {
+  if (e->CiphertextSize() > zone - ref - sizeof(kv::EntryHeader)) {
     return Status(Code::kIntegrityFailure, "entry extent outside untrusted zone");
   }
   return Status::Ok();
@@ -423,62 +430,65 @@ void Store::MarkSetInitialized(size_t set) {
   *word |= uint64_t{1} << (set % 64);
 }
 
-crypto::Mac Store::ComputeBucketSetMac(size_t set) const {
-  TouchKeys();
-  // Shares the store's pre-expanded CMAC key material — the per-call key
-  // expansion this used to pay was pure overhead.
-  crypto::Cmac cmac(cipher_->mac);
-  uint64_t hashed = 8;
-  uint8_t index[8];
-  StoreLe64(index, static_cast<uint64_t>(set));
-  cmac.Update(ByteSpan(index, sizeof(index)));
-  const size_t begin = set * buckets_per_set_;
-  const size_t end = std::min(begin + buckets_per_set_, options_.num_buckets);
-  for (size_t b = begin; b < end; ++b) {
-    const Bucket& bucket = buckets_[b];
-    if (options_.mac_bucketing && bucket.macs != nullptr) {
-      // §5.2: read the contiguous MAC copies instead of chasing entries.
-      for (const MacBucket* mb = bucket.macs; mb != nullptr; mb = mb->next) {
-        cmac.Update(ByteSpan(&mb->macs[0][0], size_t{16} * mb->count));
-        hashed += size_t{16} * mb->count;
-      }
-    } else {
-      // Entry-walk fallback (copies not built yet — e.g. lazily after an
-      // arena attach): byte-identical to the copy path, but the chain may be
-      // unverified, so bound the walk and stop on a bad ref. Dropped tail
-      // bytes surface as a hash mismatch, never a hang or fault.
-      const size_t max_steps = entry_count_ + 8;
-      size_t steps = 0;
-      uint64_t ref = bucket.head_ref;
-      while (ref != 0 && steps++ < max_steps && CheckEntryRef(ref).ok()) {
-        const kv::EntryHeader* e = Deref(ref);
-        cmac.Update(ByteSpan(e->mac, 16));
-        hashed += 16;
-        ref = e->next_ref;
+void Store::ComputeBucketSetMacs(std::span<const uint32_t> sets, crypto::Mac* out) const {
+  // Each set's message (index || the MAC copies of its buckets) is gathered
+  // into one buffer; CmacSignBatch then signs them 8 lanes at a time under
+  // the store's pre-expanded CMAC key.
+  thread_local Bytes gathered;
+  thread_local std::vector<size_t> offsets;
+  thread_local std::vector<crypto::CmacMessage> messages;
+  gathered.clear();
+  offsets.assign(1, 0);
+  const size_t max_steps = entry_count_ + 8;
+  const size_t max_nodes = entry_count_ / MacBucket::kCapacity + 2;
+  for (const size_t set : sets) {
+    TouchKeys();
+    uint8_t index[8];
+    StoreLe64(index, static_cast<uint64_t>(set));
+    gathered.insert(gathered.end(), index, index + sizeof(index));
+    const size_t begin = set * buckets_per_set_;
+    const size_t end = std::min(begin + buckets_per_set_, options_.num_buckets);
+    for (size_t b = begin; b < end; ++b) {
+      const Bucket& bucket = buckets_[b];
+      if (options_.mac_bucketing && bucket.macs != nullptr) {
+        // §5.2: read the contiguous MAC copies instead of chasing entries.
+        // The list is untrusted: a forged count or cycle only truncates it,
+        // which surfaces as a hash mismatch.
+        size_t nodes = 0;
+        for (const MacBucket* mb = bucket.macs; mb != nullptr && nodes++ < max_nodes;
+             mb = mb->next) {
+          const size_t count = std::min<size_t>(mb->count, MacBucket::kCapacity);
+          gathered.insert(gathered.end(), &mb->macs[0][0], &mb->macs[0][0] + 16 * count);
+        }
+      } else {
+        // Entry-walk fallback (copies not built yet — e.g. lazily after an
+        // arena attach): byte-identical to the copy path, but the chain may
+        // be unverified, so bound the walk and stop on a bad ref. Dropped
+        // tail bytes surface as a hash mismatch, never a hang or fault.
+        size_t steps = 0;
+        uint64_t ref = bucket.head_ref;
+        while (ref != 0 && steps++ < max_steps && CheckEntryRef(ref).ok()) {
+          const kv::EntryHeader* e = Deref(ref);
+          gathered.insert(gathered.end(), e->mac, e->mac + 16);
+          ref = e->next_ref;
+        }
       }
     }
+    offsets.push_back(gathered.size());
   }
-  stats_.crypto_cmac_bytes.fetch_add(hashed, std::memory_order_relaxed);
-  return cmac.Finalize();
+  stats_.crypto_cmac_bytes.fetch_add(gathered.size(), std::memory_order_relaxed);
+  messages.assign(sets.size(), crypto::CmacMessage{});
+  for (size_t i = 0; i < sets.size(); ++i) {
+    messages[i].Append(ByteSpan(gathered.data() + offsets[i], offsets[i + 1] - offsets[i]));
+  }
+  crypto::CmacSignBatch(cipher_->mac, messages, out);
 }
 
-Status Store::VerifyBucketSet(size_t set) {
-  if (!options_.integrity) {
-    return Status::Ok();
-  }
-  obs::ScopedStage stage(metrics_, obs::Stage::kMacVerify);
-  stats_.mac_verifications.fetch_add(1, std::memory_order_relaxed);
-  const crypto::Mac computed = ComputeBucketSetMac(set);
-  char detail[64];
-  if (SetInitialized(set)) {
+crypto::Mac Store::TrustedSetMac(size_t set, bool* written) const {
+  *written = SetInitialized(set);
+  if (*written) {
     enclave_.Touch(&mac_hashes_[set], 16);
-    if (!ConstantTimeEqual(ByteSpan(computed.data(), 16), ByteSpan(mac_hashes_[set].data(), 16))) {
-      std::snprintf(detail, sizeof(detail), "bucket set %zu MAC hash mismatch", set);
-      obs::AuditEvent(obs::AuditType::kMacMismatch, detail);
-      return Status(Code::kIntegrityFailure, "bucket-set MAC hash mismatch");
-    }
-    NoteLazyVerified(set);
-    return Status::Ok();
+    return mac_hashes_[set];
   }
   // Never written: the trusted value is the MAC of the empty set.
   TouchKeys();
@@ -486,11 +496,32 @@ Status Store::VerifyBucketSet(size_t set) {
   uint8_t index[8];
   StoreLe64(index, static_cast<uint64_t>(set));
   empty.Update(ByteSpan(index, sizeof(index)));
-  const crypto::Mac expected = empty.Finalize();
-  if (!ConstantTimeEqual(ByteSpan(computed.data(), 16), ByteSpan(expected.data(), 16))) {
-    std::snprintf(detail, sizeof(detail), "bucket set %zu forged while untouched", set);
+  return empty.Finalize();
+}
+
+Status Store::VerifyBucketSet(size_t set) {
+  if (!options_.integrity) {
+    return Status::Ok();
+  }
+  obs::ScopedStage stage(metrics_, obs::Stage::kMacVerify);
+  const uint32_t one = static_cast<uint32_t>(set);
+  crypto::Mac computed;
+  ComputeBucketSetMacs(std::span<const uint32_t>(&one, 1), &computed);
+  return CheckBucketSetMac(set, computed);
+}
+
+Status Store::CheckBucketSetMac(size_t set, const crypto::Mac& computed) {
+  stats_.mac_verifications.fetch_add(1, std::memory_order_relaxed);
+  bool written = false;
+  const crypto::Mac trusted = TrustedSetMac(set, &written);
+  if (!ConstantTimeEqual(ByteSpan(computed.data(), 16), ByteSpan(trusted.data(), 16))) {
+    char detail[64];
+    std::snprintf(detail, sizeof(detail),
+                  written ? "bucket set %zu MAC hash mismatch" : "bucket set %zu forged while untouched",
+                  set);
     obs::AuditEvent(obs::AuditType::kMacMismatch, detail);
-    return Status(Code::kIntegrityFailure, "entries forged into untouched bucket set");
+    return Status(Code::kIntegrityFailure, written ? "bucket-set MAC hash mismatch"
+                                                   : "entries forged into untouched bucket set");
   }
   NoteLazyVerified(set);
   return Status::Ok();
@@ -507,14 +538,17 @@ void Store::NoteLazyVerified(size_t set) {
   }
 }
 
-void Store::StoreBucketSetMac(size_t set) {
+void Store::StoreBucketSetMacs(std::span<const uint32_t> sets) {
   if (!options_.integrity) {
     return;
   }
-  const crypto::Mac computed = ComputeBucketSetMac(set);
-  enclave_.Touch(&mac_hashes_[set], 16, /*write=*/true);
-  mac_hashes_[set] = computed;
-  MarkSetInitialized(set);
+  std::vector<crypto::Mac> computed(sets.size());
+  ComputeBucketSetMacs(sets, computed.data());
+  for (size_t i = 0; i < sets.size(); ++i) {
+    enclave_.Touch(&mac_hashes_[sets[i]], 16, /*write=*/true);
+    mac_hashes_[sets[i]] = computed[i];
+    MarkSetInitialized(sets[i]);
+  }
 }
 
 void Store::BeginMacBatch() {
@@ -537,12 +571,15 @@ void Store::EndMacBatch() {
   obs::ScopedStage stage(metrics_, obs::Stage::kMacBatch);
   obs::TraceScope span("store.mac_batch");
   mac_batch_active_ = false;
+  size_t dirty = 0;
   for (const uint32_t set : mac_batch_touched_) {
     if (mac_batch_state_[set] == 2) {
-      StoreBucketSetMac(set);
+      mac_batch_touched_[dirty++] = set;
     }
     mac_batch_state_[set] = 0;
   }
+  mac_batch_touched_.resize(dirty);
+  StoreBucketSetMacs(mac_batch_touched_);
   mac_batch_touched_.clear();
 }
 
@@ -567,7 +604,8 @@ Status Store::VerifyBucketSetForOp(size_t set) {
 
 void Store::NoteBucketSetMutated(size_t set) {
   if (!mac_batch_active_ || !options_.integrity) {
-    StoreBucketSetMac(set);
+    const uint32_t one = static_cast<uint32_t>(set);
+    StoreBucketSetMacs(std::span<const uint32_t>(&one, 1));
     return;
   }
   if (mac_batch_state_[set] == 0) {
@@ -658,111 +696,106 @@ void Store::UpdateMacBucketSlot(size_t bucket_index, size_t position, const uint
 Result<Store::SearchResult> Store::FindEntry(size_t bucket, std::string_view key, uint8_t hint,
                                              bool full_walk) {
   obs::ScopedStage stage(metrics_, obs::Stage::kSearchDecrypt);
-  const size_t max_steps = entry_count_ + 8;  // cycle guard for corrupted chains
+  ChainWalk w{.key = key, .bucket = bucket, .hint = hint, .full_walk = full_walk};
+  Status s = BeginWalk(w);
+  while (s.ok() && !w.done) {
+    s = StepWalk(w);
+  }
+  stats_.decryptions.fetch_add(w.decryptions, std::memory_order_relaxed);
+  stats_.crypto_ctr_bytes.fetch_add(w.ctr_bytes, std::memory_order_relaxed);
+  if (!s.ok()) {
+    return s;
+  }
+  return w.result;
+}
+
+Status Store::BeginWalk(ChainWalk& w) {
+  Bucket& bucket = buckets_[w.bucket];
+  // Lazy rebuild after an arena attach: the MAC-copy list is never
+  // persisted. The copies then trivially match in StepWalk — integrity comes
+  // from the bucket-set verification binding them to the trusted hash.
+  if (options_.mac_bucketing && options_.integrity && bucket.macs == nullptr &&
+      bucket.head_ref != 0) {
+    if (Status s = RebuildMacBucket(w.bucket); !s.ok()) {
+      return s;
+    }
+  }
+  w.copy_node = bucket.macs;
+  w.ref = bucket.head_ref;
+  if (w.ref != 0) {
+    PrefetchEntry(reinterpret_cast<uintptr_t>(ref_base_) + w.ref);
+  }
+  __builtin_prefetch(w.copy_node);
+  return Status::Ok();
+}
+
+Status Store::StepWalk(ChainWalk& w) {
   const bool check_copies = options_.mac_bucketing && options_.integrity;
-  SearchResult result;
-
-  // Lazy rebuild after an arena attach: the MAC-copy list is volatile and
-  // never persisted, so the first touch of a restored bucket rebuilds it
-  // from the chain. The copies then trivially match below — real integrity
-  // comes from VerifyBucketSetForOp binding them to the trusted hash.
-  if (check_copies && buckets_[bucket].macs == nullptr && buckets_[bucket].head_ref != 0) {
-    if (Status s = RebuildMacBucket(bucket); !s.ok()) {
-      return s;
-    }
-  }
-
-  // Cross-check cursor into the bucket's MAC-copy list.
-  const MacBucket* copy_node = buckets_[bucket].macs;
-  size_t copy_slot = 0;
-
-  // First step (§5.4): follow the chain, decrypting only hint matches.
-  kv::EntryHeader* prev = nullptr;
-  uint64_t ref = buckets_[bucket].head_ref;
-  size_t steps = 0;
-  size_t position = 0;
-  bool walked_to_end = true;
-  while (ref != 0) {
-    if (Status s = CheckEntryRef(ref); !s.ok()) {
-      return s;
-    }
-    kv::EntryHeader* entry = Deref(ref);
-    if (++steps > max_steps) {
-      return Status(Code::kIntegrityFailure, "hash chain cycle detected");
-    }
-    if (check_copies) {
-      if (copy_node != nullptr && !enclave_.ContainsAddress(copy_node) &&
-          copy_slot < copy_node->count &&
-          ConstantTimeEqual(ByteSpan(entry->mac, 16),
-                            ByteSpan(copy_node->macs[copy_slot], 16))) {
-        ++copy_slot;
-        if (copy_slot == MacBucket::kCapacity) {
-          copy_node = copy_node->next;
-          copy_slot = 0;
-        }
-      } else {
-        return Status(Code::kIntegrityFailure, "entry MAC diverges from MAC bucket");
+  if (w.ref == 0) {
+    if (!w.second_pass) {
+      // Count check: the copy list must end exactly where the chain did, or
+      // an unlinked tail entry would vanish as a clean miss.
+      if (check_copies && w.copy_node != nullptr &&
+          (w.copy_slot < w.copy_node->count || w.copy_node->next != nullptr)) {
+        return Status(Code::kIntegrityFailure, "MAC bucket longer than hash chain");
+      }
+      if (w.result.entry == nullptr && options_.key_hint) {
+        // Second step (§5.4): full search decrypting every key — preserves
+        // availability when an attacker tampers with the plaintext hints.
+        w.second_pass = true;
+        w.ref = buckets_[w.bucket].head_ref;
+        w.steps = 0;
+        w.position = 0;
+        w.prev = nullptr;
+        return Status::Ok();
       }
     }
-    if (result.entry == nullptr && (!options_.key_hint || entry->key_hint == hint)) {
-      stats_.decryptions.fetch_add(1, std::memory_order_relaxed);
-      stats_.crypto_ctr_bytes.fetch_add(entry->key_size, std::memory_order_relaxed);
-      TouchKeys();
-      if (kv::EntryKeyEquals(*cipher_, *entry, key)) {
-        result.entry = entry;
-        result.prev = prev;
-        result.position = position;
-        if (!full_walk) {
-          walked_to_end = false;
-          break;
-        }
+    w.done = true;  // found, not found, or the single pass was already a full search
+    return Status::Ok();
+  }
+  // The second pass revisits refs the first one checked.
+  if (Status s = w.second_pass ? Status::Ok() : CheckEntryRef(w.ref); !s.ok()) {
+    return s;
+  }
+  kv::EntryHeader* entry = Deref(w.ref);
+  if (++w.steps > entry_count_ + 8) {  // cycle guard for corrupted chains
+    return Status(Code::kIntegrityFailure, "hash chain cycle detected");
+  }
+  if (check_copies && !w.second_pass) {
+    const MacBucket* node = w.copy_node;
+    if (node == nullptr || enclave_.ContainsAddress(node) || w.copy_slot >= node->count ||
+        !ConstantTimeEqual(ByteSpan(entry->mac, 16), ByteSpan(node->macs[w.copy_slot], 16))) {
+      return Status(Code::kIntegrityFailure, "entry MAC diverges from MAC bucket");
+    }
+    if (++w.copy_slot == MacBucket::kCapacity) {
+      w.copy_node = node->next;
+      w.copy_slot = 0;
+      __builtin_prefetch(w.copy_node);
+    }
+  }
+  // Pass one decrypts hint matches until a hit; pass two, what pass one skipped.
+  const bool candidate = w.second_pass ? entry->key_hint != w.hint
+                                       : w.result.entry == nullptr &&
+                                             (!options_.key_hint || entry->key_hint == w.hint);
+  if (candidate) {
+    ++w.decryptions;
+    w.ctr_bytes += entry->key_size;
+    TouchKeys();
+    if (kv::EntryKeyEquals(*cipher_, *entry, w.key)) {
+      w.result = SearchResult{entry, w.prev, w.position};
+      if (w.second_pass || !w.full_walk) {
+        w.done = true;
+        return Status::Ok();
       }
     }
-    prev = entry;
-    ref = entry->next_ref;
-    ++position;
   }
-  if (check_copies && walked_to_end) {
-    // Count check: the copy list must end exactly where the chain did, or an
-    // unlinked tail entry would vanish as a clean miss.
-    const bool leftovers =
-        copy_node != nullptr && (copy_slot < copy_node->count || copy_node->next != nullptr);
-    if (leftovers) {
-      return Status(Code::kIntegrityFailure, "MAC bucket longer than hash chain");
-    }
+  w.prev = entry;
+  w.ref = entry->next_ref;
+  ++w.position;
+  if (w.ref != 0) {
+    PrefetchEntry(reinterpret_cast<uintptr_t>(ref_base_) + w.ref);
   }
-  if (result.entry != nullptr || !options_.key_hint) {
-    return result;  // found, or the single pass was already a full search
-  }
-
-  // Second step: full search decrypting every key — preserves availability
-  // when an attacker tampers with the plaintext hints (§5.4).
-  prev = nullptr;
-  ref = buckets_[bucket].head_ref;
-  steps = 0;
-  position = 0;
-  while (ref != 0) {
-    kv::EntryHeader* entry = Deref(ref);  // every ref was checked in step one
-    if (++steps > max_steps) {
-      return Status(Code::kIntegrityFailure, "hash chain cycle detected");
-    }
-    if (entry->key_hint != hint) {  // hint matches were decrypted in step one
-      stats_.decryptions.fetch_add(1, std::memory_order_relaxed);
-      stats_.crypto_ctr_bytes.fetch_add(entry->key_size, std::memory_order_relaxed);
-      TouchKeys();
-      if (kv::EntryKeyEquals(*cipher_, *entry, key)) {
-        result.entry = entry;
-        result.prev = prev;
-        result.position = position;
-        result.used_full_search = true;
-        return result;
-      }
-    }
-    prev = entry;
-    ref = entry->next_ref;
-    ++position;
-  }
-  return result;  // not found
+  return Status::Ok();
 }
 
 // -------------------------------------------------------------- operations
@@ -775,40 +808,22 @@ Status Store::Set(std::string_view key, std::string_view value) {
 }
 
 Result<std::string> Store::Get(std::string_view key) {
-  uint8_t flags = 0;
-  if (temp_table_ != nullptr) {
-    Result<std::string> from_temp = temp_table_->GetInternal(key, &flags);
-    if (from_temp.ok()) {
-      if (flags & kFlagTombstone) {
-        return Status(Code::kNotFound, "deleted during snapshot epoch");
-      }
-      return from_temp;
-    }
-    if (from_temp.status().code() != Code::kNotFound) {
-      return from_temp.status();
-    }
+  kv::BatchOpResult r;
+  const GetSlot slot{key, &r};
+  RunGets(std::span<const GetSlot>(&slot, 1));
+  if (!r.status.ok()) {
+    return r.status;
   }
-  return GetInternal(key, &flags);
+  return std::move(r.value);
 }
 
 Status Store::Delete(std::string_view key) {
   if (temp_table_ != nullptr) {
     // Tombstone in the temporary table; applied to the main table on merge.
     // Preserve delete semantics: only keys currently visible through the
-    // epoch layering may be deleted.
-    uint8_t flags = 0;
-    Result<std::string> in_temp = temp_table_->GetInternal(key, &flags);
-    if (in_temp.ok()) {
-      if (flags & kFlagTombstone) {
-        return Status(Code::kNotFound, "already deleted during snapshot epoch");
-      }
-    } else if (in_temp.status().code() == Code::kNotFound) {
-      Result<std::string> in_main = GetInternal(key, &flags);
-      if (!in_main.ok()) {
-        return in_main.status();  // kNotFound or an integrity failure
-      }
-    } else {
-      return in_temp.status();
+    // epoch layering (what Get sees) may be deleted.
+    if (Result<std::string> visible = Get(key); !visible.ok()) {
+      return visible.status();  // kNotFound or an integrity failure
     }
     return temp_table_->SetInternal(key, "", kFlagTombstone);
   }
@@ -816,59 +831,215 @@ Status Store::Delete(std::string_view key) {
 }
 
 std::vector<kv::BatchOpResult> Store::ExecuteBatch(const std::vector<kv::BatchOp>& ops) {
+  std::vector<kv::BatchOpResult> results(ops.size());
+  std::vector<OpSlot> slots(ops.size());
+  for (size_t i = 0; i < ops.size(); ++i) {
+    slots[i] = OpSlot{&ops[i], &results[i]};
+  }
   // During a snapshot epoch writes land in the temp table (its own hashes,
   // recomputed per op); the scope on the main table is then a harmless no-op.
   BeginMacBatch();
-  std::vector<kv::BatchOpResult> results = kv::KeyValueStore::ExecuteBatch(ops);
+  // No quarantine at this level: ops after a failed one still run.
+  for (size_t done = 0; done < slots.size();) {
+    done += ExecuteOps(std::span<const OpSlot>(slots).subspan(done));
+  }
   EndMacBatch();
   return results;
 }
 
-Result<std::string> Store::GetInternal(std::string_view key, uint8_t* flags_out) {
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
-  TouchKeys();
-  const uint64_t hash = kv::BucketHash(*keys_, key);
-
-  if (cache_ != nullptr) {
-    if (std::optional<std::string> hit = cache_->Get(hash, key)) {
-      stats_.cache_hits.fetch_add(1, std::memory_order_relaxed);
-      stats_.hits.fetch_add(1, std::memory_order_relaxed);
-      *flags_out = 0;
-      return std::move(*hit);
+size_t Store::ExecuteOps(std::span<const OpSlot> ops) {
+  size_t i = 0;
+  GetSlot run[kMaxRunGets];
+  while (i < ops.size()) {
+    size_t n = 0;
+    for (; n < kMaxRunGets && i + n < ops.size() && ops[i + n].op->type == kv::BatchOpType::kGet;
+         ++n) {
+      run[n] = GetSlot{ops[i + n].op->key, ops[i + n].result};
+    }
+    if (n == 0) {
+      *ops[i].result = kv::ExecuteSingleOp(*this, *ops[i].op);
+      ++i;
+    } else {
+      i += RunGets(std::span<const GetSlot>(run, n));
+    }
+    if (IsTamperEvidence(ops[i - 1].result->status)) {
+      return i;
     }
   }
+  return ops.size();
+}
 
-  const size_t bucket = BucketIndex(hash);
-  const uint8_t hint = kv::KeyHint(*keys_, key);
-  Result<SearchResult> found = FindEntry(bucket, key, hint, /*full_walk=*/false);
-  if (!found.ok()) {
-    return found.status();
+size_t Store::RunGets(std::span<const GetSlot> run) {
+  if (temp_table_ == nullptr) {
+    return LookupRun(run);
   }
-  // Freshness/completeness check (§4.3): recompute the bucket-set MAC hash
-  // and compare against the trusted in-enclave copy. Performed for misses
-  // too — a mismatch there means entries were unlinked by an attacker.
-  if (Status s = VerifyBucketSetForOp(SetOf(bucket)); !s.ok()) {
-    return s;
+  // Snapshot epoch (only while a snapshot is written): a key at a time, the
+  // temporary table first.
+  kv::BatchOpResult& r = *run[0].result;
+  temp_table_->LookupRun(run.first(1));
+  // The temporary table keeps no plaintext cache, so a hit is its walk's.
+  if (r.status.ok() && (temp_table_->run_lookups_[0].walk.result.entry->flags & kFlagTombstone)) {
+    r = kv::BatchOpResult{Status(Code::kNotFound, "deleted during snapshot epoch"), {}};
+  } else if (r.status.code() == Code::kNotFound) {
+    LookupRun(run.first(1));
   }
-  if (found->entry == nullptr) {
-    stats_.misses.fetch_add(1, std::memory_order_relaxed);
-    return Status(Code::kNotFound, "no such key");
+  return 1;
+}
+
+size_t Store::LookupRun(std::span<const GetSlot> run) {
+  assert(run.size() <= kMaxRunGets);
+  size_t n = run.size();
+  size_t stop = n;  // first op whose walk failed, with its status
+  Status failure;
+  {
+    obs::ScopedStage stage(metrics_, obs::Stage::kSearchDecrypt);
+    // Stage 1: hash and hint every key, answer plaintext-cache hits, and
+    // prefetch each miss's bucket slot and trusted set hash.
+    for (size_t i = 0; i < n; ++i) {
+      RunLookup& l = run_lookups_[i];
+      l = RunLookup{};
+      l.hash = kv::BucketHash(*keys_, run[i].key);
+      // The cache is direct-mapped: an earlier miss of this run may fill
+      // this key's slot, and sequential execution would probe after that
+      // fill. The run ends before it; the caller starts the next one there.
+      if (cache_ != nullptr &&
+          std::any_of(run_lookups_.begin(), run_lookups_.begin() + i, [&](const RunLookup& e) {
+            return !e.cache_hit && cache_->SlotOf(e.hash) == cache_->SlotOf(l.hash);
+          })) {
+        n = i;
+        break;
+      }
+      TouchKeys();
+      if (cache_ != nullptr) {
+        if (std::optional<std::string> hit = cache_->Get(l.hash, run[i].key)) {
+          l.cache_hit = true;
+          l.walk.done = true;
+          run[i].result->value = std::move(*hit);
+          continue;
+        }
+      }
+      l.walk.key = run[i].key;
+      l.walk.bucket = BucketIndex(l.hash);
+      l.walk.hint = kv::KeyHint(*keys_, run[i].key);
+      __builtin_prefetch(&buckets_[l.walk.bucket]);
+      __builtin_prefetch(&mac_hashes_[SetOf(l.walk.bucket)]);
+    }
+    stop = n;
+    // Stage 2: walk every chain, one hop per walk per round, so each round's
+    // untrusted-memory misses are in flight together. A failed walk ends the
+    // run there: later ops are dropped.
+    for (size_t i = 0; i < stop; ++i) {
+      if (run_lookups_[i].cache_hit) {
+        continue;
+      }
+      if (Status s = BeginWalk(run_lookups_[i].walk); !s.ok()) {
+        failure = std::move(s);
+        stop = i;
+      }
+    }
+    for (bool active = true; active;) {
+      active = false;
+      for (size_t i = 0; i < stop; ++i) {
+        ChainWalk& w = run_lookups_[i].walk;
+        if (w.done) {
+          continue;
+        }
+        if (Status s = StepWalk(w); !s.ok()) {
+          failure = std::move(s);
+          stop = i;
+          break;
+        }
+        active |= !w.done;
+      }
+    }
   }
-  TouchKeys();
-  const size_t opened = found->entry->CiphertextSize();
-  stats_.crypto_ctr_bytes.fetch_add(opened, std::memory_order_relaxed);
-  // +26: the authenticated non-ciphertext fields (10) and IV/counter (16).
-  stats_.crypto_cmac_bytes.fetch_add(opened + 26, std::memory_order_relaxed);
-  Result<std::string> value = kv::OpenEntryValue(*cipher_, *found->entry);
-  if (!value.ok()) {
-    return value.status();
+  obs::ScopedStage stage(metrics_, obs::Stage::kMacVerify);
+  // Stages 3 and 4: recompute each bucket set this run verifies (per
+  // VerifyBucketSetForOp: first touch in a MAC-batch scope, every op outside
+  // one) and the hits' entry MACs, both in CMAC lanes.
+  uint32_t sets[kMaxRunGets];
+  crypto::Mac set_macs[kMaxRunGets];
+  size_t num_sets = 0;
+  const kv::EntryHeader* hits[kMaxRunGets];
+  size_t num_hits = 0;
+  for (size_t i = 0; i < stop; ++i) {
+    RunLookup& l = run_lookups_[i];
+    if (l.cache_hit) {
+      continue;
+    }
+    if (l.walk.result.entry != nullptr) {
+      hits[num_hits++] = l.walk.result.entry;
+    }
+    const uint32_t set = static_cast<uint32_t>(SetOf(l.walk.bucket));
+    if (options_.integrity &&
+        (!mac_batch_active_ || (mac_batch_state_[set] == 0 &&
+                                std::find(sets, sets + num_sets, set) == sets + num_sets))) {
+      l.verify_slot = static_cast<int32_t>(num_sets);
+      sets[num_sets++] = set;
+    }
   }
-  stats_.hits.fetch_add(1, std::memory_order_relaxed);
-  *flags_out = found->entry->flags;
-  if (cache_ != nullptr) {
-    cache_->Put(hash, key, value.value());
+  ComputeBucketSetMacs(std::span<const uint32_t>(sets, num_sets), set_macs);
+  const size_t bad_hit = kv::VerifyEntryMacsBatch(
+      *cipher_, std::span<const kv::EntryHeader* const>(hits, num_hits));
+  // Commit in op order, exactly as sequential gets would: op i's set check,
+  // then its entry MAC, then its value. The first failure ends the run.
+  size_t ran = n;
+  size_t hit = 0;
+  uint64_t hits_ok = 0;
+  uint64_t misses = 0;
+  uint64_t ctr_bytes = 0;
+  uint64_t cmac_bytes = 0;
+  for (size_t i = 0; i < n && ran == n; ++i) {
+    RunLookup& l = run_lookups_[i];
+    kv::BatchOpResult& r = *run[i].result;
+    const kv::EntryHeader* entry = l.walk.result.entry;
+    r.status = i == stop ? std::move(failure) : Status::Ok();
+    if (r.status.ok() && l.verify_slot >= 0) {
+      const uint32_t set = sets[l.verify_slot];
+      r.status = CheckBucketSetMac(set, set_macs[l.verify_slot]);
+      if (r.status.ok() && mac_batch_active_) {
+        mac_batch_state_[set] = 1;
+        mac_batch_touched_.push_back(set);
+      }
+    }
+    if (r.status.ok() && entry != nullptr) {
+      TouchKeys();
+      ctr_bytes += entry->CiphertextSize();
+      // +26: the authenticated non-ciphertext fields (10) and IV/counter (16).
+      cmac_bytes += entry->CiphertextSize() + 26;
+      if (hit++ == bad_hit) {
+        r.status = Status(Code::kIntegrityFailure, "entry MAC mismatch");
+      } else {
+        r.value = kv::DecryptEntryValue(*cipher_, *entry);
+        if (cache_ != nullptr) {
+          cache_->Put(l.hash, run[i].key, r.value);
+        }
+      }
+    } else if (r.status.ok() && !l.cache_hit) {
+      ++misses;
+      r.status = Status(Code::kNotFound, "no such key");
+    }
+    if (r.status.ok()) {
+      ++hits_ok;
+      continue;
+    }
+    r.value.clear();
+    if (r.status.code() != Code::kNotFound) {
+      ran = i + 1;  // a failed get ends the run; a miss does not
+    }
   }
-  return value;
+  uint64_t decryptions = 0;
+  for (size_t i = 0; i < ran; ++i) {
+    decryptions += run_lookups_[i].walk.decryptions;
+    ctr_bytes += run_lookups_[i].walk.ctr_bytes;
+  }
+  stats_.gets.fetch_add(ran, std::memory_order_relaxed);
+  stats_.hits.fetch_add(hits_ok, std::memory_order_relaxed);
+  stats_.misses.fetch_add(misses, std::memory_order_relaxed);
+  stats_.decryptions.fetch_add(decryptions, std::memory_order_relaxed);
+  stats_.crypto_ctr_bytes.fetch_add(ctr_bytes, std::memory_order_relaxed);
+  stats_.crypto_cmac_bytes.fetch_add(cmac_bytes, std::memory_order_relaxed);
+  return ran;
 }
 
 Status Store::SetInternal(std::string_view key, std::string_view value, uint8_t flags) {
@@ -1016,7 +1187,6 @@ kv::StoreStats Store::stats() const {
   s.misses = stats_.misses.load(std::memory_order_relaxed);
   s.decryptions = stats_.decryptions.load(std::memory_order_relaxed);
   s.mac_verifications = stats_.mac_verifications.load(std::memory_order_relaxed);
-  s.cache_hits = stats_.cache_hits.load(std::memory_order_relaxed);
   s.crypto_ctr_bytes = stats_.crypto_ctr_bytes.load(std::memory_order_relaxed);
   s.crypto_cmac_bytes = stats_.crypto_cmac_bytes.load(std::memory_order_relaxed);
   if (cache_ != nullptr) {
@@ -1029,20 +1199,12 @@ kv::StoreStats Store::stats() const {
 
 Status Store::VerifyFullIntegrity() const {
   for (size_t set = 0; set < num_mac_hashes_; ++set) {
-    const crypto::Mac computed = ComputeBucketSetMac(set);
-    crypto::Mac expected;
-    if (SetInitialized(set)) {
-      enclave_.Touch(&mac_hashes_[set], 16);
-      expected = mac_hashes_[set];
-    } else {
-      TouchKeys();
-      crypto::Cmac empty(cipher_->mac);
-      uint8_t index[8];
-      StoreLe64(index, static_cast<uint64_t>(set));
-      empty.Update(ByteSpan(index, sizeof(index)));
-      expected = empty.Finalize();
-    }
-    if (!ConstantTimeEqual(ByteSpan(computed.data(), 16), ByteSpan(expected.data(), 16))) {
+    const uint32_t one = static_cast<uint32_t>(set);
+    crypto::Mac computed;
+    ComputeBucketSetMacs(std::span<const uint32_t>(&one, 1), &computed);
+    bool written = false;
+    const crypto::Mac trusted = TrustedSetMac(set, &written);
+    if (!ConstantTimeEqual(ByteSpan(computed.data(), 16), ByteSpan(trusted.data(), 16))) {
       return Status(Code::kIntegrityFailure, "bucket-set " + std::to_string(set) + " corrupted");
     }
   }

@@ -19,6 +19,7 @@
 
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -39,6 +40,12 @@ namespace shield::shieldstore {
 
 // Entry flag bits.
 inline constexpr uint8_t kFlagTombstone = 0x1;  // delete recorded in a temp table
+
+// Codes proving untrusted state was tampered with or rolled back: the
+// partition quarantines, and nothing after the op in its group applies.
+inline bool IsTamperEvidence(const Status& s) {
+  return s.code() == Code::kIntegrityFailure || s.code() == Code::kRollbackDetected;
+}
 
 // Untrusted-memory heap used for entries and MAC buckets. In extra-heap mode
 // (§5.1) an in-enclave free-list allocator draws chunks via one OCALL'd mmap
@@ -87,13 +94,15 @@ class Store : public kv::KeyValueStore {
 
   // --- kv::KeyValueStore ---------------------------------------------------
   Status Set(std::string_view key, std::string_view value) override;
+  // A pipelined run of one (RunGets).
   Result<std::string> Get(std::string_view key) override;
   Status Delete(std::string_view key) override;
   // Runs the ops inside a MAC batch scope: each touched bucket set is
   // verified once on first touch, and its trusted hash is recomputed and
   // stored once at the end — instead of once per op. The final hashes are
-  // identical to sequential execution because StoreBucketSetMac derives
-  // them from the (same) final untrusted state.
+  // identical to sequential execution because StoreBucketSetMacs derives
+  // them from the (same) final untrusted state. Consecutive gets run as
+  // pipelined runs (ExecuteOps); a failed op does not stop the batch.
   std::vector<kv::BatchOpResult> ExecuteBatch(const std::vector<kv::BatchOp>& ops) override;
   size_t Size() const override;
   std::string Name() const override { return "ShieldStore"; }
@@ -202,7 +211,44 @@ class Store : public kv::KeyValueStore {
     kv::EntryHeader* entry = nullptr;
     kv::EntryHeader* prev = nullptr;
     size_t position = 0;  // index within the chain
-    bool used_full_search = false;
+  };
+
+  // One chain search (§5.4 two-step search), advanced a hop at a time by
+  // StepWalk: a mutation walks one to the end (FindEntry), a get run all of
+  // its walks a hop per round (LookupRun).
+  struct ChainWalk {
+    std::string_view key;
+    size_t bucket = 0;
+    uint8_t hint = 0;
+    bool full_walk = false;    // walk on past a hit (mutations, see FindEntry)
+    bool second_pass = false;  // in the full-decryption fallback pass
+    bool done = false;
+    uint64_t ref = 0;  // next entry to visit; 0 = end of chain
+    const MacBucket* copy_node = nullptr;  // MAC-copy cross-check cursor
+    size_t copy_slot = 0;
+    size_t steps = 0;
+    size_t position = 0;
+    kv::EntryHeader* prev = nullptr;
+    SearchResult result;
+    uint64_t decryptions = 0;  // stats the walk incurred; the caller commits them
+    uint64_t ctr_bytes = 0;
+  };
+  // An op (or a get's key) and where its result goes.
+  struct OpSlot {
+    const kv::BatchOp* op;
+    kv::BatchOpResult* result;
+  };
+  struct GetSlot {
+    std::string_view key;
+    kv::BatchOpResult* result;
+  };
+  // Longest pipelined run; bounds the scratch and keeps prefetches in cache.
+  static constexpr size_t kMaxRunGets = 32;
+  struct RunLookup {  // one get of LookupRun
+    ChainWalk walk;
+    uint64_t hash = 0;
+    bool cache_hit = false;
+    int32_t verify_slot = -1;  // index into the run's verified sets, or -1
   };
 
   // --- internals -----------------------------------------------------------
@@ -260,18 +306,46 @@ class Store : public kv::KeyValueStore {
   // would slip past a bucket-set hash computed from the untrusted copies.
   // `full_walk` forces walking the whole chain even after a hit; mutations
   // require it so RebuildMacBucket never launders unverified tail entries.
+  // A walk of one, run to the end (mutations).
   Result<SearchResult> FindEntry(size_t bucket, std::string_view key, uint8_t hint,
                                  bool full_walk);
+  // Positions `w` at its bucket head (rebuilding the MAC-copy list lazily
+  // after an arena attach) and prefetches the first entry and copy node.
+  Status BeginWalk(ChainWalk& w);
+  // One hop: ref check, cycle guard, MAC-copy cross-check, hint-matched key
+  // compare, prefetch of the next entry. Sets w.done once decided.
+  Status StepWalk(ChainWalk& w);
+
+  // Executes `ops` in order: runs of consecutive gets through RunGets, each
+  // mutation in place. Returns how many ran: all, or through the first op
+  // whose status is tamper evidence (the caller quarantines the rest).
+  size_t ExecuteOps(std::span<const OpSlot> ops);
+  // The get path: a run of gets with the results, stats, EPC touches and
+  // MAC state of running them one after another (DESIGN.md §10):
+  //  1. hash and hint every key, answer cache hits, prefetch bucket slots;
+  //  2. walk the chains together, one hop per walk per round (StepWalk);
+  //  3. verify each bucket set the run touches first, CMACs in 8 lanes;
+  //  4. verify the hits' entry MACs in 8 lanes, then CTR-decrypt them.
+  // Returns how many gets ran (at least one): all, fewer where the plaintext
+  // cache or a snapshot epoch ends the run early, or through the first that
+  // failed with an error other than kNotFound.
+  size_t RunGets(std::span<const GetSlot> run);
+  size_t LookupRun(std::span<const GetSlot> run);  // without the epoch's temp table
 
   // One bucket's share of a scrub: chain walk with hostile-pointer and cycle
   // checks, per-entry MAC recomputation, and MAC-bucket cross-checks.
   Status ScrubBucketChain(size_t b, size_t* entries_verified) const;
 
-  crypto::Mac ComputeBucketSetMac(size_t set) const;
+  // Recomputes the sets' MAC hashes from untrusted memory, 8 CMAC lanes.
+  void ComputeBucketSetMacs(std::span<const uint32_t> sets, crypto::Mac* out) const;
+  // The stored hash, or for a never-written set the MAC of its empty list.
+  crypto::Mac TrustedSetMac(size_t set, bool* written) const;
   Status VerifyBucketSet(size_t set);
+  // Compares a recomputed hash with the trusted one; counts a verification.
+  Status CheckBucketSetMac(size_t set, const crypto::Mac& computed);
   // Clears the set's deferred post-attach verification debt (persist mode).
   void NoteLazyVerified(size_t set);
-  void StoreBucketSetMac(size_t set);
+  void StoreBucketSetMacs(std::span<const uint32_t> sets);
   bool SetInitialized(size_t set) const;
   void MarkSetInitialized(size_t set);
 
@@ -295,7 +369,6 @@ class Store : public kv::KeyValueStore {
   void UpdateMacBucketSlot(size_t bucket, size_t position, const uint8_t mac[16]);
 
   Status SetInternal(std::string_view key, std::string_view value, uint8_t flags);
-  Result<std::string> GetInternal(std::string_view key, uint8_t* flags_out);
   Status DeleteInternal(std::string_view key);
 
   void TouchKeys() const;  // declares the EPC access to the key material
@@ -341,7 +414,6 @@ class Store : public kv::KeyValueStore {
     std::atomic<uint64_t> misses{0};
     std::atomic<uint64_t> decryptions{0};
     std::atomic<uint64_t> mac_verifications{0};
-    std::atomic<uint64_t> cache_hits{0};
     std::atomic<uint64_t> crypto_ctr_bytes{0};
     std::atomic<uint64_t> crypto_cmac_bytes{0};
   };
@@ -355,6 +427,8 @@ class Store : public kv::KeyValueStore {
   bool mac_batch_active_ = false;
   std::vector<uint8_t> mac_batch_state_;
   std::vector<uint32_t> mac_batch_touched_;
+
+  std::vector<RunLookup> run_lookups_;  // LookupRun scratch, kMaxRunGets long
 };
 
 }  // namespace shield::shieldstore

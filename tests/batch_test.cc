@@ -7,6 +7,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -20,6 +21,27 @@
 #include "src/net/server.h"
 #include "src/shieldstore/partitioned.h"
 #include "src/shieldstore/selfheal.h"
+#include "src/workload/zipf.h"
+
+namespace shield::shieldstore {
+
+// White-box access for the pipelined-run tests: the MAC-batch scope that a
+// sequential reference runs singletons in, and untrusted memory to tamper.
+class StoreTestPeer {
+ public:
+  static void BeginMacBatch(Store& s) { s.BeginMacBatch(); }
+  static void EndMacBatch(Store& s) { s.EndMacBatch(); }
+  static size_t BucketOf(Store& s, std::string_view key) {
+    return s.BucketIndex(kv::BucketHash(*s.keys_, key));
+  }
+  static uint64_t& BucketHead(Store& s, size_t bucket) { return s.buckets_[bucket].head_ref; }
+  static kv::EntryHeader* HeadEntry(Store& s, size_t bucket) {
+    return s.Deref(s.buckets_[bucket].head_ref);
+  }
+  static uint8_t* FirstMacCopy(Store& s, size_t bucket) { return s.buckets_[bucket].macs->macs[0]; }
+};
+
+}  // namespace shield::shieldstore
 
 namespace shield {
 namespace {
@@ -402,6 +424,243 @@ TEST(BatchEquivalenceTest, QuarantinedPartitionFailsOnlyItsOps) {
   EXPECT_TRUE(results[1].status.ok());
   EXPECT_EQ(results[2].status.code(), Code::kPartitionRecovering);
   EXPECT_TRUE(results[3].status.ok());
+}
+
+// ------------------------------------------------ pipelined get runs
+//
+// A run of consecutive gets executes as one pipelined run (Store::RunGets).
+// The reference executes the same ops one at a time inside the same MAC
+// batch scope — sequential execution — and everything observable must
+// match: results, StoreStats, EPC touch count and the secure metadata.
+
+using shieldstore::StoreTestPeer;
+
+void ExpectSameStats(const kv::StoreStats& a, const kv::StoreStats& b) {
+  EXPECT_EQ(a.gets, b.gets);
+  EXPECT_EQ(a.sets, b.sets);
+  EXPECT_EQ(a.deletes, b.deletes);
+  EXPECT_EQ(a.hits, b.hits);
+  EXPECT_EQ(a.misses, b.misses);
+  EXPECT_EQ(a.decryptions, b.decryptions);
+  EXPECT_EQ(a.mac_verifications, b.mac_verifications);
+  EXPECT_EQ(a.cache_hits, b.cache_hits);
+  EXPECT_EQ(a.cache_lookups, b.cache_lookups);
+  EXPECT_EQ(a.crypto_ctr_bytes, b.crypto_ctr_bytes);
+  EXPECT_EQ(a.crypto_cmac_bytes, b.crypto_cmac_bytes);
+}
+
+// 10k ops over 2,000 keys, zipf 0.99, 5% sets; keys past 1,500 are never
+// preloaded, so the gets mix hits and misses.
+std::vector<BatchOp> ZipfTape() {
+  workload::ZipfGenerator zipf(2000, 0.99, 0x5eedULL);
+  Xoshiro256 rng(0x7a9eULL);
+  std::vector<BatchOp> ops;
+  for (int i = 0; i < 10000; ++i) {
+    const std::string key = "key-" + std::to_string(zipf.Next());
+    if (rng.NextBelow(100) < 5) {
+      ops.push_back({BatchOpType::kSet, key, std::string(1 + rng.NextBelow(90), 'a' + i % 26), 0});
+    } else {
+      ops.push_back({BatchOpType::kGet, key, "", 0});
+    }
+  }
+  return ops;
+}
+
+std::vector<BatchOpResult> ScopedSingletons(Store& store, const std::vector<BatchOp>& ops) {
+  std::vector<BatchOpResult> results;
+  StoreTestPeer::BeginMacBatch(store);
+  for (const BatchOp& op : ops) {
+    results.push_back(kv::ExecuteSingleOp(store, op));
+  }
+  StoreTestPeer::EndMacBatch(store);
+  return results;
+}
+
+TEST(BatchEquivalenceTest, PipelinedRunsMatchSequentialOnAZipfTape) {
+  const std::vector<BatchOp> tape = ZipfTape();
+  for (const bool soft : {false, true}) {
+    for (const bool cache : {false, true}) {
+      SCOPED_TRACE(std::string(soft ? "table" : "dispatched") + " AES, cache " +
+                   (cache ? "on" : "off"));
+      shieldstore::Options options = SmallOptions();
+      options.master_key = Bytes(32, 0x17);
+      options.soft_crypto = soft;
+      options.epc_cache = cache;
+      options.cache_slots = 64;  // small and direct-mapped: runs share slots
+      sgx::Enclave enclave_seq(TestEnclaveConfig("pipelined-tape"));
+      sgx::Enclave enclave_run(TestEnclaveConfig("pipelined-tape"));
+      Store sequential(enclave_seq, options);
+      Store pipelined(enclave_run, options);
+      for (int k = 0; k < 1500; ++k) {
+        const std::string key = "key-" + std::to_string(k);
+        const std::string value(1 + k % 70, 'p');
+        ASSERT_TRUE(sequential.Set(key, value).ok());
+        ASSERT_TRUE(pipelined.Set(key, value).ok());
+      }
+      for (size_t base = 0; base < tape.size(); base += 16) {
+        // The middle of the tape runs inside a snapshot epoch, so gets
+        // consult the temporary table first.
+        if (base == 3040 || base == 7040) {
+          for (Store* s : {&sequential, &pipelined}) {
+            ASSERT_TRUE((base == 3040 ? s->BeginSnapshotEpoch() : s->EndSnapshotEpoch()).ok());
+          }
+        }
+        const std::vector<BatchOp> batch(tape.begin() + base,
+                                         tape.begin() + std::min(base + 16, tape.size()));
+        const std::vector<BatchOpResult> want = ScopedSingletons(sequential, batch);
+        const std::vector<BatchOpResult> got = pipelined.ExecuteBatch(batch);
+        ASSERT_EQ(got.size(), want.size());
+        for (size_t i = 0; i < batch.size(); ++i) {
+          ASSERT_EQ(got[i].status.code(), want[i].status.code()) << "op " << base + i;
+          ASSERT_EQ(got[i].value, want[i].value) << "op " << base + i;
+        }
+      }
+      ExpectSameStats(pipelined.stats(), sequential.stats());
+      EXPECT_EQ(enclave_run.epc().stats().touches, enclave_seq.epc().stats().touches);
+      EXPECT_EQ(pipelined.ExportSecureMetadata(), sequential.ExportSecureMetadata());
+      EXPECT_GT(pipelined.stats().hits, 5000u);
+      EXPECT_GT(pipelined.stats().misses, 100u);
+      EXPECT_TRUE(pipelined.Scrub().status.ok());
+    }
+  }
+}
+
+TEST(BatchEquivalenceTest, PipelinedPartitionGroupsMatchSequential) {
+  // The facade runs each partition group's gets as pipelined runs; the
+  // reference applies the same groups one op at a time, partition by
+  // partition, each inside its own MAC batch scope.
+  const std::vector<BatchOp> tape = ZipfTape();
+  shieldstore::Options options = SmallOptions();
+  options.master_key = Bytes(32, 0x29);
+  sgx::Enclave enclave_seq(TestEnclaveConfig("pipelined-groups"));
+  sgx::Enclave enclave_run(TestEnclaveConfig("pipelined-groups"));
+  PartitionedStore sequential(enclave_seq, options, 4);
+  PartitionedStore pipelined(enclave_run, options, 4);
+  for (int k = 0; k < 1500; ++k) {
+    const std::string key = "key-" + std::to_string(k);
+    ASSERT_TRUE(sequential.Set(key, "v" + key).ok());
+    ASSERT_TRUE(pipelined.Set(key, "v" + key).ok());
+  }
+  for (size_t base = 0; base < tape.size(); base += 16) {
+    const std::vector<BatchOp> batch(tape.begin() + base, tape.begin() + base + 16);
+    std::vector<BatchOpResult> want(batch.size());
+    for (size_t p = 0; p < sequential.num_partitions(); ++p) {
+      Store& part = sequential.partition(p);
+      StoreTestPeer::BeginMacBatch(part);
+      for (size_t i = 0; i < batch.size(); ++i) {
+        if (sequential.PartitionOf(batch[i].key) == p) {
+          want[i] = kv::ExecuteSingleOp(part, batch[i]);
+        }
+      }
+      StoreTestPeer::EndMacBatch(part);
+    }
+    const std::vector<BatchOpResult> got = pipelined.ExecuteBatch(batch);
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ASSERT_EQ(got[i].status.code(), want[i].status.code()) << "op " << base + i;
+      ASSERT_EQ(got[i].value, want[i].value) << "op " << base + i;
+    }
+  }
+  ExpectSameStats(pipelined.stats(), sequential.stats());
+  EXPECT_EQ(enclave_run.epc().stats().touches, enclave_seq.epc().stats().touches);
+  for (size_t p = 0; p < pipelined.num_partitions(); ++p) {
+    EXPECT_EQ(pipelined.partition(p).ExportSecureMetadata(),
+              sequential.partition(p).ExportSecureMetadata())
+        << "partition " << p;
+  }
+}
+
+TEST(BatchEquivalenceTest, SameKeyMutationsSplitRunsInOrder) {
+  sgx::Enclave enclave(TestEnclaveConfig("pipelined-same-key"));
+  PartitionedStore store(enclave, SmallOptions(), 1);
+  ASSERT_TRUE(store.Set("other", "o").ok());
+  const std::vector<BatchOp> ops = {
+      {BatchOpType::kGet, "k", "", 0},     {BatchOpType::kSet, "k", "v1", 0},
+      {BatchOpType::kGet, "k", "", 0},     {BatchOpType::kGet, "other", "", 0},
+      {BatchOpType::kDelete, "k", "", 0},  {BatchOpType::kGet, "k", "", 0},
+      {BatchOpType::kSet, "k", "v2", 0},   {BatchOpType::kGet, "k", "", 0},
+      {BatchOpType::kGet, "k", "", 0},
+  };
+  const std::vector<BatchOpResult> r = store.ExecuteBatch(ops);
+  EXPECT_EQ(r[0].status.code(), Code::kNotFound);
+  EXPECT_TRUE(r[1].status.ok());
+  EXPECT_EQ(r[2].value, "v1");
+  EXPECT_EQ(r[3].value, "o");
+  EXPECT_TRUE(r[4].status.ok());
+  EXPECT_EQ(r[5].status.code(), Code::kNotFound);
+  EXPECT_TRUE(r[6].status.ok());
+  EXPECT_EQ(r[7].value, "v2");
+  EXPECT_EQ(r[8].value, "v2");
+  EXPECT_TRUE(store.partition(0).VerifyFullIntegrity().ok());
+}
+
+TEST(BatchEquivalenceTest, TamperAtEveryRunPositionFailsThatOpAndStopsTheGroup) {
+  // 16 keys in distinct buckets, one get each, then a set of a new key. A
+  // tamper under key k must fail get k with INTEGRITY_FAILURE — whether the
+  // walk (stage 2), the set check (3) or the entry MAC (4) finds it — keep
+  // gets 0..k-1 intact, and fail every later op of the group, the set
+  // included, as PARTITION_RECOVERING without applying it.
+  enum class Tamper { kEntryMac, kChainRef, kFarRef, kMacCopy, kEntryAndCopy, kValueByte };
+  for (const Tamper tamper : {Tamper::kEntryMac, Tamper::kChainRef, Tamper::kFarRef,
+                              Tamper::kMacCopy, Tamper::kEntryAndCopy, Tamper::kValueByte}) {
+    for (size_t k = 0; k < 16; ++k) {
+      SCOPED_TRACE("tamper " + std::to_string(static_cast<int>(tamper)) + " at " +
+                   std::to_string(k));
+      sgx::Enclave enclave(TestEnclaveConfig("pipelined-tamper"));
+      PartitionedStore store(enclave, SmallOptions(), 1);
+      Store& leaf = store.partition(0);
+      std::vector<std::string> keys;
+      std::vector<size_t> buckets;
+      for (int i = 0; keys.size() < 16; ++i) {
+        const std::string key = "t" + std::to_string(i);
+        const size_t b = StoreTestPeer::BucketOf(leaf, key);
+        if (std::find(buckets.begin(), buckets.end(), b) == buckets.end()) {
+          keys.push_back(key);
+          buckets.push_back(b);
+          ASSERT_TRUE(store.Set(key, "value-" + key).ok());
+        }
+      }
+      kv::EntryHeader* entry = StoreTestPeer::HeadEntry(leaf, buckets[k]);
+      switch (tamper) {
+        case Tamper::kEntryMac:
+          entry->mac[0] ^= 0x01;
+          break;
+        case Tamper::kChainRef:
+          StoreTestPeer::BucketHead(leaf, buckets[k]) = 8;  // below the zone
+          break;
+        case Tamper::kFarRef:  // prefetched before it is checked: must not fault
+          StoreTestPeer::BucketHead(leaf, buckets[k]) = ~uint64_t{7};
+          break;
+        case Tamper::kMacCopy:
+          StoreTestPeer::FirstMacCopy(leaf, buckets[k])[0] ^= 0x01;
+          break;
+        case Tamper::kEntryAndCopy:  // consistent forgery: only the set hash sees it
+          entry->mac[0] ^= 0x01;
+          StoreTestPeer::FirstMacCopy(leaf, buckets[k])[0] ^= 0x01;
+          break;
+        case Tamper::kValueByte:
+          entry->Ciphertext()[entry->key_size] ^= 0x01;
+          break;
+      }
+      std::vector<BatchOp> ops;
+      for (const std::string& key : keys) {
+        ops.push_back({BatchOpType::kGet, key, "", 0});
+      }
+      ops.push_back({BatchOpType::kSet, "fresh", "never-applied", 0});
+      const size_t size_before = leaf.Size();
+      const std::vector<BatchOpResult> r = store.ExecuteBatch(ops);
+      for (size_t i = 0; i < k; ++i) {
+        ASSERT_TRUE(r[i].status.ok()) << "op " << i;
+        EXPECT_EQ(r[i].value, "value-" + keys[i]);
+      }
+      EXPECT_EQ(r[k].status.code(), Code::kIntegrityFailure);
+      for (size_t i = k + 1; i < ops.size(); ++i) {
+        EXPECT_EQ(r[i].status.code(), Code::kPartitionRecovering) << "op " << i;
+        EXPECT_TRUE(r[i].value.empty()) << "op " << i;
+      }
+      EXPECT_TRUE(store.IsQuarantined(0));
+      EXPECT_EQ(leaf.Size(), size_before);
+    }
+  }
 }
 
 // ------------------------------------------------ WAL batched durability

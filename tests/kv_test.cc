@@ -16,7 +16,7 @@ Bytes Storage(size_t key_size, size_t val_size) {
 }
 
 TEST(EntryTest, SealOpenRoundTrip) {
-  const StoreKeys keys = TestKeys();
+  const StoreCipher keys(TestKeys());
   Bytes storage = Storage(5, 11);
   auto* header = reinterpret_cast<EntryHeader*>(storage.data());
   crypto::Drbg drbg(AsBytes("iv"));
@@ -33,7 +33,7 @@ TEST(EntryTest, SealOpenRoundTrip) {
 }
 
 TEST(EntryTest, CiphertextDoesNotLeakPlaintext) {
-  const StoreKeys keys = TestKeys();
+  const StoreCipher keys(TestKeys());
   Bytes storage = Storage(6, 6);
   auto* header = reinterpret_cast<EntryHeader*>(storage.data());
   uint8_t iv[16] = {1};
@@ -44,7 +44,7 @@ TEST(EntryTest, CiphertextDoesNotLeakPlaintext) {
 }
 
 TEST(EntryTest, ResealAdvancesIvAndChangesCiphertext) {
-  const StoreKeys keys = TestKeys();
+  const StoreCipher keys(TestKeys());
   Bytes storage = Storage(3, 5);
   auto* header = reinterpret_cast<EntryHeader*>(storage.data());
   uint8_t iv[16] = {};
@@ -60,7 +60,7 @@ TEST(EntryTest, ResealAdvancesIvAndChangesCiphertext) {
 }
 
 TEST(EntryTest, MacCoversEveryAuthenticatedField) {
-  const StoreKeys keys = TestKeys();
+  const StoreCipher keys(TestKeys());
   Bytes storage = Storage(4, 8);
   auto* header = reinterpret_cast<EntryHeader*>(storage.data());
   uint8_t iv[16] = {7};
@@ -80,7 +80,7 @@ TEST(EntryTest, MacCoversEveryAuthenticatedField) {
 }
 
 TEST(EntryTest, SizeTamperCannotSmuggleData) {
-  const StoreKeys keys = TestKeys();
+  const StoreCipher keys(TestKeys());
   Bytes storage = Storage(4, 8);
   auto* header = reinterpret_cast<EntryHeader*>(storage.data());
   uint8_t iv[16] = {9};
@@ -116,7 +116,7 @@ TEST(EntryTest, DeriveIsDeterministicAndSeparated) {
 }
 
 TEST(EntryTest, LargeValuesRoundTrip) {
-  const StoreKeys keys = TestKeys();
+  const StoreCipher keys(TestKeys());
   const std::string big(100'000, 'z');
   Bytes storage = Storage(3, big.size());
   auto* header = reinterpret_cast<EntryHeader*>(storage.data());

@@ -2,6 +2,9 @@
 // sealing, monotonic counters, attestation, HotCalls.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <thread>
 #include <vector>
@@ -301,6 +304,57 @@ TEST(SealingTest, BlobsMatchTheOneShotConstruction) {
   Result<Bytes> opened = sealer.Unseal(HexDecode(kBlob), aad);
   ASSERT_TRUE(opened.ok()) << opened.status().ToString();
   EXPECT_EQ(*opened, pt);
+}
+
+// Blob IVs come from per-thread DRBGs: concurrent sealers never repeat one.
+TEST(SealingTest, ConcurrentSealersDrawDistinctIvs) {
+  Enclave enclave(SmallEnclave());
+  const SealingService sealer(AsBytes("fuse-key-0123456"), enclave.measurement());
+  constexpr size_t kThreads = 4;
+  constexpr size_t kBlobs = 2500;
+  std::vector<std::vector<Bytes>> ivs(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (size_t i = 0; i < kBlobs; ++i) {
+        const Bytes blob = sealer.Seal(ToBytes("payload"), {});
+        ivs[t].emplace_back(blob.begin(), blob.begin() + 16);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  std::vector<Bytes> all;
+  for (const auto& per_thread : ivs) {
+    all.insert(all.end(), per_thread.begin(), per_thread.end());
+  }
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::unique(all.begin(), all.end()) - all.begin(), 10000);
+}
+
+// A forked child reseeds instead of replaying its parent's IV stream.
+TEST(SealingTest, ForkedChildDrawsItsOwnIvs) {
+  Enclave enclave(SmallEnclave());
+  const SealingService sealer(AsBytes("fuse-key-0123456"), enclave.measurement());
+  (void)sealer.Seal(ToBytes("warm"), {});  // this thread's DRBG is seeded
+  int fds[2];
+  ASSERT_EQ(::pipe(fds), 0);
+  const pid_t child = ::fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {
+    const Bytes blob = sealer.Seal(ToBytes("payload"), {});
+    const bool sent = ::write(fds[1], blob.data(), 16) == 16;
+    ::_exit(sent ? 0 : 1);
+  }
+  const Bytes blob = sealer.Seal(ToBytes("payload"), {});
+  uint8_t child_iv[16];
+  ASSERT_EQ(::read(fds[0], child_iv, sizeof(child_iv)), 16);
+  int status = 0;
+  ::waitpid(child, &status, 0);
+  ::close(fds[0]);
+  ::close(fds[1]);
+  EXPECT_NE(Bytes(child_iv, child_iv + 16), Bytes(blob.begin(), blob.begin() + 16));
 }
 
 // --------------------------------------------------------------- Counters
