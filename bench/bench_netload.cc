@@ -18,6 +18,7 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
@@ -212,10 +213,13 @@ int Run(Args args) {
                 (pipelined.ops_sent - pipelined.ops_acked);
   const uint64_t coalesced_delta = coalesced_batches() - coalesced_before;
 
-  // --- tracing overhead A/B: interleaved pairs over the same live pool, so
+  // --- tracing overhead A/B: alternating pairs over the same live pool, so
   // machine-level drift hits both sides of every pair equally. Sampling is a
   // runtime knob; with it at 0 the wire bytes are identical to a pre-tracing
   // client, so the ratio isolates exactly what default-rate tracing costs.
+  // Which side runs first alternates per pair, and the gate is the median
+  // of the per-pair ratios, so neither a warm-up bias nor one noisy window
+  // decides it.
   double trace_ratio = -1;
   if (args.trace_overhead_pairs > 0) {
     ManySessionOptions to;
@@ -223,25 +227,30 @@ int Run(Args args) {
     to.pipeline_depth = 8;
     to.seconds = args.seconds;
     to.bursty_fraction = 0;
-    double off_kops = 0;
-    double on_kops = 0;
+    const auto measure = [&](uint32_t sample_every) {
+      obs::TraceSetSampleEvery(sample_every);
+      const ManySessionResult r = pool.Measure(to);
+      errors_total += r.errors;
+      lost_total += r.ops_sent - r.ops_acked;
+      return r.kops;
+    };
+    std::vector<double> ratios;
     for (int p = 0; p < args.trace_overhead_pairs; ++p) {
-      obs::TraceSetSampleEvery(0);
-      const ManySessionResult off = pool.Measure(to);
-      obs::TraceSetSampleEvery(256);
-      const ManySessionResult on = pool.Measure(to);
-      off_kops += off.kops;
-      on_kops += on.kops;
-      errors_total += off.errors + on.errors;
-      lost_total +=
-          (off.ops_sent - off.ops_acked) + (on.ops_sent - on.ops_acked);
+      const bool off_first = p % 2 == 0;
+      const double first = measure(off_first ? 0 : 256);
+      const double second = measure(off_first ? 256 : 0);
+      const double off = off_first ? first : second;
+      const double on = off_first ? second : first;
+      ratios.push_back(off > 0 ? on / off : 0);
+      std::printf("# trace pair %d (%s first): off %.1f Kop/s, 1/256 sampled %.1f Kop/s, "
+                  "ratio %.3f\n",
+                  p + 1, off_first ? "off" : "on", off, on, ratios.back());
     }
     obs::TraceSetSampleEvery(args.trace_sample);
-    trace_ratio = off_kops > 0 ? on_kops / off_kops : 0;
-    std::printf("# tracing off %.1f Kop/s vs 1/256 sampled %.1f Kop/s "
-                "(ratio %.3f, gate >= 0.97)\n",
-                off_kops / args.trace_overhead_pairs,
-                on_kops / args.trace_overhead_pairs, trace_ratio);
+    std::sort(ratios.begin(), ratios.end());
+    trace_ratio = ratios[ratios.size() / 2];
+    std::printf("# tracing overhead: median ratio of %zu pairs %.3f (gate >= 0.97)\n",
+                ratios.size(), trace_ratio);
   }
   const bool trace_overhead_ok = trace_ratio < 0 || trace_ratio >= 0.97;
 

@@ -101,6 +101,52 @@ for FLAG in --heal-dir --port; do
     || { echo "daemon did not reject $FLAG with no value (exit $MV_RC): $MV_ERR"; exit 1; }
 done
 
+echo "== daemon durable-format rules: no --persist-heap, geometry fixed per heal dir =="
+# --heal-dir implies the arena; the old flag is refused with the usage.
+PH_RC=0
+PH_ERR="$(timeout 10 ./build/tools/shieldstore_server --port 0 --persist-heap /tmp/x 2>&1)" \
+  || PH_RC=$?
+[ "$PH_RC" -eq 2 ] && grep -q 'usage: shieldstore_server' <<< "$PH_ERR" \
+  || { echo "daemon did not refuse --persist-heap (exit $PH_RC): $PH_ERR"; exit 1; }
+# A restart on the same --heal-dir with another --partitions is refused,
+# naming both counts; the original flags then restore every key.
+GEO_DIR="$(mktemp -d)"
+geo_start() { # geo_start PARTITIONS LOG
+  ./build/tools/shieldstore_server --port 0 --partitions "$1" --buckets 4096 \
+    --heal-dir "$GEO_DIR/heal" --stats-interval-s 0 --persist-capacity-mb 8 > "$2" 2>&1 &
+  GEO_PID=$!
+  for _ in $(seq 1 100); do
+    grep -q 'listening on' "$2" 2>/dev/null && return 0
+    kill -0 "$GEO_PID" 2>/dev/null || return 1
+    sleep 0.1
+  done
+  return 1
+}
+geo_start 4 "$GEO_DIR/boot1.log" || { echo "geometry stage: first boot failed"; cat "$GEO_DIR/boot1.log"; exit 1; }
+GEO_PORT="$(sed -n 's/.*listening on 127.0.0.1:\([0-9]*\).*/\1/p' "$GEO_DIR/boot1.log")"
+GEO_MEAS="$(sed -n 's/.*measurement (give to clients): \([0-9a-f]*\).*/\1/p' "$GEO_DIR/boot1.log")"
+for i in $(seq 1 20); do
+  ./build/tools/shieldstore_cli --port "$GEO_PORT" --measurement "$GEO_MEAS" set "geo$i" "v$i" > /dev/null
+done
+kill -9 "$GEO_PID"; wait "$GEO_PID" 2>/dev/null || true
+GEO_RC=0
+timeout 20 ./build/tools/shieldstore_server --port 0 --partitions 2 --buckets 2048 \
+  --heal-dir "$GEO_DIR/heal" --stats-interval-s 0 --persist-capacity-mb 8 \
+  > "$GEO_DIR/boot2.log" 2>&1 || GEO_RC=$?
+{ [ "$GEO_RC" -ne 0 ] && [ "$GEO_RC" -ne 124 ] && grep -q 'with 4 partitions' "$GEO_DIR/boot2.log" \
+  && grep -q 'has 2' "$GEO_DIR/boot2.log"; } \
+  || { echo "restart with --partitions 2 was not refused (exit $GEO_RC):"; cat "$GEO_DIR/boot2.log"; exit 1; }
+geo_start 4 "$GEO_DIR/boot3.log" || { echo "geometry stage: restart with the original flags failed"; cat "$GEO_DIR/boot3.log"; exit 1; }
+GEO_PORT="$(sed -n 's/.*listening on 127.0.0.1:\([0-9]*\).*/\1/p' "$GEO_DIR/boot3.log")"
+for i in $(seq 1 20); do
+  GOT="$(./build/tools/shieldstore_cli --port "$GEO_PORT" --measurement "$GEO_MEAS" get "geo$i")" \
+    || { echo "geometry stage: geo$i lost"; kill "$GEO_PID"; exit 1; }
+  [ "$GOT" = "v$i" ] || { echo "geometry stage: geo$i read '$GOT'"; kill "$GEO_PID"; exit 1; }
+done
+kill "$GEO_PID"; wait "$GEO_PID" 2>/dev/null || true
+rm -rf "$GEO_DIR"
+echo "durable-format rules OK"
+
 echo "== stats pipeline: live server -> kStats -> invariant check =="
 # End-to-end: real daemon (WAL + self-heal mode), real CLI workload over
 # encrypted sessions, then `stats --check` validates the cross-metric
@@ -300,12 +346,13 @@ kill $OBS_PIDS 2>/dev/null || true
 echo "observability smoke OK"
 
 echo "== tracing overhead gate (< 3% at default 1/256 sampling) =="
-# Interleaved A/B windows over one live session pool inside bench_netload:
-# sampling off vs the default 1/256, same sessions, same process — machine
-# drift hits both sides of every pair. The bench's exit code enforces the
-# >= 0.97 throughput ratio.
+# Alternating A/B windows over one live session pool inside bench_netload:
+# sampling off vs the default 1/256, same sessions, same process. 7 pairs,
+# the side that runs first alternating per pair, every pair printed; the
+# bench's exit code enforces >= 0.97 on the MEDIAN per-pair ratio, so one
+# noisy window cannot decide it.
 ./build/bench/bench_netload --sessions 1,64 --seconds 1.0 --no-gates \
-  --trace-overhead 3 --out "$OBS_DIR/nl-trace.json"
+  --trace-overhead 7 --out "$OBS_DIR/nl-trace.json"
 
 echo "== reactor netload: 10k sessions against a live daemon =="
 # One epoll generator process ramps to 10k attested sessions against the

@@ -133,6 +133,10 @@ class PersistentArena {
   // Committed-generation accessors (valid when attached()).
   uint64_t committed_entry_count() const { return entry_count_; }
   uint64_t seq() const { return seq_; }
+  // Bytes [0, committed_extent()) hold the superblock and every block the
+  // committed generation references: a byte copy of them (a cold copy) is
+  // an arena file that recovers to this generation.
+  uint64_t committed_extent() const { return committed_bump_; }
   ByteSpan committed_meta() const {
     return ByteSpan(base_ + meta_ref_, static_cast<size_t>(meta_len_));
   }

@@ -6,7 +6,7 @@
 // committed WAL entries. Because frames are applied through the follower's
 // OWN WriteAheadStore facade, every replicated mutation is re-logged locally
 // — a promoted follower has its own durable history and can itself be
-// snapshotted, compacted, healed, and (transitively) replicated.
+// checkpointed, compacted, healed, and (transitively) replicated.
 //
 // State machine per follower:
 //

@@ -11,7 +11,7 @@
 //  * the monotonic counter is bumped once per GROUP of records, through a
 //    counter epoch (EpochLog) that names the log's head (the counter-service
 //    cost knob models the slow SGX counter or a fast ROTE-style one);
-//  * recovery = snapshot + replay of the log prefix the newest epoch names;
+//  * recovery = baseline + replay of the log prefix the newest epoch names;
 //    a stale log or epoch fails the counter check.
 //
 // One OperationLog is one append-only file, externally synchronized, in one
@@ -165,7 +165,7 @@ class OperationLog {
   Status CommitPrepare();
   Status CommitSync();
 
-  // Truncates the log (after a successful snapshot subsumes it): a new
+  // Truncates the log (after a checkpoint subsumes it): a new
   // generation at `<file>.next`, bound by a commit. Promote() renames it
   // over the old file once an epoch binds it — a crash in between leaves
   // the file the epoch names. Standalone, the commit is that epoch, and

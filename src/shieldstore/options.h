@@ -72,7 +72,7 @@ struct Options {
   // mmap-backed persistent untrusted heap. `persist_dir` (PartitionedStore
   // level) opens one arena file per partition (`p<i>.heap`) of
   // persist_capacity_bytes each; restart then attaches the mapped file
-  // instead of replaying snapshots, deferring per-entry MAC verification to
+  // instead of replaying the whole log, deferring per-entry MAC verification to
   // first touch + the paced scrub cursor. `arena` is the per-partition
   // injection PartitionedStore performs when building its Stores — leave it
   // null everywhere else (the store falls back to the volatile heap).

@@ -1,13 +1,19 @@
 #include "src/shieldstore/partitioned.h"
 
-#include "src/obs/audit.h"
-
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
 #include <functional>
+#include <iterator>
+
+#include "src/obs/audit.h"
+#include "src/shieldstore/persist.h"
 
 namespace shield::shieldstore {
 namespace {
@@ -49,38 +55,66 @@ Bytes ArenaAad(uint64_t partition, uint32_t counter_id, uint64_t value) {
   return aad;
 }
 
-// AAD for the sealed route key (persist_dir/route.seal).
-constexpr char kRouteAad[] = "SSRT1";
+// AAD for the sealed route key and partition count (`<wal path>.route`).
+constexpr char kRouteAad[] = "SSRT2";
 
-Result<Bytes> ReadAllBytes(const std::string& path) {
-  FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status(Code::kNotFound, "no file at " + path);
+// Writes `data` as the first bytes of a `file_bytes`-long file at `path`
+// (the rest stays a hole): a temp file, fsync, rename, directory fsync, so a
+// crash leaves the old file or the new one. The one writer of cold copies,
+// of their restore over a live heap file and of the sealed route key.
+Status WriteExtent(const std::string& path, ByteSpan data, uint64_t file_bytes,
+                   PartitionedStore::ColdCopyCrash crash = PartitionedStore::ColdCopyCrash::kNone) {
+  const std::string tmp = path + ".tmp";
+  const int fd = open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) {
+    return Status(Code::kIoError, "cannot create " + tmp);
   }
-  std::fseek(f, 0, SEEK_END);
-  const long size = std::ftell(f);
-  std::fseek(f, 0, SEEK_SET);
-  Bytes data(size > 0 ? static_cast<size_t>(size) : 0);
-  const size_t got = data.empty() ? 0 : std::fread(data.data(), 1, data.size(), f);
-  std::fclose(f);
-  if (got != data.size()) {
-    return Status(Code::kIoError, "short read of " + path);
+  bool ok = ftruncate(fd, static_cast<off_t>(file_bytes)) == 0;
+  for (size_t done = 0; ok && done < data.size();) {
+    const ssize_t n = pwrite(fd, data.data() + done, data.size() - done, static_cast<off_t>(done));
+    ok = n > 0;
+    done += ok ? static_cast<size_t>(n) : 0;
   }
-  return data;
-}
-
-Status WriteAllBytes(const std::string& path, const Bytes& data) {
-  FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status(Code::kIoError, "cannot open " + path);
-  }
-  const size_t put = data.empty() ? 0 : std::fwrite(data.data(), 1, data.size(), f);
-  const bool ok = put == data.size() && std::fflush(f) == 0 && fsync(fileno(f)) == 0;
-  std::fclose(f);
+  ok = ok && fsync(fd) == 0;
+  close(fd);
   if (!ok) {
-    return Status(Code::kIoError, "cannot write " + path);
+    return Status(Code::kIoError, "cannot write " + tmp);
+  }
+  if (crash == PartitionedStore::ColdCopyCrash::kAfterTempWrite) {
+    return Status(Code::kIoError, "injected crash after the cold-copy temp write");
+  }
+  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+    return Status(Code::kIoError, "cannot rename " + tmp);
+  }
+  FsyncDirectory(std::filesystem::path(path).parent_path().string());
+  if (crash == PartitionedStore::ColdCopyCrash::kAfterRename) {
+    return Status(Code::kIoError, "injected crash after the cold-copy rename");
   }
   return Status::Ok();
+}
+
+// Lays the cold copy at `cold` over the live heap file `live`. The copy's
+// data ends at its first hole (WriteExtent wrote one contiguous extent); a
+// file system without holes reports the file's end, and the whole file is
+// copied.
+Status RestoreColdCopy(const std::string& cold, const std::string& live) {
+  const int fd = open(cold.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status(Code::kNotFound, "no cold copy at " + cold);
+  }
+  struct stat st{};
+  const off_t extent = fstat(fd, &st) == 0 ? lseek(fd, 0, SEEK_HOLE) : -1;
+  void* map = extent > 0 ? mmap(nullptr, static_cast<size_t>(extent), PROT_READ, MAP_PRIVATE, fd, 0)
+                         : MAP_FAILED;
+  close(fd);
+  if (map == MAP_FAILED) {
+    return Status(Code::kIntegrityFailure, "cold copy unreadable: " + cold);
+  }
+  const Status written =
+      WriteExtent(live, ByteSpan(static_cast<const uint8_t*>(map), static_cast<size_t>(extent)),
+                  static_cast<uint64_t>(st.st_size));
+  munmap(map, static_cast<size_t>(extent));
+  return written;
 }
 
 }  // namespace
@@ -103,22 +137,14 @@ PartitionedStore::PartitionedStore(sgx::Enclave& enclave, const Options& options
     per_partition.arena = nullptr;
     if (persist_) {
       auto arena = std::make_unique<alloc::PersistentArena>();
-      const std::string path =
-          base_options_.persist_dir + "/p" + std::to_string(i) + ".heap";
-      usable = arena->Open(path, base_options_.persist_capacity_bytes, i,
+      usable = arena->Open(HeapPath(i), base_options_.persist_capacity_bytes, i,
                            per_partition.num_buckets)
                    .ok();
-      if (usable) {
-        per_partition.arena = arena.get();
-        arenas_.push_back(std::move(arena));
-      } else {
-        // Unusable heap file (corrupt superblock, geometry drift, IO error):
-        // its durable state is unreachable, so the partition is built
-        // volatile, starts quarantined and attach is latched failed — it
-        // never serves until the file is restored.
-        arenas_.push_back(nullptr);
-        attach_failed_.store(true, std::memory_order_release);
-      }
+      // An unusable heap file (corrupt superblock, geometry drift, IO error)
+      // leaves the partition volatile and quarantined: it serves again only
+      // once RecoverPartition has laid its cold copy over the file.
+      per_partition.arena = usable ? arena.get() : nullptr;
+      arenas_.push_back(usable ? std::move(arena) : nullptr);
     }
     partitions_.push_back(std::make_unique<Store>(enclave_, per_partition));
     locks_.push_back(std::make_unique<std::mutex>());
@@ -142,31 +168,43 @@ Options PartitionedStore::PartitionOptions(size_t count) const {
   return per_partition;
 }
 
-Status PartitionedStore::LoadOrCreateRouteKey(const sgx::SealingService& sealer) {
-  if (!persist_) {
-    return Status::Ok();
-  }
-  const std::string path = base_options_.persist_dir + "/route.seal";
+std::string PartitionedStore::HeapPath(size_t p) const {
+  return base_options_.persist_dir + "/p" + std::to_string(p) + ".heap";
+}
+
+Status PartitionedStore::LoadOrCreateRouteKey(const sgx::SealingService& sealer,
+                                              const std::string& path) {
   const ByteSpan aad(reinterpret_cast<const uint8_t*>(kRouteAad), sizeof(kRouteAad) - 1);
-  Result<Bytes> blob = ReadAllBytes(path);
-  if (blob.ok()) {
-    Result<Bytes> key = sealer.Unseal(blob.value(), aad);
-    if (!key.ok()) {
-      return key.status();
+  if (std::filesystem::exists(path)) {
+    std::ifstream in(path, std::ios::binary);
+    const Bytes blob((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    Result<Bytes> sealed = sealer.Unseal(blob, aad);
+    if (!sealed.ok()) {
+      return sealed.status();
     }
-    if (key.value().size() != route_key_.size()) {
-      return Status(Code::kIntegrityFailure, "sealed route key malformed");
+    if (sealed.value().size() != route_key_.size() + 8) {
+      return Status(Code::kIntegrityFailure, "sealed route key malformed: " + path);
     }
-    std::memcpy(route_key_.data(), key.value().data(), route_key_.size());
+    const uint64_t sealed_count = LoadLe64(sealed.value().data() + route_key_.size());
+    if (sealed_count != partitions_.size()) {
+      // The chains (and every shard log's records) were placed for that
+      // count: serving with another one would route keys into chains that
+      // do not hold them.
+      return Status(Code::kInvalidArgument,
+                    "heal directory was written with " + std::to_string(sealed_count) +
+                        " partitions, this store has " + std::to_string(partitions_.size()) +
+                        "; restart with --partitions " + std::to_string(sealed_count));
+    }
+    std::memcpy(route_key_.data(), sealed.value().data(), route_key_.size());
     return Status::Ok();
   }
-  if (blob.status().code() != Code::kNotFound) {
-    return blob.status();
-  }
-  // First boot: persist this process's random route key so later boots route
-  // identically (persisted chains are attached, never re-routed).
-  Bytes key(route_key_.begin(), route_key_.end());
-  return WriteAllBytes(path, sealer.Seal(key, aad));
+  // First boot: persist this process's random route key, bound to the
+  // partition count, so later boots route identically.
+  Bytes sealed(route_key_.size() + 8);
+  std::memcpy(sealed.data(), route_key_.data(), route_key_.size());
+  StoreLe64(sealed.data() + route_key_.size(), partitions_.size());
+  const Bytes blob_out = sealer.Seal(sealed, aad);
+  return WriteExtent(path, blob_out, blob_out.size());
 }
 
 size_t PartitionedStore::PartitionOf(std::string_view key) const {
@@ -295,187 +333,12 @@ Status PartitionedStore::WithPartitionLocked(size_t p,
   return s;
 }
 
-Status PartitionedStore::WritePartitionSnapshot(size_t p, const sgx::SealingService& sealer,
-                                                sgx::MonotonicCounterService& counters,
-                                                const std::string& directory,
-                                                Snapshotter::CrashPoint crash) {
-  std::lock_guard<std::mutex> lock(*locks_[p]);
-  if (quarantined_[p]->load(std::memory_order_acquire)) {
-    // Never persist state that failed integrity: the previous generation
-    // in this partition's directory is the last trustworthy one.
-    return Status(Code::kIntegrityFailure,
-                  "partition " + std::to_string(p) + " quarantined; snapshot skipped");
-  }
-  // Audit before persisting, under the SAME lock hold: a silent tamper that
-  // has not yet hit a detecting operation would otherwise be sealed into
-  // the new generation as trusted state, poisoning every later recovery.
-  // On a violation the partition quarantines instead, and the healer
-  // rebuilds it from the previous generation plus the log suffix.
-  const Store::ScrubReport audit = partitions_[p]->Scrub();
-  NoteOutcome(p, audit.status);
-  if (!audit.status.ok()) {
-    return audit.status;
-  }
-  const std::string subdir = directory + "/p" + std::to_string(p);
-  std::error_code ec;
-  std::filesystem::create_directories(subdir, ec);
-  Snapshotter snap(*partitions_[p], sealer, counters, {subdir, /*optimized=*/false});
-  if (crash != Snapshotter::CrashPoint::kNone) {
-    snap.InjectCrash(crash);
-  }
-  return snap.SnapshotNow();
-}
-
-Status PartitionedStore::WriteManifest(const std::string& directory) const {
-  std::error_code ec;
-  std::filesystem::create_directories(directory, ec);
-  // Manifest pins the partition count: recovery against a store with a
-  // different layout would silently drop or duplicate keys.
-  FILE* manifest = std::fopen((directory + "/manifest").c_str(), "w");
-  if (manifest == nullptr) {
-    return Status(Code::kIoError, "cannot write snapshot manifest in " + directory);
-  }
-  std::fprintf(manifest, "partitions %zu\n", partitions_.size());
-  std::fflush(manifest);
-  fsync(fileno(manifest));
-  std::fclose(manifest);
-  return Status::Ok();
-}
-
-Status PartitionedStore::EnsureManifest(const std::string& directory) const {
-  FILE* existing = std::fopen((directory + "/manifest").c_str(), "r");
-  if (existing == nullptr) {
-    return WriteManifest(directory);
-  }
-  size_t recorded = 0;
-  const bool parsed = std::fscanf(existing, "partitions %zu", &recorded) == 1;
-  std::fclose(existing);
-  if (!parsed || recorded != partitions_.size()) {
-    return Status(Code::kInvalidArgument, "snapshot manifest partition count mismatch");
-  }
-  return Status::Ok();
-}
-
-Status PartitionedStore::SnapshotAll(const sgx::SealingService& sealer,
-                                     sgx::MonotonicCounterService& counters,
-                                     const std::string& directory) {
-  // Rewrite the manifest unconditionally: a full snapshot is the geometry
-  // authority (a restart may have changed the partition count).
-  if (Status s = WriteManifest(directory); !s.ok()) {
-    return s;
-  }
-  Status first;
-  for (size_t p = 0; p < partitions_.size(); ++p) {
-    if (Status s = WritePartitionSnapshot(p, sealer, counters, directory,
-                                           Snapshotter::CrashPoint::kNone);
-        !s.ok() && first.ok()) {
-      first = s;
-    }
-  }
-  return first;
-}
-
-Status PartitionedStore::SnapshotPartition(size_t p, const sgx::SealingService& sealer,
-                                           sgx::MonotonicCounterService& counters,
-                                           const std::string& directory,
-                                           Snapshotter::CrashPoint crash) {
-  if (p >= partitions_.size()) {
-    return Status(Code::kInvalidArgument, "no such partition");
-  }
-  if (Status s = EnsureManifest(directory); !s.ok()) {
-    return s;
-  }
-  return WritePartitionSnapshot(p, sealer, counters, directory, crash);
-}
-
-Status PartitionedStore::RestoreSnapshots(const sgx::SealingService& sealer,
-                                          sgx::MonotonicCounterService& counters,
-                                          const std::string& directory) {
-  FILE* manifest = std::fopen((directory + "/manifest").c_str(), "r");
-  if (manifest == nullptr) {
-    return Status::Ok();  // nothing was ever snapshotted here
-  }
-  size_t recorded = 0;
-  const bool parsed = std::fscanf(manifest, "partitions %zu", &recorded) == 1;
-  std::fclose(manifest);
-  if (!parsed || recorded == 0) {
-    return Status(Code::kIntegrityFailure, "snapshot manifest unreadable in " + directory);
-  }
-  // Recover each on-disk partition in the geometry it was snapshotted under,
-  // then re-apply its entries through the facade: this run's route key (and
-  // possibly partition count) differ, so every key is re-routed and
-  // re-encrypted under its new partition's keys.
-  const Options snapshotted = PartitionOptions(recorded);
-  for (size_t i = 0; i < recorded; ++i) {
-    const PersistOptions persist{directory + "/p" + std::to_string(i), /*optimized=*/false};
-    Result<std::unique_ptr<Store>> restored =
-        Snapshotter::Recover(enclave_, snapshotted, sealer, counters, persist);
-    if (!restored.ok()) {
-      if (restored.status().code() == Code::kNotFound) {
-        // No generation ever committed for this partition (crash before its
-        // first snapshot): its operation log holds its full history.
-        continue;
-      }
-      return restored.status();
-    }
-    const Status applied = restored.value()->ForEachDecrypted(
-        [&](std::string_view key, std::string_view value) { return Set(key, value); });
-    if (!applied.ok()) {
-      return applied;
-    }
-  }
-  return Status::Ok();
-}
-
-Status PartitionedStore::RecoverPartition(
-    size_t p, const sgx::SealingService& sealer, sgx::MonotonicCounterService& counters,
-    const std::string& directory, const std::function<Status(kv::KeyValueStore&)>& replay_log) {
-  if (p >= partitions_.size()) {
-    return Status(Code::kInvalidArgument, "no such partition");
-  }
-  if (persist_) {
-    return Status(Code::kUnsupported,
-                  "snapshot-based partition recovery unsupported with a persistent heap; "
-                  "use RecoverPersistPartition");
-  }
-  FILE* manifest = std::fopen((directory + "/manifest").c_str(), "r");
-  if (manifest == nullptr) {
-    return Status(Code::kNotFound, "no snapshot manifest in " + directory);
-  }
-  size_t recorded = 0;
-  const bool parsed = std::fscanf(manifest, "partitions %zu", &recorded) == 1;
-  std::fclose(manifest);
-  if (!parsed || recorded != partitions_.size()) {
-    return Status(Code::kInvalidArgument, "snapshot manifest partition count mismatch");
-  }
-
-  std::lock_guard<std::mutex> lock(*locks_[p]);
-  const PersistOptions persist{directory + "/p" + std::to_string(p), /*optimized=*/false};
-  Result<std::unique_ptr<Store>> restored = Snapshotter::Recover(
-      enclave_, PartitionOptions(partitions_.size()), sealer, counters, persist);
-  if (!restored.ok()) {
-    return restored.status();
-  }
-  if (replay_log) {
-    PartitionFilterStore scoped(*restored.value(), [this, p](std::string_view key) {
-      return PartitionOf(key) == p;
-    });
-    if (Status s = replay_log(scoped); !s.ok()) {
-      return s;
-    }
-  }
-  partitions_[p] = std::move(restored.value());
-  if (SetQuarantined(p, false)) {
-    obs::AuditEvent(obs::AuditType::kQuarantineExit,
-                    "partition " + std::to_string(p) + " rebuilt from snapshot+log");
-  }
-  return Status::Ok();
-}
-
 // ------------------------------------------------------- persistent heap
 
 Status PartitionedStore::CheckpointPartitionLocked(size_t p, const sgx::SealingService& sealer,
-                                                   sgx::MonotonicCounterService& counters) {
+                                                   sgx::MonotonicCounterService& counters,
+                                                   const std::string& cold_dir, bool audit,
+                                                   ColdCopyCrash crash) {
   if (!persist_ || arenas_[p] == nullptr) {
     return Status(Code::kInvalidArgument, "partition has no persistent arena");
   }
@@ -484,14 +347,28 @@ Status PartitionedStore::CheckpointPartitionLocked(size_t p, const sgx::SealingS
     return Status(Code::kIntegrityFailure,
                   "partition " + std::to_string(p) + " quarantined; checkpoint skipped");
   }
+  if (audit) {
+    // A silent tamper no operation has hit yet would otherwise become the
+    // heal baseline; on a violation the partition quarantines instead, and
+    // heals from the previous cold copy plus the untruncated log.
+    const Store::ScrubReport report = partitions_[p]->Scrub();
+    NoteOutcome(p, report.status);
+    if (!report.status.ok()) {
+      return report.status;
+    }
+  }
   alloc::PersistentArena& arena = *arenas_[p];
   uint32_t id = arena.counter_id();
   if (id == 0) {
-    Result<uint32_t> created = counters.CreateCounter();
-    if (!created.ok()) {
-      return created.status();
+    // 0 marks an unbound arena, so the service's first counter (id 0) is
+    // never bound: attach would read it as no binding at all.
+    while (id == 0) {
+      Result<uint32_t> created = counters.CreateCounter();
+      if (!created.ok()) {
+        return created.status();
+      }
+      id = created.value();
     }
-    id = created.value();
     if (Status s = arena.SetCounterId(id); !s.ok()) {
       return s;
     }
@@ -500,13 +377,23 @@ Status PartitionedStore::CheckpointPartitionLocked(size_t p, const sgx::SealingS
   if (!value.ok()) {
     return value.status();
   }
-  // Seal against V+1 (the generation this commit becomes), commit, then
-  // increment: a crash between commit and increment is recoverable (attach
-  // accepts live+1 and rolls the counter forward), while re-attaching an
-  // older heap file matches neither V nor V+1 and fails typed.
+  // Seal against V+1 (the generation this commit becomes), commit, copy,
+  // then increment: a crash between commit and increment is recoverable
+  // (attach accepts live+1 and rolls the counter forward), while re-attaching
+  // an older heap file or cold copy matches neither V nor V+1 and fails typed.
   const Bytes sealed =
       sealer.Seal(partitions_[p]->ExportSecureMetadata(), ArenaAad(p, id, value.value() + 1));
   if (Status s = partitions_[p]->PersistCheckpoint(sealed); !s.ok()) {
+    return s;
+  }
+  // The committed extent, straight from the mapping: nothing has touched it
+  // since the commit (the partition lock is held).
+  std::error_code ec;
+  std::filesystem::create_directories(cold_dir, ec);
+  if (Status s = WriteExtent(cold_dir + "/p" + std::to_string(p) + ".heap",
+                             ByteSpan(arena.base(), arena.committed_extent()), arena.capacity(),
+                             crash);
+      !s.ok()) {
     return s;
   }
   if (Result<uint64_t> inc = counters.Increment(id); !inc.ok()) {
@@ -516,32 +403,36 @@ Status PartitionedStore::CheckpointPartitionLocked(size_t p, const sgx::SealingS
 }
 
 Status PartitionedStore::CheckpointPartition(size_t p, const sgx::SealingService& sealer,
-                                             sgx::MonotonicCounterService& counters) {
+                                             sgx::MonotonicCounterService& counters,
+                                             const std::string& cold_dir, ColdCopyCrash crash) {
   if (p >= partitions_.size()) {
     return Status(Code::kInvalidArgument, "no such partition");
   }
   std::lock_guard<std::mutex> lock(*locks_[p]);
-  return CheckpointPartitionLocked(p, sealer, counters);
+  return CheckpointPartitionLocked(p, sealer, counters, cold_dir, /*audit=*/true, crash);
 }
 
 Status PartitionedStore::CheckpointAll(const sgx::SealingService& sealer,
-                                       sgx::MonotonicCounterService& counters) {
+                                       sgx::MonotonicCounterService& counters,
+                                       const std::string& cold_dir) {
   if (!persist_) {
     return Status(Code::kInvalidArgument, "store has no persistent heap");
   }
   Status first;
   for (size_t p = 0; p < partitions_.size(); ++p) {
     std::lock_guard<std::mutex> lock(*locks_[p]);
-    if (Status s = CheckpointPartitionLocked(p, sealer, counters); !s.ok() && first.ok()) {
+    if (Status s = CheckpointPartitionLocked(p, sealer, counters, cold_dir, /*audit=*/false,
+                                             ColdCopyCrash::kNone);
+        !s.ok() && first.ok()) {
       first = s;
     }
   }
   return first;
 }
 
-Status PartitionedStore::AttachPartitionLocked(size_t p, const sgx::SealingService& sealer,
-                                               sgx::MonotonicCounterService& counters) {
-  alloc::PersistentArena& arena = *arenas_[p];
+Status PartitionedStore::AttachArena(size_t p, alloc::PersistentArena& arena, Store& store,
+                                     const sgx::SealingService& sealer,
+                                     sgx::MonotonicCounterService& counters) {
   const uint32_t id = arena.counter_id();
   if (id == 0) {
     return Status(Code::kIntegrityFailure, "arena holds commits but no counter binding");
@@ -567,7 +458,7 @@ Status PartitionedStore::AttachPartitionLocked(size_t p, const sgx::SealingServi
       return inc.status();
     }
   }
-  return partitions_[p]->AttachPersistent(meta.value());
+  return store.AttachPersistent(meta.value());
 }
 
 Status PartitionedStore::AttachPersistent(const sgx::SealingService& sealer,
@@ -578,14 +469,10 @@ Status PartitionedStore::AttachPersistent(const sgx::SealingService& sealer,
   Status first;
   for (size_t p = 0; p < partitions_.size(); ++p) {
     std::lock_guard<std::mutex> lock(*locks_[p]);
-    if (arenas_[p] == nullptr) {
-      continue;  // already latched failed + quarantined at build time
+    if (arenas_[p] == nullptr || !arenas_[p]->attached()) {
+      continue;  // unusable (quarantined at build time), or fresh: first boot
     }
-    if (!arenas_[p]->attached()) {
-      continue;  // fresh arena: nothing committed yet (first boot)
-    }
-    if (Status s = AttachPartitionLocked(p, sealer, counters); !s.ok()) {
-      attach_failed_.store(true, std::memory_order_release);
+    if (Status s = AttachArena(p, *arenas_[p], *partitions_[p], sealer, counters); !s.ok()) {
       if (SetQuarantined(p, true)) {
         obs::AuditEvent(obs::AuditType::kQuarantineEnter,
                         "partition " + std::to_string(p) + " attach refused: " + s.message());
@@ -598,28 +485,53 @@ Status PartitionedStore::AttachPersistent(const sgx::SealingService& sealer,
   return first;
 }
 
-Status PartitionedStore::RecoverPersistPartition(size_t p) {
-  if (!persist_) {
-    return Status(Code::kInvalidArgument, "store has no persistent heap");
-  }
+Status PartitionedStore::RecoverPartition(
+    size_t p, const sgx::SealingService& sealer, sgx::MonotonicCounterService& counters,
+    const std::string& cold_dir, const std::function<Status(kv::KeyValueStore&)>& replay_log) {
   if (p >= partitions_.size()) {
     return Status(Code::kInvalidArgument, "no such partition");
   }
-  if (attach_failed_.load(std::memory_order_acquire)) {
-    return Status(Code::kIntegrityFailure,
-                  "persistent attach failed; restore the heap files from a replica");
-  }
   std::lock_guard<std::mutex> lock(*locks_[p]);
-  // No clean disk baseline exists apart from the heap file itself (page
-  // writeback persists tampers too), so recovery is a full audit: clean
-  // chains re-admit the partition, anything else keeps it fenced.
-  const Store::ScrubReport report = partitions_[p]->Scrub();
-  if (!report.status.ok()) {
-    return report.status;
+  Options options = PartitionOptions(partitions_.size());
+  std::unique_ptr<alloc::PersistentArena> arena;
+  Status st;
+  if (persist_) {
+    // The old Store's chains point into the old mapping: release both
+    // (Store first) before the cold copy replaces the file under them. Until
+    // a rebuilt store is swapped in, the partition serves from an empty
+    // volatile one — it is quarantined, so nothing reaches it.
+    options.arena = nullptr;
+    partitions_[p] = std::make_unique<Store>(enclave_, options);
+    arenas_[p].reset();
+    st = RestoreColdCopy(cold_dir + "/p" + std::to_string(p) + ".heap", HeapPath(p));
+    if (st.ok()) {
+      arena = std::make_unique<alloc::PersistentArena>();
+      st = arena->Open(HeapPath(p), base_options_.persist_capacity_bytes, p, options.num_buckets);
+    }
+    options.arena = arena.get();
+  }
+  auto rebuilt = std::make_unique<Store>(enclave_, options);
+  if (st.ok() && persist_) {
+    st = AttachArena(p, *arena, *rebuilt, sealer, counters);
+    // Attach defers entry verification; a heal re-admits nothing unchecked.
+    st = st.ok() ? rebuilt->Scrub().status : st;
+  }
+  if (st.ok() && replay_log) {
+    PartitionFilterStore scoped(*rebuilt, [this, p](std::string_view key) {
+      return PartitionOf(key) == p;
+    });
+    st = replay_log(scoped);
+  }
+  if (!st.ok()) {
+    return st;  // still quarantined; the next attempt starts over from the file
+  }
+  partitions_[p] = std::move(rebuilt);
+  if (persist_) {
+    arenas_[p] = std::move(arena);
   }
   if (SetQuarantined(p, false)) {
     obs::AuditEvent(obs::AuditType::kQuarantineExit,
-                    "partition " + std::to_string(p) + " persistent scrub clean");
+                    "partition " + std::to_string(p) + " rebuilt from baseline+log");
   }
   return Status::Ok();
 }

@@ -16,15 +16,17 @@
 //
 // The partition geometry is fixed for the life of the process, as SGX fixes
 // an enclave's thread count (§5.3): the constructor builds it and nothing
-// changes it, so routing takes no lock. A restart changes it — boot-time
-// restore re-routes every key into the new geometry.
+// changes it, so routing takes no lock. A durable store keeps it across
+// restarts too: the route key is sealed with the partition count, and a boot
+// with another count is refused (LoadOrCreateRouteKey).
 //
 // Quarantine (robustness extension): a facade operation that detects
 // tampering (kIntegrityFailure / kRollbackDetected) quarantines its
 // partition — further operations on that partition fail fast while every
-// other partition keeps serving. SnapshotAll()/RecoverPartition() rebuild a
-// quarantined partition from its latest snapshot generation plus the
-// committed operation-log suffix, restoring full service without a restart.
+// other partition keeps serving. RecoverPartition() rebuilds a quarantined
+// partition from its baseline (the arena's cold copy, or an empty store)
+// plus its shard's committed log suffix, without a restart. The paper's
+// sealed snapshot (persist.h) is not a serving-path format.
 #ifndef SHIELDSTORE_SRC_SHIELDSTORE_PARTITIONED_H_
 #define SHIELDSTORE_SRC_SHIELDSTORE_PARTITIONED_H_
 
@@ -39,7 +41,6 @@
 #include "src/crypto/siphash.h"
 #include "src/kv/interface.h"
 #include "src/shieldstore/oplog.h"
-#include "src/shieldstore/persist.h"
 #include "src/shieldstore/store.h"
 
 namespace shield::shieldstore {
@@ -86,40 +87,22 @@ class PartitionedStore : public kv::BatchFirstStore {
   // the quarantine logic like any facade outcome.
   Status WithPartitionLocked(size_t p, const std::function<Status(Store&)>& fn);
 
-  // Snapshots every partition into `directory`/p<i>/ (blocking writes, under
-  // the partition lock) and records the partition count in a manifest so a
-  // later RecoverPartition cannot mix geometries. Quarantined partitions are
-  // skipped — their in-memory state is untrusted.
-  Status SnapshotAll(const sgx::SealingService& sealer,
-                     sgx::MonotonicCounterService& counters, const std::string& directory);
-
-  // Snapshots ONE partition into `directory`/p<i>/ as a fresh generation
-  // (under the partition lock; writes to other partitions proceed) — the
-  // log compactor's folding step. Writes the manifest if `directory` has
-  // none yet; refuses on a manifest geometry mismatch or a quarantined
-  // partition. `crash` forwards to Snapshotter::InjectCrash (tests).
-  Status SnapshotPartition(size_t p, const sgx::SealingService& sealer,
-                           sgx::MonotonicCounterService& counters, const std::string& directory,
-                           Snapshotter::CrashPoint crash = Snapshotter::CrashPoint::kNone);
-
-  // Boot-time restore: recovers every partition snapshot generation under
-  // `directory` (in the geometry its manifest records, which need not match
-  // ours — the route key is drawn fresh per process) and re-applies each
-  // entry through the facade, re-routing and re-encrypting it. No manifest
-  // means nothing to restore (Ok); a partition directory whose snapshot
-  // never committed is skipped (its operation log holds its full history).
-  Status RestoreSnapshots(const sgx::SealingService& sealer,
-                          sgx::MonotonicCounterService& counters, const std::string& directory);
-
-  // Rebuilds partition `p` from its latest snapshot generation under
-  // `directory`, then — when `replay_log` is given — replays the committed
-  // log records into it through a filter that forwards only the keys this
-  // partition owns. On success the rebuilt store replaces the partition and
-  // the quarantine flag clears; on failure the partition is untouched (and
-  // still quarantined if it was). Unsupported in persist-heap mode (the heap file
-  // IS the state; see RecoverPersistPartition).
+  // Rebuilds partition `p` from its durable baseline plus its shard's
+  // committed log suffix, under the partition lock; call it inside
+  // WriteAheadStore::WithCommittedShard so no mutation lands in between.
+  // With a persistent heap the baseline is the cold copy `cold_dir`/p<i>.heap:
+  // the old Store and its arena are released, the cold copy's committed
+  // extent is laid over the live p<i>.heap, the file is reopened and attached
+  // with the boot-time counter check, and the whole partition is audited.
+  // Without one (a heap-only store) the baseline is an empty Store, since
+  // heap-only shard logs are never truncated. `replay_log` then replays the
+  // shard log into the rebuilt store through a filter that forwards only the
+  // keys this partition owns; on success the store is swapped in and the
+  // quarantine lifts. A missing (kNotFound), stale (kRollbackDetected) or
+  // tampered (kIntegrityFailure) cold copy fails typed and the partition
+  // stays quarantined.
   Status RecoverPartition(size_t p, const sgx::SealingService& sealer,
-                          sgx::MonotonicCounterService& counters, const std::string& directory,
+                          sgx::MonotonicCounterService& counters, const std::string& cold_dir,
                           const std::function<Status(kv::KeyValueStore&)>& replay_log = {});
 
   // --- Persistent heap (Options::persist_dir) ---
@@ -127,29 +110,40 @@ class PartitionedStore : public kv::BatchFirstStore {
   // True when the store was built over per-partition arena files
   // (`persist_dir/p<i>.heap`).
   bool persist_enabled() const { return persist_; }
-  const std::string& persist_dir() const { return base_options_.persist_dir; }
-  // Per-partition arena (null when its file failed to open); test hook and
-  // replica-bootstrap plumbing.
+  // Per-partition arena (null when its file failed to open); test hook.
   alloc::PersistentArena* partition_arena(size_t p) { return arenas_[p].get(); }
 
-  // Keys must route identically across restarts in persist mode (chains are
-  // rebuilt from the per-partition files, not re-routed). The route key is
-  // sealed into `persist_dir/route.seal` on first boot and re-loaded before
-  // any attach or replay; tampering with the blob fails typed. Call before
-  // serving: routing reads the key without a lock.
-  Status LoadOrCreateRouteKey(const sgx::SealingService& sealer);
+  // Keys must route identically across restarts: arena chains are attached,
+  // never re-routed, and a shard log's records must stay in the shard that
+  // serves their key. The route key and the partition count are sealed
+  // together into `path` on first boot and re-loaded before any attach or
+  // replay. A blob sealed for another partition count is kInvalidArgument
+  // naming both counts; a tampered blob fails typed. Call before serving:
+  // routing reads the key without a lock.
+  Status LoadOrCreateRouteKey(const sgx::SealingService& sealer, const std::string& path);
 
   // Arena checkpoint of one/all partitions: seals the secure metadata bound
   // to (partition, counter, value+1), runs the arena's plan/commit protocol,
-  // then increments the counter — the same live/live+1 roll-forward window
-  // Snapshotter uses, so a crash between commit and increment recovers while
-  // an old heap file fails with kRollbackDetected. Quarantined partitions
-  // are skipped (first error reported): tampered state is never committed
-  // as trusted.
+  // writes the cold copy `cold_dir`/p<i>.heap, then increments the counter —
+  // the same live/live+1 roll-forward window Snapshotter uses, so a crash
+  // between commit and increment recovers while an old heap file (or cold
+  // copy) fails with kRollbackDetected. A cold copy is the committed extent
+  // of the arena, written as a sparse file of full capacity (temp file,
+  // fsync, rename, directory fsync). Quarantined partitions are skipped
+  // (first error reported): tampered state is never committed as trusted.
+  //
+  // CheckpointPartition (the compaction fold) first audits the partition
+  // under the same lock hold: a silent tamper no operation has detected yet
+  // must not become the heal baseline. CheckpointAll (boot and export) does
+  // not, which keeps a restart O(1): a tamper at rest that lazy
+  // verification has not caught is copied along, and heal refuses it.
+  // `crash` injects a failure inside the cold-copy write (tests).
+  enum class ColdCopyCrash { kNone, kAfterTempWrite, kAfterRename };
   Status CheckpointPartition(size_t p, const sgx::SealingService& sealer,
-                             sgx::MonotonicCounterService& counters);
-  Status CheckpointAll(const sgx::SealingService& sealer,
-                       sgx::MonotonicCounterService& counters);
+                             sgx::MonotonicCounterService& counters, const std::string& cold_dir,
+                             ColdCopyCrash crash = ColdCopyCrash::kNone);
+  Status CheckpointAll(const sgx::SealingService& sealer, sgx::MonotonicCounterService& counters,
+                       const std::string& cold_dir);
 
   // Boot-time attach: for every partition whose arena holds a committed
   // generation, unseals the metadata (with roll-forward) and attaches the
@@ -157,17 +151,9 @@ class PartitionedStore : public kv::BatchFirstStore {
   // deferred to first touch and the scrub cursor. A partition that fails
   // (tamper, rollback, geometry drift) is quarantined and the first error
   // returned; healthy partitions still attach so the operator sees the
-  // blast radius, but a failed attach latches and RecoverPersistPartition
-  // refuses — the heap file must be restored (e.g. from a replica).
+  // blast radius.
   Status AttachPersistent(const sgx::SealingService& sealer,
                           sgx::MonotonicCounterService& counters);
-
-  // Persist-mode healing: there is no clean on-disk baseline separate from
-  // the heap file (writeback persists tampers too), so recovery is a full
-  // audit — if the partition's chains now verify against the trusted
-  // in-enclave hashes, the quarantine clears; otherwise the partition stays
-  // fenced and the file must be replaced from a replica.
-  Status RecoverPersistPartition(size_t p);
 
   // Locked facade. ExecuteBatch is its only request path: the singleton
   // verbs (Set/Get/Delete/Append/Increment, from kv::BatchFirstStore) run
@@ -191,20 +177,16 @@ class PartitionedStore : public kv::BatchFirstStore {
 
  private:
   Options PartitionOptions(size_t count) const;
-  // Checkpoint one partition; caller holds the partition lock.
+  // Checkpoint one partition; caller holds the partition lock. `audit`
+  // scrubs it first (see CheckpointPartition).
   Status CheckpointPartitionLocked(size_t p, const sgx::SealingService& sealer,
-                                   sgx::MonotonicCounterService& counters);
-  // Attach one partition; caller holds the partition lock.
-  Status AttachPartitionLocked(size_t p, const sgx::SealingService& sealer,
-                               sgx::MonotonicCounterService& counters);
-  // Snapshot one partition under its lock (no manifest handling).
-  Status WritePartitionSnapshot(size_t p, const sgx::SealingService& sealer,
-                                sgx::MonotonicCounterService& counters,
-                                const std::string& directory, Snapshotter::CrashPoint crash);
-  // Writes (overwrites) the manifest recording this store's partition count.
-  Status WriteManifest(const std::string& directory) const;
-  // Writes the manifest, or verifies it if present (see SnapshotPartition).
-  Status EnsureManifest(const std::string& directory) const;
+                                   sgx::MonotonicCounterService& counters,
+                                   const std::string& cold_dir, bool audit, ColdCopyCrash crash);
+  // Unseals `arena`'s committed metadata against partition `p`'s counter
+  // (with roll-forward) and attaches it into the empty `store`.
+  Status AttachArena(size_t p, alloc::PersistentArena& arena, Store& store,
+                     const sgx::SealingService& sealer, sgx::MonotonicCounterService& counters);
+  std::string HeapPath(size_t p) const;
   // Quarantines partition `p` when `s` carries an integrity-class code.
   void NoteOutcome(size_t p, const Status& s);
   // Sets partition `p`'s quarantine flag; true if that changed it, and then
@@ -223,7 +205,6 @@ class PartitionedStore : public kv::BatchFirstStore {
   // chain refs point into) outlive the Stores during destruction.
   std::vector<std::unique_ptr<alloc::PersistentArena>> arenas_;
   bool persist_ = false;
-  std::atomic<bool> attach_failed_{false};
   std::vector<std::unique_ptr<Store>> partitions_;
   mutable std::vector<std::unique_ptr<std::mutex>> locks_;
   std::vector<std::unique_ptr<std::atomic<bool>>> quarantined_;

@@ -1,5 +1,10 @@
 // Snapshot persistence (§4.4, Algorithm 1), crash-safe edition.
 //
+// Snapshotter is the paper's persistence artifact: bench_fig19, the examples
+// and the crash-safety tests drive it. The durable daemon does not: its one
+// durable format is the mmap'd arena with sealed cold copies plus the WAL
+// (PartitionedStore::CheckpointPartition, selfheal.h).
+//
 // A snapshot consists of:
 //  * a metadata file: the sealed secure metadata (store keys + MAC hash
 //    array). The seal's AAD binds the monotonic-counter id, the counter

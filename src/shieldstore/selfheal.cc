@@ -84,6 +84,23 @@ Status WriteAheadStore::Open() {
   epoch_log_ = std::make_unique<EpochLog>(sealer_, counters_, options_.path);
   Result<Epoch> recovered = epoch_log_->Open();
   Status opened = recovered.status();
+  const std::string route_path = options_.path + ".route";
+  if (opened.ok() && !recovered->heads.empty() && !std::filesystem::exists(route_path)) {
+    // Shard logs this release did not write: their records were routed by a
+    // key nobody sealed, and their baseline was a snapshot it no longer reads.
+    opened = Status(Code::kUnsupported, "WAL at " + options_.path +
+                                            " has no sealed route key " + route_path +
+                                            "; it is from a release before one durable format");
+  }
+  if (opened.ok()) {
+    opened = inner_.LoadOrCreateRouteKey(sealer_, route_path);
+  }
+  if (opened.ok() && !recovered->heads.empty() && recovered->heads.size() != shards_.size()) {
+    opened = Status(Code::kInvalidArgument,
+                    "WAL at " + options_.path + " was written with " +
+                        std::to_string(recovered->heads.size()) + " shards, this store has " +
+                        std::to_string(shards_.size()));
+  }
   for (auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
     s.log.reset();
@@ -95,10 +112,9 @@ Status WriteAheadStore::Open() {
       continue;
     }
     // Resume at the recovered head (dropping what the epoch never covered);
-    // a shard the epoch does not name starts fresh.
+    // a first boot starts every shard fresh.
     s.log = std::make_unique<OperationLog>(sealer_, s.options);
-    opened = s.index < recovered->heads.size() ? s.log->Resume(recovered->heads[s.index])
-                                               : s.log->Open();
+    opened = recovered->heads.empty() ? s.log->Open() : s.log->Resume(recovered->heads[s.index]);
   }
   if (!opened.ok()) {
     for (auto& shard_ptr : shards_) {
@@ -110,10 +126,9 @@ Status WriteAheadStore::Open() {
   std::vector<uint64_t> marks;
   {
     std::lock_guard<std::mutex> lock(epoch_mutex_);
-    // Every head as reopened counts as covered: the first epoch names them
-    // all, plus the shards of an older geometry until ResetAllLogs.
+    // Every head as reopened counts as covered: the first epoch names them.
     ready_ = std::move(*recovered);
-    ready_.heads.resize(std::max(ready_.heads.size(), shards_.size()));
+    ready_.heads.resize(shards_.size());
     for (auto& shard_ptr : shards_) {
       ready_.heads[shard_ptr->index] = shard_ptr->log->head();
       marks.push_back(shard_ptr->appended);
@@ -510,10 +525,13 @@ Status WriteAheadStore::NewGenerationLocked(Shard& s, CompactionCrash crash) {
   return st;
 }
 
-Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& directory,
+Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& cold_dir,
                                      CompactionCrash crash) {
   if (shard_index >= shards_.size()) {
     return Status(Code::kInvalidArgument, "no such shard");
+  }
+  if (!inner_.persist_enabled()) {
+    return Status(Code::kUnsupported, "a heap-only WAL has no baseline to fold its log into");
   }
   Shard& s = shard(shard_index);
   std::unique_lock<std::mutex> lock(s.mutex);
@@ -531,32 +549,20 @@ Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& dire
   if (Result<uint64_t> committed = CommitShardLocked(s, lock); !committed.ok()) {
     return committed.status();
   }
-  // 2. Fold each served partition into a fresh baseline. Crash anywhere
-  // here: the log is untouched, so old-or-new baseline + the log prefix
-  // its epoch names converge on every acked value.
-  if (inner_.persist_enabled()) {
-    // Persist mode: the baseline is the arena, and the fold is an
-    // INCREMENTAL checkpoint — dirty buckets + superblock, not a full
-    // rewrite. The snapshot crash points have no analogue here (the arena
-    // has its own plan/commit injection); kBeforeTruncate still applies.
-    for (size_t p = shard_index; p < parts; p += shards_.size()) {
-      if (Status st = inner_.CheckpointPartition(p, sealer_, counters_); !st.ok()) {
-        return st;
-      }
-    }
-  } else {
-    Snapshotter::CrashPoint snap_crash = Snapshotter::CrashPoint::kNone;
-    if (crash == CompactionCrash::kSnapshotTempWrite) {
-      snap_crash = Snapshotter::CrashPoint::kAfterTempWrite;
-    } else if (crash == CompactionCrash::kSnapshotRename) {
-      snap_crash = Snapshotter::CrashPoint::kAfterRename;
-    }
-    for (size_t p = shard_index; p < parts; p += shards_.size()) {
-      if (Status st = inner_.SnapshotPartition(p, sealer_, counters_, directory, snap_crash);
-          !st.ok()) {
-        return st;
-      }
-      snap_crash = Snapshotter::CrashPoint::kNone;  // injection is one-shot
+  // 2. Fold each served partition into an audited arena checkpoint (dirty
+  // buckets + superblock) and a fresh cold copy. Crash anywhere here: the
+  // log is untouched, so old-or-new baseline + the log prefix its epoch
+  // names converge on every acked value.
+  PartitionedStore::ColdCopyCrash cold_crash = PartitionedStore::ColdCopyCrash::kNone;
+  if (crash == CompactionCrash::kColdCopyTempWrite) {
+    cold_crash = PartitionedStore::ColdCopyCrash::kAfterTempWrite;
+  } else if (crash == CompactionCrash::kColdCopyRename) {
+    cold_crash = PartitionedStore::ColdCopyCrash::kAfterRename;
+  }
+  for (size_t p = shard_index; p < parts; p += shards_.size()) {
+    if (Status st = inner_.CheckpointPartition(p, sealer_, counters_, cold_dir, cold_crash);
+        !st.ok()) {
+      return st;
     }
   }
   if (crash == CompactionCrash::kBeforeTruncate) {
@@ -575,13 +581,6 @@ Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& dire
 }
 
 Status WriteAheadStore::ResetAllLogs() {
-  {
-    // Stale shard files beyond the current count (a previous boot's wider
-    // geometry) are subsumed by the caller's snapshot: the next epoch stops
-    // naming them, and then they go.
-    std::lock_guard<std::mutex> lock(epoch_mutex_);
-    ready_.heads.resize(shards_.size());
-  }
   for (auto& shard_ptr : shards_) {
     Shard& s = *shard_ptr;
     std::unique_lock<std::mutex> lock(s.mutex);
@@ -590,13 +589,6 @@ Status WriteAheadStore::ResetAllLogs() {
     }
     if (Status st = NewGenerationLocked(s); !st.ok()) {
       return st;
-    }
-  }
-  for (size_t i = shards_.size();; ++i) {
-    const std::string stale = EpochLog::ShardPath(options_.path, i);
-    std::remove((stale + ".next").c_str());
-    if (std::remove(stale.c_str()) != 0) {
-      break;
     }
   }
   return Status::Ok();
@@ -721,11 +713,10 @@ void WriteAheadStore::FailEpochs(const Status& failure, std::unique_lock<std::mu
   }
 }
 
-Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
+Status WriteAheadStore::RestoreFromDisk() {
   if (std::filesystem::exists(options_.path)) {
     // The unsharded log predates the shard split and may hold acked records
-    // of any key that no snapshot covers: refuse rather than boot without
-    // them.
+    // of any key: refuse rather than boot without them.
     return Status(Code::kUnsupported,
                   "unsharded log " + options_.path +
                       " is from a pre-sharding release; restore it with that release");
@@ -738,39 +729,17 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
   }
   const std::vector<LogHead> heads = epoch.ok() ? std::move(epoch->heads) : std::vector<LogHead>{};
   const auto restore_start = std::chrono::steady_clock::now();
-  // heap.restart_ns records the whole baseline-plus-tail restore (the number
-  // the persistent heap exists to shrink); set only on success.
-  const auto finish = [&](Status st) {
-    if (st.ok()) {
-      metrics_->GetGauge("heap.restart_ns")
-          .Set(std::chrono::duration_cast<std::chrono::nanoseconds>(
-                   std::chrono::steady_clock::now() - restore_start)
-                   .count());
-    }
-    return st;
-  };
   if (inner_.persist_enabled()) {
-    // Phase 1, persist mode: attach the mmap'd heap files. The sealed route
-    // key must load FIRST — the files' chain placement was routed under it,
-    // so a fresh per-boot key would misroute every replayed record. Attach
-    // is O(1) in entry count (superblock + sealed metadata, no entry
+    // Phase 1: attach the mmap'd heap files, routed under the route key Open
+    // loaded. O(1) in entry count (superblock + sealed metadata, no entry
     // decrypt); per-entry MACs re-verify lazily on first touch.
-    if (Status st = inner_.LoadOrCreateRouteKey(sealer_); !st.ok()) {
-      return st;
-    }
     if (Status st = inner_.AttachPersistent(sealer_, counters_); !st.ok()) {
       return st;
     }
-  } else if (Status st = inner_.RestoreSnapshots(sealer_, counters_, snapshot_directory);
-             !st.ok()) {
-    // Phase 1: every partition snapshot under the manifest's geometry,
-    // applied through the facade (this boot's route key differs from the
-    // snapshots').
-    return st;
   }
   // Phase 2: every named shard log up to its head, straight to the inner
-  // store (not re-logged). Each partition's snapshot precedes its log
-  // records because phase 1 ran first; logs never cross partitions, so any
+  // store (not re-logged). Each partition's arena precedes its log records
+  // because phase 1 ran first; logs never cross partitions, so any
   // inter-log order converges.
   const auto replay_one = [&](size_t i) {
     const std::string path = EpochLog::ShardPath(options_.path, i);
@@ -807,7 +776,14 @@ Status WriteAheadStore::RestoreFromDisk(const std::string& snapshot_directory) {
   for (std::thread& t : pool) {
     t.join();
   }
-  return finish(first_error);
+  if (first_error.ok()) {
+    // The whole baseline-plus-tail restore: the number the arena shrinks.
+    metrics_->GetGauge("heap.restart_ns")
+        .Set(std::chrono::duration_cast<std::chrono::nanoseconds>(
+                 std::chrono::steady_clock::now() - restore_start)
+                 .count());
+  }
+  return first_error;
 }
 
 uint64_t WriteAheadStore::ShardLogBytes(size_t shard_index) const {
@@ -819,35 +795,12 @@ uint64_t WriteAheadStore::ShardLogBytes(size_t shard_index) const {
 
 Status WriteAheadStore::ExportHeapFiles(const std::string& destination_dir) {
   if (!inner_.persist_enabled()) {
-    return Status(Code::kUnsupported, "heap export requires --persist-heap");
+    return Status(Code::kUnsupported, "heap export requires a persistent heap");
   }
   // Checkpoint under the full log lock: no mutation lands between a
-  // partition's checkpoint and its file copy, so every copied arena is a
-  // committed generation whose sealed metadata verifies on the replica.
-  return WithCommittedLog([&] {
-    if (Status st = inner_.CheckpointAll(sealer_, counters_); !st.ok()) {
-      return st;
-    }
-    std::error_code ec;
-    std::filesystem::create_directories(destination_dir, ec);
-    if (ec) {
-      return Status(Code::kIoError, "cannot create " + destination_dir);
-    }
-    const std::string& src = inner_.persist_dir();
-    std::vector<std::string> names;
-    for (size_t p = 0; p < inner_.num_partitions(); ++p) {
-      names.push_back("p" + std::to_string(p) + ".heap");
-    }
-    names.push_back("route.seal");
-    for (const std::string& name : names) {
-      std::filesystem::copy_file(src + "/" + name, destination_dir + "/" + name,
-                                 std::filesystem::copy_options::overwrite_existing, ec);
-      if (ec) {
-        return Status(Code::kIoError, "cannot export " + name + ": " + ec.message());
-      }
-    }
-    return Status::Ok();
-  });
+  // partition's commit and its copy, so every exported arena is a committed
+  // generation whose sealed metadata verifies on the replica.
+  return WithCommittedLog([&] { return inner_.CheckpointAll(sealer_, counters_, destination_dir); });
 }
 
 WalStats WriteAheadStore::Stats() const {
@@ -874,25 +827,19 @@ SelfHealer::SelfHealer(WriteAheadStore& wal, const sgx::SealingService& sealer,
       failed_recoveries_(&wal_.metrics().GetCounter("heal.failed_recoveries")),
       violations_(&wal_.metrics().GetCounter("heal.violations_detected")) {}
 
-Status SelfHealer::Restore() {
-  return wal_.RestoreFromDisk(options_.directory);
-}
+Status SelfHealer::Restore() { return wal_.RestoreFromDisk(); }
 
 Status SelfHealer::Start() {
-  if (wal_.inner().persist_enabled()) {
-    // Persist mode: the arenas are the baseline. Checkpoint them (first boot
-    // binds each arena's monotonic counter; a restart folds the replayed
-    // WAL tail in) and start the logs fresh — snapshots are never written.
-    if (Status st = wal_.inner().CheckpointAll(sealer_, counters_); !st.ok()) {
-      return st;
-    }
-    return wal_.ResetAllLogs();
+  if (!wal_.inner().persist_enabled()) {
+    return Status::Ok();  // heap-only: the logs hold the whole history
   }
-  if (Status st = wal_.inner().SnapshotAll(sealer_, counters_, options_.directory); !st.ok()) {
+  // The arenas are the baseline. Checkpoint them (first boot binds each
+  // arena's monotonic counter; a restart folds the replayed WAL tail in and
+  // replaces cold copies a crash mid-compaction left behind) and start the
+  // logs fresh.
+  if (Status st = wal_.inner().CheckpointAll(sealer_, counters_, options_.directory); !st.ok()) {
     return st;
   }
-  // The baseline generation subsumes everything the logs held: start every
-  // shard fresh.
   return wal_.ResetAllLogs();
 }
 
@@ -909,13 +856,6 @@ Status SelfHealer::RecoverOne(size_t p) {
   // shard — and all reads — keep serving.
   const size_t shard = wal_.ShardOfPartition(p);
   return wal_.WithCommittedShard(shard, [&] {
-    if (wal_.inner().persist_enabled()) {
-      // Persist mode has no snapshot to rebuild from — the arena IS the
-      // state. Recovery is a full integrity scrub of the partition; clean
-      // lifts the quarantine, tampered stays quarantined for a replica
-      // restore (ExportHeapFiles on a healthy peer).
-      return wal_.inner().RecoverPersistPartition(p);
-    }
     return wal_.inner().RecoverPartition(
         p, sealer_, counters_, options_.directory,
         [&](kv::KeyValueStore& target) { return wal_.ReplayCommittedShard(shard, target); });
@@ -923,8 +863,8 @@ Status SelfHealer::RecoverOne(size_t p) {
 }
 
 bool SelfHealer::CompactOne() {
-  if (options_.compact_log_bytes == 0) {
-    return false;
+  if (options_.compact_log_bytes == 0 || !wal_.inner().persist_enabled()) {
+    return false;  // a heap-only WAL keeps its whole history
   }
   const size_t shards = wal_.num_shards();
   for (size_t i = 0; i < shards; ++i) {

@@ -1,11 +1,10 @@
 // Online partition self-healing, on a sharded write-ahead log.
 //
-// PR 1 built the offline recovery machinery: partitions quarantine on an
-// integrity violation and RecoverPartition() rebuilds one from its snapshot
-// generation plus the committed oplog suffix. PR 2 made that a serving-path
-// feature behind a single global log — and one global mutex, which collapsed
-// the write parallelism the paper's partitioned design (§5.3, Fig. 13)
-// exists to deliver. This revision shards the log:
+// Partitions quarantine on an integrity violation, and RecoverPartition()
+// rebuilds one from its baseline plus its shard's committed log suffix. One
+// global log (and one global mutex) would collapse the write parallelism the
+// paper's partitioned design (§5.3, Fig. 13) exists to deliver, so the log
+// is sharded:
 //
 //  * WriteAheadStore runs one operation-log shard per partition (or per
 //    partition group, OpLogOptions::num_shards), each with its own mutex,
@@ -33,13 +32,15 @@
 //    those watermarks; the network server instead holds the sealed
 //    responses and releases them when the shard's kv::DurabilityWatch
 //    publishes the watermark, so no serving thread ever waits on a commit.
-//  * Bounded-log compaction: when a shard's log outgrows a threshold, the
-//    maintenance thread (SelfHealer::Tick) folds the shard's partitions into
-//    fresh baseline snapshots — crash-safe via the existing SHA-256-footer +
-//    atomic-rename + counter roll-forward path — then starts a new log
-//    generation, which an epoch binds before it replaces the old file.
-//    Recovery time and disk growth stay bounded no matter how long the
-//    daemon runs; a crash anywhere recovers the old or the new generation.
+//  * One durable format. With a persistent heap (Options::persist_dir, what
+//    the daemon's --heal-dir runs) the baseline is the mmap'd arena: when a
+//    shard's log outgrows a threshold the maintenance thread
+//    (SelfHealer::Tick) checkpoints the shard's partitions — arena commit,
+//    then a cold copy (a byte copy of the committed arena) — and starts a
+//    new log generation, which an epoch binds before it replaces the old
+//    file. A crash anywhere recovers the old or the new generation. A
+//    heap-only WAL (no persist_dir; tests and in-process benches) has the
+//    empty store as its baseline: its logs are never truncated.
 //  * Recovery (Open, RestoreFromDisk) replays each shard log up to its head
 //    in the recovered epoch (EpochLog::Recover). A shard log, the epoch file
 //    or a shard generation put back behind the counter is kRollbackDetected.
@@ -49,9 +50,11 @@
 // (WithCommittedShard). Mutations to that shard's partitions block for
 // those few milliseconds; every other shard — and all reads — keep serving.
 //
-// Geometry: the partition count and the WAL shard layout are fixed for the
-// life of the process (built once in the constructors, so routing takes no
-// lock). A restart changes them: RestoreFromDisk re-routes every key.
+// Geometry: the partition count and the WAL shard layout are fixed per heal
+// directory (built once in the constructors, so routing takes no lock). Open
+// refuses a route key sealed for another partition count and an epoch that
+// names another shard count: arena chains are placed by the sealed route
+// key, so a restart cannot re-route them.
 #ifndef SHIELDSTORE_SRC_SHIELDSTORE_SELFHEAL_H_
 #define SHIELDSTORE_SRC_SHIELDSTORE_SELFHEAL_H_
 
@@ -101,10 +104,14 @@ class WriteAheadStore : public kv::BatchFirstStore {
                   sgx::MonotonicCounterService& counters, const OpLogOptions& options);
   ~WriteAheadStore() override;
 
-  // Recovers the epoch (a rollback fails here), reopens every shard log at
-  // its head in it and starts the bumper and the shard committers. Call
-  // before serving: it must succeed before any
-  // mutation, and must not race one. Shard i lives at options.path + ".p<i>".
+  // Recovers the epoch (a rollback fails here), loads the route key sealed
+  // at options.path + ".route" (PartitionedStore::LoadOrCreateRouteKey),
+  // reopens every shard log at its head in the epoch and starts the bumper
+  // and the shard committers. An epoch naming another shard count is
+  // kInvalidArgument naming both counts; an epoch with shard heads but no
+  // sealed route key (a release before one durable format) is kUnsupported.
+  // Call before serving: it must succeed before any mutation, and must not
+  // race one. Shard i lives at options.path + ".p<i>".
   Status Open();
 
   // Executes `ops` without waiting for durability. Each touched shard's
@@ -143,15 +150,16 @@ class WriteAheadStore : public kv::BatchFirstStore {
 
   // --- compaction ---
 
-  // Crash-point injection for the compaction sequence (tests). The snapshot
-  // points map onto Snapshotter::CrashPoint; kBeforeTruncate dies after the
-  // snapshots commit but before the log is reset; kGenerationSwitch after
-  // the new generation is written, before an epoch binds it (the shard
-  // latches: the process would be gone).
+  // Crash-point injection for the compaction sequence (tests). The cold-copy
+  // points map onto PartitionedStore::ColdCopyCrash (the arena committed,
+  // the counter not yet incremented); kBeforeTruncate dies after the
+  // checkpoints complete but before the log is reset; kGenerationSwitch
+  // after the new generation is written, before an epoch binds it (the
+  // shard latches: the process would be gone).
   enum class CompactionCrash {
     kNone,
-    kSnapshotTempWrite,  // Snapshotter::CrashPoint::kAfterTempWrite
-    kSnapshotRename,     // Snapshotter::CrashPoint::kAfterRename
+    kColdCopyTempWrite,  // ColdCopyCrash::kAfterTempWrite
+    kColdCopyRename,     // ColdCopyCrash::kAfterRename
     kBeforeTruncate,
     kGenerationSwitch,
   };
@@ -167,49 +175,41 @@ class WriteAheadStore : public kv::BatchFirstStore {
   };
   void InjectCommitCrash(CommitCrash point) { commit_crash_.store(point); }
 
-  // Folds the committed state of every partition served by `shard` into a
-  // fresh snapshot generation under `directory` (the SnapshotAll layout) —
-  // or, with Options::persist_dir, into an incremental arena checkpoint
-  // (dirty buckets + superblock, no full rewrite) — then starts a new log
+  // Folds the committed state of every partition served by `shard` into an
+  // audited arena checkpoint with a fresh cold copy under `cold_dir`
+  // (PartitionedStore::CheckpointPartition), then starts a new log
   // generation. Runs under the shard lock: mutations to those partitions
-  // wait, everything else proceeds. Refuses
-  // (kPartitionRecovering) while a served partition is quarantined — its
-  // in-memory state is untrusted and the log suffix is its recovery input.
-  Status CompactShard(size_t shard, const std::string& directory,
+  // wait, everything else proceeds. Refuses (kPartitionRecovering) while a
+  // served partition is quarantined — its in-memory state is untrusted and
+  // the log suffix is its recovery input — and is kUnsupported on a
+  // heap-only WAL, whose baseline is the empty store.
+  Status CompactShard(size_t shard, const std::string& cold_dir,
                       CompactionCrash crash = CompactionCrash::kNone);
 
-  // Commits every shard log and starts it on a new generation, dropping
-  // stale shard files beyond the current count (a previous boot's wider
-  // geometry). Call right after a baseline SnapshotAll: the snapshots
-  // subsume everything the logs held.
+  // Commits every shard log and starts it on a new generation. Call right
+  // after a baseline CheckpointAll: the arenas subsume everything the logs
+  // held.
   Status ResetAllLogs();
 
-  // Route-agnostic restore of a previous run's durable state into the
-  // (empty) inner store: every partition snapshot generation under
-  // `snapshot_directory` (the SnapshotAll layout of ANY geometry — the
-  // route key is drawn fresh each boot, so keys are re-routed through the
-  // facade), then every shard log the recovered epoch names, up to its
-  // head. Call after Open() and before serving; follow with
-  // SelfHealer::Start() (or ResetAllLogs()) so the restored state becomes
-  // the new baseline. A leftover unsharded log at options.path (the
-  // pre-sharding layout) or shard logs without an epoch are refused with
-  // kUnsupported naming the file: their acked records are never dropped
-  // silently.
-  //
-  // With Options::persist_dir the baseline is the mmap'd heap files, not
-  // snapshots: the sealed route key is loaded (so routing matches the files'
-  // chain layout), every partition attaches its arena's committed generation
-  // — O(1) in entry count, per-entry MAC verification deferred to first
-  // touch — and only the WAL tail replays. Sets the heap.restart_ns gauge.
-  Status RestoreFromDisk(const std::string& snapshot_directory);
+  // Restores a previous run's durable state into the (empty) inner store:
+  // with a persistent heap every partition attaches its arena's committed
+  // generation — O(1) in entry count, per-entry MAC verification deferred to
+  // first touch — then every shard log the recovered epoch names replays up
+  // to its head (the whole history on a heap-only WAL). Call after Open()
+  // and before serving; follow with SelfHealer::Start(). A leftover
+  // unsharded log at options.path (the pre-sharding layout) or shard logs
+  // without an epoch are refused with kUnsupported naming the file: their
+  // acked records are never dropped silently. Sets the heap.restart_ns gauge.
+  Status RestoreFromDisk();
 
-  // Copies the committed persistent-heap files (p<i>.heap + route.seal) into
-  // `destination_dir`, checkpointing every partition first under the full
-  // log lock so the copies are self-consistent: this is the file-shipped
-  // replica bootstrap path — a replica maps the copies and attaches in O(1),
-  // lazily re-verifying entries as it serves. kUnsupported without
-  // Options::persist_dir. The monotonic-counter backing file is NOT copied
-  // (it belongs to the counter service, not the store); ship it alongside.
+  // Checkpoints every partition under the full log lock, writing its cold
+  // copy p<i>.heap into `destination_dir`: the file-shipped replica
+  // bootstrap path — a replica maps the copies and attaches in O(1), lazily
+  // re-verifying entries as it serves. The counter backing file and the
+  // sealed route key (options.path + ".route") ship alongside. The
+  // checkpoint advances each partition's counter, so the healer's own cold
+  // copies trail it until their shard next compacts. kUnsupported without
+  // Options::persist_dir.
   Status ExportHeapFiles(const std::string& destination_dir);
 
   PartitionedStore& inner() { return inner_; }
@@ -331,7 +331,7 @@ class WriteAheadStore : public kv::BatchFirstStore {
   std::unique_ptr<EpochLog> epoch_log_;
   std::mutex epoch_mutex_;
   std::condition_variable epoch_cv_;
-  Epoch ready_;  // every shard's newest ready head (+ an older geometry's, until reset)
+  Epoch ready_;  // every shard's newest ready head
   std::vector<uint64_t> ready_marks_;
   uint64_t ready_ticket_ = 0;
   StagedEpoch staged_;   // the newest fsync'd record; due a bump past covered_
@@ -360,8 +360,9 @@ class WriteAheadStore : public kv::BatchFirstStore {
 };
 
 struct SelfHealOptions {
-  // Snapshot directory (SnapshotAll layout: manifest + p<i>/ per partition).
-  // Start() writes the baseline generation here; recoveries read it.
+  // Cold-copy directory (p<i>.heap per partition). Start() and every
+  // compaction write the partitions' cold copies here; recoveries of an
+  // arena store read them. Unused on a heap-only WAL.
   std::string directory;
   // Buckets audited per Tick (0 = the store Options' scrub_budget_buckets).
   size_t scrub_budget_buckets = 0;
@@ -378,8 +379,8 @@ struct SelfHealOptions {
 // Self-healing state machine per partition:
 //
 //   healthy --(violation detected by an op, the scrub, or ScrubAll)-->
-//   quarantined --(Tick picks it up)--> recovering --(snapshot + committed
-//   shard-log replay succeeds)--> healthy
+//   quarantined --(Tick picks it up)--> recovering --(cold copy, or an empty
+//   store, + committed shard-log replay succeeds)--> healthy
 //
 // Tick() is cheap when there is nothing to do; drive it from the network
 // server's maintenance thread (or any single background thread). Each tick
@@ -390,13 +391,15 @@ class SelfHealer {
   SelfHealer(WriteAheadStore& wal, const sgx::SealingService& sealer,
              sgx::MonotonicCounterService& counters, SelfHealOptions options);
 
-  // Restores the previous run's durable state (snapshots + committed shard
+  // Restores the previous run's durable state (arenas + committed shard
   // logs) into the inner store. Call before Start(), on an empty store.
   Status Restore();
 
-  // Writes the baseline snapshot of every (healthy) partition and truncates
-  // the shard logs it subsumes. Call once, before traffic; recovery = this
-  // baseline + each shard's log from then on.
+  // Arena store: checkpoints every (healthy) partition, writing its cold
+  // copy, and truncates the shard logs the arenas subsume — a crash in the
+  // middle of a compaction is repaired here, before serving. Heap-only:
+  // nothing (the baseline is the empty store). Call once, before traffic;
+  // recovery = this baseline + each shard's log from then on.
   Status Start();
 
   // One maintenance step: recover at most one quarantined partition, else

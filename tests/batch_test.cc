@@ -692,7 +692,7 @@ class BatchWalTest : public ::testing::Test {
     PartitionedStore store2(enclave2, SmallOptions(), partitions);
     WriteAheadStore wal2(store2, *sealer_, *counters_, opts);
     EXPECT_TRUE(wal2.Open().ok());
-    const Status restored = wal2.RestoreFromDisk(dir_ + "/snapshots");
+    const Status restored = wal2.RestoreFromDisk();
     EXPECT_TRUE(restored.ok()) << restored.ToString();
     std::map<std::string, std::string> dump;
     for (size_t p = 0; p < store2.num_partitions(); ++p) {

@@ -59,6 +59,14 @@ Options SmallOptions() {
   return o;
 }
 
+// The daemon's durable store: per-partition arenas under `dir`/heap.
+Options ArenaOptions(const std::string& dir) {
+  Options o = SmallOptions();
+  o.persist_dir = dir + "/heap";
+  o.persist_capacity_bytes = 4 << 20;
+  return o;
+}
+
 class ConcurrencyTest : public ::testing::Test {
  protected:
   ConcurrencyTest() : enclave_(TestEnclaveConfig()) {
@@ -98,7 +106,7 @@ TEST_F(ConcurrencyTest, SelfHealingStoreSurvivesConcurrentTamper) {
   ASSERT_TRUE(wal.Open().ok());
 
   SelfHealOptions heal_opts;
-  heal_opts.directory = dir_ + "/snapshots";
+  heal_opts.directory = dir_ + "/cold";
   SelfHealer healer(wal, sealer, counters, heal_opts);
   ASSERT_TRUE(healer.Start().ok());
 
@@ -335,7 +343,7 @@ TEST_F(ConcurrencyTest, BatchedWritersRaceScrubHealerAndAdversary) {
   ASSERT_TRUE(wal.Open().ok());
 
   SelfHealOptions heal_opts;
-  heal_opts.directory = dir_ + "/snapshots";
+  heal_opts.directory = dir_ + "/cold";
   SelfHealer healer(wal, sealer, counters, heal_opts);
   ASSERT_TRUE(healer.Start().ok());
 
@@ -420,17 +428,18 @@ TEST_F(ConcurrencyTest, BatchedWritersRaceScrubHealerAndAdversary) {
 }
 
 TEST_F(ConcurrencyTest, CompactionRacesWritersHealerAndAdversary) {
-  // The compactor (maintenance thread) folds shard logs into snapshots
-  // while writers append to those same shards, and an adversary forces
-  // recoveries that contend for the same shard locks. Nothing may race,
-  // nothing acked may be lost, and compaction must actually run.
+  // The compactor (maintenance thread) folds shard logs into arena
+  // checkpoints and cold copies while writers append to those same shards,
+  // and an adversary forces recoveries (cold copy + log suffix) that contend
+  // for the same shard locks. Nothing may race, nothing acked may be lost,
+  // and compaction must actually run.
   constexpr int kWriters = 3;
   constexpr int kKeysPerWriter = 12;
   constexpr int kRounds = 50;
 
   sgx::SealingService sealer(AsBytes("fuse"), enclave_.measurement());
   sgx::MonotonicCounterService counters(counter_opts_);
-  PartitionedStore ps(enclave_, SmallOptions(), 4);
+  PartitionedStore ps(enclave_, ArenaOptions(dir_), 4);
 
   obs::Registry registry;  // wal.compactions of this WAL only
   OpLogOptions log_opts;
@@ -441,7 +450,7 @@ TEST_F(ConcurrencyTest, CompactionRacesWritersHealerAndAdversary) {
   ASSERT_TRUE(wal.Open().ok());
 
   SelfHealOptions heal_opts;
-  heal_opts.directory = dir_ + "/snapshots";
+  heal_opts.directory = dir_ + "/cold";
   heal_opts.compact_log_bytes = 2048;  // compact constantly under load
   SelfHealer healer(wal, sealer, counters, heal_opts);
   ASSERT_TRUE(healer.Start().ok());
@@ -498,7 +507,7 @@ TEST_F(ConcurrencyTest, CompactionRacesWritersHealerAndAdversary) {
   }
 
   // Under sanitizer slowdown the adversary can keep every in-load compaction
-  // attempt deferred (a quarantined partition refuses to snapshot), so if
+  // attempt deferred (a quarantined partition refuses to checkpoint), so if
   // none succeeded during the race window, force one now that the store is
   // healthy: grow a shard past the threshold and tick until it folds.
   const auto compact_deadline =
@@ -536,7 +545,7 @@ TEST_F(ConcurrencyTest, CompactionRacesWritersHealerAndAdversary) {
 // pipeline sets on private keys; every set they saw acknowledged must be in
 // the store afterwards, and nothing may race.
 TEST_F(ConcurrencyTest, HeldAckReleaseRacesCommitterCompactionAndStop) {
-  PartitionedStore ps(enclave_, SmallOptions(), 2);
+  PartitionedStore ps(enclave_, ArenaOptions(dir_), 2);
   sgx::MonotonicCounterService counters(counter_opts_);
   sgx::SealingService sealer(AsBytes("race-seal"), enclave_.measurement());
   OpLogOptions log_opts;
@@ -588,7 +597,7 @@ TEST_F(ConcurrencyTest, HeldAckReleaseRacesCommitterCompactionAndStop) {
   std::atomic<bool> stop_compactor{false};
   std::thread compactor([&] {
     for (size_t i = 0; !stop_compactor.load(); ++i) {
-      const Status st = wal.CompactShard(i % wal.num_shards(), dir_ + "/snapshots");
+      const Status st = wal.CompactShard(i % wal.num_shards(), dir_ + "/cold");
       EXPECT_TRUE(st.ok()) << st.ToString();
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }

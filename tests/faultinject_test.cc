@@ -1,7 +1,8 @@
 // Adversarial fault-injection matrix: every TamperAgent mode must be
 // detected with its exact status code (no crash, no hang, no silent wrong
-// answer), partitions quarantine independently and recover from snapshot +
-// oplog, and crash-safe persistence survives every injected crash point.
+// answer), partitions quarantine independently and recover from the arena's
+// cold copy + oplog, and crash-safe persistence survives every injected
+// crash point.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -48,6 +49,14 @@ Options SmallOptions() {
   return o;
 }
 
+// A durable store: per-partition arenas under `dir`/heap.
+Options ArenaOptions(const std::string& dir) {
+  Options o = SmallOptions();
+  o.persist_dir = dir + "/heap";
+  o.persist_capacity_bytes = 1 << 20;
+  return o;
+}
+
 class FaultInjectTest : public ::testing::Test {
  protected:
   FaultInjectTest() : enclave_(TestEnclaveConfig()) {
@@ -73,7 +82,9 @@ TEST_P(TamperMatrixTest, DetectedWithExactCodeAndRecoverable) {
   const TamperMode mode = GetParam();
   sgx::SealingService sealer(AsBytes("fuse"), enclave_.measurement());
   sgx::MonotonicCounterService counters(counter_opts_);
-  Store store(enclave_, SmallOptions());
+  // One arena-backed partition: the attack lands on the live heap file.
+  PartitionedStore ps(enclave_, ArenaOptions(dir_), 1);
+  Store& store = ps.partition(0);
   std::map<std::string, std::string> expected;
   for (int i = 0; i < 200; ++i) {
     const std::string key = "key-" + std::to_string(i);
@@ -94,9 +105,9 @@ TEST_P(TamperMatrixTest, DetectedWithExactCodeAndRecoverable) {
     }
   }
 
-  // Clean pre-attack snapshot: the recovery target.
-  Snapshotter snap(store, sealer, counters, {dir_, /*optimized=*/false});
-  ASSERT_TRUE(snap.SnapshotNow().ok());
+  // Clean pre-attack checkpoint: its cold copy is the recovery target.
+  const std::string cold = dir_ + "/cold";
+  ASSERT_TRUE(ps.CheckpointAll(sealer, counters, cold).ok());
 
   ASSERT_TRUE(agent.Tamper(store, mode).ok()) << TamperModeName(mode);
   const std::string target = agent.last_target_key();
@@ -118,16 +129,16 @@ TEST_P(TamperMatrixTest, DetectedWithExactCodeAndRecoverable) {
   const Store::ScrubReport report = store.Scrub();
   EXPECT_EQ(report.status.code(), want) << report.status.ToString();
 
-  // Recovery: the pre-attack snapshot restores every committed key.
-  Result<std::unique_ptr<Store>> recovered =
-      Snapshotter::Recover(enclave_, SmallOptions(), sealer, counters, {dir_, false});
-  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+  // Recovery: the cold copy laid over the live file restores every
+  // committed key, and the rebuilt partition audits clean.
+  const Status healed = ps.RecoverPartition(0, sealer, counters, cold);
+  ASSERT_TRUE(healed.ok()) << healed.ToString();
   for (const auto& [key, value] : expected) {
-    Result<std::string> got = (*recovered)->Get(key);
+    Result<std::string> got = ps.Get(key);
     ASSERT_TRUE(got.ok()) << key << ": " << got.status().ToString();
     EXPECT_EQ(got.value(), value);
   }
-  EXPECT_TRUE((*recovered)->Scrub().status.ok());
+  EXPECT_TRUE(ps.partition(0).Scrub().status.ok());
 }
 
 INSTANTIATE_TEST_SUITE_P(AllModes, TamperMatrixTest,
@@ -158,7 +169,7 @@ TEST_F(FaultInjectTest, EmptyStoreHasNoTarget) {
 TEST_F(FaultInjectTest, QuarantinedPartitionRecoversWhileOthersServe) {
   sgx::SealingService sealer(AsBytes("fuse"), enclave_.measurement());
   sgx::MonotonicCounterService counters(counter_opts_);
-  Options total = SmallOptions();
+  Options total = ArenaOptions(dir_);
   total.num_buckets = 1024;
   PartitionedStore ps(enclave_, total, 4);
 
@@ -177,10 +188,10 @@ TEST_F(FaultInjectTest, QuarantinedPartitionRecoversWhileOthersServe) {
   }
   ASSERT_TRUE(log.Commit().ok());
 
-  const std::string snapdir = dir_ + "/snap";
-  ASSERT_TRUE(ps.SnapshotAll(sealer, counters, snapdir).ok());
+  const std::string cold = dir_ + "/cold";
+  ASSERT_TRUE(ps.CheckpointAll(sealer, counters, cold).ok());
 
-  // Committed mutations AFTER the snapshot: only the oplog holds them.
+  // Committed mutations AFTER the checkpoint: only the oplog holds them.
   for (int i = 0; i < 200; i += 5) {
     const std::string key = "key-" + std::to_string(i);
     const std::string value = "v2-" + std::to_string(i);
@@ -188,9 +199,9 @@ TEST_F(FaultInjectTest, QuarantinedPartitionRecoversWhileOthersServe) {
     ASSERT_TRUE(log.AppendSet(key, value).ok());
     expected[key] = value;
   }
-  ASSERT_TRUE(ps.Set("post-snapshot", "fresh").ok());
-  ASSERT_TRUE(log.AppendSet("post-snapshot", "fresh").ok());
-  expected["post-snapshot"] = "fresh";
+  ASSERT_TRUE(ps.Set("post-checkpoint", "fresh").ok());
+  ASSERT_TRUE(log.AppendSet("post-checkpoint", "fresh").ok());
+  expected["post-checkpoint"] = "fresh";
   ASSERT_TRUE(log.Commit().ok());
 
   // Attack partition 0.
@@ -217,9 +228,9 @@ TEST_F(FaultInjectTest, QuarantinedPartitionRecoversWhileOthersServe) {
   }
   EXPECT_EQ(ps.ScrubAll().code(), Code::kPartitionRecovering);
 
-  // Rebuild partition 0 from snapshot + committed oplog suffix.
+  // Rebuild partition 0 from its cold copy + the committed oplog.
   ASSERT_TRUE(
-      ps.RecoverPartition(0, sealer, counters, snapdir, [&](kv::KeyValueStore& into) {
+      ps.RecoverPartition(0, sealer, counters, cold, [&](kv::KeyValueStore& into) {
           return OperationLog::Replay(sealer, counters, log_opts, into);
         }).ok());
   EXPECT_FALSE(ps.IsQuarantined(0));
@@ -230,19 +241,6 @@ TEST_F(FaultInjectTest, QuarantinedPartitionRecoversWhileOthersServe) {
     EXPECT_EQ(got.value(), value);
   }
   EXPECT_TRUE(ps.ScrubAll().ok());
-}
-
-TEST_F(FaultInjectTest, RecoverPartitionRejectsGeometryMismatch) {
-  sgx::SealingService sealer(AsBytes("fuse"), enclave_.measurement());
-  sgx::MonotonicCounterService counters(counter_opts_);
-  PartitionedStore four(enclave_, SmallOptions(), 4);
-  ASSERT_TRUE(four.Set("k", "v").ok());
-  const std::string snapdir = dir_ + "/snap";
-  ASSERT_TRUE(four.SnapshotAll(sealer, counters, snapdir).ok());
-
-  PartitionedStore two(enclave_, SmallOptions(), 2);
-  EXPECT_EQ(two.RecoverPartition(0, sealer, counters, snapdir).code(),
-            Code::kInvalidArgument);
 }
 
 // ----------------------------------------------- crash-safe snapshot files

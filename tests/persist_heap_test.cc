@@ -1,9 +1,11 @@
 // mmap-backed persistent untrusted heap, end to end: O(1) restart attach +
 // WAL-tail-only replay, crash-matrix durability (fully-old-or-fully-new, no
 // acked-write loss), incremental msync checkpoints, lazy MAC verification
-// catching arena-file tamper (live and across a restart), and file-shipped
+// catching arena-file tamper (live and across a restart), online heal of a
+// tampered arena from its cold copy plus the WAL suffix, and file-shipped
 // replica bootstrap.
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <filesystem>
@@ -78,6 +80,9 @@ struct Stack {
   std::unique_ptr<PartitionedStore> store;
   std::unique_ptr<WriteAheadStore> wal;
   std::unique_ptr<SelfHealer> healer;
+  std::string cold_dir;  // the healer's cold copies
+
+  Status Checkpoint() { return store->CheckpointAll(*sealer, *counters, cold_dir); }
 
   Status Boot() {
     if (Status st = wal->Open(); !st.ok()) {
@@ -123,8 +128,9 @@ class PersistHeapTest : public ::testing::Test {
     log_opts.path = dir + "/wal.log";
     log_opts.metrics = s.metrics.get();
     s.wal = std::make_unique<WriteAheadStore>(*s.store, *s.sealer, *s.counters, log_opts);
+    s.cold_dir = dir + "/cold";
     SelfHealOptions heal_opts;
-    heal_opts.directory = dir + "/snapshots";
+    heal_opts.directory = s.cold_dir;
     s.healer = std::make_unique<SelfHealer>(*s.wal, *s.sealer, *s.counters, heal_opts);
     return s;
   }
@@ -134,7 +140,7 @@ class PersistHeapTest : public ::testing::Test {
   void LocateValueByte(Stack& s, const std::string& key, size_t* partition,
                        std::string* heap_file, uint64_t* offset) {
     *partition = s.store->PartitionOf(key);
-    *heap_file = s.store->persist_dir() + "/p" + std::to_string(*partition) + ".heap";
+    *heap_file = s.store->partition_arena(*partition)->path();
     const Status st = s.store->WithPartitionLocked(*partition, [&](shieldstore::Store& p) {
       const uint64_t ref = StoreTestPeer::EntryRef(p, key);
       if (ref == 0) {
@@ -162,7 +168,7 @@ TEST_F(PersistHeapTest, RestartRoundTripWithOverwritesAndDeletes) {
     }
     // Fold the first wave into the arena, then keep mutating so the restart
     // exercises BOTH the attached generation and the WAL tail on top of it.
-    ASSERT_TRUE(s.store->CheckpointAll(*s.sealer, *s.counters).ok());
+    ASSERT_TRUE(s.Checkpoint().ok());
     for (int i = 0; i < 120; ++i) {
       const std::string k = "key-" + std::to_string(i);
       const std::string v = "rewritten-" + std::to_string(i) + std::string(64, 'x');
@@ -219,7 +225,7 @@ TEST_F(PersistHeapTest, CrashMatrixLosesNoAckedWrite) {
         ASSERT_NE(s.store->partition_arena(p), nullptr);
         s.store->partition_arena(p)->InjectCrash(point);
       }
-      const Status st = s.store->CheckpointAll(*s.sealer, *s.counters);
+      const Status st = s.Checkpoint();
       ASSERT_EQ(st.code(), Code::kIoError) << "injection should have fired: " << st.ToString();
     }  // teardown unmaps without msync — the in-memory mirror dies with it
 
@@ -241,7 +247,7 @@ TEST_F(PersistHeapTest, IncrementalCheckpointSyncsOnlyDirtyState) {
   for (int i = 0; i < 2000; ++i) {
     ASSERT_TRUE(s.wal->Set("bulk-" + std::to_string(i), std::string(100, 'a' + i % 26)).ok());
   }
-  ASSERT_TRUE(s.store->CheckpointAll(*s.sealer, *s.counters).ok());
+  ASSERT_TRUE(s.Checkpoint().ok());
   uint64_t full = 0;
   for (size_t p = 0; p < kPartitions; ++p) {
     full += s.store->partition_arena(p)->last_commit_msync_bytes();
@@ -251,7 +257,7 @@ TEST_F(PersistHeapTest, IncrementalCheckpointSyncsOnlyDirtyState) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(s.wal->Set("bulk-" + std::to_string(i * 97), "touched").ok());
   }
-  ASSERT_TRUE(s.store->CheckpointAll(*s.sealer, *s.counters).ok());
+  ASSERT_TRUE(s.Checkpoint().ok());
   uint64_t incremental = 0;
   for (size_t p = 0; p < kPartitions; ++p) {
     incremental += s.store->partition_arena(p)->last_commit_msync_bytes();
@@ -270,7 +276,7 @@ TEST_F(PersistHeapTest, LiveArenaFileTamperDetectedBeforeServing) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(s.wal->Set("live-" + std::to_string(i), "payload-" + std::to_string(i)).ok());
   }
-  ASSERT_TRUE(s.store->CheckpointAll(*s.sealer, *s.counters).ok());
+  ASSERT_TRUE(s.Checkpoint().ok());
   const std::string victim = "live-42";
   size_t partition = 0;
   std::string heap_file;
@@ -295,7 +301,7 @@ TEST_F(PersistHeapTest, OfflineTamperCaughtByLazyVerificationAfterRestart) {
       ASSERT_TRUE(s.wal->Set("off-" + std::to_string(i), "payload-" + std::to_string(i)).ok());
     }
     victim = "off-7";
-    ASSERT_TRUE(s.store->CheckpointAll(*s.sealer, *s.counters).ok());
+    ASSERT_TRUE(s.Checkpoint().ok());
     // Truncate the WAL tail: the victim must exist ONLY in the arena, else
     // the restart's replay would legitimately reseal it over the tamper.
     ASSERT_TRUE(s.wal->ResetAllLogs().ok());
@@ -310,13 +316,124 @@ TEST_F(PersistHeapTest, OfflineTamperCaughtByLazyVerificationAfterRestart) {
   EXPECT_EQ(s.wal->Get(victim).status().code(), Code::kIntegrityFailure)
       << "tampered entry must never be served";
   EXPECT_TRUE(s.store->IsQuarantined(partition));
-  // The scrub-based persist recovery cannot clean a genuinely tampered
-  // partition: it stays quarantined (restore it from a replica's files).
+  // Boot's checkpoint does not audit (attach stays O(1)), so its cold copy
+  // carries the tamper at rest too: heal's audit refuses it, typed, and the
+  // partition stays fenced rather than serve it.
   for (int i = 0; i < 10; ++i) {
     s.healer->Tick();
   }
   EXPECT_TRUE(s.store->IsQuarantined(partition));
   EXPECT_GT(s.healer->failed_recoveries(), 0u);
+  EXPECT_EQ(s.healer->last_error().code(), Code::kIntegrityFailure)
+      << s.healer->last_error().ToString();
+}
+
+// A tamper of the live arena while serving: the maintenance tick lays the
+// cold copy over the heap file, attaches it, replays the shard's WAL suffix
+// and re-admits the partition — no operator step, no acked write lost.
+TEST_F(PersistHeapTest, TamperedLiveArenaHealsFromColdCopyPlusWalSuffix) {
+  std::map<std::string, std::string> acked;
+  {
+    Stack s = MakeStack(dir_);
+    ASSERT_TRUE(s.Boot().ok());
+    for (int i = 0; i < 100; ++i) {
+      const std::string k = "heal-" + std::to_string(i);
+      ASSERT_TRUE(s.wal->Set(k, "arena-" + std::to_string(i)).ok());
+      acked[k] = "arena-" + std::to_string(i);
+    }
+    // Fold the first wave into the arenas and their cold copies, as a
+    // compaction does.
+    for (size_t shard = 0; shard < s.wal->num_shards(); ++shard) {
+      ASSERT_TRUE(s.wal->CompactShard(shard, s.cold_dir).ok());
+    }
+    // The WAL suffix: rewrites, deletes and fresh keys after the cold copy.
+    for (int i = 0; i < 100; i += 3) {
+      const std::string k = "heal-" + std::to_string(i);
+      ASSERT_TRUE(s.wal->Set(k, "suffix-" + std::to_string(i)).ok());
+      acked[k] = "suffix-" + std::to_string(i);
+    }
+    for (int i = 1; i < 100; i += 10) {
+      ASSERT_TRUE(s.wal->Delete("heal-" + std::to_string(i)).ok());
+      acked.erase("heal-" + std::to_string(i));
+    }
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(s.wal->Set("fresh-" + std::to_string(i), "f").ok());
+      acked["fresh-" + std::to_string(i)] = "f";
+    }
+    const std::string victim = "heal-50";  // in the arena only: not rewritten since
+    size_t partition = 0;
+    std::string heap_file;
+    uint64_t offset = 0;
+    ASSERT_NO_FATAL_FAILURE(LocateValueByte(s, victim, &partition, &heap_file, &offset));
+    ASSERT_TRUE(TamperAgent::FlipFileByte(heap_file, offset).ok());
+    EXPECT_EQ(s.wal->Get(victim).status().code(), Code::kIntegrityFailure);
+    ASSERT_TRUE(s.store->IsQuarantined(partition));
+
+    s.healer->Tick();  // recovery comes first in a tick
+    ASSERT_FALSE(s.store->IsQuarantined(partition)) << s.healer->last_error().ToString();
+    EXPECT_EQ(s.healer->recoveries(), 1u);
+    for (const auto& [k, v] : acked) {
+      const Result<std::string> got = s.wal->Get(k);
+      ASSERT_TRUE(got.ok()) << k << ": " << got.status().ToString();
+      EXPECT_EQ(*got, v) << k;
+    }
+    EXPECT_EQ(s.wal->Get("heal-1").status().code(), Code::kNotFound);
+    EXPECT_EQ(s.store->Size(), acked.size());
+    EXPECT_TRUE(s.store->ScrubAll().ok());
+    // The healed partition keeps serving writes and survives a restart.
+    ASSERT_TRUE(s.wal->Set(victim, "after-heal").ok());
+    acked[victim] = "after-heal";
+  }
+  Stack restarted = MakeStack(dir_);
+  ASSERT_TRUE(restarted.Boot().ok());
+  for (const auto& [k, v] : acked) {
+    const Result<std::string> got = restarted.wal->Get(k);
+    ASSERT_TRUE(got.ok()) << k << ": " << got.status().ToString();
+    EXPECT_EQ(*got, v) << k;
+  }
+}
+
+// Heal refuses a baseline it cannot trust, typed, and leaves the partition
+// fenced: a missing cold copy is kNotFound, one put back from before the
+// last compaction is kRollbackDetected.
+TEST_F(PersistHeapTest, HealRefusesMissingOrStaleColdCopy) {
+  Stack s = MakeStack(dir_);
+  ASSERT_TRUE(s.Boot().ok());
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(s.wal->Set("cold-" + std::to_string(i), "v" + std::to_string(i)).ok());
+  }
+  const size_t victim = s.store->PartitionOf("cold-7");
+  const size_t shard = s.wal->ShardOfPartition(victim);
+  const std::string cold = s.cold_dir + "/p" + std::to_string(victim) + ".heap";
+  const std::string older = dir_ + "/older.heap";
+  std::filesystem::copy_file(cold, older);
+  ASSERT_TRUE(s.wal->CompactShard(shard, s.cold_dir).ok());
+  const auto heal = [&] {
+    EXPECT_FALSE(s.store
+                     ->WithPartitionLocked(victim, [](shieldstore::Store&) {
+                       return Status(Code::kIntegrityFailure, "synthetic violation");
+                     })
+                     .ok());
+    s.healer->Tick();
+    EXPECT_TRUE(s.store->IsQuarantined(victim));
+    return s.healer->last_error().code();
+  };
+
+  std::filesystem::rename(cold, dir_ + "/moved.heap");
+  EXPECT_EQ(heal(), Code::kNotFound) << s.healer->last_error().ToString();
+  std::filesystem::copy_file(older, cold);
+  EXPECT_EQ(heal(), Code::kRollbackDetected) << s.healer->last_error().ToString();
+  EXPECT_EQ(s.healer->failed_recoveries(), 2u);
+
+  // The current cold copy back in place: the next tick heals.
+  std::filesystem::rename(dir_ + "/moved.heap", cold);
+  s.healer->Tick();
+  ASSERT_FALSE(s.store->IsQuarantined(victim)) << s.healer->last_error().ToString();
+  for (int i = 0; i < 50; ++i) {
+    const Result<std::string> got = s.wal->Get("cold-" + std::to_string(i));
+    ASSERT_TRUE(got.ok()) << i << ": " << got.status().ToString();
+    EXPECT_EQ(*got, "v" + std::to_string(i));
+  }
 }
 
 TEST_F(PersistHeapTest, ReplicaBootstrapFromExportedFiles) {
@@ -333,10 +450,21 @@ TEST_F(PersistHeapTest, ReplicaBootstrapFromExportedFiles) {
       expected[k] = v;
     }
     ASSERT_TRUE(s.wal->ExportHeapFiles(replica_dir + "/heap").ok());
-    // The sealed metadata is rollback-bound to the monotonic counters; a
-    // bootstrap ships the counter file alongside the heap files.
+    // The sealed metadata is rollback-bound to the monotonic counters and
+    // the chains to the route key; a bootstrap ships the counter file and
+    // the sealed route key alongside the heap files.
     std::filesystem::copy_file(dir_ + "/counters.bin", replica_dir + "/counters.bin",
                                std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::copy_file(dir_ + "/wal.log.route", replica_dir + "/wal.log.route");
+    // Only the committed extent of each sparse copy is allocated.
+    for (size_t p = 0; p < kPartitions; ++p) {
+      struct stat st{};
+      const std::string copy = replica_dir + "/heap/p" + std::to_string(p) + ".heap";
+      ASSERT_EQ(::stat(copy.c_str(), &st), 0) << copy;
+      EXPECT_LE(static_cast<uint64_t>(st.st_blocks) * 512,
+                s.store->partition_arena(p)->committed_extent() + 4096)
+          << copy;
+    }
   }
 
   Stack replica = MakeStack(replica_dir);
@@ -358,6 +486,7 @@ TEST_F(PersistHeapTest, ReplicaBootstrapFromExportedFiles) {
                                tampered_dir + "/heap/" + entry.path().filename().string());
   }
   std::filesystem::copy_file(replica_dir + "/counters.bin", tampered_dir + "/counters.bin");
+  std::filesystem::copy_file(replica_dir + "/wal.log.route", tampered_dir + "/wal.log.route");
   std::string heap_file;
   uint64_t offset = 0;
   size_t partition = 0;

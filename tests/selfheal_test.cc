@@ -1,8 +1,12 @@
 // Online self-healing, end to end over the network: a partition is tampered
 // while clients drive live traffic; the server (never restarted) quarantines
 // it, keeps serving every other partition, returns the typed
-// kPartitionRecovering for the quarantined one, heals it from snapshot +
-// oplog on its maintenance thread, and loses not one acknowledged write.
+// kPartitionRecovering for the quarantined one, heals it on its maintenance
+// thread — from the arena's cold copy + the shard's WAL suffix, or on a
+// heap-only store from the whole shard log — and loses not one acknowledged
+// write. Every case runs on both store kinds: SelfHealNetTest on the arena
+// store the daemon's --heal-dir runs, SelfHealNetHeapOnlyTest on a heap-only
+// store.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -48,27 +52,37 @@ sgx::EnclaveConfig FastEnclave() {
   return c;
 }
 
-shieldstore::Options StoreOptions(obs::Registry* metrics) {
+// `heap_dir` empty: a heap-only store; else the daemon's arena store.
+shieldstore::Options StoreOptions(obs::Registry* metrics, const std::string& heap_dir) {
   shieldstore::Options o;
   o.num_buckets = 1024;
   o.heap_chunk_bytes = 1u << 20;
   o.scrub_budget_buckets = 128;
   o.metrics = metrics;
+  o.persist_dir = heap_dir;
+  o.persist_capacity_bytes = 4u << 20;
   return o;
 }
 
+std::string FreshDir(const void* owner) {
+  const std::string dir = ::testing::TempDir() + "/selfheal_" + std::to_string(::getpid()) +
+                          "_" + std::to_string(reinterpret_cast<uintptr_t>(owner));
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
 // Full production stack: partitioned store + write-ahead log + self-healer
-// driven by the network server's maintenance thread.
-class SelfHealNetTest : public ::testing::Test {
+// driven by the network server's maintenance thread. `arena` picks the
+// store kind: true = arena (what the daemon's --heal-dir runs), false =
+// heap-only. The scenarios are members so both kinds run the same body.
+class SelfHealStack : public ::testing::Test {
  protected:
-  SelfHealNetTest()
-      : enclave_(FastEnclave()),
+  explicit SelfHealStack(bool arena)
+      : dir_(FreshDir(this)),
+        enclave_(FastEnclave()),
         authority_(AsBytes("ias-root")),
-        store_(enclave_, StoreOptions(&registry_), 4),
+        store_(enclave_, StoreOptions(&registry_, arena ? dir_ + "/heap" : ""), 4),
         sealer_(AsBytes("fuse"), enclave_.measurement()) {
-    dir_ = ::testing::TempDir() + "/selfheal_" + std::to_string(::getpid()) + "_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
-    std::filesystem::create_directories(dir_);
     sgx::MonotonicCounterService::Options counter_opts;
     counter_opts.backing_file = dir_ + "/counters.bin";
     counter_opts.increment_cost_cycles = 0;
@@ -80,11 +94,11 @@ class SelfHealNetTest : public ::testing::Test {
     wal_ = std::make_unique<WriteAheadStore>(store_, sealer_, *counters_, log_opts);
 
     SelfHealOptions heal_opts;
-    heal_opts.directory = dir_ + "/snapshots";
+    heal_opts.directory = dir_ + "/cold";
     healer_ = std::make_unique<SelfHealer>(*wal_, sealer_, *counters_, heal_opts);
   }
 
-  ~SelfHealNetTest() override {
+  ~SelfHealStack() override {
     if (server_ != nullptr) {
       server_->Stop();
     }
@@ -112,7 +126,12 @@ class SelfHealNetTest : public ::testing::Test {
     }
   }
 
+  void RunTamperedPartitionHealsUnderLiveTrafficWithNoAckedLoss();
+  void RunBackgroundScrubDetectsAndHealsSilentTamper();
+  void RunQuarantineGaugesFollowScrubAndRecovery();
+
   obs::Registry registry_;  // the whole stack's, so counts are this test's
+  std::string dir_;
   sgx::Enclave enclave_;
   sgx::AttestationAuthority authority_;
   PartitionedStore store_;
@@ -121,10 +140,9 @@ class SelfHealNetTest : public ::testing::Test {
   std::unique_ptr<WriteAheadStore> wal_;
   std::unique_ptr<SelfHealer> healer_;
   std::unique_ptr<Server> server_;
-  std::string dir_;
 };
 
-TEST_F(SelfHealNetTest, TamperedPartitionHealsUnderLiveTrafficWithNoAckedLoss) {
+void SelfHealStack::RunTamperedPartitionHealsUnderLiveTrafficWithNoAckedLoss() {
   StartStack();
 
   // Seed through the network so every write is acknowledged and logged.
@@ -288,7 +306,7 @@ TEST_F(SelfHealNetTest, TamperedPartitionHealsUnderLiveTrafficWithNoAckedLoss) {
   EXPECT_TRUE(store_.ScrubAll().ok());
 }
 
-TEST_F(SelfHealNetTest, BackgroundScrubDetectsAndHealsSilentTamper) {
+void SelfHealStack::RunBackgroundScrubDetectsAndHealsSilentTamper() {
   StartStack();
 
   Client client(authority_, enclave_.measurement());
@@ -326,7 +344,7 @@ TEST_F(SelfHealNetTest, BackgroundScrubDetectsAndHealsSilentTamper) {
 // Quarantine state lives in the registry: the transition into quarantine
 // raises store.quarantined and the partition's own gauge, and re-admission
 // by the healer lowers both.
-TEST_F(SelfHealNetTest, QuarantineGaugesFollowScrubAndRecovery) {
+void SelfHealStack::RunQuarantineGaugesFollowScrubAndRecovery() {
   ASSERT_TRUE(wal_->Open().ok());
   ASSERT_TRUE(healer_->Start().ok());
   for (int i = 0; i < 100; ++i) {
@@ -350,6 +368,36 @@ TEST_F(SelfHealNetTest, QuarantineGaugesFollowScrubAndRecovery) {
   EXPECT_EQ(snap.GaugeValue("store.quarantined", -1), 0);
   EXPECT_EQ(snap.GaugeValue(victim_gauge, 0), 0);
   EXPECT_EQ(snap.CounterValue("heal.recoveries"), 1u);
+}
+
+class SelfHealNetTest : public SelfHealStack {
+ protected:
+  SelfHealNetTest() : SelfHealStack(/*arena=*/true) {}
+};
+
+class SelfHealNetHeapOnlyTest : public SelfHealStack {
+ protected:
+  SelfHealNetHeapOnlyTest() : SelfHealStack(/*arena=*/false) {}
+};
+
+TEST_F(SelfHealNetTest, TamperedPartitionHealsUnderLiveTrafficWithNoAckedLoss) {
+  RunTamperedPartitionHealsUnderLiveTrafficWithNoAckedLoss();
+}
+TEST_F(SelfHealNetTest, BackgroundScrubDetectsAndHealsSilentTamper) {
+  RunBackgroundScrubDetectsAndHealsSilentTamper();
+}
+TEST_F(SelfHealNetTest, QuarantineGaugesFollowScrubAndRecovery) {
+  RunQuarantineGaugesFollowScrubAndRecovery();
+}
+
+TEST_F(SelfHealNetHeapOnlyTest, TamperedPartitionHealsUnderLiveTrafficWithNoAckedLoss) {
+  RunTamperedPartitionHealsUnderLiveTrafficWithNoAckedLoss();
+}
+TEST_F(SelfHealNetHeapOnlyTest, BackgroundScrubDetectsAndHealsSilentTamper) {
+  RunBackgroundScrubDetectsAndHealsSilentTamper();
+}
+TEST_F(SelfHealNetHeapOnlyTest, QuarantineGaugesFollowScrubAndRecovery) {
+  RunQuarantineGaugesFollowScrubAndRecovery();
 }
 
 }  // namespace

@@ -57,7 +57,7 @@ void KillServer(ServerProc* proc, int sig) {
 // Launches the daemon and blocks until it prints its measurement line
 // (which it emits only after the listener is up). extra_args are appended to
 // the command line; extra_env entries are set in the CHILD only, between
-// fork and execv — this is how the persist-heap matrix arms
+// fork and execv — this is how the arena crash matrix arms
 // SHIELD_ARENA_CRASH without poisoning the test process's own environment.
 bool StartServer(const std::string& heal_dir, uint16_t port, ServerProc* proc,
                  const std::vector<std::string>& extra_args = {},
@@ -209,7 +209,7 @@ TEST(WalCrashTest, Kill9MidLoadLosesNoAckedWriteAndLogsStayBounded) {
   }
   EXPECT_EQ(shard_files, 4u);
 
-  // Relaunch on the same heal-dir: restore = snapshots + committed shard
+  // Relaunch on the same heal-dir: restore = arenas + committed shard
   // logs. Zero acknowledged-write loss, byte for byte.
   ASSERT_TRUE(StartServer(dir, port, &server)) << "daemon did not restart";
   net::Client verify(authority, server.measurement);
@@ -306,8 +306,8 @@ TEST(WalCrashTest, Kill9UnderPipelinedSessionsLosesNoAckedWrite) {
   std::filesystem::remove_all(dir);
 }
 
-// Persist-heap crash matrix against the REAL binary: for each arena commit
-// crash point, (1) load acked writes into a --persist-heap server and
+// Arena crash matrix against the REAL binary: for each arena commit crash
+// point, (1) load acked writes into a --heal-dir server and
 // SIGKILL it hot, (2) relaunch with SHIELD_ARENA_CRASH armed so the boot-time
 // checkpoint dies by SIGKILL mid-commit at exactly that point, (3) relaunch
 // clean and demand every acknowledged write back byte for byte. The arena
@@ -324,8 +324,7 @@ TEST(WalCrashTest, PersistHeapKill9CrashMatrixLosesNoAckedWrite) {
     std::filesystem::remove_all(dir);
     std::filesystem::create_directories(dir);
     const uint16_t port = static_cast<uint16_t>(25000 + ::getpid() % 2000);
-    const std::vector<std::string> persist_args = {
-        "--persist-heap", dir + "/heap", "--persist-capacity-mb", "16"};
+    const std::vector<std::string> persist_args = {"--persist-capacity-mb", "16"};
 
     // Run 1: durable-ack load. Values are big enough that the compactor's
     // arena checkpoints fire mid-load, so the kill lands on a file holding

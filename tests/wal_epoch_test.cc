@@ -54,13 +54,22 @@ shieldstore::Options SmallOptions() {
   return o;
 }
 
+// The daemon's durable store: per-partition arenas under `dir`/heap.
+shieldstore::Options ArenaOptions(const std::string& dir) {
+  shieldstore::Options o = SmallOptions();
+  o.persist_dir = dir + "/heap";
+  o.persist_capacity_bytes = 1 << 20;
+  return o;
+}
+
 using KeyMap = std::map<std::string, std::string>;
 
 class WalEpochTest : public ::testing::Test {
  protected:
   WalEpochTest() : enclave_(TestEnclaveConfig("wal-epoch-a")) {
-    dir_ = ::testing::TempDir() + "/wal_epoch_" + std::to_string(::getpid()) + "_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    root_ = ::testing::TempDir() + "/wal_epoch_" + std::to_string(::getpid()) + "_" +
+            std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = root_ + "/node";
     std::filesystem::create_directories(dir_);
     sgx::MonotonicCounterService::Options counter_opts;
     counter_opts.backing_file = dir_ + "/counters.bin";
@@ -68,7 +77,7 @@ class WalEpochTest : public ::testing::Test {
     counters_ = std::make_unique<sgx::MonotonicCounterService>(counter_opts);
     sealer_ = std::make_unique<sgx::SealingService>(AsBytes("fuse"), enclave_.measurement());
   }
-  ~WalEpochTest() override { std::filesystem::remove_all(dir_); }
+  ~WalEpochTest() override { std::filesystem::remove_all(root_); }
 
   // Durable acks: every Set returns only once an epoch covers it.
   OpLogOptions LogOptions() {
@@ -78,13 +87,13 @@ class WalEpochTest : public ::testing::Test {
     o.group_commit_window_us = 100;
     return o;
   }
-  std::string SnapshotDir() const { return dir_ + "/snapshots"; }
+  std::string ColdDir() const { return dir_ + "/cold"; }
   std::string ShardPath(size_t shard) const {
     return dir_ + "/wal.log.p" + std::to_string(shard);
   }
   SelfHealOptions HealOptions() const {
     SelfHealOptions o;
-    o.directory = SnapshotDir();
+    o.directory = ColdDir();
     o.scrub = false;
     return o;
   }
@@ -113,23 +122,32 @@ class WalEpochTest : public ::testing::Test {
     return dump;
   }
 
-  // Boots a second stack over the directory: the Open status, then the
-  // RestoreFromDisk status and what it restored.
+  // Boots a second stack over the durable state: the Open status, then the
+  // RestoreFromDisk status and what it restored. An arena store restarts on
+  // a copy of the directory taken now (the live store still maps its heap
+  // files).
   struct Restarted {
     Status opened;
     Status restored;
     KeyMap dump;
   };
-  Restarted Restart(size_t partitions) {
-    sgx::Enclave enclave2(TestEnclaveConfig("wal-epoch-b"));
-    PartitionedStore store2(enclave2, SmallOptions(), partitions);
-    obs::Registry registry;
+  Restarted Restart(size_t partitions, bool arena = false) {
     OpLogOptions opts = LogOptions();
+    shieldstore::Options options = SmallOptions();
+    if (arena) {
+      const std::string copy = root_ + "/restart" + std::to_string(restarts_++);
+      std::filesystem::copy(dir_, copy, std::filesystem::copy_options::recursive);
+      opts.path = copy + "/wal.log";
+      options = ArenaOptions(copy);
+    }
+    sgx::Enclave enclave2(TestEnclaveConfig("wal-epoch-b"));
+    PartitionedStore store2(enclave2, options, partitions);
+    obs::Registry registry;
     opts.metrics = &registry;
     WriteAheadStore wal2(store2, *sealer_, *counters_, opts);
     Restarted r;
     r.opened = wal2.Open();
-    r.restored = wal2.RestoreFromDisk(SnapshotDir());
+    r.restored = wal2.RestoreFromDisk();
     r.dump = Dump(store2);
     return r;
   }
@@ -156,13 +174,15 @@ class WalEpochTest : public ::testing::Test {
   sgx::Enclave enclave_;
   std::unique_ptr<sgx::MonotonicCounterService> counters_;
   std::unique_ptr<sgx::SealingService> sealer_;
-  std::string dir_;
+  std::string root_;  // removed at teardown
+  std::string dir_;   // the durable state
+  int restarts_ = 0;
 };
 
 // ------------------------------------------------------- rollback battery
 
 TEST_F(WalEpochTest, ShardLogRolledBackWhileOtherShardStaysCurrentIsDetected) {
-  PartitionedStore store(enclave_, SmallOptions(), 2);
+  PartitionedStore store(enclave_, ArenaOptions(dir_), 2);
   WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
   ASSERT_TRUE(wal.Open().ok());
   SelfHealer healer(wal, *sealer_, *counters_, HealOptions());
@@ -183,7 +203,7 @@ TEST_F(WalEpochTest, ShardLogRolledBackWhileOtherShardStaysCurrentIsDetected) {
 
   // The live healer replays shard 0 up to the head its epoch covers.
   EXPECT_EQ(HealPartition(store, healer, 0).code(), Code::kRollbackDetected);
-  ExpectRollback(Restart(2));
+  ExpectRollback(Restart(2, true));
 }
 
 TEST_F(WalEpochTest, EpochFileRolledBackIsDetected) {
@@ -205,7 +225,7 @@ TEST_F(WalEpochTest, EpochFileRolledBackIsDetected) {
 }
 
 TEST_F(WalEpochTest, ShardSwappedForItsPreCompactionGenerationIsDetected) {
-  PartitionedStore store(enclave_, SmallOptions(), 2);
+  PartitionedStore store(enclave_, ArenaOptions(dir_), 2);
   WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
   ASSERT_TRUE(wal.Open().ok());
   SelfHealer healer(wal, *sealer_, *counters_, HealOptions());
@@ -215,14 +235,14 @@ TEST_F(WalEpochTest, ShardSwappedForItsPreCompactionGenerationIsDetected) {
   }
   const std::string copy = dir_ + "/p0.pre-compaction";
   std::filesystem::copy_file(ShardPath(0), copy);
-  ASSERT_TRUE(wal.CompactShard(0, SnapshotDir()).ok());
+  ASSERT_TRUE(wal.CompactShard(0, ColdDir()).ok());
   // The new generation holds no record yet: only its generation tells it
   // apart from the old file.
   std::filesystem::copy_file(copy, ShardPath(0),
                              std::filesystem::copy_options::overwrite_existing);
 
   EXPECT_EQ(HealPartition(store, healer, 0).code(), Code::kRollbackDetected);
-  ExpectRollback(Restart(2));
+  ExpectRollback(Restart(2, true));
 }
 
 // A heal dir from the release before counter epochs: committed shard logs
@@ -255,7 +275,7 @@ class WalEpochCrashTest : public WalEpochTest, public ::testing::WithParamInterf
 // is acked. Every write acked before must survive two restarts, which must
 // agree with each other (recovery is repeatable).
 TEST_P(WalEpochCrashTest, CrashLosesNoAckedWriteAndRestartIsRepeatable) {
-  PartitionedStore store(enclave_, SmallOptions(), 4);
+  PartitionedStore store(enclave_, ArenaOptions(dir_), 4);
   WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
   ASSERT_TRUE(wal.Open().ok());
   SelfHealer healer(wal, *sealer_, *counters_, HealOptions());
@@ -278,7 +298,7 @@ TEST_P(WalEpochCrashTest, CrashLosesNoAckedWriteAndRestartIsRepeatable) {
       break;
     case Crash::kGenerationSwitch:
       ASSERT_FALSE(
-          wal.CompactShard(0, SnapshotDir(), WriteAheadStore::CompactionCrash::kGenerationSwitch)
+          wal.CompactShard(0, ColdDir(), WriteAheadStore::CompactionCrash::kGenerationSwitch)
               .ok());
       break;
   }
@@ -293,7 +313,7 @@ TEST_P(WalEpochCrashTest, CrashLosesNoAckedWriteAndRestartIsRepeatable) {
   }
   ASSERT_FALSE(first_lost.empty()) << "the crash point was never reached";
 
-  const Restarted first = Restart(4);
+  const Restarted first = Restart(4, true);
   ASSERT_TRUE(first.opened.ok()) << first.opened.ToString();
   ASSERT_TRUE(first.restored.ok()) << first.restored.ToString();
   for (const auto& [key, value] : acked) {
@@ -306,7 +326,7 @@ TEST_P(WalEpochCrashTest, CrashLosesNoAckedWriteAndRestartIsRepeatable) {
     // the bump, so the write nobody was told about survives.
     EXPECT_EQ(first.dump.count(first_lost), 1u) << first_lost << " was not rolled forward";
   }
-  const Restarted second = Restart(4);
+  const Restarted second = Restart(4, true);
   ASSERT_TRUE(second.opened.ok()) << second.opened.ToString();
   ASSERT_TRUE(second.restored.ok()) << second.restored.ToString();
   EXPECT_EQ(second.dump, first.dump);

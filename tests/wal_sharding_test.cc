@@ -1,12 +1,14 @@
 // Sharded write-ahead log: shard routing, durable group-commit acks,
-// bounded-log compaction (including its injected-crash matrix), geometry
-// changes across restarts, stats, and the refusal of a leftover
-// pre-sharding single-log layout.
+// bounded-log compaction on an arena store (including its injected-crash
+// matrix), the refusal of another geometry on restart, stats, and the
+// refusal of a leftover pre-sharding single-log layout.
 //
-// Restart simulation: build a SECOND stack over the same directory (same
-// counter backing file, fresh enclave-drawn route key) and RestoreFromDisk —
-// exactly what the daemon does at boot. Acked-write checks always go through
-// that restored copy, never the live store's memory.
+// Restart simulation: build a SECOND stack over the same durable state (same
+// counter service, fresh enclave-drawn route key until the sealed one
+// loads) and RestoreFromDisk — exactly what the daemon does at boot. An
+// arena store restarts on a copy of its directory, since the live store
+// still maps its heap files. Acked-write checks always go through that
+// restored copy, never the live store's memory.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -57,14 +59,23 @@ shieldstore::Options SmallOptions() {
   return o;
 }
 
+// The daemon's durable store: per-partition arenas under `dir`/heap.
+shieldstore::Options ArenaOptions(const std::string& dir) {
+  shieldstore::Options o = SmallOptions();
+  o.persist_dir = dir + "/heap";
+  o.persist_capacity_bytes = 1 << 20;
+  return o;
+}
+
 class WalShardingTest : public ::testing::Test {
  protected:
   WalShardingTest() : enclave_(TestEnclaveConfig("wal-sharding-a")) {
     // Keyed by pid AND fixture address: ctest runs each case of this binary
     // as its own process, and two processes can land `this` on the same
     // heap address.
-    dir_ = ::testing::TempDir() + "/wal_sharding_" + std::to_string(::getpid()) + "_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    root_ = ::testing::TempDir() + "/wal_sharding_" + std::to_string(::getpid()) + "_" +
+            std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = root_ + "/node";
     std::filesystem::create_directories(dir_);
     sgx::MonotonicCounterService::Options counter_opts;
     counter_opts.backing_file = dir_ + "/counters.bin";
@@ -72,7 +83,7 @@ class WalShardingTest : public ::testing::Test {
     counters_ = std::make_unique<sgx::MonotonicCounterService>(counter_opts);
     sealer_ = std::make_unique<sgx::SealingService>(AsBytes("fuse"), enclave_.measurement());
   }
-  ~WalShardingTest() override { std::filesystem::remove_all(dir_); }
+  ~WalShardingTest() override { std::filesystem::remove_all(root_); }
 
   OpLogOptions LogOptions() {
     OpLogOptions o;
@@ -80,19 +91,30 @@ class WalShardingTest : public ::testing::Test {
     o.metrics = &registry_;
     return o;
   }
-  std::string SnapshotDir() const { return dir_ + "/snapshots"; }
+  std::string ColdDir() const { return dir_ + "/cold"; }
 
-  // Boots a fresh stack over this test's directory (a different enclave, so
-  // a different route key — restore must be route-agnostic) and restores the
-  // durable state, as the daemon does after a crash.
+  // Boots a fresh stack over this test's durable state (a different enclave,
+  // so a different per-process route key until Open loads the sealed one)
+  // and restores it, as the daemon does after a crash. An arena store
+  // restarts on a copy of the directory taken now: the live store still maps
+  // its heap files, and two stores must not allocate in one file.
   std::map<std::string, std::string> RestartAndDump(size_t partitions,
-                                                    const OpLogOptions& log_opts) {
+                                                    const OpLogOptions& log_opts,
+                                                    bool arena = false) {
+    OpLogOptions opts = log_opts;
+    shieldstore::Options options = SmallOptions();
+    if (arena) {
+      const std::string copy = root_ + "/restart" + std::to_string(restarts_++);
+      std::filesystem::copy(dir_, copy, std::filesystem::copy_options::recursive);
+      opts.path = copy + "/wal.log";
+      options = ArenaOptions(copy);
+    }
     sgx::Enclave enclave2(TestEnclaveConfig("wal-sharding-b"));
-    sgx::SealingService sealer2(AsBytes("fuse"), enclave2.measurement());
-    PartitionedStore store2(enclave2, SmallOptions(), partitions);
-    WriteAheadStore wal2(store2, *sealer_, *counters_, log_opts);
-    EXPECT_TRUE(wal2.Open().ok());
-    const Status restored = wal2.RestoreFromDisk(SnapshotDir());
+    PartitionedStore store2(enclave2, options, partitions);
+    WriteAheadStore wal2(store2, *sealer_, *counters_, opts);
+    const Status opened = wal2.Open();
+    EXPECT_TRUE(opened.ok()) << opened.ToString();
+    const Status restored = wal2.RestoreFromDisk();
     EXPECT_TRUE(restored.ok()) << restored.ToString();
     return Dump(store2);
   }
@@ -111,64 +133,11 @@ class WalShardingTest : public ::testing::Test {
     return dump;
   }
 
-  // Restart is how the partition count changes. Boot 1 runs 4 partitions,
-  // folds its writes into snapshots and leaves more in the shard logs. Boot 2
-  // restores into `target` partitions under a fresh route key, rebaselines
-  // and writes again. Boot 3 restores in that geometry once more. Every acked
-  // key must re-route, re-encrypt and read back after each restart.
-  void CheckRestartChangesGeometry(size_t target) {
-    const std::string base = dir_ + "/to" + std::to_string(target);
-    std::filesystem::create_directories(base);
-    OpLogOptions log_opts;
-    log_opts.path = base + "/wal.log";
-    log_opts.group_commit_window_us = 50;  // acked ⇒ fsync'd, as in the daemon
-    SelfHealOptions heal_opts;
-    heal_opts.directory = base + "/snapshots";
-    heal_opts.scrub = false;
-    std::map<std::string, std::string> acked;
-    // Boots `partitions` partitions in the enclave seeded `seed`, checks the
-    // restore against `acked`, rebaselines, then acks `writes` fresh keys and
-    // overwrites every third key acked before this boot.
-    const auto boot = [&](const char* seed, size_t partitions, int writes, bool compact) {
-      sgx::Enclave enclave(TestEnclaveConfig(seed));
-      PartitionedStore store(enclave, SmallOptions(), partitions);
-      WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
-      ASSERT_TRUE(wal.Open().ok());
-      SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
-      const Status restored = healer.Restore();
-      ASSERT_TRUE(restored.ok()) << restored.ToString();
-      EXPECT_EQ(Dump(store), acked);
-      ASSERT_TRUE(healer.Start().ok());
-      // Start's log reset retires shard files beyond this geometry.
-      for (size_t i = partitions; i < 8; ++i) {
-        EXPECT_FALSE(std::filesystem::exists(log_opts.path + ".p" + std::to_string(i))) << i;
-      }
-      int n = 0;
-      for (auto& [key, value] : acked) {
-        if (n++ % 3 == 0) {
-          value = std::string(seed) + "-rewrite";
-          ASSERT_TRUE(wal.Set(key, value).ok()) << key;
-        }
-      }
-      for (int i = 0; i < writes; ++i) {
-        const std::string key = std::string(seed) + "-" + std::to_string(i);
-        ASSERT_TRUE(wal.Set(key, "v" + std::to_string(i)).ok()) << key;
-        acked[key] = "v" + std::to_string(i);
-        if (compact && i == writes / 2) {
-          for (size_t s = 0; s < wal.num_shards(); ++s) {
-            ASSERT_TRUE(wal.CompactShard(s, heal_opts.directory).ok());  // state → snapshots
-          }
-        }
-      }
-    };
-    boot("wal-sharding-a", 4, 40, /*compact=*/true);
-    boot("wal-sharding-b", target, 20, /*compact=*/false);
-    boot("wal-sharding-c", target, 0, /*compact=*/false);
-  }
-
   obs::Registry registry_;  // this test's WALs only (LogOptions)
   sgx::Enclave enclave_;
-  std::string dir_;
+  std::string root_;  // removed at teardown
+  std::string dir_;   // the durable state: WAL, heap files, cold copies
+  int restarts_ = 0;
   std::unique_ptr<sgx::MonotonicCounterService> counters_;
   std::unique_ptr<sgx::SealingService> sealer_;
 };
@@ -215,6 +184,7 @@ TEST_F(WalShardingTest, ShardCountClampsToPartitionsAndGroupsByModulo) {
   }
 
   OpLogOptions oversized = LogOptions();
+  oversized.path = dir_ + "/wal2.log";  // the first WAL's epoch names 3 shards
   oversized.num_shards = 64;  // more shards than partitions is pointless
   WriteAheadStore clamped(store, *sealer_, *counters_, oversized);
   ASSERT_TRUE(clamped.Open().ok());
@@ -246,13 +216,13 @@ TEST_F(WalShardingTest, DurableWindowAcksSurviveRestart) {
 }
 
 TEST_F(WalShardingTest, CompactionBoundsLogGrowthWithZeroAckedLoss) {
-  PartitionedStore store(enclave_, SmallOptions(), 4);
+  PartitionedStore store(enclave_, ArenaOptions(dir_), 4);
   WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
   ASSERT_TRUE(wal.Open().ok());
 
   constexpr size_t kThreshold = 4096;
   SelfHealOptions heal_opts;
-  heal_opts.directory = SnapshotDir();
+  heal_opts.directory = ColdDir();
   heal_opts.scrub = false;
   heal_opts.compact_log_bytes = kThreshold;
   SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
@@ -286,8 +256,33 @@ TEST_F(WalShardingTest, CompactionBoundsLogGrowthWithZeroAckedLoss) {
     EXPECT_LT(wal.ShardLogBytes(s), kThreshold + burst) << "shard " << s;
   }
 
-  const std::map<std::string, std::string> dump = RestartAndDump(4, LogOptions());
+  const std::map<std::string, std::string> dump = RestartAndDump(4, LogOptions(), true);
   EXPECT_EQ(dump, acked);
+}
+
+// A heap-only WAL (no persistent heap) has the empty store as its baseline:
+// compaction is unsupported, the healer never compacts, and every restart
+// replays the whole history.
+TEST_F(WalShardingTest, HeapOnlyWalKeepsItsWholeHistory) {
+  PartitionedStore store(enclave_, SmallOptions(), 2);
+  WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
+  ASSERT_TRUE(wal.Open().ok());
+  SelfHealOptions heal_opts;
+  heal_opts.scrub = false;
+  heal_opts.compact_log_bytes = 256;
+  SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
+  ASSERT_TRUE(healer.Start().ok());
+  std::map<std::string, std::string> acked;
+  for (int i = 0; i < 64; ++i) {
+    const std::string key = "whole-" + std::to_string(i % 16);
+    ASSERT_TRUE(wal.Set(key, "v" + std::to_string(i)).ok());
+    acked[key] = "v" + std::to_string(i);
+    healer.Tick();
+  }
+  EXPECT_EQ(wal.CompactShard(0, ColdDir()).code(), Code::kUnsupported);
+  EXPECT_EQ(wal.Stats().compactions, 0u);
+  EXPECT_FALSE(std::filesystem::exists(ColdDir()));
+  EXPECT_EQ(RestartAndDump(2, LogOptions()), acked);
 }
 
 class WalCompactionCrashTest
@@ -295,11 +290,11 @@ class WalCompactionCrashTest
       public ::testing::WithParamInterface<WriteAheadStore::CompactionCrash> {};
 
 TEST_P(WalCompactionCrashTest, CrashMidCompactionLosesNoAckedWrite) {
-  PartitionedStore store(enclave_, SmallOptions(), 4);
+  PartitionedStore store(enclave_, ArenaOptions(dir_), 4);
   WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
   ASSERT_TRUE(wal.Open().ok());
   SelfHealOptions heal_opts;
-  heal_opts.directory = SnapshotDir();
+  heal_opts.directory = ColdDir();
   heal_opts.scrub = false;
   SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
   ASSERT_TRUE(healer.Start().ok());
@@ -313,49 +308,59 @@ TEST_P(WalCompactionCrashTest, CrashMidCompactionLosesNoAckedWrite) {
   }
 
   // The injected crash aborts the compaction sequence at the parameterized
-  // point; every shard either kept its old snapshot + full log or has the
-  // new snapshot + (not yet truncated) log — both replay to `acked`.
+  // point; every shard either kept its old arena generation + full log or
+  // has the new one + the (not yet replaced) old log generation — both
+  // replay to `acked`.
+  const bool latches = GetParam() == WriteAheadStore::CompactionCrash::kGenerationSwitch;
   for (size_t s = 0; s < wal.num_shards(); ++s) {
-    const Status crashed = wal.CompactShard(s, SnapshotDir(), GetParam());
+    const Status crashed = wal.CompactShard(s, ColdDir(), GetParam());
     ASSERT_FALSE(crashed.ok()) << "injected crash must surface, shard " << s;
-    EXPECT_GT(wal.ShardLogBytes(s), 8u) << "log must NOT be truncated after the crash";
+    if (!latches) {
+      EXPECT_GT(wal.ShardLogBytes(s), 8u) << "log must NOT be truncated after the crash";
+    }
   }
 
-  const std::map<std::string, std::string> dump = RestartAndDump(4, LogOptions());
+  const std::map<std::string, std::string> dump = RestartAndDump(4, LogOptions(), true);
   EXPECT_EQ(dump, acked);
+  if (latches) {
+    return;  // the shards latched: this process would be gone
+  }
 
   // The surviving store compacts cleanly afterwards (the daemon that
   // restarts after the crash retries on its maintenance thread).
   for (size_t s = 0; s < wal.num_shards(); ++s) {
-    const Status retried = wal.CompactShard(s, SnapshotDir());
+    const Status retried = wal.CompactShard(s, ColdDir());
     ASSERT_TRUE(retried.ok()) << retried.ToString();
     EXPECT_LE(wal.ShardLogBytes(s), 8u + 512u);  // header + epoch-bind commit record
   }
-  EXPECT_EQ(RestartAndDump(4, LogOptions()), acked);
+  EXPECT_EQ(RestartAndDump(4, LogOptions(), true), acked);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     AllCrashPoints, WalCompactionCrashTest,
-    ::testing::Values(WriteAheadStore::CompactionCrash::kSnapshotTempWrite,
-                      WriteAheadStore::CompactionCrash::kSnapshotRename,
-                      WriteAheadStore::CompactionCrash::kBeforeTruncate),
+    ::testing::Values(WriteAheadStore::CompactionCrash::kColdCopyTempWrite,
+                      WriteAheadStore::CompactionCrash::kColdCopyRename,
+                      WriteAheadStore::CompactionCrash::kBeforeTruncate,
+                      WriteAheadStore::CompactionCrash::kGenerationSwitch),
     [](const auto& param_info) {
       switch (param_info.param) {
-        case WriteAheadStore::CompactionCrash::kSnapshotTempWrite:
-          return "AfterSnapshotTempWrite";
-        case WriteAheadStore::CompactionCrash::kSnapshotRename:
-          return "AfterSnapshotRename";
+        case WriteAheadStore::CompactionCrash::kColdCopyTempWrite:
+          return "AfterColdCopyTempWrite";
+        case WriteAheadStore::CompactionCrash::kColdCopyRename:
+          return "AfterColdCopyRename";
+        case WriteAheadStore::CompactionCrash::kGenerationSwitch:
+          return "InsideGenerationSwitch";
         default:
           return "BeforeLogTruncate";
       }
     });
 
 TEST_F(WalShardingTest, CompactionRefusesQuarantinedPartition) {
-  PartitionedStore store(enclave_, SmallOptions(), 2);
+  PartitionedStore store(enclave_, ArenaOptions(dir_), 2);
   WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
   ASSERT_TRUE(wal.Open().ok());
   SelfHealOptions heal_opts;
-  heal_opts.directory = SnapshotDir();
+  heal_opts.directory = ColdDir();
   heal_opts.scrub = false;
   SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
   ASSERT_TRUE(healer.Start().ok());
@@ -371,18 +376,18 @@ TEST_F(WalShardingTest, CompactionRefusesQuarantinedPartition) {
                        })
                    .ok());
   ASSERT_TRUE(store.IsQuarantined(0));
-  const Status refused = wal.CompactShard(wal.ShardOfPartition(0), SnapshotDir());
+  const Status refused = wal.CompactShard(wal.ShardOfPartition(0), ColdDir());
   EXPECT_EQ(refused.code(), Code::kPartitionRecovering) << refused.ToString();
 }
 
 TEST_F(WalShardingTest, StatsCountersTrackLoggingCommitsAndCompactions) {
-  PartitionedStore store(enclave_, SmallOptions(), 4);
+  PartitionedStore store(enclave_, ArenaOptions(dir_), 4);
   OpLogOptions log_opts = LogOptions();
   log_opts.group_commit_ops = 8;  // a group closes at 8 records, window or not
   WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
   ASSERT_TRUE(wal.Open().ok());
   SelfHealOptions heal_opts;
-  heal_opts.directory = SnapshotDir();
+  heal_opts.directory = ColdDir();
   heal_opts.scrub = false;
   SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
   ASSERT_TRUE(healer.Start().ok());
@@ -402,7 +407,7 @@ TEST_F(WalShardingTest, StatsCountersTrackLoggingCommitsAndCompactions) {
   EXPECT_GE(after.fsyncs, wal.num_shards());  // every shard group-committed
 
   for (size_t s = 0; s < wal.num_shards(); ++s) {
-    ASSERT_TRUE(wal.CompactShard(s, SnapshotDir()).ok());
+    ASSERT_TRUE(wal.CompactShard(s, ColdDir()).ok());
   }
   EXPECT_EQ(wal.Stats().compactions - before.compactions, wal.num_shards());
   EXPECT_LT(wal.Stats().log_bytes, after.log_bytes);  // logs truncated
@@ -443,7 +448,6 @@ TEST_F(WalShardingTest, LeftoverUnshardedLogRefusesRestore) {
   WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
   ASSERT_TRUE(wal.Open().ok());
   SelfHealOptions heal_opts;
-  heal_opts.directory = SnapshotDir();
   heal_opts.scrub = false;
   SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
   const Status refused = healer.Restore();
@@ -479,10 +483,72 @@ TEST_F(WalShardingTest, ParallelReplayMatchesSequentialReplay) {
   EXPECT_EQ(RestartAndDump(4, LogOptions()), acked);
 }
 
-TEST_F(WalShardingTest, RestoreIsRouteAndGeometryAgnostic) {
-  for (const size_t target : {6u, 2u}) {  // grow, then shrink
-    SCOPED_TRACE("4 -> " + std::to_string(target) + " partitions");
-    CheckRestartChangesGeometry(target);
+// The geometry is fixed per heal directory: the route key is sealed with the
+// partition count and each epoch names every shard. A restart with 2 of 4
+// partitions and half the buckets (so each arena file's own geometry still
+// matches) would attach p0/p1, ignore p2/p3 and route keys into chains that
+// do not hold them; it is refused, naming both counts, as is another shard
+// count. Restarting with the original geometry then serves every key, on an
+// arena store and on a heap-only one alike.
+TEST_F(WalShardingTest, RestartWithAnotherGeometryIsRefused) {
+  for (const bool arena : {true, false}) {
+    SCOPED_TRACE(arena ? "arena store" : "heap-only store");
+    const std::string base = dir_ + (arena ? "/arena" : "/heap-only");
+    std::filesystem::create_directories(base);
+    OpLogOptions log_opts = LogOptions();
+    log_opts.path = base + "/wal.log";
+    SelfHealOptions heal_opts;
+    heal_opts.directory = base + "/cold";
+    heal_opts.scrub = false;
+    const auto options = [&](size_t buckets) {
+      shieldstore::Options o = arena ? ArenaOptions(base) : SmallOptions();
+      o.num_buckets = buckets;
+      return o;
+    };
+    std::map<std::string, std::string> acked;
+    {
+      PartitionedStore store(enclave_, options(512), 4);
+      WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
+      ASSERT_TRUE(wal.Open().ok());
+      SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
+      ASSERT_TRUE(healer.Restore().ok());
+      ASSERT_TRUE(healer.Start().ok());
+      for (int i = 0; i < 64; ++i) {
+        const std::string key = "geo-" + std::to_string(i);
+        ASSERT_TRUE(wal.Set(key, "v" + std::to_string(i)).ok());
+        acked[key] = "v" + std::to_string(i);
+      }
+      if (arena) {
+        ASSERT_TRUE(wal.CompactShard(0, heal_opts.directory).ok());  // some keys in the arena
+      }
+    }
+    {
+      sgx::Enclave enclave(TestEnclaveConfig("wal-sharding-b"));
+      PartitionedStore halved(enclave, options(256), 2);
+      WriteAheadStore wal(halved, *sealer_, *counters_, log_opts);
+      const Status refused = wal.Open();
+      EXPECT_EQ(refused.code(), Code::kInvalidArgument) << refused.ToString();
+      EXPECT_NE(refused.message().find("4 partitions"), std::string::npos) << refused.ToString();
+      EXPECT_NE(refused.message().find("has 2"), std::string::npos) << refused.ToString();
+    }
+    {
+      sgx::Enclave enclave(TestEnclaveConfig("wal-sharding-c"));
+      PartitionedStore store(enclave, options(512), 4);
+      OpLogOptions two_shards = log_opts;
+      two_shards.num_shards = 2;
+      WriteAheadStore wal(store, *sealer_, *counters_, two_shards);
+      const Status refused = wal.Open();
+      EXPECT_EQ(refused.code(), Code::kInvalidArgument) << refused.ToString();
+      EXPECT_NE(refused.message().find("4 shards"), std::string::npos) << refused.ToString();
+      EXPECT_NE(refused.message().find("has 2"), std::string::npos) << refused.ToString();
+    }
+    sgx::Enclave enclave(TestEnclaveConfig("wal-sharding-d"));
+    PartitionedStore store(enclave, options(512), 4);
+    WriteAheadStore wal(store, *sealer_, *counters_, log_opts);
+    ASSERT_TRUE(wal.Open().ok());
+    SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
+    ASSERT_TRUE(healer.Restore().ok());
+    EXPECT_EQ(Dump(store), acked);
   }
 }
 
@@ -600,7 +666,7 @@ TEST_F(WalShardingTest, ParkedWriterIsAckedAcrossCompactionAndIdleShardStaysQuie
   sgx::MonotonicCounterService::Options counter_opts;
   counter_opts.backing_file = dir_ + "/slow-counters.bin";  // default bump cost
   sgx::MonotonicCounterService slow_counters(counter_opts);
-  PartitionedStore store(enclave_, SmallOptions(), 1);
+  PartitionedStore store(enclave_, ArenaOptions(dir_), 1);
   OpLogOptions log_opts = LogOptions();
   log_opts.group_commit_window_us = 50;
   WriteAheadStore wal(store, *sealer_, slow_counters, log_opts);
@@ -619,7 +685,7 @@ TEST_F(WalShardingTest, ParkedWriterIsAckedAcrossCompactionAndIdleShardStaysQuie
       acked.fetch_add(1);
     });
     std::this_thread::sleep_for(std::chrono::microseconds(100));  // appended, now parked
-    ASSERT_TRUE(wal.CompactShard(0, SnapshotDir()).ok());
+    ASSERT_TRUE(wal.CompactShard(0, ColdDir()).ok());
     const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
     while (acked.load() < 2 && std::chrono::steady_clock::now() < deadline) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -1,17 +1,19 @@
 // Standalone ShieldStore server daemon.
 //
 // Runs the full stack: simulated enclave, partitioned store, attestation
-// authority, encrypted network front end, optional periodic snapshots.
+// authority, encrypted network front end, optional durability.
 //
 //   shieldstore_server --port 4555 --partitions 4 --buckets 1048576 \
 //       --hotcalls --authority-seed my-deployment
 //
-// With --heal-dir the daemon becomes self-healing: every acknowledged
-// mutation is write-ahead logged, a baseline snapshot is written at startup,
+// With --heal-dir DIR the daemon becomes durable and self-healing: the
+// untrusted heap is mmap'd onto per-partition arena files in DIR/heap, every
+// acknowledged mutation is write-ahead logged, each checkpoint (at startup
+// and at every log compaction) writes a cold copy of each arena to DIR/cold,
 // a paced background scrub audits the table, and a partition that fails an
-// integrity check is quarantined and rebuilt online (snapshot + committed
-// log) while the rest of the store keeps serving. Without it the daemon
-// serves volatile data, optionally still scrubbed in the background.
+// integrity check is quarantined and rebuilt online (cold copy + its shard's
+// committed log) while the rest of the store keeps serving. Without it the
+// daemon serves volatile data, optionally still scrubbed in the background.
 //
 // The enclave measurement is printed at startup; clients pass it to
 // shieldstore_cli (out-of-band trust anchor, like a release checksum).
@@ -56,8 +58,7 @@ struct Flags {
   std::string authority_seed = "dev-authority";
   std::string enclave_name = "shieldstore-server-v1";
   std::string heal_dir;         // empty = volatile (no WAL, no recovery)
-  std::string persist_heap;     // mmap-backed untrusted heap dir (needs --heal-dir)
-  size_t persist_capacity_mb = 256;  // arena capacity per partition
+  size_t persist_capacity_mb = 256;  // arena capacity per partition (--heal-dir)
   int scrub_interval_ms = 50;   // maintenance cadence; 0 disables the scrub
   size_t scrub_budget = 0;      // buckets per tick; 0 = Options default
   size_t wal_shards = 0;        // log shards; 0 = one per partition
@@ -87,7 +88,7 @@ void PrintUsage() {
   std::fprintf(stderr,
                "usage: shieldstore_server [--port N] [--partitions N] [--buckets N]\n"
                "    [--epc-mb N] [--hotcalls] [--plaintext] [--authority-seed S] [--name S]\n"
-               "    [--heal-dir DIR] [--persist-heap DIR] [--persist-capacity-mb N]\n"
+               "    [--heal-dir DIR] [--persist-capacity-mb N]\n"
                "    [--scrub-interval-ms N] [--scrub-budget N]\n"
                "    [--wal-shards N] [--wal-window-us N] [--wal-group-ops N]\n"
                "    [--wal-compact-bytes N] [--stats-interval-s N] [--stats-prometheus]\n"
@@ -110,9 +111,10 @@ void PrintUsage() {
                "--replicate-to ships every committed WAL entry to the follower listening\n"
                "on FOLLOWER_PORT (requires --heal-dir; both nodes must share the binary\n"
                "and --authority-seed so the sessions attest).\n"
-               "--persist-heap DIR mmaps the untrusted heap onto p<i>.heap files in DIR:\n"
-               "restart attaches the files in O(1) and replays only the WAL tail instead\n"
-               "of decrypting every snapshot entry (requires --heal-dir for the WAL).\n");
+               "--heal-dir DIR mmaps the untrusted heap onto p<i>.heap arenas in DIR/heap\n"
+               "(--persist-capacity-mb each) and writes their cold copies to DIR/cold:\n"
+               "restart attaches the arenas in O(1) and replays only the WAL tail. The\n"
+               "partition and WAL-shard counts are fixed per heal directory.\n");
 }
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
@@ -144,8 +146,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->enclave_name = next();
     } else if (arg == "--heal-dir") {
       flags->heal_dir = next();
-    } else if (arg == "--persist-heap") {
-      flags->persist_heap = next();
     } else if (arg == "--persist-capacity-mb") {
       flags->persist_capacity_mb = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--scrub-interval-ms") {
@@ -296,19 +296,14 @@ int main(int argc, char** argv) {
   sgx::Enclave enclave(enclave_config);
   sgx::AttestationAuthority authority(AsBytes(flags.authority_seed));
 
-  if (!flags.persist_heap.empty() && flags.heal_dir.empty()) {
-    std::fprintf(stderr,
-                 "--persist-heap requires --heal-dir: the arena checkpoint is the baseline\n"
-                 "but acked-write durability still rides on the WAL tail\n");
-    return 2;
-  }
-
   shieldstore::Options options;
   options.num_buckets = flags.buckets;
   if (flags.scrub_budget > 0) {
     options.scrub_budget_buckets = flags.scrub_budget;
   }
-  options.persist_dir = flags.persist_heap;
+  if (!flags.heal_dir.empty()) {
+    options.persist_dir = flags.heal_dir + "/heap";
+  }
   options.persist_capacity_bytes = std::max<size_t>(flags.persist_capacity_mb, 1) << 20;
   shieldstore::PartitionedStore store(enclave, options, flags.partitions);
 
@@ -336,13 +331,13 @@ int main(int argc, char** argv) {
       return 1;
     }
     shieldstore::SelfHealOptions heal_opts;
-    heal_opts.directory = flags.heal_dir + "/snapshots";
+    heal_opts.directory = flags.heal_dir + "/cold";
     heal_opts.scrub = flags.scrub_interval_ms > 0;
     heal_opts.compact_log_bytes = flags.wal_compact_bytes;
     healer = std::make_unique<shieldstore::SelfHealer>(*wal, *sealer, *counters, heal_opts);
-    // Restore the previous run's durable state (baseline snapshots + the
+    // Restore the previous run's durable state (the attached arenas + the
     // committed suffix of every shard log) into the empty store before
-    // Start() rebaselines it. Replayed ops go straight to the inner store so
+    // Start() checkpoints it. Replayed ops go straight to the inner store so
     // they are not re-logged.
     const auto restore_start = std::chrono::steady_clock::now();
     if (Status s = healer->Restore(); !s.ok()) {
@@ -353,17 +348,12 @@ int main(int argc, char** argv) {
                                 std::chrono::steady_clock::now() - restore_start)
                                 .count();
     if (store.Size() > 0) {
-      std::printf("self-healing: restored %zu keys from %s\n", store.Size(),
-                  flags.heal_dir.c_str());
-    }
-    if (store.persist_enabled()) {
-      std::printf("persistent heap: attached %zu keys from %s in %.2f ms "
-                  "(entry MACs re-verify lazily)\n",
-                  store.Size(), flags.persist_heap.c_str(),
-                  static_cast<double>(restore_ns) / 1e6);
+      std::printf("self-healing: restored %zu keys from %s in %.2f ms "
+                  "(arena attach + WAL tail; entry MACs re-verify lazily)\n",
+                  store.Size(), flags.heal_dir.c_str(), static_cast<double>(restore_ns) / 1e6);
     }
     if (Status s = healer->Start(); !s.ok()) {
-      std::fprintf(stderr, "baseline snapshot failed: %s\n", s.ToString().c_str());
+      std::fprintf(stderr, "baseline checkpoint failed: %s\n", s.ToString().c_str());
       return 1;
     }
   }
@@ -530,15 +520,11 @@ int main(int argc, char** argv) {
                 flags.slo_loop_lag_p99_ms, flags.slo_repl_backlog);
   }
   if (healer != nullptr) {
-    std::printf("self-healing: on (dir %s, scrub every %d ms)\n", flags.heal_dir.c_str(),
-                flags.scrub_interval_ms);
+    std::printf("self-healing: on (dir %s, %zu MB arena per partition, scrub every %d ms)\n",
+                flags.heal_dir.c_str(), flags.persist_capacity_mb, flags.scrub_interval_ms);
     std::printf("wal: %zu shards, %u us group-commit window, %zu ops/group, compact at %zu bytes\n",
                 wal->num_shards(), flags.wal_window_us, flags.wal_group_ops,
                 flags.wal_compact_bytes);
-    if (store.persist_enabled()) {
-      std::printf("persistent heap: %s (%zu MB per partition, %zu partitions)\n",
-                  flags.persist_heap.c_str(), flags.persist_capacity_mb, flags.partitions);
-    }
   } else if (flags.scrub_interval_ms > 0) {
     std::printf("self-healing: off (background scrub every %d ms)\n", flags.scrub_interval_ms);
   }
