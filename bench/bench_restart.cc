@@ -63,9 +63,10 @@ Stack MakeStack(const std::string& dir, size_t entries, bool persist) {
 std::string KeyOf(size_t i) { return "restart-key-" + std::to_string(i); }
 
 // Loads entries through the WAL in batches of 1024 durable sets. The arena
-// run then checkpoints (arena commit + cold copy) and truncates the logs, as
-// the daemon's boot does, so its restart measures the attach alone; the
-// heap-only run keeps every record in its logs, which are its baseline.
+// run then compacts every shard (audit, arena commit, cold copy, new log
+// generation), as the daemon's maintenance thread does once a log outgrows
+// --wal-compact-bytes, so its restart measures the attach alone; the
+// heap-only run cannot compact and keeps every record in its logs.
 bool Load(Stack& s, size_t entries, bool persist, const std::string& dir) {
   const std::string value(64, 'v');
   std::vector<kv::BatchOp> batch;
@@ -83,12 +84,13 @@ bool Load(Stack& s, size_t entries, bool persist, const std::string& dir) {
   if (!persist) {
     return true;
   }
-  const Status saved = s.store->CheckpointAll(*s.sealer, *s.counters, dir + "/cold");
-  if (!saved.ok()) {
-    std::fprintf(stderr, "baseline checkpoint failed: %s\n", saved.ToString().c_str());
-    return false;
+  for (size_t shard = 0; shard < s.wal->num_shards(); ++shard) {
+    if (const Status st = s.wal->CompactShard(shard, dir + "/cold"); !st.ok()) {
+      std::fprintf(stderr, "compaction failed: %s\n", st.ToString().c_str());
+      return false;
+    }
   }
-  return s.wal->ResetAllLogs().ok();
+  return true;
 }
 
 // Boots a fresh stack over `dir` and times RestoreFromDisk. Returns restore

@@ -340,7 +340,7 @@ class ManySessionLoad {
           request.op = net::OpCode::kGet;
         }
         Bytes plain = net::EncodeRequest(request);
-        if (s.tracing && trace_ctx.active()) {
+        if (request_tracing_ && trace_ctx.active()) {
           plain = net::PrependTraceContext(trace_ctx, plain);
         }
         const Bytes record = s.crypto->Seal(plain);
@@ -506,7 +506,6 @@ class ManySessionLoad {
     uint32_t events = EPOLLIN;
     bool active = false;
     bool bursty = false;
-    bool tracing = false;  // server granted the trace-propagation capability
     bool dead = false;
     bool has_pending_out() const { return out_off < out.size(); }
   };
@@ -533,11 +532,8 @@ class ManySessionLoad {
     timeval tv{};
     tv.tv_sec = 10;  // handshakes queue behind each other on small machines
     setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-    net::ClientHandshakeOptions hopts;
-    hopts.request_tracing = request_tracing_;
-    Result<net::ClientHandshakeResult> hs =
-        net::ClientHandshakeEx(fd, authority_, measurement_, hopts);
-    if (!hs.ok()) {
+    Result<Bytes> keys = net::ClientHandshake(fd, authority_, measurement_);
+    if (!keys.ok()) {
       ::close(fd);
       return nullptr;
     }
@@ -546,9 +542,7 @@ class ManySessionLoad {
     fcntl(fd, F_SETFL, fcntl(fd, F_GETFL, 0) | O_NONBLOCK);
     auto s = std::make_unique<Gen>();
     s->fd = fd;
-    s->tracing = hs->tracing;
-    s->crypto = std::make_unique<net::SessionCrypto>(hs->key_material,
-                                                     /*is_client=*/true, encrypt_);
+    s->crypto = std::make_unique<net::SessionCrypto>(*keys, /*is_client=*/true, encrypt_);
     return s;
   }
 

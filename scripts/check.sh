@@ -101,7 +101,7 @@ for FLAG in --heal-dir --port; do
     || { echo "daemon did not reject $FLAG with no value (exit $MV_RC): $MV_ERR"; exit 1; }
 done
 
-echo "== daemon durable-format rules: no --persist-heap, geometry fixed per heal dir =="
+echo "== daemon durable-format rules: no --persist-heap, geometry fixed per heal dir, no lost heap file =="
 # --heal-dir implies the arena; the old flag is refused with the usage.
 PH_RC=0
 PH_ERR="$(timeout 10 ./build/tools/shieldstore_server --port 0 --persist-heap /tmp/x 2>&1)" \
@@ -144,6 +144,40 @@ for i in $(seq 1 20); do
   [ "$GOT" = "v$i" ] || { echo "geometry stage: geo$i read '$GOT'"; kill "$GEO_PID"; exit 1; }
 done
 kill "$GEO_PID"; wait "$GEO_PID" 2>/dev/null || true
+# A compacted shard's heap file deleted while the daemon is down is a
+# rollback of its baseline: the restart exits nonzero naming the file (it
+# must not boot as a fresh arena and serve NOT_FOUND for the keys it held).
+HD_DIR="$GEO_DIR/heapdel"
+./build/tools/shieldstore_server --port 0 --partitions 2 --buckets 4096 --heal-dir "$HD_DIR" \
+  --stats-interval-s 0 --persist-capacity-mb 8 --scrub-interval-ms 10 \
+  --wal-compact-bytes 2048 > "$GEO_DIR/hd1.log" 2>&1 &
+HD_PID=$!
+for _ in $(seq 1 100); do
+  grep -q 'listening on' "$GEO_DIR/hd1.log" 2>/dev/null && break
+  sleep 0.1
+done
+HD_PORT="$(sed -n 's/.*listening on 127.0.0.1:\([0-9]*\).*/\1/p' "$GEO_DIR/hd1.log")"
+[ -n "$HD_PORT" ] || { echo "heap-file stage: boot failed"; cat "$GEO_DIR/hd1.log"; exit 1; }
+for i in $(seq 1 40); do
+  ./build/tools/shieldstore_cli --port "$HD_PORT" --measurement "$GEO_MEAS" \
+    set "hd$i" "value-$i-$(printf '%0100d' "$i")" > /dev/null
+done
+# Only a compaction writes cold copies: wait for both shards' first one.
+for _ in $(seq 1 100); do
+  [ -f "$HD_DIR/cold/p0.heap" ] && [ -f "$HD_DIR/cold/p1.heap" ] && break
+  sleep 0.1
+done
+[ -f "$HD_DIR/cold/p0.heap" ] && [ -f "$HD_DIR/cold/p1.heap" ] \
+  || { echo "heap-file stage: no compaction fired"; kill "$HD_PID"; exit 1; }
+kill -TERM "$HD_PID"; wait "$HD_PID" 2>/dev/null || true
+rm "$HD_DIR/heap/p0.heap"
+HD_RC=0
+timeout 20 ./build/tools/shieldstore_server --port 0 --partitions 2 --buckets 4096 \
+  --heal-dir "$HD_DIR" --stats-interval-s 0 --persist-capacity-mb 8 \
+  > "$GEO_DIR/hd2.log" 2>&1 || HD_RC=$?
+{ [ "$HD_RC" -ne 0 ] && [ "$HD_RC" -ne 124 ] && grep -q 'ROLLBACK_DETECTED' "$GEO_DIR/hd2.log" \
+  && grep -q "$HD_DIR/heap/p0.heap" "$GEO_DIR/hd2.log"; } \
+  || { echo "restart without heap/p0.heap was not refused (exit $HD_RC):"; cat "$GEO_DIR/hd2.log"; exit 1; }
 rm -rf "$GEO_DIR"
 echo "durable-format rules OK"
 

@@ -28,8 +28,6 @@ std::string_view CodeName(Code code) {
       return "INTERNAL";
     case Code::kPartitionRecovering:
       return "PARTITION_RECOVERING";
-    case Code::kUnsupportedUnderWal:
-      return "UNSUPPORTED_UNDER_WAL";
     case Code::kFailingOver:
       return "FAILING_OVER";
   }

@@ -27,7 +27,6 @@ enum class Code {
   kProtocolError,     // malformed or unauthenticated network message
   kInternal,
   kPartitionRecovering,  // key's partition is quarantined and healing; retry
-  kUnsupportedUnderWal,  // retired (no producer); keeps its wire status byte
   kFailingOver,          // node is mid-failover; the operation was not applied
 };
 

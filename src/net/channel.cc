@@ -14,6 +14,8 @@ namespace {
 
 constexpr uint8_t kClientToServer = 0x01;
 constexpr uint8_t kServerToClient = 0x02;
+// The client hello: X25519 public key || 16-byte nonce.
+constexpr size_t kHelloBytes = 32 + 16;
 
 Bytes DeriveSessionKeys(const crypto::X25519Key& shared, ByteSpan client_nonce,
                         ByteSpan server_nonce) {
@@ -106,17 +108,7 @@ Result<Bytes> SessionCrypto::Open(ByteSpan record) {
 
 Result<ServerHandshakeReply> ServerHandshakeHello(ByteSpan hello, sgx::Enclave& enclave,
                                                   const sgx::AttestationAuthority& authority) {
-  bool extended = false;
-  uint8_t client_flags = 0;
-  if (hello.size() == kLegacyHelloBytes + kHelloExtBytes) {
-    const uint8_t* ext = hello.data() + kLegacyHelloBytes;
-    if (ext[0] != kHelloExtMagic0 || ext[1] != kHelloExtMagic1 ||
-        ext[2] != kHelloExtVersion) {
-      return Status(Code::kProtocolError, "bad client hello");
-    }
-    extended = true;
-    client_flags = ext[3];
-  } else if (hello.size() != kLegacyHelloBytes) {
+  if (hello.size() != kHelloBytes) {
     return Status(Code::kProtocolError, "bad client hello");
   }
   crypto::X25519Key client_pub;
@@ -142,15 +134,6 @@ Result<ServerHandshakeReply> ServerHandshakeHello(ByteSpan hello, sgx::Enclave& 
   out.reply.insert(out.reply.end(), server_nonce, server_nonce + 16);
   const Bytes quote_wire = quote.Serialize();
   out.reply.insert(out.reply.end(), quote_wire.begin(), quote_wire.end());
-  if (extended) {
-    // Echo the trailer with the granted capability bits; a legacy hello gets
-    // the byte-identical legacy reply.
-    out.tracing = (client_flags & kHelloFlagTracing) != 0;
-    const uint8_t granted = out.tracing ? kHelloFlagTracing : 0;
-    const uint8_t trailer[kHelloExtBytes] = {kHelloExtMagic0, kHelloExtMagic1,
-                                             kHelloExtVersion, granted};
-    out.reply.insert(out.reply.end(), trailer, trailer + kHelloExtBytes);
-  }
 
   const crypto::X25519Key shared = crypto::X25519(server_priv, client_pub);
   out.key_material = DeriveSessionKeys(shared, client_nonce, ByteSpan(server_nonce, 16));
@@ -175,18 +158,6 @@ Result<Bytes> ServerHandshake(int fd, sgx::Enclave& enclave,
 
 Result<Bytes> ClientHandshake(int fd, const sgx::AttestationAuthority& authority,
                               const sgx::Measurement& expected) {
-  Result<ClientHandshakeResult> r =
-      ClientHandshakeEx(fd, authority, expected, ClientHandshakeOptions{});
-  if (!r.ok()) {
-    return r.status();
-  }
-  return std::move(r->key_material);
-}
-
-Result<ClientHandshakeResult> ClientHandshakeEx(int fd,
-                                                const sgx::AttestationAuthority& authority,
-                                                const sgx::Measurement& expected,
-                                                const ClientHandshakeOptions& options) {
   crypto::Drbg rng;
   crypto::X25519Key client_priv;
   rng.Fill(MutableByteSpan(client_priv.data(), client_priv.size()));
@@ -197,12 +168,6 @@ Result<ClientHandshakeResult> ClientHandshakeEx(int fd,
   Bytes hello;
   hello.insert(hello.end(), client_pub.begin(), client_pub.end());
   hello.insert(hello.end(), client_nonce, client_nonce + 16);
-  const bool extended = options.request_tracing;
-  if (extended) {
-    const uint8_t trailer[kHelloExtBytes] = {kHelloExtMagic0, kHelloExtMagic1,
-                                             kHelloExtVersion, kHelloFlagTracing};
-    hello.insert(hello.end(), trailer, trailer + kHelloExtBytes);
-  }
   if (Status s = SendFrame(fd, hello); !s.ok()) {
     return s;
   }
@@ -211,22 +176,7 @@ Result<ClientHandshakeResult> ClientHandshakeEx(int fd,
   if (!reply.ok()) {
     return reply.status();
   }
-  const size_t base = 32 + 16 + sgx::Quote::kSerializedSize;
-  ClientHandshakeResult out;
-  if (extended) {
-    // A new server always echoes the trailer it was sent; anything else is
-    // a protocol violation (an old server rejects the hello and never gets
-    // here).
-    if (reply->size() != base + kHelloExtBytes) {
-      return Status(Code::kProtocolError, "bad server hello");
-    }
-    const uint8_t* ext = reply->data() + base;
-    if (ext[0] != kHelloExtMagic0 || ext[1] != kHelloExtMagic1 ||
-        ext[2] != kHelloExtVersion) {
-      return Status(Code::kProtocolError, "bad server hello");
-    }
-    out.tracing = (ext[3] & kHelloFlagTracing) != 0;
-  } else if (reply->size() != base) {
+  if (reply->size() != 32 + 16 + sgx::Quote::kSerializedSize) {
     return Status(Code::kProtocolError, "bad server hello");
   }
   crypto::X25519Key server_pub;
@@ -255,8 +205,7 @@ Result<ClientHandshakeResult> ClientHandshakeEx(int fd,
   }
 
   const crypto::X25519Key shared = crypto::X25519(client_priv, server_pub);
-  out.key_material = DeriveSessionKeys(shared, ByteSpan(client_nonce, 16), server_nonce);
-  return out;
+  return DeriveSessionKeys(shared, ByteSpan(client_nonce, 16), server_nonce);
 }
 
 }  // namespace shield::net

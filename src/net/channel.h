@@ -70,34 +70,14 @@ class SessionCrypto {
   bool encrypt_;
 };
 
-// --- handshake capability trailer ---
-//
-// A new peer may append 4 bytes to its hello: [0x53 'S'][0x54 'T']
-// [u8 version=1][u8 flags], flags bit 0 = request trace propagation. An old
-// server rejects the longer hello outright (the client then falls back to a
-// legacy hello, see Client::Connect), and a new server answers a legacy
-// hello with a byte-identical legacy reply — so mixed-version pairs stay
-// wire-compatible. The trailer rides inside the client hello, which the
-// transcript hash already covers, so the negotiated capabilities are bound
-// into the attestation quote. The reply's echo trailer sits after the quote
-// and is not quote-bound: stripping it can only downgrade tracing, never
-// weaken record protection.
-inline constexpr uint8_t kHelloExtMagic0 = 0x53;
-inline constexpr uint8_t kHelloExtMagic1 = 0x54;
-inline constexpr uint8_t kHelloExtVersion = 1;
-inline constexpr uint8_t kHelloFlagTracing = 0x01;
-inline constexpr size_t kHelloExtBytes = 4;
-inline constexpr size_t kLegacyHelloBytes = 32 + 16;
-
 // Frame-level server handshake: consumes a complete client-hello payload and
 // produces the reply payload plus the derived session key material. All
 // cryptographic steps are enclave work (the caller wraps this in an ECALL).
 // The reactor uses this directly once a full hello frame has been buffered;
 // the blocking `ServerHandshake` below is a convenience wrapper around it.
 struct ServerHandshakeReply {
-  Bytes reply;         // server pub || server nonce || quote [|| trailer]
+  Bytes reply;         // server pub || server nonce || quote
   Bytes key_material;  // HKDF output for SessionCrypto
-  bool tracing = false;  // client requested + server granted trace propagation
 };
 Result<ServerHandshakeReply> ServerHandshakeHello(ByteSpan hello, sgx::Enclave& enclave,
                                                   const sgx::AttestationAuthority& authority);
@@ -107,26 +87,12 @@ Result<ServerHandshakeReply> ServerHandshakeHello(ByteSpan hello, sgx::Enclave& 
 Result<Bytes> ServerHandshake(int fd, sgx::Enclave& enclave,
                               const sgx::AttestationAuthority& authority);
 
-struct ClientHandshakeOptions {
-  bool request_tracing = false;  // append the capability trailer to the hello
-};
-struct ClientHandshakeResult {
-  Bytes key_material;
-  bool tracing = false;  // server granted trace propagation
-};
-
-// Client side. Verifies the quote through `authority` (the IAS role) and
-// checks the measurement against `expected`.
+// Client side: sends the one hello format, client DH key || client nonce
+// (trace propagation needs no negotiation: a sampled op's context rides in
+// its sealed record, protocol.h). Verifies the quote through `authority`
+// (the IAS role) and checks the measurement against `expected`.
 Result<Bytes> ClientHandshake(int fd, const sgx::AttestationAuthority& authority,
                               const sgx::Measurement& expected);
-
-// Client side with capability negotiation. With request_tracing the hello
-// carries the trailer, which an old server rejects — callers handle that by
-// retrying with the legacy hello (Client::Connect does this automatically).
-Result<ClientHandshakeResult> ClientHandshakeEx(int fd,
-                                                const sgx::AttestationAuthority& authority,
-                                                const sgx::Measurement& expected,
-                                                const ClientHandshakeOptions& options);
 
 }  // namespace shield::net
 

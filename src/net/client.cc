@@ -100,7 +100,6 @@ Status Client::Connect(uint16_t port) {
   port_ = port;
   const int attempts = std::max(options_.connect_attempts, 1);
   int backoff_ms = options_.connect_backoff_ms;
-  bool try_tracing = options_.enable_tracing;
   Status last;
   for (int attempt = 0; attempt < attempts; ++attempt) {
     if (attempt > 0 && backoff_ms > 0) {
@@ -112,27 +111,13 @@ Status Client::Connect(uint16_t port) {
     if (!last.ok()) {
       continue;
     }
-    ClientHandshakeOptions hs;
-    hs.request_tracing = try_tracing;
-    Result<ClientHandshakeResult> handshake =
-        ClientHandshakeEx(fd_, authority_, expected_, hs);
-    if (handshake.ok()) {
-      session_tracing_ = handshake->tracing;
-      session_ = std::make_unique<SessionCrypto>(handshake->key_material,
-                                                 /*is_client=*/true, encrypt_);
+    Result<Bytes> keys = ClientHandshake(fd_, authority_, expected_);
+    if (keys.ok()) {
+      session_ = std::make_unique<SessionCrypto>(*keys, /*is_client=*/true, encrypt_);
       return Status::Ok();
     }
-    last = handshake.status();
+    last = keys.status();
     Close();
-    if (try_tracing) {
-      // An old server rejects the extended hello and closes the connection.
-      // Fall back to the legacy hello once (without consuming an attempt)
-      // before treating the failure as real.
-      try_tracing = false;
-      --attempt;
-      backoff_ms = options_.connect_backoff_ms;
-      continue;
-    }
     if (last.code() != Code::kIoError) {
       // Attestation / protocol rejection: retrying cannot help, and hides
       // a possibly-impersonated server behind "transient failure".
@@ -148,7 +133,6 @@ void Client::Close() {
     fd_ = -1;
   }
   session_.reset();
-  session_tracing_ = false;
 }
 
 Status Client::Reconnect(uint16_t port) {
@@ -168,7 +152,7 @@ Status Client::SendRequest(const Request& request) {
     return Status(Code::kIoError, "not connected");
   }
   Bytes plaintext = EncodeRequest(request);
-  if (session_tracing_) {
+  if (options_.enable_tracing) {
     const obs::TraceContext ctx = obs::CurrentTrace();
     if (ctx.active()) {
       plaintext = PrependTraceContext(ctx, plaintext);
@@ -212,7 +196,7 @@ Result<std::vector<Response>> Client::ExecuteBatch(const std::vector<Request>& o
   }
   obs::TraceScope span("client.batch");
   Bytes wire = EncodeBatchRequest(ops);
-  if (session_tracing_) {
+  if (options_.enable_tracing) {
     const obs::TraceContext ctx = obs::CurrentTrace();
     if (ctx.active()) {
       wire = PrependTraceContext(ctx, wire);

@@ -31,11 +31,9 @@ struct ClientOptions {
   int recovering_retries = 0;
   int recovering_backoff_ms = 20;
 
-  // Request trace propagation at handshake. When granted, sampled ops carry
-  // the 16-byte trace-context frame extension. Off by default: a client
-  // without this flag is byte-identical to a pre-tracing client, and a
-  // tracing client talking to an old server falls back to the legacy
-  // handshake automatically (one extra connect attempt).
+  // Trace propagation: sampled ops carry the 16-byte trace-context frame
+  // extension (protocol.h). Off by default, and unsampled ops never carry
+  // it, so their frames are byte-identical either way.
   bool enable_tracing = false;
 };
 
@@ -92,9 +90,6 @@ class Client {
   // each span is returned exactly once across all callers.
   Result<std::vector<obs::SpanRecord>> TraceDump();
 
-  // True when the connected session negotiated trace propagation.
-  bool tracing() const { return session_tracing_; }
-
   // Pipelined interface: up to `depth` Sends may be outstanding before the
   // matching Receives (responses arrive in order).
   Status SendRequest(const Request& request);
@@ -119,7 +114,6 @@ class Client {
   ClientOptions options_;
   int fd_ = -1;
   uint16_t port_ = 0;
-  bool session_tracing_ = false;
   std::unique_ptr<SessionCrypto> session_;
 };
 

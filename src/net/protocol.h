@@ -97,10 +97,10 @@ Result<std::vector<Response>> DecodeBatchResponse(ByteSpan payload);
 // or batch): [u8 0xC7][u8 version=1][16-byte trace context]. 0xC7 is
 // outside the opcode range and outside the batch marker, so a receiver can
 // always distinguish an extended frame from a bare request. Senders attach
-// it only on handshake-negotiated tracing sessions and only for sampled
-// ops; the extension never changes response bytes, so old and new peers
-// remain byte-compatible whenever tracing is off. Unknown future versions
-// are a typed decode error, not a crash.
+// it only with tracing enabled (ClientOptions::enable_tracing) and only for
+// sampled ops, and the server accepts it on any session; the extension
+// never changes response bytes. Unknown future versions are a typed decode
+// error, not a crash.
 inline constexpr uint8_t kTraceExtMarker = 0xC7;
 inline constexpr uint8_t kTraceExtVersion = 1;
 inline constexpr size_t kTraceExtBytes = 2 + obs::kTraceContextWireSize;

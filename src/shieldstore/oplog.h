@@ -117,6 +117,9 @@ struct LogHead {
   uint64_t sequence = 0;
   crypto::Mac mac{};
   bool operator==(const LogHead&) const = default;
+  // Past the first generation: a compaction folded the earlier ones into
+  // the baseline, so the log alone no longer holds the whole history.
+  bool compacted() const { return generation > 1; }
 };
 
 // One counter epoch: the counter value it binds and the head of every shard

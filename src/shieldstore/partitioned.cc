@@ -172,6 +172,10 @@ std::string PartitionedStore::HeapPath(size_t p) const {
   return base_options_.persist_dir + "/p" + std::to_string(p) + ".heap";
 }
 
+std::string PartitionedStore::ColdPath(const std::string& cold_dir, size_t p) {
+  return cold_dir + "/p" + std::to_string(p) + ".heap";
+}
+
 Status PartitionedStore::LoadOrCreateRouteKey(const sgx::SealingService& sealer,
                                               const std::string& path) {
   const ByteSpan aad(reinterpret_cast<const uint8_t*>(kRouteAad), sizeof(kRouteAad) - 1);
@@ -335,27 +339,25 @@ Status PartitionedStore::WithPartitionLocked(size_t p,
 
 // ------------------------------------------------------- persistent heap
 
-Status PartitionedStore::CheckpointPartitionLocked(size_t p, const sgx::SealingService& sealer,
-                                                   sgx::MonotonicCounterService& counters,
-                                                   const std::string& cold_dir, bool audit,
-                                                   ColdCopyCrash crash) {
-  if (!persist_ || arenas_[p] == nullptr) {
+Status PartitionedStore::CheckpointPartition(size_t p, const sgx::SealingService& sealer,
+                                             sgx::MonotonicCounterService& counters,
+                                             const std::string& cold_dir, ColdCopyCrash crash) {
+  if (p >= partitions_.size() || !persist_) {
     return Status(Code::kInvalidArgument, "partition has no persistent arena");
   }
-  if (quarantined_[p]->load(std::memory_order_acquire)) {
+  std::lock_guard<std::mutex> lock(*locks_[p]);
+  if (arenas_[p] == nullptr || quarantined_[p]->load(std::memory_order_acquire)) {
     // Never commit state that failed integrity as the trusted generation.
     return Status(Code::kIntegrityFailure,
                   "partition " + std::to_string(p) + " quarantined; checkpoint skipped");
   }
-  if (audit) {
-    // A silent tamper no operation has hit yet would otherwise become the
-    // heal baseline; on a violation the partition quarantines instead, and
-    // heals from the previous cold copy plus the untruncated log.
-    const Store::ScrubReport report = partitions_[p]->Scrub();
-    NoteOutcome(p, report.status);
-    if (!report.status.ok()) {
-      return report.status;
-    }
+  // A silent tamper no operation has hit yet would otherwise become the heal
+  // baseline; on a violation the partition quarantines instead, and heals
+  // from the previous cold copy plus the untruncated log.
+  const Store::ScrubReport report = partitions_[p]->Scrub();
+  NoteOutcome(p, report.status);
+  if (!report.status.ok()) {
+    return report.status;
   }
   alloc::PersistentArena& arena = *arenas_[p];
   uint32_t id = arena.counter_id();
@@ -390,7 +392,7 @@ Status PartitionedStore::CheckpointPartitionLocked(size_t p, const sgx::SealingS
   // since the commit (the partition lock is held).
   std::error_code ec;
   std::filesystem::create_directories(cold_dir, ec);
-  if (Status s = WriteExtent(cold_dir + "/p" + std::to_string(p) + ".heap",
+  if (Status s = WriteExtent(ColdPath(cold_dir, p),
                              ByteSpan(arena.base(), arena.committed_extent()), arena.capacity(),
                              crash);
       !s.ok()) {
@@ -402,32 +404,19 @@ Status PartitionedStore::CheckpointPartitionLocked(size_t p, const sgx::SealingS
   return Status::Ok();
 }
 
-Status PartitionedStore::CheckpointPartition(size_t p, const sgx::SealingService& sealer,
-                                             sgx::MonotonicCounterService& counters,
-                                             const std::string& cold_dir, ColdCopyCrash crash) {
-  if (p >= partitions_.size()) {
-    return Status(Code::kInvalidArgument, "no such partition");
-  }
+bool PartitionedStore::ColdCopyBehind(size_t p, const std::string& cold_dir) const {
   std::lock_guard<std::mutex> lock(*locks_[p]);
-  return CheckpointPartitionLocked(p, sealer, counters, cold_dir, /*audit=*/true, crash);
-}
-
-Status PartitionedStore::CheckpointAll(const sgx::SealingService& sealer,
-                                       sgx::MonotonicCounterService& counters,
-                                       const std::string& cold_dir) {
-  if (!persist_) {
-    return Status(Code::kInvalidArgument, "store has no persistent heap");
+  const alloc::PersistentArena* arena = persist_ ? arenas_[p].get() : nullptr;
+  if (arena == nullptr || !arena->attached()) {
+    return false;  // no committed generation to copy
   }
-  Status first;
-  for (size_t p = 0; p < partitions_.size(); ++p) {
-    std::lock_guard<std::mutex> lock(*locks_[p]);
-    if (Status s = CheckpointPartitionLocked(p, sealer, counters, cold_dir, /*audit=*/false,
-                                             ColdCopyCrash::kNone);
-        !s.ok() && first.ok()) {
-      first = s;
-    }
+  uint8_t super[alloc::PersistentArena::kSuperblockBytes];
+  const int fd = open(ColdPath(cold_dir, p).c_str(), O_RDONLY | O_CLOEXEC);
+  const bool read = fd >= 0 && pread(fd, super, sizeof(super), 0) == sizeof(super);
+  if (fd >= 0) {
+    close(fd);
   }
-  return first;
+  return !read || std::memcmp(super, arena->base(), sizeof(super)) != 0;
 }
 
 Status PartitionedStore::AttachArena(size_t p, alloc::PersistentArena& arena, Store& store,
@@ -470,7 +459,7 @@ Status PartitionedStore::AttachPersistent(const sgx::SealingService& sealer,
   for (size_t p = 0; p < partitions_.size(); ++p) {
     std::lock_guard<std::mutex> lock(*locks_[p]);
     if (arenas_[p] == nullptr || !arenas_[p]->attached()) {
-      continue;  // unusable (quarantined at build time), or fresh: first boot
+      continue;  // unusable (quarantined at build time), or never committed
     }
     if (Status s = AttachArena(p, *arenas_[p], *partitions_[p], sealer, counters); !s.ok()) {
       if (SetQuarantined(p, true)) {
@@ -491,27 +480,39 @@ Status PartitionedStore::RecoverPartition(
   if (p >= partitions_.size()) {
     return Status(Code::kInvalidArgument, "no such partition");
   }
+  const bool from_cold_copy = !cold_dir.empty();
+  if (from_cold_copy && !persist_) {
+    return Status(Code::kInvalidArgument, "a heap-only store has no cold copies");
+  }
   std::lock_guard<std::mutex> lock(*locks_[p]);
   Options options = PartitionOptions(partitions_.size());
   std::unique_ptr<alloc::PersistentArena> arena;
   Status st;
   if (persist_) {
     // The old Store's chains point into the old mapping: release both
-    // (Store first) before the cold copy replaces the file under them. Until
+    // (Store first) before the baseline replaces the file under them. Until
     // a rebuilt store is swapped in, the partition serves from an empty
     // volatile one — it is quarantined, so nothing reaches it.
     options.arena = nullptr;
     partitions_[p] = std::make_unique<Store>(enclave_, options);
     arenas_[p].reset();
-    st = RestoreColdCopy(cold_dir + "/p" + std::to_string(p) + ".heap", HeapPath(p));
+    if (from_cold_copy) {
+      st = RestoreColdCopy(ColdPath(cold_dir, p), HeapPath(p));
+    } else if (std::error_code ec; !std::filesystem::remove(HeapPath(p), ec) && ec) {
+      st = Status(Code::kIoError, "cannot remove " + HeapPath(p));  // else: a fresh arena
+    }
     if (st.ok()) {
       arena = std::make_unique<alloc::PersistentArena>();
       st = arena->Open(HeapPath(p), base_options_.persist_capacity_bytes, p, options.num_buckets);
     }
+    if (st.ok() && from_cold_copy && !arena->attached()) {
+      st = Status(Code::kRollbackDetected,
+                  "cold copy " + ColdPath(cold_dir, p) + " holds no committed generation");
+    }
     options.arena = arena.get();
   }
   auto rebuilt = std::make_unique<Store>(enclave_, options);
-  if (st.ok() && persist_) {
+  if (st.ok() && from_cold_copy) {
     st = AttachArena(p, *arena, *rebuilt, sealer, counters);
     // Attach defers entry verification; a heal re-admits nothing unchecked.
     st = st.ok() ? rebuilt->Scrub().status : st;

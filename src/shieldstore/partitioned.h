@@ -24,9 +24,11 @@
 // tampering (kIntegrityFailure / kRollbackDetected) quarantines its
 // partition — further operations on that partition fail fast while every
 // other partition keeps serving. RecoverPartition() rebuilds a quarantined
-// partition from its baseline (the arena's cold copy, or an empty store)
-// plus its shard's committed log suffix, without a restart. The paper's
-// sealed snapshot (persist.h) is not a serving-path format.
+// partition from its baseline plus its shard's committed log suffix, without
+// a restart. The baseline is the partition's last cold copy, or the empty
+// store if its shard never compacted; CheckpointPartition, which audits
+// first, is the only writer of a cold copy. The paper's sealed snapshot
+// (persist.h) is not a serving-path format.
 #ifndef SHIELDSTORE_SRC_SHIELDSTORE_PARTITIONED_H_
 #define SHIELDSTORE_SRC_SHIELDSTORE_PARTITIONED_H_
 
@@ -90,17 +92,18 @@ class PartitionedStore : public kv::BatchFirstStore {
   // Rebuilds partition `p` from its durable baseline plus its shard's
   // committed log suffix, under the partition lock; call it inside
   // WriteAheadStore::WithCommittedShard so no mutation lands in between.
-  // With a persistent heap the baseline is the cold copy `cold_dir`/p<i>.heap:
-  // the old Store and its arena are released, the cold copy's committed
-  // extent is laid over the live p<i>.heap, the file is reopened and attached
-  // with the boot-time counter check, and the whole partition is audited.
-  // Without one (a heap-only store) the baseline is an empty Store, since
-  // heap-only shard logs are never truncated. `replay_log` then replays the
-  // shard log into the rebuilt store through a filter that forwards only the
-  // keys this partition owns; on success the store is swapped in and the
-  // quarantine lifts. A missing (kNotFound), stale (kRollbackDetected) or
-  // tampered (kIntegrityFailure) cold copy fails typed and the partition
-  // stays quarantined.
+  // The baseline is the cold copy `cold_dir`/p<i>.heap when the partition's
+  // shard has compacted, else (`cold_dir` empty) the empty store. With a
+  // persistent heap the old Store and its arena are released, the cold copy's
+  // committed extent is laid over the live p<i>.heap (or the file is removed,
+  // for the empty baseline), the file is reopened, and a cold copy is
+  // attached with the boot-time counter check and audited whole. A heap-only
+  // store has only the empty baseline. `replay_log` then replays the shard
+  // log into the rebuilt store through a filter that forwards only the keys
+  // this partition owns; on success the store is swapped in and the
+  // quarantine lifts. A missing (kNotFound), uncommitted or stale
+  // (kRollbackDetected) or tampered (kIntegrityFailure) cold copy fails typed
+  // and the partition stays quarantined.
   Status RecoverPartition(size_t p, const sgx::SealingService& sealer,
                           sgx::MonotonicCounterService& counters, const std::string& cold_dir,
                           const std::function<Status(kv::KeyValueStore&)>& replay_log = {});
@@ -110,7 +113,8 @@ class PartitionedStore : public kv::BatchFirstStore {
   // True when the store was built over per-partition arena files
   // (`persist_dir/p<i>.heap`).
   bool persist_enabled() const { return persist_; }
-  // Per-partition arena (null when its file failed to open); test hook.
+  // Per-partition arena (null when its file failed to open); only with
+  // persist_enabled().
   alloc::PersistentArena* partition_arena(size_t p) { return arenas_[p].get(); }
 
   // Keys must route identically across restarts: arena chains are attached,
@@ -122,28 +126,29 @@ class PartitionedStore : public kv::BatchFirstStore {
   // routing reads the key without a lock.
   Status LoadOrCreateRouteKey(const sgx::SealingService& sealer, const std::string& path);
 
-  // Arena checkpoint of one/all partitions: seals the secure metadata bound
-  // to (partition, counter, value+1), runs the arena's plan/commit protocol,
+  // Arena checkpoint of one partition, the compaction fold and the only
+  // writer of a durable baseline: audits the partition (a silent tamper no
+  // operation has hit yet must not become the heal baseline; on a violation
+  // the partition quarantines instead), seals the secure metadata bound to
+  // (partition, counter, value+1), runs the arena's plan/commit protocol,
   // writes the cold copy `cold_dir`/p<i>.heap, then increments the counter —
   // the same live/live+1 roll-forward window Snapshotter uses, so a crash
   // between commit and increment recovers while an old heap file (or cold
   // copy) fails with kRollbackDetected. A cold copy is the committed extent
   // of the arena, written as a sparse file of full capacity (temp file,
-  // fsync, rename, directory fsync). Quarantined partitions are skipped
-  // (first error reported): tampered state is never committed as trusted.
-  //
-  // CheckpointPartition (the compaction fold) first audits the partition
-  // under the same lock hold: a silent tamper no operation has detected yet
-  // must not become the heal baseline. CheckpointAll (boot and export) does
-  // not, which keeps a restart O(1): a tamper at rest that lazy
-  // verification has not caught is copied along, and heal refuses it.
-  // `crash` injects a failure inside the cold-copy write (tests).
+  // fsync, rename, directory fsync). A quarantined partition is refused:
+  // tampered state is never committed as trusted. `crash` injects a failure
+  // inside the cold-copy write (tests).
   enum class ColdCopyCrash { kNone, kAfterTempWrite, kAfterRename };
   Status CheckpointPartition(size_t p, const sgx::SealingService& sealer,
                              sgx::MonotonicCounterService& counters, const std::string& cold_dir,
                              ColdCopyCrash crash = ColdCopyCrash::kNone);
-  Status CheckpointAll(const sgx::SealingService& sealer, sgx::MonotonicCounterService& counters,
-                       const std::string& cold_dir);
+  // True when partition `p`'s arena holds a committed generation its cold
+  // copy does not: the copy is missing or its superblock (the commit slots)
+  // differs from the arena's. Only a compaction that died inside its
+  // checkpoint, before the cold-copy rename, leaves that. One superblock
+  // read: O(1) in entry count.
+  bool ColdCopyBehind(size_t p, const std::string& cold_dir) const;
 
   // Boot-time attach: for every partition whose arena holds a committed
   // generation, unseals the metadata (with roll-forward) and attaches the
@@ -177,16 +182,12 @@ class PartitionedStore : public kv::BatchFirstStore {
 
  private:
   Options PartitionOptions(size_t count) const;
-  // Checkpoint one partition; caller holds the partition lock. `audit`
-  // scrubs it first (see CheckpointPartition).
-  Status CheckpointPartitionLocked(size_t p, const sgx::SealingService& sealer,
-                                   sgx::MonotonicCounterService& counters,
-                                   const std::string& cold_dir, bool audit, ColdCopyCrash crash);
   // Unseals `arena`'s committed metadata against partition `p`'s counter
   // (with roll-forward) and attaches it into the empty `store`.
   Status AttachArena(size_t p, alloc::PersistentArena& arena, Store& store,
                      const sgx::SealingService& sealer, sgx::MonotonicCounterService& counters);
   std::string HeapPath(size_t p) const;
+  static std::string ColdPath(const std::string& cold_dir, size_t p);
   // Quarantines partition `p` when `s` carries an integrity-class code.
   void NoteOutcome(size_t p, const Status& s);
   // Sets partition `p`'s quarantine flag; true if that changed it, and then

@@ -481,26 +481,6 @@ Status WriteAheadStore::WithCommittedShard(size_t shard_index,
   return fn();
 }
 
-Status WriteAheadStore::WithCommittedLog(const std::function<Status()>& fn) {
-  // Lock every shard in index order (the one ordering everywhere, so no
-  // deadlock) and commit each; one epoch covers them all, and `fn` then
-  // sees the whole store drained.
-  std::vector<std::unique_lock<std::mutex>> locks;
-  uint64_t ticket = 0;
-  for (auto& shard_ptr : shards_) {
-    locks.emplace_back(shard_ptr->mutex);
-    Result<uint64_t> t = CommitShardLocked(*shard_ptr, locks.back());
-    if (!t.ok()) {
-      return t.status();
-    }
-    ticket = std::max(ticket, *t);
-  }
-  if (Status st = WaitCovered(ticket); !st.ok()) {
-    return st;
-  }
-  return fn();
-}
-
 Status WriteAheadStore::ReplayCommittedShard(size_t shard_index, kv::KeyValueStore& target) {
   Shard& s = shard(shard_index);
   return OperationLog::ReplayPrefix(sealer_, s.options.path, s.log->head(), &target);
@@ -577,20 +557,6 @@ Status WriteAheadStore::CompactShard(size_t shard_index, const std::string& cold
   // requirements and parked waiters name sequences in that space.
   s.ctr_compactions->Inc();
   compactions_->Inc();
-  return Status::Ok();
-}
-
-Status WriteAheadStore::ResetAllLogs() {
-  for (auto& shard_ptr : shards_) {
-    Shard& s = *shard_ptr;
-    std::unique_lock<std::mutex> lock(s.mutex);
-    if (Result<uint64_t> committed = CommitShardLocked(s, lock); !committed.ok()) {
-      return committed.status();
-    }
-    if (Status st = NewGenerationLocked(s); !st.ok()) {
-      return st;
-    }
-  }
   return Status::Ok();
 }
 
@@ -730,6 +696,16 @@ Status WriteAheadStore::RestoreFromDisk() {
   const std::vector<LogHead> heads = epoch.ok() ? std::move(epoch->heads) : std::vector<LogHead>{};
   const auto restore_start = std::chrono::steady_clock::now();
   if (inner_.persist_enabled()) {
+    // The baseline rule: a compacted shard's log holds only what followed
+    // its partitions' arena commits, so each must still hold one.
+    for (size_t p = 0; p < inner_.num_partitions() && !heads.empty(); ++p) {
+      const alloc::PersistentArena* arena = inner_.partition_arena(p);
+      if (heads[ShardOfPartition(p)].compacted() && arena != nullptr && !arena->attached()) {
+        return Status(Code::kRollbackDetected,
+                      "heap file " + arena->path() + " holds no committed baseline, but shard " +
+                          std::to_string(ShardOfPartition(p)) + " has compacted");
+      }
+    }
     // Phase 1: attach the mmap'd heap files, routed under the route key Open
     // loaded. O(1) in entry count (superblock + sealed metadata, no entry
     // decrypt); per-entry MACs re-verify lazily on first touch.
@@ -793,16 +769,6 @@ uint64_t WriteAheadStore::ShardLogBytes(size_t shard_index) const {
   return shards_[shard_index]->log->log_bytes();
 }
 
-Status WriteAheadStore::ExportHeapFiles(const std::string& destination_dir) {
-  if (!inner_.persist_enabled()) {
-    return Status(Code::kUnsupported, "heap export requires a persistent heap");
-  }
-  // Checkpoint under the full log lock: no mutation lands between a
-  // partition's commit and its copy, so every exported arena is a committed
-  // generation whose sealed metadata verifies on the replica.
-  return WithCommittedLog([&] { return inner_.CheckpointAll(sealer_, counters_, destination_dir); });
-}
-
 WalStats WriteAheadStore::Stats() const {
   WalStats total;
   // The logs own these three (registered in the same registry).
@@ -830,17 +796,20 @@ SelfHealer::SelfHealer(WriteAheadStore& wal, const sgx::SealingService& sealer,
 Status SelfHealer::Restore() { return wal_.RestoreFromDisk(); }
 
 Status SelfHealer::Start() {
-  if (!wal_.inner().persist_enabled()) {
-    return Status::Ok();  // heap-only: the logs hold the whole history
+  PartitionedStore& store = wal_.inner();
+  if (!store.persist_enabled()) {
+    return Status::Ok();  // heap-only: no cold copies
   }
-  // The arenas are the baseline. Checkpoint them (first boot binds each
-  // arena's monotonic counter; a restart folds the replayed WAL tail in and
-  // replaces cold copies a crash mid-compaction left behind) and start the
-  // logs fresh.
-  if (Status st = wal_.inner().CheckpointAll(sealer_, counters_, options_.directory); !st.ok()) {
-    return st;
+  for (size_t p = 0; p < store.num_partitions(); ++p) {
+    // A quarantined partition is left to heal from its cold copy.
+    if (!store.IsQuarantined(p) && store.ColdCopyBehind(p, options_.directory)) {
+      if (Status st = store.CheckpointPartition(p, sealer_, counters_, options_.directory);
+          !st.ok()) {
+        return st;
+      }
+    }
   }
-  return wal_.ResetAllLogs();
+  return Status::Ok();
 }
 
 Status SelfHealer::last_error() const {
@@ -854,10 +823,12 @@ Status SelfHealer::RecoverOne(size_t p) {
   // commit on this shard may land in between. Mutations to this shard's
   // partitions queue for the few milliseconds the replay takes; every other
   // shard — and all reads — keep serving.
+  // The baseline is the partition's last cold copy, or the empty store if
+  // its shard never compacted (then the log holds the whole history).
   const size_t shard = wal_.ShardOfPartition(p);
   return wal_.WithCommittedShard(shard, [&] {
     return wal_.inner().RecoverPartition(
-        p, sealer_, counters_, options_.directory,
+        p, sealer_, counters_, wal_.ShardCompacted(shard) ? options_.directory : std::string(),
         [&](kv::KeyValueStore& target) { return wal_.ReplayCommittedShard(shard, target); });
   });
 }

@@ -32,18 +32,27 @@
 //    those watermarks; the network server instead holds the sealed
 //    responses and releases them when the shard's kv::DurabilityWatch
 //    publishes the watermark, so no serving thread ever waits on a commit.
-//  * One durable format. With a persistent heap (Options::persist_dir, what
-//    the daemon's --heal-dir runs) the baseline is the mmap'd arena: when a
-//    shard's log outgrows a threshold the maintenance thread
-//    (SelfHealer::Tick) checkpoints the shard's partitions — arena commit,
-//    then a cold copy (a byte copy of the committed arena) — and starts a
-//    new log generation, which an epoch binds before it replaces the old
-//    file. A crash anywhere recovers the old or the new generation. A
-//    heap-only WAL (no persist_dir; tests and in-process benches) has the
-//    empty store as its baseline: its logs are never truncated.
+//  * One durable format, one writer of a baseline. With a persistent heap
+//    (Options::persist_dir, what the daemon's --heal-dir runs) the baseline
+//    is the mmap'd arena: when a shard's log outgrows a threshold the
+//    maintenance thread (SelfHealer::Tick) compacts it — audits each of the
+//    shard's partitions, commits its arena, writes a cold copy (a byte copy
+//    of the committed arena) — and starts a new log generation, which an
+//    epoch binds before it replaces the old file. A crash anywhere recovers
+//    the old or the new generation. Nothing else writes a baseline: a
+//    restart commits no arena, copies nothing and starts no generation.
+//  * One baseline rule, at boot and at heal. A shard whose log generation is
+//    past the first (LogHead::compacted) has compacted: each of its
+//    partitions' baseline is its committed arena (boot) or its last cold
+//    copy (heal), and a missing, empty or uncommitted one is refused typed.
+//    A never-compacted shard's partitions have the empty store as their
+//    baseline and the whole shard log as their suffix — which is all a
+//    heap-only WAL (no persist_dir; tests and in-process benches) ever has,
+//    since it cannot compact.
 //  * Recovery (Open, RestoreFromDisk) replays each shard log up to its head
-//    in the recovered epoch (EpochLog::Recover). A shard log, the epoch file
-//    or a shard generation put back behind the counter is kRollbackDetected.
+//    in the recovered epoch (EpochLog::Recover): the log since the shard's
+//    last compaction. A shard log, the epoch file or a shard generation put
+//    back behind the counter is kRollbackDetected.
 //
 // Recovery window: the healer commits one SHARD's log and waits for its
 // epoch, then replays it while holding that shard's lock
@@ -141,12 +150,12 @@ class WriteAheadStore : public kv::BatchFirstStore {
   // that shard's partitions can slip between the commit and `fn`. This is
   // the recovery window: `fn` replays the log (ReplayCommittedShard).
   Status WithCommittedShard(size_t shard, const std::function<Status()>& fn);
-  // Same, over every shard at once (drains the whole store; heap export and
-  // tests).
-  Status WithCommittedLog(const std::function<Status()>& fn);
   // Inside WithCommittedShard's `fn`: applies the shard log up to its
   // covered head to `target` (kRollbackDetected if the file lost it).
   Status ReplayCommittedShard(size_t shard, kv::KeyValueStore& target);
+  // Inside WithCommittedShard's `fn`: whether the shard has compacted, i.e.
+  // whether its partitions' baseline is a cold copy or the empty store.
+  bool ShardCompacted(size_t shard) const { return shards_[shard]->log->head().compacted(); }
 
   // --- compaction ---
 
@@ -186,31 +195,21 @@ class WriteAheadStore : public kv::BatchFirstStore {
   Status CompactShard(size_t shard, const std::string& cold_dir,
                       CompactionCrash crash = CompactionCrash::kNone);
 
-  // Commits every shard log and starts it on a new generation. Call right
-  // after a baseline CheckpointAll: the arenas subsume everything the logs
-  // held.
-  Status ResetAllLogs();
-
-  // Restores a previous run's durable state into the (empty) inner store:
-  // with a persistent heap every partition attaches its arena's committed
-  // generation — O(1) in entry count, per-entry MAC verification deferred to
-  // first touch — then every shard log the recovered epoch names replays up
-  // to its head (the whole history on a heap-only WAL). Call after Open()
-  // and before serving; follow with SelfHealer::Start(). A leftover
-  // unsharded log at options.path (the pre-sharding layout) or shard logs
-  // without an epoch are refused with kUnsupported naming the file: their
-  // acked records are never dropped silently. Sets the heap.restart_ns gauge.
+  // Restores a previous run's durable state into the (empty) inner store,
+  // writing no baseline: with a persistent heap every partition attaches its
+  // arena's committed generation — O(1) in entry count, per-entry MAC
+  // verification deferred to first touch — then every shard log the
+  // recovered epoch names replays up to its head (the log since the shard's
+  // last compaction; the whole history on a never-compacted shard). A
+  // compacted shard's partition whose heap file holds no committed
+  // generation (deleted, emptied, never committed) is kRollbackDetected
+  // naming the file: its baseline is gone, and the log alone would boot
+  // without it. Call after Open() and before serving; follow with
+  // SelfHealer::Start(). A leftover unsharded log at options.path (the
+  // pre-sharding layout) or shard logs without an epoch are refused with
+  // kUnsupported naming the file: their acked records are never dropped
+  // silently. Sets the heap.restart_ns gauge.
   Status RestoreFromDisk();
-
-  // Checkpoints every partition under the full log lock, writing its cold
-  // copy p<i>.heap into `destination_dir`: the file-shipped replica
-  // bootstrap path — a replica maps the copies and attaches in O(1), lazily
-  // re-verifying entries as it serves. The counter backing file and the
-  // sealed route key (options.path + ".route") ship alongside. The
-  // checkpoint advances each partition's counter, so the healer's own cold
-  // copies trail it until their shard next compacts. kUnsupported without
-  // Options::persist_dir.
-  Status ExportHeapFiles(const std::string& destination_dir);
 
   PartitionedStore& inner() { return inner_; }
   size_t num_shards() const { return shards_.size(); }
@@ -360,9 +359,10 @@ class WriteAheadStore : public kv::BatchFirstStore {
 };
 
 struct SelfHealOptions {
-  // Cold-copy directory (p<i>.heap per partition). Start() and every
-  // compaction write the partitions' cold copies here; recoveries of an
-  // arena store read them. Unused on a heap-only WAL.
+  // Cold-copy directory (p<i>.heap per partition). Every compaction (and
+  // Start()'s crash repair) writes the partitions' cold copies here;
+  // recoveries of a compacted shard's partitions read them. Unused on a
+  // heap-only WAL.
   std::string directory;
   // Buckets audited per Tick (0 = the store Options' scrub_budget_buckets).
   size_t scrub_budget_buckets = 0;
@@ -379,8 +379,9 @@ struct SelfHealOptions {
 // Self-healing state machine per partition:
 //
 //   healthy --(violation detected by an op, the scrub, or ScrubAll)-->
-//   quarantined --(Tick picks it up)--> recovering --(cold copy, or an empty
-//   store, + committed shard-log replay succeeds)--> healthy
+//   quarantined --(Tick picks it up)--> recovering --(baseline: the last cold
+//   copy, or the empty store if the shard never compacted; + committed
+//   shard-log replay succeeds)--> healthy
 //
 // Tick() is cheap when there is nothing to do; drive it from the network
 // server's maintenance thread (or any single background thread). Each tick
@@ -395,11 +396,14 @@ class SelfHealer {
   // logs) into the inner store. Call before Start(), on an empty store.
   Status Restore();
 
-  // Arena store: checkpoints every (healthy) partition, writing its cold
-  // copy, and truncates the shard logs the arenas subsume — a crash in the
-  // middle of a compaction is repaired here, before serving. Heap-only:
-  // nothing (the baseline is the empty store). Call once, before traffic;
-  // recovery = this baseline + each shard's log from then on.
+  // Crash repair, before traffic (call once, after Restore()). On an arena
+  // store it rewrites, through the audited CheckpointPartition, the cold
+  // copy of each healthy partition whose arena holds a committed generation
+  // the copy does not (PartitionedStore::ColdCopyBehind) — only a compaction
+  // that died between its arena commit and the cold-copy rename leaves
+  // that, and boot's counter roll-forward has made the arena the live
+  // generation. Otherwise it writes nothing, and costs O(partitions).
+  // Heap-only: nothing.
   Status Start();
 
   // One maintenance step: recover at most one quarantined partition, else

@@ -112,8 +112,7 @@ TEST(BatchProtocolTest, ResponseRoundTripProperty) {
   for (int round = 0; round < 200; ++round) {
     std::vector<net::Response> responses(1 + rng.NextBelow(32));
     for (auto& r : responses) {
-      r.status = static_cast<Code>(rng.NextBelow(
-          static_cast<uint64_t>(Code::kUnsupportedUnderWal) + 1));
+      r.status = static_cast<Code>(rng.NextBelow(uint64_t{kMaxWireStatus} + 1));
       r.value.assign(rng.NextBelow(100), 'x');
     }
     Result<std::vector<net::Response>> back =

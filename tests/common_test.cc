@@ -28,7 +28,7 @@ TEST(StatusTest, OkAndErrors) {
 }
 
 TEST(StatusTest, EveryCodeHasAName) {
-  for (int c = 0; c <= static_cast<int>(Code::kInternal); ++c) {
+  for (int c = 0; c <= kMaxWireStatus; ++c) {
     EXPECT_NE(CodeName(static_cast<Code>(c)), "UNKNOWN") << c;
   }
 }

@@ -107,7 +107,7 @@ TEST_P(TamperMatrixTest, DetectedWithExactCodeAndRecoverable) {
 
   // Clean pre-attack checkpoint: its cold copy is the recovery target.
   const std::string cold = dir_ + "/cold";
-  ASSERT_TRUE(ps.CheckpointAll(sealer, counters, cold).ok());
+  ASSERT_TRUE(ps.CheckpointPartition(0, sealer, counters, cold).ok());
 
   ASSERT_TRUE(agent.Tamper(store, mode).ok()) << TamperModeName(mode);
   const std::string target = agent.last_target_key();
@@ -189,7 +189,9 @@ TEST_F(FaultInjectTest, QuarantinedPartitionRecoversWhileOthersServe) {
   ASSERT_TRUE(log.Commit().ok());
 
   const std::string cold = dir_ + "/cold";
-  ASSERT_TRUE(ps.CheckpointAll(sealer, counters, cold).ok());
+  for (size_t p = 0; p < ps.num_partitions(); ++p) {
+    ASSERT_TRUE(ps.CheckpointPartition(p, sealer, counters, cold).ok());
+  }
 
   // Committed mutations AFTER the checkpoint: only the oplog holds them.
   for (int i = 0; i < 200; i += 5) {

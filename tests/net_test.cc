@@ -1267,7 +1267,6 @@ TEST_F(NetEndToEndTest, TraceDumpEndToEndUnderFullSampling) {
   copts.enable_tracing = true;
   Client client(authority_, enclave_.measurement(), /*encrypt=*/true, copts);
   ASSERT_TRUE(client.Connect(server_->port()).ok());
-  EXPECT_TRUE(client.tracing());
 
   uint64_t trace_id = 0;
   {
@@ -1297,23 +1296,21 @@ TEST_F(NetEndToEndTest, TraceDumpEndToEndUnderFullSampling) {
   EXPECT_TRUE(saw_server_get);
 }
 
-TEST_F(NetEndToEndTest, TracingOffStaysLegacyCompatible) {
+TEST_F(NetEndToEndTest, UnsampledOpsCarryNoTraceExtension) {
   StartServer({});
-  // Legacy client (no tracing requested) against a tracing-capable server.
-  Client legacy(authority_, enclave_.measurement());
-  ASSERT_TRUE(legacy.Connect(server_->port()).ok());
-  EXPECT_FALSE(legacy.tracing());
-  ASSERT_TRUE(legacy.Set("legacy", "ok").ok());
-  EXPECT_EQ(legacy.Get("legacy").value(), "ok");
+  // A client without tracing against a server that accepts the extension.
+  Client plain(authority_, enclave_.measurement());
+  ASSERT_TRUE(plain.Connect(server_->port()).ok());
+  ASSERT_TRUE(plain.Set("plain", "ok").ok());
+  EXPECT_EQ(plain.Get("plain").value(), "ok");
 
-  // Tracing-negotiated session with sampling disabled: ops must flow as
-  // plain legacy frames (no root in flight -> no extension prepended).
+  // A tracing client with sampling disabled: ops must flow as bare frames
+  // (no root in flight -> no extension prepended).
   obs::TraceSetSampleEvery(0);
   ClientOptions copts;
   copts.enable_tracing = true;
   Client traced(authority_, enclave_.measurement(), /*encrypt=*/true, copts);
   ASSERT_TRUE(traced.Connect(server_->port()).ok());
-  EXPECT_TRUE(traced.tracing());
   {
     obs::TraceRoot root("never.sampled");
     EXPECT_FALSE(root.sampled());
@@ -1321,7 +1318,7 @@ TEST_F(NetEndToEndTest, TracingOffStaysLegacyCompatible) {
     EXPECT_EQ(traced.Get("quiet").value(), "q");
   }
   obs::TraceSetSampleEvery(256);
-  Result<obs::MetricsSnapshot> snap = legacy.Stats();
+  Result<obs::MetricsSnapshot> snap = plain.Stats();
   ASSERT_TRUE(snap.ok());
   EXPECT_EQ(snap->CounterValue("net.protocol_errors"), 0u);
 }

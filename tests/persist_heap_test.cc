@@ -1,17 +1,20 @@
 // mmap-backed persistent untrusted heap, end to end: O(1) restart attach +
-// WAL-tail-only replay, crash-matrix durability (fully-old-or-fully-new, no
-// acked-write loss), incremental msync checkpoints, lazy MAC verification
-// catching arena-file tamper (live and across a restart), online heal of a
-// tampered arena from its cold copy plus the WAL suffix, and file-shipped
-// replica bootstrap.
+// replay of the log since the last compaction, crash-matrix durability
+// (fully-old-or-fully-new, no acked-write loss), incremental msync
+// checkpoints, lazy MAC verification catching arena-file tamper (live and
+// across a restart), online heal of a tampered arena from its cold copy (or,
+// before its shard compacts, the empty store) plus the WAL suffix, a restart
+// that writes no baseline, and a deleted heap file refused as a rollback.
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/alloc/persistent_arena.h"
 #include "src/faultinject/tamper.h"
@@ -50,6 +53,7 @@ namespace shield {
 namespace {
 
 using faultinject::TamperAgent;
+using shieldstore::EpochLog;
 using shieldstore::PartitionedStore;
 using shieldstore::SelfHealer;
 using shieldstore::SelfHealOptions;
@@ -82,7 +86,17 @@ struct Stack {
   std::unique_ptr<SelfHealer> healer;
   std::string cold_dir;  // the healer's cold copies
 
-  Status Checkpoint() { return store->CheckpointAll(*sealer, *counters, cold_dir); }
+  // Compacts every shard: the audited arena checkpoint with its cold copy,
+  // then a new log generation. Returns the first failure.
+  Status Compact() {
+    Status first;
+    for (size_t shard = 0; shard < wal->num_shards(); ++shard) {
+      if (Status st = wal->CompactShard(shard, cold_dir); !st.ok() && first.ok()) {
+        first = st;
+      }
+    }
+    return first;
+  }
 
   Status Boot() {
     if (Status st = wal->Open(); !st.ok()) {
@@ -152,6 +166,39 @@ class PersistHeapTest : public ::testing::Test {
     ASSERT_TRUE(st.ok()) << st.ToString();
   }
 
+  // What a restart must leave alone: the WAL counter's epoch and each
+  // shard's log generation, every arena's counter value, and the cold copies.
+  struct Baseline {
+    uint64_t epoch = 0;
+    std::vector<uint64_t> generations;
+    std::vector<uint64_t> arena_counters;
+    std::map<std::string, std::string> cold_files;
+    bool operator==(const Baseline&) const = default;
+  };
+  Baseline ReadBaseline() {
+    Stack s = MakeStack(dir_);  // built, not booted: maps the files, writes nothing
+    Baseline b;
+    const Result<shieldstore::Epoch> epoch =
+        EpochLog::Recover(*s.sealer, *s.counters, dir_ + "/wal.log");
+    EXPECT_TRUE(epoch.ok()) << epoch.status().ToString();
+    if (epoch.ok()) {
+      b.epoch = epoch->value;
+      for (const shieldstore::LogHead& head : epoch->heads) {
+        b.generations.push_back(head.generation);
+      }
+    }
+    for (size_t p = 0; p < kPartitions; ++p) {
+      const uint32_t id = s.store->partition_arena(p)->counter_id();
+      b.arena_counters.push_back(id == 0 ? 0 : s.counters->Read(id).value());
+    }
+    for (const auto& entry : std::filesystem::directory_iterator(s.cold_dir)) {
+      std::ifstream in(entry.path(), std::ios::binary);
+      b.cold_files[entry.path().filename().string()] =
+          std::string(std::istreambuf_iterator<char>(in), {});
+    }
+    return b;
+  }
+
   std::string dir_;
 };
 
@@ -168,7 +215,7 @@ TEST_F(PersistHeapTest, RestartRoundTripWithOverwritesAndDeletes) {
     }
     // Fold the first wave into the arena, then keep mutating so the restart
     // exercises BOTH the attached generation and the WAL tail on top of it.
-    ASSERT_TRUE(s.Checkpoint().ok());
+    ASSERT_TRUE(s.Compact().ok());
     for (int i = 0; i < 120; ++i) {
       const std::string k = "key-" + std::to_string(i);
       const std::string v = "rewritten-" + std::to_string(i) + std::string(64, 'x');
@@ -201,9 +248,9 @@ TEST_F(PersistHeapTest, RestartRoundTripWithOverwritesAndDeletes) {
   EXPECT_GT(s.metrics->GetGauge("heap.restart_ns").Value(), 0);
 }
 
-// kill -9 at every arena commit point: acked writes survive because the heap
-// file recovers to the previous committed generation and the WAL tail —
-// which still holds everything acked since — replays on top.
+// kill -9 at every arena commit point of a first compaction: acked writes
+// survive because the heap file recovers to its previous state (none yet)
+// and the shard log — which the crash left untruncated — replays whole.
 TEST_F(PersistHeapTest, CrashMatrixLosesNoAckedWrite) {
   using CP = alloc::PersistentArena::CrashPoint;
   int round = 0;
@@ -220,12 +267,13 @@ TEST_F(PersistHeapTest, CrashMatrixLosesNoAckedWrite) {
         ASSERT_TRUE(s.wal->Set(k, v).ok());
         acked[k] = v;
       }
-      // The checkpoint dies mid-protocol on every partition's arena.
+      // The compaction's checkpoint dies mid-protocol on every partition's
+      // arena.
       for (size_t p = 0; p < kPartitions; ++p) {
         ASSERT_NE(s.store->partition_arena(p), nullptr);
         s.store->partition_arena(p)->InjectCrash(point);
       }
-      const Status st = s.Checkpoint();
+      const Status st = s.Compact();
       ASSERT_EQ(st.code(), Code::kIoError) << "injection should have fired: " << st.ToString();
     }  // teardown unmaps without msync — the in-memory mirror dies with it
 
@@ -247,7 +295,7 @@ TEST_F(PersistHeapTest, IncrementalCheckpointSyncsOnlyDirtyState) {
   for (int i = 0; i < 2000; ++i) {
     ASSERT_TRUE(s.wal->Set("bulk-" + std::to_string(i), std::string(100, 'a' + i % 26)).ok());
   }
-  ASSERT_TRUE(s.Checkpoint().ok());
+  ASSERT_TRUE(s.Compact().ok());
   uint64_t full = 0;
   for (size_t p = 0; p < kPartitions; ++p) {
     full += s.store->partition_arena(p)->last_commit_msync_bytes();
@@ -257,7 +305,7 @@ TEST_F(PersistHeapTest, IncrementalCheckpointSyncsOnlyDirtyState) {
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(s.wal->Set("bulk-" + std::to_string(i * 97), "touched").ok());
   }
-  ASSERT_TRUE(s.Checkpoint().ok());
+  ASSERT_TRUE(s.Compact().ok());
   uint64_t incremental = 0;
   for (size_t p = 0; p < kPartitions; ++p) {
     incremental += s.store->partition_arena(p)->last_commit_msync_bytes();
@@ -276,7 +324,7 @@ TEST_F(PersistHeapTest, LiveArenaFileTamperDetectedBeforeServing) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(s.wal->Set("live-" + std::to_string(i), "payload-" + std::to_string(i)).ok());
   }
-  ASSERT_TRUE(s.Checkpoint().ok());
+  ASSERT_TRUE(s.Compact().ok());
   const std::string victim = "live-42";
   size_t partition = 0;
   std::string heap_file;
@@ -289,26 +337,32 @@ TEST_F(PersistHeapTest, LiveArenaFileTamperDetectedBeforeServing) {
   EXPECT_TRUE(s.store->IsQuarantined(partition));
 }
 
+// A tamper of a heap file while the daemon is down: attach stays O(1) and
+// writes nothing, so the flip surfaces on first touch, and the partition
+// heals from the compaction's clean cold copy plus the log suffix.
 TEST_F(PersistHeapTest, OfflineTamperCaughtByLazyVerificationAfterRestart) {
   std::string heap_file;
   uint64_t offset = 0;
   size_t partition = 0;
-  std::string victim;
+  const std::string victim = "off-7";
+  std::map<std::string, std::string> acked;
   {
     Stack s = MakeStack(dir_);
     ASSERT_TRUE(s.Boot().ok());
     for (int i = 0; i < 100; ++i) {
       ASSERT_TRUE(s.wal->Set("off-" + std::to_string(i), "payload-" + std::to_string(i)).ok());
+      acked["off-" + std::to_string(i)] = "payload-" + std::to_string(i);
     }
-    victim = "off-7";
-    ASSERT_TRUE(s.Checkpoint().ok());
-    // Truncate the WAL tail: the victim must exist ONLY in the arena, else
-    // the restart's replay would legitimately reseal it over the tamper.
-    ASSERT_TRUE(s.wal->ResetAllLogs().ok());
+    // The compaction truncates the log: the victim now exists ONLY in the
+    // arena, else the restart's replay would legitimately reseal it over the
+    // tamper.
+    ASSERT_TRUE(s.Compact().ok());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(s.wal->Set("suffix-" + std::to_string(i), "s").ok());
+      acked["suffix-" + std::to_string(i)] = "s";
+    }
     ASSERT_NO_FATAL_FAILURE(LocateValueByte(s, victim, &partition, &heap_file, &offset));
   }
-  // Tamper while the store is down: exactly what the deferred verification
-  // exists for — attach stays O(1), the flip surfaces on first touch.
   ASSERT_TRUE(TamperAgent::FlipFileByte(heap_file, offset).ok());
 
   Stack s = MakeStack(dir_);
@@ -316,16 +370,15 @@ TEST_F(PersistHeapTest, OfflineTamperCaughtByLazyVerificationAfterRestart) {
   EXPECT_EQ(s.wal->Get(victim).status().code(), Code::kIntegrityFailure)
       << "tampered entry must never be served";
   EXPECT_TRUE(s.store->IsQuarantined(partition));
-  // Boot's checkpoint does not audit (attach stays O(1)), so its cold copy
-  // carries the tamper at rest too: heal's audit refuses it, typed, and the
-  // partition stays fenced rather than serve it.
-  for (int i = 0; i < 10; ++i) {
-    s.healer->Tick();
+  s.healer->Tick();  // recovery comes first in a tick
+  ASSERT_FALSE(s.store->IsQuarantined(partition)) << s.healer->last_error().ToString();
+  EXPECT_EQ(s.healer->recoveries(), 1u);
+  for (const auto& [k, v] : acked) {
+    const Result<std::string> got = s.wal->Get(k);
+    ASSERT_TRUE(got.ok()) << k << ": " << got.status().ToString();
+    EXPECT_EQ(*got, v) << k;
   }
-  EXPECT_TRUE(s.store->IsQuarantined(partition));
-  EXPECT_GT(s.healer->failed_recoveries(), 0u);
-  EXPECT_EQ(s.healer->last_error().code(), Code::kIntegrityFailure)
-      << s.healer->last_error().ToString();
+  EXPECT_TRUE(s.store->ScrubAll().ok());
 }
 
 // A tamper of the live arena while serving: the maintenance tick lays the
@@ -399,14 +452,18 @@ TEST_F(PersistHeapTest, TamperedLiveArenaHealsFromColdCopyPlusWalSuffix) {
 TEST_F(PersistHeapTest, HealRefusesMissingOrStaleColdCopy) {
   Stack s = MakeStack(dir_);
   ASSERT_TRUE(s.Boot().ok());
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_TRUE(s.wal->Set("cold-" + std::to_string(i), "v" + std::to_string(i)).ok());
-  }
   const size_t victim = s.store->PartitionOf("cold-7");
   const size_t shard = s.wal->ShardOfPartition(victim);
+  for (int i = 0; i < 25; ++i) {
+    ASSERT_TRUE(s.wal->Set("cold-" + std::to_string(i), "v" + std::to_string(i)).ok());
+  }
+  ASSERT_TRUE(s.wal->CompactShard(shard, s.cold_dir).ok());
   const std::string cold = s.cold_dir + "/p" + std::to_string(victim) + ".heap";
   const std::string older = dir_ + "/older.heap";
-  std::filesystem::copy_file(cold, older);
+  std::filesystem::copy_file(cold, older);  // the first compaction's copy
+  for (int i = 25; i < 50; ++i) {
+    ASSERT_TRUE(s.wal->Set("cold-" + std::to_string(i), "v" + std::to_string(i)).ok());
+  }
   ASSERT_TRUE(s.wal->CompactShard(shard, s.cold_dir).ok());
   const auto heal = [&] {
     EXPECT_FALSE(s.store
@@ -436,71 +493,6 @@ TEST_F(PersistHeapTest, HealRefusesMissingOrStaleColdCopy) {
   }
 }
 
-TEST_F(PersistHeapTest, ReplicaBootstrapFromExportedFiles) {
-  const std::string replica_dir = dir_ + "/replica";
-  std::filesystem::create_directories(replica_dir);
-  std::map<std::string, std::string> expected;
-  {
-    Stack s = MakeStack(dir_);
-    ASSERT_TRUE(s.Boot().ok());
-    for (int i = 0; i < 300; ++i) {
-      const std::string k = "rep-" + std::to_string(i);
-      const std::string v = "value-" + std::to_string(i);
-      ASSERT_TRUE(s.wal->Set(k, v).ok());
-      expected[k] = v;
-    }
-    ASSERT_TRUE(s.wal->ExportHeapFiles(replica_dir + "/heap").ok());
-    // The sealed metadata is rollback-bound to the monotonic counters and
-    // the chains to the route key; a bootstrap ships the counter file and
-    // the sealed route key alongside the heap files.
-    std::filesystem::copy_file(dir_ + "/counters.bin", replica_dir + "/counters.bin",
-                               std::filesystem::copy_options::overwrite_existing);
-    std::filesystem::copy_file(dir_ + "/wal.log.route", replica_dir + "/wal.log.route");
-    // Only the committed extent of each sparse copy is allocated.
-    for (size_t p = 0; p < kPartitions; ++p) {
-      struct stat st{};
-      const std::string copy = replica_dir + "/heap/p" + std::to_string(p) + ".heap";
-      ASSERT_EQ(::stat(copy.c_str(), &st), 0) << copy;
-      EXPECT_LE(static_cast<uint64_t>(st.st_blocks) * 512,
-                s.store->partition_arena(p)->committed_extent() + 4096)
-          << copy;
-    }
-  }
-
-  Stack replica = MakeStack(replica_dir);
-  ASSERT_TRUE(replica.Boot().ok());
-  EXPECT_EQ(replica.store->Size(), expected.size());
-  for (const auto& [k, v] : expected) {
-    const Result<std::string> got = replica.wal->Get(k);
-    ASSERT_TRUE(got.ok()) << k << ": " << got.status().ToString();
-    EXPECT_EQ(*got, v);
-  }
-  EXPECT_TRUE(replica.store->ScrubAll().ok());
-
-  // A tampered copy must NOT bootstrap silently: flip one ciphertext byte in
-  // the shipped file and the replica detects it on first touch.
-  const std::string tampered_dir = dir_ + "/tampered-replica";
-  std::filesystem::create_directories(tampered_dir + "/heap");
-  for (const auto& entry : std::filesystem::directory_iterator(replica_dir + "/heap")) {
-    std::filesystem::copy_file(entry.path(),
-                               tampered_dir + "/heap/" + entry.path().filename().string());
-  }
-  std::filesystem::copy_file(replica_dir + "/counters.bin", tampered_dir + "/counters.bin");
-  std::filesystem::copy_file(replica_dir + "/wal.log.route", tampered_dir + "/wal.log.route");
-  std::string heap_file;
-  uint64_t offset = 0;
-  size_t partition = 0;
-  ASSERT_NO_FATAL_FAILURE(LocateValueByte(replica, "rep-11", &partition, &heap_file, &offset));
-  const std::string tampered_file =
-      tampered_dir + "/heap/p" + std::to_string(partition) + ".heap";
-  ASSERT_TRUE(TamperAgent::FlipFileByte(tampered_file, offset).ok());
-
-  Stack tampered = MakeStack(tampered_dir);
-  ASSERT_TRUE(tampered.Boot().ok());
-  EXPECT_EQ(tampered.wal->Get("rep-11").status().code(), Code::kIntegrityFailure);
-  EXPECT_TRUE(tampered.store->IsQuarantined(partition));
-}
-
 // The sealed route key is what makes the heap files' chain placement valid
 // across boots; three restarts in a row must keep resolving every key.
 TEST_F(PersistHeapTest, RouteKeyStableAcrossRestarts) {
@@ -520,6 +512,104 @@ TEST_F(PersistHeapTest, RouteKeyStableAcrossRestarts) {
       EXPECT_EQ(*got, std::to_string(i));
     }
   }
+}
+
+// A restart attaches and replays; it commits no arena, writes no cold copy,
+// bumps no counter and starts no log generation — the compaction, which
+// audits first, is the only writer of a baseline.
+TEST_F(PersistHeapTest, CleanRestartWritesNoBaseline) {
+  {
+    Stack s = MakeStack(dir_);
+    ASSERT_TRUE(s.Boot().ok());
+    for (int i = 0; i < 60; ++i) {
+      ASSERT_TRUE(s.wal->Set("quiet-" + std::to_string(i), std::to_string(i)).ok());
+    }
+    ASSERT_TRUE(s.Compact().ok());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(s.wal->Set("quiet-" + std::to_string(i), "suffix").ok());
+    }
+  }
+  const Baseline before = ReadBaseline();
+  ASSERT_EQ(before.generations, std::vector<uint64_t>(kPartitions, 2));
+  ASSERT_EQ(before.cold_files.size(), kPartitions);
+  for (int boot = 0; boot < 2; ++boot) {
+    {
+      Stack s = MakeStack(dir_);
+      ASSERT_TRUE(s.Boot().ok()) << "boot " << boot;
+      const Result<std::string> got = s.wal->Get("quiet-3");
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(*got, "suffix");
+    }
+    EXPECT_TRUE(ReadBaseline() == before) << "boot " << boot << " wrote a baseline";
+  }
+}
+
+// A compacted shard's log holds only what followed its partitions' arena
+// commits: a heap file deleted or emptied while the daemon is down is a
+// rollback of that baseline, refused at boot naming the file — never a
+// first boot that silently serves without the keys it held.
+TEST_F(PersistHeapTest, MissingHeapFileOfCompactedShardIsRollback) {
+  for (const bool emptied : {false, true}) {
+    const std::string dir = dir_ + (emptied ? "/emptied" : "/deleted");
+    {
+      Stack s = MakeStack(dir);
+      ASSERT_TRUE(s.Boot().ok());
+      for (int i = 0; i < 20; ++i) {
+        ASSERT_TRUE(s.wal->Set("gone-" + std::to_string(i), "v").ok());
+      }
+      ASSERT_TRUE(s.Compact().ok());
+    }
+    const std::string heap_file = dir + "/heap/p0.heap";
+    if (emptied) {
+      std::filesystem::resize_file(heap_file, 0);
+    } else {
+      ASSERT_TRUE(std::filesystem::remove(heap_file));
+    }
+    Stack s = MakeStack(dir);
+    const Status booted = s.Boot();
+    EXPECT_EQ(booted.code(), Code::kRollbackDetected) << booted.ToString();
+    EXPECT_NE(booted.message().find(heap_file), std::string::npos) << booted.ToString();
+  }
+}
+
+// Before its shard compacts, a partition's baseline is the empty store and
+// its suffix the whole shard log, however many restarts ago it began: a
+// tamper after two restarts heals from exactly that, with no cold copy.
+TEST_F(PersistHeapTest, NeverCompactedPartitionHealsFromEmptyStorePlusWholeLog) {
+  std::map<std::string, std::string> acked;
+  for (int boot = 0; boot < 2; ++boot) {
+    Stack s = MakeStack(dir_);
+    ASSERT_TRUE(s.Boot().ok());
+    for (int i = 0; i < 60; ++i) {
+      const std::string k = "whole-" + std::to_string(i + boot * 30);
+      const std::string v = "boot" + std::to_string(boot) + "-" + std::to_string(i);
+      ASSERT_TRUE(s.wal->Set(k, v).ok());
+      acked[k] = v;
+    }
+    ASSERT_TRUE(s.wal->Delete("whole-" + std::to_string(boot)).ok());
+    acked.erase("whole-" + std::to_string(boot));
+  }
+  Stack s = MakeStack(dir_);
+  ASSERT_TRUE(s.Boot().ok());
+  EXPECT_FALSE(std::filesystem::exists(s.cold_dir)) << "nothing compacted, nothing copied";
+  const std::string victim = "whole-50";
+  size_t partition = 0;
+  std::string heap_file;
+  uint64_t offset = 0;
+  ASSERT_NO_FATAL_FAILURE(LocateValueByte(s, victim, &partition, &heap_file, &offset));
+  ASSERT_TRUE(TamperAgent::FlipFileByte(heap_file, offset).ok());
+  EXPECT_EQ(s.wal->Get(victim).status().code(), Code::kIntegrityFailure);
+  ASSERT_TRUE(s.store->IsQuarantined(partition));
+  s.healer->Tick();
+  ASSERT_FALSE(s.store->IsQuarantined(partition)) << s.healer->last_error().ToString();
+  EXPECT_EQ(s.store->Size(), acked.size());
+  for (const auto& [k, v] : acked) {
+    const Result<std::string> got = s.wal->Get(k);
+    ASSERT_TRUE(got.ok()) << k << ": " << got.status().ToString();
+    EXPECT_EQ(*got, v) << k;
+  }
+  EXPECT_TRUE(s.store->ScrubAll().ok());
+  EXPECT_FALSE(std::filesystem::exists(s.cold_dir));
 }
 
 }  // namespace

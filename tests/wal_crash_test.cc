@@ -308,12 +308,12 @@ TEST(WalCrashTest, Kill9UnderPipelinedSessionsLosesNoAckedWrite) {
 
 // Arena crash matrix against the REAL binary: for each arena commit crash
 // point, (1) load acked writes into a --heal-dir server and
-// SIGKILL it hot, (2) relaunch with SHIELD_ARENA_CRASH armed so the boot-time
-// checkpoint dies by SIGKILL mid-commit at exactly that point, (3) relaunch
-// clean and demand every acknowledged write back byte for byte. The arena
-// file has now survived two unclean deaths — one arbitrary, one surgically
-// placed inside the plan/commit protocol — and recovery must still land on a
-// consistent slot plus the WAL tail.
+// SIGKILL it hot, (2) relaunch with SHIELD_ARENA_CRASH armed and load until
+// a compaction's checkpoint dies by SIGKILL mid-commit at exactly that
+// point, (3) relaunch clean and demand every acknowledged write back byte
+// for byte. The arena file has now survived two unclean deaths — one
+// arbitrary, one surgically placed inside the plan/commit protocol — and
+// recovery must still land on a consistent slot plus the shard log.
 TEST(WalCrashTest, PersistHeapKill9CrashMatrixLosesNoAckedWrite) {
   const sgx::AttestationAuthority authority(AsBytes(kAuthoritySeed));
   const char* const kPoints[] = {"plan", "apply", "precommit", "presync"};
@@ -347,12 +347,39 @@ TEST(WalCrashTest, PersistHeapKill9CrashMatrixLosesNoAckedWrite) {
     }
     KillServer(&server, SIGKILL);  // reap
 
-    // Run 2: the recovery checkpoint itself dies at the injected point. The
-    // measurement line prints only after SelfHealer::Start, so a commit-time
-    // SIGKILL surfaces as a failed launch — which is exactly the assertion.
-    EXPECT_FALSE(StartServer(dir, port, &server, persist_args,
-                             {{"SHIELD_ARENA_CRASH", point}, {"SHIELD_ARENA_CRASH_KILL", "1"}}))
-        << "injected " << point << " crash did not kill the boot-time checkpoint";
+    // Run 2: a compaction's checkpoint dies at the injected point. A boot
+    // writes no baseline, so the daemon comes up (unless run 1's kill left a
+    // cold copy for Start() to repair: that checkpoint dies instead) and
+    // writes until a shard log outgrows kCompactBytes. Writes acked before
+    // the SIGKILL count like any other; each key is written once, so one in
+    // flight at the kill (durable or not) cannot shadow an acked value.
+    if (StartServer(dir, port, &server, persist_args,
+                    {{"SHIELD_ARENA_CRASH", point}, {"SHIELD_ARENA_CRASH_KILL", "1"}})) {
+      net::Client client(authority, server.measurement);
+      if (client.Connect(port).ok()) {
+        for (int i = 0; i < 2000; ++i) {
+          const std::string key = "run2-" + std::to_string(i);
+          const std::string value = key + "-" + point + std::string(120, 'z');
+          if (!client.Set(key, value).ok()) {
+            break;  // the injected SIGKILL
+          }
+          acked[key] = value;
+        }
+      }
+      int status = 0;
+      pid_t reaped = 0;
+      const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while ((reaped = ::waitpid(server.pid, &status, WNOHANG)) == 0 &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(10));
+      }
+      EXPECT_TRUE(reaped == server.pid && WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+          << "injected " << point << " crash did not kill a compaction";
+      if (reaped == server.pid) {
+        server.pid = -1;
+      }
+      KillServer(&server, SIGKILL);  // closes the pipe; kills a survivor
+    }
 
     // Run 3: clean relaunch. Fully-old-or-fully-new arena + WAL tail replay
     // must reproduce every acknowledged write.

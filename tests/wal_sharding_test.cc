@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/faultinject/tamper.h"
 #include "src/obs/metrics.h"
 #include "src/obs/snapshot.h"
 #include "src/shieldstore/partitioned.h"
@@ -290,44 +291,73 @@ class WalCompactionCrashTest
       public ::testing::WithParamInterface<WriteAheadStore::CompactionCrash> {};
 
 TEST_P(WalCompactionCrashTest, CrashMidCompactionLosesNoAckedWrite) {
-  PartitionedStore store(enclave_, ArenaOptions(dir_), 4);
-  WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
-  ASSERT_TRUE(wal.Open().ok());
   SelfHealOptions heal_opts;
   heal_opts.directory = ColdDir();
   heal_opts.scrub = false;
-  SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
-  ASSERT_TRUE(healer.Start().ok());
-
   std::map<std::string, std::string> acked;
-  for (int i = 0; i < 64; ++i) {
-    const std::string key = "crash-" + std::to_string(i);
-    const std::string value = "gen1-" + std::to_string(i);
-    ASSERT_TRUE(wal.Set(key, value).ok());
-    acked[key] = value;
-  }
-
-  // The injected crash aborts the compaction sequence at the parameterized
-  // point; every shard either kept its old arena generation + full log or
-  // has the new one + the (not yet replaced) old log generation — both
-  // replay to `acked`.
-  const bool latches = GetParam() == WriteAheadStore::CompactionCrash::kGenerationSwitch;
-  for (size_t s = 0; s < wal.num_shards(); ++s) {
-    const Status crashed = wal.CompactShard(s, ColdDir(), GetParam());
-    ASSERT_FALSE(crashed.ok()) << "injected crash must surface, shard " << s;
-    if (!latches) {
-      EXPECT_GT(wal.ShardLogBytes(s), 8u) << "log must NOT be truncated after the crash";
+  const auto write = [&](WriteAheadStore& wal, const std::string& generation) {
+    for (int i = 0; i < 64; ++i) {
+      const std::string key = "crash-" + std::to_string(i);
+      const std::string value = generation + "-" + std::to_string(i);
+      ASSERT_TRUE(wal.Set(key, value).ok());
+      acked[key] = value;
     }
-  }
+  };
+  const bool latches = GetParam() == WriteAheadStore::CompactionCrash::kGenerationSwitch;
+  {
+    PartitionedStore store(enclave_, ArenaOptions(dir_), 4);
+    WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
+    ASSERT_TRUE(wal.Open().ok());
+    SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
+    ASSERT_TRUE(healer.Start().ok());
+    ASSERT_NO_FATAL_FAILURE(write(wal, "gen1"));
+    // A first, clean compaction: the crash below hits shards whose
+    // partitions' heal baseline is a cold copy.
+    for (size_t s = 0; s < wal.num_shards(); ++s) {
+      ASSERT_TRUE(wal.CompactShard(s, ColdDir()).ok());
+    }
+    ASSERT_NO_FATAL_FAILURE(write(wal, "gen2"));
 
-  const std::map<std::string, std::string> dump = RestartAndDump(4, LogOptions(), true);
-  EXPECT_EQ(dump, acked);
-  if (latches) {
-    return;  // the shards latched: this process would be gone
-  }
+    // The injected crash aborts the compaction sequence at the parameterized
+    // point; every shard either kept its old arena generation + full log or
+    // has the new one + the (not yet replaced) old log generation — both
+    // replay to `acked`.
+    for (size_t s = 0; s < wal.num_shards(); ++s) {
+      const Status crashed = wal.CompactShard(s, ColdDir(), GetParam());
+      ASSERT_FALSE(crashed.ok()) << "injected crash must surface, shard " << s;
+      if (!latches) {
+        EXPECT_GT(wal.ShardLogBytes(s), 8u) << "log must NOT be truncated after the crash";
+      }
+    }
+    EXPECT_EQ(RestartAndDump(4, LogOptions(), true), acked);
+  }  // the process dies here
 
-  // The surviving store compacts cleanly afterwards (the daemon that
-  // restarts after the crash retries on its maintenance thread).
+  // The restart on the crashed directory: Start() rewrites each cold copy
+  // the crash left behind its arena, so a tamper then heals from the cold
+  // copy plus the untruncated log.
+  PartitionedStore store(enclave_, ArenaOptions(dir_), 4);
+  WriteAheadStore wal(store, *sealer_, *counters_, LogOptions());
+  ASSERT_TRUE(wal.Open().ok());
+  SelfHealer healer(wal, *sealer_, *counters_, heal_opts);
+  ASSERT_TRUE(healer.Restore().ok());
+  ASSERT_TRUE(healer.Start().ok());
+  for (size_t p = 0; p < store.num_partitions(); ++p) {
+    EXPECT_FALSE(store.ColdCopyBehind(p, ColdDir())) << "partition " << p;
+  }
+  faultinject::TamperAgent agent(0x5eed);
+  ASSERT_TRUE(store
+                  .WithPartitionLocked(0, [&](shieldstore::Store& p) {
+                    return agent.Tamper(p, faultinject::TamperMode::kBitFlipCiphertext);
+                  })
+                  .ok());
+  EXPECT_FALSE(store.ScrubAll().ok());
+  ASSERT_TRUE(store.IsQuarantined(0));
+  healer.Tick();
+  ASSERT_FALSE(store.IsQuarantined(0)) << healer.last_error().ToString();
+  EXPECT_EQ(Dump(store), acked);
+
+  // The restarted store compacts cleanly (the daemon retries on its
+  // maintenance thread).
   for (size_t s = 0; s < wal.num_shards(); ++s) {
     const Status retried = wal.CompactShard(s, ColdDir());
     ASSERT_TRUE(retried.ok()) << retried.ToString();
@@ -402,8 +432,6 @@ TEST_F(WalShardingTest, StatsCountersTrackLoggingCommitsAndCompactions) {
   EXPECT_GT(after.commits, before.commits);  // every ack waited for its group's commit
   EXPECT_GT(after.log_bytes, before.log_bytes);
 
-  ASSERT_TRUE(wal.WithCommittedLog([] { return Status::Ok(); }).ok());
-  after = wal.Stats();
   EXPECT_GE(after.fsyncs, wal.num_shards());  // every shard group-committed
 
   for (size_t s = 0; s < wal.num_shards(); ++s) {
@@ -477,7 +505,6 @@ TEST_F(WalShardingTest, ParallelReplayMatchesSequentialReplay) {
     ASSERT_TRUE(wal.Delete(key).ok());
     acked.erase(key);
   }
-  ASSERT_TRUE(wal.WithCommittedLog([] { return Status::Ok(); }).ok());
 
   EXPECT_EQ(RestartAndDump(4, LogOptions()), acked);
   EXPECT_EQ(RestartAndDump(4, LogOptions()), acked);

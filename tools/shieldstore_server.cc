@@ -8,11 +8,13 @@
 //
 // With --heal-dir DIR the daemon becomes durable and self-healing: the
 // untrusted heap is mmap'd onto per-partition arena files in DIR/heap, every
-// acknowledged mutation is write-ahead logged, each checkpoint (at startup
-// and at every log compaction) writes a cold copy of each arena to DIR/cold,
-// a paced background scrub audits the table, and a partition that fails an
-// integrity check is quarantined and rebuilt online (cold copy + its shard's
-// committed log) while the rest of the store keeps serving. Without it the
+// acknowledged mutation is write-ahead logged, each log compaction audits
+// its partitions and writes a cold copy of each arena to DIR/cold (a restart
+// writes none: it attaches the arenas and replays the logs since), a paced
+// background scrub audits the table, and a partition that fails an integrity
+// check is quarantined and rebuilt online (its cold copy, or the empty store
+// if its shard never compacted, + its shard's committed log) while the rest
+// of the store keeps serving. Without it the
 // daemon serves volatile data, optionally still scrubbed in the background.
 //
 // The enclave measurement is printed at startup; clients pass it to
@@ -336,9 +338,9 @@ int main(int argc, char** argv) {
     heal_opts.compact_log_bytes = flags.wal_compact_bytes;
     healer = std::make_unique<shieldstore::SelfHealer>(*wal, *sealer, *counters, heal_opts);
     // Restore the previous run's durable state (the attached arenas + the
-    // committed suffix of every shard log) into the empty store before
-    // Start() checkpoints it. Replayed ops go straight to the inner store so
-    // they are not re-logged.
+    // committed suffix of every shard log) into the empty store; Start() then
+    // repairs any cold copy a compaction crash left behind. Replayed ops go
+    // straight to the inner store so they are not re-logged.
     const auto restore_start = std::chrono::steady_clock::now();
     if (Status s = healer->Restore(); !s.ok()) {
       std::fprintf(stderr, "restore failed: %s\n", s.ToString().c_str());
@@ -353,7 +355,7 @@ int main(int argc, char** argv) {
                   store.Size(), flags.heal_dir.c_str(), static_cast<double>(restore_ns) / 1e6);
     }
     if (Status s = healer->Start(); !s.ok()) {
-      std::fprintf(stderr, "baseline checkpoint failed: %s\n", s.ToString().c_str());
+      std::fprintf(stderr, "cold-copy repair failed: %s\n", s.ToString().c_str());
       return 1;
     }
   }
