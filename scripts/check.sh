@@ -30,9 +30,9 @@ ctest --test-dir build-asan --output-on-failure -j "$JOBS"
 echo "== concurrency battery under TSan =="
 cmake -B build-tsan -S . -DSHIELD_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS" --target concurrency_test selfheal_test reactor_test persist_heap_test \
-  wal_sharding_test wal_epoch_test
+  wal_sharding_test wal_epoch_test router_test
 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ConcurrencyTest|SelfHealNetTest|ReactorTorture|PersistHeapTest|WalShardingTest|WalEpochTest|WalEpochCrashTest'
+  -R 'ConcurrencyTest|SelfHealNetTest|ReactorTorture|PersistHeapTest|WalShardingTest|WalEpochTest|WalEpochCrashTest|ReplicationTest|ReplicaNodeTest'
 
 echo "== WAL scaling bench (smoke) =="
 # Exit code enforces the acceptance gate: sharded >= 3x single-log at 8

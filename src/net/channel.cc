@@ -140,22 +140,6 @@ Result<ServerHandshakeReply> ServerHandshakeHello(ByteSpan hello, sgx::Enclave& 
   return out;
 }
 
-Result<Bytes> ServerHandshake(int fd, sgx::Enclave& enclave,
-                              const sgx::AttestationAuthority& authority) {
-  Result<Bytes> hello = RecvFrame(fd);
-  if (!hello.ok()) {
-    return hello.status();
-  }
-  Result<ServerHandshakeReply> reply = ServerHandshakeHello(*hello, enclave, authority);
-  if (!reply.ok()) {
-    return reply.status();
-  }
-  if (Status s = SendFrame(fd, reply->reply); !s.ok()) {
-    return s;
-  }
-  return std::move(reply->key_material);
-}
-
 Result<Bytes> ClientHandshake(int fd, const sgx::AttestationAuthority& authority,
                               const sgx::Measurement& expected) {
   crypto::Drbg rng;

@@ -73,19 +73,13 @@ class SessionCrypto {
 // Frame-level server handshake: consumes a complete client-hello payload and
 // produces the reply payload plus the derived session key material. All
 // cryptographic steps are enclave work (the caller wraps this in an ECALL).
-// The reactor uses this directly once a full hello frame has been buffered;
-// the blocking `ServerHandshake` below is a convenience wrapper around it.
+// The reactor calls it once a full hello frame has been buffered.
 struct ServerHandshakeReply {
   Bytes reply;         // server pub || server nonce || quote
   Bytes key_material;  // HKDF output for SessionCrypto
 };
 Result<ServerHandshakeReply> ServerHandshakeHello(ByteSpan hello, sgx::Enclave& enclave,
                                                   const sgx::AttestationAuthority& authority);
-
-// Server side of the handshake over a blocking socket; returns the session
-// key material.
-Result<Bytes> ServerHandshake(int fd, sgx::Enclave& enclave,
-                              const sgx::AttestationAuthority& authority);
 
 // Client side: sends the one hello format, client DH key || client nonce
 // (trace propagation needs no negotiation: a sampled op's context rides in

@@ -61,7 +61,7 @@ Status Malformed(const char* what) {
 Bytes EncodeReplicateFrame(const ReplicateFrame& frame) {
   Bytes out;
   size_t total = 1 + 8 + 4 + 8 + 4 + 4;
-  for (const ReplicateEntry& e : frame.entries) {
+  for (const kv::BatchOp& e : frame.entries) {
     total += 1 + 4 + e.key.size() + 4 + e.value.size();
   }
   out.reserve(total);
@@ -71,8 +71,8 @@ Bytes EncodeReplicateFrame(const ReplicateFrame& frame) {
   PutU64(out, frame.first_seq);
   PutU32(out, frame.num_shards);
   PutU32(out, static_cast<uint32_t>(frame.entries.size()));
-  for (const ReplicateEntry& e : frame.entries) {
-    out.push_back(e.is_delete ? 1 : 0);
+  for (const kv::BatchOp& e : frame.entries) {
+    out.push_back(e.type == kv::BatchOpType::kDelete ? 1 : 0);
     PutString(out, e.key);
     PutString(out, e.value);
   }
@@ -118,11 +118,11 @@ Result<ReplicateFrame> DecodeReplicateFrame(ByteSpan payload) {
     if (rest.empty()) {
       return Malformed("truncated replicate entry");
     }
-    ReplicateEntry e;
+    kv::BatchOp e;
     if (rest[0] > 1) {
       return Malformed("bad replicate entry op");
     }
-    e.is_delete = rest[0] == 1;
+    e.type = rest[0] == 1 ? kv::BatchOpType::kDelete : kv::BatchOpType::kSet;
     rest = rest.subspan(1);
     if (!TakeString(rest, e.key) || !TakeString(rest, e.value)) {
       return Malformed("truncated replicate entry");

@@ -25,6 +25,7 @@
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
+#include "src/kv/interface.h"
 
 namespace shield::net {
 
@@ -43,12 +44,6 @@ enum class ReplicateType : uint8_t {
   kQuery = 6,
 };
 
-struct ReplicateEntry {
-  bool is_delete = false;
-  std::string key;
-  std::string value;
-};
-
 struct ReplicateFrame {
   ReplicateType type = ReplicateType::kQuery;
   // Primary boot epoch: a follower only applies entries of the epoch it was
@@ -58,7 +53,9 @@ struct ReplicateFrame {
   uint32_t shard = 0;       // kEntries: source WAL shard
   uint64_t first_seq = 0;   // kEntries: ship sequence of entries[0]
   uint32_t num_shards = 0;  // kHello: primary's WAL shard count
-  std::vector<ReplicateEntry> entries;  // kSnapshotChunk / kEntries
+  // kSnapshotChunk / kEntries: kSet or kDelete with the resulting state; on
+  // the wire an op byte (0 set, 1 delete), the key and the value.
+  std::vector<kv::BatchOp> entries;
 };
 
 enum class ReplicaRole : uint8_t {

@@ -564,9 +564,11 @@ void Server::EnclaveWorkerLoop() {
   // serves shared-memory requests without ever crossing the boundary.
   // Backoff discipline: spin (yield) through short gaps so a loaded server
   // keeps its exit-less latency, but once kIdleSpinPolls come up empty,
-  // sleep hotcall_idle_sleep_us per poll so an IDLE server stops pegging
-  // cores. Any served request resets the spin budget.
+  // sleep kIdleSleep per poll so an IDLE server stops pegging cores (the
+  // first request after an idle period waits at most that long). Any served
+  // request resets the spin budget.
   constexpr uint64_t kIdleSpinPolls = 1024;
+  constexpr auto kIdleSleep = std::chrono::microseconds(50);
   uint64_t idle_polls = 0;
   const auto serve = [this](uint16_t, void* data) {
     SessionRunTask* task = static_cast<SessionRunTask*>(data);
@@ -575,11 +577,10 @@ void Server::EnclaveWorkerLoop() {
   while (!hotcalls_->stopped()) {
     if (hotcalls_->Poll(serve)) {
       idle_polls = 0;
-    } else if (++idle_polls < kIdleSpinPolls || options_.hotcall_idle_sleep_us <= 0) {
+    } else if (++idle_polls < kIdleSpinPolls) {
       std::this_thread::yield();
     } else {
-      std::this_thread::sleep_for(
-          std::chrono::microseconds(options_.hotcall_idle_sleep_us));
+      std::this_thread::sleep_for(kIdleSleep);
     }
   }
   // Drain after stop so no caller is left waiting.

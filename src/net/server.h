@@ -61,12 +61,6 @@ struct ServerOptions {
   // pause until output drains.
   size_t max_session_output_bytes = 8u << 20;
 
-  // HotCalls responder idle backoff: after a bounded spin of empty polls,
-  // an idle responder sleeps this long between polls instead of pegging a
-  // core with yield() forever. 0 = legacy pure-spin (dedicated cores).
-  // First-request latency after an idle period is bounded by this value.
-  int hotcall_idle_sleep_us = 50;
-
   // Metrics registry for per-verb counters, end-to-end latency histograms,
   // the in-flight gauge, and the enclave-boundary stage tracer. nullptr
   // uses the process-wide obs::Registry::Global(); tests inject a fresh

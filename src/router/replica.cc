@@ -10,22 +10,15 @@
 namespace shield::router {
 namespace {
 
-// Applies entries[from..] through ONE store batch — on a WriteAheadStore
-// standby, one group per shard and about one counter bump for the frame.
-// Returns how many applied before the first failure, and that failure. A
-// delete that finds nothing counts as applied: a retransmitted delete, or
-// one racing the bootstrap snapshot (the key was already gone when the dump
-// read its partition), leaves the intended end state either way.
+// Applies `ops` (kSet/kDelete, as decoded) through ONE store batch — on a
+// WriteAheadStore standby, one group per shard and about one counter bump
+// for the frame. Returns how many applied before the first failure, and that
+// failure. A delete that finds nothing counts as applied: a retransmitted
+// delete, or one racing the bootstrap snapshot (the key was already gone
+// when the dump read its partition), leaves the intended end state either
+// way.
 std::pair<size_t, Status> ApplyBatch(kv::KeyValueStore& store,
-                                     const std::vector<net::ReplicateEntry>& entries,
-                                     size_t from) {
-  std::vector<kv::BatchOp> ops;
-  ops.reserve(entries.size() - from);
-  for (size_t i = from; i < entries.size(); ++i) {
-    const net::ReplicateEntry& e = entries[i];
-    ops.push_back({e.is_delete ? kv::BatchOpType::kDelete : kv::BatchOpType::kSet, e.key,
-                   e.value});
-  }
+                                     const std::vector<kv::BatchOp>& ops) {
   const std::vector<kv::BatchOpResult> results = store.ExecuteBatch(ops);
   for (size_t i = 0; i < results.size(); ++i) {
     const Status& st = results[i].status;
@@ -73,7 +66,7 @@ net::Response ReplicaNode::HandleReplicate(const net::Request& request) {
     rejected_->Inc();
     return Reply(Code::kProtocolError);
   }
-  const net::ReplicateFrame& frame = *decoded;
+  net::ReplicateFrame& frame = *decoded;
 
   std::lock_guard<std::mutex> lock(mutex_);
   switch (frame.type) {
@@ -122,7 +115,7 @@ net::Response ReplicaNode::HandleReplicate(const net::Request& request) {
                             " vs replica epoch " + std::to_string(epoch_));
         return ReplyLocked(Code::kInvalidArgument);
       }
-      const auto [applied, st] = ApplyBatch(store_, frame.entries, 0);
+      const auto [applied, st] = ApplyBatch(store_, frame.entries);
       snapshot_entries_->Inc(applied);
       if (!st.ok()) {
         rejected_->Inc();
@@ -188,7 +181,10 @@ net::Response ReplicaNode::HandleReplicate(const net::Request& request) {
       if (apply_from > last) {
         return ReplyLocked(Code::kOk);  // a retransmit of what already applied
       }
-      const auto [applied, st] = ApplyBatch(store_, frame.entries, apply_from - frame.first_seq);
+      frame.entries.erase(frame.entries.begin(),
+                          frame.entries.begin() +
+                              static_cast<ptrdiff_t>(apply_from - frame.first_seq));
+      const auto [applied, st] = ApplyBatch(store_, frame.entries);
       applied_->Inc(applied);
       applied_entries_.fetch_add(applied, std::memory_order_relaxed);
       if (!st.ok()) {

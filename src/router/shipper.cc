@@ -68,7 +68,7 @@ Status WalShipper::SendFrameLocked(const net::ReplicateFrame& frame) {
   }
 }
 
-void WalShipper::BufferLocked(PendingFrame frame) {
+void WalShipper::BufferLocked(net::ReplicateFrame frame) {
   backlog_entries_ += frame.entries.size();
   backlog_.push_back(std::move(frame));
   while (backlog_entries_ > options_.max_backlog_entries && !backlog_.empty()) {
@@ -83,24 +83,19 @@ void WalShipper::BufferLocked(PendingFrame frame) {
 }
 
 Status WalShipper::DrainBacklogLocked() {
-  while (!backlog_.empty()) {
-    const PendingFrame& pending = backlog_.front();
-    net::ReplicateFrame frame;
-    frame.type = net::ReplicateType::kEntries;
-    frame.epoch = options_.epoch;
-    frame.shard = pending.shard;
-    frame.first_seq = pending.first_seq;
-    frame.entries = pending.entries;  // copy: the frame stays buffered on failure
-    if (Status st = SendFrameLocked(frame); !st.ok()) {
-      return st;
+  Status st;
+  while (st.ok() && !backlog_.empty()) {
+    const net::ReplicateFrame& frame = backlog_.front();
+    st = SendFrameLocked(frame);
+    if (st.ok()) {
+      shipped_frames_->Inc();
+      shipped_entries_->Inc(frame.entries.size());
+      backlog_entries_ -= frame.entries.size();
+      backlog_.pop_front();
     }
-    shipped_frames_->Inc();
-    shipped_entries_->Inc(pending.entries.size());
-    backlog_entries_ -= pending.entries.size();
-    backlog_.pop_front();
   }
   backlog_gauge_->Set(static_cast<int64_t>(backlog_entries_));
-  return Status::Ok();
+  return st;
 }
 
 Status WalShipper::EnsureConnectedLocked() {
@@ -146,21 +141,21 @@ Status WalShipper::BootstrapLocked(std::unique_lock<std::mutex>& lock) {
   shieldstore::PartitionedStore& inner = wal_.inner();
   const size_t parts = inner.num_partitions();
   for (size_t p = 0; p < parts; ++p) {
-    std::vector<std::vector<net::ReplicateEntry>> chunks;
+    std::vector<net::ReplicateFrame> chunks;
     lock.unlock();
     size_t chunk_bytes = 0;
     Status collected = inner.WithPartitionLocked(p, [&](shieldstore::Store& partition) {
       return partition.ForEachDecrypted(
           [&](std::string_view key, std::string_view value) {
-            if (chunks.empty() || chunks.back().size() >= kChunkEntries ||
+            if (chunks.empty() || chunks.back().entries.size() >= kChunkEntries ||
                 chunk_bytes >= kChunkBytes) {
               chunks.emplace_back();
+              chunks.back().type = net::ReplicateType::kSnapshotChunk;
+              chunks.back().epoch = options_.epoch;
               chunk_bytes = 0;
             }
-            net::ReplicateEntry e;
-            e.key.assign(key);
-            e.value.assign(value);
-            chunks.back().push_back(std::move(e));
+            chunks.back().entries.push_back(
+                {kv::BatchOpType::kSet, std::string(key), std::string(value)});
             chunk_bytes += key.size() + value.size();
             return Status::Ok();
           });
@@ -173,11 +168,7 @@ Status WalShipper::BootstrapLocked(std::unique_lock<std::mutex>& lock) {
       resync_needed_ = true;
       return collected;
     }
-    for (std::vector<net::ReplicateEntry>& chunk : chunks) {
-      net::ReplicateFrame frame;
-      frame.type = net::ReplicateType::kSnapshotChunk;
-      frame.epoch = options_.epoch;
-      frame.entries = std::move(chunk);
+    for (const net::ReplicateFrame& frame : chunks) {
       if (Status st = SendFrameLocked(frame); !st.ok()) {
         bootstrapping_ = false;
         resync_needed_ = true;
@@ -233,79 +224,43 @@ Status WalShipper::Attach() {
 }
 
 Status WalShipper::ShipCommitted(size_t shard, uint64_t first_seq,
-                                 std::vector<shieldstore::ReplicatedOp> ops) {
+                                 std::vector<kv::BatchOp> ops) {
   obs::TraceScope span("repl.ship");
-  // Chunk to respect the codec's per-frame entry cap (a committer can
-  // steal more than one batch's worth of records during a long fsync).
-  std::vector<PendingFrame> frames;
+  std::unique_lock<std::mutex> lock(mutex_);
+  if (detached_) {
+    return Status::Ok();  // failed-over primary: drop silently, it is history
+  }
+  // Chunk to respect the codec's per-frame entry cap (a committer can take
+  // more than one batch's worth of records during a long fsync).
   size_t i = 0;
   while (i < ops.size()) {
-    PendingFrame frame;
+    net::ReplicateFrame frame;
+    frame.type = net::ReplicateType::kEntries;
+    frame.epoch = options_.epoch;
     frame.shard = static_cast<uint32_t>(shard);
     frame.first_seq = first_seq + i;
     size_t bytes = 0;
     while (i < ops.size() && frame.entries.size() < net::kMaxReplicateEntries &&
            bytes < kChunkBytes) {
-      shieldstore::ReplicatedOp& op = ops[i];
-      bytes += op.key.size() + op.value.size();
-      net::ReplicateEntry e;
-      e.is_delete = op.is_delete;
-      e.key = std::move(op.key);
-      e.value = std::move(op.value);
-      frame.entries.push_back(std::move(e));
-      ++i;
+      bytes += ops[i].key.size() + ops[i].value.size();
+      frame.entries.push_back(std::move(ops[i++]));
     }
-    frames.push_back(std::move(frame));
-  }
-
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (detached_) {
-    return Status::Ok();  // failed-over primary: drop silently, it is history
+    BufferLocked(std::move(frame));
   }
   if (bootstrapping_) {
     // A dump is in flight on another thread; these records are newer than
-    // whatever it read, so queuing them behind kSnapshotDone is correct.
-    for (PendingFrame& f : frames) {
-      BufferLocked(std::move(f));
-    }
+    // whatever it read, so they drain behind kSnapshotDone.
     return Status::Ok();
   }
-  if (!connected_ || resync_needed_) {
-    Status st = EnsureConnectedLocked();
-    if (st.ok() && resync_needed_) {
-      st = BootstrapLocked(lock);  // drains the backlog on success
+  // A failure here leaves the frames buffered for the next attempt:
+  // accepting into the bounded backlog is this sink's "buffer-and-return"
+  // contract — the WAL keeps acking, the gauge shows the lag.
+  if (EnsureConnectedLocked().ok()) {
+    if (resync_needed_) {
+      BootstrapLocked(lock);  // drains the backlog on success
+    } else {
+      DrainBacklogLocked();
     }
-    if (!st.ok() || detached_) {
-      // Unreachable (or mid-resync-failure): buffer for the next attempt.
-      // Accepting into the bounded backlog is this sink's "buffer-and-
-      // return" contract — the WAL keeps acking, the gauge shows the lag.
-      for (PendingFrame& f : frames) {
-        BufferLocked(std::move(f));
-      }
-      return Status::Ok();
-    }
-  }
-  if (Status st = DrainBacklogLocked(); !st.ok()) {
-    for (PendingFrame& f : frames) {
-      BufferLocked(std::move(f));
-    }
-    return Status::Ok();
-  }
-  for (size_t f = 0; f < frames.size(); ++f) {
-    net::ReplicateFrame frame;
-    frame.type = net::ReplicateType::kEntries;
-    frame.epoch = options_.epoch;
-    frame.shard = frames[f].shard;
-    frame.first_seq = frames[f].first_seq;
-    frame.entries = frames[f].entries;  // copy: buffered on failure
-    if (Status st = SendFrameLocked(frame); !st.ok()) {
-      for (size_t rest = f; rest < frames.size(); ++rest) {
-        BufferLocked(std::move(frames[rest]));
-      }
-      return Status::Ok();
-    }
-    shipped_frames_->Inc();
-    shipped_entries_->Inc(frames[f].entries.size());
   }
   return Status::Ok();
 }

@@ -17,9 +17,11 @@
 // from the backlog — but the backlog copy is the NEWER state and applies
 // last, so last-writer-wins makes the interleaving correct.
 //
-// Disconnects: ship failures buffer the batch in the backlog and the next
-// ShipCommitted retries the connection on a time-gated backoff; after a
-// reconnect the stream resumes contiguously from the buffered frames. If the
+// Every committed batch enters the backlog, and the backlog is the only
+// thing sent: a frame leaves it once the follower took it. Disconnects leave
+// frames buffered and the next ShipCommitted retries the connection on a
+// time-gated backoff; after a reconnect the stream resumes contiguously from
+// the buffered frames. If the
 // follower reports a sequence gap anyway (kInvalidArgument — e.g. the
 // backlog overflowed its cap and dropped), the shipper falls back to a full
 // re-bootstrap rather than ever skipping records. A follower that reports
@@ -79,27 +81,24 @@ class WalShipper : public shieldstore::ReplicationSink {
   // entries committed during the dump are backlogged, not lost.
   Status Attach();
 
-  // ReplicationSink: called by the WAL's committers, outside shard locks.
-  Status ShipCommitted(size_t shard, uint64_t first_seq,
-                       std::vector<shieldstore::ReplicatedOp> ops) override;
+  // ReplicationSink: chunks `ops` into kEntries frames and appends them to
+  // the backlog; then, unless detached or mid-bootstrap, connects and
+  // resyncs or drains. Always Ok: what it cannot send waits in the backlog.
+  Status ShipCommitted(size_t shard, uint64_t first_seq, std::vector<kv::BatchOp> ops) override;
 
   bool connected() const;
   bool detached() const;
   size_t backlog_entries() const;
 
  private:
-  struct PendingFrame {
-    uint32_t shard = 0;
-    uint64_t first_seq = 0;
-    std::vector<net::ReplicateEntry> entries;
-  };
-
   // All Locked methods require mutex_ held. Bootstrap releases and reacquires
   // `lock` around the partition dump (see the .cc for the lock-order note).
   Status BootstrapLocked(std::unique_lock<std::mutex>& lock);
   Status SendFrameLocked(const net::ReplicateFrame& frame);
+  // Sends the backlog's kEntries frames in ship order, popping each once the
+  // follower took it — the one send path for committed entries.
   Status DrainBacklogLocked();
-  void BufferLocked(PendingFrame frame);
+  void BufferLocked(net::ReplicateFrame frame);
   Status EnsureConnectedLocked();
 
   shieldstore::WriteAheadStore& wal_;
@@ -113,7 +112,7 @@ class WalShipper : public shieldstore::ReplicationSink {
   bool bootstrapping_ = false;   // dump in progress: ship → backlog
   bool resync_needed_ = false;   // stream integrity lost: re-bootstrap
   bool detached_ = false;        // follower promoted: stop forever
-  std::deque<PendingFrame> backlog_;
+  std::deque<net::ReplicateFrame> backlog_;  // kEntries frames, ship order
   size_t backlog_entries_ = 0;
   std::chrono::steady_clock::time_point last_connect_attempt_{};
 

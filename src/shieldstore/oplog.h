@@ -39,25 +39,19 @@
 
 namespace shield::shieldstore {
 
-// One mutation as shipped to a replica: the resulting state (value for
-// set-like ops, tombstone for delete), exactly what the WAL records — replay
-// on the standby is therefore as deterministic as local log replay.
-struct ReplicatedOp {
-  bool is_delete = false;
-  std::string key;
-  std::string value;
-};
-
-// Cross-process replication hook. The WriteAheadStore's per-shard committer
-// calls ShipCommitted AFTER its group is fsync'd and BEFORE any writer in the
-// group is acknowledged — so with a healthy sink, acked ⇒ logged ∧ shipped.
-// `first_seq` numbers entries in a per-shard ship-sequence space that is
+// Cross-process replication hook. A WriteAheadStore shard calls
+// ShipCommitted AFTER a group is fsync'd and BEFORE any writer in the group
+// is acknowledged — so with a healthy sink, acked ⇒ logged ∧ shipped. Each
+// op is a kSet or kDelete carrying the resulting state, exactly what the WAL
+// records, so replay on the standby is as deterministic as local log replay.
+// `first_seq` numbers ops in a per-shard ship-sequence space that is
 // monotone across compactions (unlike the WAL's own record sequence, which
 // resets when a shard log is truncated); a sink resumes a reconnected
 // follower from its watermark in this space.
 //
-// Called outside the shard lock (one in-flight call per shard, but shards
-// ship concurrently), so implementations must be thread-safe and should
+// The committer calls it outside the shard lock, a maintenance commit with
+// the lock held; either way one call per shard is in flight, but shards ship
+// concurrently, so implementations must be thread-safe and should
 // buffer-and-return rather than block forever: a slow sink stalls that
 // shard's acks, which is the synchronous-replication contract, but a DEAD
 // sink must fail fast so the primary can keep serving (the invariant then
@@ -66,7 +60,7 @@ class ReplicationSink {
  public:
   virtual ~ReplicationSink() = default;
   virtual Status ShipCommitted(size_t shard, uint64_t first_seq,
-                               std::vector<ReplicatedOp> ops) = 0;
+                               std::vector<kv::BatchOp> ops) = 0;
 };
 
 struct OpLogOptions {

@@ -58,27 +58,6 @@ void WriteAheadStore::SetReplicationSink(ReplicationSink* sink) {
   replication_attached_->Set(sink != nullptr ? 1 : 0);
 }
 
-void WriteAheadStore::ShipLocked(Shard& s) {
-  if (s.pending_ship.empty()) {
-    return;
-  }
-  ReplicationSink* sink = sink_.load(std::memory_order_acquire);
-  if (sink == nullptr) {
-    s.pending_ship.clear();  // sink detached mid-flight: nothing to resume
-    return;
-  }
-  std::vector<ReplicatedOp> ops = std::move(s.pending_ship);
-  s.pending_ship.clear();
-  const uint64_t first = s.ship_seq + 1;
-  const size_t n = ops.size();
-  s.ship_seq += n;
-  if (sink->ShipCommitted(s.index, first, std::move(ops)).ok()) {
-    shipped_records_->Inc(n);
-  } else {
-    ship_failures_->Inc();
-  }
-}
-
 Status WriteAheadStore::Open() {
   Close();
   epoch_log_ = std::make_unique<EpochLog>(sealer_, counters_, options_.path);
@@ -178,9 +157,11 @@ Status WriteAheadStore::AppendLocked(Shard& s, bool is_delete, std::string_view 
   }
   ++s.appended;
   if (sink_.load(std::memory_order_acquire) != nullptr) {
-    // Captured now, shipped by the committer once the record's group
-    // fsyncs — the record order in pending_ship is the shard's apply order.
-    s.pending_ship.push_back({is_delete, std::string(key), std::string(value)});
+    // Captured now, shipped by the commit that closes the record's group
+    // once it fsyncs — the record order in pending_ship is the shard's
+    // apply order.
+    s.pending_ship.push_back({is_delete ? kv::BatchOpType::kDelete : kv::BatchOpType::kSet,
+                              std::string(key), std::string(value)});
     // The committer has no trace of its own: a sampled writer's context
     // rides along so the ship (and the follower's apply) join its trace.
     if (const obs::TraceContext trace = obs::CurrentTrace(); trace.active()) {
@@ -241,41 +222,39 @@ void WriteAheadStore::CommitterLoop(Shard& s) {
     }
     // A maintenance commit may have taken the group while the lock was free.
     if (s.appended > s.prepared && s.failed.ok()) {
-      CommitGroupLocked(s, lock);
+      CommitGroupLocked(s, lock, /*release_lock=*/true);
     }
   }
 }
 
-void WriteAheadStore::CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& lock) {
-  // The flush goes in under the lock; the fsync and the ship run with it
-  // RELEASED so writers append into the next group meanwhile. `committing`
-  // keeps maintenance commits out until the group is marked ready.
+void WriteAheadStore::CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& lock,
+                                        bool release_lock) {
+  // 1. Close, under the lock: records appended from now on open the next
+  // group. `committing` keeps maintenance commits out until step 3.
   s.committing = true;
   const uint64_t upto = s.appended;
   const LogHead head = s.log->head();
-  // The group closes here: records appended from now on open the next one.
   commit_batch_hist_->Record(upto - s.prepared);
   s.prepared = upto;
   Status st = s.log->CommitPrepare();
+  // The lock was held continuously since `upto` was read, so the ship buffer
+  // holds exactly this group's records; ship sequences assigned here keep
+  // each shard's stream contiguous whichever path commits.
+  std::vector<kv::BatchOp> ship;
+  uint64_t ship_first = 0;
+  const obs::TraceContext ship_trace = std::exchange(s.ship_trace, {});
+  if (st.ok() && sink_.load(std::memory_order_acquire) != nullptr) {
+    ship = std::move(s.pending_ship);
+    ship_first = s.ship_seq + 1;
+    s.ship_seq += ship.size();
+  }
+  s.pending_ship.clear();  // taken above, or no sink to resume: dropped
+  // 2. Sync and ship. The committer releases the lock so writers append
+  // into the next group meanwhile; maintenance keeps it.
   if (st.ok()) {
-    // Steal the replication buffer while still under the lock: the lock was
-    // held continuously since `upto` was read, so the buffer holds exactly
-    // the records this commit covers. Ship-seqs are assigned here, under the
-    // lock, so the per-shard stream stays contiguous; the ship itself runs
-    // outside the lock — but strictly before the group is marked ready,
-    // which is what makes every ack in the group "fsync'd AND shipped".
-    std::vector<ReplicatedOp> to_ship;
-    uint64_t ship_first = 0;
-    const obs::TraceContext ship_trace = std::exchange(s.ship_trace, {});
-    if (sink_.load(std::memory_order_acquire) != nullptr && !s.pending_ship.empty()) {
-      to_ship = std::move(s.pending_ship);
-      s.pending_ship.clear();
-      ship_first = s.ship_seq + 1;
-      s.ship_seq += to_ship.size();
-    } else {
-      s.pending_ship.clear();  // sink detached: drop, nothing to resume
+    if (release_lock) {
+      lock.unlock();
     }
-    lock.unlock();
     st = InjectedCrash(CommitCrash::kBeforeShardFsync);
     if (st.ok()) {
       st = s.log->CommitSync();  // a WAL shard log: the fsync alone
@@ -283,15 +262,16 @@ void WriteAheadStore::CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& 
     if (st.ok()) {
       st = InjectedCrash(CommitCrash::kAfterShardFsync);
     }
-    if (!to_ship.empty()) {
+    if (!ship.empty()) {
+      // Shipped strictly before the group is marked ready, which is what
+      // makes every ack in it "fsync'd AND shipped". Shipped even if the
+      // fsync failed: the seqs are already claimed, the mutations DID apply
+      // in memory, and a follower running ahead of a latched-dead primary
+      // is harmless — a gap in the stream is not.
       obs::TraceScope span("wal.group_commit", ship_trace);
-      // Ship even if the fsync failed: the seqs are already claimed, the
-      // mutations DID apply in memory, and a follower running ahead of a
-      // latched-dead primary is harmless — a gap in the stream is not.
       ReplicationSink* sink = sink_.load(std::memory_order_acquire);
-      const size_t n = to_ship.size();
-      if (sink != nullptr && sink->ShipCommitted(s.index, ship_first,
-                                                 std::move(to_ship)).ok()) {
+      const size_t n = ship.size();
+      if (sink != nullptr && sink->ShipCommitted(s.index, ship_first, std::move(ship)).ok()) {
         shipped_records_->Inc(n);
       } else {
         // Sink rejected (or vanished): the invariant degrades to acked ⇒
@@ -299,8 +279,11 @@ void WriteAheadStore::CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& 
         ship_failures_->Inc();
       }
     }
-    lock.lock();
+    if (release_lock) {
+      lock.lock();
+    }
   }
+  // 3. Finish, under the lock.
   s.committing = false;
   s.idle_cv.notify_all();
   if (!st.ok()) {
@@ -449,18 +432,14 @@ Result<uint64_t> WriteAheadStore::CommitShardLocked(Shard& s,
     return Status(Code::kInvalidArgument, "log not open");
   }
   s.idle_cv.wait(lock, [&] { return !s.committing; });
+  if (s.failed.ok() && s.appended > s.prepared) {
+    CommitGroupLocked(s, lock, /*release_lock=*/false);
+  }
   if (!s.failed.ok()) {
     return s.failed;
   }
-  if (Status st = s.log->Commit(); !st.ok()) {
-    LatchLocked(s, st);
-    return st;
-  }
-  // A maintenance commit takes records the committer will then find
-  // already done; ship them under the lock (rare path: heal/compact
-  // windows).
-  ShipLocked(s);
-  s.prepared = s.appended;
+  // The ticket of the shard's newest ready head (the group just finished, or
+  // the committer's last one when nothing was pending).
   return MarkReadyLocked(s, s.log->head(), s.appended);
 }
 

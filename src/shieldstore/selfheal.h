@@ -24,7 +24,9 @@
 //    OpLogOptions::group_commit_window_us from its group's first record (or
 //    until group_commit_ops records accumulate), flushes the group under the
 //    shard lock, fsyncs and ships it with the lock RELEASED, then marks it
-//    ready for the next epoch; shards commit concurrently.
+//    ready for the next epoch; shards commit concurrently. Maintenance
+//    (heal, compaction) commits a pending group through the same three
+//    steps with the lock held, so the ship stream stays one sequence.
 //  * Durability requirements: SubmitBatch executes and appends without
 //    waiting and returns, per touched shard, the appended sequence its
 //    results depend on (a get's too: it must never reveal state a crash
@@ -173,9 +175,10 @@ class WriteAheadStore : public kv::BatchFirstStore {
     kGenerationSwitch,
   };
 
-  // Crash-point injection for the commit path (tests): the committer (or
-  // the bumper) reaching the armed point fails there and latches its shard
-  // (every shard), so nothing after the point is acked.
+  // Crash-point injection for the commit path (tests): a shard commit
+  // (committer or maintenance) or the bumper reaching the armed point fails
+  // there and latches its shard (every shard), so nothing after the point
+  // is acked.
   enum class CommitCrash {
     kNone,
     kBeforeShardFsync,
@@ -242,12 +245,12 @@ class WriteAheadStore : public kv::BatchFirstStore {
     std::atomic<uint64_t> appended{0};  // highest sequence appended
     uint64_t prepared = 0;  // highest sequence in a closed group (CommitPrepare'd)
     std::atomic<uint64_t> durable{0};  // highest sequence an epoch covers (bumper)
-    bool committing = false;  // the committer is between CommitPrepare and ready
+    bool committing = false;  // a group is between its close and its finish
     bool stop = false;        // the committer should drain and exit
-    // Replication: records captured at append time, drained to the sink at
-    // commit time. ship_seq counts records ever handed to the sink; follower
+    // Replication: records captured at append time, taken by the group that
+    // commits them. ship_seq counts records ever handed to the sink; follower
     // watermarks live in this space.
-    std::vector<ReplicatedOp> pending_ship;
+    std::vector<kv::BatchOp> pending_ship;
     uint64_t ship_seq = 0;
     obs::TraceContext ship_trace;  // latest sampled writer's, for the ship span
     std::chrono::steady_clock::time_point batch_start{};
@@ -272,22 +275,23 @@ class WriteAheadStore : public kv::BatchFirstStore {
   void StartCommitters();
   void StopCommitters();
   void CommitterLoop(Shard& s);
-  // Commits every record appended so far as one group and marks it ready;
-  // called by the committer with `lock` held.
-  void CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& lock);
+  // The one commit sequence, for the committer and for maintenance, in
+  // three steps: close the pending group under the lock (CommitPrepare, and
+  // the ship buffer with its ship sequences); sync and ship it (the commit
+  // crash points, the fsync, ShipCommitted); finish it under the lock (latch,
+  // or mark it ready for the next epoch). The committer releases the lock
+  // for the middle step, so writers append into the next group meanwhile;
+  // maintenance keeps it, so nothing slips between its commit and what it
+  // does next.
+  void CommitGroupLocked(Shard& s, std::unique_lock<std::mutex>& lock, bool release_lock);
   // Records a fatal commit error: durability can no longer be promised.
   void LatchLocked(Shard& s, const Status& failure);
-  // Maintenance commit (the committer drained first): fsync + ship + ready.
-  // Returns the ticket WaitCovered takes.
+  // Maintenance: waits out an in-flight group, commits what is pending
+  // (nothing, often) with the lock held, and returns the ticket WaitCovered
+  // takes for the shard's newest ready head.
   Result<uint64_t> CommitShardLocked(Shard& s, std::unique_lock<std::mutex>& lock);
   // Starts a new log generation, waits for the epoch binding it, promotes it.
   Status NewGenerationLocked(Shard& s, CompactionCrash crash = CompactionCrash::kNone);
-  // Drains s.pending_ship to the sink under the shard lock (the
-  // maintenance-commit path; the committer instead steals the buffer under
-  // the lock and ships outside it). Clears the buffer without
-  // shipping when no sink is installed. Never fails the caller: a sink
-  // rejection only bumps wal.ship_failures.
-  void ShipLocked(Shard& s);
   // Stops the committers (each drains its shard's tail), lets the epoch
   // threads cover every ready group, and joins them (Open and the
   // destructor).

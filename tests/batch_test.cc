@@ -1040,7 +1040,6 @@ TEST_F(BatchNetTest, BatchedFramesOverHotCalls) {
   net::ServerOptions options;
   options.use_hotcalls = true;
   options.enclave_workers = 2;
-  options.hotcall_idle_sleep_us = 20;  // exercise the spin-then-sleep path
   StartServer(options);
   RunBatchMix();
   EXPECT_EQ(server_->batches_served(), 3u);

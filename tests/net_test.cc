@@ -148,8 +148,8 @@ TEST(ReplicationCodecTest, FrameRoundTrip) {
   frame.epoch = 0xfeedfacecafebeefULL;
   frame.shard = 3;
   frame.first_seq = 42;
-  frame.entries.push_back({false, "alpha", std::string(300, 'v')});
-  frame.entries.push_back({true, "beta", ""});
+  frame.entries.push_back({kv::BatchOpType::kSet, "alpha", std::string(300, 'v')});
+  frame.entries.push_back({kv::BatchOpType::kDelete, "beta", ""});
   const Bytes wire = EncodeReplicateFrame(frame);
   Result<ReplicateFrame> decoded = DecodeReplicateFrame(wire);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
@@ -158,10 +158,10 @@ TEST(ReplicationCodecTest, FrameRoundTrip) {
   EXPECT_EQ(decoded->shard, 3u);
   EXPECT_EQ(decoded->first_seq, 42u);
   ASSERT_EQ(decoded->entries.size(), 2u);
-  EXPECT_FALSE(decoded->entries[0].is_delete);
+  EXPECT_EQ(decoded->entries[0].type, kv::BatchOpType::kSet);
   EXPECT_EQ(decoded->entries[0].key, "alpha");
   EXPECT_EQ(decoded->entries[0].value, std::string(300, 'v'));
-  EXPECT_TRUE(decoded->entries[1].is_delete);
+  EXPECT_EQ(decoded->entries[1].type, kv::BatchOpType::kDelete);
   EXPECT_EQ(decoded->entries[1].key, "beta");
 
   ReplicateFrame hello;
@@ -179,7 +179,7 @@ TEST(ReplicationCodecTest, DecodeRejectsMalformedFrames) {
   seed.type = ReplicateType::kEntries;
   seed.epoch = 1;
   seed.first_seq = 1;
-  seed.entries.push_back({false, "key", "value"});
+  seed.entries.push_back({kv::BatchOpType::kSet, "key", "value"});
   const Bytes good = EncodeReplicateFrame(seed);
   ASSERT_TRUE(DecodeReplicateFrame(good).ok());
   auto rejects = [](Bytes payload, const char* what) {
@@ -243,7 +243,8 @@ TEST(ReplicationCodecTest, DecodeFrameFuzzNeverCrashes) {
   seed.shard = 1;
   seed.first_seq = 1000;
   for (int i = 0; i < 4; ++i) {
-    seed.entries.push_back({i % 2 == 1, "key" + std::to_string(i), std::string(40, 'x')});
+    seed.entries.push_back({i % 2 == 1 ? kv::BatchOpType::kDelete : kv::BatchOpType::kSet,
+                            "key" + std::to_string(i), std::string(40, 'x')});
   }
   const Bytes base = EncodeReplicateFrame(seed);
   for (int i = 0; i < 5000; ++i) {

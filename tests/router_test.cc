@@ -162,9 +162,11 @@ class ReplicationTest : public ::testing::Test {
     std::filesystem::remove_all(dir_);
   }
 
-  void StartFollowerServer() {
+  // `port` 0 picks an ephemeral one; a restart passes the old one back.
+  void StartFollowerServer(uint16_t port = 0) {
     replica_ = std::make_unique<ReplicaNode>(follower_store_);
     net::ServerOptions options;
+    options.port = port;
     options.replicate_handler = [this](const net::Request& request) {
       return replica_->HandleReplicate(request);
     };
@@ -287,6 +289,61 @@ TEST_F(ReplicationTest, FollowerReconnectResumesWithoutLoss) {
   EXPECT_EQ(follower_store_.Get("before").value(), "1");
 }
 
+// Every key and value in `store`, across its partitions.
+std::map<std::string, std::string> Dump(shieldstore::PartitionedStore& store) {
+  std::map<std::string, std::string> dump;
+  for (size_t p = 0; p < store.num_partitions(); ++p) {
+    EXPECT_TRUE(store.partition(p)
+                    .ForEachDecrypted([&](std::string_view key, std::string_view value) {
+                      dump[std::string(key)] = std::string(value);
+                      return Status::Ok();
+                    })
+                    .ok());
+  }
+  return dump;
+}
+
+// A follower that stays away past the backlog cap loses the dropped frames'
+// place in the stream: the shipper re-bootstraps it instead of shipping
+// across the gap, and it ends up with the primary's exact state.
+TEST_F(ReplicationTest, BacklogOverflowResyncsTheFollower) {
+  StartFollowerServer();
+  const uint16_t port = follower_server_->port();
+  obs::Registry registry;
+  ShipperOptions options;
+  options.follower_port = port;
+  options.epoch = 73;
+  options.reconnect_interval_ms = 20;
+  options.max_backlog_entries = 8;
+  options.metrics = &registry;
+  WalShipper shipper(*wal_, authority_, follower_enclave_.measurement(), options);
+  wal_->SetReplicationSink(&shipper);
+  ASSERT_TRUE(shipper.Attach().ok());
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(wal_->Set("k-" + std::to_string(i), "first").ok());
+  }
+  ASSERT_EQ(Dump(follower_store_), Dump(primary_store_));
+  const uint64_t resyncs = registry.GetCounter("repl.resyncs").Value();
+
+  follower_server_->Stop();
+  for (int i = 0; i < 40; ++i) {  // overwrites k-0..k-9, then new keys
+    ASSERT_TRUE(wal_->Set("k-" + std::to_string(i), "second").ok());
+  }
+  EXPECT_GT(registry.GetCounter("repl.backlog_dropped").Value(), 0u);
+  EXPECT_LE(shipper.backlog_entries(), options.max_backlog_entries);
+
+  StartFollowerServer(port);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2 * options.reconnect_interval_ms));
+  // The next commit reconnects, re-bootstraps and drains behind the dump.
+  ASSERT_TRUE(wal_->Set("after", "third").ok());
+  EXPECT_TRUE(shipper.connected());
+  EXPECT_GT(registry.GetCounter("repl.resyncs").Value(), resyncs);
+  EXPECT_EQ(shipper.backlog_entries(), 0u);
+  const std::map<std::string, std::string> primary = Dump(primary_store_);
+  EXPECT_EQ(primary.size(), 41u);
+  EXPECT_EQ(Dump(follower_store_), primary);
+}
+
 TEST_F(ReplicationTest, PromotedFollowerRefusesTheStreamAndShipperDetaches) {
   StartFollowerServer();
   std::unique_ptr<WalShipper> shipper = MakeAttachedShipper();
@@ -329,7 +386,7 @@ net::ReplicateFrame EntriesFrame(uint64_t first_seq, size_t n) {
   frame.epoch = 5;
   frame.first_seq = first_seq;
   for (size_t i = 0; i < n; ++i) {
-    frame.entries.push_back({false, "e-" + std::to_string(first_seq + i), "v"});
+    frame.entries.push_back({kv::BatchOpType::kSet, "e-" + std::to_string(first_seq + i), "v"});
   }
   return frame;
 }
@@ -348,7 +405,8 @@ TEST_F(ReplicationTest, StandbyAppliesAShippedFrameAsOneBatch) {
 
   net::ReplicateFrame frame = EntriesFrame(1, 60);
   for (int i = 0; i < 4; ++i) {
-    frame.entries.push_back({true, "never-set-" + std::to_string(i), ""});  // kNotFound is OK
+    frame.entries.push_back(
+        {kv::BatchOpType::kDelete, "never-set-" + std::to_string(i), ""});  // kNotFound is OK
   }
   const uint64_t epochs = registry.GetCounter("wal.epochs").Value();
   ASSERT_EQ(Deliver(node, frame).status, Code::kOk);

@@ -11,6 +11,7 @@
 
 #include <unistd.h>
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
@@ -19,6 +20,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/obs/metrics.h"
@@ -354,7 +356,7 @@ INSTANTIATE_TEST_SUITE_P(AllCrashPoints, WalEpochCrashTest,
 // Blocks shard 0's ShipCommitted until released; ships every other shard.
 class LatchedSink : public shieldstore::ReplicationSink {
  public:
-  Status ShipCommitted(size_t shard, uint64_t, std::vector<shieldstore::ReplicatedOp>) override {
+  Status ShipCommitted(size_t shard, uint64_t, std::vector<kv::BatchOp>) override {
     if (shard == 0) {
       std::unique_lock<std::mutex> lock(mu_);
       blocked_ = true;
@@ -404,6 +406,115 @@ TEST_F(WalEpochTest, SlowSinkOnOneShardDoesNotHoldOtherShardsAcks) {
   EXPECT_TRUE(other.get().ok());
   EXPECT_TRUE(stuck.get().ok());
   wal.SetReplicationSink(nullptr);
+}
+
+// ------------------------------------- ship stream across maintenance
+
+// Records every shipped op; flags any frame that does not run on from the
+// shard's previous one.
+class RecordingSink : public shieldstore::ReplicationSink {
+ public:
+  explicit RecordingSink(size_t shards) : next_(shards, 1) {}
+  Status ShipCommitted(size_t shard, uint64_t first_seq, std::vector<kv::BatchOp> ops) override {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (first_seq != next_[shard]) {
+      ++discontinuities_;
+    }
+    next_[shard] = first_seq + ops.size();
+    if (std::this_thread::get_id() == maintenance_thread_) {
+      ++maintenance_ships_;
+    }
+    for (const kv::BatchOp& op : ops) {
+      ++shipped_[op.key];
+    }
+    return Status::Ok();
+  }
+  void SetMaintenanceThread() { maintenance_thread_ = std::this_thread::get_id(); }
+  int Shipped(const std::string& key) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = shipped_.find(key);
+    return it == shipped_.end() ? 0 : it->second;
+  }
+  size_t discontinuities() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return discontinuities_;
+  }
+  size_t maintenance_ships() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return maintenance_ships_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::vector<uint64_t> next_;  // per shard: the first_seq the next frame must carry
+  std::map<std::string, int> shipped_;
+  size_t discontinuities_ = 0;
+  size_t maintenance_ships_ = 0;
+  std::thread::id maintenance_thread_;
+};
+
+// Compactions and heals commit pending groups through the committer's own
+// sequence: with writers running, each shard's ship stream has no gap or
+// overlap, and every acked write was shipped once, before its ack.
+TEST_F(WalEpochTest, ShipStreamStaysContiguousAcrossMaintenanceCommits) {
+  PartitionedStore store(enclave_, ArenaOptions(dir_), 2);
+  OpLogOptions log_options = LogOptions();
+  // A long window keeps groups pending when maintenance takes the lock.
+  log_options.group_commit_window_us = 5000;
+  WriteAheadStore wal(store, *sealer_, *counters_, log_options);
+  ASSERT_TRUE(wal.Open().ok());
+  SelfHealer healer(wal, *sealer_, *counters_, HealOptions());
+  ASSERT_TRUE(healer.Start().ok());
+  RecordingSink sink(wal.num_shards());
+  sink.SetMaintenanceThread();
+  wal.SetReplicationSink(&sink);
+
+  std::atomic<bool> stop{false};
+  std::mutex acked_mu;
+  std::vector<std::string> acked;
+  std::atomic<int> shipped_after_ack{0};
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 3; ++t) {
+    writers.emplace_back([&, t] {
+      for (int i = 0; i < 400 && !stop; ++i) {
+        const std::string key = "w" + std::to_string(t) + "-" + std::to_string(i);
+        // A write into a partition being healed fails unapplied: retry it.
+        for (int attempt = 0; attempt < 1000 && !stop; ++attempt) {
+          if (wal.Set(key, "v" + std::to_string(i)).ok()) {
+            if (sink.Shipped(key) != 1) {
+              ++shipped_after_ack;
+            }
+            std::lock_guard<std::mutex> lock(acked_mu);
+            acked.push_back(key);
+            break;
+          }
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      }
+    });
+  }
+  for (int round = 0; round < 8; ++round) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    const size_t shard = static_cast<size_t>(round) % wal.num_shards();
+    EXPECT_TRUE(wal.CompactShard(shard, ColdDir()).ok()) << "round " << round;
+    std::this_thread::sleep_for(std::chrono::milliseconds(3));
+    EXPECT_TRUE(HealPartition(store, healer, shard).ok()) << "round " << round;
+  }
+  stop = true;
+  for (std::thread& w : writers) {
+    w.join();
+  }
+  wal.SetReplicationSink(nullptr);
+
+  EXPECT_EQ(sink.discontinuities(), 0u);
+  EXPECT_GT(sink.maintenance_ships(), 0u) << "no maintenance commit carried a pending group";
+  EXPECT_EQ(shipped_after_ack.load(), 0) << "an ack arrived before its ship";
+  ASSERT_FALSE(acked.empty());
+  for (const std::string& key : acked) {
+    EXPECT_EQ(sink.Shipped(key), 1) << key;
+  }
+  EXPECT_GE(registry_.GetCounter("wal.compactions").Value(), 8u);
+  EXPECT_GE(healer.recoveries(), 8u);
 }
 
 // ----------------------------------------------------------- observability

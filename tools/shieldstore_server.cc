@@ -73,7 +73,6 @@ struct Flags {
   size_t io_threads = 4;        // reactor epoll threads
   size_t max_sessions = 16384;  // live-session cap (excess accepts rejected)
   size_t coalesce_depth = 64;   // implicit pipelined batching; 1 disables
-  int hotcall_idle_us = 50;     // idle responder sleep; 0 = legacy pure-spin
   bool replica = false;         // warm standby: accept a primary's kReplicate stream
   uint16_t replica_of = 0;      // that primary's port — informational (push model)
   uint16_t replicate_to = 0;    // primary: ship committed WAL entries to this follower port
@@ -95,7 +94,7 @@ void PrintUsage() {
                "    [--wal-shards N] [--wal-window-us N] [--wal-group-ops N]\n"
                "    [--wal-compact-bytes N] [--stats-interval-s N] [--stats-prometheus]\n"
                "    [--stats-json FILE] [--io-threads N] [--max-sessions N]\n"
-               "    [--coalesce-depth N] [--hotcall-idle-us N]\n"
+               "    [--coalesce-depth N]\n"
                "    [--replica-of PRIMARY_PORT] [--replicate-to FOLLOWER_PORT]\n"
                "    [--trace-sample N] [--audit-log FILE] [--slo-interval-s N]\n"
                "    [--slo-stage-p99-ms N] [--slo-op-p99-ms N] [--slo-loop-lag-p99-ms N]\n"
@@ -174,8 +173,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->max_sessions = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--coalesce-depth") {
       flags->coalesce_depth = static_cast<size_t>(std::atoll(next()));
-    } else if (arg == "--hotcall-idle-us") {
-      flags->hotcall_idle_us = std::atoi(next());
     } else if (arg == "--replica-of") {
       flags->replica = true;
       flags->replica_of = static_cast<uint16_t>(std::atoi(next()));
@@ -389,7 +386,6 @@ int main(int argc, char** argv) {
   server_options.use_hotcalls = flags.hotcalls;
   server_options.enclave_workers = flags.partitions;
   server_options.encrypt = !flags.plaintext;
-  server_options.hotcall_idle_sleep_us = flags.hotcall_idle_us;
   server_options.io_threads = std::max<size_t>(flags.io_threads, 1);
   server_options.max_sessions = std::max<size_t>(flags.max_sessions, 1);
   server_options.coalesce_depth = std::max<size_t>(flags.coalesce_depth, 1);
