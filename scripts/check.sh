@@ -108,6 +108,17 @@ PH_ERR="$(timeout 10 ./build/tools/shieldstore_server --port 0 --persist-heap /t
   || PH_RC=$?
 [ "$PH_RC" -eq 2 ] && grep -q 'usage: shieldstore_server' <<< "$PH_ERR" \
   || { echo "daemon did not refuse --persist-heap (exit $PH_RC): $PH_ERR"; exit 1; }
+# Settings with one value in use are constants, not flags: refused the same
+# way.
+for FLAG in --scrub-budget --wal-shards --coalesce-depth --stats-prometheus \
+    --slo-interval-s --slo-stage-p99-ms --slo-op-p99-ms --slo-loop-lag-p99-ms \
+    --slo-repl-backlog; do
+  GONE_RC=0
+  GONE_ERR="$(timeout 10 ./build/tools/shieldstore_server --port 0 "$FLAG" 1 2>&1)" \
+    || GONE_RC=$?
+  [ "$GONE_RC" -eq 2 ] && grep -q 'usage: shieldstore_server' <<< "$GONE_ERR" \
+    || { echo "daemon did not refuse $FLAG (exit $GONE_RC): $GONE_ERR"; exit 1; }
+done
 # A restart on the same --heal-dir with another --partitions is refused,
 # naming both counts; the original flags then restore every key.
 GEO_DIR="$(mktemp -d)"

@@ -16,6 +16,9 @@
 namespace shield::net {
 namespace {
 
+// SO_SNDTIMEO: a server that stops reading fails a send with kIoError.
+constexpr int kSendTimeoutMs = 5000;
+
 timeval ToTimeval(int ms) {
   timeval tv{};
   tv.tv_sec = ms / 1000;
@@ -88,7 +91,7 @@ Status Client::ConnectSocket(uint16_t port) {
   // From here all socket I/O (handshake included) is bounded by timeouts: a
   // server that accepts and then hangs yields kIoError, not a stuck client.
   const timeval rcv = ToTimeval(options_.recv_timeout_ms);
-  const timeval snd = ToTimeval(options_.send_timeout_ms);
+  const timeval snd = ToTimeval(kSendTimeoutMs);
   setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &rcv, sizeof(rcv));
   setsockopt(fd_, SOL_SOCKET, SO_SNDTIMEO, &snd, sizeof(snd));
   int one = 1;

@@ -21,7 +21,6 @@ struct ClientOptions {
   int connect_attempts = 3;     // total tries; kIoError failures retry
   int connect_backoff_ms = 50;  // doubles after each failed attempt
   int connect_timeout_ms = 2000;
-  int send_timeout_ms = 5000;  // SO_SNDTIMEO
   int recv_timeout_ms = 5000;  // SO_RCVTIMEO; covers handshake + responses
 
   // A kPartitionRecovering response means the key's partition is being

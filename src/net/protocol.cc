@@ -281,13 +281,13 @@ Status SendFrame(int fd, ByteSpan payload) {
   return WriteAll(fd, payload.data(), payload.size());
 }
 
-Result<Bytes> RecvFrame(int fd, size_t max_bytes) {
+Result<Bytes> RecvFrame(int fd) {
   uint8_t len_bytes[4];
   if (Status s = ReadAll(fd, len_bytes, 4); !s.ok()) {
     return s;
   }
   const uint32_t len = LoadLe32(len_bytes);
-  if (len > max_bytes) {
+  if (len > kMaxFrameBytes) {
     return Status(Code::kProtocolError, "frame too large");
   }
   Bytes payload(len);

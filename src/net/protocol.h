@@ -117,10 +117,14 @@ Bytes PrependTraceContext(const obs::TraceContext& ctx, ByteSpan inner);
 // kProtocolError.
 Result<std::pair<obs::TraceContext, ByteSpan>> PeelTraceExtension(ByteSpan payload);
 
+// Longest frame payload either side accepts; a longer length prefix is a
+// malformed stream.
+inline constexpr size_t kMaxFrameBytes = 64u << 20;
+
 // Blocking length-prefixed framing over a socket. A frame is
 // [u32 little-endian length][payload]. Recv returns kIoError on EOF.
 Status SendFrame(int fd, ByteSpan payload);
-Result<Bytes> RecvFrame(int fd, size_t max_bytes = 64u << 20);
+Result<Bytes> RecvFrame(int fd);
 
 }  // namespace shield::net
 

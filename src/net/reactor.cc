@@ -21,6 +21,13 @@ constexpr size_t kReadChunk = 64 * 1024;
 // ready list instead of starving its siblings.
 constexpr size_t kMaxReadPerPass = 256 * 1024;
 constexpr int kIdleWaitMs = 200;
+// Per-session backpressure bound: past this many pending response bytes
+// (queued or held for durability) the session's reads pause until output
+// drains below half of it.
+constexpr size_t kMaxOutputBytes = 8 << 20;
+// Stop budget: held runs that become durable within it are released and
+// flushed (best effort); the rest are dropped unsent.
+constexpr int kStopDrainMs = 2000;
 
 bool SetNonBlocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -220,8 +227,8 @@ void Reactor::AddSession(Loop& loop, int fd) {
   if (static_cast<size_t>(fd) >= loop.by_fd.size()) {
     loop.by_fd.resize(static_cast<size_t>(fd) + 64);
   }
-  auto session = std::make_unique<Session>(
-      fd, next_session_id_.fetch_add(1, std::memory_order_relaxed), options_.max_frame_bytes);
+  auto session =
+      std::make_unique<Session>(fd, next_session_id_.fetch_add(1, std::memory_order_relaxed));
   session->epoll_events = EPOLLIN;
   struct epoll_event ev = {};
   ev.events = EPOLLIN;
@@ -281,7 +288,7 @@ void Reactor::HandleSession(Loop& loop, Session* s, uint32_t events) {
       CloseSession(loop, s);
       return;
     }
-    if (s->read_paused && s->pending_output() + s->held_bytes < options_.max_output_bytes / 2) {
+    if (s->read_paused && s->pending_output() + s->held_bytes < kMaxOutputBytes / 2) {
       // Below the low watermark: resume reads and serve any frames that were
       // already buffered when backpressure paused this session.
       s->read_paused = false;
@@ -367,7 +374,7 @@ void Reactor::ProcessSession(Loop& loop, Session* s) {
         break;
       }
     }
-    if (s->pending_output() + s->held_bytes > options_.max_output_bytes) {
+    if (s->pending_output() + s->held_bytes > kMaxOutputBytes) {
       s->read_paused = true;  // backpressure: stop reading until flushed
       break;
     }
@@ -467,7 +474,7 @@ void Reactor::ReleaseHeld(Loop& loop) {
       continue;
     }
     if (s->read_paused && !s->close_after_flush &&
-        s->pending_output() + s->held_bytes < options_.max_output_bytes / 2) {
+        s->pending_output() + s->held_bytes < kMaxOutputBytes / 2) {
       // Below the low watermark: resume reads and serve buffered frames.
       s->read_paused = false;
       ProcessSession(loop, s);
@@ -492,7 +499,7 @@ void Reactor::DrainOnStop(Loop& loop) {
   // and of held ones that turn durable within the budget. Polled: the
   // owner stops sending wakes before Stop.
   const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(options_.stop_drain_ms);
+      std::chrono::steady_clock::now() + std::chrono::milliseconds(kStopDrainMs);
   while (std::chrono::steady_clock::now() < deadline) {
     bool pending = false;
     for (auto& slot : loop.by_fd) {

@@ -24,9 +24,8 @@
 // (every complete frame already buffered, up to coalesce_depth) and ~256 KiB
 // of socket reads per loop pass; sessions with more buffered work requeue on
 // a ready list instead of starving their siblings. Responses accumulate in
-// a bounded per-session output buffer; past the bound (held responses count
-// toward it) the session's reads pause until output drains below the low
-// watermark.
+// a bounded per-session output buffer; past 8 MiB (held responses count
+// toward it) the session's reads pause until output drains below half that.
 #ifndef SHIELDSTORE_SRC_NET_REACTOR_H_
 #define SHIELDSTORE_SRC_NET_REACTOR_H_
 
@@ -48,12 +47,7 @@ namespace shield::net {
 struct ReactorOptions {
   size_t io_threads = 4;
   size_t max_sessions = 16384;     // accepts past this are closed immediately
-  size_t max_frame_bytes = 64 * 1024 * 1024;
   size_t coalesce_depth = 64;      // max complete frames per on_frames run
-  size_t max_output_bytes = 8 * 1024 * 1024;  // per-session backpressure bound
-  // Stop budget: held runs that become durable within it are released and
-  // flushed (best effort); the rest are dropped unsent.
-  int stop_drain_ms = 2000;
 
   // Optional instrumentation (may be null).
   obs::Gauge* sessions_gauge = nullptr;      // live sessions
@@ -90,8 +84,8 @@ class Reactor {
   // I/O threads.
   Status Start(int listen_fd);
 
-  // Stops accepting, flushes pending output best-effort within
-  // `stop_drain_ms`, closes all sessions, and joins the I/O threads.
+  // Stops accepting, flushes pending output best-effort for up to 2 s,
+  // closes all sessions, and joins the I/O threads.
   // Idempotent.
   void Stop();
 

@@ -103,7 +103,6 @@ Status Server::Start() {
   ropts.io_threads = options_.io_threads;
   ropts.max_sessions = options_.max_sessions;
   ropts.coalesce_depth = std::max<size_t>(options_.coalesce_depth, 1);
-  ropts.max_output_bytes = options_.max_session_output_bytes;
   ropts.sessions_gauge = &metrics_->GetGauge("net.sessions");
   ropts.sessions_opened = &metrics_->GetCounter("net.sessions_opened");
   ropts.sessions_rejected = &metrics_->GetCounter("net.sessions_rejected");
@@ -600,9 +599,8 @@ obs::MetricsSnapshot Server::BuildStatsSnapshot() {
   snap.SetCounter("store.misses", ss.misses);
   snap.SetCounter("store.decryptions", ss.decryptions);
   snap.SetCounter("store.mac_verifications", ss.mac_verifications);
-  snap.SetCounter("store.cache_hits", ss.cache_hits);
   // EPC plaintext-cache effectiveness (§6.3): probes, outcomes, and bytes
-  // resident, so operators can size --cache-bytes from a live server.
+  // resident, so operators can size Options::cache_bytes from a live server.
   snap.SetCounter("store.cache.lookups", ss.cache_lookups);
   snap.SetCounter("store.cache.hits", ss.cache_hits);
   snap.SetCounter("store.cache.misses",

@@ -56,11 +56,6 @@ struct ServerOptions {
   // disables coalescing; responses are byte-identical either way.
   size_t coalesce_depth = 64;
 
-  // Per-session output-buffer backpressure bound: past this many pending
-  // response bytes (queued or held for durability) the session's reads
-  // pause until output drains.
-  size_t max_session_output_bytes = 8u << 20;
-
   // Metrics registry for per-verb counters, end-to-end latency histograms,
   // the in-flight gauge, and the enclave-boundary stage tracer. nullptr
   // uses the process-wide obs::Registry::Global(); tests inject a fresh

@@ -6,6 +6,8 @@
 
 #include <cstring>
 
+#include "src/net/protocol.h"
+
 namespace shield::net {
 namespace {
 
@@ -20,8 +22,7 @@ uint32_t LoadLe32(const uint8_t* p) {
 
 }  // namespace
 
-Session::Session(int fd, uint64_t id, size_t max_frame_bytes)
-    : fd_(fd), id_(id), max_frame_bytes_(max_frame_bytes) {}
+Session::Session(int fd, uint64_t id) : fd_(fd), id_(id) {}
 
 void Session::Ingest(const uint8_t* data, size_t len) {
   in_.insert(in_.end(), data, data + len);
@@ -33,7 +34,7 @@ bool Session::HasCompleteFrame() const {
     return false;
   }
   const uint32_t len = LoadLe32(in_.data() + in_off_);
-  if (len > max_frame_bytes_) {
+  if (len > kMaxFrameBytes) {
     return true;  // malformed counts as "actionable": ExtractFrames reports it
   }
   return avail >= 4 + static_cast<size_t>(len);
@@ -46,7 +47,7 @@ bool Session::ExtractFrames(size_t max_frames, std::vector<Bytes>& out) {
       break;
     }
     const uint32_t len = LoadLe32(in_.data() + in_off_);
-    if (len > max_frame_bytes_) {
+    if (len > kMaxFrameBytes) {
       return false;  // oversized frame: drop the connection, never a response
     }
     if (avail < 4 + static_cast<size_t>(len)) {

@@ -43,7 +43,7 @@ class Session {
     kClosed,       // torn down (fd already closed by the reactor)
   };
 
-  Session(int fd, uint64_t id, size_t max_frame_bytes);
+  Session(int fd, uint64_t id);
   ~Session() = default;
   Session(const Session&) = delete;
   Session& operator=(const Session&) = delete;
@@ -67,7 +67,7 @@ class Session {
   // stripped) from the parse buffer, in arrival order; it stops at the last
   // complete frame, so the reactor asks for its configured coalesce depth
   // every time. Returns false if the stream is malformed (frame longer than
-  // the configured cap) — the caller must close the session without a
+  // kMaxFrameBytes) — the caller must close the session without a
   // response.
   bool ExtractFrames(size_t max_frames, std::vector<Bytes>& out);
 
@@ -108,7 +108,6 @@ class Session {
  private:
   int fd_;
   uint64_t id_;
-  size_t max_frame_bytes_;
   State state_ = State::kHandshake;
   std::unique_ptr<SessionCrypto> crypto_;
 

@@ -59,9 +59,10 @@ std::vector<SloBreach> SloWatchdog::Evaluate(const MetricsSnapshot& now) {
   }
 
   const uint64_t violations = delta.CounterValue("heal.violations_detected", 0);
-  if (violations >= thresholds_.scrub_violations) {
-    breaches.push_back({"heal.violations_detected", violations,
-                        thresholds_.scrub_violations});
+  // Any interval with a new heal violation breaches.
+  constexpr uint64_t kScrubViolations = 1;
+  if (violations >= kScrubViolations) {
+    breaches.push_back({"heal.violations_detected", violations, kScrubViolations});
   }
 
   ok_->Set(breaches.empty() ? 1 : 0);

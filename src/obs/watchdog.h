@@ -9,7 +9,7 @@
 //   - end-to-end op p99 (net.latency.* histograms)
 //   - reactor loop lag p99 (net.reactor_loop_lag)
 //   - replication backlog (repl.backlog_entries gauge, point-in-time)
-//   - scrub/heal violation rate (heal.violations_detected delta)
+//   - scrub/heal violations (any new heal.violations_detected breaches)
 #ifndef SHIELDSTORE_SRC_OBS_WATCHDOG_H_
 #define SHIELDSTORE_SRC_OBS_WATCHDOG_H_
 
@@ -31,8 +31,6 @@ struct SloThresholds {
   uint64_t loop_lag_p99_ns = 200'000'000;
   // Max tolerated replication backlog (entries not yet shipped).
   int64_t repl_backlog_entries = 65536;
-  // Any interval with >= this many new heal violations breaches.
-  uint64_t scrub_violations = 1;
 };
 
 struct SloBreach {

@@ -1,6 +1,5 @@
 #include "src/router/hashring.h"
 
-#include <algorithm>
 #include <set>
 
 #include "src/crypto/siphash.h"
@@ -16,10 +15,10 @@ constexpr crypto::SipHashKey kRingKey = {0x73, 0x68, 0x69, 0x65, 0x6c, 0x64,
 
 const std::string kNoNode;
 
-}  // namespace
+// Ring points per node.
+constexpr size_t kVnodes = 64;
 
-ConsistentHashRing::ConsistentHashRing(size_t vnodes)
-    : vnodes_(std::max<size_t>(vnodes, 1)) {}
+}  // namespace
 
 uint64_t ConsistentHashRing::Point(const std::string& node, size_t replica) const {
   std::string label = node;
@@ -32,7 +31,7 @@ void ConsistentHashRing::AddNode(const std::string& node) {
   if (node.empty() || HasNode(node)) {
     return;
   }
-  for (size_t r = 0; r < vnodes_; ++r) {
+  for (size_t r = 0; r < kVnodes; ++r) {
     // A point collision between distinct nodes keeps the incumbent; with
     // 64-bit points this is astronomically rare, and deterministic either
     // way (map insert ignores duplicates).
@@ -45,7 +44,7 @@ void ConsistentHashRing::RemoveNode(const std::string& node) {
   if (!HasNode(node)) {
     return;
   }
-  for (size_t r = 0; r < vnodes_; ++r) {
+  for (size_t r = 0; r < kVnodes; ++r) {
     auto it = ring_.find(Point(node, r));
     if (it != ring_.end() && it->second == node) {
       ring_.erase(it);

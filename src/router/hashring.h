@@ -1,6 +1,6 @@
 // Consistent-hash ring for multi-node key routing.
 //
-// Each node is placed on a 64-bit ring at `vnodes` pseudo-random points; a
+// Each node is placed on a 64-bit ring at 64 pseudo-random points; a
 // key is served by the first node point at or clockwise-after the key's hash.
 // Virtual nodes smooth the load split (with v points per node, the expected
 // per-node share deviates by O(1/sqrt(v))), and removing a node reassigns
@@ -24,8 +24,6 @@ namespace shield::router {
 
 class ConsistentHashRing {
  public:
-  explicit ConsistentHashRing(size_t vnodes = 64);
-
   // Adding an existing node is a no-op; removing an absent one likewise.
   void AddNode(const std::string& node);
   void RemoveNode(const std::string& node);
@@ -41,7 +39,6 @@ class ConsistentHashRing {
  private:
   uint64_t Point(const std::string& node, size_t replica) const;
 
-  size_t vnodes_;
   size_t num_nodes_ = 0;
   std::map<uint64_t, std::string> ring_;  // point -> node id
 };

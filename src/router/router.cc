@@ -11,7 +11,7 @@ namespace shield::router {
 
 Router::Router(const sgx::AttestationAuthority& authority, const sgx::Measurement& expected,
                std::vector<RouterNode> nodes, const RouterOptions& options)
-    : authority_(authority), expected_(expected), options_(options), ring_(options.vnodes) {
+    : authority_(authority), expected_(expected), options_(options) {
   obs::Registry* reg =
       options_.metrics != nullptr ? options_.metrics : &obs::Registry::Global();
   failovers_ctr_ = &reg->GetCounter("router.failovers");
@@ -148,6 +148,36 @@ Status Router::FailOver(const std::string& name) {
   return RecoverNodeLocked(*node);
 }
 
+template <typename Call>
+auto Router::CallWithRetry(Node& node, const Call& call) -> decltype(call(*node.client)) {
+  const int tries = std::max(options_.op_retries, 1);
+  for (int attempt = 0; attempt < tries; ++attempt) {
+    if (attempt > 0) {
+      retries_ctr_->Inc();
+      std::this_thread::sleep_for(std::chrono::milliseconds(options_.retry_backoff_ms));
+    }
+    std::lock_guard<std::mutex> lock(node.mutex);
+    if (node.dead) {
+      break;
+    }
+    if (!node.client->connected() && !RecoverNodeLocked(node).ok()) {
+      continue;
+    }
+    auto result = call(*node.client);
+    if (result.ok()) {
+      node.probe_misses = 0;
+      return result;
+    }
+    // I/O failure mid-call. Run the recovery sequence now; whether the call
+    // landed is unknowable (classic at-least-once ambiguity), so the retry
+    // above re-sends it against whichever address recovery yields.
+    RecoverNodeLocked(node);
+  }
+  failing_over_ctr_->Inc();
+  return Status(Code::kFailingOver,
+                "node " + node.config.name + " is failing over; retry later");
+}
+
 Result<net::Response> Router::Execute(const net::Request& request) {
   const std::string& name = ring_.NodeFor(request.key);
   if (name.empty()) {
@@ -157,62 +187,7 @@ Result<net::Response> Router::Execute(const net::Request& request) {
   if (node == nullptr) {
     return Status(Code::kInternal, "ring names unknown node " + name);
   }
-  const int tries = std::max(options_.op_retries, 1);
-  for (int attempt = 0; attempt < tries; ++attempt) {
-    if (attempt > 0) {
-      retries_ctr_->Inc();
-      std::this_thread::sleep_for(std::chrono::milliseconds(options_.retry_backoff_ms));
-    }
-    std::lock_guard<std::mutex> lock(node->mutex);
-    if (node->dead) {
-      break;
-    }
-    if (!node->client->connected()) {
-      if (!RecoverNodeLocked(*node).ok()) {
-        continue;
-      }
-    }
-    Result<net::Response> response = node->client->Execute(request);
-    if (response.ok()) {
-      node->probe_misses = 0;
-      return response;
-    }
-    // I/O failure mid-operation. Run the recovery sequence now; whether the
-    // op landed is unknowable (classic at-least-once ambiguity), so the
-    // retry above re-sends it against whichever address recovery yields.
-    RecoverNodeLocked(*node);
-  }
-  failing_over_ctr_->Inc();
-  return Status(Code::kFailingOver, "node " + name + " is failing over; retry later");
-}
-
-Result<std::vector<net::Response>> Router::ExecuteBatchOnNode(
-    Node* node, const std::vector<net::Request>& ops) {
-  const int tries = std::max(options_.op_retries, 1);
-  for (int attempt = 0; attempt < tries; ++attempt) {
-    if (attempt > 0) {
-      retries_ctr_->Inc();
-      std::this_thread::sleep_for(std::chrono::milliseconds(options_.retry_backoff_ms));
-    }
-    std::lock_guard<std::mutex> lock(node->mutex);
-    if (node->dead) {
-      break;
-    }
-    if (!node->client->connected()) {
-      if (!RecoverNodeLocked(*node).ok()) {
-        continue;
-      }
-    }
-    Result<std::vector<net::Response>> responses = node->client->ExecuteBatch(ops);
-    if (responses.ok()) {
-      node->probe_misses = 0;
-      return responses;
-    }
-    RecoverNodeLocked(*node);
-  }
-  failing_over_ctr_->Inc();
-  return Status(Code::kFailingOver,
-                "node " + node->config.name + " is failing over; retry later");
+  return CallWithRetry(*node, [&](net::Client& client) { return client.Execute(request); });
 }
 
 Status Router::MSet(const std::vector<std::pair<std::string, std::string>>& pairs) {
@@ -243,7 +218,8 @@ Status Router::MSet(const std::vector<std::pair<std::string, std::string>>& pair
     it->second.push_back(std::move(request));
   }
   for (auto& [node, ops] : groups) {
-    Result<std::vector<net::Response>> responses = ExecuteBatchOnNode(node, ops);
+    Result<std::vector<net::Response>> responses = CallWithRetry(
+        *node, [&](net::Client& client) { return client.ExecuteBatch(ops); });
     if (!responses.ok()) {
       return responses.status();
     }

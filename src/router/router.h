@@ -48,7 +48,6 @@ struct RouterNode {
 };
 
 struct RouterOptions {
-  size_t vnodes = 64;
   bool encrypt = true;
   net::ClientOptions client;     // per-node connections (ops + probes)
   int probe_interval_ms = 200;   // health probe cadence (0 = no probe thread)
@@ -119,11 +118,13 @@ class Router {
 
   Node* FindNode(const std::string& name);
   const Node* FindNode(const std::string& name) const;
-  // One routed attempt + the retry/failover loop.
+  // Routes `request` to its ring owner through CallWithRetry.
   Result<net::Response> Execute(const net::Request& request);
-  // Same retry/failover loop for an explicit batch against one node.
-  Result<std::vector<net::Response>> ExecuteBatchOnNode(Node* node,
-                                                        const std::vector<net::Request>& ops);
+  // The bounded failover retry every routed call goes through: backoff
+  // between tries, recover a disconnected client first, run `call` on the
+  // node's client, and run the recovery sequence after a failed call.
+  template <typename Call>
+  auto CallWithRetry(Node& node, const Call& call) -> decltype(call(*node.client));
   // Requires node.mutex: try to restore service, promoting if needed.
   Status RecoverNodeLocked(Node& node);
   void ProbeLoop();

@@ -162,8 +162,10 @@ Status WalShipper::BootstrapLocked(std::unique_lock<std::mutex>& lock) {
     });
     lock.lock();
     if (!collected.ok()) {
-      // E.g. a quarantined partition: its in-memory state is untrusted, so a
-      // snapshot of it would replicate garbage. Heal first, attach after.
+      // A quarantined partition, or one whose audited walk (ForEachDecrypted)
+      // just found a silent tamper and quarantined it: its in-memory state is
+      // untrusted, so none of what the walk collected ships. Heal first,
+      // attach after.
       bootstrapping_ = false;
       resync_needed_ = true;
       return collected;

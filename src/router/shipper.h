@@ -11,7 +11,9 @@
 //      entries from here on land in the shipper's backlog;
 //   2. kHello, then a snapshot dump of every partition (under that
 //      partition's lock, via PartitionedStore::WithPartitionLocked) as
-//      kSnapshotChunk frames, then kSnapshotDone;
+//      kSnapshotChunk frames, then kSnapshotDone. Each dump is an audited
+//      walk (Store::ForEachDecrypted): a partition that fails it quarantines,
+//      ships nothing, and fails the bootstrap until it has healed;
 //   3. the backlog drains in ship order.
 // An entry can thus reach the follower twice — once inside the dump and once
 // from the backlog — but the backlog copy is the NEWER state and applies

@@ -835,13 +835,16 @@ bool SelfHealer::CompactOne() {
 }
 
 void SelfHealer::Tick() {
+  // Stop retrying a partition after this many consecutive failed recovery
+  // attempts (it stays quarantined; operators see heal.failed_recoveries).
+  constexpr int kMaxRecoveryAttempts = 8;
   PartitionedStore& store = wal_.inner();
   for (size_t p = 0; p < store.num_partitions(); ++p) {
     if (!store.IsQuarantined(p)) {
       attempts_[p] = 0;
       continue;
     }
-    if (attempts_[p] >= options_.max_recovery_attempts) {
+    if (attempts_[p] >= kMaxRecoveryAttempts) {
       continue;  // gave up on this partition; operator intervention needed
     }
     const Status s = RecoverOne(p);
@@ -864,7 +867,7 @@ void SelfHealer::Tick() {
     return;
   }
   if (options_.scrub) {
-    const Status s = store.ScrubTick(options_.scrub_budget_buckets);
+    const Status s = store.ScrubTick();
     if (!s.ok()) {
       violations_->Inc();
       obs::AuditEvent(obs::AuditType::kScrubFinding, s.message());

@@ -368,13 +368,9 @@ struct SelfHealOptions {
   // recoveries of a compacted shard's partitions read them. Unused on a
   // heap-only WAL.
   std::string directory;
-  // Buckets audited per Tick (0 = the store Options' scrub_budget_buckets).
-  size_t scrub_budget_buckets = 0;
-  // Run the paced background scrub on idle ticks.
+  // Run the paced background scrub (the store Options'
+  // scrub_budget_buckets per tick) on idle ticks.
   bool scrub = true;
-  // Stop retrying a partition after this many consecutive failed recovery
-  // attempts (it stays quarantined; operators see heal.failed_recoveries).
-  int max_recovery_attempts = 8;
   // Compact a shard's log once it exceeds this many bytes (0 = never).
   // Ticks check one shard per call, round-robin, after recovery work.
   size_t compact_log_bytes = 0;

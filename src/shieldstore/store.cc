@@ -1323,33 +1323,27 @@ Store::ScrubReport Store::ScrubStep(size_t max_buckets) {
 
 Status Store::ForEachDecrypted(
     const std::function<Status(std::string_view key, std::string_view value)>& fn) const {
+  // The walk is Scrub()'s: each chain is audited before its entries are
+  // visited, and the bucket-set hashes close the pass.
+  size_t entries_verified = 0;
   for (size_t b = 0; b < options_.num_buckets; ++b) {
-    size_t steps = 0;
-    const size_t max_steps = entry_count_ + 8;
+    if (Status s = ScrubBucketChain(b, &entries_verified); !s.ok()) {
+      return s;
+    }
     for (uint64_t ref = buckets_[b].head_ref; ref != 0;) {
-      if (Status s = CheckEntryRef(ref); !s.ok()) {
-        return s;
-      }
       const kv::EntryHeader* e = Deref(ref);
       ref = e->next_ref;
-      if (++steps > max_steps) {
-        return Status(Code::kIntegrityFailure, "hash chain cycle detected");
-      }
-      TouchKeys();
-      Result<std::string> value = kv::OpenEntryValue(*cipher_, *e);
-      if (!value.ok()) {
-        return value.status();
-      }
       if (e->flags & kFlagTombstone) {
         continue;
       }
-      const std::string key = kv::OpenEntryKey(*cipher_, *e);
-      if (Status s = fn(key, value.value()); !s.ok()) {
+      TouchKeys();
+      const std::string value = kv::DecryptEntryValue(*cipher_, *e);
+      if (Status s = fn(kv::OpenEntryKey(*cipher_, *e), value); !s.ok()) {
         return s;
       }
     }
   }
-  return Status::Ok();
+  return VerifyFullIntegrity();
 }
 
 // ---------------------------------------------------- snapshot persistence

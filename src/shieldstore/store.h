@@ -165,9 +165,12 @@ class Store : public kv::KeyValueStore {
   // the full Scrub(). Same thread-safety contract as mutations.
   ScrubReport ScrubStep(size_t max_buckets);
 
-  // Decrypts and visits every live entry (enclave work; entry MACs are
-  // verified as entries are opened). Used by the boot-time restore and the
-  // replication shipper's bootstrap snapshot.
+  // Decrypts and visits every live entry (enclave work) on Scrub()'s walk:
+  // each chain is audited (structure, MAC-bucket copies, entry MACs) before
+  // its entries are visited, and the bucket-set hashes are verified after
+  // the last one. So `fn` may already have seen forged state when this
+  // returns a violation: a caller keeps what it collected only on OK. Used
+  // by the replication shipper's bootstrap snapshot.
   Status ForEachDecrypted(
       const std::function<Status(std::string_view key, std::string_view value)>& fn) const;
 

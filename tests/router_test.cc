@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "src/faultinject/nodekiller.h"
+#include "src/faultinject/tamper.h"
 #include "src/net/client.h"
 #include "src/net/replication.h"
 #include "src/net/server.h"
@@ -32,6 +33,7 @@
 namespace shield {
 namespace {
 
+using faultinject::TamperMode;
 using router::ConsistentHashRing;
 using router::ReplicaNode;
 using router::Router;
@@ -205,6 +207,8 @@ class ReplicationTest : public ::testing::Test {
     return shipper;
   }
 
+  void RunBootstrapShipsOnlyAnAuditedPartition(TamperMode mode);
+
   sgx::Enclave primary_enclave_;
   sgx::Enclave follower_enclave_;
   sgx::AttestationAuthority authority_;
@@ -342,6 +346,63 @@ TEST_F(ReplicationTest, BacklogOverflowResyncsTheFollower) {
   const std::map<std::string, std::string> primary = Dump(primary_store_);
   EXPECT_EQ(primary.size(), 41u);
   EXPECT_EQ(Dump(follower_store_), primary);
+}
+
+// A silent in-memory tamper that no operation has hit yet must not become
+// the standby's baseline. The bootstrap dump audits each partition: the
+// tampered one quarantines and ships nothing, and the attach fails typed.
+// Once the partition has healed from its shard log, a fresh bootstrap ships
+// the current value.
+void ReplicationTest::RunBootstrapShipsOnlyAnAuditedPartition(TamperMode mode) {
+  constexpr size_t kVictim = 1;  // partition 0's chunks ship before the audit fails
+  for (int i = 0; i < 40; ++i) {
+    ASSERT_TRUE(wal_->Set("boot-" + std::to_string(i), "old-value").ok());
+  }
+  faultinject::TamperAgent agent(/*seed=*/29);
+  std::string current = "old-value";
+  if (mode == TamperMode::kEntryReplay) {
+    ASSERT_TRUE(primary_store_
+                    .WithPartitionLocked(kVictim,
+                                         [&](shieldstore::Store& p) { return agent.CaptureEntry(p); })
+                    .ok());
+    current = "new-value";
+    ASSERT_TRUE(wal_->Set(agent.last_target_key(), current).ok());
+  }
+  ASSERT_TRUE(agent.TamperPartition(primary_store_, kVictim, mode).ok());
+  const std::string key = agent.last_target_key();
+
+  StartFollowerServer();
+  ShipperOptions options;
+  options.follower_port = follower_server_->port();
+  options.epoch = 74;
+  WalShipper shipper(*wal_, authority_, follower_enclave_.measurement(), options);
+  wal_->SetReplicationSink(&shipper);
+  const Status attached = shipper.Attach();
+  // The forged state (the replayed old value, or a dump without the
+  // unlinked key) never reaches the follower.
+  const Result<std::string> seen = follower_store_.Get(key);
+  EXPECT_TRUE(!seen.ok() || seen.value() == current) << seen.value();
+  EXPECT_EQ(attached.code(), Code::kIntegrityFailure) << attached.ToString();
+  EXPECT_TRUE(primary_store_.IsQuarantined(kVictim));
+
+  // Heap-only WAL: the heal is the empty store plus the shard's whole log.
+  shieldstore::SelfHealer healer(*wal_, *sealer_, *counters_, shieldstore::SelfHealOptions{});
+  healer.Tick();
+  ASSERT_FALSE(primary_store_.IsQuarantined(kVictim)) << healer.last_error().ToString();
+  ASSERT_TRUE(shipper.Attach().ok());
+  const Result<std::string> healed = follower_store_.Get(key);
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  EXPECT_EQ(healed.value(), current);
+  EXPECT_EQ(Dump(follower_store_), Dump(primary_store_));
+  wal_->SetReplicationSink(nullptr);
+}
+
+TEST_F(ReplicationTest, BootstrapRefusesAReplayedEntry) {
+  RunBootstrapShipsOnlyAnAuditedPartition(TamperMode::kEntryReplay);
+}
+
+TEST_F(ReplicationTest, BootstrapRefusesATruncatedChain) {
+  RunBootstrapShipsOnlyAnAuditedPartition(TamperMode::kChainTruncate);
 }
 
 TEST_F(ReplicationTest, PromotedFollowerRefusesTheStreamAndShipperDetaches) {

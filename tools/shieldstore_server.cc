@@ -62,51 +62,41 @@ struct Flags {
   std::string heal_dir;         // empty = volatile (no WAL, no recovery)
   size_t persist_capacity_mb = 256;  // arena capacity per partition (--heal-dir)
   int scrub_interval_ms = 50;   // maintenance cadence; 0 disables the scrub
-  size_t scrub_budget = 0;      // buckets per tick; 0 = Options default
-  size_t wal_shards = 0;        // log shards; 0 = one per partition
   uint32_t wal_window_us = 200;  // group-commit window; must be > 0 (0 drops the hold)
   size_t wal_group_ops = 64;    // cap that closes a group early
   size_t wal_compact_bytes = 64 << 20;  // compact a shard log past this; 0 = never
   int stats_interval_s = 30;    // metrics report cadence; 0 disables
-  bool stats_prometheus = false;  // full Prometheus-style dump each report
   std::string stats_json;       // periodic obs::RenderJson dump to this file
   size_t io_threads = 4;        // reactor epoll threads
   size_t max_sessions = 16384;  // live-session cap (excess accepts rejected)
-  size_t coalesce_depth = 64;   // implicit pipelined batching; 1 disables
   bool replica = false;         // warm standby: accept a primary's kReplicate stream
   uint16_t replica_of = 0;      // that primary's port — informational (push model)
   uint16_t replicate_to = 0;    // primary: ship committed WAL entries to this follower port
   uint32_t trace_sample = 256;  // sample 1-in-N root ops; 1 = every op, 0 = tracing off
   std::string audit_log;        // hash-chained security audit log; empty = off
-  int slo_interval_s = 5;       // SLO watchdog cadence; 0 disables the watchdog
-  int slo_stage_p99_ms = 50;    // breach: any stage.* p99 over this
-  int slo_op_p99_ms = 200;      // breach: any net.latency.* p99 over this
-  int slo_loop_lag_p99_ms = 200;  // breach: reactor loop-lag p99 over this
-  long long slo_repl_backlog = 65536;  // breach: replication backlog entries over this
 };
+
+// The SLO watchdog's cadence; its thresholds are obs::SloThresholds{}.
+constexpr int kSloIntervalS = 5;
 
 void PrintUsage() {
   std::fprintf(stderr,
                "usage: shieldstore_server [--port N] [--partitions N] [--buckets N]\n"
                "    [--epc-mb N] [--hotcalls] [--plaintext] [--authority-seed S] [--name S]\n"
                "    [--heal-dir DIR] [--persist-capacity-mb N]\n"
-               "    [--scrub-interval-ms N] [--scrub-budget N]\n"
-               "    [--wal-shards N] [--wal-window-us N] [--wal-group-ops N]\n"
-               "    [--wal-compact-bytes N] [--stats-interval-s N] [--stats-prometheus]\n"
-               "    [--stats-json FILE] [--io-threads N] [--max-sessions N]\n"
-               "    [--coalesce-depth N]\n"
+               "    [--scrub-interval-ms N] [--wal-window-us N] [--wal-group-ops N]\n"
+               "    [--wal-compact-bytes N] [--stats-interval-s N] [--stats-json FILE]\n"
+               "    [--io-threads N] [--max-sessions N]\n"
                "    [--replica-of PRIMARY_PORT] [--replicate-to FOLLOWER_PORT]\n"
-               "    [--trace-sample N] [--audit-log FILE] [--slo-interval-s N]\n"
-               "    [--slo-stage-p99-ms N] [--slo-op-p99-ms N] [--slo-loop-lag-p99-ms N]\n"
-               "    [--slo-repl-backlog N]\n"
+               "    [--trace-sample N] [--audit-log FILE]\n"
                "durability: --wal-window-us N (N >= 1, default 200) is the group-commit\n"
                "window; every ack waits until its record is fsync'd and counter-bumped.\n"
                "observability: --trace-sample N samples 1-in-N root operations into the\n"
                "cross-node tracer (1 = every op, 0 = off; dump with `shieldstore_cli\n"
                "trace`). --audit-log FILE appends every integrity-relevant event to a\n"
-               "hash-chained, fsync'd audit log (verify offline with audit_verify).\n"
-               "--slo-* set the watchdog thresholds; breaches bump slo.breaches and land\n"
-               "in the audit log.\n"
+               "hash-chained, fsync'd audit log (verify offline with audit_verify). The\n"
+               "SLO watchdog checks fixed thresholds every 5 s; breaches bump\n"
+               "slo.breaches and land in the audit log.\n"
                "replication: --replica-of makes this node a warm standby (the primary on\n"
                "PRIMARY_PORT pushes its stream here; the port is recorded for logs).\n"
                "--replicate-to ships every committed WAL entry to the follower listening\n"
@@ -114,8 +104,8 @@ void PrintUsage() {
                "and --authority-seed so the sessions attest).\n"
                "--heal-dir DIR mmaps the untrusted heap onto p<i>.heap arenas in DIR/heap\n"
                "(--persist-capacity-mb each) and writes their cold copies to DIR/cold:\n"
-               "restart attaches the arenas in O(1) and replays only the WAL tail. The\n"
-               "partition and WAL-shard counts are fixed per heal directory.\n");
+               "restart attaches the arenas in O(1) and replays only the WAL tail, one\n"
+               "log shard per partition. The partition count is fixed per heal directory.\n");
 }
 
 bool ParseFlags(int argc, char** argv, Flags* flags) {
@@ -151,10 +141,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->persist_capacity_mb = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--scrub-interval-ms") {
       flags->scrub_interval_ms = std::atoi(next());
-    } else if (arg == "--scrub-budget") {
-      flags->scrub_budget = static_cast<size_t>(std::atoll(next()));
-    } else if (arg == "--wal-shards") {
-      flags->wal_shards = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--wal-window-us") {
       flags->wal_window_us = static_cast<uint32_t>(std::atoll(next()));
     } else if (arg == "--wal-group-ops") {
@@ -163,16 +149,12 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->wal_compact_bytes = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--stats-interval-s") {
       flags->stats_interval_s = std::atoi(next());
-    } else if (arg == "--stats-prometheus") {
-      flags->stats_prometheus = true;
     } else if (arg == "--stats-json") {
       flags->stats_json = next();
     } else if (arg == "--io-threads") {
       flags->io_threads = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--max-sessions") {
       flags->max_sessions = static_cast<size_t>(std::atoll(next()));
-    } else if (arg == "--coalesce-depth") {
-      flags->coalesce_depth = static_cast<size_t>(std::atoll(next()));
     } else if (arg == "--replica-of") {
       flags->replica = true;
       flags->replica_of = static_cast<uint16_t>(std::atoi(next()));
@@ -182,16 +164,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->trace_sample = static_cast<uint32_t>(std::atoll(next()));
     } else if (arg == "--audit-log") {
       flags->audit_log = next();
-    } else if (arg == "--slo-interval-s") {
-      flags->slo_interval_s = std::atoi(next());
-    } else if (arg == "--slo-stage-p99-ms") {
-      flags->slo_stage_p99_ms = std::atoi(next());
-    } else if (arg == "--slo-op-p99-ms") {
-      flags->slo_op_p99_ms = std::atoi(next());
-    } else if (arg == "--slo-loop-lag-p99-ms") {
-      flags->slo_loop_lag_p99_ms = std::atoi(next());
-    } else if (arg == "--slo-repl-backlog") {
-      flags->slo_repl_backlog = std::atoll(next());
     } else {
       PrintUsage();
       return false;
@@ -297,9 +269,6 @@ int main(int argc, char** argv) {
 
   shieldstore::Options options;
   options.num_buckets = flags.buckets;
-  if (flags.scrub_budget > 0) {
-    options.scrub_budget_buckets = flags.scrub_budget;
-  }
   if (!flags.heal_dir.empty()) {
     options.persist_dir = flags.heal_dir + "/heap";
   }
@@ -321,7 +290,6 @@ int main(int argc, char** argv) {
     counters = std::make_unique<sgx::MonotonicCounterService>(counter_opts);
     shieldstore::OpLogOptions log_opts;
     log_opts.path = flags.heal_dir + "/wal.log";
-    log_opts.num_shards = flags.wal_shards;
     log_opts.group_commit_window_us = flags.wal_window_us;
     log_opts.group_commit_ops = std::max<size_t>(flags.wal_group_ops, 1);
     wal = std::make_unique<shieldstore::WriteAheadStore>(store, *sealer, *counters, log_opts);
@@ -388,71 +356,56 @@ int main(int argc, char** argv) {
   server_options.encrypt = !flags.plaintext;
   server_options.io_threads = std::max<size_t>(flags.io_threads, 1);
   server_options.max_sessions = std::max<size_t>(flags.max_sessions, 1);
-  server_options.coalesce_depth = std::max<size_t>(flags.coalesce_depth, 1);
   // SLO watchdog: evaluated from the maintenance thread over registry deltas.
   // Breaches bump slo.breaches and land in the audit chain (kSloBreach).
-  std::shared_ptr<obs::SloWatchdog> watchdog;
-  if (flags.slo_interval_s > 0) {
-    obs::SloThresholds thresholds;
-    thresholds.stage_p99_ns = static_cast<uint64_t>(std::max(flags.slo_stage_p99_ms, 1)) * 1000000ull;
-    thresholds.op_p99_ns = static_cast<uint64_t>(std::max(flags.slo_op_p99_ms, 1)) * 1000000ull;
-    thresholds.loop_lag_p99_ns =
-        static_cast<uint64_t>(std::max(flags.slo_loop_lag_p99_ms, 1)) * 1000000ull;
-    thresholds.repl_backlog_entries = std::max<int64_t>(flags.slo_repl_backlog, 1);
-    watchdog = std::make_shared<obs::SloWatchdog>(thresholds);
-  }
+  obs::SloWatchdog watchdog(obs::SloThresholds{});
   // One maintenance thread does every periodic chore: the self-healing tick
   // (recovery, compaction, paced scrub) or, in volatile mode, the bare scrub
   // — a violation there quarantines the partition for good, as there is no
   // WAL to heal from — plus the stats report and the SLO watchdog. It ticks
   // every --scrub-interval-ms, or once a second when that is 0 (scrub off).
   const bool scrub = flags.scrub_interval_ms > 0;
-  if (healer != nullptr || scrub || flags.stats_interval_s > 0 || watchdog != nullptr) {
-    const int interval_ms = scrub ? flags.scrub_interval_ms : 1000;
-    const auto every = [interval_ms](int seconds) {
-      return seconds > 0 ? std::max<uint64_t>(uint64_t{1000} * seconds / interval_ms, 1) : 0;
-    };
-    const uint64_t stats_every = every(flags.stats_interval_s);
-    const uint64_t slo_every = watchdog != nullptr ? every(flags.slo_interval_s) : 0;
-    server_options.maintenance = [&healer, &store, &server_ref, &flags, watchdog, scrub,
-                                  stats_every, slo_every, ticks = uint64_t{0},
-                                  last = obs::MetricsSnapshot{}]() mutable {
-      if (healer != nullptr) {
-        healer->Tick();
-      } else if (scrub) {
-        (void)store.ScrubTick();
-      }
-      ++ticks;
-      if (server_ref == nullptr) {
-        return;
-      }
-      if (stats_every > 0 && ticks % stats_every == 0) {
-        // Rates over the last interval, plus cumulative context.
-        obs::MetricsSnapshot now = server_ref->BuildStatsSnapshot();
-        if (!flags.stats_json.empty()) {
-          // Machine-readable dump for scrapers: written whole, then renamed,
-          // so a reader never sees a torn file.
-          const std::string tmp = flags.stats_json + ".tmp";
-          if (FILE* f = std::fopen(tmp.c_str(), "wb"); f != nullptr) {
-            const std::string json = obs::RenderJson(now);
-            std::fwrite(json.data(), 1, json.size(), f);
-            std::fclose(f);
-            std::rename(tmp.c_str(), flags.stats_json.c_str());
-          }
+  const int interval_ms = scrub ? flags.scrub_interval_ms : 1000;
+  const auto every = [interval_ms](int seconds) {
+    return seconds > 0 ? std::max<uint64_t>(uint64_t{1000} * seconds / interval_ms, 1) : 0;
+  };
+  const uint64_t stats_every = every(flags.stats_interval_s);
+  const uint64_t slo_every = every(kSloIntervalS);
+  server_options.maintenance = [&healer, &store, &server_ref, &flags, &watchdog, scrub,
+                                stats_every, slo_every, ticks = uint64_t{0},
+                                last = obs::MetricsSnapshot{}]() mutable {
+    if (healer != nullptr) {
+      healer->Tick();
+    } else if (scrub) {
+      (void)store.ScrubTick();
+    }
+    ++ticks;
+    if (server_ref == nullptr) {
+      return;
+    }
+    if (stats_every > 0 && ticks % stats_every == 0) {
+      // Rates over the last interval, plus cumulative context.
+      obs::MetricsSnapshot now = server_ref->BuildStatsSnapshot();
+      if (!flags.stats_json.empty()) {
+        // Machine-readable dump for scrapers: written whole, then renamed,
+        // so a reader never sees a torn file.
+        const std::string tmp = flags.stats_json + ".tmp";
+        if (FILE* f = std::fopen(tmp.c_str(), "wb"); f != nullptr) {
+          const std::string json = obs::RenderJson(now);
+          std::fwrite(json.data(), 1, json.size(), f);
+          std::fclose(f);
+          std::rename(tmp.c_str(), flags.stats_json.c_str());
         }
-        PrintReport(now, last);
-        if (flags.stats_prometheus) {
-          std::fputs(obs::RenderPrometheus(now).c_str(), stdout);
-        }
-        std::fflush(stdout);
-        last = std::move(now);
       }
-      if (slo_every > 0 && ticks % slo_every == 0) {
-        watchdog->Evaluate(server_ref->BuildStatsSnapshot());
-      }
-    };
-    server_options.maintenance_interval_ms = interval_ms;
-  }
+      PrintReport(now, last);
+      std::fflush(stdout);
+      last = std::move(now);
+    }
+    if (ticks % slo_every == 0) {
+      watchdog.Evaluate(server_ref->BuildStatsSnapshot());
+    }
+  };
+  server_options.maintenance_interval_ms = interval_ms;
   net::Server server(enclave, wal != nullptr ? static_cast<kv::KeyValueStore&>(*wal)
                                              : static_cast<kv::KeyValueStore&>(store),
                      authority, server_options);
@@ -511,12 +464,11 @@ int main(int argc, char** argv) {
                 flags.audit_log.c_str(),
                 static_cast<unsigned long long>(audit_log.records_written()));
   }
-  if (watchdog != nullptr) {
-    std::printf("slo watchdog: every %d s (stage p99 %d ms, op p99 %d ms, loop lag p99 %d ms, "
-                "repl backlog %lld)\n",
-                flags.slo_interval_s, flags.slo_stage_p99_ms, flags.slo_op_p99_ms,
-                flags.slo_loop_lag_p99_ms, flags.slo_repl_backlog);
-  }
+  const obs::SloThresholds& slo = watchdog.thresholds();
+  std::printf("slo watchdog: every %d s (stage p99 %llu ms, op p99 %llu ms, loop lag p99 %llu ms, "
+              "repl backlog %lld)\n",
+              kSloIntervalS, Ull(slo.stage_p99_ns / 1000000), Ull(slo.op_p99_ns / 1000000),
+              Ull(slo.loop_lag_p99_ns / 1000000), static_cast<long long>(slo.repl_backlog_entries));
   if (healer != nullptr) {
     std::printf("self-healing: on (dir %s, %zu MB arena per partition, scrub every %d ms)\n",
                 flags.heal_dir.c_str(), flags.persist_capacity_mb, flags.scrub_interval_ms);
