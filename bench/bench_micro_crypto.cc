@@ -1,8 +1,8 @@
 // Microbenchmarks of the crypto substrate: these are the primitive costs
 // every figure decomposes into — per-entry AES-CTR + CMAC (ShieldStore's op
 // cost), the interleaved batch CMAC used by scrub verification, the
-// session channel's Seal + Open per served record, and the keyed hashes on
-// the lookup path.
+// session channel's Seal + Open per served record (alone and in a frame
+// run), and the keyed hashes on the lookup path.
 //
 // CTR and CMAC run at BOTH backends (table reference and AES-NI when the
 // CPU has it) in one invocation and the per-size GB/s plus hardware/table
@@ -16,6 +16,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/crypto/aes.h"
@@ -90,6 +91,61 @@ double BenchSessionRecord(AesBackend backend, size_t size, double seconds) {
   });
   (void)sink;
   return gbps;
+}
+
+// The server's frame-run shape: the peer seals `kRunRecords` records of
+// `size` bytes in place as one run of frames (SealFrames) and the other side
+// opens them in one OpenRun, both with record MACs in CMAC lanes. Returns
+// ns per record (one seal + one open).
+constexpr size_t kRunRecords = 16;
+
+double BenchSessionRunNs(AesBackend backend, size_t size, double seconds) {
+  Bytes key_material(net::SessionCrypto::kKeyMaterialSize, 0x3C);
+  net::SessionCrypto sender(key_material, /*is_client=*/false, /*encrypt=*/true, backend);
+  net::SessionCrypto receiver(key_material, /*is_client=*/true, /*encrypt=*/true, backend);
+  const size_t frame_bytes = 4 + size + kCmacSize;
+  Bytes plain_frames(kRunRecords * frame_bytes, 0x42);
+  for (size_t i = 0; i < kRunRecords; ++i) {
+    StoreLe32(plain_frames.data() + i * frame_bytes, static_cast<uint32_t>(size + kCmacSize));
+  }
+  Bytes frames = plain_frames;
+  ByteSpan records[kRunRecords];
+  for (size_t i = 0; i < kRunRecords; ++i) {
+    records[i] = ByteSpan(frames.data() + i * frame_bytes + 4, size + kCmacSize);
+  }
+  Bytes plaintext;
+  ByteSpan opened[kRunRecords];
+  volatile size_t sink = 0;
+  const double gbps = Throughput(seconds, size * kRunRecords, [&] {
+    std::memcpy(frames.data(), plain_frames.data(), frames.size());
+    sender.SealFrames(frames);
+    sink = receiver.OpenRun(records, plaintext, opened);
+  });
+  (void)sink;
+  return gbps > 0 ? static_cast<double>(size) / gbps : 0;
+}
+
+// One message through CmacSignBatch against the same message through a
+// streaming Cmac; ns per message for each.
+std::pair<double, double> BenchCmacOneNs(AesBackend backend, size_t size, double seconds) {
+  Bytes data(size, 0x77);
+  CmacKey key(ByteSpan(kKey.data(), kKey.size()), backend);
+  CmacMessage msg;
+  msg.Append(data);
+  Mac tag;
+  volatile uint8_t sink = 0;
+  const double batch = Throughput(seconds, size, [&] {
+    CmacSignBatch(key, std::span<const CmacMessage>(&msg, 1), &tag);
+    sink = tag[0];
+  });
+  const double stream = Throughput(seconds, size, [&] {
+    Cmac cmac(key);
+    cmac.Update(data);
+    sink = cmac.Finalize()[0];
+  });
+  (void)sink;
+  const double n = static_cast<double>(size);
+  return {batch > 0 ? n / batch : 0, stream > 0 ? n / stream : 0};
 }
 
 // The scrub-path shape: kCmacBatchLanes independent messages signed with
@@ -186,6 +242,33 @@ int Run(double seconds, const std::string& out_path) {
       json += ",\n    {\"op\": \"session_seal_open\", \"backend\": \"" +
               std::string(AesBackendName(backend)) + "\", \"size\": " + std::to_string(size) +
               ", \"gbps\": " + Fmt(gbps) + ", \"ns_per_seal_open\": " + Fmt(ns, "%.0f") + "}";
+    }
+  }
+
+  // The same records as one frame run of 16 (the server's pass) against 16
+  // single Seal + Open calls, and a one-message CmacSignBatch against a
+  // streaming Cmac (a run of one must cost what a single record did).
+  for (AesBackend backend : backends) {
+    for (size_t size : {48, 160}) {
+      const double run_ns = BenchSessionRunNs(backend, size, seconds);
+      const double gbps = BenchSessionRecord(backend, size, seconds);
+      const double single_ns = gbps > 0 ? static_cast<double>(size) / gbps : 0;
+      std::printf("%-12s %-10s %8zu  %s ns per record in a run of %zu, %s ns single\n",
+                  "session_run", AesBackendName(backend), size, Fmt(run_ns, "%.0f").c_str(),
+                  kRunRecords, Fmt(single_ns, "%.0f").c_str());
+      json += ",\n    {\"op\": \"session_run\", \"backend\": \"" +
+              std::string(AesBackendName(backend)) + "\", \"size\": " + std::to_string(size) +
+              ", \"records\": " + std::to_string(kRunRecords) +
+              ", \"ns_per_record_run\": " + Fmt(run_ns, "%.0f") +
+              ", \"ns_per_record_single\": " + Fmt(single_ns, "%.0f") + "}";
+      const auto [batch_ns, stream_ns] = BenchCmacOneNs(backend, size, seconds);
+      std::printf("%-12s %-10s %8zu  %s ns batch of one, %s ns stream\n", "cmac_one",
+                  AesBackendName(backend), size, Fmt(batch_ns, "%.0f").c_str(),
+                  Fmt(stream_ns, "%.0f").c_str());
+      json += ",\n    {\"op\": \"cmac_one\", \"backend\": \"" +
+              std::string(AesBackendName(backend)) + "\", \"size\": " + std::to_string(size) +
+              ", \"ns_batch_of_one\": " + Fmt(batch_ns, "%.0f") +
+              ", \"ns_stream\": " + Fmt(stream_ns, "%.0f") + "}";
     }
   }
 

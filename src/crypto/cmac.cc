@@ -129,6 +129,17 @@ void CmacSignBatch(const CmacKey& key, std::span<const CmacMessage> messages, Ma
   const AesBlock& k2 = key.k2();
   for (size_t base = 0; base < messages.size(); base += kCmacBatchLanes) {
     const size_t lanes = std::min(kCmacBatchLanes, messages.size() - base);
+    if (lanes == 1) {
+      // A lone message has nothing to interleave with: the streaming form
+      // skips the per-block gather and lane bookkeeping.
+      Cmac cmac(key);
+      const CmacMessage& msg = messages[base];
+      for (size_t i = 0; i < msg.num_parts; ++i) {
+        cmac.Update(msg.parts[i]);
+      }
+      tags[base] = cmac.Finalize();
+      continue;
+    }
     AesBlock state[kCmacBatchLanes];
     LaneCursor cur[kCmacBatchLanes];
     for (size_t lane = 0; lane < lanes; ++lane) {

@@ -100,7 +100,8 @@ inline constexpr size_t kCmacBatchLanes = 8;
 // Computes tags[i] = CMAC(key, messages[i]) for all messages, advancing up
 // to kCmacBatchLanes CBC-MAC chains in lock-step so each AES round runs over
 // a batch of independent blocks (pipelined on AES-NI). Bit-identical to
-// signing each message with a serial Cmac stream.
+// signing each message with a serial Cmac stream; a group of one (a batch of
+// one, or the tail of a batch) runs as that stream, so it costs no more.
 void CmacSignBatch(const CmacKey& key, std::span<const CmacMessage> messages, Mac* tags);
 
 // One-shot CMAC of a single buffer. Expands `key` on every call: for cold

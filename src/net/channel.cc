@@ -1,5 +1,7 @@
 #include "src/net/channel.h"
 
+#include <algorithm>
+#include <cassert>
 #include <cstring>
 
 #include "src/crypto/ctr.h"
@@ -35,16 +37,18 @@ crypto::Sha256Digest TranscriptHash(ByteSpan client_hello, const crypto::X25519K
   return sha.Finalize();
 }
 
-// The CMAC over LE64(seq) || direction || ciphertext.
-crypto::Mac RecordMac(const crypto::CmacKey& key, uint64_t seq, uint8_t direction,
-                      ByteSpan ciphertext) {
-  crypto::Cmac cmac(key);
-  uint8_t header[9];
+// The record-MAC header, LE64(seq) || direction; the CMAC covers it and
+// then the ciphertext.
+constexpr size_t kRecordHeaderBytes = 9;
+
+crypto::CmacMessage RecordMacMessage(uint64_t seq, uint8_t direction, ByteSpan ciphertext,
+                                     uint8_t* header) {
   StoreLe64(header, seq);
   header[8] = direction;
-  cmac.Update(ByteSpan(header, sizeof(header)));
-  cmac.Update(ciphertext);
-  return cmac.Finalize();
+  crypto::CmacMessage msg;
+  msg.Append(ByteSpan(header, kRecordHeaderBytes));
+  msg.Append(ciphertext);
+  return msg;
 }
 
 // AES-CTR under the counter block LE64(seq) || direction || 0...
@@ -74,15 +78,10 @@ SessionCrypto::SessionCrypto(ByteSpan key_material, bool is_client, bool encrypt
       encrypt_(encrypt) {}
 
 Bytes SessionCrypto::Seal(ByteSpan plaintext) {
-  if (!encrypt_) {
-    return Bytes(plaintext.begin(), plaintext.end());
-  }
-  const uint64_t seq = send_.seq++;
-  Bytes record(plaintext.size() + crypto::kCmacSize);
-  const MutableByteSpan ct(record.data(), plaintext.size());
-  RecordCtr(send_.enc, seq, send_.direction, plaintext, ct);
-  const crypto::Mac mac = RecordMac(send_.mac, seq, send_.direction, ct);
-  std::memcpy(record.data() + plaintext.size(), mac.data(), mac.size());
+  Bytes record(plaintext.size() + overhead());
+  std::copy(plaintext.begin(), plaintext.end(), record.begin());
+  const MutableByteSpan one(record);
+  SealRecords(std::span<const MutableByteSpan>(&one, 1));
   return record;
 }
 
@@ -93,17 +92,96 @@ Result<Bytes> SessionCrypto::Open(ByteSpan record) {
   if (record.size() < crypto::kCmacSize) {
     return Status(Code::kProtocolError, "record too short");
   }
-  const uint64_t seq = recv_.seq;
-  const size_t ct_len = record.size() - crypto::kCmacSize;
-  const ByteSpan ct = record.subspan(0, ct_len);
-  const crypto::Mac mac = RecordMac(recv_.mac, seq, recv_.direction, ct);
-  if (!ConstantTimeEqual(ByteSpan(mac.data(), mac.size()), record.subspan(ct_len))) {
+  Bytes plaintext;
+  ByteSpan opened;
+  if (OpenRun(std::span<const ByteSpan>(&record, 1), plaintext,
+              std::span<ByteSpan>(&opened, 1)) == 0) {
     return Status(Code::kProtocolError, "record authentication failed");
   }
-  ++recv_.seq;
-  Bytes plaintext(ct_len);
-  RecordCtr(recv_.enc, seq, recv_.direction, ct, plaintext);
   return plaintext;
+}
+
+size_t SessionCrypto::OpenRun(std::span<const ByteSpan> records, Bytes& plaintext,
+                              std::span<ByteSpan> opened) {
+  if (!encrypt_) {
+    std::copy(records.begin(), records.end(), opened.begin());
+    return records.size();
+  }
+  // Size the buffer for every record long enough to carry a MAC before
+  // writing any plaintext, so the views handed out stay valid.
+  size_t candidates = 0;
+  size_t total = 0;
+  while (candidates < records.size() && records[candidates].size() >= crypto::kCmacSize) {
+    total += records[candidates].size() - crypto::kCmacSize;
+    ++candidates;
+  }
+  if (plaintext.size() < total) {
+    plaintext.resize(total);
+  }
+  size_t count = 0;
+  size_t offset = 0;
+  while (count < candidates) {
+    const size_t n = std::min(kRunChunk, candidates - count);
+    uint8_t headers[kRunChunk][kRecordHeaderBytes];
+    crypto::CmacMessage messages[kRunChunk];
+    crypto::Mac tags[kRunChunk];
+    for (size_t i = 0; i < n; ++i) {
+      const ByteSpan record = records[count + i];
+      messages[i] = RecordMacMessage(recv_.seq + i, recv_.direction,
+                                     record.first(record.size() - crypto::kCmacSize), headers[i]);
+    }
+    crypto::CmacSignBatch(recv_.mac, std::span<const crypto::CmacMessage>(messages, n), tags);
+    for (size_t i = 0; i < n; ++i) {
+      const ByteSpan record = records[count];
+      const size_t ct_len = record.size() - crypto::kCmacSize;
+      if (!ConstantTimeEqual(ByteSpan(tags[i].data(), tags[i].size()), record.subspan(ct_len))) {
+        return count;
+      }
+      const MutableByteSpan out(plaintext.data() + offset, ct_len);
+      RecordCtr(recv_.enc, recv_.seq++, recv_.direction, record.first(ct_len), out);
+      opened[count++] = out;
+      offset += ct_len;
+    }
+  }
+  return count;
+}
+
+void SessionCrypto::SealFrames(MutableByteSpan frames) {
+  if (!encrypt_) {
+    return;
+  }
+  MutableByteSpan records[kRunChunk];
+  size_t n = 0;
+  for (size_t at = 0; at < frames.size();) {
+    const size_t len = LoadLe32(frames.data() + at);
+    records[n++] = frames.subspan(at + 4, len);
+    at += 4 + len;
+    if (n == kRunChunk || at == frames.size()) {
+      SealRecords(std::span<const MutableByteSpan>(records, n));
+      n = 0;
+    }
+  }
+}
+
+void SessionCrypto::SealRecords(std::span<const MutableByteSpan> records) {
+  assert(records.size() <= kRunChunk);
+  if (!encrypt_) {
+    return;
+  }
+  uint8_t headers[kRunChunk][kRecordHeaderBytes];
+  crypto::CmacMessage messages[kRunChunk];
+  crypto::Mac tags[kRunChunk];
+  for (size_t i = 0; i < records.size(); ++i) {
+    const MutableByteSpan text = records[i].first(records[i].size() - crypto::kCmacSize);
+    const uint64_t seq = send_.seq++;
+    RecordCtr(send_.enc, seq, send_.direction, text, text);
+    messages[i] = RecordMacMessage(seq, send_.direction, text, headers[i]);
+  }
+  crypto::CmacSignBatch(send_.mac, std::span<const crypto::CmacMessage>(messages, records.size()),
+                        tags);
+  for (size_t i = 0; i < records.size(); ++i) {
+    std::copy(tags[i].begin(), tags[i].end(), records[i].end() - crypto::kCmacSize);
+  }
 }
 
 Result<ServerHandshakeReply> ServerHandshakeHello(ByteSpan hello, sgx::Enclave& enclave,

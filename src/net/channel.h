@@ -14,10 +14,16 @@
 // word), and the CMAC covers LE64(sequence) || direction || ciphertext, so
 // records cannot be replayed, reordered, or reflected. A record is
 // ciphertext || tag(16).
+//
+// A server frame run is one pass (DESIGN.md §13-§14): OpenRun opens every
+// record of the run into one reused buffer and SealFrames seals every
+// response in place, the record MACs of both computed in CMAC lanes.
+// Seal/Open are the same code on a run of one.
 #ifndef SHIELDSTORE_SRC_NET_CHANNEL_H_
 #define SHIELDSTORE_SRC_NET_CHANNEL_H_
 
 #include <cstdint>
+#include <span>
 
 #include "src/common/bytes.h"
 #include "src/common/status.h"
@@ -52,9 +58,33 @@ class SessionCrypto {
   // Opens an incoming record; kProtocolError on any forgery or replay.
   Result<Bytes> Open(ByteSpan record);
 
+  // Opens `records` in receipt order into `plaintext` (grown when too small,
+  // never shrunk): opened[i] views record i's plaintext — in plaintext mode,
+  // the record itself. `opened` must hold records.size() views. The run
+  // stops at the first record that is too short or fails authentication;
+  // the receive sequence advances past exactly the records opened, whose
+  // count is returned.
+  size_t OpenRun(std::span<const ByteSpan> records, Bytes& plaintext,
+                 std::span<ByteSpan> opened);
+
+  // Seals in place every frame of `frames`: wire frames back to back, each
+  // [u32 len][plaintext][overhead() bytes of MAC slot], len covering the
+  // plaintext and the slot. Afterwards the bytes are the sealed frames.
+  void SealFrames(MutableByteSpan frames);
+
+  // Bytes a record adds to its plaintext: the MAC, none in plaintext mode.
+  size_t overhead() const { return encrypt_ ? crypto::kCmacSize : 0; }
+
   bool encrypting() const { return encrypt_; }
 
  private:
+  // Records per lane pass of OpenRun/SealRecords (stack scratch).
+  static constexpr size_t kRunChunk = 2 * crypto::kCmacBatchLanes;
+
+  // Seals up to kRunChunk records laid out [plaintext][MAC slot] in place,
+  // in order.
+  void SealRecords(std::span<const MutableByteSpan> records);
+
   // One direction's expanded keys, its direction byte and its sequence.
   struct Direction {
     Direction(const uint8_t* keys, uint8_t dir, crypto::AesBackend backend);

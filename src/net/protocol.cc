@@ -17,7 +17,7 @@ void PutString(Bytes& out, std::string_view s) {
   out.insert(out.end(), s.begin(), s.end());
 }
 
-bool TakeString(ByteSpan& in, std::string& out) {
+bool TakeString(ByteSpan& in, std::string_view& out) {
   if (in.size() < 4) {
     return false;
   }
@@ -26,8 +26,17 @@ bool TakeString(ByteSpan& in, std::string& out) {
   if (in.size() < len) {
     return false;
   }
-  out.assign(reinterpret_cast<const char*>(in.data()), len);
+  out = std::string_view(reinterpret_cast<const char*>(in.data()), len);
   in = in.subspan(len);
+  return true;
+}
+
+bool TakeString(ByteSpan& in, std::string& out) {
+  std::string_view view;
+  if (!TakeString(in, view)) {
+    return false;
+  }
+  out.assign(view);
   return true;
 }
 
@@ -77,7 +86,7 @@ void AppendRequest(Bytes& out, const Request& request) {
 // is never a valid sub-op (no nesting), and kStats is a singleton-frame
 // verb (a snapshot embedded in a batch reply would dwarf the other sub-op
 // responses, so it is rejected at decode time).
-Status TakeRequest(ByteSpan& in, Request& request, bool in_batch) {
+Status TakeRequest(ByteSpan& in, RequestView& request, bool in_batch) {
   if (in.size() < 9) {
     return Status(Code::kProtocolError, "request too short");
   }
@@ -108,6 +117,15 @@ Status TakeRequest(ByteSpan& in, Request& request, bool in_batch) {
 
 }  // namespace
 
+Request ToRequest(const RequestView& view) {
+  Request request;
+  request.op = view.op;
+  request.key.assign(view.key);
+  request.value.assign(view.value);
+  request.delta = view.delta;
+  return request;
+}
+
 Bytes EncodeRequest(const Request& request) {
   Bytes out;
   out.reserve(1 + 8 + 8 + request.key.size() + request.value.size());
@@ -116,22 +134,33 @@ Bytes EncodeRequest(const Request& request) {
 }
 
 Result<Request> DecodeRequest(ByteSpan payload) {
-  Request request;
+  RequestView view;
+  if (Status s = DecodeRequestView(payload, view); !s.ok()) {
+    return s;
+  }
+  return ToRequest(view);
+}
+
+Status DecodeRequestView(ByteSpan payload, RequestView& request) {
   if (Status s = TakeRequest(payload, request, /*in_batch=*/false); !s.ok()) {
     return s;
   }
   if (!payload.empty()) {
     return Status(Code::kProtocolError, "malformed request body");
   }
-  return request;
+  return Status::Ok();
 }
 
 Bytes EncodeResponse(const Response& response) {
   Bytes out;
   out.reserve(1 + 4 + response.value.size());
-  out.push_back(static_cast<uint8_t>(response.status));
-  PutString(out, response.value);
+  AppendResponse(out, response.status, response.value);
   return out;
+}
+
+void AppendResponse(Bytes& out, Code status, std::string_view value) {
+  out.push_back(static_cast<uint8_t>(status));
+  PutString(out, value);
 }
 
 Result<Response> DecodeResponse(ByteSpan payload) {
@@ -168,6 +197,19 @@ Bytes EncodeBatchRequest(const std::vector<Request>& ops) {
 }
 
 Result<std::vector<Request>> DecodeBatchRequest(ByteSpan payload) {
+  std::vector<RequestView> views;
+  if (Status s = DecodeBatchRequestViews(payload, views); !s.ok()) {
+    return s;
+  }
+  std::vector<Request> ops;
+  ops.reserve(views.size());
+  for (const RequestView& view : views) {
+    ops.push_back(ToRequest(view));
+  }
+  return ops;
+}
+
+Status DecodeBatchRequestViews(ByteSpan payload, std::vector<RequestView>& ops) {
   if (payload.size() < 5 || payload[0] != static_cast<uint8_t>(OpCode::kBatch)) {
     return Status(Code::kProtocolError, "not a batch request");
   }
@@ -182,21 +224,23 @@ Result<std::vector<Request>> DecodeBatchRequest(ByteSpan payload) {
     return Status(Code::kProtocolError, "batch has too many sub-ops");
   }
   ByteSpan rest = payload.subspan(5);
-  std::vector<Request> ops;
+  const size_t first = ops.size();
   // A forged count cannot force an allocation beyond what the actual bytes
   // on the wire could possibly hold (each sub-request is >= 17 bytes).
-  ops.reserve(std::min<size_t>(count, rest.size() / 17 + 1));
+  ops.reserve(first + std::min<size_t>(count, rest.size() / 17 + 1));
   for (uint32_t i = 0; i < count; ++i) {
-    Request op;
+    RequestView op;
     if (Status s = TakeRequest(rest, op, /*in_batch=*/true); !s.ok()) {
+      ops.resize(first);
       return s;
     }
-    ops.push_back(std::move(op));
+    ops.push_back(op);
   }
   if (!rest.empty()) {
+    ops.resize(first);
     return Status(Code::kProtocolError, "trailing bytes after batch");
   }
-  return ops;
+  return Status::Ok();
 }
 
 Bytes EncodeBatchResponse(const std::vector<Response>& responses) {
@@ -206,15 +250,18 @@ Bytes EncodeBatchResponse(const std::vector<Response>& responses) {
     total += 1 + 4 + r.value.size();
   }
   out.reserve(total);
-  out.push_back(kBatchResponseMarker);
-  uint8_t count[4];
-  StoreLe32(count, static_cast<uint32_t>(responses.size()));
-  out.insert(out.end(), count, count + 4);
+  AppendBatchResponseHeader(out, static_cast<uint32_t>(responses.size()));
   for (const Response& r : responses) {
-    out.push_back(static_cast<uint8_t>(r.status));
-    PutString(out, r.value);
+    AppendResponse(out, r.status, r.value);
   }
   return out;
+}
+
+void AppendBatchResponseHeader(Bytes& out, uint32_t count) {
+  out.push_back(kBatchResponseMarker);
+  uint8_t wire[4];
+  StoreLe32(wire, count);
+  out.insert(out.end(), wire, wire + 4);
 }
 
 Result<std::vector<Response>> DecodeBatchResponse(ByteSpan payload) {

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -63,10 +64,27 @@ struct Response {
   std::string value;  // get result / increment result (decimal)
 };
 
+// A decoded request that views the payload it came from (the server
+// decodes opened records this way, copying nothing); valid while the
+// payload is.
+struct RequestView {
+  OpCode op = OpCode::kPing;
+  std::string_view key;
+  std::string_view value;
+  int64_t delta = 0;
+};
+
+// Copies a view out into an owning Request.
+Request ToRequest(const RequestView& view);
+
 Bytes EncodeRequest(const Request& request);
+// DecodeRequestView plus ToRequest.
 Result<Request> DecodeRequest(ByteSpan payload);
+Status DecodeRequestView(ByteSpan payload, RequestView& request);
 Bytes EncodeResponse(const Response& response);
 Result<Response> DecodeResponse(ByteSpan payload);
+// Appends the bytes EncodeResponse would return for (status, value).
+void AppendResponse(Bytes& out, Code status, std::string_view value);
 
 // --- batched frames (kBatch) ---
 //
@@ -87,8 +105,15 @@ inline bool IsBatchResponse(ByteSpan payload) {
 }
 
 Bytes EncodeBatchRequest(const std::vector<Request>& ops);
+// DecodeBatchRequestViews plus ToRequest per sub-request.
 Result<std::vector<Request>> DecodeBatchRequest(ByteSpan payload);
+// Appends the batch's sub-requests to `ops`; on an error `ops` is left as
+// it was.
+Status DecodeBatchRequestViews(ByteSpan payload, std::vector<RequestView>& ops);
 Bytes EncodeBatchResponse(const std::vector<Response>& responses);
+// Appends a batch-response header for `count` responses; each response then
+// follows as AppendResponse bytes.
+void AppendBatchResponseHeader(Bytes& out, uint32_t count);
 Result<std::vector<Response>> DecodeBatchResponse(ByteSpan payload);
 
 // --- trace-context frame extension ---

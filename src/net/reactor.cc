@@ -34,15 +34,6 @@ bool SetNonBlocking(int fd) {
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-// Output-buffer bytes a run's responses take once queued (4-byte prefixes).
-size_t FramedBytes(const FrameRun& run) {
-  size_t bytes = 0;
-  for (const Bytes& r : run.responses) {
-    bytes += 4 + r.size();
-  }
-  return bytes;
-}
-
 }  // namespace
 
 Reactor::Reactor(const ReactorOptions& options, Handlers handlers)
@@ -341,7 +332,7 @@ void Reactor::HandleSession(Loop& loop, Session* s, uint32_t events) {
 }
 
 void Reactor::ProcessSession(Loop& loop, Session* s) {
-  std::vector<Bytes> frames;
+  std::vector<ByteSpan>& frames = loop.frames;
   while (!stopping_.load(std::memory_order_acquire) && !s->close_after_flush &&
          !s->read_paused) {
     frames.clear();
@@ -365,10 +356,10 @@ void Reactor::ProcessSession(Loop& loop, Session* s) {
       s->QueueFrame(reply);
       s->set_state(Session::State::kEstablished);
     } else {
-      FrameRun run;
-      handlers_.on_frames(*s, frames, run);
-      const bool close_after = run.close_after;
-      QueueRun(loop, s, std::move(run));
+      loop.run.Clear();
+      handlers_.on_frames(*s, frames, loop.run);
+      const bool close_after = loop.run.close_after;
+      QueueRun(loop, s);
       if (close_after || s->close_after_flush) {
         s->close_after_flush = true;
         break;
@@ -402,13 +393,12 @@ void Reactor::FinishOutput(Loop& loop, Session* s) {
   UpdateInterest(loop, s);
 }
 
-void Reactor::QueueRun(Loop& loop, Session* s, FrameRun run) {
+void Reactor::QueueRun(Loop& loop, Session* s) {
+  FrameRun& run = loop.run;
   if (s->held.empty()) {
     switch (handlers_.settle(run)) {
       case Handlers::Settle::kRelease:
-        for (const Bytes& r : run.responses) {
-          s->QueueFrame(r);
-        }
+        s->QueueFrames(run.frames);
         return;
       case Handlers::Settle::kFail:
         FailHeld(s);
@@ -417,7 +407,7 @@ void Reactor::QueueRun(Loop& loop, Session* s, FrameRun run) {
         break;
     }
   }
-  s->held_bytes += FramedBytes(run);
+  s->held_bytes += run.frames.size();
   s->held.push_back(std::move(run));
   if (!s->holding_listed) {
     s->holding_listed = true;
@@ -438,10 +428,8 @@ bool Reactor::SettleHeld(Session* s) {
       FailHeld(s);
       break;
     }
-    s->held_bytes -= FramedBytes(run);
-    for (const Bytes& r : run.responses) {
-      s->QueueFrame(r);
-    }
+    s->held_bytes -= run.frames.size();
+    s->QueueFrames(run.frames);
     s->held.pop_front();
   }
   return changed;

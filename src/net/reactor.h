@@ -34,6 +34,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -64,10 +65,11 @@ class Reactor {
     // returning false drops the connection without a reply.
     std::function<bool(Session&, ByteSpan hello, Bytes* reply)> on_handshake;
 
-    // A run of complete sealed records in arrival order. Fills `run` with
-    // the sealed responses in order, their durability requirement, and
+    // A run of complete sealed records in arrival order (views into the
+    // session's input buffer). Fills the empty `run` with the sealed
+    // response frames in order, their durability requirement, and
     // close_after when the session must be dropped once they flush.
-    std::function<void(Session&, std::vector<Bytes>& records, FrameRun& run)> on_frames;
+    std::function<void(Session&, std::span<const ByteSpan> records, FrameRun& run)> on_frames;
 
     // Decides whether a run's responses may be sent now. kFail means they
     // never may: the session is closed once what was already released has
@@ -106,6 +108,10 @@ class Reactor {
     std::vector<std::pair<int, uint64_t>> ready;  // (fd, session id) with buffered work
     std::vector<std::pair<int, uint64_t>> holding;  // (fd, session id) with held runs
     size_t live = 0;
+    // Reused by every run this loop serves: the extracted frame views and
+    // the run the handler fills.
+    std::vector<ByteSpan> frames;
+    FrameRun run;
   };
 
   void LoopMain(size_t index);
@@ -119,8 +125,9 @@ class Reactor {
   // Flushes, then closes a finished session or re-arms its epoll interest.
   void FinishOutput(Loop& loop, Session* s);
   void CloseSession(Loop& loop, Session* s);
-  // Sends `run` now if nothing is held and settle allows, else holds it.
-  void QueueRun(Loop& loop, Session* s, FrameRun run);
+  // Sends the loop's run now if nothing is held and settle allows, else
+  // moves it to the session's held FIFO.
+  void QueueRun(Loop& loop, Session* s);
   // Releases the session's held runs front to back until one must keep
   // waiting; true if anything was released or failed.
   bool SettleHeld(Session* s);

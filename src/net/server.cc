@@ -28,6 +28,88 @@ constexpr const char* kServerSpanNames[] = {
     "server.append",    "server.increment", "server.ping", "server.batch",
     "server.stats",     "server.replicate", "server.tracedump"};
 
+// One decoded frame of a run. Its requests are [begin, end) of
+// RunScratch::ops: one for a singleton frame, the sub-requests of a kBatch.
+struct Unit {
+  enum Kind : uint8_t { kOp, kSingle, kBatch, kError } kind = kError;
+  uint32_t begin = 0;
+  uint32_t end = 0;
+  obs::TraceContext trace;  // peeled frame-header extension (if any)
+};
+
+// What one run needs beyond its FrameRun. The serving thread (a reactor
+// thread under ECALLs, a responder under HotCalls) keeps one and reuses it,
+// so steady runs allocate nothing here.
+struct RunScratch {
+  Bytes plaintext;              // every opened record of the run
+  std::vector<ByteSpan> opened;  // one view per record, into plaintext
+  std::vector<Unit> units;
+  // Every decoded request in frame order, views into plaintext. Adjacent
+  // kOp units' requests are adjacent here, so a coalesced run is a span.
+  std::vector<RequestView> ops;
+  // The store batch, and ops parked off its end: their key and value
+  // strings keep their capacity from run to run.
+  std::vector<kv::BatchOp> store_ops;
+  std::vector<kv::BatchOp> spare_ops;
+};
+
+RunScratch& ThreadScratch() {
+  thread_local RunScratch scratch;
+  return scratch;
+}
+
+// The store op a wire verb runs as; false for pings and control verbs.
+bool StoreOpType(OpCode op, kv::BatchOpType* type) {
+  switch (op) {
+    case OpCode::kGet:
+      *type = kv::BatchOpType::kGet;
+      return true;
+    case OpCode::kSet:
+      *type = kv::BatchOpType::kSet;
+      return true;
+    case OpCode::kDelete:
+      *type = kv::BatchOpType::kDelete;
+      return true;
+    case OpCode::kAppend:
+      *type = kv::BatchOpType::kAppend;
+      return true;
+    case OpCode::kIncrement:
+      *type = kv::BatchOpType::kIncrement;
+      return true;
+    case OpCode::kPing:
+    case OpCode::kBatch:
+    case OpCode::kStats:
+    case OpCode::kReplicate:
+    case OpCode::kTraceDump:
+      return false;
+  }
+  return false;
+}
+
+// Sizes `ops` to `n`, parking dropped ops in `spare` and taking parked ones
+// back first.
+void ResizeOps(std::vector<kv::BatchOp>& ops, std::vector<kv::BatchOp>& spare, size_t n) {
+  while (ops.size() > n) {
+    spare.push_back(std::move(ops.back()));
+    ops.pop_back();
+  }
+  while (ops.size() < n) {
+    if (spare.empty()) {
+      ops.emplace_back();
+    } else {
+      ops.push_back(std::move(spare.back()));
+      spare.pop_back();
+    }
+  }
+}
+
+// Appends one unsealed single-response frame.
+void AppendResponseFrame(FrameRun& run, Code status, std::string_view value, size_t mac_slot) {
+  const size_t start = run.BeginFrame();
+  AppendResponse(run.frames, status, value);
+  run.EndFrame(start, mac_slot);
+}
+
 }  // namespace
 
 Server::Server(sgx::Enclave& enclave, kv::KeyValueStore& store,
@@ -121,10 +203,10 @@ Status Server::Start() {
     *reply = std::move(hs->reply);
     return true;
   };
-  handlers.on_frames = [this](Session& s, std::vector<Bytes>& records, FrameRun& run) {
+  handlers.on_frames = [this](Session& s, std::span<const ByteSpan> records, FrameRun& run) {
     inflight_->Add(static_cast<int64_t>(records.size()));
     if (options_.use_hotcalls) {
-      SessionRunTask task{s.crypto(), &records, &run};
+      SessionRunTask task{s.crypto(), records, &run};
       bool submitted;
       {
         // Boundary round-trip: post in shared memory -> responder done flag.
@@ -296,9 +378,8 @@ Response Server::Dispatch(const Request& request) {
   return response;
 }
 
-std::vector<Response> Server::RunOps(const std::vector<Request>& ops, bool implicit,
-                                     kv::DurabilityRequirement& requirement) {
-  std::vector<Response> responses(ops.size());
+void Server::RunOps(std::span<const RequestView> ops, bool implicit, FrameRun& run,
+                    size_t mac_slot) {
   // The one wire->store mapping: pings answer inline; everything else
   // funnels into ONE store SubmitBatch call, where the engine amortizes
   // locks / MAC recomputes / log appends and never waits for a commit.
@@ -306,65 +387,66 @@ std::vector<Response> Server::RunOps(const std::vector<Request>& ops, bool impli
   // runs (a singleton frame, or reactor-coalesced pipelined frames) count
   // as the singleton requests they are — exactly what sequential execution
   // would have recorded.
-  std::vector<kv::BatchOp> batch;
-  std::vector<size_t> index;
-  batch.reserve(ops.size());
-  index.reserve(ops.size());
+  RunScratch& scratch = ThreadScratch();
+  std::vector<kv::BatchOp>& batch = scratch.store_ops;
   obs::Counter* const* family = implicit ? op_counters_ : batch_verb_counters_;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const Request& r = ops[i];
+  size_t stored = 0;
+  kv::BatchOpType type;
+  for (const RequestView& r : ops) {
     if (obs::Counter* c = family[static_cast<uint8_t>(r.op)]; c != nullptr) {
       c->Inc();
     }
-    kv::BatchOp op;
-    switch (r.op) {
-      case OpCode::kGet:
-        op.type = kv::BatchOpType::kGet;
-        break;
-      case OpCode::kSet:
-        op.type = kv::BatchOpType::kSet;
-        break;
-      case OpCode::kDelete:
-        op.type = kv::BatchOpType::kDelete;
-        break;
-      case OpCode::kAppend:
-        op.type = kv::BatchOpType::kAppend;
-        break;
-      case OpCode::kIncrement:
-        op.type = kv::BatchOpType::kIncrement;
-        break;
-      case OpCode::kPing:
-      case OpCode::kBatch:      // decode rejects nested batches
-      case OpCode::kStats:      // decode rejects stats inside a batch
-      case OpCode::kReplicate:  // decode rejects replicate inside a batch
-      case OpCode::kTraceDump:  // control verbs never join a run
-        responses[i].status = r.op == OpCode::kPing ? Code::kOk : Code::kProtocolError;
-        if (r.op == OpCode::kPing) {
-          responses[i].value = "pong";
-        }
-        continue;
-    }
-    op.key = r.key;
-    op.value = r.value;
-    op.delta = r.delta;
-    index.push_back(i);
-    batch.push_back(std::move(op));
+    stored += StoreOpType(r.op, &type) ? 1 : 0;
   }
+  ResizeOps(batch, scratch.spare_ops, stored);
+  size_t j = 0;
+  for (const RequestView& r : ops) {
+    if (StoreOpType(r.op, &type)) {
+      kv::BatchOp& op = batch[j++];
+      op.type = type;
+      op.key.assign(r.key);
+      op.value.assign(r.value);
+      op.delta = r.delta;
+    }
+  }
+  std::vector<kv::BatchOpResult> results;
   if (!batch.empty()) {
     kv::DurabilityRequirement needs;
-    std::vector<kv::BatchOpResult> results = store_.SubmitBatch(batch, needs);
-    requirement.Merge(needs);
-    for (size_t j = 0; j < results.size() && j < index.size(); ++j) {
-      Response& out = responses[index[j]];
-      out.status = results[j].status.code();
-      // Singleton response semantics: only gets and increments carry values.
-      const OpCode oc = ops[index[j]].op;
-      if (results[j].status.ok() && (oc == OpCode::kGet || oc == OpCode::kIncrement)) {
-        out.value = std::move(results[j].value);
+    results = store_.SubmitBatch(batch, needs);
+    run.requirement.Merge(needs);
+  }
+  size_t batch_frame = 0;
+  if (!implicit) {
+    batch_frame = run.BeginFrame();
+    AppendBatchResponseHeader(run.frames, static_cast<uint32_t>(ops.size()));
+  }
+  j = 0;
+  for (const RequestView& r : ops) {
+    Code status = Code::kProtocolError;  // control verbs never join a run
+    std::string_view value;
+    if (StoreOpType(r.op, &type)) {
+      status = Code::kOk;
+      if (j < results.size()) {
+        const kv::BatchOpResult& result = results[j];
+        status = result.status.code();
+        // Singleton response semantics: only gets and increments carry values.
+        if (result.status.ok() && (r.op == OpCode::kGet || r.op == OpCode::kIncrement)) {
+          value = result.value;
+        }
       }
+      ++j;
+    } else if (r.op == OpCode::kPing) {
+      status = Code::kOk;
+      value = "pong";
+    }
+    if (implicit) {
+      AppendResponseFrame(run, status, value, mac_slot);
+    } else {
+      AppendResponse(run.frames, status, value);
     }
   }
   if (!implicit) {
+    run.EndFrame(batch_frame, mac_slot);
     batches_->Inc();
     batch_ops_->Inc(ops.size());
     // Each sub-op beyond the first would otherwise have been its own frame,
@@ -376,124 +458,109 @@ std::vector<Response> Server::RunOps(const std::vector<Request>& ops, bool impli
     coalesced_ops_->Inc(ops.size());
     coalesce_depth_->Record(ops.size());
   }
-  return responses;
 }
 
-void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>& records,
+void Server::ProcessSessionRun(SessionCrypto& session, std::span<const ByteSpan> records,
                                FrameRun& run) {
-  std::vector<Bytes>& responses = run.responses;
-  responses.reserve(records.size());
+  RunScratch& scratch = ThreadScratch();
 
-  // Phase 1: open + decode every record in receipt order (the session's
-  // receive sequence numbers force this order anyway). An unauthentic
-  // record stops the scan: everything before it is still served, then the
-  // typed error becomes the session's last response.
-  struct Unit {
-    enum Kind : uint8_t { kOp, kSingle, kBatch, kError } kind = kError;
-    Request request;              // kOp / kSingle
-    std::vector<Request> batch;   // kBatch
-    obs::TraceContext trace;      // peeled frame-header extension (if any)
-  };
-  std::vector<Unit> units;
-  units.reserve(records.size());
-  bool auth_failed = false;
-  for (const Bytes& record : records) {
-    Result<Bytes> plaintext = [&] {
-      obs::ScopedStage stage(metrics_, obs::Stage::kSessionOpen);
-      return session.Open(record);
-    }();
-    if (!plaintext.ok()) {
-      // Unauthentic or malformed record. Nothing in it can be trusted, so do
-      // not dispatch — but do tell the client why it is being dropped, with a
-      // sealed typed error rather than a silent hangup.
-      auth_failed = true;
-      break;
-    }
-    Unit u;
-    // The optional trace-context extension precedes the request proper.
-    // Accepted unconditionally (it rode inside the authenticated record);
-    // a malformed extension is a typed protocol error like any bad request.
-    ByteSpan payload(*plaintext);
-    if (HasTraceExtension(payload)) {
-      Result<std::pair<obs::TraceContext, ByteSpan>> peeled = PeelTraceExtension(payload);
-      if (!peeled.ok()) {
-        protocol_errors_->Inc();
-        u.kind = Unit::kError;
-        units.push_back(std::move(u));
-        continue;
+  // Phase 1: open every record in receipt order, in one call whose record
+  // MACs run in CMAC lanes (the session's receive sequence numbers fix the
+  // order anyway). An unauthentic record stops the run: everything before
+  // it is still served, then the typed error becomes the session's last
+  // response. Nothing in that record can be trusted, so it is not
+  // dispatched — but the client learns why it is being dropped from a
+  // sealed typed error rather than a silent hangup.
+  if (scratch.opened.size() < records.size()) {
+    scratch.opened.resize(records.size());
+  }
+  size_t opened;
+  {
+    obs::ScopedStage stage(metrics_, obs::Stage::kSessionOpen);
+    opened = session.OpenRun(records, scratch.plaintext,
+                             std::span<ByteSpan>(scratch.opened).first(records.size()));
+  }
+  const bool auth_failed = opened < records.size();
+
+  // Decode every opened record to views into the plaintext.
+  std::vector<Unit>& units = scratch.units;
+  std::vector<RequestView>& ops = scratch.ops;
+  units.clear();
+  ops.clear();
+  {
+    obs::ScopedStage stage(metrics_, obs::Stage::kDecode);
+    for (size_t r = 0; r < opened; ++r) {
+      Unit& u = units.emplace_back();
+      u.begin = static_cast<uint32_t>(ops.size());
+      u.end = u.begin;
+      // The optional trace-context extension precedes the request proper.
+      // Accepted unconditionally (it rode inside the authenticated record);
+      // a malformed extension is a typed protocol error like any bad request.
+      ByteSpan payload = scratch.opened[r];
+      if (HasTraceExtension(payload)) {
+        Result<std::pair<obs::TraceContext, ByteSpan>> peeled = PeelTraceExtension(payload);
+        if (!peeled.ok()) {
+          protocol_errors_->Inc();
+          continue;
+        }
+        u.trace = peeled->first;
+        payload = peeled->second;
       }
-      u.trace = peeled->first;
-      payload = peeled->second;
-    }
-    if (IsBatchRequest(payload)) {
-      // One Open above and one Seal below cover every sub-op in the frame —
-      // the whole point of the batch opcode. A malformed batch answers with a
-      // SINGLE typed error (the client's decoder falls back on the marker).
-      // Frame-size distribution feeds capacity planning: router-forwarded
-      // batches and pipelined clients show up here without a packet capture.
-      batch_frame_bytes_->Record(payload.size());
-      Result<std::vector<Request>> batch = [&] {
-        obs::ScopedStage stage(metrics_, obs::Stage::kDecode);
-        return DecodeBatchRequest(payload);
-      }();
-      if (batch.ok()) {
-        u.kind = Unit::kBatch;
-        u.batch = std::move(*batch);
+      if (IsBatchRequest(payload)) {
+        // One open and one seal cover every sub-op in the frame — the whole
+        // point of the batch opcode. A malformed batch answers with a SINGLE
+        // typed error (the client's decoder falls back on the marker).
+        // Frame-size distribution feeds capacity planning: router-forwarded
+        // batches and pipelined clients show up here without a packet
+        // capture.
+        batch_frame_bytes_->Record(payload.size());
+        if (DecodeBatchRequestViews(payload, ops).ok()) {
+          u.kind = Unit::kBatch;
+        } else {
+          protocol_errors_->Inc();
+        }
       } else {
-        protocol_errors_->Inc();
-        u.kind = Unit::kError;
+        RequestView request;
+        if (DecodeRequestView(payload, request).ok()) {
+          // Plain data ops (and pings) coalesce; kStats/kReplicate keep their
+          // singleton semantics and break a run.
+          u.kind = request.op <= OpCode::kPing ? Unit::kOp : Unit::kSingle;
+          ops.push_back(request);
+        } else {
+          protocol_errors_->Inc();
+        }
       }
-    } else {
-      Result<Request> request = [&] {
-        obs::ScopedStage stage(metrics_, obs::Stage::kDecode);
-        return DecodeRequest(payload);
-      }();
-      if (request.ok()) {
-        // Plain data ops (and pings) coalesce; kStats/kReplicate keep their
-        // singleton semantics and break a run.
-        u.kind = request->op <= OpCode::kPing ? Unit::kOp : Unit::kSingle;
-        u.request = std::move(*request);
-      } else {
-        protocol_errors_->Inc();
-        u.kind = Unit::kError;
-      }
+      u.end = static_cast<uint32_t>(ops.size());
     }
-    units.push_back(std::move(u));
   }
 
-  auto seal = [&](const Bytes& payload) {
-    obs::ScopedStage stage(metrics_, obs::Stage::kSessionSeal);
-    responses.push_back(session.Seal(payload));
-  };
-  auto record_latency = [&](uint8_t verb, uint64_t t_start) {
-    if (verb == 0 || verb >= kVerbSlots) {
-      return;
-    }
-    if (watch_ != nullptr) {
-      // A durable store may hold the run: its latency ends at release.
+  // A durable store may hold the run, so latency is recorded at release;
+  // otherwise once the run is sealed. A coalesced frame is attributed its
+  // whole run (that IS its latency).
+  auto stamp = [&](OpCode op, uint64_t t_start) {
+    const uint8_t verb = static_cast<uint8_t>(op);
+    if (verb != 0 && verb < kVerbSlots) {
       run.stamps.emplace_back(verb, t_start);
-      return;
     }
-    // End-to-end server-side latency: run entered -> response sealed. A
-    // coalesced frame is attributed its whole run (that IS its latency).
-    op_latency_[verb]->RecordCycles(obs::TimerStart() - t_start);
   };
 
-  // Phase 2: execute in frame order and seal in frame order (send sequence
-  // numbers make any other order a forgery). Adjacent kOp units become ONE
-  // store batch — the implicit kBatch a merely-pipelining client never had
-  // to ask for — with responses byte-identical to sequential dispatch.
+  // Phase 2: execute in frame order, writing each response in place in frame
+  // order (send sequence numbers make any other order a forgery). Adjacent
+  // kOp units become ONE store batch — the implicit kBatch a merely-
+  // pipelining client never had to ask for — with responses byte-identical
+  // to sequential dispatch.
+  const size_t mac_slot = session.overhead();
   size_t i = 0;
   while (i < units.size()) {
     const uint64_t t_start = obs::TimerStart();
-    Unit& u = units[i];
+    const Unit& u = units[i];
     switch (u.kind) {
       case Unit::kOp: {
         size_t j = i + 1;
         while (j < units.size() && units[j].kind == Unit::kOp) {
           ++j;
         }
-        const size_t n = j - i;
+        const std::span<const RequestView> run_ops(ops.data() + u.begin, units[j - 1].end - u.begin);
         // A coalesced run carries at most a handful of traced frames; the
         // run-level span adopts the first sampled context so the client's
         // frame shows up under the submission that actually executed it. A
@@ -505,27 +572,24 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
             break;
           }
         }
-        obs::TraceScope span(
-            n == 1 ? kServerSpanNames[static_cast<uint8_t>(u.request.op)] : "server.coalesced",
-            run_trace);
-        std::vector<Request> ops;
-        ops.reserve(n);
-        for (size_t k = i; k < j; ++k) {
-          ops.push_back(std::move(units[k].request));
-        }
-        const std::vector<Response> rs = RunOps(ops, /*implicit=*/true, run.requirement);
-        for (size_t k = 0; k < n; ++k) {
-          seal(EncodeResponse(rs[k]));
-          record_latency(static_cast<uint8_t>(ops[k].op), t_start);
+        obs::TraceScope span(run_ops.size() == 1
+                                 ? kServerSpanNames[static_cast<uint8_t>(run_ops[0].op)]
+                                 : "server.coalesced",
+                             run_trace);
+        RunOps(run_ops, /*implicit=*/true, run, mac_slot);
+        for (const RequestView& op : run_ops) {
+          stamp(op.op, t_start);
         }
         i = j;
         break;
       }
       case Unit::kSingle: {
-        const uint8_t verb = static_cast<uint8_t>(u.request.op);
+        const RequestView& request = ops[u.begin];
+        const uint8_t verb = static_cast<uint8_t>(request.op);
         obs::TraceScope span(kServerSpanNames[verb < kVerbSlots ? verb : 0], u.trace);
-        seal(EncodeResponse(Dispatch(u.request)));
-        record_latency(verb, t_start);
+        const Response response = Dispatch(ToRequest(request));
+        AppendResponseFrame(run, response.status, response.value, mac_slot);
+        stamp(request.op, t_start);
         ++i;
         break;
       }
@@ -533,28 +597,36 @@ void Server::ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>&
         const uint8_t verb = static_cast<uint8_t>(OpCode::kBatch);
         obs::TraceScope span(kServerSpanNames[verb], u.trace);
         op_counters_[verb]->Inc();
-        seal(EncodeBatchResponse(RunOps(u.batch, /*implicit=*/false, run.requirement)));
-        record_latency(verb, t_start);
+        RunOps(std::span<const RequestView>(ops.data() + u.begin, u.end - u.begin),
+               /*implicit=*/false, run, mac_slot);
+        stamp(OpCode::kBatch, t_start);
         ++i;
         break;
       }
-      case Unit::kError: {
-        Response response;
-        response.status = Code::kProtocolError;
-        seal(EncodeResponse(response));
+      case Unit::kError:
+        AppendResponseFrame(run, Code::kProtocolError, {}, mac_slot);
         ++i;
         break;
-      }
     }
   }
   requests_->Inc(units.size());
 
   if (auth_failed) {
     auth_failures_->Inc();
-    Response response;
-    response.status = Code::kProtocolError;
-    seal(EncodeResponse(response));
+    AppendResponseFrame(run, Code::kProtocolError, {}, mac_slot);
     run.close_after = true;
+  }
+  {
+    obs::ScopedStage stage(metrics_, obs::Stage::kSessionSeal);
+    session.SealFrames(run.frames);
+  }
+  if (watch_ == nullptr) {
+    // End-to-end server-side latency: run entered -> response sealed.
+    const uint64_t now = obs::TimerStart();
+    for (const auto& [verb, t_start] : run.stamps) {
+      op_latency_[verb]->RecordCycles(now - t_start);
+    }
+    run.stamps.clear();
   }
 }
 
@@ -571,7 +643,7 @@ void Server::EnclaveWorkerLoop() {
   uint64_t idle_polls = 0;
   const auto serve = [this](uint16_t, void* data) {
     SessionRunTask* task = static_cast<SessionRunTask*>(data);
-    ProcessSessionRun(*task->session, *task->records, *task->run);
+    ProcessSessionRun(*task->session, task->records, *task->run);
   };
   while (!hotcalls_->stopped()) {
     if (hotcalls_->Poll(serve)) {

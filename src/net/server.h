@@ -24,6 +24,7 @@
 #include <condition_variable>
 #include <functional>
 #include <memory>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -125,19 +126,21 @@ class Server {
   // sealed record buffered for one session, answered in order.
   struct SessionRunTask {
     SessionCrypto* session;
-    const std::vector<Bytes>* records;
+    std::span<const ByteSpan> records;
     FrameRun* run;
   };
 
   void EnclaveWorkerLoop();
   void MaintenanceLoop();
-  // Enclave-side processing of one session run: open every record in
-  // receipt order, decode, execute — coalescing adjacent singleton ops into
-  // one store batch — and seal the responses in frame order, merging the
-  // store's durability requirements into run.requirement. Sets
-  // run.close_after on an unauthentic record (typed error is still the last
-  // response). Used by both entry mechanisms.
-  void ProcessSessionRun(SessionCrypto& session, const std::vector<Bytes>& records,
+  // Enclave-side processing of one session run, in one pass over buffers
+  // the serving thread reuses: open every record in receipt order (one
+  // OpenRun), decode to views, execute — coalescing adjacent singleton ops
+  // into one store batch — writing each response in place into
+  // run.frames, and seal them all (one SealFrames), merging the store's
+  // durability requirements into run.requirement. Sets run.close_after on
+  // an unauthentic record (typed error is still the last response). Used by
+  // both entry mechanisms.
+  void ProcessSessionRun(SessionCrypto& session, std::span<const ByteSpan> records,
                          FrameRun& run);
   // Reactor settle hook: releases a run once its requirement is durable,
   // recording its hold (stage.commit_wait) and per-verb latency then.
@@ -145,13 +148,14 @@ class Server {
   // Control verbs only (stats, replicate, trace dump; a smuggled kBatch
   // opcode answers kProtocolError). Data verbs never come here.
   Response Dispatch(const Request& request);
-  // The only data path: maps wire requests onto ONE store SubmitBatch call
-  // and merges its durability requirement into `requirement`. `implicit`
-  // selects the metric family: false for an explicit kBatch frame, true for
-  // a run of singleton frames (one frame, or reactor-coalesced pipelined
-  // frames).
-  std::vector<Response> RunOps(const std::vector<Request>& ops, bool implicit,
-                               kv::DurabilityRequirement& requirement);
+  // The only data path: maps wire requests onto ONE store SubmitBatch call,
+  // merges its durability requirement into run.requirement and appends the
+  // unsealed responses to run.frames, each frame with a `mac_slot`-byte MAC
+  // slot. `implicit` selects the framing and the metric family: true for a
+  // run of singleton frames (one frame, or reactor-coalesced pipelined
+  // frames; one response frame per op), false for an explicit kBatch frame
+  // (one batch-response frame).
+  void RunOps(std::span<const RequestView> ops, bool implicit, FrameRun& run, size_t mac_slot);
 
   sgx::Enclave& enclave_;
   kv::KeyValueStore& store_;

@@ -15,16 +15,12 @@ namespace {
 // memmove on byte-at-a-time delivery while bounding memory.
 constexpr size_t kCompactThreshold = 64 * 1024;
 
-uint32_t LoadLe32(const uint8_t* p) {
-  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
-         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
-}
-
 }  // namespace
 
 Session::Session(int fd, uint64_t id) : fd_(fd), id_(id) {}
 
 void Session::Ingest(const uint8_t* data, size_t len) {
+  CompactInput();
   in_.insert(in_.end(), data, data + len);
 }
 
@@ -40,7 +36,7 @@ bool Session::HasCompleteFrame() const {
   return avail >= 4 + static_cast<size_t>(len);
 }
 
-bool Session::ExtractFrames(size_t max_frames, std::vector<Bytes>& out) {
+bool Session::ExtractFrames(size_t max_frames, std::vector<ByteSpan>& out) {
   while (out.size() < max_frames) {
     const size_t avail = in_.size() - in_off_;
     if (avail < 4) {
@@ -53,11 +49,9 @@ bool Session::ExtractFrames(size_t max_frames, std::vector<Bytes>& out) {
     if (avail < 4 + static_cast<size_t>(len)) {
       break;
     }
-    const uint8_t* payload = in_.data() + in_off_ + 4;
-    out.emplace_back(payload, payload + len);
+    out.emplace_back(in_.data() + in_off_ + 4, len);
     in_off_ += 4 + static_cast<size_t>(len);
   }
-  CompactInput();
   return true;
 }
 
@@ -73,13 +67,19 @@ void Session::CompactInput() {
 
 void Session::QueueFrame(ByteSpan payload) {
   uint8_t header[4];
-  const uint32_t len = static_cast<uint32_t>(payload.size());
-  header[0] = static_cast<uint8_t>(len);
-  header[1] = static_cast<uint8_t>(len >> 8);
-  header[2] = static_cast<uint8_t>(len >> 16);
-  header[3] = static_cast<uint8_t>(len >> 24);
+  StoreLe32(header, static_cast<uint32_t>(payload.size()));
   out_.insert(out_.end(), header, header + 4);
   out_.insert(out_.end(), payload.begin(), payload.end());
+}
+
+void Session::QueueFrames(Bytes& frames) {
+  if (out_off_ == out_.size()) {
+    out_.swap(frames);
+    out_off_ = 0;
+  } else {
+    out_.insert(out_.end(), frames.begin(), frames.end());
+  }
+  frames.clear();
 }
 
 bool Session::Flush() {

@@ -19,10 +19,15 @@
 
 namespace shield::net {
 
-// The outcome of serving one run of frames: the sealed responses in frame
-// order, and what must be durable before any of them may be sent.
+// The outcome of serving one run of frames: the sealed responses, already
+// wire-framed in frame order, and what must be durable before any of them
+// may be sent. The reactor keeps one per loop thread and reuses it, so a
+// run's responses are written into a buffer that already has the capacity.
 struct FrameRun {
-  std::vector<Bytes> responses;
+  // Back-to-back frames [u32 len][record]. The server writes each response
+  // in place as [u32 len][plaintext][MAC slot] and seals the lot at the end
+  // of the run (SessionCrypto::SealFrames).
+  Bytes frames;
   // Empty: nothing pending. Otherwise the run is held — together with every
   // later run of its session, since send sequence numbers fix the order —
   // until the store's durable watermarks pass it.
@@ -33,6 +38,28 @@ struct FrameRun {
   // latency histograms include the hold.
   uint64_t executed_at = 0;
   std::vector<std::pair<uint8_t, uint64_t>> stamps;
+
+  // Starts a response frame: reserves its length prefix and returns the
+  // frame's offset, for EndFrame.
+  size_t BeginFrame() {
+    const size_t start = frames.size();
+    frames.resize(start + 4);
+    return start;
+  }
+  // Ends the frame begun at `start`: reserves `mac_slot` bytes after its
+  // plaintext and writes the length prefix.
+  void EndFrame(size_t start, size_t mac_slot) {
+    frames.resize(frames.size() + mac_slot);
+    StoreLe32(frames.data() + start, static_cast<uint32_t>(frames.size() - start - 4));
+  }
+  // Empties the run for reuse; the buffers keep their capacity.
+  void Clear() {
+    frames.clear();
+    requirement.shards.clear();
+    close_after = false;
+    executed_at = 0;
+    stamps.clear();
+  }
 };
 
 class Session {
@@ -60,16 +87,18 @@ class Session {
   SessionCrypto* crypto() { return crypto_.get(); }
 
   // --- input side -----------------------------------------------------
-  // Appends raw bytes read from the socket to the parse buffer.
+  // Appends raw bytes read from the socket to the parse buffer, first
+  // compacting away what earlier extractions consumed.
   void Ingest(const uint8_t* data, size_t len);
 
-  // Extracts up to `max_frames` complete frames (payloads, length prefix
-  // stripped) from the parse buffer, in arrival order; it stops at the last
-  // complete frame, so the reactor asks for its configured coalesce depth
-  // every time. Returns false if the stream is malformed (frame longer than
+  // Appends to `out` views of up to `max_frames` complete frames (payloads,
+  // length prefix stripped) in the parse buffer, in arrival order; it stops
+  // at the last complete frame, so the reactor asks for its configured
+  // coalesce depth every time. The views stay valid until the next Ingest.
+  // Returns false if the stream is malformed (frame longer than
   // kMaxFrameBytes) — the caller must close the session without a
   // response.
-  bool ExtractFrames(size_t max_frames, std::vector<Bytes>& out);
+  bool ExtractFrames(size_t max_frames, std::vector<ByteSpan>& out);
 
   // True if at least one complete frame is already buffered.
   bool HasCompleteFrame() const;
@@ -80,6 +109,9 @@ class Session {
   // --- output side ----------------------------------------------------
   // Queues `payload` as a length-prefixed frame for transmission.
   void QueueFrame(ByteSpan payload);
+  // Queues already-framed bytes (a FrameRun's frames) and leaves `frames`
+  // empty. With nothing pending the buffers are swapped, not copied.
+  void QueueFrames(Bytes& frames);
   bool has_pending_output() const { return out_off_ < out_.size(); }
   size_t pending_output() const { return out_.size() - out_off_; }
 
@@ -112,7 +144,8 @@ class Session {
   std::unique_ptr<SessionCrypto> crypto_;
 
   // Parse buffer with a consumed-prefix offset so per-frame extraction does
-  // not memmove; compacted opportunistically.
+  // not memmove; compacted at the next Ingest, so extracted views outlive
+  // the extraction.
   Bytes in_;
   size_t in_off_ = 0;
 

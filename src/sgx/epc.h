@@ -117,7 +117,15 @@ class EpcSimulator {
   size_t resident_count_ = 0;       // guarded by fault_mutex_
   size_t clock_hand_ = 0;           // guarded by fault_mutex_
 
-  std::atomic<uint64_t> touches_{0};
+  // Touches are counted on every simulated page access by every serving
+  // thread, so the count is sharded per thread (obs::ThreadShard, as
+  // obs::Counter is) and stats() sums the shards. Unlike a Counter it
+  // counts in a SHIELD_METRICS=OFF build too.
+  static constexpr size_t kTouchShards = 16;
+  struct alignas(64) TouchShard {
+    std::atomic<uint64_t> count{0};
+  };
+  TouchShard touches_[kTouchShards];
   std::atomic<uint64_t> faults_{0};
   std::atomic<uint64_t> evictions_{0};
 };

@@ -542,12 +542,19 @@ std::vector<kv::BatchOpResult> PartitionedStore::ExecuteBatch(
   std::vector<kv::BatchOpResult> results(ops.size());
   // Group ops by partition, preserving original order within each group.
   // Cross-partition ops commute (a key maps to one partition), so
-  // ascending-partition execution yields the sequential final state.
-  std::vector<std::vector<Store::OpSlot>> groups(partitions_.size());
+  // ascending-partition execution yields the sequential final state. The
+  // groups are the calling thread's scratch, reused from batch to batch.
+  thread_local std::vector<std::vector<Store::OpSlot>> groups;
+  if (groups.size() < partitions_.size()) {
+    groups.resize(partitions_.size());
+  }
+  for (size_t p = 0; p < partitions_.size(); ++p) {
+    groups[p].clear();
+  }
   for (size_t i = 0; i < ops.size(); ++i) {
     groups[PartitionOf(ops[i].key)].push_back(Store::OpSlot{&ops[i], &results[i]});
   }
-  for (size_t p = 0; p < groups.size(); ++p) {
+  for (size_t p = 0; p < partitions_.size(); ++p) {
     if (groups[p].empty()) {
       continue;
     }

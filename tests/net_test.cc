@@ -414,6 +414,168 @@ TEST(SessionCryptoTest, PlaintextModePassthrough) {
   EXPECT_EQ(AsString(record), "clear");
 }
 
+Bytes TestKeys(uint8_t seed) {
+  Bytes keys(SessionCrypto::kKeyMaterialSize);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    keys[i] = static_cast<uint8_t>(i * 13 + seed);
+  }
+  return keys;
+}
+
+Bytes TestPlaintext(size_t size, size_t salt) {
+  Bytes pt(size);
+  for (size_t i = 0; i < size; ++i) {
+    pt[i] = static_cast<uint8_t>(i * 17 + salt);
+  }
+  return pt;
+}
+
+// A run opens exactly as its records do one by one, across lane-pass
+// boundaries and mixed sizes, and a forged record at position k stops it
+// there with the receive sequence past exactly k records.
+TEST(SessionCryptoTest, OpenRunMatchesPerRecordOpen) {
+  const Bytes keys = TestKeys(3);
+  for (size_t run : {1, 2, 8, 15, 16, 17, 40}) {
+    for (size_t forged : {run, size_t{0}, run / 2, run - 1}) {
+      SessionCrypto client(keys, /*is_client=*/true, /*encrypt=*/true);
+      SessionCrypto server(keys, /*is_client=*/false, /*encrypt=*/true);
+      SessionCrypto reference(keys, /*is_client=*/false, /*encrypt=*/true);
+      std::vector<Bytes> records;
+      for (size_t i = 0; i < run; ++i) {
+        records.push_back(client.Seal(TestPlaintext((i * 37) % 200, i)));
+      }
+      const Bytes authentic = forged < run ? records[forged] : Bytes();
+      if (forged < run) {
+        records[forged][records[forged].size() - 1] ^= 0x40;
+      }
+      std::vector<ByteSpan> spans(records.begin(), records.end());
+      std::vector<ByteSpan> opened(run);
+      Bytes plaintext;
+      const size_t count = server.OpenRun(spans, plaintext, opened);
+      ASSERT_EQ(count, std::min(run, forged)) << "run " << run << " forged " << forged;
+      for (size_t i = 0; i < count; ++i) {
+        Result<Bytes> one = reference.Open(records[i]);
+        ASSERT_TRUE(one.ok());
+        EXPECT_EQ(Bytes(opened[i].begin(), opened[i].end()), *one) << i;
+      }
+      if (forged < run) {
+        // The forgery did not advance the sequence: the authentic record
+        // opens next, and the forged bytes never open.
+        EXPECT_FALSE(server.Open(records[forged]).ok());
+        Result<Bytes> fixed = server.Open(authentic);
+        ASSERT_TRUE(fixed.ok());
+        EXPECT_EQ(*fixed, TestPlaintext((forged * 37) % 200, forged));
+      }
+    }
+  }
+  // A record too short to carry a MAC ends a run the same way.
+  SessionCrypto client(keys, true, true);
+  SessionCrypto server(keys, false, true);
+  const Bytes first = client.Seal(AsBytes("first"));
+  const Bytes stub(crypto::kCmacSize - 1, 0);
+  const ByteSpan spans[] = {first, stub};
+  ByteSpan opened[2];
+  Bytes plaintext;
+  EXPECT_EQ(server.OpenRun(spans, plaintext, opened), 1u);
+  EXPECT_EQ(AsString(Bytes(opened[0].begin(), opened[0].end())), "first");
+}
+
+// Sealing a run of frames in place yields exactly the frames per-record
+// Seal would have produced, in order.
+TEST(SessionCryptoTest, SealFramesMatchesPerRecordSeal) {
+  const Bytes keys = TestKeys(9);
+  for (size_t run : {1, 3, 16, 17, 33}) {
+    SessionCrypto server(keys, /*is_client=*/false, /*encrypt=*/true);
+    SessionCrypto reference(keys, /*is_client=*/false, /*encrypt=*/true);
+    Bytes frames;
+    Bytes expected;
+    for (size_t i = 0; i < run; ++i) {
+      const Bytes pt = TestPlaintext((i * 53) % 300, i);
+      uint8_t len[4];
+      StoreLe32(len, static_cast<uint32_t>(pt.size() + server.overhead()));
+      frames.insert(frames.end(), len, len + 4);
+      frames.insert(frames.end(), pt.begin(), pt.end());
+      frames.resize(frames.size() + server.overhead());
+      const Bytes record = reference.Seal(pt);
+      expected.insert(expected.end(), len, len + 4);
+      expected.insert(expected.end(), record.begin(), record.end());
+    }
+    server.SealFrames(frames);
+    EXPECT_EQ(frames, expected) << "run " << run;
+  }
+  // Plaintext mode leaves the frames as written.
+  SessionCrypto clear(keys, /*is_client=*/false, /*encrypt=*/false);
+  EXPECT_EQ(clear.overhead(), 0u);
+  Bytes frame = {5, 0, 0, 0, 'c', 'l', 'e', 'a', 'r'};
+  const Bytes before = frame;
+  clear.SealFrames(frame);
+  EXPECT_EQ(frame, before);
+}
+
+// Over a live server: a 16-frame pipelined run whose record k is forged
+// gets the k responses before it, then a sealed kProtocolError, then the
+// close — every byte identical to sealing those responses one record at a
+// time.
+void ExpectForgeryEndsRun(bool hotcalls) {
+  sgx::Enclave enclave(FastEnclave());
+  sgx::AttestationAuthority authority(AsBytes("ias-root"));
+  shieldstore::PartitionedStore store(enclave, StoreOptions(), 2);
+  ServerOptions options;
+  options.use_hotcalls = hotcalls;
+  Server server(enclave, store, authority, options);
+  ASSERT_TRUE(server.Start().ok());
+  constexpr size_t kRun = 16;
+  for (size_t i = 0; i < kRun; ++i) {
+    ASSERT_TRUE(store.Set("fk-" + std::to_string(i), "value-" + std::to_string(i)).ok());
+  }
+  for (size_t forged : {size_t{0}, size_t{5}, kRun - 1}) {
+    const int fd = socket(AF_INET, SOCK_STREAM, 0);
+    ASSERT_GE(fd, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(server.port());
+    ASSERT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    timeval tv{};
+    tv.tv_sec = 5;
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+    Result<Bytes> key_material = ClientHandshake(fd, authority, enclave.measurement());
+    ASSERT_TRUE(key_material.ok()) << key_material.status().ToString();
+    SessionCrypto client(*key_material, /*is_client=*/true, /*encrypt=*/true);
+    SessionCrypto reference(*key_material, /*is_client=*/false, /*encrypt=*/true);
+
+    Bytes wire;
+    for (size_t i = 0; i < kRun; ++i) {
+      Bytes record = client.Seal(EncodeRequest({OpCode::kGet, "fk-" + std::to_string(i), "", 0}));
+      if (i == forged) {
+        record[0] ^= 0x01;
+      }
+      uint8_t len[4];
+      StoreLe32(len, static_cast<uint32_t>(record.size()));
+      wire.insert(wire.end(), len, len + 4);
+      wire.insert(wire.end(), record.begin(), record.end());
+    }
+    ASSERT_EQ(send(fd, wire.data(), wire.size(), MSG_NOSIGNAL),
+              static_cast<ssize_t>(wire.size()));
+    for (size_t i = 0; i < forged; ++i) {
+      Result<Bytes> frame = RecvFrame(fd);
+      ASSERT_TRUE(frame.ok()) << "forged " << forged << " response " << i;
+      EXPECT_EQ(*frame, reference.Seal(EncodeResponse({Code::kOk, "value-" + std::to_string(i)})))
+          << "forged " << forged << " response " << i;
+    }
+    Result<Bytes> error = RecvFrame(fd);
+    ASSERT_TRUE(error.ok()) << "forged " << forged;
+    EXPECT_EQ(*error, reference.Seal(EncodeResponse({Code::kProtocolError, ""})));
+    EXPECT_FALSE(RecvFrame(fd).ok()) << "session stayed open after forgery " << forged;
+    close(fd);
+  }
+  server.Stop();
+}
+
+TEST(SessionCryptoTest, ForgedRecordMidRunEndsTheRunOverEcalls) { ExpectForgeryEndsRun(false); }
+
+TEST(SessionCryptoTest, ForgedRecordMidRunEndsTheRunOverHotCalls) { ExpectForgeryEndsRun(true); }
+
 // ------------------------------------------------------------ end to end
 
 class NetEndToEndTest : public ::testing::Test {

@@ -233,6 +233,87 @@ TEST_F(ReactorTortureTest, FrameSplitAtEveryBoundaryOffset) {
   EXPECT_EQ(got->value, value_for(wire_len - 1));
 }
 
+// Frames are views into the session's input buffer, which compacts only on
+// the next read. A burst well past the 64 KiB compaction threshold, ending
+// in the first half of a frame larger than the burst's served prefix (so a
+// compaction while a run's views are live would overwrite them), must be
+// served in order (several coalesced runs) and the half frame completed by
+// the next read.
+TEST_F(ReactorTortureTest, PipelinedBurstPastTheCompactionThreshold) {
+  StartServer({});
+  RawSession raw;
+  ASSERT_TRUE(raw.Connect(server_->port(), authority_, enclave_.measurement()));
+
+  constexpr size_t kFrames = 160;
+  auto value_for = [](size_t i) { return std::string(600, static_cast<char>('A' + i % 26)); };
+  Bytes burst;
+  for (size_t i = 0; i < kFrames; ++i) {
+    const Bytes wire = raw.WireFrame({OpCode::kSet, "burst-" + std::to_string(i), value_for(i), 0});
+    burst.insert(burst.end(), wire.begin(), wire.end());
+  }
+  ASSERT_GT(burst.size(), size_t{64} << 10);
+  const std::string tail_value(240u << 10, 'T');
+  const Bytes tail = raw.WireFrame({OpCode::kSet, "burst-tail", tail_value, 0});
+  const size_t half = tail.size() / 2;
+  burst.insert(burst.end(), tail.begin(), tail.begin() + static_cast<ptrdiff_t>(half));
+  ASSERT_TRUE(SendAll(raw.fd(), burst.data(), burst.size()));
+  for (size_t i = 0; i < kFrames; ++i) {
+    Result<Response> response = raw.RecvResponse();
+    ASSERT_TRUE(response.ok()) << "frame " << i << ": " << response.status().ToString();
+    EXPECT_EQ(response->status, Code::kOk) << "frame " << i;
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_TRUE(SendAll(raw.fd(), tail.data() + half, tail.size() - half));
+  Result<Response> last = raw.RecvResponse();
+  ASSERT_TRUE(last.ok()) << last.status().ToString();
+  EXPECT_EQ(last->status, Code::kOk);
+
+  for (size_t i : {size_t{0}, size_t{63}, size_t{64}, kFrames - 1}) {
+    const Bytes get = raw.WireFrame({OpCode::kGet, "burst-" + std::to_string(i), "", 0});
+    ASSERT_TRUE(SendAll(raw.fd(), get.data(), get.size()));
+    Result<Response> got = raw.RecvResponse();
+    ASSERT_TRUE(got.ok());
+    EXPECT_EQ(got->value, value_for(i)) << i;
+  }
+  const Bytes get = raw.WireFrame({OpCode::kGet, "burst-tail", "", 0});
+  ASSERT_TRUE(SendAll(raw.fd(), get.data(), get.size()));
+  Result<Response> got = raw.RecvResponse();
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->value, tail_value);
+}
+
+// Several pipelined frames delivered one byte per read: every frame is cut
+// at every offset across reads, and each is answered in order.
+TEST_F(ReactorTortureTest, PipelinedFramesSplitByteByByte) {
+  StartServer({});
+  RawSession raw;
+  ASSERT_TRUE(raw.Connect(server_->port(), authority_, enclave_.measurement()));
+
+  constexpr size_t kFrames = 4;
+  Bytes stream;
+  for (size_t i = 0; i < kFrames; ++i) {
+    const Bytes wire =
+        raw.WireFrame({OpCode::kSet, "drip-" + std::to_string(i), "v" + std::to_string(i), 0});
+    stream.insert(stream.end(), wire.begin(), wire.end());
+  }
+  const Bytes get = raw.WireFrame({OpCode::kGet, "drip-2", "", 0});
+  stream.insert(stream.end(), get.begin(), get.end());
+  for (size_t i = 0; i < stream.size(); ++i) {
+    ASSERT_TRUE(SendAll(raw.fd(), stream.data() + i, 1));
+    if (i % 8 == 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+  for (size_t i = 0; i < kFrames; ++i) {
+    Result<Response> response = raw.RecvResponse();
+    ASSERT_TRUE(response.ok()) << "frame " << i << ": " << response.status().ToString();
+    EXPECT_EQ(response->status, Code::kOk) << "frame " << i;
+  }
+  Result<Response> got = raw.RecvResponse();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got->value, "v2");
+}
+
 // ------------------------------------------------------- antisocial peers
 
 TEST_F(ReactorTortureTest, SlowLorisHalfOpenSessionsDoNotStarveService) {
