@@ -1,12 +1,13 @@
 // Batched operation pipeline: networked throughput vs batch depth.
 //
 // One real server (encrypted sessions, durable-ack WAL with a group-commit
-// window — the configuration where every singleton mutation pays a window
-// wait and a boundary crossing), loaded by C connections issuing write-heavy
-// traffic at kBatch depths 1/4/16/64. Depth 1 is the unbatched baseline:
-// each op is its own frame, its own session Seal/Open, its own enclave
-// submission, and its own group-commit ack. At depth N all of that amortizes
-// N ways — one frame, one crossing, one AwaitDurable per touched shard.
+// window and the daemon's default counter cost — the configuration where
+// every singleton mutation pays a window wait, a counter bump and a boundary
+// crossing), loaded by C connections issuing write-heavy traffic at kBatch
+// depths 1/4/16/64. Depth 1 is the unbatched baseline: each op is its own
+// frame, its own session Seal/Open, its own enclave submission, and its own
+// group-commit ack. At depth N all of that amortizes N ways — one frame, one
+// crossing, one AwaitDurable per touched shard.
 //
 // Emits BENCH_batch.json for the acceptance gate: depth-16 throughput >= 2x
 // depth 1 with group commit enabled.
@@ -36,7 +37,6 @@ int Run(double seconds, const std::string& out_path) {
   const sgx::SealingService sealer(AsBytes("batch-bench"), enclave.measurement());
   sgx::MonotonicCounterService::Options counter_opts;
   counter_opts.backing_file = dir + "/counters.bin";
-  counter_opts.increment_cost_cycles = 0;
   sgx::MonotonicCounterService counters(counter_opts);
 
   shieldstore::Options options;

@@ -58,7 +58,6 @@ struct Args {
   double seconds = 1.0;
   std::string out = "BENCH_netload.json";
   bool gates = true;
-  uint32_t trace_sample = 0;  // 0 = tracing off; N = sample 1-in-N roots
   // Interleaved tracing-overhead A/B: this many (off, on@1/256) window pairs
   // over the SAME session pool, gated at >= 0.97 throughput ratio. 0 = skip.
   int trace_overhead_pairs = 0;
@@ -162,11 +161,11 @@ int Run(Args args) {
   };
   const uint64_t coalesced_before = coalesced_batches();
 
-  obs::TraceSetSampleEvery(args.trace_sample);
+  // Tracing stays off except inside the A/B windows below.
+  obs::TraceSetSampleEvery(0);
   ManySessionLoad pool(port, authority, measurement, /*encrypt=*/true,
                        /*handshake_threads=*/4,
-                       /*request_tracing=*/args.trace_sample > 0 ||
-                           args.trace_overhead_pairs > 0);
+                       /*request_tracing=*/args.trace_overhead_pairs > 0);
 
   // --- the connections curve: ramp strictly upward so every point means
   // "exactly this many live sessions" -------------------------------------
@@ -246,7 +245,7 @@ int Run(Args args) {
                   "ratio %.3f\n",
                   p + 1, off_first ? "off" : "on", off, on, ratios.back());
     }
-    obs::TraceSetSampleEvery(args.trace_sample);
+    obs::TraceSetSampleEvery(0);
     std::sort(ratios.begin(), ratios.end());
     trace_ratio = ratios[ratios.size() / 2];
     std::printf("# tracing overhead: median ratio of %zu pairs %.3f (gate >= 0.97)\n",
@@ -385,9 +384,6 @@ int main(int argc, char** argv) {
       args.curve = {1, 100};
     } else if (arg == "--no-gates") {
       args.gates = false;
-    } else if (arg == "--trace-sample") {
-      const char* v = next();
-      if (v != nullptr) args.trace_sample = static_cast<uint32_t>(std::atoi(v));
     } else if (arg == "--trace-overhead") {
       const char* v = next();
       if (v != nullptr) args.trace_overhead_pairs = std::atoi(v);
@@ -396,13 +392,9 @@ int main(int argc, char** argv) {
                    "usage: bench_netload [--port N --measurement HEX64] "
                    "[--authority-seed S] [--sessions 1,100,1000,10000] "
                    "[--seconds S] [--out PATH] [--smoke] [--no-gates] "
-                   "[--trace-sample N] [--trace-overhead PAIRS]\n");
+                   "[--trace-overhead PAIRS]\n");
       return 2;
     }
-  }
-  if (const char* env = std::getenv("SHIELD_NETLOAD_TRACE_SAMPLE");
-      env != nullptr && args.trace_sample == 0) {
-    args.trace_sample = static_cast<uint32_t>(std::atoi(env));
   }
   if (args.port != 0 && args.measurement_hex.empty()) {
     std::fprintf(stderr, "--port requires --measurement\n");

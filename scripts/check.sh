@@ -11,6 +11,7 @@ export SHIELD_BENCH_JSON_DIR=build
 
 echo "== src/ line count (the figure CHANGES.md tracks) =="
 find src -name '*.cc' -o -name '*.h' | xargs cat | wc -l
+echo "bench/ line count: $(find bench -name '*.cc' -o -name '*.h' | xargs cat | wc -l)"
 
 echo "== tier-1: plain build + ctest =="
 cmake -B build -S . >/dev/null
@@ -396,17 +397,19 @@ echo "== tracing overhead gate (< 3% at default 1/256 sampling) =="
 # the side that runs first alternating per pair, every pair printed; the
 # bench's exit code enforces >= 0.97 on the MEDIAN per-pair ratio, so one
 # noisy window cannot decide it.
+TR_T0=$SECONDS
+echo "7 pairs, one 1.0 s window per side"
 ./build/bench/bench_netload --sessions 1,64 --seconds 1.0 --no-gates \
   --trace-overhead 7 --out "$OBS_DIR/nl-trace.json"
+echo "tracing overhead stage wall time: $((SECONDS - TR_T0)) s"
 
 echo "== reactor netload: 10k sessions against a live daemon =="
 # One epoll generator process ramps to 10k attested sessions against the
 # real daemon (reactor + durable-ack WAL). The bench's exit code enforces:
 # zero acked-op loss / protocol errors at every point, implicit batching
 # engaged (coalesced-batch counter advanced), no throughput collapse from
-# 100 to 1k sessions, and pipelined >= 2x singleton throughput.
-# SHIELD_NETLOAD_SESSIONS trims the curve for sanitizer or constrained runs.
-NL_SESSIONS="${SHIELD_NETLOAD_SESSIONS:-1,100,1000,10000}"
+# 100 to 1k sessions, and pipelined >= 2x singleton throughput, over the
+# full 1 / 100 / 1k / 10k curve.
 ./build/tools/shieldstore_server --port 0 --partitions 2 --buckets 8192 \
   --io-threads 2 --max-sessions 16384 --heal-dir "$NL_DIR/heal" \
   --wal-window-us 100 --wal-group-ops 64 --stats-interval-s 1 \
@@ -419,7 +422,7 @@ done
 NL_PORT="$(sed -n 's/.*listening on 127.0.0.1:\([0-9]*\).*/\1/p' "$NL_DIR/server.log")"
 NL_MEAS="$(sed -n 's/.*measurement (give to clients): \([0-9a-f]*\).*/\1/p' "$NL_DIR/server.log")"
 ./build/bench/bench_netload --port "$NL_PORT" --measurement "$NL_MEAS" \
-  --sessions "$NL_SESSIONS" --seconds 2.0 --out "$NL_DIR/BENCH_netload.json"
+  --sessions 1,100,1000,10000 --seconds 2.0 --out "$NL_DIR/BENCH_netload.json"
 # The periodic --stats-json dump must carry the reactor series.
 sleep 1.5
 for series in '"net.sessions_opened"' '"net.coalesced.batches"' '"net.sessions"'; do
@@ -429,13 +432,17 @@ kill "$NL_PID"; wait "$NL_PID" 2>/dev/null || true
 echo "reactor netload OK"
 
 echo "== metrics overhead gate (< 3% vs no-op build) =="
-# Same bench compiled twice: metrics recording always-on (default) vs
-# compiled to no-ops (-DSHIELD_METRICS=OFF). The two binaries alternate
-# (on, off, on, off, ...) for 5 pairs and every repeat is printed; the gate
-# is the median of the per-pair on/off ratios, so one noisy repeat cannot
-# decide it. Recording must keep >= 97% of the no-op throughput.
-cmake -B build-noobs -S . -DSHIELD_METRICS=OFF >/dev/null
+# Same bench compiled twice, with the same build type: metrics recording
+# always-on (default) vs compiled to no-ops (-DSHIELD_METRICS=OFF). The two
+# binaries alternate (on, off, on, off, ...) for 5 pairs of 0.3 s windows
+# (--smoke) and every repeat is printed; the gate is the median of the
+# per-pair on/off ratios, so one noisy repeat cannot decide it. Recording
+# must keep >= 97% of the no-op throughput.
+MO_T0=$SECONDS
+cmake -B build-noobs -S . -DSHIELD_METRICS=OFF \
+  -DCMAKE_BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt)" >/dev/null
 cmake --build build-noobs -j "$JOBS" --target bench_metrics_overhead
+echo "5 pairs, one 0.3 s window per run"
 MO_RATIOS=""
 for MO_PAIR in 1 2 3 4 5; do
   ON_KOPS="$(./build/bench/bench_metrics_overhead --smoke | awk '/^RESULT kops/ {print $3}')"
@@ -445,6 +452,7 @@ for MO_PAIR in 1 2 3 4 5; do
   echo "pair $MO_PAIR: metrics on $ON_KOPS Kop/s, metrics off $OFF_KOPS Kop/s, ratio $MO_RATIO"
   MO_RATIOS="$MO_RATIOS $MO_RATIO"
 done
+echo "metrics overhead stage wall time: $((SECONDS - MO_T0)) s"
 printf '%s\n' $MO_RATIOS | sort -g | awk '{ r[NR] = $1 } END {
   median = r[int((NR + 1) / 2)];
   printf "median overhead ratio of %d pairs: %.3f (gate: >= 0.97)\n", NR, median;

@@ -74,6 +74,12 @@ net::Response ReplicaNode::HandleReplicate(const net::Request& request) {
       return ReplyLocked(Code::kOk);
 
     case net::ReplicateType::kPromote:
+      // Between kHello and kSnapshotDone this node holds a partial keyspace;
+      // promoted, it would serve that. The router keeps the node suspect.
+      if (role_ != net::ReplicaRole::kPrimary && bootstrapping_) {
+        rejected_->Inc();
+        return ReplyLocked(Code::kFailingOver);
+      }
       if (role_ != net::ReplicaRole::kPrimary) {
         role_ = net::ReplicaRole::kPrimary;
         role_gauge_->Set(static_cast<int64_t>(role_));

@@ -51,6 +51,7 @@ class ReplicaNode {
   //   kProtocolError   malformed frame (fuzz posture: typed, never a crash)
   //   kInvalidArgument epoch mismatch or sequence gap — shipper must resync
   //   kUnsupported     this node is primary now; the (stale) shipper detaches
+  //   kFailingOver     kPromote mid-bootstrap: refused until kSnapshotDone
   net::Response HandleReplicate(const net::Request& request);
 
   // Idempotent role flip, also reachable over the wire via kPromote — the

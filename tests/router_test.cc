@@ -522,6 +522,30 @@ TEST(ReplicaNodeTest, FailedEntryStopsTheWatermarkJustBeforeIt) {
   EXPECT_EQ(store.data.size(), 8u);
 }
 
+// Between kHello and kSnapshotDone the follower holds a partial keyspace: a
+// promotion is refused and the node stays a follower until the dump is done.
+TEST(ReplicaNodeTest, PromotionIsRefusedMidBootstrap) {
+  PoisonableStore store;
+  store.poisoned = false;
+  obs::Registry registry;
+  ReplicaNode node(store, &registry);
+  net::ReplicateFrame bootstrap;
+  bootstrap.type = net::ReplicateType::kHello;
+  bootstrap.epoch = 5;
+  bootstrap.num_shards = 1;
+  ASSERT_EQ(Deliver(node, bootstrap).status, Code::kOk);
+
+  net::ReplicateFrame promote;
+  promote.type = net::ReplicateType::kPromote;
+  EXPECT_EQ(Deliver(node, promote).status, Code::kFailingOver);
+  EXPECT_EQ(node.role(), net::ReplicaRole::kFollower);
+
+  bootstrap.type = net::ReplicateType::kSnapshotDone;
+  ASSERT_EQ(Deliver(node, bootstrap).status, Code::kOk);
+  EXPECT_EQ(Deliver(node, promote).status, Code::kOk);
+  EXPECT_EQ(node.role(), net::ReplicaRole::kPrimary);
+}
+
 // --------------------------------------------------------------- failover
 
 TEST_F(ReplicationTest, RouterPromotesFollowerWhenPrimaryDies) {
