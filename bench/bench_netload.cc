@@ -8,7 +8,7 @@
 // pool holds sessions open, the population an event-driven server must make
 // nearly free — and the run gates on:
 //   (a) zero acked-op loss and zero protocol errors at every point;
-//   (b) implicit batching engaged (coalesced-batch counters advanced);
+//   (b) implicit batching engaged (net.coalesce_depth counted new runs);
 //   (c) no throughput collapse: Kop/s at 1k sessions holds within tolerance
 //       of 100 sessions (idle sessions must not tax the reactor);
 //   (d) pipelined clients >= 2x singleton request/response throughput
@@ -146,20 +146,21 @@ int Run(Args args) {
     std::memcpy(measurement.data(), raw.data(), raw.size());
   }
 
-  // Coalescing gate source: server accessors in-process, the STATS verb
-  // against a daemon.
-  auto coalesced_batches = [&]() -> uint64_t {
+  // Coalescing gate source: the runs the net.coalesce_depth histogram
+  // counted, read from the server's snapshot in-process or over the STATS
+  // verb against a daemon.
+  auto coalesced_runs = [&]() -> uint64_t {
+    Result<obs::MetricsSnapshot> snap = Status(Code::kIoError, "no stats");
     if (server != nullptr) {
-      return server->coalesced_batches();
+      snap = server->BuildStatsSnapshot();
+    } else if (net::Client stats_client(authority, measurement);
+               stats_client.Connect(port).ok()) {
+      snap = stats_client.Stats();
     }
-    net::Client stats_client(authority, measurement);
-    if (!stats_client.Connect(port).ok()) {
-      return 0;
-    }
-    Result<obs::MetricsSnapshot> snap = stats_client.Stats();
-    return snap.ok() ? snap->CounterValue("net.coalesced.batches") : 0;
+    const obs::HistogramData* depth = snap.ok() ? snap->Histogram("net.coalesce_depth") : nullptr;
+    return depth != nullptr ? depth->count : 0;
   };
-  const uint64_t coalesced_before = coalesced_batches();
+  const uint64_t coalesced_before = coalesced_runs();
 
   // Tracing stays off except inside the A/B windows below.
   obs::TraceSetSampleEvery(0);
@@ -210,7 +211,7 @@ int Run(Args args) {
   errors_total += singleton.errors + pipelined.errors;
   lost_total += (singleton.ops_sent - singleton.ops_acked) +
                 (pipelined.ops_sent - pipelined.ops_acked);
-  const uint64_t coalesced_delta = coalesced_batches() - coalesced_before;
+  const uint64_t coalesced_delta = coalesced_runs() - coalesced_before;
 
   // --- tracing overhead A/B: alternating pairs over the same live pool, so
   // machine-level drift hits both sides of every pair equally. Sampling is a
@@ -288,7 +289,7 @@ int Run(Args args) {
        << "  \"singleton_kops\": " << Fmt(singleton.kops, "%.2f") << ",\n"
        << "  \"pipelined_kops\": " << Fmt(pipelined.kops, "%.2f") << ",\n"
        << "  \"pipeline_speedup\": " << Fmt(speedup, "%.2f") << ",\n"
-       << "  \"coalesced_batches\": " << coalesced_delta << ",\n"
+       << "  \"coalesced_runs\": " << coalesced_delta << ",\n"
        << "  \"lost_ops\": " << lost_total << ",\n"
        << "  \"errors\": " << errors_total << ",\n"
        << "  \"trace_overhead_ratio\": " << Fmt(trace_ratio, "%.3f") << ",\n"
@@ -302,7 +303,7 @@ int Run(Args args) {
 
   std::printf("# pipelined %.1f Kop/s vs singleton %.1f Kop/s (%.2fx, target >= 2x)\n",
               pipelined.kops, singleton.kops, speedup);
-  std::printf("# coalesced batches: %llu, lost ops: %llu, errors: %llu\n",
+  std::printf("# coalesced runs: %llu, lost ops: %llu, errors: %llu\n",
               static_cast<unsigned long long>(coalesced_delta),
               static_cast<unsigned long long>(lost_total),
               static_cast<unsigned long long>(errors_total));

@@ -325,7 +325,7 @@ class ManySessionLoad {
     auto send_burst = [&](size_t idx) {
       Gen& s = *pool_[idx];
       const uint64_t now = NowNs();
-      // One sampled root per burst: overhead measurement at --trace-sample N
+      // One root per burst, sampled at the current rate: the overhead A/B
       // exercises the real per-root-op sampling path end to end.
       obs::TraceRoot root("netload.burst");
       const obs::TraceContext trace_ctx = obs::CurrentTrace();

@@ -109,11 +109,11 @@ PH_ERR="$(timeout 10 ./build/tools/shieldstore_server --port 0 --persist-heap /t
   || PH_RC=$?
 [ "$PH_RC" -eq 2 ] && grep -q 'usage: shieldstore_server' <<< "$PH_ERR" \
   || { echo "daemon did not refuse --persist-heap (exit $PH_RC): $PH_ERR"; exit 1; }
-# Settings with one value in use are constants, not flags: refused the same
-# way.
+# Settings with one value in use are constants, not flags, and --trace-sample
+# changed nothing (the daemon roots no trace): refused the same way.
 for FLAG in --scrub-budget --wal-shards --coalesce-depth --stats-prometheus \
     --slo-interval-s --slo-stage-p99-ms --slo-op-p99-ms --slo-loop-lag-p99-ms \
-    --slo-repl-backlog; do
+    --slo-repl-backlog --trace-sample; do
   GONE_RC=0
   GONE_ERR="$(timeout 10 ./build/tools/shieldstore_server --port 0 "$FLAG" 1 2>&1)" \
     || GONE_RC=$?
@@ -321,16 +321,16 @@ kill $FO_PIDS 2>/dev/null || true
 echo "failover smoke OK (recovery ${FO_MS}ms, ${#FO_ACKED[@]} acked writes verified)"
 
 echo "== observability smoke: traced failover, hash-chained audit, tracing overhead gate =="
-# Two primaries + warm standbys, every process tracing at 1/1 with an audit
-# log. A traced mset rides the router; the merged Chrome trace must hold
-# client-, server- and WAL-side spans. Then one primary dies by SIGKILL and
+# Two primaries + warm standbys, each with an audit log and no tracing flag.
+# A traced mset rides the router; the merged Chrome trace must hold client-,
+# server- and WAL-side spans, so a sampled context propagates with no switch. Then one primary dies by SIGKILL and
 # every surviving audit chain must verify bit for bit — while a flipped byte
 # or a truncation must be rejected.
 obs_start() { # obs_start NAME [extra server flags...]
   local name="$1"; shift
   ./build/tools/shieldstore_server --port 0 --partitions 2 --buckets 4096 \
     --heal-dir "$OBS_DIR/$name" --stats-interval-s 0 --wal-window-us 100 \
-    --wal-group-ops 8 --trace-sample 1 --audit-log "$OBS_DIR/$name.audit" \
+    --wal-group-ops 8 --audit-log "$OBS_DIR/$name.audit" \
     "$@" > "$OBS_DIR/$name.log" 2>&1 &
   OBS_LAST_PID=$!
   OBS_PIDS="$OBS_PIDS $OBS_LAST_PID"
@@ -407,7 +407,7 @@ echo "== reactor netload: 10k sessions against a live daemon =="
 # One epoll generator process ramps to 10k attested sessions against the
 # real daemon (reactor + durable-ack WAL). The bench's exit code enforces:
 # zero acked-op loss / protocol errors at every point, implicit batching
-# engaged (coalesced-batch counter advanced), no throughput collapse from
+# engaged (net.coalesce_depth counted new runs), no throughput collapse from
 # 100 to 1k sessions, and pipelined >= 2x singleton throughput, over the
 # full 1 / 100 / 1k / 10k curve.
 ./build/tools/shieldstore_server --port 0 --partitions 2 --buckets 8192 \
@@ -425,7 +425,7 @@ NL_MEAS="$(sed -n 's/.*measurement (give to clients): \([0-9a-f]*\).*/\1/p' "$NL
   --sessions 1,100,1000,10000 --seconds 2.0 --out "$NL_DIR/BENCH_netload.json"
 # The periodic --stats-json dump must carry the reactor series.
 sleep 1.5
-for series in '"net.sessions_opened"' '"net.coalesced.batches"' '"net.sessions"'; do
+for series in '"net.sessions_opened"' '"net.coalesce_depth"' '"net.sessions"'; do
   grep -q "$series" "$NL_DIR/stats.json" || { echo "stats-json missing $series"; exit 1; }
 done
 kill "$NL_PID"; wait "$NL_PID" 2>/dev/null || true

@@ -150,18 +150,20 @@ Status Client::Reconnect(uint16_t port) {
   return Connect(port);
 }
 
-Status Client::SendRequest(const Request& request) {
+Status Client::SendPlaintext(Bytes plaintext) {
   if (!connected()) {
     return Status(Code::kIoError, "not connected");
   }
-  Bytes plaintext = EncodeRequest(request);
-  if (options_.enable_tracing) {
-    const obs::TraceContext ctx = obs::CurrentTrace();
-    if (ctx.active()) {
-      plaintext = PrependTraceContext(ctx, plaintext);
-    }
+  // A sampled operation carries its trace context; any other frame is sent
+  // bare, byte for byte as it was encoded.
+  if (const obs::TraceContext ctx = obs::CurrentTrace(); ctx.active()) {
+    plaintext = PrependTraceContext(ctx, plaintext);
   }
   return SendFrame(fd_, session_->Seal(plaintext));
+}
+
+Status Client::SendRequest(const Request& request) {
+  return SendPlaintext(EncodeRequest(request));
 }
 
 Result<Response> Client::ReceiveResponse() {
@@ -198,14 +200,7 @@ Result<std::vector<Response>> Client::ExecuteBatch(const std::vector<Request>& o
     return Status(Code::kProtocolError, "batch has too many sub-ops");
   }
   obs::TraceScope span("client.batch");
-  Bytes wire = EncodeBatchRequest(ops);
-  if (options_.enable_tracing) {
-    const obs::TraceContext ctx = obs::CurrentTrace();
-    if (ctx.active()) {
-      wire = PrependTraceContext(ctx, wire);
-    }
-  }
-  if (Status s = SendFrame(fd_, session_->Seal(wire)); !s.ok()) {
+  if (Status s = SendPlaintext(EncodeBatchRequest(ops)); !s.ok()) {
     return s;
   }
   Result<Bytes> record = RecvFrame(fd_);

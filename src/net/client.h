@@ -29,11 +29,6 @@ struct ClientOptions {
   // times with fixed backoff before surfacing the code to the caller.
   int recovering_retries = 0;
   int recovering_backoff_ms = 20;
-
-  // Trace propagation: sampled ops carry the 16-byte trace-context frame
-  // extension (protocol.h). Off by default, and unsampled ops never carry
-  // it, so their frames are byte-identical either way.
-  bool enable_tracing = false;
 };
 
 class Client {
@@ -104,6 +99,9 @@ class Client {
  private:
   // One connection attempt: socket + timed connect + socket timeouts.
   Status ConnectSocket(uint16_t port);
+  // Seals and sends one request plaintext, prefixed with the thread's trace
+  // context (protocol.h) when a sampled operation is in flight.
+  Status SendPlaintext(Bytes plaintext);
   // Execute + retry-on-recovering loop (used by the convenience wrappers).
   Result<Response> ExecuteRetrying(const Request& request);
 

@@ -133,14 +133,6 @@ Bytes EncodeRequest(const Request& request) {
   return out;
 }
 
-Result<Request> DecodeRequest(ByteSpan payload) {
-  RequestView view;
-  if (Status s = DecodeRequestView(payload, view); !s.ok()) {
-    return s;
-  }
-  return ToRequest(view);
-}
-
 Status DecodeRequestView(ByteSpan payload, RequestView& request) {
   if (Status s = TakeRequest(payload, request, /*in_batch=*/false); !s.ok()) {
     return s;
@@ -194,19 +186,6 @@ Bytes EncodeBatchRequest(const std::vector<Request>& ops) {
     AppendRequest(out, op);
   }
   return out;
-}
-
-Result<std::vector<Request>> DecodeBatchRequest(ByteSpan payload) {
-  std::vector<RequestView> views;
-  if (Status s = DecodeBatchRequestViews(payload, views); !s.ok()) {
-    return s;
-  }
-  std::vector<Request> ops;
-  ops.reserve(views.size());
-  for (const RequestView& view : views) {
-    ops.push_back(ToRequest(view));
-  }
-  return ops;
 }
 
 Status DecodeBatchRequestViews(ByteSpan payload, std::vector<RequestView>& ops) {

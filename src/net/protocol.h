@@ -78,8 +78,6 @@ struct RequestView {
 Request ToRequest(const RequestView& view);
 
 Bytes EncodeRequest(const Request& request);
-// DecodeRequestView plus ToRequest.
-Result<Request> DecodeRequest(ByteSpan payload);
 Status DecodeRequestView(ByteSpan payload, RequestView& request);
 Bytes EncodeResponse(const Response& response);
 Result<Response> DecodeResponse(ByteSpan payload);
@@ -105,8 +103,6 @@ inline bool IsBatchResponse(ByteSpan payload) {
 }
 
 Bytes EncodeBatchRequest(const std::vector<Request>& ops);
-// DecodeBatchRequestViews plus ToRequest per sub-request.
-Result<std::vector<Request>> DecodeBatchRequest(ByteSpan payload);
 // Appends the batch's sub-requests to `ops`; on an error `ops` is left as
 // it was.
 Status DecodeBatchRequestViews(ByteSpan payload, std::vector<RequestView>& ops);
@@ -121,11 +117,11 @@ Result<std::vector<Response>> DecodeBatchResponse(ByteSpan payload);
 // A versioned prefix that may precede any sealed request plaintext (single
 // or batch): [u8 0xC7][u8 version=1][16-byte trace context]. 0xC7 is
 // outside the opcode range and outside the batch marker, so a receiver can
-// always distinguish an extended frame from a bare request. Senders attach
-// it only with tracing enabled (ClientOptions::enable_tracing) and only for
-// sampled ops, and the server accepts it on any session; the extension
-// never changes response bytes. Unknown future versions are a typed decode
-// error, not a crash.
+// always distinguish an extended frame from a bare request. A Client
+// attaches it exactly when a sampled operation is in flight on the sending
+// thread (obs::CurrentTrace().active()), and the server accepts it on any
+// session; the extension never changes response bytes. Unknown future
+// versions are a typed decode error, not a crash.
 inline constexpr uint8_t kTraceExtMarker = 0xC7;
 inline constexpr uint8_t kTraceExtVersion = 1;
 inline constexpr size_t kTraceExtBytes = 2 + obs::kTraceContextWireSize;

@@ -112,6 +112,14 @@ void AppendResponseFrame(FrameRun& run, Code status, std::string_view value, siz
 
 }  // namespace
 
+uint64_t BatchSubOps(const obs::MetricsSnapshot& snap) {
+  uint64_t total = 0;
+  for (size_t op = 1; op <= static_cast<size_t>(OpCode::kPing); ++op) {
+    total += snap.CounterValue(std::string("net.batch_ops.") + kVerbNames[op]);
+  }
+  return total;
+}
+
 Server::Server(sgx::Enclave& enclave, kv::KeyValueStore& store,
                const sgx::AttestationAuthority& authority, const ServerOptions& options)
     : enclave_(enclave), store_(store), authority_(authority), options_(options) {
@@ -126,15 +134,10 @@ Server::Server(sgx::Enclave& enclave, kv::KeyValueStore& store,
     }
   }
   requests_ = &metrics_->GetCounter("net.requests");
-  batches_ = &metrics_->GetCounter("net.batches");
-  batch_ops_ = &metrics_->GetCounter("net.batch_ops");
-  crossings_saved_ = &metrics_->GetCounter("net.crossings_saved");
   inflight_ = &metrics_->GetGauge("net.inflight");
   auth_failures_ = &metrics_->GetCounter("net.auth_failures");
   protocol_errors_ = &metrics_->GetCounter("net.protocol_errors");
   batch_frame_bytes_ = &metrics_->GetHistogram("net.batch_frame_bytes");
-  coalesced_batches_ = &metrics_->GetCounter("net.coalesced.batches");
-  coalesced_ops_ = &metrics_->GetCounter("net.coalesced.ops");
   coalesce_depth_ = &metrics_->GetHistogram("net.coalesce_depth");
   maintenance_ticks_ = &metrics_->GetCounter("net.maintenance_ticks");
   watch_ = store_.durability_watch();
@@ -447,15 +450,8 @@ void Server::RunOps(std::span<const RequestView> ops, bool implicit, FrameRun& r
   }
   if (!implicit) {
     run.EndFrame(batch_frame, mac_slot);
-    batches_->Inc();
-    batch_ops_->Inc(ops.size());
-    // Each sub-op beyond the first would otherwise have been its own frame,
-    // session Seal/Open, and enclave submission.
-    crossings_saved_->Inc(ops.size() - 1);
   } else if (ops.size() > 1) {
     // A run of one is a plain singleton request: it coalesced nothing.
-    coalesced_batches_->Inc();
-    coalesced_ops_->Inc(ops.size());
     coalesce_depth_->Record(ops.size());
   }
 }
@@ -671,12 +667,11 @@ obs::MetricsSnapshot Server::BuildStatsSnapshot() {
   snap.SetCounter("store.misses", ss.misses);
   snap.SetCounter("store.decryptions", ss.decryptions);
   snap.SetCounter("store.mac_verifications", ss.mac_verifications);
-  // EPC plaintext-cache effectiveness (§6.3): probes, outcomes, and bytes
-  // resident, so operators can size Options::cache_bytes from a live server.
+  // EPC plaintext-cache effectiveness (§6.3): probes, hits (misses are the
+  // difference), and bytes resident, so operators can size
+  // Options::cache_bytes from a live server.
   snap.SetCounter("store.cache.lookups", ss.cache_lookups);
   snap.SetCounter("store.cache.hits", ss.cache_hits);
-  snap.SetCounter("store.cache.misses",
-                  ss.cache_lookups >= ss.cache_hits ? ss.cache_lookups - ss.cache_hits : 0);
   snap.SetGauge("store.cache.bytes", static_cast<int64_t>(ss.cache_bytes));
   snap.SetCounter("store.crypto.ctr_bytes", ss.crypto_ctr_bytes);
   snap.SetCounter("store.crypto.cmac_bytes", ss.crypto_cmac_bytes);

@@ -79,6 +79,10 @@ struct ServerOptions {
   int maintenance_interval_ms = 20;
 };
 
+// Sub-ops carried by kBatch frames: the sum of a snapshot's
+// net.batch_ops.<verb> counters (net.ops.batch counts the frames).
+uint64_t BatchSubOps(const obs::MetricsSnapshot& snap);
+
 class Server {
  public:
   // `store` must be thread-safe (e.g. PartitionedStore); it is shared by
@@ -94,23 +98,14 @@ class Server {
   void Stop();
 
   uint16_t port() const { return port_; }
-  // Frame and batching totals, read from this server's registry counters
-  // (net.requests, net.batches, ...; see ServerOptions::metrics). Servers
-  // sharing a registry share the totals; a SHIELD_METRICS=OFF build reads 0.
+  // Frames served, read from this server's net.requests counter (see
+  // ServerOptions::metrics). Servers sharing a registry share the total; a
+  // SHIELD_METRICS=OFF build reads 0. Batching figures come from
+  // BuildStatsSnapshot(): net.ops.batch counts kBatch frames, the
+  // net.batch_ops.<verb> counters their sub-ops, and the net.coalesce_depth
+  // histogram the coalesced runs (count) and the frames they held (sum).
   uint64_t requests_served() const { return requests_->Value(); }
   size_t live_sessions() const { return reactor_ != nullptr ? reactor_->live_sessions() : 0; }
-
-  // Batching observability: frames carrying kBatch, the sub-ops they held,
-  // and the enclave submissions they saved (sub-ops minus one per batch —
-  // each would otherwise have been its own Seal/Open + crossing).
-  uint64_t batches_served() const { return batches_->Value(); }
-  uint64_t batch_ops_served() const { return batch_ops_->Value(); }
-  uint64_t crossings_saved() const { return crossings_saved_->Value(); }
-
-  // Implicit-batch observability: runs of adjacent pipelined singleton
-  // frames coalesced into one enclave submission, and the frames they held.
-  uint64_t coalesced_batches() const { return coalesced_batches_->Value(); }
-  uint64_t coalesced_ops() const { return coalesced_ops_->Value(); }
 
   // One tear-free fold of everything observable from this server: the
   // registry (per-verb counters, latency + stage histograms, and whatever
@@ -186,16 +181,11 @@ class Server {
   obs::Counter* batch_verb_counters_[kVerbSlots] = {};  // net.batch_ops.<verb>
   obs::Histogram* op_latency_[kVerbSlots] = {};       // net.latency.<verb>, e2e ns
   obs::Counter* requests_ = nullptr;                  // net.requests (frames)
-  obs::Counter* batches_ = nullptr;                   // net.batches (kBatch frames)
-  obs::Counter* batch_ops_ = nullptr;                 // net.batch_ops
-  obs::Counter* crossings_saved_ = nullptr;           // net.crossings_saved
   obs::Gauge* inflight_ = nullptr;                    // net.inflight
   obs::Counter* auth_failures_ = nullptr;             // net.auth_failures
   obs::Counter* protocol_errors_ = nullptr;           // net.protocol_errors
   obs::Histogram* batch_frame_bytes_ = nullptr;       // net.batch_frame_bytes
-  obs::Counter* coalesced_batches_ = nullptr;         // net.coalesced.batches
-  obs::Counter* coalesced_ops_ = nullptr;             // net.coalesced.ops
-  obs::Histogram* coalesce_depth_ = nullptr;          // net.coalesce_depth
+  obs::Histogram* coalesce_depth_ = nullptr;          // net.coalesce_depth (runs > 1)
   obs::Counter* maintenance_ticks_ = nullptr;         // net.maintenance_ticks
 };
 

@@ -137,10 +137,6 @@ void TraceSetSampleEvery(uint32_t every) {
   g_sample_every.store(every, std::memory_order_relaxed);
 }
 
-uint32_t TraceSampleEvery() {
-  return g_sample_every.load(std::memory_order_relaxed);
-}
-
 bool SampleRoot() {
   const uint32_t every = g_sample_every.load(std::memory_order_relaxed);
   if (every == 0) return false;
@@ -246,7 +242,6 @@ std::vector<Span> TraceConsume(size_t max) {
 
 TraceContext CurrentTrace() { return {}; }
 void TraceSetSampleEvery(uint32_t) {}
-uint32_t TraceSampleEvery() { return 0; }
 bool SampleRoot() { return false; }
 uint64_t NewTraceId() { return 0; }
 uint64_t NewSpanId() { return 0; }

@@ -77,7 +77,6 @@ TraceContext CurrentTrace();
 // sample-every knob (0 disables sampling entirely, 1 samples everything).
 // Default 256 — the paper-budget 1/256 that keeps tracing always-on cheap.
 void TraceSetSampleEvery(uint32_t every);
-uint32_t TraceSampleEvery();
 bool SampleRoot();
 
 uint64_t NewTraceId();

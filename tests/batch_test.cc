@@ -94,15 +94,16 @@ TEST(BatchProtocolTest, RequestRoundTripProperty) {
     for (auto& op : ops) {
       op = RandomRequest(rng);
     }
-    Result<std::vector<net::Request>> back =
-        net::DecodeBatchRequest(net::EncodeBatchRequest(ops));
-    ASSERT_TRUE(back.ok()) << round << ": " << back.status().ToString();
-    ASSERT_EQ(back->size(), ops.size());
+    const Bytes wire = net::EncodeBatchRequest(ops);
+    std::vector<net::RequestView> back;
+    const Status s = net::DecodeBatchRequestViews(wire, back);
+    ASSERT_TRUE(s.ok()) << round << ": " << s.ToString();
+    ASSERT_EQ(back.size(), ops.size());
     for (size_t i = 0; i < ops.size(); ++i) {
-      EXPECT_EQ((*back)[i].op, ops[i].op);
-      EXPECT_EQ((*back)[i].key, ops[i].key);
-      EXPECT_EQ((*back)[i].value, ops[i].value);
-      EXPECT_EQ((*back)[i].delta, ops[i].delta);
+      EXPECT_EQ(back[i].op, ops[i].op);
+      EXPECT_EQ(back[i].key, ops[i].key);
+      EXPECT_EQ(back[i].value, ops[i].value);
+      EXPECT_EQ(back[i].delta, ops[i].delta);
     }
   }
 }
@@ -131,57 +132,61 @@ TEST(BatchProtocolTest, MalformedBatchesRejectedTyped) {
   const Bytes valid = net::EncodeBatchRequest(one);
   ASSERT_TRUE(net::IsBatchRequest(valid));
 
+  // Each refusal leaves `views` as it was: empty.
+  std::vector<net::RequestView> views;
+
   // Empty payload / wrong leading byte.
-  EXPECT_EQ(net::DecodeBatchRequest({}).status().code(), Code::kProtocolError);
+  EXPECT_EQ(net::DecodeBatchRequestViews({}, views).code(), Code::kProtocolError);
   Bytes wrong_op = valid;
   wrong_op[0] = 1;
-  EXPECT_EQ(net::DecodeBatchRequest(wrong_op).status().code(), Code::kProtocolError);
+  EXPECT_EQ(net::DecodeBatchRequestViews(wrong_op, views).code(), Code::kProtocolError);
 
   // Zero-count batches carry no work and are rejected.
   Bytes zero = valid;
   StoreLe32(zero.data() + 1, 0);
-  EXPECT_EQ(net::DecodeBatchRequest(zero).status().code(), Code::kProtocolError);
+  EXPECT_EQ(net::DecodeBatchRequestViews(zero, views).code(), Code::kProtocolError);
 
   // A forged count claiming 2^31 sub-ops with one op's bytes behind it must
   // fail typed — and cannot trick the decoder into a giant reserve, which is
   // bounded by the bytes actually present.
   Bytes forged = valid;
   StoreLe32(forged.data() + 1, 1u << 31);
-  EXPECT_EQ(net::DecodeBatchRequest(forged).status().code(), Code::kProtocolError);
+  EXPECT_EQ(net::DecodeBatchRequestViews(forged, views).code(), Code::kProtocolError);
 
   // Count over the cap, even when honest.
   Bytes over = valid;
   StoreLe32(over.data() + 1, net::kMaxBatchOps + 1);
-  EXPECT_EQ(net::DecodeBatchRequest(over).status().code(), Code::kProtocolError);
+  EXPECT_EQ(net::DecodeBatchRequestViews(over, views).code(), Code::kProtocolError);
 
   // Truncated mid-sub-frame and trailing garbage.
   Bytes truncated = valid;
   truncated.pop_back();
-  EXPECT_EQ(net::DecodeBatchRequest(truncated).status().code(), Code::kProtocolError);
+  EXPECT_EQ(net::DecodeBatchRequestViews(truncated, views).code(), Code::kProtocolError);
   Bytes trailing = valid;
   trailing.push_back(0x00);
-  EXPECT_EQ(net::DecodeBatchRequest(trailing).status().code(), Code::kProtocolError);
+  EXPECT_EQ(net::DecodeBatchRequestViews(trailing, views).code(), Code::kProtocolError);
 
   // A nested kBatch sub-op is not a valid single-op code.
   Bytes nested = valid;
   nested[5] = static_cast<uint8_t>(net::OpCode::kBatch);
-  EXPECT_EQ(net::DecodeBatchRequest(nested).status().code(), Code::kProtocolError);
+  EXPECT_EQ(net::DecodeBatchRequestViews(nested, views).code(), Code::kProtocolError);
 
   // Per-op caps still apply inside a batch.
   net::Request big_key;
   big_key.op = net::OpCode::kSet;
   big_key.key.assign(net::kMaxKeyBytes + 1, 'k');
-  EXPECT_EQ(net::DecodeBatchRequest(net::EncodeBatchRequest({big_key})).status().code(),
-            Code::kProtocolError);
+  const Bytes big_key_batch = net::EncodeBatchRequest({big_key});
+  EXPECT_EQ(net::DecodeBatchRequestViews(big_key_batch, views).code(), Code::kProtocolError);
 
   // Aggregate cap: a frame over kMaxBatchBytes is rejected before any per-op
   // parsing or allocation.
   Bytes huge(5 + net::kMaxBatchBytes + 1, 0);
   huge[0] = static_cast<uint8_t>(net::OpCode::kBatch);
   StoreLe32(huge.data() + 1, 1);
-  const Status too_large = net::DecodeBatchRequest(huge).status();
+  const Status too_large = net::DecodeBatchRequestViews(huge, views);
   EXPECT_EQ(too_large.code(), Code::kProtocolError);
   EXPECT_NE(too_large.ToString().find("too large"), std::string::npos);
+  EXPECT_TRUE(views.empty());
 }
 
 TEST(BatchProtocolTest, MalformedBatchResponsesRejectedTyped) {
@@ -224,9 +229,9 @@ TEST(BatchProtocolTest, DecodeFuzzNeverCrashes) {
       mutated.resize(rng.NextBelow(mutated.size() + 1));
     }
     if (i % 2 == 0) {
-      Result<std::vector<net::Request>> decoded = net::DecodeBatchRequest(mutated);
-      if (!decoded.ok()) {
-        EXPECT_EQ(decoded.status().code(), Code::kProtocolError) << "mutant " << i;
+      std::vector<net::RequestView> decoded;
+      if (const Status s = net::DecodeBatchRequestViews(mutated, decoded); !s.ok()) {
+        EXPECT_EQ(s.code(), Code::kProtocolError) << "mutant " << i;
       }
     } else {
       Result<std::vector<net::Response>> decoded = net::DecodeBatchResponse(mutated);
@@ -970,7 +975,7 @@ class BatchNetTest : public ::testing::Test {
         store_(enclave_, SmallOptions(), 2) {}
 
   void StartServer(net::ServerOptions options) {
-    options.metrics = &registry_;  // per-test totals behind the accessors
+    options.metrics = &registry_;  // per-test totals in the stats snapshot
     server_ = std::make_unique<net::Server>(enclave_, store_, authority_, options);
     ASSERT_TRUE(server_->Start().ok());
   }
@@ -1020,6 +1025,16 @@ class BatchNetTest : public ::testing::Test {
     EXPECT_EQ(client.Get("mk1").status().code(), Code::kNotFound);
   }
 
+  // RunBatchMix sent 3 batch frames (MSet, MGet, mixed) of 64 + 64 + 7
+  // sub-ops: 135 sub-ops, 132 crossings saved.
+  void ExpectBatchMixCounted() {
+    const obs::MetricsSnapshot snap = server_->BuildStatsSnapshot();
+    const uint64_t frames = snap.CounterValue("net.ops.batch");
+    EXPECT_EQ(frames, 3u);
+    EXPECT_EQ(net::BatchSubOps(snap), 135u);
+    EXPECT_EQ(net::BatchSubOps(snap) - frames, 132u);
+  }
+
   sgx::Enclave enclave_;
   sgx::AttestationAuthority authority_;
   PartitionedStore store_;
@@ -1030,10 +1045,7 @@ class BatchNetTest : public ::testing::Test {
 TEST_F(BatchNetTest, BatchedFramesOverEcalls) {
   StartServer({});
   RunBatchMix();
-  // 3 batch frames (MSet, MGet, mixed) of 64 + 64 + 7 sub-ops.
-  EXPECT_EQ(server_->batches_served(), 3u);
-  EXPECT_EQ(server_->batch_ops_served(), 135u);
-  EXPECT_EQ(server_->crossings_saved(), 132u);
+  ExpectBatchMixCounted();
 }
 
 TEST_F(BatchNetTest, BatchedFramesOverHotCalls) {
@@ -1042,8 +1054,7 @@ TEST_F(BatchNetTest, BatchedFramesOverHotCalls) {
   options.enclave_workers = 2;
   StartServer(options);
   RunBatchMix();
-  EXPECT_EQ(server_->batches_served(), 3u);
-  EXPECT_EQ(server_->crossings_saved(), 132u);
+  ExpectBatchMixCounted();
 }
 
 TEST_F(BatchNetTest, ClientRejectsInvalidBatchesLocally) {

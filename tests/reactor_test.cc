@@ -621,17 +621,23 @@ TEST_F(ReactorTortureTest, ImplicitBatchEquivalentToSequentialExecution) {
   EXPECT_EQ(NormalizeMetadata(pipelined.store->partition(0).ExportSecureMetadata()),
             NormalizeMetadata(sequential.store->partition(0).ExportSecureMetadata()));
 
-  // 3. The implicit path actually engaged...
-  EXPECT_GE(pipelined.server->coalesced_batches(), 1u);
-  EXPECT_GE(pipelined.server->coalesced_ops(), 2u);
-  EXPECT_EQ(sequential.server->coalesced_batches(), 0u);
-  EXPECT_EQ(sequential.server->coalesced_ops(), 0u);
+  // 3. The implicit path actually engaged: the coalesce-depth histogram
+  // counts each coalesced run (count) and the frames it held (sum)...
+  obs::MetricsSnapshot pipe_snap = pipelined.server->BuildStatsSnapshot();
+  obs::MetricsSnapshot seq_snap = sequential.server->BuildStatsSnapshot();
+  const obs::HistogramData* depth = pipe_snap.Histogram("net.coalesce_depth");
+  ASSERT_NE(depth, nullptr);
+  EXPECT_GE(depth->count, 1u);
+  EXPECT_GE(depth->sum, 2u);
+  EXPECT_LE(depth->sum, ops.size());
+  const obs::HistogramData* seq_depth = seq_snap.Histogram("net.coalesce_depth");
+  ASSERT_NE(seq_depth, nullptr);
+  EXPECT_EQ(seq_depth->count, 0u);
+  EXPECT_EQ(seq_depth->sum, 0u);
 
   // ...and the metric accounting agrees with sequential execution exactly:
   // per-verb counters identical, nothing double-counted into the explicit
   // batch family, every op attributed.
-  obs::MetricsSnapshot pipe_snap = pipelined.server->BuildStatsSnapshot();
-  obs::MetricsSnapshot seq_snap = sequential.server->BuildStatsSnapshot();
   uint64_t pipe_total = 0;
   for (const char* verb : {"net.ops.get", "net.ops.set", "net.ops.delete", "net.ops.append",
                            "net.ops.increment", "net.ops.ping"}) {
@@ -639,20 +645,10 @@ TEST_F(ReactorTortureTest, ImplicitBatchEquivalentToSequentialExecution) {
     pipe_total += pipe_snap.CounterValue(verb);
   }
   EXPECT_EQ(pipe_total, ops.size());
-  EXPECT_EQ(pipe_snap.CounterValue("net.batch_ops"), 0u);
-  EXPECT_EQ(pipe_snap.CounterValue("net.batches"), 0u);
+  EXPECT_EQ(BatchSubOps(pipe_snap), 0u);
+  EXPECT_EQ(pipe_snap.CounterValue("net.ops.batch"), 0u);
   EXPECT_EQ(pipelined.server->requests_served(), ops.size());
   EXPECT_EQ(sequential.server->requests_served(), ops.size());
-
-  // The coalesce-depth histogram saw one sample per implicit batch, and the
-  // coalesced-op counter equals the histogram's mass.
-  EXPECT_EQ(pipe_snap.CounterValue("net.coalesced.batches"),
-            pipelined.server->coalesced_batches());
-  EXPECT_EQ(pipe_snap.CounterValue("net.coalesced.ops"), pipelined.server->coalesced_ops());
-  const obs::HistogramData* depth = pipe_snap.Histogram("net.coalesce_depth");
-  ASSERT_NE(depth, nullptr);
-  EXPECT_EQ(depth->count, pipelined.server->coalesced_batches());
-  EXPECT_LE(pipelined.server->coalesced_ops(), ops.size());
 
   pipelined.server->Stop();
   sequential.server->Stop();
@@ -677,10 +673,8 @@ TEST_F(ReactorTortureTest, PipelinedBurstAfterLockstepTrafficRunsAsOneBatch) {
     EXPECT_EQ(response->status, Code::kOk) << "lockstep " << i;
   }
 
-  obs::Counter& batches = stack.registry.GetCounter("net.coalesced.batches");
-  obs::Counter& ops = stack.registry.GetCounter("net.coalesced.ops");
-  const uint64_t batches_before = batches.Value();
-  const uint64_t ops_before = ops.Value();
+  const obs::Histogram& depth = stack.registry.GetHistogram("net.coalesce_depth");
+  const obs::HistogramData before = depth.Data();
 
   constexpr int kBurst = 16;
   Bytes burst;
@@ -695,8 +689,9 @@ TEST_F(ReactorTortureTest, PipelinedBurstAfterLockstepTrafficRunsAsOneBatch) {
     EXPECT_EQ(response->status, Code::kOk) << "frame " << i;
   }
 
-  EXPECT_EQ(batches.Value() - batches_before, 1u);
-  EXPECT_EQ(ops.Value() - ops_before, static_cast<uint64_t>(kBurst));
+  const obs::HistogramData after = depth.Data();
+  EXPECT_EQ(after.count - before.count, 1u);
+  EXPECT_EQ(after.sum - before.sum, static_cast<uint64_t>(kBurst));
   stack.server->Stop();
 }
 

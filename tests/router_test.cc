@@ -23,6 +23,7 @@
 #include "src/net/replication.h"
 #include "src/net/server.h"
 #include "src/obs/metrics.h"
+#include "src/obs/tracer.h"
 #include "src/router/hashring.h"
 #include "src/router/replica.h"
 #include "src/router/router.h"
@@ -260,6 +261,37 @@ TEST_F(ReplicationTest, BootstrapShipsExistingStateThenTailsLiveWrites) {
     total += w;
   }
   EXPECT_GE(total, 51u);
+}
+
+// A sampled write's trace follows its WAL records onto the follower: the
+// shipper's client (default options) carries the context the committer
+// adopted, with no tracing switch anywhere.
+TEST_F(ReplicationTest, SampledWriteTracesOntoTheFollower) {
+  StartFollowerServer();
+  std::unique_ptr<WalShipper> shipper = MakeAttachedShipper();
+
+  obs::TraceSetSampleEvery(1);
+  uint64_t trace_id = 0;
+  Status set;
+  {
+    obs::TraceRoot root("test.op");
+    trace_id = root.trace_id();
+    set = wal_->Set("traced-key", "tv");
+  }
+  obs::TraceSetSampleEvery(256);  // restore before any assert can bail
+  ASSERT_NE(trace_id, 0u);
+  ASSERT_TRUE(set.ok()) << set.ToString();
+  EXPECT_EQ(follower_store_.Get("traced-key").value(), "tv");
+
+  net::Client client(authority_, follower_enclave_.measurement());
+  ASSERT_TRUE(client.Connect(follower_server_->port()).ok());
+  Result<std::vector<obs::SpanRecord>> dump = client.TraceDump();
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  bool saw_replicate = false;
+  for (const obs::SpanRecord& span : *dump) {
+    saw_replicate |= span.trace_id == trace_id && span.name == "server.replicate";
+  }
+  EXPECT_TRUE(saw_replicate);
 }
 
 TEST_F(ReplicationTest, FollowerReconnectResumesWithoutLoss) {

@@ -11,10 +11,14 @@
 // from --measurement — the remote-attestation trust anchor of §3.2.
 #include <cstdio>
 #include <cstring>
+#include <functional>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/net/client.h"
+#include "src/net/server.h"
 #include "src/obs/snapshot.h"
 #include "src/obs/tracer.h"
 #include "src/router/router.h"
@@ -24,16 +28,17 @@ namespace {
 void Usage() {
   std::fprintf(stderr,
                "usage: shieldstore_cli --port N --measurement HEX64 [--authority-seed S]\n"
-               "       [--plaintext] [--cluster SPEC] [--trace-sample N] COMMAND ARGS...\n"
+               "       [--plaintext] [--cluster SPEC] COMMAND ARGS...\n"
                "commands: get K | set K V | del K | append K SUFFIX | incr K DELTA | ping\n"
                "          mset K V [K V ...] | mget K [K ...]   (one kBatch frame)\n"
                "          stats [--prometheus] [--json] [--check]  (kStats snapshot dump)\n"
                "          trace [--json] [CMD ARGS...]  (run CMD sampled at 1/1, then merge\n"
-               "          the client's spans with every reachable node's kTraceDump; --json\n"
-               "          emits Chrome trace_event JSON for chrome://tracing / Perfetto)\n"
+               "          the client's spans with every node's kTraceDump; --json emits\n"
+               "          Chrome trace_event JSON for chrome://tracing / Perfetto)\n"
                "cluster proxy mode: --cluster PORT[:FOLLOWER][,PORT[:FOLLOWER]...] routes\n"
-               "get/set/del/incr/mset by consistent hash across the listed nodes, failing\n"
-               "over to a node's follower if the primary dies; `nodefor K` prints the owner.\n");
+               "get/set/del/incr/mset (also under trace) by consistent hash across the\n"
+               "listed nodes, failing over to a node's follower if the primary dies;\n"
+               "`nodefor K` prints the owner. append, mget, stats and ping need --port.\n");
 }
 
 // Moves the client-local span buffer into `out` tagged with pid 0 ("cli").
@@ -120,12 +125,10 @@ int CheckInvariants(const shield::obs::MetricsSnapshot& snap) {
                  static_cast<unsigned long long>(misses));
     fail("store.gets != store.hits + store.misses");
   }
-  uint64_t batch_sum = 0;
-  for (const char* verb : {"get", "set", "delete", "append", "increment", "ping"}) {
-    batch_sum += snap.CounterValue(std::string("net.batch_ops.") + verb);
-  }
-  if (batch_sum != snap.CounterValue("net.batch_ops")) {
-    fail("net.batch_ops != sum of per-verb batch counters");
+  // The decoder refuses an empty batch, so every counted batch frame carried
+  // at least one counted sub-op.
+  if (shield::net::BatchSubOps(snap) < snap.CounterValue("net.ops.batch")) {
+    fail("sum of net.batch_ops.<verb> < net.ops.batch");
   }
   if (!snap.Has("stage.decode") || !snap.Has("stage.search_decrypt")) {
     fail("stage trace histograms missing from snapshot");
@@ -142,22 +145,13 @@ int CheckInvariants(const shield::obs::MetricsSnapshot& snap) {
   if (!snap.Has("store.crypto.ctr_bytes") || !snap.Has("store.crypto.cmac_bytes")) {
     fail("store crypto byte counters missing from snapshot");
   }
-  // EPC plaintext-cache rate arithmetic: hits and misses partition lookups,
-  // and the hit rate can never exceed 1. Holds trivially (all zeros) when
-  // the cache is disabled, so it is always asserted.
+  // EPC plaintext cache: the hit rate can never exceed 1. Holds trivially
+  // (all zeros) when the cache is disabled, so it is always asserted.
   if (!snap.Has("store.cache.lookups") || !snap.Has("store.cache.hits") ||
-      !snap.Has("store.cache.misses") || !snap.Has("store.cache.bytes")) {
+      !snap.Has("store.cache.bytes")) {
     fail("store.cache.* plaintext-cache counters missing from snapshot");
-  } else {
-    const uint64_t lookups = snap.CounterValue("store.cache.lookups");
-    const uint64_t cache_hits = snap.CounterValue("store.cache.hits");
-    const uint64_t cache_misses = snap.CounterValue("store.cache.misses");
-    if (cache_hits > lookups) {
-      fail("store.cache.hits > store.cache.lookups (hit rate over 1)");
-    }
-    if (cache_hits + cache_misses != lookups) {
-      fail("store.cache.hits + store.cache.misses != store.cache.lookups");
-    }
+  } else if (snap.CounterValue("store.cache.hits") > snap.CounterValue("store.cache.lookups")) {
+    fail("store.cache.hits > store.cache.lookups (hit rate over 1)");
   }
   // WAL metrics only exist when the server runs with --heal-dir.
   if (snap.Has("wal.records")) {
@@ -183,6 +177,222 @@ int CheckInvariants(const shield::obs::MetricsSnapshot& snap) {
   return violations;
 }
 
+using Args = std::vector<std::string>;
+// What a command prints on success, or why it failed; nullopt when the
+// arguments name no command of this mode (or lack its operands).
+using Outcome = std::optional<shield::Result<std::string>>;
+
+shield::Result<std::string> LineIfOk(const shield::Status& s, std::string line) {
+  if (!s.ok()) {
+    return s;
+  }
+  return line;
+}
+
+// The data commands both modes serve, written once over the verbs a single
+// node's net::Client and the cluster's router::Router share. args[0] is the
+// command.
+template <typename Kv>
+Outcome RunDataCommand(Kv& kv, const Args& args) {
+  const std::string& command = args[0];
+  const size_t n = args.size();
+  if (command == "get" && n >= 2) {
+    return kv.Get(args[1]);
+  }
+  if (command == "set" && n >= 3) {
+    return LineIfOk(kv.Set(args[1], args[2]), "OK");
+  }
+  if (command == "del" && n >= 2) {
+    return LineIfOk(kv.Delete(args[1]), "OK");
+  }
+  if (command == "incr" && n >= 3) {
+    const shield::Result<int64_t> value = kv.Increment(args[1], std::atoll(args[2].c_str()));
+    return LineIfOk(value.status(), value.ok() ? std::to_string(*value) : "");
+  }
+  if (command == "mset" && n >= 3 && n % 2 == 1) {
+    std::vector<std::pair<std::string, std::string>> pairs;
+    for (size_t k = 1; k + 1 < n; k += 2) {
+      pairs.emplace_back(args[k], args[k + 1]);
+    }
+    return LineIfOk(kv.MSet(pairs), "OK (" + std::to_string(pairs.size()) + " keys)");
+  }
+  return std::nullopt;
+}
+
+// The single-node commands with one result line: the shared data commands
+// plus append and ping.
+Outcome RunNodeCommand(shield::net::Client& client, const Args& args) {
+  if (Outcome out = RunDataCommand(client, args)) {
+    return out;
+  }
+  if (args[0] == "append" && args.size() >= 3) {
+    return LineIfOk(client.Append(args[1], args[2]), "OK");
+  }
+  if (args[0] == "ping") {
+    shield::net::Request request;
+    request.op = shield::net::OpCode::kPing;
+    const shield::Result<shield::net::Response> response = client.Execute(request);
+    if (!response.ok()) {
+      return response.status();
+    }
+    return LineIfOk(shield::Status(response->status, "ping failed"), response->value);
+  }
+  return std::nullopt;
+}
+
+// Prints an outcome: its line on stdout, or its failure on stderr.
+int Report(const shield::Result<std::string>& out) {
+  if (!out.ok()) {
+    std::fprintf(stderr, "%s\n", out.status().ToString().c_str());
+    return 1;
+  }
+  std::printf("%s\n", out->c_str());
+  return 0;
+}
+
+// A process whose span buffer `trace` drains.
+struct SpanSource {
+  std::string name;
+  std::function<shield::Result<std::vector<shield::obs::SpanRecord>>()> dump;
+};
+
+// `trace [--json] [CMD ARGS...]`: runs CMD through `run` under one fresh
+// root sampled at 1/1, then merges the client's spans with every source's
+// dump, each source tagged with its own pid.
+int RunTrace(const Args& args, const std::function<Outcome(const Args&)>& run,
+             const std::vector<SpanSource>& sources) {
+  using namespace shield;
+  size_t j = 1;
+  const bool json = j < args.size() && args[j] == "--json";
+  j += json ? 1 : 0;
+  int rc = 0;
+  if (j < args.size()) {
+    obs::TraceSetSampleEvery(1);
+    obs::TraceRoot root("cli.op");
+    const Outcome out = run(Args(args.begin() + static_cast<std::ptrdiff_t>(j), args.end()));
+    if (!out) {
+      Usage();
+      return 2;
+    }
+    if (!out->ok()) {
+      std::fprintf(stderr, "traced op failed: %s\n", out->status().ToString().c_str());
+      rc = 1;
+    }
+  }
+  std::vector<obs::SpanRecord> spans;
+  CollectLocalSpans(&spans);
+  std::vector<std::string> process_names = {"cli"};
+  for (const SpanSource& source : sources) {
+    const uint32_t pid = static_cast<uint32_t>(process_names.size());
+    process_names.push_back(source.name);
+    Result<std::vector<obs::SpanRecord>> dump = source.dump();
+    if (!dump.ok()) {
+      std::fprintf(stderr, "trace dump from %s failed: %s\n", source.name.c_str(),
+                   dump.status().ToString().c_str());
+      rc = 1;
+      continue;
+    }
+    for (obs::SpanRecord& r : *dump) {
+      r.pid = pid;
+      spans.push_back(std::move(r));
+    }
+  }
+  if (json) {
+    std::fputs(obs::RenderChromeTrace(spans, process_names).c_str(), stdout);
+  } else {
+    PrintSpanTable(spans, process_names);
+  }
+  return rc;
+}
+
+// Cluster proxy mode: the data commands, trace over every node, and nodefor.
+int RunCluster(shield::router::Router& rt, const Args& args) {
+  if (args[0] == "trace") {
+    std::vector<SpanSource> sources;
+    for (const std::string& name : rt.Nodes()) {
+      sources.push_back({name, [&rt, name] { return rt.TraceDump(name); }});
+    }
+    return RunTrace(args, [&rt](const Args& sub) { return RunDataCommand(rt, sub); }, sources);
+  }
+  if (args[0] == "nodefor" && args.size() >= 2) {
+    const std::string& owner = rt.NodeFor(args[1]);
+    std::printf("%s (port %u)\n", owner.c_str(), rt.ActivePort(owner));
+    return 0;
+  }
+  if (Outcome out = RunDataCommand(rt, args)) {
+    return Report(*out);
+  }
+  Usage();
+  return 2;
+}
+
+// Single-node mode: every command but nodefor.
+int RunNode(shield::net::Client& client, const Args& args) {
+  using namespace shield;
+  const std::string& command = args[0];
+  if (command == "trace") {
+    return RunTrace(args, [&client](const Args& sub) { return RunNodeCommand(client, sub); },
+                    {{"server", [&client] { return client.TraceDump(); }}});
+  }
+  if (command == "mget" && args.size() >= 2) {
+    const std::vector<std::string> keys(args.begin() + 1, args.end());
+    Result<std::vector<net::Response>> responses = client.MGet(keys);
+    if (!responses.ok()) {
+      std::fprintf(stderr, "%s\n", responses.status().ToString().c_str());
+      return 1;
+    }
+    int rc = 0;
+    for (size_t j = 0; j < responses->size(); ++j) {
+      const net::Response& r = (*responses)[j];
+      if (r.status == Code::kOk) {
+        std::printf("%s=%s\n", keys[j].c_str(), r.value.c_str());
+      } else {
+        std::printf("%s: %s\n", keys[j].c_str(), Status(r.status, "").ToString().c_str());
+        rc = 1;
+      }
+    }
+    return rc;
+  }
+  if (command == "stats") {
+    bool prometheus = false;
+    bool json = false;
+    bool check = false;
+    for (size_t j = 1; j < args.size(); ++j) {
+      if (args[j] == "--prometheus") {
+        prometheus = true;
+      } else if (args[j] == "--json") {
+        json = true;
+      } else if (args[j] == "--check") {
+        check = true;
+      } else {
+        Usage();
+        return 2;
+      }
+    }
+    Result<obs::MetricsSnapshot> snap = client.Stats();
+    if (!snap.ok()) {
+      std::fprintf(stderr, "stats failed: %s\n", snap.status().ToString().c_str());
+      return 1;
+    }
+    std::fputs(json        ? obs::RenderJson(*snap).c_str()
+               : prometheus ? obs::RenderPrometheus(*snap).c_str()
+                            : obs::RenderTable(*snap).c_str(),
+               stdout);
+    if (check) {
+      if (CheckInvariants(*snap) > 0) {
+        return 1;
+      }
+      std::printf("stats check OK (%zu metrics)\n", snap->metrics.size());
+    }
+    return 0;
+  }
+  if (Outcome out = RunNodeCommand(client, args)) {
+    return Report(*out);
+  }
+  Usage();
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -192,7 +402,6 @@ int main(int argc, char** argv) {
   std::string authority_seed = "dev-authority";
   std::string cluster_spec;
   bool plaintext = false;
-  uint32_t trace_sample = 0;  // 0 = no client-side tracing unless `trace` cmd
   int i = 1;
   for (; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -206,8 +415,6 @@ int main(int argc, char** argv) {
       plaintext = true;
     } else if (arg == "--cluster" && i + 1 < argc) {
       cluster_spec = argv[++i];
-    } else if (arg == "--trace-sample" && i + 1 < argc) {
-      trace_sample = static_cast<uint32_t>(std::atoll(argv[++i]));
     } else {
       break;  // start of the command
     }
@@ -216,13 +423,7 @@ int main(int argc, char** argv) {
     Usage();
     return 2;
   }
-  // The trace command forces 1/1 sampling: the one op it wraps IS the trace.
-  const bool trace_cmd = std::string(argv[i]) == "trace";
-  if (trace_cmd) {
-    trace_sample = 1;
-  }
-  obs::TraceSetSampleEvery(trace_sample);
-  const bool tracing = trace_sample > 0;
+  const Args args(argv + i, argv + argc);
   const Bytes measurement_bytes = HexDecode(measurement_hex);
   if (measurement_bytes.size() != 32) {
     std::fprintf(stderr, "--measurement must be 64 hex characters\n");
@@ -243,321 +444,20 @@ int main(int argc, char** argv) {
     }
     router::RouterOptions router_options;
     router_options.encrypt = !plaintext;
-    router_options.client.enable_tracing = tracing;
     router::Router rt(authority, expected, std::move(nodes), router_options);
     if (Status s = rt.Start(); !s.ok()) {
       std::fprintf(stderr, "cluster connect failed: %s\n", s.ToString().c_str());
       return 1;
     }
-    const std::string command = argv[i];
-    auto arg_at = [&](int offset) -> const char* {
-      return i + offset < argc ? argv[i + offset] : nullptr;
-    };
-    int rc = 0;
-    if (command == "get" && arg_at(1) != nullptr) {
-      Result<std::string> value = rt.Get(arg_at(1));
-      if (!value.ok()) {
-        std::fprintf(stderr, "%s\n", value.status().ToString().c_str());
-        rc = 1;
-      } else {
-        std::printf("%s\n", value->c_str());
-      }
-    } else if (command == "set" && arg_at(2) != nullptr) {
-      const Status s = rt.Set(arg_at(1), arg_at(2));
-      if (!s.ok()) {
-        std::fprintf(stderr, "%s\n", s.ToString().c_str());
-        rc = 1;
-      } else {
-        std::printf("OK (%s)\n", rt.NodeFor(arg_at(1)).c_str());
-      }
-    } else if (command == "del" && arg_at(1) != nullptr) {
-      const Status s = rt.Delete(arg_at(1));
-      if (!s.ok()) {
-        std::fprintf(stderr, "%s\n", s.ToString().c_str());
-        rc = 1;
-      } else {
-        std::printf("OK\n");
-      }
-    } else if (command == "incr" && arg_at(2) != nullptr) {
-      Result<int64_t> value = rt.Increment(arg_at(1), std::atoll(arg_at(2)));
-      if (!value.ok()) {
-        std::fprintf(stderr, "%s\n", value.status().ToString().c_str());
-        rc = 1;
-      } else {
-        std::printf("%lld\n", static_cast<long long>(*value));
-      }
-    } else if (command == "mset" && arg_at(2) != nullptr && (argc - i - 1) % 2 == 0) {
-      std::vector<std::pair<std::string, std::string>> pairs;
-      for (int j = i + 1; j + 1 < argc; j += 2) {
-        pairs.emplace_back(argv[j], argv[j + 1]);
-      }
-      const Status s = rt.MSet(pairs);
-      if (!s.ok()) {
-        std::fprintf(stderr, "%s\n", s.ToString().c_str());
-        rc = 1;
-      } else {
-        std::printf("OK (%zu keys, one batch frame per owner node)\n", pairs.size());
-      }
-    } else if (command == "trace") {
-      bool json = false;
-      int j = i + 1;
-      if (j < argc && std::string(argv[j]) == "--json") {
-        json = true;
-        ++j;
-      }
-      // Optional traced sub-command, sampled at 1/1 under one fresh root.
-      if (j < argc) {
-        obs::TraceRoot root("cli.op");
-        const std::string sub = argv[j];
-        Status s = Status::Ok();
-        if (sub == "get" && j + 1 < argc) {
-          Result<std::string> value = rt.Get(argv[j + 1]);
-          if (!value.ok()) {
-            s = value.status();
-          }
-        } else if (sub == "set" && j + 2 < argc) {
-          s = rt.Set(argv[j + 1], argv[j + 2]);
-        } else if (sub == "del" && j + 1 < argc) {
-          s = rt.Delete(argv[j + 1]);
-        } else if (sub == "mset" && j + 2 < argc && (argc - j - 1) % 2 == 0) {
-          std::vector<std::pair<std::string, std::string>> pairs;
-          for (int k = j + 1; k + 1 < argc; k += 2) {
-            pairs.emplace_back(argv[k], argv[k + 1]);
-          }
-          s = rt.MSet(pairs);
-        } else {
-          Usage();
-          rt.Stop();
-          return 2;
-        }
-        if (!s.ok()) {
-          std::fprintf(stderr, "traced op failed: %s\n", s.ToString().c_str());
-          rc = 1;
-        }
-      }
-      std::vector<obs::SpanRecord> spans;
-      CollectLocalSpans(&spans);
-      std::vector<std::string> process_names = {"cli"};
-      uint32_t pid = 1;
-      for (const std::string& name : rt.Nodes()) {
-        Result<std::vector<obs::SpanRecord>> dump = rt.TraceDump(name);
-        process_names.push_back(name);
-        if (dump.ok()) {
-          for (obs::SpanRecord& r : *dump) {
-            r.pid = pid;
-            spans.push_back(std::move(r));
-          }
-        } else {
-          std::fprintf(stderr, "trace dump from %s failed: %s\n", name.c_str(),
-                       dump.status().ToString().c_str());
-        }
-        ++pid;
-      }
-      if (json) {
-        std::fputs(obs::RenderChromeTrace(spans, process_names).c_str(), stdout);
-      } else {
-        PrintSpanTable(spans, process_names);
-      }
-    } else if (command == "nodefor" && arg_at(1) != nullptr) {
-      const std::string& owner = rt.NodeFor(arg_at(1));
-      std::printf("%s (port %u)\n", owner.c_str(), rt.ActivePort(owner));
-    } else {
-      Usage();
-      rc = 2;
-    }
+    const int rc = RunCluster(rt, args);
     rt.Stop();
     return rc;
   }
 
-  net::ClientOptions copts;
-  copts.enable_tracing = tracing;
-  net::Client client(authority, expected, !plaintext, copts);
+  net::Client client(authority, expected, !plaintext);
   if (Status s = client.Connect(port); !s.ok()) {
     std::fprintf(stderr, "connect/attestation failed: %s\n", s.ToString().c_str());
     return 1;
   }
-
-  const std::string command = argv[i];
-  auto arg_at = [&](int offset) -> const char* {
-    return i + offset < argc ? argv[i + offset] : nullptr;
-  };
-  if (command == "get" && arg_at(1) != nullptr) {
-    Result<std::string> value = client.Get(arg_at(1));
-    if (!value.ok()) {
-      std::fprintf(stderr, "%s\n", value.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%s\n", value->c_str());
-  } else if (command == "set" && arg_at(2) != nullptr) {
-    const Status s = client.Set(arg_at(1), arg_at(2));
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("OK\n");
-  } else if (command == "del" && arg_at(1) != nullptr) {
-    const Status s = client.Delete(arg_at(1));
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("OK\n");
-  } else if (command == "append" && arg_at(2) != nullptr) {
-    const Status s = client.Append(arg_at(1), arg_at(2));
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("OK\n");
-  } else if (command == "incr" && arg_at(2) != nullptr) {
-    Result<int64_t> value = client.Increment(arg_at(1), std::atoll(arg_at(2)));
-    if (!value.ok()) {
-      std::fprintf(stderr, "%s\n", value.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("%lld\n", static_cast<long long>(*value));
-  } else if (command == "mset" && arg_at(2) != nullptr && (argc - i - 1) % 2 == 0) {
-    std::vector<std::pair<std::string, std::string>> pairs;
-    for (int j = i + 1; j + 1 < argc; j += 2) {
-      pairs.emplace_back(argv[j], argv[j + 1]);
-    }
-    const Status s = client.MSet(pairs);
-    if (!s.ok()) {
-      std::fprintf(stderr, "%s\n", s.ToString().c_str());
-      return 1;
-    }
-    std::printf("OK (%zu keys, one frame)\n", pairs.size());
-  } else if (command == "mget" && arg_at(1) != nullptr) {
-    std::vector<std::string> keys;
-    for (int j = i + 1; j < argc; ++j) {
-      keys.emplace_back(argv[j]);
-    }
-    Result<std::vector<net::Response>> responses = client.MGet(keys);
-    if (!responses.ok()) {
-      std::fprintf(stderr, "%s\n", responses.status().ToString().c_str());
-      return 1;
-    }
-    int rc = 0;
-    for (size_t j = 0; j < responses->size(); ++j) {
-      const net::Response& r = (*responses)[j];
-      if (r.status == Code::kOk) {
-        std::printf("%s=%s\n", keys[j].c_str(), r.value.c_str());
-      } else {
-        std::printf("%s: %s\n", keys[j].c_str(),
-                    Status(r.status, "").ToString().c_str());
-        rc = 1;
-      }
-    }
-    return rc;
-  } else if (command == "stats") {
-    bool prometheus = false;
-    bool json = false;
-    bool check = false;
-    for (int j = i + 1; j < argc; ++j) {
-      const std::string opt = argv[j];
-      if (opt == "--prometheus") {
-        prometheus = true;
-      } else if (opt == "--json") {
-        json = true;
-      } else if (opt == "--check") {
-        check = true;
-      } else {
-        Usage();
-        return 2;
-      }
-    }
-    Result<obs::MetricsSnapshot> snap = client.Stats();
-    if (!snap.ok()) {
-      std::fprintf(stderr, "stats failed: %s\n", snap.status().ToString().c_str());
-      return 1;
-    }
-    std::fputs(json        ? obs::RenderJson(*snap).c_str()
-               : prometheus ? obs::RenderPrometheus(*snap).c_str()
-                            : obs::RenderTable(*snap).c_str(),
-               stdout);
-    if (check) {
-      const int violations = CheckInvariants(*snap);
-      if (violations > 0) {
-        return 1;
-      }
-      std::printf("stats check OK (%zu metrics)\n", snap->metrics.size());
-    }
-  } else if (command == "trace") {
-    bool json = false;
-    int j = i + 1;
-    if (j < argc && std::string(argv[j]) == "--json") {
-      json = true;
-      ++j;
-    }
-    int rc = 0;
-    // Optional traced sub-command, sampled at 1/1 under one fresh root.
-    if (j < argc) {
-      obs::TraceRoot root("cli.op");
-      const std::string sub = argv[j];
-      Status s = Status::Ok();
-      if (sub == "get" && j + 1 < argc) {
-        Result<std::string> value = client.Get(argv[j + 1]);
-        if (!value.ok()) {
-          s = value.status();
-        }
-      } else if (sub == "set" && j + 2 < argc) {
-        s = client.Set(argv[j + 1], argv[j + 2]);
-      } else if (sub == "del" && j + 1 < argc) {
-        s = client.Delete(argv[j + 1]);
-      } else if (sub == "mset" && j + 2 < argc && (argc - j - 1) % 2 == 0) {
-        std::vector<std::pair<std::string, std::string>> pairs;
-        for (int k = j + 1; k + 1 < argc; k += 2) {
-          pairs.emplace_back(argv[k], argv[k + 1]);
-        }
-        s = client.MSet(pairs);
-      } else if (sub == "ping") {
-        net::Request request;
-        request.op = net::OpCode::kPing;
-        Result<net::Response> response = client.Execute(request);
-        if (!response.ok()) {
-          s = response.status();
-        }
-      } else {
-        Usage();
-        return 2;
-      }
-      if (!s.ok()) {
-        std::fprintf(stderr, "traced op failed: %s\n", s.ToString().c_str());
-        rc = 1;
-      }
-    }
-    std::vector<obs::SpanRecord> spans;
-    CollectLocalSpans(&spans);
-    Result<std::vector<obs::SpanRecord>> dump = client.TraceDump();
-    if (dump.ok()) {
-      for (obs::SpanRecord& r : *dump) {
-        r.pid = 1;
-        spans.push_back(std::move(r));
-      }
-    } else {
-      std::fprintf(stderr, "trace dump failed: %s\n",
-                   dump.status().ToString().c_str());
-      rc = 1;
-    }
-    const std::vector<std::string> process_names = {"cli", "server"};
-    if (json) {
-      std::fputs(obs::RenderChromeTrace(spans, process_names).c_str(), stdout);
-    } else {
-      PrintSpanTable(spans, process_names);
-    }
-    return rc;
-  } else if (command == "ping") {
-    net::Request request;
-    request.op = net::OpCode::kPing;
-    Result<net::Response> response = client.Execute(request);
-    if (!response.ok() || response->status != Code::kOk) {
-      std::fprintf(stderr, "ping failed\n");
-      return 1;
-    }
-    std::printf("%s\n", response->value.c_str());
-  } else {
-    Usage();
-    return 2;
-  }
-  return 0;
+  return RunNode(client, args);
 }

@@ -34,7 +34,6 @@
 #include "src/net/server.h"
 #include "src/obs/audit.h"
 #include "src/obs/snapshot.h"
-#include "src/obs/tracer.h"
 #include "src/obs/watchdog.h"
 #include "src/router/replica.h"
 #include "src/router/shipper.h"
@@ -72,7 +71,6 @@ struct Flags {
   bool replica = false;         // warm standby: accept a primary's kReplicate stream
   uint16_t replica_of = 0;      // that primary's port — informational (push model)
   uint16_t replicate_to = 0;    // primary: ship committed WAL entries to this follower port
-  uint32_t trace_sample = 256;  // sample 1-in-N root ops; 1 = every op, 0 = tracing off
   std::string audit_log;        // hash-chained security audit log; empty = off
 };
 
@@ -88,15 +86,16 @@ void PrintUsage() {
                "    [--wal-compact-bytes N] [--stats-interval-s N] [--stats-json FILE]\n"
                "    [--io-threads N] [--max-sessions N]\n"
                "    [--replica-of PRIMARY_PORT] [--replicate-to FOLLOWER_PORT]\n"
-               "    [--trace-sample N] [--audit-log FILE]\n"
+               "    [--audit-log FILE]\n"
                "durability: --wal-window-us N (N >= 1, default 200) is the group-commit\n"
                "window; every ack waits until its record is fsync'd and counter-bumped.\n"
-               "observability: --trace-sample N samples 1-in-N root operations into the\n"
-               "cross-node tracer (1 = every op, 0 = off; dump with `shieldstore_cli\n"
-               "trace`). --audit-log FILE appends every integrity-relevant event to a\n"
-               "hash-chained, fsync'd audit log (verify offline with audit_verify). The\n"
-               "SLO watchdog checks fixed thresholds every 5 s; breaches bump\n"
-               "slo.breaches and land in the audit log.\n"
+               "observability: a request carrying a sampled trace context (from\n"
+               "`shieldstore_cli trace`, which also dumps the spans) records server spans\n"
+               "and passes the context on to the follower. --audit-log FILE appends\n"
+               "every integrity-relevant event to a hash-chained, fsync'd audit log\n"
+               "(verify offline with audit_verify). The SLO watchdog checks fixed\n"
+               "thresholds every 5 s; breaches bump slo.breaches and land in the audit\n"
+               "log.\n"
                "replication: --replica-of makes this node a warm standby (the primary on\n"
                "PRIMARY_PORT pushes its stream here; the port is recorded for logs).\n"
                "--replicate-to ships every committed WAL entry to the follower listening\n"
@@ -160,8 +159,6 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
       flags->replica_of = static_cast<uint16_t>(std::atoi(next()));
     } else if (arg == "--replicate-to") {
       flags->replicate_to = static_cast<uint16_t>(std::atoi(next()));
-    } else if (arg == "--trace-sample") {
-      flags->trace_sample = static_cast<uint32_t>(std::atoll(next()));
     } else if (arg == "--audit-log") {
       flags->audit_log = next();
     } else {
@@ -194,21 +191,25 @@ void PrintReport(const shield::obs::MetricsSnapshot& now,
   }
   std::printf(" | get %llu set %llu batch %llu (%llu sub-ops) | inflight %lld",
               Ull(d.CounterValue("net.ops.get")), Ull(d.CounterValue("net.ops.set")),
-              Ull(d.CounterValue("net.ops.batch")), Ull(d.CounterValue("net.batch_ops")),
+              Ull(d.CounterValue("net.ops.batch")), Ull(shield::net::BatchSubOps(d)),
               static_cast<long long>(now.GaugeValue("net.inflight")));
   if (const auto* h = d.Histogram("net.latency.get"); h != nullptr && h->count > 0) {
     std::printf(" | get p50/p95/p99 %.0f/%.0f/%.0f us", h->Quantile(0.50) / 1e3,
                 h->Quantile(0.95) / 1e3, h->Quantile(0.99) / 1e3);
   }
-  const uint64_t batches = now.CounterValue("net.batches");
-  const uint64_t batch_ops = now.CounterValue("net.batch_ops");
+  // Each sub-op beyond the first in a batch would otherwise have been its
+  // own frame, session Seal/Open and enclave submission. A live snapshot
+  // may count a frame before its sub-ops, so the difference saturates.
+  const uint64_t batches = now.CounterValue("net.ops.batch");
+  const uint64_t batch_ops = shield::net::BatchSubOps(now);
+  const auto* coalesced = now.Histogram("net.coalesce_depth");
   std::printf("\nbatch: %llu batches, %llu sub-ops (mean %.1f/batch), %llu crossings saved, "
               "%llu coalesced runs of %llu pipelined frames\n",
               Ull(batches), Ull(batch_ops),
               batches > 0 ? static_cast<double>(batch_ops) / static_cast<double>(batches) : 0.0,
-              Ull(now.CounterValue("net.crossings_saved")),
-              Ull(now.CounterValue("net.coalesced.batches")),
-              Ull(now.CounterValue("net.coalesced.ops")));
+              Ull(batch_ops > batches ? batch_ops - batches : 0),
+              Ull(coalesced != nullptr ? coalesced->count : 0),
+              Ull(coalesced != nullptr ? coalesced->sum : 0));
   if (now.Has("wal.records")) {
     const auto* per_bump = now.Histogram("wal.epoch_records");
     std::printf("wal: %llu records, %llu commits, %llu fsyncs, %llu compactions, "
@@ -248,8 +249,7 @@ int main(int argc, char** argv) {
   std::signal(SIGTERM, HandleSignal);
 
   // Observability plumbing first: events from the very first attach/restore
-  // must already land in the audit chain and the tracer.
-  obs::TraceSetSampleEvery(flags.trace_sample);
+  // must already land in the audit chain.
   obs::AuditLog audit_log;
   if (!flags.audit_log.empty()) {
     if (Status s = audit_log.Open(flags.audit_log); !s.ok()) {
@@ -428,9 +428,6 @@ int main(int argc, char** argv) {
       ship_opts.epoch = 1;
     }
     ship_opts.attach_attempts = 50;
-    // Thread trace contexts through the replication stream: a sampled
-    // mutation's trace follows its WAL records onto the follower.
-    ship_opts.client.enable_tracing = flags.trace_sample > 0;
     shipper = std::make_unique<router::WalShipper>(*wal, authority, enclave.measurement(),
                                                    ship_opts);
     wal->SetReplicationSink(shipper.get());
@@ -455,10 +452,6 @@ int main(int argc, char** argv) {
   std::printf("crypto: %s backend (aes-ni %s)\n",
               crypto::AesBackendName(crypto::Aes128::Backend()),
               crypto::AesNiAvailable() ? "available" : "unavailable");
-  if (flags.trace_sample > 0) {
-    std::printf("tracing: sampling 1-in-%u root ops (drain with `shieldstore_cli trace`)\n",
-                flags.trace_sample);
-  }
   if (audit_log.is_open()) {
     std::printf("audit: hash-chained log at %s (%llu records so far)\n",
                 flags.audit_log.c_str(),
